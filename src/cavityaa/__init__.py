@@ -9,7 +9,6 @@ phase diagrams over the cavity parameters.
 """
 
 from ._version import __version__
-from .kernels import active_backend
 from .lattice import (GOLDEN_BETA, LATTICE_CONSTANT, BandSolveError, BlochBand,
                       LatticeSpec, WannierBasis, band_tightbinding_residual,
                       build_wannier, cavity_tunneling_corrections,
@@ -27,7 +26,7 @@ from .sweep import (Axis, PumpConfig, SweepRecord, SweepResult, SweepSpec,
                     map_physical_params, read_csv, run_sweep)
 
 __all__ = [
-    "__version__", "active_backend",
+    "__version__",
     "GOLDEN_BETA", "LATTICE_CONSTANT", "BandSolveError", "BlochBand",
     "LatticeSpec", "WannierBasis", "band_tightbinding_residual",
     "build_wannier", "cavity_tunneling_corrections", "correction_constants",

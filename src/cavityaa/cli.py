@@ -17,7 +17,6 @@ import sys
 
 import numpy as np
 
-from . import kernels
 from ._version import __version__
 from .config import ConfigError, axis_values, effective_config, load_config
 from .lattice import (LatticeSpec, band_tightbinding_residual, build_wannier,
@@ -25,8 +24,8 @@ from .lattice import (LatticeSpec, band_tightbinding_residual, build_wannier,
                       tunneling_from_band, tunneling_from_integral)
 from .model import (EffectivePotential, HubbardProblem, ground_state,
                     onsite_aa, onsite_cavity)
-from .observables import (FitOptions, PumpField, critical_v_cav, ipr,
-                          lyapunov_fit, photon_number)
+from .observables import (FitOptions, critical_v_cav, lyapunov_fit,
+                          photon_number)
 from .sweep import (Axis, PumpConfig, SweepSpec, default_filename, export_csv,
                     run_sweep)
 
@@ -95,7 +94,6 @@ def cmd_wannier(cfg: dict, out_dir: str) -> int:
     print(f"neighbor_overlap={overlap:.3e}")
     print(f"evenness_deviation={even_dev:.3e}")
     print(f"tightbinding_residual={band_tightbinding_residual(band):.3e}")
-    print(f"backend={kernels.active_backend()}")
     if cfg["output"]["wannier_csv"]:
         path = os.path.join(out_dir, "wannier.csv")
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -148,11 +146,8 @@ def cmd_ground_state(cfg: dict, out_dir: str) -> int:
                                              pot.delta_c_prime, pot.C)
     pump = _pump_config(cfg)
     if pump is not None and pot.mode != "aa":
-        if pump.pump_mode == "cavity_pumped":
-            zeta = PumpField("cavity_pumped", pump.eta)
-        else:
-            zeta = PumpField("atom_pumped", pump.Omega * pump.g / pump.Delta_a)
-        out["nbar"] = photon_number(gs, wb, zeta, delta_c=pot.delta_c_prime,
+        out["nbar"] = photon_number(gs, wb, pump.pump_field(),
+                                    delta_c=pot.delta_c_prime,
                                     U0=pot.C).mean_photon_number
     if cfg["output"]["wavefunction_csv"]:
         path = os.path.join(out_dir, "ground_state.csv")

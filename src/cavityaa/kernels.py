@@ -1,223 +1,26 @@
-"""Hot numerical kernels with a numba fast path and a numpy/LAPACK fallback.
+"""Hot numerical kernels: tridiagonal ground-state solve and onsite quadrature.
 
 The two kernels that dominate sweep runtime are the lowest-eigenpair solve of
 the symmetric tridiagonal chain Hamiltonian and the onsite quadrature of the
-cavity potential over the Wannier density.  Both exist in two functionally
-equivalent implementations:
+cavity potential over the Wannier density.  The eigenpair comes from LAPACK
+bisection plus inverse iteration (``scipy.linalg.eigh_tridiagonal`` in select
+mode), with a full tridiagonal diagonalization as the fallback when the
+residual check fails.  The quadrature is one broadcast numpy evaluation of the
+arctan integrand over (site, grid point) followed by a matrix-vector product
+with the weighted Wannier density.
 
-* ``numba``: @njit-compiled Sturm-sequence bisection plus inverse iteration,
-  and a fused quadrature loop.  Compiled lazily, cached on disk.
-* ``numpy``: LAPACK bisection/inverse-iteration via
-  ``scipy.linalg.eigh_tridiagonal`` and broadcast numpy quadrature.
-
-The active backend is chosen at import time: set ``CAVITYAA_NUMBA=0`` (or
-``false``/``off``) to force the numpy path; it is also selected automatically
-when numba is not importable.  Every public kernel accepts ``backend=`` to
-override the default, which the benchmark suite uses to compare both paths.
-
-Results are deterministic per backend: repeated calls with identical inputs
-return bit-identical outputs regardless of process or worker count.
+Results are deterministic: repeated calls with identical inputs return
+bit-identical outputs regardless of process or worker count.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-
-_env = os.environ.get("CAVITYAA_NUMBA", "").strip().lower()
-_want_numba = _env not in ("0", "false", "off", "no")
-
-try:
-    from numba import njit
-
-    _HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    _HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def decorator(func):
-            return func
-
-        if args and callable(args[0]):
-            return args[0]
-        return decorator
-
-
-NUMBA_ENABLED = _want_numba and _HAS_NUMBA
-
-
-def active_backend() -> str:
-    """Name of the default kernel backend, ``"numba"`` or ``"numpy"``."""
-    return "numba" if NUMBA_ENABLED else "numpy"
-
-
-def _resolve_backend(backend: str | None) -> str:
-    if backend is None:
-        return active_backend()
-    if backend not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {backend!r}")
-    if backend == "numba" and not _HAS_NUMBA:
-        raise ValueError("numba backend requested but numba is not installed")
-    return backend
-
 
 # ---------------------------------------------------------------------------
 # lowest eigenpair of a symmetric tridiagonal matrix
 # ---------------------------------------------------------------------------
-
-@njit(cache=True, nogil=True)
-def _lowest_eigenpair_sturm(d, e):  # pragma: no cover - measured via wrapper
-    """Smallest eigenpair of tridiag(e, d, e) by bisection + inverse iteration.
-
-    Returns (rayleigh quotient, normalized eigenvector, 2-norm residual).
-    """
-    n = d.shape[0]
-
-    # Gershgorin enclosure of the spectrum.
-    lo = d[0]
-    hi = d[0]
-    for i in range(n):
-        r = 0.0
-        if i > 0:
-            r += abs(e[i - 1])
-        if i < n - 1:
-            r += abs(e[i])
-        if d[i] - r < lo:
-            lo = d[i] - r
-        if d[i] + r > hi:
-            hi = d[i] + r
-    scale = max(abs(lo), abs(hi))
-    if scale == 0.0:
-        scale = 1.0
-
-    emax2 = 0.0
-    for i in range(n - 1):
-        e2 = e[i] * e[i]
-        if e2 > emax2:
-            emax2 = e2
-    pivmin = 2.2250738585072014e-308 * max(1.0, emax2)
-
-    # Bisection on the Sturm-sequence count of eigenvalues below the pivot.
-    a = lo
-    b = hi
-    for _ in range(128):
-        mid = 0.5 * (a + b)
-        cnt = 0
-        q = 1.0
-        for i in range(n):
-            if i == 0:
-                q = d[0] - mid
-            else:
-                q = d[i] - mid - (e[i - 1] * e[i - 1]) / q
-            if -pivmin < q < pivmin:
-                q = -pivmin
-            if q < 0.0:
-                cnt += 1
-        if cnt >= 1:
-            b = mid
-        else:
-            a = mid
-        if b - a <= 2.0 * 2.220446049250313e-16 * scale:
-            break
-    lam = b  # count(b) >= 1, within a few ulp of the smallest eigenvalue
-
-    # LU factorization with partial pivoting of (T - lam I); the shifted
-    # matrix is near-singular by construction, which is what makes inverse
-    # iteration converge in one or two solves.
-    dd = np.empty(n)
-    dl = np.empty(max(n - 1, 1))
-    du = np.empty(max(n - 1, 1))
-    du2 = np.zeros(max(n - 2, 1))
-    swap = np.zeros(max(n - 1, 1), np.bool_)
-    for i in range(n):
-        dd[i] = d[i] - lam
-    for i in range(n - 1):
-        dl[i] = e[i]
-        du[i] = e[i]
-    for i in range(n - 1):
-        if abs(dd[i]) >= abs(dl[i]):
-            swap[i] = False
-            if dd[i] == 0.0:
-                dd[i] = pivmin
-            f = dl[i] / dd[i]
-            dl[i] = f
-            dd[i + 1] = dd[i + 1] - f * du[i]
-            if i < n - 2:
-                du2[i] = 0.0
-        else:
-            swap[i] = True
-            f = dd[i] / dl[i]
-            dd[i] = dl[i]
-            tmp = dd[i + 1]
-            dd[i + 1] = du[i] - f * tmp
-            if i < n - 2:
-                du2[i] = du[i + 1]
-                du[i + 1] = -f * du[i + 1]
-            du[i] = tmp
-            dl[i] = f
-    if dd[n - 1] == 0.0:
-        dd[n - 1] = pivmin
-
-    # Inverse iteration.  The chain ground state has non-vanishing overlap
-    # with the uniform vector (hopping enters with a negative sign), so a
-    # constant start vector is safe.  The residual converges after one or two
-    # solves; the extra fixed passes drive the contamination of the deep
-    # eigenvector tail (which decay fits read) far below the leading digits.
-    v = np.full(n, 1.0 / np.sqrt(n))
-    ray = lam
-    res = 1.0e300
-    for it in range(5):
-        # forward substitution
-        for i in range(n - 1):
-            if not swap[i]:
-                v[i + 1] = v[i + 1] - dl[i] * v[i]
-            else:
-                tmp = v[i]
-                v[i] = v[i + 1]
-                v[i + 1] = tmp - dl[i] * v[i]
-        # back substitution
-        v[n - 1] = v[n - 1] / dd[n - 1]
-        if n > 1:
-            v[n - 2] = (v[n - 2] - du[n - 2] * v[n - 1]) / dd[n - 2]
-        for i in range(n - 3, -1, -1):
-            v[i] = (v[i] - du[i] * v[i + 1] - du2[i] * v[i + 2]) / dd[i]
-
-        nrm = 0.0
-        for i in range(n):
-            nrm += v[i] * v[i]
-        nrm = np.sqrt(nrm)
-        for i in range(n):
-            v[i] = v[i] / nrm
-
-        # Rayleigh quotient and residual of the unshifted matrix.
-        ray = 0.0
-        for i in range(n):
-            ray += d[i] * v[i] * v[i]
-        for i in range(n - 1):
-            ray += 2.0 * e[i] * v[i] * v[i + 1]
-        res = 0.0
-        for i in range(n):
-            r = (d[i] - ray) * v[i]
-            if i > 0:
-                r += e[i - 1] * v[i - 1]
-            if i < n - 1:
-                r += e[i] * v[i + 1]
-            res += r * r
-        res = np.sqrt(res)
-        if it >= 2 and res <= 1.0e-13 * scale:
-            break
-    return ray, v, res
-
-
-def _lowest_eigenpair_lapack(d, e):
-    """LAPACK bisection + inverse iteration for the smallest eigenpair."""
-    w, v = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
-    psi = np.ascontiguousarray(v[:, 0])
-    lam = float(w[0])
-    res = _tridiag_residual(d, e, lam, psi)
-    return lam, psi, res
 
 
 def _tridiag_residual(d, e, lam, psi):
@@ -237,7 +40,7 @@ def gershgorin_norm_bound(d: np.ndarray, e: np.ndarray) -> float:
 
 
 def lowest_eigenpair(
-    d: np.ndarray, e: np.ndarray, backend: str | None = None
+    d: np.ndarray, e: np.ndarray
 ) -> tuple[float, np.ndarray, float, str]:
     """Smallest eigenpair of the symmetric tridiagonal matrix tridiag(e, d, e).
 
@@ -251,14 +54,11 @@ def lowest_eigenpair(
         raise ValueError("expected diag of length n and offdiag of length n-1")
     if d.shape[0] < 1:
         raise ValueError("empty matrix")
-    which = _resolve_backend(backend)
-    if which == "numba":
-        lam, psi, res = _lowest_eigenpair_sturm(d, e)
-        method = "sturm_bisection_inverse_iteration[numba]"
-    else:
-        lam, psi, res = _lowest_eigenpair_lapack(d, e)
-        method = "lapack_bisection_inverse_iteration"
-    return float(lam), psi, float(res), method
+    w, v = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
+    psi = np.ascontiguousarray(v[:, 0])
+    lam = float(w[0])
+    res = _tridiag_residual(d, e, lam, psi)
+    return lam, psi, res, "lapack_bisection_inverse_iteration"
 
 
 def lowest_eigenpair_dense_fallback(
@@ -276,45 +76,6 @@ def lowest_eigenpair_dense_fallback(
 # onsite quadrature of the cavity potential over the Wannier density
 # ---------------------------------------------------------------------------
 
-@njit(cache=True, nogil=True)
-def _onsite_quadrature_numba(wdens, grid, n_sites, a, beta, c_coop, dcp, sin2, offset):
-    # pragma: no cover - measured via wrapper
-    m = grid.shape[0]
-    # Hoist the grid trig through the angle addition identity; the inner loop
-    # is then arctan-bound.
-    cu = np.empty(m)
-    su = np.empty(m)
-    for j in range(m):
-        cu[j] = np.cos(beta * grid[j])
-        su[j] = np.sin(beta * grid[j])
-    out = np.empty(n_sites)
-    for n in range(n_sites):
-        xn = (n + 1 + offset) * a
-        cx = np.cos(beta * xn)
-        sx = np.sin(beta * xn)
-        acc = 0.0
-        if sin2:
-            for j in range(m):
-                s = su[j] * cx + cu[j] * sx
-                acc += wdens[j] * np.arctan(c_coop * s * s - dcp)
-        else:
-            for j in range(m):
-                s = cu[j] * cx - su[j] * sx
-                acc += wdens[j] * np.arctan(c_coop * s * s - dcp)
-        out[n] = acc
-    return out
-
-
-def _onsite_quadrature_numpy(wdens, grid, n_sites, a, beta, c_coop, dcp, sin2, offset):
-    xn = (np.arange(1, n_sites + 1) + offset) * a
-    cu, su = np.cos(beta * grid), np.sin(beta * grid)
-    cx, sx = np.cos(beta * xn), np.sin(beta * xn)
-    if sin2:
-        trig = cx[:, None] * su[None, :] + sx[:, None] * cu[None, :]
-    else:
-        trig = cx[:, None] * cu[None, :] - sx[:, None] * su[None, :]
-    return np.arctan(c_coop * trig * trig - dcp) @ wdens
-
 
 def onsite_quadrature(
     wdens: np.ndarray,
@@ -326,7 +87,6 @@ def onsite_quadrature(
     dcp: float,
     sin2: bool,
     offset: float = 0.0,
-    backend: str | None = None,
 ) -> np.ndarray:
     """Per-site integrals of arctan(C trig^2(beta (u + x_n)) - delta') over u.
 
@@ -338,13 +98,13 @@ def onsite_quadrature(
     grid = np.ascontiguousarray(grid, dtype=np.float64)
     if wdens.shape != grid.shape:
         raise ValueError("weight and grid arrays must have matching shapes")
-    which = _resolve_backend(backend)
-    if which == "numba":
-        return _onsite_quadrature_numba(
-            wdens, grid, int(n_sites), float(a), float(beta),
-            float(c_coop), float(dcp), bool(sin2), float(offset),
-        )
-    return _onsite_quadrature_numpy(
-        wdens, grid, int(n_sites), float(a), float(beta),
-        float(c_coop), float(dcp), bool(sin2), float(offset),
-    )
+    xn = (np.arange(1, int(n_sites) + 1) + float(offset)) * float(a)
+    # The angle-addition identity keeps the trig calls at O(sites + grid); the
+    # (site, grid) product is then arctan-bound.
+    cu, su = np.cos(beta * grid), np.sin(beta * grid)
+    cx, sx = np.cos(beta * xn), np.sin(beta * xn)
+    if sin2:
+        trig = cx[:, None] * su[None, :] + sx[:, None] * cu[None, :]
+    else:
+        trig = cx[:, None] * cu[None, :] - sx[:, None] * su[None, :]
+    return np.arctan(c_coop * trig * trig - dcp) @ wdens

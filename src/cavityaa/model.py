@@ -106,7 +106,7 @@ def onsite_aa(v0: float, beta: float, L: int) -> OnsiteProfile:
 
 
 def onsite_cavity(wb: "WannierBasis", pot: EffectivePotential, L: int,
-                  site_offset: float = 0.0, backend: str | None = None) -> OnsiteProfile:
+                  site_offset: float = 0.0) -> OnsiteProfile:
     """Wannier-smeared cavity profile delta_eps_n = v0 int w0(u)^2 f(u + x_n) du.
 
     x_n = (n + site_offset) a with the full incommensurate argument (no
@@ -122,7 +122,6 @@ def onsite_cavity(wb: "WannierBasis", pot: EffectivePotential, L: int,
     vals = kernels.onsite_quadrature(
         wb.density_weights, wb.grid, L, wb.site_spacing_a, pot.beta,
         pot.C, pot.delta_c_prime, pot.uses_sin2, offset=site_offset,
-        backend=backend,
     )
     vals = pot.v0 * vals
     bound = pot.v0 * np.pi / 2.0 + 1e-12
@@ -202,17 +201,16 @@ class GroundState:
         return self.amplitudes * self.amplitudes
 
 
-def ground_state(problem: HubbardProblem, backend: str | None = None) -> GroundState:
+def ground_state(problem: HubbardProblem) -> GroundState:
     """Lowest eigenpair of the chain, sign-fixed and residual-checked.
 
-    Uses bisection + inverse iteration (numba or LAPACK path); if that
-    stagnates the solve falls back to a full tridiagonal diagonalization, and
-    the method actually used is recorded on the result.
+    Uses LAPACK bisection + inverse iteration; if that stagnates the solve
+    falls back to a full tridiagonal diagonalization, and the method actually
+    used is recorded on the result.
     """
     op = assemble(problem)
     norm_bound = kernels.gershgorin_norm_bound(op.diag, op.offdiag)
-    energy, psi, res, method = kernels.lowest_eigenpair(op.diag, op.offdiag,
-                                                        backend=backend)
+    energy, psi, res, method = kernels.lowest_eigenpair(op.diag, op.offdiag)
     if res > RESIDUAL_RTOL * norm_bound:
         energy, psi, res, method = kernels.lowest_eigenpair_dense_fallback(
             op.diag, op.offdiag)

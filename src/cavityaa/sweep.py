@@ -66,6 +66,12 @@ class PumpConfig:
         if self.kappa_over_recoil <= 0.0:
             raise ValueError("kappa_over_recoil must be positive")
 
+    def pump_field(self, eta: float | None = None) -> PumpField:
+        """Drive entering the photon number; eta overrides the cavity drive."""
+        if self.pump_mode == "cavity_pumped":
+            return PumpField("cavity_pumped", self.eta if eta is None else eta)
+        return PumpField("atom_pumped", self.Omega * self.g / self.Delta_a)
+
 
 def map_physical_params(pump: PumpConfig, U0: float, delta_c: float,
                         eta: float | None = None) -> tuple[float, float, float]:
@@ -147,9 +153,16 @@ class SweepSpec:
         for key in self.fixed:
             if key not in AXIS_NAMES:
                 raise ValueError(f"unknown fixed parameter {key!r}")
-        physical = [n for n in names + list(self.fixed) if n in PHYSICAL_AXES]
+        given = names + list(self.fixed)
+        physical = [n for n in given if n in PHYSICAL_AXES]
         if physical and self.pump is None:
             raise ValueError(f"physical parameters {physical} require a pump config")
+        model = [n for n in given if n in MODEL_AXES[:3]]
+        if physical and model:
+            # the physical parameters set all of (v0, C, delta_c_prime), so
+            # model parameters next to them would be silently ignored
+            raise ValueError(f"model parameters {model} cannot be combined "
+                             f"with physical parameters {physical}")
         if "nbar" in self.observables and self.pump is None:
             raise ValueError("nbar requires a pump config")
         if self.L < 3:
@@ -262,7 +275,7 @@ def _evaluate_point(runtime: _Runtime, flat_index: int) -> SweepRecord:
             if gamma is None:
                 flags.append("gamma_absent")
         if "nbar" in spec.observables:
-            zeta = _pump_field(spec.pump, params)
+            zeta = spec.pump.pump_field(params.get("eta"))
             nbar = photon_number(
                 gs, wb, zeta,
                 delta_c=params.get("delta_c", dcp),
@@ -280,12 +293,6 @@ def _evaluate_point(runtime: _Runtime, flat_index: int) -> SweepRecord:
 
 def _nan(value) -> float:
     return float("nan") if value is None else float(value)
-
-
-def _pump_field(pump: PumpConfig, params: dict) -> PumpField:
-    if pump.pump_mode == "cavity_pumped":
-        return PumpField("cavity_pumped", params.get("eta", pump.eta))
-    return PumpField("atom_pumped", pump.Omega * pump.g / pump.Delta_a)
 
 
 # --- execution ---------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -6,9 +7,11 @@ import numpy as np
 import pytest
 
 import cavityaa as ca
-from cavityaa.cli import main
+from cavityaa.cli import _sweep_spec, main
+from cavityaa.config import load_config
 
 L = 233
+CONFIGS = sorted((pathlib.Path(__file__).parent.parent / "configs").glob("*.json"))
 
 
 def run_cli(capsys, *argv):
@@ -195,6 +198,28 @@ def test_baseline_aa_requires_v0_axis(capsys, tmp_path):
     code, out, err = run_cli(capsys, "baseline-aa", "--config", cfg)
     assert code == 2
     assert "axis1" in err
+
+
+def test_mixed_parameters_exit_code(capsys, tmp_path):
+    doc = {
+        "pump": {"enabled": True, "eta": 0.2},
+        "sweep": {"axis1": {"name": "v0", "values": [0.01, 0.05, 0.1]},
+                  "fixed": {"U0": -1.0}},
+    }
+    cfg = write_cfg(tmp_path, doc)
+    code, out, err = run_cli(capsys, "sweep", "--config", cfg,
+                             "--out", str(tmp_path))
+    assert code == 2
+    assert "cannot be combined" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+def test_shipped_config_builds_sweep_spec(path):
+    cfg = load_config(path)
+    spec = _sweep_spec(cfg)
+    assert spec.name == path.stem
+    assert spec.n_points >= 1
 
 
 def test_module_entry_point():

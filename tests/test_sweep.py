@@ -62,6 +62,21 @@ def test_spec_validation(lattice_spec):
         ca.Axis("frequency", np.array([1.0]))
 
 
+def test_mixed_model_and_physical_parameters_rejected(lattice_spec):
+    # a physical parameter maps to all of (v0, C, delta_c_prime), so a model
+    # parameter beside it would be dropped without notice
+    pump = ca.PumpConfig(pump_mode="cavity_pumped", eta=0.2)
+    with pytest.raises(ValueError, match="cannot be combined"):
+        _spec(lattice_spec, axis2=None, fixed={"U0": -1.0}, pump=pump)
+    with pytest.raises(ValueError, match="cannot be combined"):
+        _spec(lattice_spec, axis1=ca.Axis.log("eta", 0.1, 1.0, 4), axis2=None,
+              fixed={"C": -2.0}, pump=pump)
+    with pytest.raises(ValueError, match="cannot be combined"):
+        _spec(lattice_spec, axis1=ca.Axis.log("eta", 0.1, 1.0, 4),
+              axis2=ca.Axis("delta_c_prime", np.array([0.0])), fixed={},
+              pump=pump)
+
+
 def test_single_point_sweep_matches_direct_solve(wannier, lattice_spec):
     v0, C = 0.05, -2.0
     spec = _spec(lattice_spec,
