@@ -15,8 +15,8 @@ from .lattice import (GOLDEN_BETA, LATTICE_CONSTANT, BandSolveError, BlochBand,
                       correction_constants, solve_lowest_band,
                       tunneling_from_band, tunneling_from_integral)
 from .model import (EffectivePotential, GroundState, GroundStateError,
-                    HubbardProblem, OnsiteProfile, TridiagonalOperator,
-                    assemble, f_eval, ground_state, onsite_aa, onsite_cavity)
+                    HubbardProblem, OnsiteProfile, f_eval, ground_state,
+                    onsite_aa, onsite_cavity)
 from .observables import (CavityObservables, FitOptions, LocalizationMetrics,
                           PumpField, TransitionEstimate, critical_v_cav,
                           detect_transition, ipr, lyapunov_fit, photon_number,
@@ -32,8 +32,7 @@ __all__ = [
     "build_wannier", "cavity_tunneling_corrections", "correction_constants",
     "solve_lowest_band", "tunneling_from_band", "tunneling_from_integral",
     "EffectivePotential", "GroundState", "GroundStateError", "HubbardProblem",
-    "OnsiteProfile", "TridiagonalOperator", "assemble", "f_eval",
-    "ground_state", "onsite_aa", "onsite_cavity",
+    "OnsiteProfile", "f_eval", "ground_state", "onsite_aa", "onsite_cavity",
     "CavityObservables", "FitOptions", "LocalizationMetrics", "PumpField",
     "TransitionEstimate", "critical_v_cav", "detect_transition", "ipr",
     "lyapunov_fit", "photon_number", "thouless_reference",

@@ -18,53 +18,24 @@ import sys
 import numpy as np
 
 from ._version import __version__
-from .config import ConfigError, axis_values, effective_config, load_config
-from .lattice import (LatticeSpec, band_tightbinding_residual, build_wannier,
+from .config import (ConfigError, axis_values, effective_config,
+                     fit_options, lattice_spec, load_config, pump_config)
+from .lattice import (WannierBasis, band_tightbinding_residual, build_wannier,
                       correction_constants, solve_lowest_band,
                       tunneling_from_band, tunneling_from_integral)
 from .model import (EffectivePotential, HubbardProblem, ground_state,
                     onsite_aa, onsite_cavity)
-from .observables import (FitOptions, critical_v_cav, lyapunov_fit,
-                          photon_number)
-from .sweep import (Axis, PumpConfig, SweepSpec, default_filename, export_csv,
-                    run_sweep)
+from .observables import critical_v_cav, lyapunov_fit, photon_number
+from .sweep import (Axis, SweepSpec, _resolve_model_params, default_filename,
+                    export_csv, run_sweep)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_PARTIAL = 3
 
 
-def _lattice_spec(cfg: dict) -> LatticeSpec:
-    lat = cfg["lattice"]
-    return LatticeSpec(
-        depth_W0=lat["depth_W0"],
-        planewave_cutoff_M=int(lat["planewave_cutoff_M"]),
-        quasimomentum_samples_Nq=int(lat["quasimomentum_samples_Nq"]),
-        beta=lat["beta"],
-        window_sites=int(lat["window_sites"]),
-        points_per_site=int(lat["points_per_site"]),
-    )
-
-
-def _fit_options(cfg: dict) -> FitOptions:
-    fit = cfg["fit"]
-    return FitOptions(background_factor=fit["background_factor"],
-                      min_window_sites=int(fit["min_window_sites"]),
-                      min_r2=fit["min_r2"],
-                      asymmetry_tol=fit["asymmetry_tol"])
-
-
-def _pump_config(cfg: dict) -> PumpConfig | None:
-    pump = cfg["pump"]
-    if not pump["enabled"]:
-        return None
-    return PumpConfig(pump_mode=pump["pump_mode"], eta=pump["eta"],
-                      Omega=pump["Omega"], Delta_a=pump["Delta_a"],
-                      g=pump["g"], kappa_over_recoil=pump["kappa_over_recoil"])
-
-
 def _build_wannier(cfg: dict):
-    spec = _lattice_spec(cfg)
+    spec = lattice_spec(cfg)
     band = solve_lowest_band(spec)
     return spec, band, build_wannier(band, spec)
 
@@ -105,27 +76,33 @@ def cmd_wannier(cfg: dict, out_dir: str) -> int:
     return EXIT_OK
 
 
-def _single_problem(cfg: dict):
-    spec, band, wb = _build_wannier(cfg)
+def cmd_ground_state(cfg: dict, out_dir: str) -> int:
+    """Solve one chain and write the wavefunction CSV plus a metrics JSON.
+
+    With a pump enabled, v0 comes from the drive, with U0 = model.C and
+    delta_c = model.delta_c_prime in kappa units.
+    """
+    spec, _, wb = _build_wannier(cfg)
     mdl = cfg["model"]
     L = int(mdl["L"])
-    if mdl["mode"] == "aa":
-        pot = EffectivePotential.aubry_andre(mdl["v0"], beta=spec.beta)
-        profile = onsite_aa(mdl["v0"], spec.beta, L)
+    pump = pump_config(cfg)
+    if pump is None:
+        params = {"v0": mdl["v0"], "C": mdl["C"],
+                  "delta_c_prime": mdl["delta_c_prime"]}
     else:
-        pot = EffectivePotential.cavity(mdl["v0"], mdl["C"],
-                                        mdl["delta_c_prime"], beta=spec.beta)
+        params = {"U0": mdl["C"], "delta_c": mdl["delta_c_prime"]}
+    v0, coop, dcp, zeta = _resolve_model_params(pump, params)
+    if mdl["mode"] == "aa":
+        pot = EffectivePotential.aubry_andre(v0, beta=spec.beta)
+        profile = onsite_aa(v0, spec.beta, L)
+    else:
+        pot = EffectivePotential.cavity(v0, coop, dcp, beta=spec.beta)
         profile = onsite_cavity(wb, pot, L)
     problem = HubbardProblem(L=L, t=wb.t, onsite=profile)
-    return spec, wb, pot, problem
-
-
-def cmd_ground_state(cfg: dict, out_dir: str) -> int:
-    """Solve one chain and write the wavefunction CSV plus a metrics JSON."""
-    spec, wb, pot, problem = _single_problem(cfg)
     gs = ground_state(problem)
-    metrics = lyapunov_fit(gs, _fit_options(cfg))
+    metrics = lyapunov_fit(gs, fit_options(cfg))
     out = {
+        "v0": v0,
         "E0": gs.energy,
         "ipr": metrics.ipr,
         "gamma": metrics.lyapunov_gamma,
@@ -144,11 +121,9 @@ def cmd_ground_state(cfg: dict, out_dir: str) -> int:
     if pot.mode != "aa" and pot.C != 0.0:
         out["v_c_analytic"] = critical_v_cav(wb.t, wb.alpha,
                                              pot.delta_c_prime, pot.C)
-    pump = _pump_config(cfg)
-    if pump is not None and pot.mode != "aa":
-        out["nbar"] = photon_number(gs, wb, pump.pump_field(),
-                                    delta_c=pot.delta_c_prime,
-                                    U0=pot.C).mean_photon_number
+    if zeta is not None and pot.mode != "aa":
+        out["nbar"] = photon_number(gs, wb, zeta, delta_c=dcp,
+                                    U0=coop).mean_photon_number
     if cfg["output"]["wavefunction_csv"]:
         path = os.path.join(out_dir, "ground_state.csv")
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -165,14 +140,24 @@ def cmd_ground_state(cfg: dict, out_dir: str) -> int:
     return EXIT_OK
 
 
-def _sweep_spec(cfg: dict, mode_override: str | None = None) -> SweepSpec:
-    spec = _lattice_spec(cfg)
+def _sweep_wannier(cfg: dict) -> WannierBasis | None:
+    """Basis shared by every grid point; None when a W0 axis sets the depth."""
+    axes = (cfg["sweep"]["axis1"], cfg["sweep"]["axis2"])
+    if any(ax is not None and ax["name"] == "W0" for ax in axes):
+        return None
+    return _build_wannier(cfg)[2]
+
+
+def _sweep_spec(cfg: dict, mode_override: str | None = None,
+                wannier: WannierBasis | None = None) -> SweepSpec:
+    """The configured sweep; unit 't' axes scale by the hopping of wannier."""
+    spec = lattice_spec(cfg)
     sweep_cfg = cfg["sweep"]
     needs_t = any(ax is not None and ax["unit"] == "t"
                   for ax in (sweep_cfg["axis1"], sweep_cfg["axis2"]))
-    hopping = 0.0
-    if needs_t:
-        hopping = build_wannier(solve_lowest_band(spec), spec).t
+    if needs_t and wannier is None:
+        wannier = build_wannier(solve_lowest_band(spec), spec)
+    hopping = 0.0 if wannier is None else wannier.t
     axis1 = Axis(sweep_cfg["axis1"]["name"],
                  axis_values(sweep_cfg["axis1"], hopping))
     axis2 = None
@@ -184,19 +169,22 @@ def _sweep_spec(cfg: dict, mode_override: str | None = None) -> SweepSpec:
         axis1=axis1, axis2=axis2, lattice=spec, L=int(cfg["model"]["L"]),
         mode=mode, fixed=dict(sweep_cfg["fixed"]),
         observables=tuple(sweep_cfg["observables"]),
-        pump=_pump_config(cfg), fit=_fit_options(cfg),
+        pump=pump_config(cfg), fit=fit_options(cfg),
         name=sweep_cfg["name"],
     )
 
 
-def _run_and_export(cfg: dict, sweep_spec: SweepSpec, out_dir: str,
-                    workers: int) -> int:
+def _run_and_export(cfg: dict, out_dir: str, workers: int,
+                    mode_override: str | None = None) -> int:
+    wannier = _sweep_wannier(cfg)
+    sweep_spec = _sweep_spec(cfg, mode_override, wannier)
     total = sweep_spec.n_points
 
     def progress(done, n):
         print(f"sweep {sweep_spec.name}: {done}/{n}", file=sys.stderr)
 
-    result = run_sweep(sweep_spec, workers=workers, progress=progress)
+    result = run_sweep(sweep_spec, wannier=wannier, workers=workers,
+                       progress=progress)
     path = os.path.join(out_dir, default_filename(sweep_spec))
     export_csv(result, path, config=cfg)
     print(f"wrote {path}")
@@ -210,15 +198,14 @@ def _run_and_export(cfg: dict, sweep_spec: SweepSpec, out_dir: str,
 
 def cmd_sweep(cfg: dict, out_dir: str, workers: int) -> int:
     """Run the configured sweep and write CSV + metadata sidecar."""
-    return _run_and_export(cfg, _sweep_spec(cfg), out_dir, workers)
+    return _run_and_export(cfg, out_dir, workers)
 
 
 def cmd_baseline_aa(cfg: dict, out_dir: str, workers: int) -> int:
     """Bichromatic baseline shortcut: force aa mode for the configured sweep."""
-    spec = _sweep_spec(cfg, mode_override="aa")
-    if spec.axis1.name != "v0":
+    if cfg["sweep"]["axis1"]["name"] != "v0":
         raise ConfigError("sweep.axis1.name: baseline-aa scans v0")
-    return _run_and_export(cfg, spec, out_dir, workers)
+    return _run_and_export(cfg, out_dir, workers, mode_override="aa")
 
 
 def _parser() -> argparse.ArgumentParser:

@@ -15,7 +15,9 @@ import json
 
 import numpy as np
 
-from .lattice import GOLDEN_BETA
+from .lattice import GOLDEN_BETA, LatticeSpec
+from .observables import FitOptions
+from .sweep import AXIS_NAMES, PumpConfig
 
 #: Defaults for every configurable field.
 DEFAULTS = {
@@ -78,9 +80,6 @@ class ConfigError(ValueError):
 #: Free-form mappings whose keys are validated separately, not schema-merged.
 _OPAQUE_PATHS = ("sweep.fixed",)
 
-#: Parameters accepted as sweep axes or fixed values.
-_PARAM_NAMES = ("v0", "C", "delta_c_prime", "eta", "U0", "delta_c", "W0")
-
 
 def _merge(defaults, given, path):
     if not isinstance(given, dict):
@@ -107,15 +106,66 @@ _AXIS_DEFAULTS = DEFAULTS["sweep"]["axis1"]
 
 
 def effective_config(doc: dict) -> dict:
-    """Merge a raw document over the defaults, rejecting unknown keys."""
+    """Merge a raw document over the defaults, rejecting unknown keys.
+
+    The lattice, fit and pump sections are checked by constructing their
+    objects (the pump even when disabled); the rest by _validate.
+    """
     merged = _merge(DEFAULTS, doc, "")
     for axis_key in ("axis1", "axis2"):
         axis = merged["sweep"][axis_key]
         if axis is not None:
             merged["sweep"][axis_key] = _merge(_AXIS_DEFAULTS, axis,
                                                f"sweep.{axis_key}")
+    for section, build in (("lattice", lattice_spec), ("fit", fit_options),
+                           ("pump", _pump)):
+        try:
+            build(merged)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"{section}: {exc}") from exc
     _validate(merged)
     return merged
+
+
+def _integer(section: dict, key: str) -> int:
+    value = section[key]
+    if int(value) != value:
+        raise ValueError(f"{key} must be an integer")
+    return int(value)
+
+
+def lattice_spec(cfg: dict) -> LatticeSpec:
+    """The configured lattice; LatticeSpec checks every field."""
+    lat = cfg["lattice"]
+    return LatticeSpec(
+        depth_W0=lat["depth_W0"],
+        planewave_cutoff_M=_integer(lat, "planewave_cutoff_M"),
+        quasimomentum_samples_Nq=_integer(lat, "quasimomentum_samples_Nq"),
+        beta=lat["beta"],
+        window_sites=_integer(lat, "window_sites"),
+        points_per_site=_integer(lat, "points_per_site"),
+    )
+
+
+def fit_options(cfg: dict) -> FitOptions:
+    """The configured decay fit; FitOptions checks every field."""
+    fit = cfg["fit"]
+    return FitOptions(background_factor=fit["background_factor"],
+                      min_window_sites=_integer(fit, "min_window_sites"),
+                      min_r2=fit["min_r2"],
+                      asymmetry_tol=fit["asymmetry_tol"])
+
+
+def _pump(cfg: dict) -> PumpConfig:
+    pump = cfg["pump"]
+    return PumpConfig(pump_mode=pump["pump_mode"], eta=pump["eta"],
+                      Omega=pump["Omega"], Delta_a=pump["Delta_a"],
+                      g=pump["g"], kappa_over_recoil=pump["kappa_over_recoil"])
+
+
+def pump_config(cfg: dict) -> PumpConfig | None:
+    """The configured pump, or None when it is disabled."""
+    return _pump(cfg) if cfg["pump"]["enabled"] else None
 
 
 def _require(cond: bool, key: str, message: str):
@@ -124,51 +174,24 @@ def _require(cond: bool, key: str, message: str):
 
 
 def _validate(cfg: dict):
-    lat = cfg["lattice"]
-    _require(lat["planewave_cutoff_M"] >= 8, "lattice.planewave_cutoff_M",
-             "must be >= 8")
-    nq = lat["quasimomentum_samples_Nq"]
-    _require(nq >= 64 and nq % 2 == 0, "lattice.quasimomentum_samples_Nq",
-             "must be even and >= 64")
-    _require(0.0 < lat["beta"] < 1.0, "lattice.beta", "must be in (0, 1)")
-    _require(lat["window_sites"] >= 2, "lattice.window_sites", "must be >= 2")
-    _require(lat["points_per_site"] >= 16, "lattice.points_per_site",
-             "must be >= 16")
-
+    """Checks of the model and sweep sections, which no constructor makes."""
     mdl = cfg["model"]
     _require(mdl["L"] >= 3, "model.L", "must be >= 3")
     _require(mdl["mode"] in ("cavity", "aa"), "model.mode",
              "must be 'cavity' or 'aa'")
     _require(mdl["v0"] >= 0.0, "model.v0", "must be non-negative")
 
-    pump = cfg["pump"]
-    _require(pump["pump_mode"] in ("cavity_pumped", "atom_pumped"),
-             "pump.pump_mode", "must be cavity_pumped or atom_pumped")
-    _require(pump["kappa_over_recoil"] > 0.0, "pump.kappa_over_recoil",
-             "must be positive")
-    if pump["enabled"] and pump["pump_mode"] == "atom_pumped":
-        _require(pump["Delta_a"] != 0.0, "pump.Delta_a", "must be nonzero")
-    if pump["enabled"] and pump["pump_mode"] == "cavity_pumped":
-        _require(pump["eta"] >= 0.0, "pump.eta", "must be non-negative")
-
-    fit = cfg["fit"]
-    _require(fit["background_factor"] > 1.0, "fit.background_factor",
-             "must exceed 1")
-    _require(fit["min_window_sites"] >= 3, "fit.min_window_sites",
-             "must be >= 3")
-    _require(0.0 < fit["min_r2"] <= 1.0, "fit.min_r2", "must be in (0, 1]")
-
     for name in cfg["sweep"]["fixed"]:
-        _require(name in _PARAM_NAMES, f"sweep.fixed.{name}",
-                 f"must be one of {_PARAM_NAMES}")
+        _require(name in AXIS_NAMES, f"sweep.fixed.{name}",
+                 f"must be one of {AXIS_NAMES}")
 
     for axis_key in ("axis1", "axis2"):
         axis = cfg["sweep"][axis_key]
         if axis is None:
             continue
         key = f"sweep.{axis_key}"
-        _require(axis["name"] in _PARAM_NAMES, f"{key}.name",
-                 f"must be one of {_PARAM_NAMES}")
+        _require(axis["name"] in AXIS_NAMES, f"{key}.name",
+                 f"must be one of {AXIS_NAMES}")
         _require(axis["scale"] in ("log", "linear"), f"{key}.scale",
                  "must be 'log' or 'linear'")
         _require(axis["unit"] in ("Er", "t"), f"{key}.unit",

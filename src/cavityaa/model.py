@@ -149,38 +149,6 @@ class HubbardProblem:
 
 
 @dataclass(frozen=True)
-class TridiagonalOperator:
-    """Symmetric tridiagonal operator in (diagonal, off-diagonal) storage."""
-
-    diag: np.ndarray
-    offdiag: np.ndarray
-
-    def __post_init__(self):
-        self.diag.setflags(write=False)
-        self.offdiag.setflags(write=False)
-
-    def to_dense(self) -> np.ndarray:
-        h = np.diag(self.diag)
-        h += np.diag(self.offdiag, 1)
-        h += np.diag(self.offdiag, -1)
-        return h
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        out = self.diag * v
-        out[:-1] += self.offdiag * v[1:]
-        out[1:] += self.offdiag * v[:-1]
-        return out
-
-
-def assemble(problem: HubbardProblem) -> TridiagonalOperator:
-    """Chain Hamiltonian: diagonal delta_eps_n, off-diagonal -t, hard walls."""
-    return TridiagonalOperator(
-        diag=problem.onsite.values.copy(),
-        offdiag=np.full(problem.L - 1, -problem.t),
-    )
-
-
-@dataclass(frozen=True)
 class GroundState:
     """Normalized real ground state with its energy and solve diagnostics."""
 
@@ -204,16 +172,20 @@ class GroundState:
 def ground_state(problem: HubbardProblem) -> GroundState:
     """Lowest eigenpair of the chain, sign-fixed and residual-checked.
 
+    The chain Hamiltonian is tridiagonal: onsite energies on the diagonal,
+    -t on the off-diagonals, hard walls at both ends.
+
     Uses LAPACK bisection + inverse iteration; if that stagnates the solve
     falls back to a full tridiagonal diagonalization, and the method actually
     used is recorded on the result.
     """
-    op = assemble(problem)
-    norm_bound = kernels.gershgorin_norm_bound(op.diag, op.offdiag)
-    energy, psi, res, method = kernels.lowest_eigenpair(op.diag, op.offdiag)
+    diag = problem.onsite.values
+    offdiag = np.full(problem.L - 1, -problem.t)
+    norm_bound = kernels.gershgorin_norm_bound(diag, offdiag)
+    energy, psi, res, method = kernels.lowest_eigenpair(diag, offdiag)
     if res > RESIDUAL_RTOL * norm_bound:
         energy, psi, res, method = kernels.lowest_eigenpair_dense_fallback(
-            op.diag, op.offdiag)
+            diag, offdiag)
         if res > RESIDUAL_RTOL * norm_bound:
             raise GroundStateError(
                 f"residual {res:.3e} exceeds {RESIDUAL_RTOL:.0e} * ||H|| after fallback"

@@ -43,6 +43,14 @@ class FitOptions:
     min_r2: float = 0.9
     asymmetry_tol: float = 0.2  # per-side slope mismatch that flags the state
 
+    def __post_init__(self):
+        if not self.background_factor > 1.0:
+            raise ValueError("background_factor must exceed 1")
+        if self.min_window_sites < 3:
+            raise ValueError("min_window_sites must be >= 3")
+        if not 0.0 < self.min_r2 <= 1.0:
+            raise ValueError("min_r2 must be in (0, 1]")
+
 
 @dataclass(frozen=True)
 class LocalizationMetrics:

@@ -10,7 +10,9 @@ records are keyed by flat grid index and reassembled in row-major order
 
 Axes may be model parameters (v0, C, delta_c_prime, W0) or physical pump
 parameters (eta, U0, delta_c) in units of the cavity linewidth kappa; the
-latter require a PumpConfig carrying the kappa / E_r scale.
+latter require a PumpConfig carrying the kappa / E_r scale.  An eta axis is
+the pump drive: eta for a driven cavity, the Rabi frequency Omega for a
+driven atom, in both v0 and the photon number.
 """
 
 from __future__ import annotations
@@ -66,11 +68,16 @@ class PumpConfig:
         if self.kappa_over_recoil <= 0.0:
             raise ValueError("kappa_over_recoil must be positive")
 
-    def pump_field(self, eta: float | None = None) -> PumpField:
-        """Drive entering the photon number; eta overrides the cavity drive."""
+    def pump_field(self, drive: float | None = None) -> PumpField:
+        """Drive entering the photon number.
+
+        drive overrides the configured drive: eta for a driven cavity, the
+        Rabi frequency Omega (amplitude Omega g / Delta_a) for a driven atom.
+        """
         if self.pump_mode == "cavity_pumped":
-            return PumpField("cavity_pumped", self.eta if eta is None else eta)
-        return PumpField("atom_pumped", self.Omega * self.g / self.Delta_a)
+            return PumpField("cavity_pumped", self.eta if drive is None else drive)
+        omega = self.Omega if drive is None else drive
+        return PumpField("atom_pumped", omega * self.g / self.Delta_a)
 
 
 def map_physical_params(pump: PumpConfig, U0: float, delta_c: float,
@@ -234,16 +241,26 @@ def _point_params(spec: SweepSpec, i1: int, i2: int) -> dict:
     return params
 
 
-def _resolve_model_params(spec: SweepSpec, params: dict) -> tuple[float, float, float]:
-    if spec.pump is not None and any(k in params for k in PHYSICAL_AXES):
-        return map_physical_params(
-            spec.pump,
+def _resolve_model_params(pump: PumpConfig | None, params: dict
+                          ) -> tuple[float, float, float, PumpField | None]:
+    """Model parameters (v0, C, delta_c_prime) and pump field zeta of a point.
+
+    The one place where sweep or config parameters become model parameters.
+    Physical parameters (eta, U0, delta_c) map through map_physical_params;
+    zeta is built from the same drive as v0, and is None without a pump.
+    """
+    if pump is not None and any(k in params for k in PHYSICAL_AXES):
+        v0, coop, dcp = map_physical_params(
+            pump,
             U0=params.get("U0", 0.0),
             delta_c=params.get("delta_c", 0.0),
             eta=params.get("eta"),
         )
-    return (params.get("v0", 0.0), params.get("C", 0.0),
-            params.get("delta_c_prime", 0.0))
+    else:
+        v0, coop, dcp = (params.get("v0", 0.0), params.get("C", 0.0),
+                         params.get("delta_c_prime", 0.0))
+    zeta = None if pump is None else pump.pump_field(params.get("eta"))
+    return v0, coop, dcp, zeta
 
 
 def _evaluate_point(runtime: _Runtime, flat_index: int) -> SweepRecord:
@@ -256,12 +273,10 @@ def _evaluate_point(runtime: _Runtime, flat_index: int) -> SweepRecord:
     v0 = coop = dcp = float("nan")
     e0 = p_x = gamma = nbar = None
     try:
-        v0, coop, dcp = _resolve_model_params(spec, params)
-        depth = params.get("W0", spec.lattice.depth_W0)
-        wb = runtime.wannier_for(depth)
+        v0, coop, dcp, zeta = _resolve_model_params(spec.pump, params)
+        wb = runtime.wannier_for(params.get("W0", spec.lattice.depth_W0))
         if spec.mode == "aa":
             profile = onsite_aa(v0, spec.lattice.beta, spec.L)
-            coop, dcp = 0.0, 0.0
         else:
             pot = EffectivePotential.cavity(v0, coop, dcp, beta=spec.lattice.beta)
             profile = onsite_cavity(wb, pot, spec.L)
@@ -275,14 +290,12 @@ def _evaluate_point(runtime: _Runtime, flat_index: int) -> SweepRecord:
             if gamma is None:
                 flags.append("gamma_absent")
         if "nbar" in spec.observables:
-            zeta = spec.pump.pump_field(params.get("eta"))
-            nbar = photon_number(
-                gs, wb, zeta,
-                delta_c=params.get("delta_c", dcp),
-                U0=params.get("U0", coop),
-            ).mean_photon_number
+            nbar = photon_number(gs, wb, zeta, delta_c=dcp,
+                                 U0=coop).mean_photon_number
     except Exception as exc:  # per-point failures never abort the sweep
         flags.append(f"solve_failed:{type(exc).__name__}")
+    if spec.mode == "aa":  # the bichromatic profile has no C or delta'
+        coop = dcp = 0.0
     return SweepRecord(
         axis1=float(spec.axis1.values[i1]), axis2=ax2,
         v0=v0, C=coop, delta_c_prime=dcp,
@@ -402,42 +415,25 @@ def _transition_estimates(spec: SweepSpec, result: SweepResult,
     """Per-column critical points when v0 (or eta) is one of the axes."""
     scan_axes = {"v0", "eta"}
     if spec.axis1.name in scan_axes:
-        scan, other = "axis1", "axis2"
+        other = spec.axis2
     elif spec.axis2 is not None and spec.axis2.name in scan_axes:
-        scan, other = "axis2", "axis1"
+        other = spec.axis1
     else:
         return []
-    n1, n2 = spec.shape
-    grid = np.empty(n1 * n2)
-    iprs = np.empty(n1 * n2)
-    for k, rec in enumerate(result.records):
-        grid[k] = rec.v0
-        iprs[k] = rec.ipr
-    grid = grid.reshape(n1, n2)
-    iprs = iprs.reshape(n1, n2)
-    if scan == "axis2":
-        columns = [(float(spec.axis1.values[i]), grid[i], iprs[i])
-                   for i in range(n1)]
-        other_name = spec.axis1.name
+    grid = np.array([rec.v0 for rec in result.records]).reshape(spec.shape)
+    iprs = np.array([rec.ipr for rec in result.records]).reshape(spec.shape)
+    if other is spec.axis1:
+        columns = [(i, 0, grid[i], iprs[i]) for i in range(spec.shape[0])]
     else:
-        columns = [(float(spec.axis2.values[j]) if spec.axis2 else None,
-                    grid[:, j], iprs[:, j])
-                   for j in range(n2)]
-        other_name = spec.axis2.name if spec.axis2 else None
+        columns = [(0, j, grid[:, j], iprs[:, j]) for j in range(spec.shape[1])]
     out = []
-    for other_value, v0s, curve in columns:
+    for i1, i2, v0s, curve in columns:
+        params = _point_params(spec, i1, i2)
         entry = {"t": None if wannier is None else wannier.t}
-        if other_name is not None:
-            entry[other_name] = other_value
-        if other_name in ("U0", "C"):
-            coop = other_value
-        else:
-            coop = spec.fixed.get("C", spec.fixed.get("U0"))
-        if other_name in ("delta_c_prime", "delta_c"):
-            dcp = other_value
-        else:
-            dcp = spec.fixed.get("delta_c_prime", spec.fixed.get("delta_c", 0.0))
+        if other is not None:
+            entry[other.name] = params[other.name]
         try:
+            _, coop, dcp, _ = _resolve_model_params(spec.pump, params)
             kwargs = {}
             if spec.mode == "cavity" and wannier is not None and coop:
                 kwargs = dict(hopping=wannier.t, alpha=wannier.alpha,

@@ -19,6 +19,15 @@ def wannier(band, lattice_spec):
     return ca.build_wannier(band, lattice_spec)
 
 
+@pytest.fixture(scope="session")
+def dense_chain():
+    """Dense chain Hamiltonian, the oracle for the tridiagonal ground state."""
+    def build(problem):
+        off = np.full(problem.L - 1, -problem.t)
+        return np.diag(problem.onsite.values) + np.diag(off, 1) + np.diag(off, -1)
+    return build
+
+
 class TransitionScanner:
     """Shared helper: IPR curves, refined critical points, decay fits.
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import cavityaa as ca
+from cavityaa import cli, sweep
 from cavityaa.cli import _sweep_spec, main
 from cavityaa.config import load_config
 
@@ -42,6 +43,34 @@ def test_wannier_invalid_cutoff_names_key(capsys, tmp_path):
     code, out, err = run_cli(capsys, "wannier", "--config", cfg)
     assert code == 2
     assert "planewave_cutoff_M" in err
+
+
+#: One bad value per lattice, pump and fit check: (section, field, value,
+#: other fields of the section that make the check apply).
+BAD_FIELDS = [
+    ("lattice", "quasimomentum_samples_Nq", 63, {}),
+    ("lattice", "quasimomentum_samples_Nq", 64.5, {}),
+    ("lattice", "beta", 1.5, {}),
+    ("lattice", "window_sites", 1, {}),
+    ("lattice", "points_per_site", 8, {}),
+    ("pump", "pump_mode", "x", {}),
+    ("pump", "kappa_over_recoil", 0, {}),
+    ("pump", "Delta_a", 0, {"enabled": True, "pump_mode": "atom_pumped"}),
+    ("pump", "eta", -1, {"enabled": True, "pump_mode": "cavity_pumped"}),
+    ("fit", "min_r2", 0, {}),
+    ("fit", "background_factor", 1, {}),
+    ("fit", "min_window_sites", 2, {}),
+]
+
+
+@pytest.mark.parametrize("section, field, value, extra", BAD_FIELDS,
+                         ids=[f"{s}.{f}={v}" for s, f, v, _ in BAD_FIELDS])
+def test_invalid_field_names_key(capsys, tmp_path, section, field, value, extra):
+    cfg = write_cfg(tmp_path, {section: {field: value, **extra}})
+    code, out, err = run_cli(capsys, "wannier", "--config", cfg,
+                             "--out", str(tmp_path))
+    assert code == 2
+    assert field in err
 
 
 def test_unknown_key_rejected(capsys, tmp_path):
@@ -84,6 +113,38 @@ def test_ground_state_free_chain(capsys, tmp_path):
     mid = float(rows[117].split(",")[1])
     edge = float(rows[1].split(",")[1])
     assert mid > 10.0 * abs(edge)
+
+
+@pytest.mark.parametrize("pump, v0", [
+    ({"pump_mode": "cavity_pumped", "eta": 0.3}, 0.3 ** 2),
+    ({"pump_mode": "cavity_pumped", "eta": 3.0}, 3.0 ** 2),
+    ({"pump_mode": "atom_pumped", "Omega": 0.8, "Delta_a": -2.0, "g": 0.3},
+     0.8 ** 2 * -2.0 / -2.0),
+], ids=["cavity-0.3", "cavity-3.0", "atom-0.8"])
+def test_ground_state_takes_v0_from_the_pump(capsys, tmp_path, wannier, pump, v0):
+    # the drive sets v0 (times kappa / E_r); model.C and model.delta_c_prime
+    # are U0 and delta_c in kappa units
+    doc = {"model": {"mode": "cavity", "C": -1.0, "delta_c_prime": -2.0},
+           "pump": {"enabled": True, "kappa_over_recoil": 0.5, **pump},
+           "output": {"wavefunction_csv": False}}
+    cfg = write_cfg(tmp_path, doc)
+    code, out, err = run_cli(capsys, "ground-state", "--config", cfg,
+                             "--out", str(tmp_path))
+    assert code == 0
+    metrics = json.loads((tmp_path / "ground_state_metrics.json").read_text())
+    v0 *= 0.5
+    pot = ca.EffectivePotential.cavity(v0, -1.0, -2.0)
+    gs = ca.ground_state(ca.HubbardProblem(
+        L=L, t=wannier.t, onsite=ca.onsite_cavity(wannier, pot, L)))
+    assert metrics["E0"] == pytest.approx(gs.energy, rel=1e-12)
+    assert metrics["v0"] == pytest.approx(v0, rel=1e-14)
+    if pump["pump_mode"] == "cavity_pumped":
+        zeta = ca.PumpField("cavity_pumped", pump["eta"])
+    else:
+        zeta = ca.PumpField("atom_pumped", pump["Omega"] * 0.3 / -2.0)
+    direct = ca.photon_number(gs, wannier, zeta, delta_c=-2.0, U0=-1.0)
+    assert metrics["nbar"] == pytest.approx(direct.mean_photon_number,
+                                            rel=1e-12)
 
 
 @pytest.mark.slow
@@ -129,6 +190,34 @@ def test_sweep_writes_csv_and_sidecar(capsys, tmp_path):
     sidecar = json.loads((tmp_path / "demo_v0xC.meta.json").read_text())
     assert sidecar["config"]["sweep"]["name"] == "demo"
     assert sidecar["metadata"]["constants"]["alpha"] > 0.0
+
+
+def test_sweep_builds_the_wannier_basis_once(capsys, tmp_path, monkeypatch):
+    # a unit 't' axis needs the hopping before the sweep runs; the basis
+    # built for it is the one the sweep uses
+    builds = []
+
+    def counting(build):
+        def wrapper(*args, **kwargs):
+            builds.append(build)
+            return build(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "build_wannier", counting(cli.build_wannier))
+    monkeypatch.setattr(sweep, "build_wannier", counting(sweep.build_wannier))
+    doc = {
+        "sweep": {
+            "name": "once",
+            "axis1": {"name": "v0", "scale": "log", "start": 0.5, "stop": 5.0,
+                      "num": 4, "unit": "t"},
+            "axis2": {"name": "C", "values": [-1.0]},
+            "fixed": {"delta_c_prime": 0.0},
+        },
+    }
+    cfg = write_cfg(tmp_path, doc)
+    code, *_ = run_cli(capsys, "sweep", "--config", cfg, "--out", str(tmp_path))
+    assert code == 0
+    assert len(builds) == 1
 
 
 def test_sidecar_reproduces_run(capsys, tmp_path):

@@ -115,22 +115,20 @@ def test_onsite_cavity_smearing_matches_alpha(wannier):
     assert ratio == pytest.approx(wannier.alpha, rel=0.02)
 
 
-def test_assemble_three_site_chain():
+def test_ground_state_three_site_chain():
     prof = ca.OnsiteProfile(values=np.zeros(3), L=3)
-    op = ca.assemble(ca.HubbardProblem(L=3, t=1.0, onsite=prof))
-    evals = np.linalg.eigvalsh(op.to_dense())
-    assert np.allclose(evals, [-np.sqrt(2.0), 0.0, np.sqrt(2.0)], atol=1e-12)
+    gs = ca.ground_state(ca.HubbardProblem(L=3, t=1.0, onsite=prof))
+    assert gs.energy == pytest.approx(-np.sqrt(2.0), abs=1e-12)
+    assert np.allclose(gs.amplitudes, [0.5, np.sqrt(0.5), 0.5], atol=1e-12)
 
 
-def test_assemble_hermitian_and_diagonal_limit():
+def test_ground_state_diagonal_limit():
     rng = np.random.RandomState(5)
     vals = rng.uniform(-1, 1, 12)
     prof = ca.OnsiteProfile(values=vals, L=12)
-    op = ca.assemble(ca.HubbardProblem(L=12, t=0.37, onsite=prof))
-    dense = op.to_dense()
-    assert np.array_equal(dense, dense.T)
-    op0 = ca.assemble(ca.HubbardProblem(L=12, t=0.0, onsite=prof))
-    assert np.allclose(np.linalg.eigvalsh(op0.to_dense()), np.sort(vals), atol=1e-14)
+    gs = ca.ground_state(ca.HubbardProblem(L=12, t=0.0, onsite=prof))
+    assert gs.energy == pytest.approx(np.min(vals), abs=1e-14)
+    assert abs(gs.amplitudes[np.argmin(vals)]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ground_state_free_chain(wannier):
@@ -155,27 +153,26 @@ def test_ground_state_single_deep_site(wannier):
     assert int(np.argmax(np.abs(gs.amplitudes))) == 116
 
 
-def test_ground_state_normalization_sign_residual(scanner, wannier):
+def test_ground_state_normalization_sign_residual(wannier, dense_chain):
     t = wannier.t
     prof = ca.onsite_aa(5.0 * t, GOLDEN_BETA, L)
     problem = ca.HubbardProblem(L=L, t=t, onsite=prof)
     gs = ca.ground_state(problem)
     assert abs(np.sum(gs.density) - 1.0) < 1e-12
     assert gs.amplitudes[np.argmax(np.abs(gs.amplitudes))] > 0.0
-    op = ca.assemble(problem)
-    residual = np.linalg.norm(op.matvec(gs.amplitudes.copy()) - gs.energy * gs.amplitudes)
+    residual = np.linalg.norm(dense_chain(problem) @ gs.amplitudes
+                              - gs.energy * gs.amplitudes)
     norm_bound = np.max(np.abs(prof.values)) + 2.0 * t
     assert residual <= 1e-10 * norm_bound
 
 
-def test_ground_state_localized_aa_oracle(scanner, wannier):
+def test_ground_state_localized_aa_oracle(wannier, dense_chain):
     # dense diagonalization as the independent oracle at v0 = 2.5 t
     t = wannier.t
     prof = ca.onsite_aa(2.5 * t, GOLDEN_BETA, L)
     problem = ca.HubbardProblem(L=L, t=t, onsite=prof)
     gs = ca.ground_state(problem)
-    dense = ca.assemble(problem).to_dense()
-    w, v = np.linalg.eigh(dense)
+    w, v = np.linalg.eigh(dense_chain(problem))
     assert gs.energy == pytest.approx(w[0], abs=1e-13)
     assert abs(abs(np.dot(gs.amplitudes, v[:, 0])) - 1.0) < 1e-10
     metrics = ca.lyapunov_fit(gs)

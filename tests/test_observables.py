@@ -45,6 +45,16 @@ def test_lyapunov_fit_aa_thouless(scanner):
     assert metrics.window_sites >= 10
 
 
+def test_fit_options_validation():
+    with pytest.raises(ValueError, match="min_r2"):
+        ca.FitOptions(min_r2=0)
+    with pytest.raises(ValueError, match="background_factor"):
+        ca.FitOptions(background_factor=1.0)
+    with pytest.raises(ValueError, match="min_window_sites"):
+        ca.FitOptions(min_window_sites=2)
+    assert ca.FitOptions(min_r2=1.0).min_r2 == 1.0
+
+
 def test_thouless_reference():
     assert ca.thouless_reference(np.e * 0.2, 0.2) == pytest.approx(1.0, rel=1e-12)
     assert ca.thouless_reference(0.4, 0.2) == pytest.approx(np.log(2.0), rel=1e-12)

@@ -201,6 +201,26 @@ def test_photon_ridge_follows_optomechanical_resonance(wannier, lattice_spec):
     assert dcs[int(np.argmax(nbars))] == pytest.approx(-1.0, abs=0.51)
 
 
+def test_atom_pumped_eta_axis_drives_v0_and_photon_number(wannier, lattice_spec):
+    # an eta axis is the Rabi frequency Omega of a driven atom: it sets both
+    # v0 = Omega^2 delta_c / Delta_a and the photon-number drive Omega g / Delta_a
+    pump = ca.PumpConfig(pump_mode="atom_pumped", Omega=0.5, Delta_a=-2.0,
+                         g=0.3, kappa_over_recoil=1.0)
+    etas = np.array([0.2, 0.5, 1.0])
+    spec = _spec(lattice_spec, axis1=ca.Axis("eta", etas), axis2=None,
+                 fixed={"U0": -1.0, "delta_c": -4.0}, pump=pump,
+                 observables=("ipr", "nbar"), name="atom")
+    recs = ca.run_sweep(spec, wannier=wannier).records
+    for eta, rec in zip(etas, recs):
+        assert rec.v0 == pytest.approx(eta * eta * -4.0 / -2.0, rel=1e-14)
+        pot = ca.EffectivePotential.cavity(rec.v0, -1.0, -4.0)
+        prof = ca.onsite_cavity(wannier, pot, L)
+        gs = ca.ground_state(ca.HubbardProblem(L=L, t=wannier.t, onsite=prof))
+        zeta = ca.PumpField("atom_pumped", eta * 0.3 / -2.0)
+        direct = ca.photon_number(gs, wannier, zeta, delta_c=-4.0, U0=-1.0)
+        assert rec.nbar == pytest.approx(direct.mean_photon_number, rel=1e-12)
+
+
 def test_csv_round_trip_bit_exact(tmp_path, wannier, lattice_spec):
     spec = _spec(lattice_spec, observables=("ipr", "gamma"))
     result = ca.run_sweep(spec, wannier=wannier)
