@@ -173,10 +173,18 @@ def _require(cond: bool, key: str, message: str):
         raise ConfigError(f"{key}: {message}")
 
 
+def _require_integer(section: dict, key: str, path: str) -> int:
+    try:
+        return _integer(section, key)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{path}: must be an integer") from None
+
+
 def _validate(cfg: dict):
     """Checks of the model and sweep sections, which no constructor makes."""
     mdl = cfg["model"]
-    _require(mdl["L"] >= 3, "model.L", "must be >= 3")
+    _require(_require_integer(mdl, "L", "model.L") >= 3, "model.L",
+             "must be >= 3")
     _require(mdl["mode"] in ("cavity", "aa"), "model.mode",
              "must be 'cavity' or 'aa'")
     _require(mdl["v0"] >= 0.0, "model.v0", "must be non-negative")
@@ -197,7 +205,8 @@ def _validate(cfg: dict):
         _require(axis["unit"] in ("Er", "t"), f"{key}.unit",
                  "must be 'Er' or 't'")
         if axis["values"] is None:
-            _require(int(axis["num"]) >= 1, f"{key}.num", "must be >= 1")
+            _require(_require_integer(axis, "num", f"{key}.num") >= 1,
+                     f"{key}.num", "must be >= 1")
             if axis["scale"] == "log":
                 _require(axis["start"] > 0 and axis["stop"] > 0,
                          f"{key}.start", "log grids must be positive")

@@ -1,19 +1,28 @@
-"""Hot numerical kernels: tridiagonal ground-state solve and onsite quadrature.
+"""Hot numerical kernels: tridiagonal ground-state solve and site averages.
 
-The two kernels that dominate sweep runtime are the lowest-eigenpair solve of
-the symmetric tridiagonal chain Hamiltonian and the onsite quadrature of the
-cavity potential over the Wannier density.  The eigenpair comes from LAPACK
-bisection plus inverse iteration (``scipy.linalg.eigh_tridiagonal`` in select
-mode), with a full tridiagonal diagonalization as the fallback when the
-residual check fails.  The quadrature is one broadcast numpy evaluation of the
-arctan integrand over (site, grid point) followed by a matrix-vector product
-with the weighted Wannier density.
+The lowest eigenpair of the symmetric tridiagonal chain Hamiltonian comes
+from LAPACK bisection plus inverse iteration (``scipy.linalg.eigh_tridiagonal``
+in select mode), with a full tridiagonal diagonalization as the fallback when
+the residual check fails.
+
+The onsite profile and the photon number both average an even, pi-periodic
+function g(beta z) over the Wannier density at every site.  ``site_average``
+expands g in its cosine series g(theta) = sum_m g_m cos(2 m theta), whose
+coefficients come from an rFFT and decay geometrically for analytic g, so the
+average at site x_n is
+``sum_m g_m [B_m cos(2 m beta x_n) - A_m sin(2 m beta x_n)]`` with the
+density moments B_m = sum_j w_j cos(2 m beta u_j) and
+A_m = sum_j w_j sin(2 m beta u_j).  This is the same discrete sum over the
+Wannier grid that a direct quadrature computes, at O(harmonics x (grid +
+sites)) cost instead of O(grid x sites) arctan evaluations.
 
 Results are deterministic: repeated calls with identical inputs return
 bit-identical outputs regardless of process or worker count.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -73,8 +82,78 @@ def lowest_eigenpair_dense_fallback(
 
 
 # ---------------------------------------------------------------------------
-# onsite quadrature of the cavity potential over the Wannier density
+# Wannier-density average of an even, pi-periodic function at every site
 # ---------------------------------------------------------------------------
+
+#: The cosine series of g is cut once its upper quarter of harmonics falls
+#: below this fraction of its largest coefficient.  The rFFT's own rounding
+#: leaves coefficients near 2e-16 of the largest, so a bound much closer to
+#: machine epsilon could never be met.
+HARMONIC_TAIL_RTOL = 1e-15
+
+#: Harmonic count past which a series is rejected rather than truncated.
+MAX_HARMONICS = 4096
+
+
+def cosine_coefficients(g) -> np.ndarray:
+    """Coefficients g_m of g(theta) = sum_m g_m cos(2 m theta), m = 0..n-1.
+
+    g is sampled on n_s = 32, 64, ... points of [0, pi) and transformed with
+    an rFFT; n_s doubles until the upper quarter of the n = n_s / 2 kept
+    harmonics lies below HARMONIC_TAIL_RTOL times the largest one.  A series
+    that needs more than MAX_HARMONICS harmonics raises ValueError.
+    """
+    n_s = 32
+    while True:
+        theta = np.pi * np.arange(n_s) / n_s
+        coef = 2.0 * np.fft.rfft(g(theta)).real[: n_s // 2] / n_s
+        coef[0] *= 0.5
+        peak = np.max(np.abs(coef))
+        tail = np.max(np.abs(coef[3 * n_s // 8:]))
+        if tail <= HARMONIC_TAIL_RTOL * peak:
+            return coef
+        if n_s // 2 >= MAX_HARMONICS:
+            raise ValueError(
+                f"cosine series not converged at {n_s // 2} harmonics: tail "
+                f"|g_m| = {tail:.3e} exceeds {HARMONIC_TAIL_RTOL:.0e} x max "
+                f"|g_m| = {peak:.3e}")
+        n_s *= 2
+
+
+@functools.lru_cache(maxsize=16)
+def _harmonic_table(points: bytes, scale: float, n: int):
+    """cos and sin of m * scale * x for m = 0..n-1 (rows) and the points x."""
+    arg = np.multiply.outer(np.arange(n, dtype=np.float64),
+                            scale * np.frombuffer(points))
+    cos, sin = np.cos(arg), np.sin(arg)
+    cos.setflags(write=False)
+    sin.setflags(write=False)
+    return cos, sin
+
+
+def site_average(wdens: np.ndarray, grid: np.ndarray, sites: np.ndarray,
+                 beta: float, g) -> np.ndarray:
+    """``sum_j wdens_j g(beta (grid_j + sites_n))`` for every site x_n.
+
+    g must be even and pi-periodic, vectorized over a numpy array of angles;
+    its cosine series is truncated by ``cosine_coefficients``.  The trig
+    tables of the grid and the sites depend only on their geometry and the
+    harmonic count, so repeated calls reuse them.
+    """
+    wdens = np.ascontiguousarray(wdens, dtype=np.float64)
+    grid = np.ascontiguousarray(grid, dtype=np.float64)
+    sites = np.ascontiguousarray(sites, dtype=np.float64)
+    if wdens.shape != grid.shape:
+        raise ValueError("weight and grid arrays must have matching shapes")
+    coef = cosine_coefficients(g)
+    n = coef.shape[0]
+    cos_u, sin_u = _harmonic_table(grid.tobytes(), 2.0 * beta, n)
+    cos_x, sin_x = _harmonic_table(sites.tobytes(), 2.0 * beta, n)
+    # A_m is zero for an even density on a symmetric grid up to rounding;
+    # keeping it makes this the exact discrete sum for any density.
+    b_moments = coef * (cos_u @ wdens)
+    a_moments = coef * (sin_u @ wdens)
+    return b_moments @ cos_x - a_moments @ sin_x
 
 
 def onsite_quadrature(
@@ -88,23 +167,20 @@ def onsite_quadrature(
     sin2: bool,
     offset: float = 0.0,
 ) -> np.ndarray:
-    """Per-site integrals of arctan(C trig^2(beta (u + x_n)) - delta') over u.
+    """Per-site sums of arctan(C trig^2(beta (u + x_n)) - delta') over u.
 
     ``wdens`` carries the Wannier density multiplied by quadrature weights, so
     the return value is the dimensionless smeared potential for unit strength;
     ``offset`` shifts the site registration in units of the lattice constant.
+    The sum is evaluated by ``site_average``; trig = sin is cos at sites
+    shifted by pi / (2 beta).
     """
-    wdens = np.ascontiguousarray(wdens, dtype=np.float64)
-    grid = np.ascontiguousarray(grid, dtype=np.float64)
-    if wdens.shape != grid.shape:
-        raise ValueError("weight and grid arrays must have matching shapes")
-    xn = (np.arange(1, int(n_sites) + 1) + float(offset)) * float(a)
-    # The angle-addition identity keeps the trig calls at O(sites + grid); the
-    # (site, grid) product is then arctan-bound.
-    cu, su = np.cos(beta * grid), np.sin(beta * grid)
-    cx, sx = np.cos(beta * xn), np.sin(beta * xn)
+    sites = (np.arange(1, int(n_sites) + 1) + float(offset)) * float(a)
     if sin2:
-        trig = cx[:, None] * su[None, :] + sx[:, None] * cu[None, :]
-    else:
-        trig = cx[:, None] * cu[None, :] - sx[:, None] * su[None, :]
-    return np.arctan(c_coop * trig * trig - dcp) @ wdens
+        sites = sites + np.pi / (2.0 * beta)
+
+    def f(theta):
+        trig = np.cos(theta)
+        return np.arctan(c_coop * trig * trig - dcp)
+
+    return site_average(wdens, grid, sites, beta, f)

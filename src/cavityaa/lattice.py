@@ -31,6 +31,9 @@ GOLDEN_BETA = (np.sqrt(5.0) - 1.0) / 2.0
 #: Lattice constant a = pi / k0 in units of 1/k0.
 LATTICE_CONSTANT = np.pi
 
+#: Grid rows per block of the Wannier plane-wave sum.
+_ROW_BLOCK = 64
+
 
 class BandSolveError(RuntimeError):
     """Raised when the plane-wave eigenproblem fails at some quasimomentum."""
@@ -180,12 +183,23 @@ def build_wannier(band: BlochBand, spec: LatticeSpec) -> WannierBasis:
     grid = np.arange(-half, half + 1) * step
 
     # w0(x) = (1 / (Nq sqrt(pi))) sum_{q,l} c_{q,l} cos((q + 2l) x); the sine
-    # parts cancel exactly on the +-q symmetric grid.
+    # parts cancel exactly on the +-q symmetric grid.  The (grid x wavevector)
+    # cosine matrix is evaluated in row blocks into one buffer, so the build
+    # never holds more than _ROW_BLOCK rows of it.
     kvec = (qs[:, None] + 2.0 * ls[None, :]).ravel()
     cvec = coeffs.ravel() / (nq * np.sqrt(np.pi))
-    phases = np.cos(np.outer(grid, kvec))
-    w0 = phases @ cvec
-    w0_lap = phases @ (-(kvec ** 2) * cvec)
+    lap_vec = -(kvec ** 2) * cvec
+    w0 = np.empty(grid.shape)
+    w0_lap = np.empty(grid.shape)
+    buf = np.empty((_ROW_BLOCK, kvec.shape[0]))
+    for start in range(0, grid.shape[0], _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        x = grid[rows]
+        phases = buf[: x.shape[0]]
+        np.multiply(x[:, None], kvec[None, :], out=phases)
+        np.cos(phases, out=phases)
+        w0[rows] = phases @ cvec
+        w0_lap[rows] = phases @ lap_vec
 
     weights = np.full(grid.shape, step)
     weights[0] = weights[-1] = step / 2.0

@@ -112,6 +112,8 @@ def onsite_cavity(wb: "WannierBasis", pot: EffectivePotential, L: int,
     x_n = (n + site_offset) a with the full incommensurate argument (no
     fractional-part reduction); site_offset shifts the chain registration
     against the cavity mode, which only matters for commensurate checks.
+    The integral is the discrete sum over the Wannier grid, evaluated through
+    the cosine series of f (``kernels.onsite_quadrature``).
     """
     if pot.mode == "aa":
         raise ValueError("onsite_cavity requires a cavity-mode potential")
@@ -119,12 +121,21 @@ def onsite_cavity(wb: "WannierBasis", pot: EffectivePotential, L: int,
         raise ValueError("need at least 3 sites")
     if wb.spec.window_sites < 2:
         raise ValueError("quadrature window smaller than the Wannier support")
-    vals = kernels.onsite_quadrature(
+    unit = kernels.onsite_quadrature(
         wb.density_weights, wb.grid, L, wb.site_spacing_a, pot.beta,
         pot.C, pot.delta_c_prime, pot.uses_sin2, offset=site_offset,
     )
-    vals = pot.v0 * vals
-    bound = pot.v0 * np.pi / 2.0 + 1e-12
+    return scale_profile(unit, pot.v0, L)
+
+
+def scale_profile(unit: np.ndarray, v0: float, L: int) -> OnsiteProfile:
+    """Cavity profile v0 * unit from its unit-strength values.
+
+    Strength only scales the profile, so a v0 scan can reuse one unit
+    profile; the result is bit-identical to ``onsite_cavity`` at v0.
+    """
+    vals = v0 * unit
+    bound = v0 * np.pi / 2.0 + 1e-12
     if np.any(np.abs(vals) > bound):
         raise ValueError("profile exceeds the arctan range bound")
     return OnsiteProfile(values=vals, L=L)

@@ -15,6 +15,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import kernels
+
 if TYPE_CHECKING:  # pragma: no cover
     from .lattice import WannierBasis
 
@@ -255,9 +257,11 @@ def photon_number(state, wb: "WannierBasis", zeta: PumpField, delta_c: float,
 
     n = sum_m |psi_m|^2 int w0(z - z_m)^2 zeta(z)^2 /
         [(delta_c - U0 cos^2(beta k0 z))^2 + kappa^2] dz,
-    evaluated per occupied site (density above 1e-12).  All frequencies are
-    taken relative to kappa, so the result is dimensionless and bounded by
-    (max zeta / kappa)^2.
+    summed over the occupied sites (density above 1e-12).  The integrand is
+    pi-periodic in beta k0 z, so the Wannier-density average at every site
+    comes from its cosine series (``kernels.site_average``).  All frequencies
+    are taken relative to kappa, so the result is dimensionless and bounded
+    by (max zeta / kappa)^2.
     """
     if kappa <= 0.0:
         raise ValueError("kappa must be positive")
@@ -266,14 +270,16 @@ def photon_number(state, wb: "WannierBasis", zeta: PumpField, delta_c: float,
     dcp = delta_c / kappa
     coop = U0 / kappa
     amp_z = zeta.amplitude / kappa
-    wdens = wb.density_weights
-    grid = wb.grid
-    a = wb.site_spacing_a
-    total = 0.0
-    for m in np.nonzero(dens > 1e-12)[0]:
-        z = grid + (m + 1) * a
-        mode = np.cos(wb.beta * z)
-        zeta_sq = amp_z * amp_z * (mode * mode if zeta.kind == "atom_pumped" else 1.0)
-        lorentz = zeta_sq / ((dcp - coop * mode * mode) ** 2 + 1.0)
-        total += dens[m] * float(np.dot(wdens, lorentz))
-    return CavityObservables(mean_photon_number=total)
+    atom_pumped = zeta.kind == "atom_pumped"
+
+    def lorentz(theta):
+        mode = np.cos(theta)
+        mode_sq = mode * mode
+        drive_sq = amp_z * amp_z * (mode_sq if atom_pumped else 1.0)
+        return drive_sq / ((dcp - coop * mode_sq) ** 2 + 1.0)
+
+    sites = np.arange(1, dens.shape[0] + 1) * wb.site_spacing_a
+    per_site = kernels.site_average(wb.density_weights, wb.grid, sites,
+                                    wb.beta, lorentz)
+    occupied = np.where(dens > 1e-12, dens, 0.0)
+    return CavityObservables(mean_photon_number=float(occupied @ per_site))

@@ -1,12 +1,14 @@
 """Parameter-grid sweeps producing phase-diagram datasets.
 
 A sweep walks a one- or two-axis grid; per grid point it maps physical pump
-parameters to model parameters when needed, builds the onsite profile from
-scratch, solves the chain ground state and evaluates the requested
-observables.  Grid points are independent work items, so sweeps parallelize
-over a process pool with deterministic, worker-count-independent results:
-records are keyed by flat grid index and reassembled in row-major order
-(axis1 outer, axis2 inner).
+parameters to model parameters when needed, scales the unit-strength onsite
+profile by v0, solves the chain ground state and evaluates the requested
+observables.  The strength (v0, or eta^2 in pump sweeps) only scales the
+cavity profile, so each process computes one unit profile per
+(W0, C, delta') and reuses it along a v0 or eta axis.  Grid points are
+independent work items, so sweeps parallelize over a process pool with
+deterministic, worker-count-independent results: records are keyed by flat
+grid index and reassembled in row-major order (axis1 outer, axis2 inner).
 
 Axes may be model parameters (v0, C, delta_c_prime, W0) or physical pump
 parameters (eta, U0, delta_c) in units of the cavity linewidth kappa; the
@@ -26,16 +28,19 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import kernels
 from ._version import __version__
 from .lattice import LatticeSpec, WannierBasis, build_wannier, solve_lowest_band
 from .model import (EffectivePotential, HubbardProblem, ground_state,
-                    onsite_aa, onsite_cavity)
+                    onsite_aa, onsite_cavity, scale_profile)
 from .observables import (TRANSITION_METHOD, FitOptions, PumpField,
                           detect_transition, ipr, lyapunov_fit, photon_number)
 
 MODEL_AXES = ("v0", "C", "delta_c_prime", "W0")
 PHYSICAL_AXES = ("eta", "U0", "delta_c")
 AXIS_NAMES = MODEL_AXES[:3] + PHYSICAL_AXES + ("W0",)
+#: Axes that set the potential strength: they scan v0 at fixed (C, delta').
+SCAN_AXES = ("v0", "eta")
 OBSERVABLE_NAMES = ("ipr", "gamma", "nbar", "vc")
 
 #: Floating-point CSV cells use this format; 17 significant digits round-trip.
@@ -172,6 +177,10 @@ class SweepSpec:
                              f"with physical parameters {physical}")
         if "nbar" in self.observables and self.pump is None:
             raise ValueError("nbar requires a pump config")
+        if "nbar" in self.observables and not physical:
+            # v0 and the photon-number drive must come from the same eta
+            raise ValueError("nbar requires physical parameters "
+                             f"{PHYSICAL_AXES}, not model parameters")
         if self.L < 3:
             raise ValueError("L must be >= 3")
 
@@ -223,6 +232,10 @@ class _Runtime:
         self._wannier_cache: dict[float, WannierBasis] = {}
         if wannier is not None:
             self._wannier_cache[wannier.depth_W0] = wannier
+        # without a strength axis no two points share a unit profile
+        names = (spec.axis1.name, spec.axis2.name if spec.axis2 else None)
+        self._keep_profiles = any(name in SCAN_AXES for name in names)
+        self._unit_profiles: dict[tuple, np.ndarray] = {}
 
     def wannier_for(self, depth: float) -> WannierBasis:
         wb = self._wannier_cache.get(depth)
@@ -231,6 +244,17 @@ class _Runtime:
             wb = build_wannier(solve_lowest_band(spec), spec)
             self._wannier_cache[depth] = wb
         return wb
+
+    def unit_profile(self, wb: WannierBasis, coop: float, dcp: float) -> np.ndarray:
+        """Cavity profile at v0 = 1, computed at the first point of its column."""
+        key = (wb.depth_W0, coop, dcp)
+        unit = self._unit_profiles.get(key)
+        if unit is None:
+            pot = EffectivePotential.cavity(1.0, coop, dcp, beta=self.spec.lattice.beta)
+            unit = onsite_cavity(wb, pot, self.spec.L).values
+            if self._keep_profiles:
+                self._unit_profiles[key] = unit
+        return unit
 
 
 def _point_params(spec: SweepSpec, i1: int, i2: int) -> dict:
@@ -279,7 +303,8 @@ def _evaluate_point(runtime: _Runtime, flat_index: int) -> SweepRecord:
             profile = onsite_aa(v0, spec.lattice.beta, spec.L)
         else:
             pot = EffectivePotential.cavity(v0, coop, dcp, beta=spec.lattice.beta)
-            profile = onsite_cavity(wb, pot, spec.L)
+            unit = runtime.unit_profile(wb, pot.C, pot.delta_c_prime)
+            profile = scale_profile(unit, pot.v0, spec.L)
         problem = HubbardProblem(L=spec.L, t=wb.t, onsite=profile)
         gs = ground_state(problem)
         e0 = gs.energy
@@ -393,7 +418,7 @@ def _build_metadata(spec: SweepSpec, wannier: WannierBasis | None) -> dict:
             "window_sites": spec.lattice.window_sites,
             "points_per_site": spec.lattice.points_per_site,
         },
-        "methods": {"transition_detector": TRANSITION_METHOD},
+        "methods": _methods(spec),
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
     }
@@ -410,13 +435,23 @@ def _build_metadata(spec: SweepSpec, wannier: WannierBasis | None) -> dict:
     return meta
 
 
+def _methods(spec: SweepSpec) -> dict:
+    methods = {"transition_detector": TRANSITION_METHOD,
+               "harmonic_tail_rtol": kernels.HARMONIC_TAIL_RTOL,
+               "max_harmonics": kernels.MAX_HARMONICS}
+    if spec.mode == "cavity":
+        methods["onsite_profile"] = "harmonic_series"
+    if "nbar" in spec.observables:
+        methods["photon_number"] = "harmonic_series"
+    return methods
+
+
 def _transition_estimates(spec: SweepSpec, result: SweepResult,
                           wannier: WannierBasis | None) -> list:
     """Per-column critical points when v0 (or eta) is one of the axes."""
-    scan_axes = {"v0", "eta"}
-    if spec.axis1.name in scan_axes:
+    if spec.axis1.name in SCAN_AXES:
         other = spec.axis2
-    elif spec.axis2 is not None and spec.axis2.name in scan_axes:
+    elif spec.axis2 is not None and spec.axis2.name in SCAN_AXES:
         other = spec.axis1
     else:
         return []

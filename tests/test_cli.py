@@ -303,6 +303,37 @@ def test_mixed_parameters_exit_code(capsys, tmp_path):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_nbar_without_physical_parameters_exit_code(capsys, tmp_path):
+    # v0 on the axis would not set the drive nbar takes from pump.eta
+    doc = {
+        "pump": {"enabled": True, "eta": 0.3},
+        "sweep": {"axis1": {"name": "v0", "values": [0.01, 1.0]},
+                  "fixed": {"C": -1.0, "delta_c_prime": -2.0},
+                  "observables": ["ipr", "nbar"]},
+    }
+    cfg = write_cfg(tmp_path, doc)
+    code, out, err = run_cli(capsys, "sweep", "--config", cfg,
+                             "--out", str(tmp_path))
+    assert code == 2
+    assert "nbar requires physical parameters" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command, doc, key", [
+    ("ground-state", {"model": {"mode": "aa", "L": 40.7}}, "model.L"),
+    ("sweep", {"sweep": {"axis1": {"name": "v0", "num": 20.5}}},
+     "sweep.axis1.num"),
+], ids=["model.L", "axis1.num"])
+def test_non_integral_size_exit_code(capsys, tmp_path, command, doc, key):
+    # int() would silently run 40 sites or 20 grid points
+    cfg = write_cfg(tmp_path, doc)
+    code, out, err = run_cli(capsys, command, "--config", cfg,
+                             "--out", str(tmp_path))
+    assert code == 2
+    assert f"{key}: must be an integer" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
 def test_shipped_config_builds_sweep_spec(path):
     cfg = load_config(path)

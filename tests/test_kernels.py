@@ -43,15 +43,17 @@ def test_dense_fallback_consistent():
 
 @pytest.mark.parametrize("sin2", [False, True])
 def test_quadrature_matches_direct_sum(sin2):
-    # oracle: evaluate trig(beta (u + x_n)) directly, without the
-    # angle-addition identity the kernel uses
+    # oracle: the direct quadrature sum_j w_j arctan(C trig(beta (u_j + x_n))^2
+    # - dcp); the kernel sums the cosine series and reaches sin^2 by shifting
+    # the sites by pi / (2 beta)
     rng = np.random.RandomState(3)
     grid = np.linspace(-5 * np.pi, 5 * np.pi, 641)
     wdens = rng.uniform(0.0, 1.0, grid.shape[0])
-    n_sites, a, beta, C, dcp = 57, np.pi, 0.618, -2.3, -1.1
-    out = kernels.onsite_quadrature(wdens, grid, n_sites, a, beta, C, dcp, sin2)
+    n_sites, a, beta, C, dcp, offset = 57, np.pi, 0.618, -2.3, -1.1, 0.25
+    out = kernels.onsite_quadrature(wdens, grid, n_sites, a, beta, C, dcp, sin2,
+                                    offset=offset)
     trig = np.sin if sin2 else np.cos
-    xn = np.arange(1, n_sites + 1) * a
+    xn = (np.arange(1, n_sites + 1) + offset) * a
     arg = beta * (grid[None, :] + xn[:, None])
     expected = np.arctan(C * trig(arg) ** 2 - dcp) @ wdens
     assert np.allclose(out, expected, rtol=1e-12, atol=0.0)
@@ -61,9 +63,28 @@ def test_quadrature_constant_potential():
     # C = 0 makes the integrand constant: result = arctan(-dcp) * sum(weights)
     grid = np.linspace(-3.0, 3.0, 101)
     wdens = np.full(101, 0.01)
-    out = kernels.onsite_quadrature(wdens, grid, 10, np.pi, 0.618, 0.0, 1.5, False)
+    sites = np.arange(1, 11) * np.pi
+    out = kernels.site_average(wdens, grid, sites, 0.618,
+                               lambda th: np.arctan(0.0 * np.cos(th) ** 2 - 1.5))
     expected = np.arctan(-1.5) * 1.01
     assert np.allclose(out, expected, rtol=1e-14)
+
+
+def test_cosine_series_past_the_cap_is_rejected():
+    # arctan(C cos^2 theta) has branch points a distance ~ 1/sqrt(|C|) from
+    # the real axis; at C = -1e6 the series needs ~10^4 harmonics
+    with pytest.raises(ValueError, match="not converged at 4096 harmonics"):
+        kernels.cosine_coefficients(lambda th: np.arctan(-1e6 * np.cos(th) ** 2))
+
+
+def test_cosine_series_is_converged():
+    # the harmonics kept reproduce g at points off the sampling grid
+    g = lambda th: np.arctan(-4.0 * np.cos(th) ** 2 + 2.0)
+    coef = kernels.cosine_coefficients(g)
+    theta = np.linspace(0.0, np.pi, 97) + 0.0123
+    series = np.cos(2.0 * np.outer(theta, np.arange(coef.shape[0]))) @ coef
+    assert np.max(np.abs(series - g(theta))) < 1e-14
+    assert coef.shape[0] < kernels.MAX_HARMONICS
 
 
 def test_deterministic_repeat():

@@ -170,3 +170,38 @@ def test_photon_number_atom_pumped_mode_weighting(wannier):
         out.append(ca.photon_number(psi, wannier, zeta, delta_c=-2.0,
                                     U0=0.0).mean_photon_number)
     assert out[0] < 0.1 * out[1]
+
+
+def _photon_number_site_loop(psi, wb, zeta, delta_c, U0):
+    """Per-site quadrature of the photon number at kappa = 1, the oracle."""
+    dens = np.asarray(psi) ** 2
+    total = 0.0
+    for m in np.nonzero(dens > 1e-12)[0]:
+        mode = np.cos(wb.beta * (wb.grid + (m + 1) * wb.site_spacing_a))
+        drive_sq = zeta.amplitude ** 2 * (
+            mode * mode if zeta.kind == "atom_pumped" else 1.0)
+        lorentz = drive_sq / ((delta_c - U0 * mode * mode) ** 2 + 1.0)
+        total += dens[m] * float(np.dot(wb.density_weights, lorentz))
+    return total
+
+
+@pytest.mark.parametrize("kind, delta_c, U0", [
+    ("cavity_pumped", -5.5, -2.0),
+    ("atom_pumped", -4.0, -1.0),
+    # delta_c - U0 cos^2 changes sign inside every site's window
+    ("cavity_pumped", -0.5, -1.0),
+    ("atom_pumped", -0.5, -1.0),
+])
+def test_photon_number_matches_site_loop(wannier, kind, delta_c, U0):
+    rng = np.random.RandomState(5)
+    spread = rng.uniform(-1.0, 1.0, L)
+    n = np.arange(1, L + 1)
+    # the localized state leaves most sites below the 1e-12 density cutoff
+    localized = np.exp(-0.3 * np.abs(n - 117))
+    zeta = ca.PumpField(kind, 0.8)
+    for psi in (spread, localized):
+        psi = psi / np.linalg.norm(psi)
+        nbar = ca.photon_number(psi, wannier, zeta, delta_c=delta_c,
+                                U0=U0).mean_photon_number
+        expected = _photon_number_site_loop(psi, wannier, zeta, delta_c, U0)
+        assert nbar == pytest.approx(expected, rel=1e-12, abs=0.0)

@@ -56,6 +56,10 @@ def test_spec_validation(lattice_spec):
         _spec(lattice_spec, fixed={"nonsense": 1.0})
     with pytest.raises(ValueError):
         _spec(lattice_spec, observables=("nbar",))  # needs a pump
+    with pytest.raises(ValueError, match="nbar requires physical parameters"):
+        # v0 would not set the drive that nbar reads from the pump
+        _spec(lattice_spec, observables=("ipr", "nbar"),
+              pump=ca.PumpConfig(pump_mode="cavity_pumped", eta=0.3))
     with pytest.raises(ValueError):
         _spec(lattice_spec, axis1=ca.Axis.log("eta", 0.1, 1.0, 4))  # needs a pump
     with pytest.raises(ValueError):
@@ -96,13 +100,65 @@ def test_single_point_sweep_matches_direct_solve(wannier, lattice_spec):
     assert rec.gamma == metrics.lyapunov_gamma
 
 
+def _pumped_spec(lattice, etas=np.geomspace(0.05, 0.6, 8)):
+    pump = ca.PumpConfig(pump_mode="cavity_pumped", kappa_over_recoil=1.0)
+    return _spec(lattice, axis1=ca.Axis("eta", etas),
+                 axis2=ca.Axis("U0", np.array([-3.0, -1.0])),
+                 fixed={"delta_c": -5.5}, pump=pump,
+                 observables=("ipr", "gamma", "nbar"), name="pumped")
+
+
 def test_sweep_deterministic_and_worker_independent(wannier, lattice_spec):
-    spec = _spec(lattice_spec, observables=("ipr", "gamma"))
-    body1 = ca.csv_body(ca.run_sweep(spec, wannier=wannier, workers=1))
-    body2 = ca.csv_body(ca.run_sweep(spec, wannier=wannier, workers=1))
-    body3 = ca.csv_body(ca.run_sweep(spec, wannier=wannier, workers=2))
-    assert body1 == body2
-    assert body1 == body3
+    # the second spec is pumped and reads nbar
+    for spec in (_spec(lattice_spec, observables=("ipr", "gamma")),
+                 _pumped_spec(lattice_spec)):
+        body1 = ca.csv_body(ca.run_sweep(spec, wannier=wannier, workers=1))
+        body2 = ca.csv_body(ca.run_sweep(spec, wannier=wannier, workers=1))
+        body3 = ca.csv_body(ca.run_sweep(spec, wannier=wannier, workers=2))
+        assert body1 == body2
+        assert body1 == body3
+
+
+def test_one_unit_profile_per_column(wannier, lattice_spec, monkeypatch):
+    # v0 only scales the profile: one onsite_cavity call per (W0, C, delta'),
+    # and every record equals the direct pipeline at its own v0 bit for bit
+    calls = []
+    original = ca.sweep.onsite_cavity
+
+    def counting(wb, pot, L, *args, **kwargs):
+        calls.append((wb.depth_W0, pot.C, pot.delta_c_prime, pot.v0))
+        return original(wb, pot, L, *args, **kwargs)
+
+    monkeypatch.setattr(ca.sweep, "onsite_cavity", counting)
+    spec = _spec(lattice_spec, axis1=ca.Axis.log("v0", 0.01, 0.2, 6),
+                 axis2=ca.Axis("C", np.array([-2.0, -0.5, 1.5])),
+                 fixed={"delta_c_prime": -0.3})
+    records = ca.run_sweep(spec, wannier=wannier).records
+    assert calls == [(-15.0, C, -0.3, 1.0) for C in (-2.0, -0.5, 1.5)]
+    monkeypatch.undo()
+    for rec in records:
+        pot = ca.EffectivePotential.cavity(rec.v0, rec.C, -0.3)
+        prof = ca.onsite_cavity(wannier, pot, L)
+        gs = ca.ground_state(ca.HubbardProblem(L=L, t=wannier.t, onsite=prof))
+        assert rec.E0 == gs.energy
+        assert rec.ipr == ca.ipr(gs)
+
+
+def test_series_past_the_cap_fails_the_point(wannier, lattice_spec):
+    # a coupling whose cosine series needs more than MAX_HARMONICS harmonics
+    spec = _spec(lattice_spec, axis1=ca.Axis("v0", np.array([0.05, 0.1])),
+                 axis2=ca.Axis("C", np.array([-1e6, -1.0])))
+    recs = ca.run_sweep(spec, wannier=wannier).records
+    assert [r.flags for r in recs] == ["solve_failed:ValueError", "",
+                                       "solve_failed:ValueError", ""]
+
+
+def test_sidecar_names_the_profile_methods(wannier, lattice_spec):
+    spec = _pumped_spec(lattice_spec, etas=np.array([0.2]))
+    methods = ca.run_sweep(spec, wannier=wannier).metadata["methods"]
+    assert methods["onsite_profile"] == "harmonic_series"
+    assert methods["photon_number"] == "harmonic_series"
+    assert methods["harmonic_tail_rtol"] == ca.kernels.HARMONIC_TAIL_RTOL
 
 
 def test_sweep_row_major_ordering(wannier, lattice_spec):
