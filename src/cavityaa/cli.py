@@ -21,8 +21,7 @@ from ._version import __version__
 from .config import (ConfigError, axis_values, effective_config,
                      fit_options, lattice_spec, load_config, pump_config)
 from .lattice import (WannierBasis, band_tightbinding_residual, build_wannier,
-                      correction_constants, solve_lowest_band,
-                      tunneling_from_band, tunneling_from_integral)
+                      solve_lowest_band)
 from .model import (EffectivePotential, HubbardProblem, ground_state,
                     onsite_aa, onsite_cavity)
 from .observables import critical_v_cav, lyapunov_fit, photon_number
@@ -46,9 +45,6 @@ def cmd_wannier(cfg: dict, out_dir: str) -> int:
     if spec.depth_W0 == 0.0:
         print("warning: depth_W0 = 0, no lattice: the tight-binding reduction "
               "and the hopping estimates are out of regime", file=sys.stderr)
-    t_band = tunneling_from_band(band)
-    t_int = tunneling_from_integral(wb, spec)
-    a_const, b_const, alpha = correction_constants(wb)
     dens = wb.density_weights
     norm_dev = abs(float(np.sum(dens)) - 1.0)
     p = spec.points_per_site
@@ -56,11 +52,12 @@ def cmd_wannier(cfg: dict, out_dir: str) -> int:
                            wb.w0_samples[:-p]))
     even_dev = float(np.max(np.abs(wb.w0_samples - wb.w0_samples[::-1])))
     print(f"depth_W0={spec.depth_W0:.6g} Er  beta={spec.beta:.12g}")
-    print(f"t_integral={t_int:.12e} Er")
-    print(f"t_band={t_band:.12e} Er  (rel diff {abs(t_band - t_int) / max(t_int, 1e-300):.3e})")
-    print(f"A={a_const:.12e}")
-    print(f"B={b_const:.12e}")
-    print(f"alpha={alpha:.12e}")
+    print(f"t_integral={wb.t:.12e} Er")
+    print(f"t_band={wb.t_band:.12e} Er  "
+          f"(rel diff {abs(wb.t_band - wb.t) / max(wb.t, 1e-300):.3e})")
+    print(f"A={wb.A:.12e}")
+    print(f"B={wb.B:.12e}")
+    print(f"alpha={wb.alpha:.12e}")
     print(f"norm_deviation={norm_dev:.3e}")
     print(f"neighbor_overlap={overlap:.3e}")
     print(f"evenness_deviation={even_dev:.3e}")
@@ -92,12 +89,12 @@ def cmd_ground_state(cfg: dict, out_dir: str) -> int:
     else:
         params = {"U0": mdl["C"], "delta_c": mdl["delta_c_prime"]}
     v0, coop, dcp, zeta = _resolve_model_params(pump, params)
-    if mdl["mode"] == "aa":
-        pot = EffectivePotential.aubry_andre(v0, beta=spec.beta)
-        profile = onsite_aa(v0, spec.beta, L)
-    else:
+    cavity = mdl["mode"] == "cavity"
+    if cavity:
         pot = EffectivePotential.cavity(v0, coop, dcp, beta=spec.beta)
         profile = onsite_cavity(wb, pot, L)
+    else:
+        profile = onsite_aa(v0, spec.beta, L)
     problem = HubbardProblem(L=L, t=wb.t, onsite=profile)
     gs = ground_state(problem)
     metrics = lyapunov_fit(gs, fit_options(cfg))
@@ -113,15 +110,15 @@ def cmd_ground_state(cfg: dict, out_dir: str) -> int:
         "background_level": metrics.background_level,
         "solver_method": gs.method,
         "residual": gs.residual,
+        "certificate_margin": gs.certificate_margin,
         "t": wb.t,
         "alpha": wb.alpha,
-        "mode": pot.mode,
+        "mode": pot.mode if cavity else "aa",
         "config": cfg,
     }
-    if pot.mode != "aa" and pot.C != 0.0:
-        out["v_c_analytic"] = critical_v_cav(wb.t, wb.alpha,
-                                             pot.delta_c_prime, pot.C)
-    if zeta is not None and pot.mode != "aa":
+    if cavity and coop != 0.0:
+        out["v_c_analytic"] = critical_v_cav(wb.t, wb.alpha, dcp, coop)
+    if zeta is not None and cavity:
         out["nbar"] = photon_number(gs, wb, zeta, delta_c=dcp,
                                     U0=coop).mean_photon_number
     if cfg["output"]["wavefunction_csv"]:

@@ -2,8 +2,8 @@
 
 The lowest eigenpair of the symmetric tridiagonal chain Hamiltonian comes
 from LAPACK bisection plus inverse iteration (``scipy.linalg.eigh_tridiagonal``
-in select mode), with a full tridiagonal diagonalization as the fallback when
-the residual check fails.
+in select mode), with a full diagonalization as the fallback when the
+residual check or the lower-bound certificate (``certificate_margin``) fails.
 
 The onsite profile and the photon number both average an even, pi-periodic
 function g(beta z) over the Wannier density at every site.  ``site_average``
@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, lapack
 
 # ---------------------------------------------------------------------------
 # lowest eigenpair of a symmetric tridiagonal matrix
@@ -79,6 +79,18 @@ def lowest_eigenpair_dense_fallback(
     lam = float(w[0])
     res = _tridiag_residual(np.asarray(d, float), np.asarray(e, float), lam, psi)
     return lam, psi, res, "tridiagonal_full_fallback"
+
+
+def certificate_margin(d: np.ndarray, e: np.ndarray, energy: float,
+                       tol: float) -> float | None:
+    """Smallest pivot of the LDL^T factorization of T - (energy - tol) I.
+
+    ``dpttrf`` completes with positive pivots only for a positive definite
+    matrix, which proves that no eigenvalue of tridiag(e, d, e) lies below
+    energy - tol.  Returns None when a pivot is not positive.
+    """
+    pivots, _, info = lapack.dpttrf(d - (energy - tol), e)
+    return float(pivots.min()) if info == 0 else None
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +168,26 @@ def site_average(wdens: np.ndarray, grid: np.ndarray, sites: np.ndarray,
     return b_moments @ cos_x - a_moments @ sin_x
 
 
+def sin2_registration(c_coop: float) -> bool:
+    """sin^2 rather than cos^2 registration of the mode, chosen for C > 0.
+
+    It makes the deepest well unique rather than a near-degenerate pair; the
+    potential and the photon number read the mode in this registration.
+    """
+    return c_coop > 0.0
+
+
+def mode_sites(n_sites: int, a: float, beta: float, sin2: bool) -> np.ndarray:
+    """Sites x_n = n a, n = 1..n_sites, in the frame where the mode is cos(beta x).
+
+    The sin^2 registration is cos^2 at sites shifted by pi / (2 beta).
+    """
+    sites = np.arange(1, int(n_sites) + 1) * float(a)
+    if sin2:
+        sites = sites + np.pi / (2.0 * beta)
+    return sites
+
+
 def onsite_quadrature(
     wdens: np.ndarray,
     grid: np.ndarray,
@@ -165,19 +197,14 @@ def onsite_quadrature(
     c_coop: float,
     dcp: float,
     sin2: bool,
-    offset: float = 0.0,
 ) -> np.ndarray:
     """Per-site sums of arctan(C trig^2(beta (u + x_n)) - delta') over u.
 
     ``wdens`` carries the Wannier density multiplied by quadrature weights, so
-    the return value is the dimensionless smeared potential for unit strength;
-    ``offset`` shifts the site registration in units of the lattice constant.
-    The sum is evaluated by ``site_average``; trig = sin is cos at sites
-    shifted by pi / (2 beta).
+    the return value is the dimensionless smeared potential for unit strength.
+    The sum is evaluated by ``site_average`` at the sites of ``mode_sites``.
     """
-    sites = (np.arange(1, int(n_sites) + 1) + float(offset)) * float(a)
-    if sin2:
-        sites = sites + np.pi / (2.0 * beta)
+    sites = mode_sites(n_sites, a, beta, sin2)
 
     def f(theta):
         trig = np.cos(theta)

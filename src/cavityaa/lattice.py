@@ -17,13 +17,9 @@ W0 exactly equivalent apart from a constant energy offset.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .model import EffectivePotential
 
 #: Inverse golden ratio, the default incommensuration beta = k / k0.
 GOLDEN_BETA = (np.sqrt(5.0) - 1.0) / 2.0
@@ -90,14 +86,14 @@ class WannierBasis:
     The grid spans +-window_sites lattice sites around one site center with
     points_per_site samples per site; quad_weights are trapezoid weights, so
     integrals over the window are plain dot products.  t is the hopping from
-    the real-space matrix element (t_band is the band-sum cross-check), and
-    alpha = sqrt(A^2 + B^2) is the Wannier smearing factor of the first
-    incommensurate harmonic.
+    the real-space matrix element (t_band is the band-sum cross-check).
+    A = -int w0^2 sin(2 beta x) dx and B = int w0^2 cos(2 beta x) dx smear the
+    first incommensurate harmonic, and alpha = sqrt(A^2 + B^2); A vanishes for
+    the even orbital, and B tends to 1 from below in the deep-lattice limit.
     """
 
     grid: np.ndarray  # (Npts,) sample points, site center at 0
     w0_samples: np.ndarray  # (Npts,) real Wannier values
-    w0_laplacian: np.ndarray  # (Npts,) exact second derivative
     quad_weights: np.ndarray  # (Npts,) trapezoid weights
     site_spacing_a: float
     t: float
@@ -110,7 +106,7 @@ class WannierBasis:
     spec: LatticeSpec = field(repr=False)
 
     def __post_init__(self):
-        for arr in (self.grid, self.w0_samples, self.w0_laplacian, self.quad_weights):
+        for arr in (self.grid, self.w0_samples, self.quad_weights):
             arr.setflags(write=False)
 
     @property
@@ -120,8 +116,8 @@ class WannierBasis:
 
 
 def _quasimomentum_grid(nq: int) -> np.ndarray:
-    # Offset symmetric grid: every q has an exact -q partner and the zone
-    # boundary is avoided, which keeps the Wannier sum exactly real and even.
+    # Offset symmetric grid: every q has an exact -q partner and the zone edge
+    # q = +-k0 is avoided, which keeps the Wannier sum exactly real and even.
     return -1.0 + (2.0 * np.arange(nq) + 1.0) / nq
 
 
@@ -204,14 +200,16 @@ def build_wannier(band: BlochBand, spec: LatticeSpec) -> WannierBasis:
     weights = np.full(grid.shape, step)
     weights[0] = weights[-1] = step / 2.0
 
-    t_band = tunneling_from_band(band)
-    a_const, b_const, alpha = _correction_integrals(grid, w0, weights, spec.beta)
-    t_int = _tunneling_integral(grid, w0, w0_lap, weights, spec)
+    dens = w0 * w0 * weights
+    a_const = float(-np.dot(dens, np.sin(2.0 * spec.beta * grid)))
+    b_const = float(np.dot(dens, np.cos(2.0 * spec.beta * grid)))
 
     return WannierBasis(
-        grid=grid, w0_samples=w0, w0_laplacian=w0_lap, quad_weights=weights,
-        site_spacing_a=LATTICE_CONSTANT, t=t_int, t_band=t_band,
-        A=a_const, B=b_const, alpha=alpha, beta=spec.beta,
+        grid=grid, w0_samples=w0, quad_weights=weights,
+        site_spacing_a=LATTICE_CONSTANT,
+        t=_tunneling_integral(grid, w0, w0_lap, weights, spec),
+        t_band=tunneling_from_band(band), A=a_const, B=b_const,
+        alpha=float(np.hypot(a_const, b_const)), beta=spec.beta,
         depth_W0=spec.depth_W0, spec=spec,
     )
 
@@ -248,57 +246,3 @@ def _tunneling_integral(grid, w0, w0_lap, weights, spec: LatticeSpec) -> float:
     integrand = w0 * (-w1_lap + pot * w1)
     # Sign convention: t > 0 so the chain Hamiltonian carries -t off-diagonal.
     return float(-np.dot(weights, integrand))
-
-
-def tunneling_from_integral(wb: WannierBasis, spec: LatticeSpec) -> float:
-    """Hopping from the real-space matrix element between neighbor orbitals."""
-    if spec.window_sites < 2:
-        raise ValueError("window too small: need window_sites >= 2 for the overlap")
-    return _tunneling_integral(wb.grid, wb.w0_samples, wb.w0_laplacian,
-                               wb.quad_weights, spec)
-
-
-def _correction_integrals(grid, w0, weights, beta):
-    dens = w0 * w0 * weights
-    a_const = float(-np.dot(dens, np.sin(2.0 * beta * grid)))
-    b_const = float(np.dot(dens, np.cos(2.0 * beta * grid)))
-    return a_const, b_const, float(np.hypot(a_const, b_const))
-
-
-def correction_constants(wb: WannierBasis, beta: float | None = None) -> tuple[float, float, float]:
-    """Smearing constants (A, B, alpha) of the first incommensurate harmonic.
-
-    A = -int w0^2(x) sin(2 beta x) dx, B = int w0^2(x) cos(2 beta x) dx,
-    alpha = sqrt(A^2 + B^2), all centered on the Wannier center.  A vanishes
-    for the even orbital; B tends to 1 from below in the deep-lattice limit.
-    """
-    b = wb.beta if beta is None else float(beta)
-    return _correction_integrals(wb.grid, wb.w0_samples, wb.quad_weights, b)
-
-
-def cavity_tunneling_corrections(wb: WannierBasis, pot: "EffectivePotential",
-                                 L: int) -> np.ndarray:
-    """Bond integrals t_n = int w_n(x) V_eff(x) w_{n+1}(x) dx for n = 1..L-1.
-
-    Used only to verify that the cavity potential contributes negligibly to
-    the hopping; the chain model keeps a uniform t.
-    """
-    from .model import f_eval  # local import: model depends on this module
-
-    if pot.mode == "aa":
-        raise ValueError("cavity_tunneling_corrections requires a cavity-mode potential")
-    if L < 2:
-        raise ValueError("need at least two sites")
-    p = wb.spec.points_per_site
-    a = wb.site_spacing_a
-    # In the bond frame v = x - n a the product w_n w_{n+1} is w0(v) w0(v - a),
-    # supported on the overlap of the shifted grids.
-    pair = wb.w0_samples[p:] * wb.w0_samples[:-p]
-    step = LATTICE_CONSTANT / p
-    wts = np.full(pair.shape, step)
-    wts[0] = wts[-1] = step / 2.0
-    vgrid = wb.grid[p:]
-    out = np.empty(L - 1)
-    for n in range(1, L):
-        out[n - 1] = float(np.dot(pair * wts, f_eval(pot, vgrid + n * a)))
-    return pot.v0 * out

@@ -1,13 +1,13 @@
-"""Incommensurate onsite potential and the open-boundary chain Hamiltonian.
+"""Incommensurate onsite potential and the hard-wall chain Hamiltonian.
 
 Two potential families are supported.  The bichromatic baseline has onsite
-energies v0 cos(2 pi beta n) directly.  The cavity-induced potential is
-v0 arctan(-delta' + C trig^2(beta k0 x)) with trig = cos for C <= 0 and, to
-pin a unique localized state, trig = sin for C > 0; onsite energies are the
-Wannier-density average of that function at each site, x_n = n a.  The
-uniform arctan(-delta') offset is kept in the profile: a constant shift moves
-only the ground energy, never the wavefunction or the localization
-observables, and a test asserts that invariance explicitly.
+energies v0 cos(2 pi beta n) directly (``onsite_aa``).  The cavity-induced
+potential is v0 arctan(-delta' + C trig^2(beta k0 x)) with trig = cos for
+C <= 0 and, to pin a unique localized state, trig = sin for C > 0; onsite
+energies are the Wannier-density average of that function at each site,
+x_n = n a.  The uniform arctan(-delta') offset is kept in the profile: a
+constant shift moves only the ground energy, never the wavefunction or the
+localization observables, and a test asserts that invariance explicitly.
 """
 
 from __future__ import annotations
@@ -23,19 +23,22 @@ from .lattice import GOLDEN_BETA
 if TYPE_CHECKING:  # pragma: no cover
     from .lattice import WannierBasis
 
-MODES = ("aa", "cavity_cos2", "cavity_sin2")
+MODES = ("cavity_cos2", "cavity_sin2")
 
 #: Relative residual bound enforced on every ground-state solve.
 RESIDUAL_RTOL = 1e-10
 
+#: Rounding allowance of the lower-bound certificate, relative to ||H||.
+CERTIFICATE_RTOL = 8.0 * np.finfo(np.float64).eps
+
 
 class GroundStateError(RuntimeError):
-    """Raised when no solver path reaches the residual bound."""
+    """Raised when no solver path reaches the residual bound and certificate."""
 
 
 @dataclass(frozen=True)
 class EffectivePotential:
-    """Specification of the incommensurate onsite potential."""
+    """Specification of the cavity-induced onsite potential."""
 
     mode: str
     v0: float
@@ -54,32 +57,14 @@ class EffectivePotential:
                beta: float = GOLDEN_BETA) -> "EffectivePotential":
         """Cavity potential with the trig form chosen by the sign of C.
 
-        C > 0 selects the sin^2 registration so the deepest well is unique
-        rather than a near-degenerate pair.
+        C > 0 selects the sin^2 registration (``kernels.sin2_registration``).
         """
-        mode = "cavity_sin2" if C > 0 else "cavity_cos2"
+        mode = "cavity_sin2" if kernels.sin2_registration(C) else "cavity_cos2"
         return cls(mode=mode, v0=v0, C=C, delta_c_prime=delta_c_prime, beta=beta)
-
-    @classmethod
-    def aubry_andre(cls, v0: float, beta: float = GOLDEN_BETA) -> "EffectivePotential":
-        return cls(mode="aa", v0=v0, beta=beta)
 
     @property
     def uses_sin2(self) -> bool:
         return self.mode == "cavity_sin2"
-
-
-def f_eval(pot: EffectivePotential, x) -> np.ndarray:
-    """Dimensionless cavity potential arctan(-delta' + C trig^2(beta x)).
-
-    Principal arctan branch; not defined for the bichromatic baseline, which
-    bypasses f entirely.
-    """
-    if pot.mode == "aa":
-        raise ValueError("f_eval is undefined in aa mode")
-    x = np.asarray(x, dtype=np.float64)
-    trig = np.sin(pot.beta * x) if pot.uses_sin2 else np.cos(pot.beta * x)
-    return np.arctan(pot.C * trig * trig - pot.delta_c_prime)
 
 
 @dataclass(frozen=True)
@@ -105,25 +90,18 @@ def onsite_aa(v0: float, beta: float, L: int) -> OnsiteProfile:
     return OnsiteProfile(values=v0 * np.cos(2.0 * np.pi * beta * n), L=L)
 
 
-def onsite_cavity(wb: "WannierBasis", pot: EffectivePotential, L: int,
-                  site_offset: float = 0.0) -> OnsiteProfile:
+def onsite_cavity(wb: "WannierBasis", pot: EffectivePotential, L: int) -> OnsiteProfile:
     """Wannier-smeared cavity profile delta_eps_n = v0 int w0(u)^2 f(u + x_n) du.
 
-    x_n = (n + site_offset) a with the full incommensurate argument (no
-    fractional-part reduction); site_offset shifts the chain registration
-    against the cavity mode, which only matters for commensurate checks.
-    The integral is the discrete sum over the Wannier grid, evaluated through
-    the cosine series of f (``kernels.onsite_quadrature``).
+    x_n = n a with the full incommensurate argument (no fractional-part
+    reduction).  The integral is the discrete sum over the Wannier grid,
+    evaluated through the cosine series of f (``kernels.onsite_quadrature``).
     """
-    if pot.mode == "aa":
-        raise ValueError("onsite_cavity requires a cavity-mode potential")
     if L < 3:
         raise ValueError("need at least 3 sites")
-    if wb.spec.window_sites < 2:
-        raise ValueError("quadrature window smaller than the Wannier support")
     unit = kernels.onsite_quadrature(
         wb.density_weights, wb.grid, L, wb.site_spacing_a, pot.beta,
-        pot.C, pot.delta_c_prime, pot.uses_sin2, offset=site_offset,
+        pot.C, pot.delta_c_prime, pot.uses_sin2,
     )
     return scale_profile(unit, pot.v0, L)
 
@@ -143,30 +121,31 @@ def scale_profile(unit: np.ndarray, v0: float, L: int) -> OnsiteProfile:
 
 @dataclass(frozen=True)
 class HubbardProblem:
-    """Open-boundary chain with uniform hopping t and onsite profile."""
+    """Hard-wall chain with uniform hopping t and onsite profile."""
 
     L: int
     t: float
     onsite: OnsiteProfile
-    boundary: str = "open"
 
     def __post_init__(self):
         if self.L < 3:
             raise ValueError("L must be >= 3")
-        if self.boundary != "open":
-            raise ValueError("only open (hard wall) boundaries are supported")
         if self.onsite.L != self.L:
             raise ValueError("onsite profile length does not match L")
 
 
 @dataclass(frozen=True)
 class GroundState:
-    """Normalized real ground state with its energy and solve diagnostics."""
+    """Normalized real ground state with its energy and solve diagnostics.
+
+    certificate_margin > 0 is the smallest LDL^T pivot of H - (energy - tol) I.
+    """
 
     amplitudes: np.ndarray
     energy: float
     method: str
     residual: float
+    certificate_margin: float
 
     def __post_init__(self):
         self.amplitudes.setflags(write=False)
@@ -181,28 +160,36 @@ class GroundState:
 
 
 def ground_state(problem: HubbardProblem) -> GroundState:
-    """Lowest eigenpair of the chain, sign-fixed and residual-checked.
+    """Lowest eigenpair of the chain, sign-fixed, residual-checked and certified.
 
     The chain Hamiltonian is tridiagonal: onsite energies on the diagonal,
     -t on the off-diagonals, hard walls at both ends.
 
-    Uses LAPACK bisection + inverse iteration; if that stagnates the solve
-    falls back to a full tridiagonal diagonalization, and the method actually
-    used is recorded on the result.
+    Uses LAPACK bisection + inverse iteration.  A result is accepted when its
+    residual is at most RESIDUAL_RTOL ||H||, which puts an eigenvalue within
+    the residual of E0, and ``kernels.certificate_margin`` proves that no
+    eigenvalue lies below E0 - tol, tol = residual + CERTIFICATE_RTOL ||H||;
+    together they make E0 the lowest eigenvalue to within tol.
+    Otherwise the solve falls back to a full tridiagonal diagonalization, and
+    the method actually used is recorded on the result.
     """
     diag = problem.onsite.values
     offdiag = np.full(problem.L - 1, -problem.t)
     norm_bound = kernels.gershgorin_norm_bound(diag, offdiag)
-    energy, psi, res, method = kernels.lowest_eigenpair(diag, offdiag)
-    if res > RESIDUAL_RTOL * norm_bound:
-        energy, psi, res, method = kernels.lowest_eigenpair_dense_fallback(
-            diag, offdiag)
+    for solve in (kernels.lowest_eigenpair, kernels.lowest_eigenpair_dense_fallback):
+        energy, psi, res, method = solve(diag, offdiag)
         if res > RESIDUAL_RTOL * norm_bound:
-            raise GroundStateError(
-                f"residual {res:.3e} exceeds {RESIDUAL_RTOL:.0e} * ||H|| after fallback"
-            )
+            continue
+        tol = res + CERTIFICATE_RTOL * norm_bound
+        margin = kernels.certificate_margin(diag, offdiag, energy, tol)
+        if margin is not None:
+            break
+    else:
+        raise GroundStateError(
+            f"no certified ground state after fallback: residual {res:.3e} "
+            f"(bound {RESIDUAL_RTOL:.0e} * ||H||) or an eigenvalue below E0 - tol")
     psi = psi / np.linalg.norm(psi)
     if psi[np.argmax(np.abs(psi))] < 0:
         psi = -psi
     return GroundState(amplitudes=psi, energy=float(energy), method=method,
-                       residual=float(res))
+                       residual=float(res), certificate_margin=margin)

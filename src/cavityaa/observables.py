@@ -156,13 +156,6 @@ def lyapunov_fit(state, opts: FitOptions = FitOptions()) -> LocalizationMetrics:
                                **base)
 
 
-def thouless_reference(v0: float, v_c: float) -> float:
-    """Localized-phase reference decay rate log(v0 / v_c)."""
-    if not (v0 > v_c > 0.0):
-        raise ValueError("thouless_reference requires v0 > v_c > 0 (localized phase)")
-    return float(np.log(v0 / v_c))
-
-
 def critical_v_cav(t: float, alpha: float, delta_c_prime: float, C: float) -> float:
     """Dual-model critical strength (4 t / alpha) (delta'^2 + 1) / |C|."""
     if C == 0.0:
@@ -174,13 +167,18 @@ def critical_v_cav(t: float, alpha: float, delta_c_prime: float, C: float) -> fl
 
 @dataclass(frozen=True)
 class TransitionEstimate:
-    """Numerical transition point from an IPR-versus-v0 scan."""
+    """Numerical transition point from an IPR-versus-v0 scan.
+
+    An unresolved estimate names the grid edge ("low" or "high") where the
+    steepest interval sits; edge is None for a resolved one.
+    """
 
     v_c_numerical: float
     v_c_analytic: float | None
     grid: np.ndarray
     method: str
     unresolved: bool
+    edge: str | None = None
 
     def __post_init__(self):
         self.grid.setflags(write=False)
@@ -193,7 +191,8 @@ def detect_transition(v0_grid, ipr_values, *, hopping: float | None = None,
 
     The grid must be log-spaced with at least 20 points spanning at least one
     decade.  The estimate is the geometric midpoint of the steepest interval;
-    a maximum at either grid boundary marks the estimate unresolved.  When
+    a maximum in the first or last interval marks the estimate unresolved at
+    that edge of the grid.  When
     hopping, alpha and C are supplied the dual-model critical value is
     attached for comparison.
     """
@@ -214,7 +213,7 @@ def detect_transition(v0_grid, ipr_values, *, hopping: float | None = None,
 
     slopes = np.diff(np.log(vals)) / steps
     k = int(np.argmax(slopes))
-    unresolved = k == 0 or k == slopes.shape[0] - 1
+    edge = "low" if k == 0 else "high" if k == slopes.shape[0] - 1 else None
     v_c = float(np.sqrt(v0[k] * v0[k + 1]))
 
     analytic = None
@@ -222,7 +221,7 @@ def detect_transition(v0_grid, ipr_values, *, hopping: float | None = None,
         analytic = critical_v_cav(hopping, alpha, delta_c_prime, C)
     return TransitionEstimate(v_c_numerical=v_c, v_c_analytic=analytic,
                               grid=v0.copy(), method=TRANSITION_METHOD,
-                              unresolved=unresolved)
+                              unresolved=edge is not None, edge=edge)
 
 
 @dataclass(frozen=True)
@@ -252,33 +251,32 @@ class CavityObservables:
 
 
 def photon_number(state, wb: "WannierBasis", zeta: PumpField, delta_c: float,
-                  U0: float, kappa: float = 1.0) -> CavityObservables:
+                  U0: float) -> CavityObservables:
     """Mean intracavity photon number of the quasi-steady field.
 
     n = sum_m |psi_m|^2 int w0(z - z_m)^2 zeta(z)^2 /
-        [(delta_c - U0 cos^2(beta k0 z))^2 + kappa^2] dz,
-    summed over the occupied sites (density above 1e-12).  The integrand is
+        [(delta_c - U0 mode^2(beta k0 z))^2 + 1] dz,
+    summed over the occupied sites (density above 1e-12), with all
+    frequencies in units of kappa, so the result is dimensionless and bounded
+    by (max zeta)^2.  The mode function is read in the registration of the
+    potential: cos for U0 <= 0 and sin for U0 > 0 (``kernels.mode_sites``),
+    in the Lorentzian and in the atom-pumped drive zeta(z).  The integrand is
     pi-periodic in beta k0 z, so the Wannier-density average at every site
-    comes from its cosine series (``kernels.site_average``).  All frequencies
-    are taken relative to kappa, so the result is dimensionless and bounded
-    by (max zeta / kappa)^2.
+    comes from its cosine series (``kernels.site_average``).
     """
-    if kappa <= 0.0:
-        raise ValueError("kappa must be positive")
     amp = _amplitudes(state)
     dens = amp * amp
-    dcp = delta_c / kappa
-    coop = U0 / kappa
-    amp_z = zeta.amplitude / kappa
+    amp_z = zeta.amplitude
     atom_pumped = zeta.kind == "atom_pumped"
 
     def lorentz(theta):
         mode = np.cos(theta)
         mode_sq = mode * mode
         drive_sq = amp_z * amp_z * (mode_sq if atom_pumped else 1.0)
-        return drive_sq / ((dcp - coop * mode_sq) ** 2 + 1.0)
+        return drive_sq / ((delta_c - U0 * mode_sq) ** 2 + 1.0)
 
-    sites = np.arange(1, dens.shape[0] + 1) * wb.site_spacing_a
+    sites = kernels.mode_sites(dens.shape[0], wb.site_spacing_a, wb.beta,
+                               kernels.sin2_registration(U0))
     per_site = kernels.site_average(wb.density_weights, wb.grid, sites,
                                     wb.beta, lorentz)
     occupied = np.where(dens > 1e-12, dens, 0.0)

@@ -228,7 +228,6 @@ class _Runtime:
 
     def __init__(self, spec: SweepSpec, wannier: WannierBasis | None):
         self.spec = spec
-        self.wannier = wannier
         self._wannier_cache: dict[float, WannierBasis] = {}
         if wannier is not None:
             self._wannier_cache[wannier.depth_W0] = wannier
@@ -477,6 +476,8 @@ def _transition_estimates(spec: SweepSpec, result: SweepResult,
             entry.update(v_c_numerical=est.v_c_numerical,
                          v_c_analytic=est.v_c_analytic,
                          unresolved=est.unresolved, method=est.method)
+            if est.unresolved:
+                entry.update(edge=est.edge, v0_range=[v0s[0], v0s[-1]])
         except ValueError as exc:
             entry.update(v_c_numerical=None, v_c_analytic=None,
                          unresolved=True, error=str(exc))

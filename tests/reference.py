@@ -1,0 +1,80 @@
+"""Verification oracles that the library itself never calls.
+
+Each evaluates a quantity of the model pointwise or by direct quadrature,
+independently of the harmonic-series kernels, so tests can check the
+library's stored constants and profiles against it.
+"""
+
+import numpy as np
+
+from cavityaa.lattice import LATTICE_CONSTANT
+
+
+def f_eval(pot, x) -> np.ndarray:
+    """Dimensionless cavity potential arctan(-delta' + C trig^2(beta x)).
+
+    Principal arctan branch; trig = sin in the sin^2 registration.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    trig = np.sin(pot.beta * x) if pot.uses_sin2 else np.cos(pot.beta * x)
+    return np.arctan(pot.C * trig * trig - pot.delta_c_prime)
+
+
+def correction_constants(wb) -> tuple[float, float, float]:
+    """(A, B, alpha) of the first incommensurate harmonic by direct quadrature.
+
+    A = -int w0^2(x) sin(2 beta x) dx, B = int w0^2(x) cos(2 beta x) dx,
+    alpha = sqrt(A^2 + B^2), all centered on the Wannier center.
+    """
+    dens = wb.w0_samples * wb.w0_samples * wb.quad_weights
+    a_const = float(-np.dot(dens, np.sin(2.0 * wb.beta * wb.grid)))
+    b_const = float(np.dot(dens, np.cos(2.0 * wb.beta * wb.grid)))
+    return a_const, b_const, float(np.hypot(a_const, b_const))
+
+
+def cavity_tunneling_corrections(wb, pot, L: int) -> np.ndarray:
+    """Bond integrals t_n = int w_n(x) V_eff(x) w_{n+1}(x) dx for n = 1..L-1.
+
+    Checks that the cavity potential contributes negligibly to the hopping;
+    the chain model keeps a uniform t.
+    """
+    if L < 2:
+        raise ValueError("need at least two sites")
+    p = wb.spec.points_per_site
+    a = wb.site_spacing_a
+    # In the bond frame v = x - n a the product w_n w_{n+1} is w0(v) w0(v - a),
+    # supported on the overlap of the shifted grids.
+    pair = wb.w0_samples[p:] * wb.w0_samples[:-p]
+    step = LATTICE_CONSTANT / p
+    wts = np.full(pair.shape, step)
+    wts[0] = wts[-1] = step / 2.0
+    vgrid = wb.grid[p:]
+    out = np.empty(L - 1)
+    for n in range(1, L):
+        out[n - 1] = float(np.dot(pair * wts, f_eval(pot, vgrid + n * a)))
+    return pot.v0 * out
+
+
+def thouless_reference(v0: float, v_c: float) -> float:
+    """Localized-phase reference decay rate log(v0 / v_c)."""
+    if not (v0 > v_c > 0.0):
+        raise ValueError("thouless_reference requires v0 > v_c > 0 (localized phase)")
+    return float(np.log(v0 / v_c))
+
+
+def photon_number_site_loop(psi, wb, zeta, delta_c, U0) -> float:
+    """Per-site quadrature of the photon number in units of kappa.
+
+    The mode is read in the registration of the potential: sin(beta z) for
+    U0 > 0 and cos(beta z) otherwise, at the unshifted sites.
+    """
+    trig = np.sin if U0 > 0 else np.cos
+    dens = np.asarray(psi) ** 2
+    total = 0.0
+    for m in np.nonzero(dens > 1e-12)[0]:
+        mode = trig(wb.beta * (wb.grid + (m + 1) * wb.site_spacing_a))
+        drive_sq = zeta.amplitude ** 2 * (
+            mode * mode if zeta.kind == "atom_pumped" else 1.0)
+        lorentz = drive_sq / ((delta_c - U0 * mode * mode) ** 2 + 1.0)
+        total += dens[m] * float(np.dot(wb.density_weights, lorentz))
+    return total

@@ -38,6 +38,22 @@ def test_wannier_report(capsys, tmp_path):
     assert 0.0 < alpha < 1.0
 
 
+@pytest.mark.parametrize("depth", [-15.0, -14.0, 8.0])
+def test_wannier_prints_the_stored_constants(capsys, tmp_path, depth):
+    cfg = write_cfg(tmp_path, {"lattice": {"depth_W0": depth}})
+    code, out, err = run_cli(capsys, "wannier", "--config", cfg,
+                             "--out", str(tmp_path))
+    assert code == 0
+    spec = ca.LatticeSpec(depth_W0=depth)
+    wb = ca.build_wannier(ca.solve_lowest_band(spec), spec)
+    lines = out.splitlines()
+    assert f"t_integral={wb.t:.12e} Er" in lines
+    assert any(ln.startswith(f"t_band={wb.t_band:.12e} Er  (rel diff ")
+               for ln in lines)
+    for name in ("A", "B", "alpha"):
+        assert f"{name}={getattr(wb, name):.12e}" in lines
+
+
 def test_wannier_invalid_cutoff_names_key(capsys, tmp_path):
     cfg = write_cfg(tmp_path, {"lattice": {"planewave_cutoff_M": 4}})
     code, out, err = run_cli(capsys, "wannier", "--config", cfg)
@@ -104,6 +120,7 @@ def test_ground_state_free_chain(capsys, tmp_path):
     assert code == 0
     metrics = json.loads((tmp_path / "ground_state_metrics.json").read_text())
     assert metrics["ipr"] == pytest.approx(1.5 / (L + 1), rel=1e-6)
+    assert metrics["mode"] == "aa" and metrics["certificate_margin"] > 0.0
     # the sine envelope has no exponential decay; at most a near-zero slope
     assert metrics["gamma"] is None or abs(metrics["gamma"]) < 0.02
     rows = (tmp_path / "ground_state.csv").read_text().splitlines()

@@ -41,6 +41,17 @@ def test_dense_fallback_consistent():
     assert method == "tridiagonal_full_fallback"
 
 
+def test_certificate_separates_the_lowest_eigenvalue():
+    rng = np.random.RandomState(9)
+    d, e = _random_chain(rng, 233)
+    w = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+    tol = 1e-12
+    margin = kernels.certificate_margin(d, e, w[0], tol)
+    assert margin is not None and margin >= tol / 2
+    # at the second eigenvalue the shifted matrix is indefinite
+    assert kernels.certificate_margin(d, e, w[1], tol) is None
+
+
 @pytest.mark.parametrize("sin2", [False, True])
 def test_quadrature_matches_direct_sum(sin2):
     # oracle: the direct quadrature sum_j w_j arctan(C trig(beta (u_j + x_n))^2
@@ -49,11 +60,10 @@ def test_quadrature_matches_direct_sum(sin2):
     rng = np.random.RandomState(3)
     grid = np.linspace(-5 * np.pi, 5 * np.pi, 641)
     wdens = rng.uniform(0.0, 1.0, grid.shape[0])
-    n_sites, a, beta, C, dcp, offset = 57, np.pi, 0.618, -2.3, -1.1, 0.25
-    out = kernels.onsite_quadrature(wdens, grid, n_sites, a, beta, C, dcp, sin2,
-                                    offset=offset)
+    n_sites, a, beta, C, dcp = 57, np.pi, 0.618, -2.3, -1.1
+    out = kernels.onsite_quadrature(wdens, grid, n_sites, a, beta, C, dcp, sin2)
     trig = np.sin if sin2 else np.cos
-    xn = (np.arange(1, n_sites + 1) + offset) * a
+    xn = np.arange(1, n_sites + 1) * a
     arg = beta * (grid[None, :] + xn[:, None])
     expected = np.arctan(C * trig(arg) ** 2 - dcp) @ wdens
     assert np.allclose(out, expected, rtol=1e-12, atol=0.0)

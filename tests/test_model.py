@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 import cavityaa as ca
+from cavityaa import kernels
 from cavityaa.lattice import GOLDEN_BETA, LATTICE_CONSTANT
+from reference import f_eval
 
 L = 233
 
@@ -23,13 +26,8 @@ def test_potential_mode_selection():
 def test_f_eval_constant_for_zero_coupling():
     pot = ca.EffectivePotential.cavity(1.0, 0.0, 0.7)
     x = np.linspace(-40.0, 40.0, 1001)
-    f = ca.f_eval(pot, x)
+    f = f_eval(pot, x)
     assert np.allclose(f, np.arctan(-0.7), atol=1e-15)
-
-
-def test_f_eval_rejects_aa_mode():
-    with pytest.raises(ValueError):
-        ca.f_eval(ca.EffectivePotential.aubry_andre(0.1), 0.0)
 
 
 def test_f_eval_small_coupling_harmonic():
@@ -37,7 +35,7 @@ def test_f_eval_small_coupling_harmonic():
     dcp, C = 1.0, 1e-6
     pot = ca.EffectivePotential(mode="cavity_cos2", v0=1.0, C=C, delta_c_prime=dcp)
     x = np.linspace(0.0, 200.0 * np.pi, 200001)
-    f = ca.f_eval(pot, x)
+    f = f_eval(pot, x)
     amp = (f.max() - f.min()) / 2.0
     assert amp == pytest.approx(C / (2.0 * (dcp ** 2 + 1.0)), rel=1e-4)
 
@@ -46,14 +44,14 @@ def test_f_eval_root_of_argument():
     # cos^2 = 1/2 with delta' = 1 and C = 2 sits exactly on arctan(0)
     pot = ca.EffectivePotential(mode="cavity_cos2", v0=1.0, C=2.0, delta_c_prime=1.0)
     x = np.pi / (4.0 * pot.beta)
-    assert ca.f_eval(pot, x) == pytest.approx(0.0, abs=1e-12)
+    assert f_eval(pot, x) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_f_eval_odd_in_coupling():
     x = np.linspace(-30.0, 30.0, 501)
     for c in (0.3, 1.7, 4.0):
-        plus = ca.f_eval(ca.EffectivePotential(mode="cavity_cos2", v0=1.0, C=+c), x)
-        minus = ca.f_eval(ca.EffectivePotential(mode="cavity_cos2", v0=1.0, C=-c), x)
+        plus = f_eval(ca.EffectivePotential(mode="cavity_cos2", v0=1.0, C=+c), x)
+        minus = f_eval(ca.EffectivePotential(mode="cavity_cos2", v0=1.0, C=-c), x)
         assert np.allclose(plus, -minus, atol=1e-15)
 
 
@@ -105,7 +103,7 @@ def test_onsite_cavity_smearing_matches_alpha(wannier):
     pot = ca.EffectivePotential.cavity(4.0 * t, -0.5, 0.0)
     smeared = ca.onsite_cavity(wannier, pot, L).values
     n = np.arange(1, L + 1)
-    pointwise = pot.v0 * ca.f_eval(pot, n * LATTICE_CONSTANT)
+    pointwise = pot.v0 * f_eval(pot, n * LATTICE_CONSTANT)
 
     def harmonic(seq):
         phase = np.exp(-2j * np.pi * GOLDEN_BETA * n)
@@ -174,9 +172,38 @@ def test_ground_state_localized_aa_oracle(wannier, dense_chain):
     gs = ca.ground_state(problem)
     w, v = np.linalg.eigh(dense_chain(problem))
     assert gs.energy == pytest.approx(w[0], abs=1e-13)
+    # the smallest pivot of H - (E0 - tol) I is at least its lowest eigenvalue
+    assert gs.method == "lapack_bisection_inverse_iteration"
+    assert gs.certificate_margin > 0.0
+    assert gs.certificate_margin >= w[0] - gs.energy
     assert abs(abs(np.dot(gs.amplitudes, v[:, 0])) - 1.0) < 1e-10
     metrics = ca.lyapunov_fit(gs)
     assert metrics.lyapunov_gamma == pytest.approx(np.log(1.25), rel=0.10)
+
+
+def _second_eigenpair(d, e):
+    # passes the residual check, but an eigenvalue lies below it
+    w, v = eigh_tridiagonal(d, e, select="i", select_range=(1, 1))
+    psi = v[:, 0]
+    r = (d - w[0]) * psi
+    r[:-1] += e * psi[1:]
+    r[1:] += e * psi[:-1]
+    return float(w[0]), psi, float(np.linalg.norm(r)), "second_eigenpair"
+
+
+def test_ground_state_falls_back_on_an_excited_pair(wannier, dense_chain, monkeypatch):
+    t = wannier.t
+    problem = ca.HubbardProblem(L=L, t=t, onsite=ca.onsite_aa(2.5 * t, GOLDEN_BETA, L))
+    monkeypatch.setattr(kernels, "lowest_eigenpair", _second_eigenpair)
+    gs = ca.ground_state(problem)
+    w = np.linalg.eigvalsh(dense_chain(problem))
+    assert gs.method == "tridiagonal_full_fallback"
+    assert gs.energy == pytest.approx(w[0], abs=1e-13)
+    assert gs.certificate_margin > 0.0
+
+    monkeypatch.setattr(kernels, "lowest_eigenpair_dense_fallback", _second_eigenpair)
+    with pytest.raises(ca.GroundStateError, match="eigenvalue below"):
+        ca.ground_state(problem)
 
 
 def test_variational_and_gershgorin_bounds(scanner):
@@ -225,7 +252,8 @@ def test_mode_symmetry_commensurate_registration(wannier):
     cos_pot = ca.EffectivePotential(mode="cavity_cos2", v0=v0, C=C, beta=0.5)
     sin_pot = ca.EffectivePotential(mode="cavity_sin2", v0=v0, C=C, beta=0.5)
     prof_cos = ca.onsite_cavity(wannier, cos_pot, L)
-    prof_sin = ca.onsite_cavity(wannier, sin_pot, L, site_offset=1.0)
+    prof_sin = ca.onsite_cavity(wannier, sin_pot, L + 1)
+    prof_sin = ca.OnsiteProfile(values=prof_sin.values[1:].copy(), L=L)
     assert np.allclose(prof_cos.values, prof_sin.values, atol=1e-13)
     gs_cos = ca.ground_state(ca.HubbardProblem(L=L, t=wannier.t, onsite=prof_cos))
     gs_sin = ca.ground_state(ca.HubbardProblem(L=L, t=wannier.t, onsite=prof_sin))
@@ -265,11 +293,9 @@ def test_small_coupling_vs_aa_away_from_transition(scanner, wannier, coupling):
         assert ca.ipr(gs_cav) == pytest.approx(ca.ipr(gs_aa), rel=0.02)
 
 
-def test_problem_validation(wannier):
+def test_problem_validation():
     with pytest.raises(ValueError):
         ca.HubbardProblem(L=2, t=1.0,
                           onsite=ca.OnsiteProfile(values=np.zeros(2), L=2))
     with pytest.raises(ValueError):
         ca.OnsiteProfile(values=np.array([np.nan, 0.0, 0.0]), L=3)
-    with pytest.raises(ValueError):
-        ca.onsite_cavity(wannier, ca.EffectivePotential.aubry_andre(0.1), L)

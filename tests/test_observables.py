@@ -3,6 +3,7 @@ import pytest
 
 import cavityaa as ca
 from cavityaa.lattice import GOLDEN_BETA, LATTICE_CONSTANT
+from reference import photon_number_site_loop, thouless_reference
 
 L = 233
 
@@ -56,13 +57,13 @@ def test_fit_options_validation():
 
 
 def test_thouless_reference():
-    assert ca.thouless_reference(np.e * 0.2, 0.2) == pytest.approx(1.0, rel=1e-12)
-    assert ca.thouless_reference(0.4, 0.2) == pytest.approx(np.log(2.0), rel=1e-12)
-    assert ca.thouless_reference(0.24, 0.2) == pytest.approx(np.log(1.2), rel=1e-12)
+    assert thouless_reference(np.e * 0.2, 0.2) == pytest.approx(1.0, rel=1e-12)
+    assert thouless_reference(0.4, 0.2) == pytest.approx(np.log(2.0), rel=1e-12)
+    assert thouless_reference(0.24, 0.2) == pytest.approx(np.log(1.2), rel=1e-12)
     with pytest.raises(ValueError):
-        ca.thouless_reference(0.1, 0.2)
+        thouless_reference(0.1, 0.2)
     with pytest.raises(ValueError):
-        ca.thouless_reference(0.2, 0.2)
+        thouless_reference(0.2, 0.2)
 
 
 def test_critical_v_cav_arithmetic():
@@ -117,6 +118,19 @@ def test_detect_transition_unresolved_below_critical(scanner):
     base = np.cos(2.0 * np.pi * GOLDEN_BETA * n)
     est = scanner.detect(base, 0.02 * t, 0.25 * t, 24)
     assert est.unresolved
+    assert est.edge == "high"
+
+
+def test_detect_transition_names_the_edge():
+    v0 = np.geomspace(0.1, 10.0, 30)
+    # log IPR = -v0 is steepest at the low end, log IPR = v0 at the high end,
+    # and tanh(3 log v0) at v0 = 1, inside the grid
+    low = ca.detect_transition(v0, np.exp(-v0))
+    high = ca.detect_transition(v0, np.exp(v0))
+    inside = ca.detect_transition(v0, np.exp(np.tanh(3.0 * np.log(v0))))
+    assert (low.unresolved, low.edge) == (True, "low")
+    assert (high.unresolved, high.edge) == (True, "high")
+    assert (inside.unresolved, inside.edge) == (False, None)
 
 
 def test_photon_number_flat_mode_limit(wannier):
@@ -150,8 +164,8 @@ def test_photon_number_bounded_by_pump(wannier):
     psi = rng.uniform(-1, 1, L)
     psi /= np.linalg.norm(psi)
     zeta = ca.PumpField("cavity_pumped", 1.3)
-    nbar = ca.photon_number(psi, wannier, zeta, delta_c=-0.4, U0=-1.0,
-                            kappa=1.0).mean_photon_number
+    nbar = ca.photon_number(psi, wannier, zeta, delta_c=-0.4,
+                            U0=-1.0).mean_photon_number
     assert 0.0 <= nbar <= 1.3 ** 2
 
 
@@ -172,25 +186,17 @@ def test_photon_number_atom_pumped_mode_weighting(wannier):
     assert out[0] < 0.1 * out[1]
 
 
-def _photon_number_site_loop(psi, wb, zeta, delta_c, U0):
-    """Per-site quadrature of the photon number at kappa = 1, the oracle."""
-    dens = np.asarray(psi) ** 2
-    total = 0.0
-    for m in np.nonzero(dens > 1e-12)[0]:
-        mode = np.cos(wb.beta * (wb.grid + (m + 1) * wb.site_spacing_a))
-        drive_sq = zeta.amplitude ** 2 * (
-            mode * mode if zeta.kind == "atom_pumped" else 1.0)
-        lorentz = drive_sq / ((delta_c - U0 * mode * mode) ** 2 + 1.0)
-        total += dens[m] * float(np.dot(wb.density_weights, lorentz))
-    return total
-
-
 @pytest.mark.parametrize("kind, delta_c, U0", [
     ("cavity_pumped", -5.5, -2.0),
     ("atom_pumped", -4.0, -1.0),
     # delta_c - U0 cos^2 changes sign inside every site's window
     ("cavity_pumped", -0.5, -1.0),
     ("atom_pumped", -0.5, -1.0),
+    # U0 > 0: the mode is read in the sin^2 registration of the potential
+    ("cavity_pumped", 0.5, 2.0),
+    ("atom_pumped", 0.5, 2.0),
+    ("cavity_pumped", 1.5, 1.0),
+    ("atom_pumped", -2.0, 0.7),
 ])
 def test_photon_number_matches_site_loop(wannier, kind, delta_c, U0):
     rng = np.random.RandomState(5)
@@ -203,5 +209,5 @@ def test_photon_number_matches_site_loop(wannier, kind, delta_c, U0):
         psi = psi / np.linalg.norm(psi)
         nbar = ca.photon_number(psi, wannier, zeta, delta_c=delta_c,
                                 U0=U0).mean_photon_number
-        expected = _photon_number_site_loop(psi, wannier, zeta, delta_c, U0)
+        expected = photon_number_site_loop(psi, wannier, zeta, delta_c, U0)
         assert nbar == pytest.approx(expected, rel=1e-12, abs=0.0)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cavityaa as ca
+from reference import f_eval, thouless_reference
 
 
 def _state(seed, n):
@@ -56,13 +57,13 @@ def test_scale_covariance(seed, scale):
 @given(ratio=st.floats(1.0 + 1e-9, 50.0), v_c=st.floats(1e-6, 10.0))
 @settings(max_examples=60, deadline=None)
 def test_thouless_identity(ratio, v_c):
-    assert ca.thouless_reference(ratio * v_c, v_c) == pytest.approx(
+    assert thouless_reference(ratio * v_c, v_c) == pytest.approx(
         np.log(ratio), rel=1e-9, abs=1e-12)
 
 
 @given(c=st.floats(1e-3, 8.0), x=st.floats(-50.0, 50.0))
 @settings(max_examples=60, deadline=None)
 def test_f_odd_in_coupling_on_resonance(c, x):
-    plus = ca.f_eval(ca.EffectivePotential(mode="cavity_cos2", v0=1.0, C=+c), x)
-    minus = ca.f_eval(ca.EffectivePotential(mode="cavity_cos2", v0=1.0, C=-c), x)
+    plus = f_eval(ca.EffectivePotential(mode="cavity_cos2", v0=1.0, C=+c), x)
+    minus = f_eval(ca.EffectivePotential(mode="cavity_cos2", v0=1.0, C=-c), x)
     assert float(plus) == pytest.approx(-float(minus), abs=1e-14)

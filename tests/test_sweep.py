@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import cavityaa as ca
+from reference import photon_number_site_loop
 
 L = 233
 
@@ -204,6 +205,7 @@ def test_aa_mode_sweep_and_transition_metadata(wannier, lattice_spec):
     assert len(est) == 1
     assert est[0]["v_c_numerical"] == pytest.approx(2.0 * t, rel=0.05)
     assert est[0]["unresolved"] is False
+    assert "edge" not in est[0] and "v0_range" not in est[0]
 
 
 def test_failed_points_are_flagged_not_fatal(wannier, lattice_spec):
@@ -275,6 +277,43 @@ def test_atom_pumped_eta_axis_drives_v0_and_photon_number(wannier, lattice_spec)
         zeta = ca.PumpField("atom_pumped", eta * 0.3 / -2.0)
         direct = ca.photon_number(gs, wannier, zeta, delta_c=-4.0, U0=-1.0)
         assert rec.nbar == pytest.approx(direct.mean_photon_number, rel=1e-12)
+
+
+@pytest.mark.parametrize("pump_mode", ["cavity_pumped", "atom_pumped"])
+def test_photon_number_registration_across_u0_zero(wannier, lattice_spec, pump_mode):
+    # for U0 > 0 the potential is pinned on sin^2; the photon number of the
+    # localized atom must read the mode in that registration, too
+    pump = ca.PumpConfig(pump_mode=pump_mode, Omega=0.6, Delta_a=1.0, g=0.5,
+                         kappa_over_recoil=1.0)
+    spec = _spec(lattice_spec, axis1=ca.Axis("eta", np.array([0.6])),
+                 axis2=ca.Axis.linear("U0", -2.0, 2.0, 5),
+                 fixed={"delta_c": 0.5}, pump=pump,
+                 observables=("ipr", "nbar"), name="u0")
+    recs = ca.run_sweep(spec, wannier=wannier).records
+    zeta = pump.pump_field(0.6)
+    for rec in recs:
+        assert rec.flags == ""
+        pot = ca.EffectivePotential.cavity(rec.v0, rec.C, rec.delta_c_prime)
+        prof = ca.onsite_cavity(wannier, pot, L)
+        gs = ca.ground_state(ca.HubbardProblem(L=L, t=wannier.t, onsite=prof))
+        if rec.C != 0.0:
+            assert rec.ipr > 0.5  # localized, so the registration matters
+        expected = photon_number_site_loop(gs.amplitudes, wannier, zeta,
+                                           rec.delta_c_prime, rec.C)
+        assert rec.nbar == pytest.approx(expected, rel=1e-12)
+
+
+def test_unresolved_transition_names_its_edge(wannier, lattice_spec):
+    # the dual-model v_c lies far above the grid, so the IPR rises fastest
+    # in the last interval
+    spec = _spec(lattice_spec, axis1=ca.Axis.log("v0", 1e-4, 1e-3, 20),
+                 axis2=ca.Axis("C", np.array([-1.0])),
+                 observables=("ipr", "vc"))
+    (entry,) = ca.run_sweep(spec, wannier=wannier).metadata["transition_estimates"]
+    assert entry["v_c_analytic"] > 10.0 * 1e-3
+    assert entry["unresolved"] is True
+    assert entry["edge"] == "high"
+    assert entry["v0_range"] == [spec.axis1.values[0], spec.axis1.values[-1]]
 
 
 def test_csv_round_trip_bit_exact(tmp_path, wannier, lattice_spec):
