@@ -1,9 +1,12 @@
 """Hot numerical kernels: tridiagonal ground-state solve and site averages.
 
-The lowest eigenpair of the symmetric tridiagonal chain Hamiltonian comes
-from LAPACK bisection plus inverse iteration (``scipy.linalg.eigh_tridiagonal``
-in select mode), with a full diagonalization as the fallback when the
-residual check or the lower-bound certificate (``certificate_margin``) fails.
+The lowest eigenpair of a symmetric tridiagonal matrix comes from LAPACK
+bisection plus inverse iteration (``lowest_tridiagonal_pair``: ``dstebz`` then
+``dstein``, the calls ``scipy.linalg.eigh_tridiagonal`` makes in select mode,
+without its per-call validation).  The chain ground state and the plane-wave
+band solve both use it; the chain falls back to a full diagonalization when
+the residual check or the lower-bound certificate (``certificate_margin``)
+fails.
 
 The onsite profile and the photon number both average an even, pi-periodic
 function g(beta z) over the Wannier density at every site.  ``site_average``
@@ -48,6 +51,27 @@ def gershgorin_norm_bound(d: np.ndarray, e: np.ndarray) -> float:
     return bound if bound > 0.0 else 1.0
 
 
+def lowest_tridiagonal_pair(d: np.ndarray, e: np.ndarray) -> tuple[float, np.ndarray]:
+    """Smallest eigenvalue and unit eigenvector of tridiag(e, d, e).
+
+    ``dstebz`` bisects for the first eigenvalue (range I, il = iu = 1) and
+    ``dstein`` inverse-iterates for its vector; the result is bit-identical
+    to ``eigh_tridiagonal(d, e, select="i", select_range=(0, 0))``.  d and e
+    must be contiguous float64 arrays of lengths n and n - 1; they are not
+    checked.  Raises ``numpy.linalg.LinAlgError`` when LAPACK reports
+    ``info != 0``.
+    """
+    if d.shape[0] == 1:
+        return float(d[0]), np.ones(1)
+    m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 1.0, 1, 1, 0.0, "B")
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dstebz failed with info = {info}")
+    v, info = lapack.dstein(d, e, w[:m], iblock, isplit)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dstein failed with info = {info}")
+    return float(w[0]), v[:, 0]
+
+
 def lowest_eigenpair(
     d: np.ndarray, e: np.ndarray
 ) -> tuple[float, np.ndarray, float, str]:
@@ -55,7 +79,8 @@ def lowest_eigenpair(
 
     Returns ``(energy, vector, residual, method)`` with the vector normalized
     to unit 2-norm.  The residual is ``||T v - energy v||_2`` and the method
-    string names the code path that produced the result.
+    string names the code path that produced the result.  A NaN entry, which
+    LAPACK passes through with ``info = 0``, raises ValueError.
     """
     d = np.ascontiguousarray(d, dtype=np.float64)
     e = np.ascontiguousarray(e, dtype=np.float64)
@@ -63,10 +88,10 @@ def lowest_eigenpair(
         raise ValueError("expected diag of length n and offdiag of length n-1")
     if d.shape[0] < 1:
         raise ValueError("empty matrix")
-    w, v = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
-    psi = np.ascontiguousarray(v[:, 0])
-    lam = float(w[0])
+    lam, psi = lowest_tridiagonal_pair(d, e)
     res = _tridiag_residual(d, e, lam, psi)
+    if not np.isfinite(res):
+        raise ValueError("matrix must not contain infs or NaNs")
     return lam, psi, res, "lapack_bisection_inverse_iteration"
 
 

@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+
+from . import kernels
 
 #: Inverse golden ratio, the default incommensuration beta = k / k0.
 GOLDEN_BETA = (np.sqrt(5.0) - 1.0) / 2.0
@@ -27,8 +28,8 @@ GOLDEN_BETA = (np.sqrt(5.0) - 1.0) / 2.0
 #: Lattice constant a = pi / k0 in units of 1/k0.
 LATTICE_CONSTANT = np.pi
 
-#: Grid rows per block of the Wannier plane-wave sum.
-_ROW_BLOCK = 64
+#: Identifier of the Wannier plane-wave sum, recorded in output metadata.
+WANNIER_SUM_METHOD = "separable_planewave"
 
 
 class BandSolveError(RuntimeError):
@@ -53,6 +54,8 @@ class LatticeSpec:
     points_per_site: int = 64
 
     def __post_init__(self):
+        if not np.isfinite(self.depth_W0):
+            raise ValueError("depth_W0 must be finite")
         if self.planewave_cutoff_M < 8:
             raise ValueError("planewave_cutoff_M must be >= 8")
         if self.quasimomentum_samples_Nq < 64 or self.quasimomentum_samples_Nq % 2:
@@ -126,25 +129,24 @@ def solve_lowest_band(spec: LatticeSpec) -> BlochBand:
 
     In the plane-wave basis the operator is tridiagonal: diagonal (q + 2l)^2 +
     W0/2 and first off-diagonal -|W0|/4 in the site-centered frame (the sign
-    flip for W0 > 0 is the a/2 shift of the site centers).
+    flip for W0 > 0 is the a/2 shift of the site centers).  Each q is one
+    ``kernels.lowest_tridiagonal_pair`` call.
     """
     m_cut = spec.planewave_cutoff_M
     nq = spec.quasimomentum_samples_Nq
     ls = np.arange(-m_cut, m_cut + 1)
     qs = _quasimomentum_grid(nq)
     offdiag = np.full(2 * m_cut, -abs(spec.depth_W0) / 4.0)
+    diags = (qs[:, None] + 2.0 * ls[None, :]) ** 2 + spec.depth_W0 / 2.0
     energies = np.empty(nq)
     vecs = np.empty((nq, 2 * m_cut + 1))
-    for j, q in enumerate(qs):
-        diag = (q + 2.0 * ls) ** 2 + spec.depth_W0 / 2.0
+    for j, diag in enumerate(diags):
         try:
-            w, v = eigh_tridiagonal(diag, offdiag, select="i", select_range=(0, 0))
-        except Exception as exc:
+            energies[j], vecs[j] = kernels.lowest_tridiagonal_pair(diag, offdiag)
+        except np.linalg.LinAlgError as exc:
             raise BandSolveError(
-                f"plane-wave eigensolve failed at q = {q:.6f} k0"
+                f"plane-wave eigensolve failed at q = {qs[j]:.6f} k0"
             ) from exc
-        energies[j] = w[0]
-        vecs[j] = v[:, 0]
     return BlochBand(quasimomenta=qs, energies=energies, eigenvectors=vecs,
                      depth_W0=spec.depth_W0)
 
@@ -155,7 +157,10 @@ def build_wannier(band: BlochBand, spec: LatticeSpec) -> WannierBasis:
     Bloch phases are fixed so that every Bloch function is real and positive
     at the site center; for a symmetric 1D band this phase choice yields the
     maximally localized Wannier orbital.  The orbital is evaluated as a plane
-    wave sum, so its second derivative is available exactly.
+    wave sum, so its second derivative is available exactly.  The sum is
+    separated into q and l factors by cos((q + 2l) x) = cos(qx) cos(2lx) -
+    sin(qx) sin(2lx) and evaluated on the x >= 0 half of the grid; w0 is
+    even, so the other half is its mirror image.
     """
     m_cut = spec.planewave_cutoff_M
     nq = spec.quasimomentum_samples_Nq
@@ -179,23 +184,21 @@ def build_wannier(band: BlochBand, spec: LatticeSpec) -> WannierBasis:
     grid = np.arange(-half, half + 1) * step
 
     # w0(x) = (1 / (Nq sqrt(pi))) sum_{q,l} c_{q,l} cos((q + 2l) x); the sine
-    # parts cancel exactly on the +-q symmetric grid.  The (grid x wavevector)
-    # cosine matrix is evaluated in row blocks into one buffer, so the build
-    # never holds more than _ROW_BLOCK rows of it.
-    kvec = (qs[:, None] + 2.0 * ls[None, :]).ravel()
-    cvec = coeffs.ravel() / (nq * np.sqrt(np.pi))
-    lap_vec = -(kvec ** 2) * cvec
-    w0 = np.empty(grid.shape)
-    w0_lap = np.empty(grid.shape)
-    buf = np.empty((_ROW_BLOCK, kvec.shape[0]))
-    for start in range(0, grid.shape[0], _ROW_BLOCK):
-        rows = slice(start, start + _ROW_BLOCK)
-        x = grid[rows]
-        phases = buf[: x.shape[0]]
-        np.multiply(x[:, None], kvec[None, :], out=phases)
-        np.cos(phases, out=phases)
-        w0[rows] = phases @ cvec
-        w0_lap[rows] = phases @ lap_vec
+    # parts cancel exactly on the +-q symmetric grid.  w0'' has the
+    # coefficients -(q + 2l)^2 c_{q,l} and shares every trig table.  The q > 0
+    # tables times the coefficients folded over +-q give the q-sums of each
+    # (x, l), which the l tables contract.
+    x = grid[half:]
+    c = coeffs / (nq * np.sqrt(np.pi))
+    kvec = qs[:, None] + 2.0 * ls[None, :]
+    both = np.hstack((c, -(kvec ** 2) * c)).reshape(nq, 2, ls.shape[0])
+    pos, neg = both[nq // 2:], both[nq // 2 - 1::-1]  # rows q > 0 and -q
+    qx = np.multiply.outer(x, qs[nq // 2:])
+    lx = np.multiply.outer(x, 2.0 * ls)
+    sums = (np.einsum("xkl,xl->xk", np.tensordot(np.cos(qx), pos + neg, 1), np.cos(lx))
+            - np.einsum("xkl,xl->xk", np.tensordot(np.sin(qx), pos - neg, 1), np.sin(lx)))
+    w0 = np.concatenate((sums[:0:-1, 0], sums[:, 0]))
+    w0_lap = np.concatenate((sums[:0:-1, 1], sums[:, 1]))
 
     weights = np.full(grid.shape, step)
     weights[0] = weights[-1] = step / 2.0

@@ -30,7 +30,8 @@ import numpy as np
 
 from . import kernels
 from ._version import __version__
-from .lattice import LatticeSpec, WannierBasis, build_wannier, solve_lowest_band
+from .lattice import (WANNIER_SUM_METHOD, LatticeSpec, WannierBasis, build_wannier,
+                      solve_lowest_band)
 from .model import (EffectivePotential, HubbardProblem, ground_state,
                     onsite_aa, onsite_cavity, scale_profile)
 from .observables import (TRANSITION_METHOD, FitOptions, PumpField,
@@ -436,6 +437,7 @@ def _build_metadata(spec: SweepSpec, wannier: WannierBasis | None) -> dict:
 
 def _methods(spec: SweepSpec) -> dict:
     methods = {"transition_detector": TRANSITION_METHOD,
+               "wannier_sum": WANNIER_SUM_METHOD,
                "harmonic_tail_rtol": kernels.HARMONIC_TAIL_RTOL,
                "max_harmonics": kernels.MAX_HARMONICS}
     if spec.mode == "cavity":

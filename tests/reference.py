@@ -6,8 +6,60 @@ library's stored constants and profiles against it.
 """
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 from cavityaa.lattice import LATTICE_CONSTANT
+
+
+def lowest_band_eigh(spec) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest-band energies and plane-wave vectors on the offset q grid.
+
+    One select-mode ``eigh_tridiagonal`` call per quasimomentum.
+    """
+    ls = np.arange(-spec.planewave_cutoff_M, spec.planewave_cutoff_M + 1)
+    nq = spec.quasimomentum_samples_Nq
+    qs = -1.0 + (2.0 * np.arange(nq) + 1.0) / nq
+    offdiag = np.full(ls.shape[0] - 1, -abs(spec.depth_W0) / 4.0)
+    energies = np.empty(nq)
+    vecs = np.empty((nq, ls.shape[0]))
+    for j, q in enumerate(qs):
+        diag = (q + 2.0 * ls) ** 2 + spec.depth_W0 / 2.0
+        w, v = eigh_tridiagonal(diag, offdiag, select="i", select_range=(0, 0))
+        energies[j], vecs[j] = w[0], v[:, 0]
+    return energies, vecs
+
+
+def wannier_direct_sum(band, spec) -> dict:
+    """Wannier orbital by the direct plane-wave sum, with its t, A, B, alpha.
+
+    Every grid point sums c_{q,l} cos((q + 2l) x) over all (q, l) on the whole
+    window, with no separation, half-grid or symmetry shortcut; t is the
+    real-space matrix element -int w0(x) [-w0''(x - a) + W(x) w0(x - a)] dx.
+    """
+    ls = np.arange(-spec.planewave_cutoff_M, spec.planewave_cutoff_M + 1)
+    nq = spec.quasimomentum_samples_Nq
+    coeffs = band.eigenvectors.copy()
+    coeffs[coeffs.sum(axis=1) < 0] *= -1.0
+    p = spec.points_per_site
+    step = LATTICE_CONSTANT / p
+    half = spec.window_sites * p
+    grid = np.arange(-half, half + 1) * step
+    kvec = (band.quasimomenta[:, None] + 2.0 * ls[None, :]).ravel()
+    cvec = coeffs.ravel() / (nq * np.sqrt(np.pi))
+    phases = np.cos(np.multiply.outer(grid, kvec))
+    w0 = phases @ cvec
+    w0_lap = phases @ (-(kvec ** 2) * cvec)
+    weights = np.full(grid.shape, step)
+    weights[0] = weights[-1] = step / 2.0
+    w1, w1_lap = np.zeros_like(w0), np.zeros_like(w0)
+    w1[p:], w1_lap[p:] = w0[:-p], w0_lap[:-p]
+    pot = spec.depth_W0 / 2.0 - abs(spec.depth_W0) / 2.0 * np.cos(2.0 * grid)
+    t = float(-np.dot(weights, w0 * (-w1_lap + pot * w1)))
+    dens = w0 * w0 * weights
+    a_const = float(-np.dot(dens, np.sin(2.0 * spec.beta * grid)))
+    b_const = float(np.dot(dens, np.cos(2.0 * spec.beta * grid)))
+    return {"w0": w0, "t": t, "A": a_const, "B": b_const,
+            "alpha": float(np.hypot(a_const, b_const))}
 
 
 def f_eval(pot, x) -> np.ndarray:

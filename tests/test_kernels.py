@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from cavityaa import kernels
 
@@ -21,6 +22,24 @@ def test_lowest_eigenpair_matches_dense(seed):
     assert abs(abs(np.dot(psi, v[:, 0])) - 1.0) < 1e-10
     assert res <= 1e-12 * kernels.gershgorin_norm_bound(d, e)
     assert method == "lapack_bisection_inverse_iteration"
+
+
+@pytest.mark.parametrize("n", [1, 2, 31, 233])
+def test_lowest_pair_is_select_mode_eigh_tridiagonal(n):
+    rng = np.random.RandomState(n)
+    d, e = _random_chain(rng, n)
+    w, v = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
+    lam, psi = kernels.lowest_tridiagonal_pair(d, e)
+    assert lam == w[0]
+    assert np.array_equal(psi, v[:, 0])
+
+
+def test_lowest_eigenpair_rejects_nonfinite_entries():
+    rng = np.random.RandomState(5)
+    d, e = _random_chain(rng, 20)
+    d[4] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        kernels.lowest_eigenpair(d, e)
 
 
 def test_diagonal_matrix_exact():

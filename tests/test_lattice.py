@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 import cavityaa as ca
+from cavityaa import kernels
 from cavityaa.lattice import LATTICE_CONSTANT
-from reference import cavity_tunneling_corrections, correction_constants
+from reference import (cavity_tunneling_corrections, correction_constants,
+                       lowest_band_eigh, wannier_direct_sum)
 
 
 def test_spec_validation():
@@ -15,6 +17,8 @@ def test_spec_validation():
         ca.LatticeSpec(depth_W0=-15.0, quasimomentum_samples_Nq=129)  # odd
     with pytest.raises(ValueError):
         ca.LatticeSpec(depth_W0=-15.0, beta=1.2)
+    with pytest.raises(ValueError, match="finite"):
+        ca.LatticeSpec(depth_W0=np.nan)
 
 
 def test_free_particle_band():
@@ -206,3 +210,47 @@ def test_phase_fixing_error_message():
                        eigenvectors=vecs, depth_W0=spec.depth_W0)
     with pytest.raises(ca.BandSolveError, match="phase fixing"):
         ca.build_wannier(bad, spec)
+
+
+ORACLE_DEPTHS = [-15.0, -10.5, -40.0, 8.0]
+
+
+@pytest.fixture(scope="module", params=ORACLE_DEPTHS)
+def lattice_case(request):
+    spec = ca.LatticeSpec(depth_W0=request.param)
+    band = ca.solve_lowest_band(spec)
+    return spec, band, ca.build_wannier(band, spec)
+
+
+def test_band_matches_eigh_tridiagonal_bit_for_bit(lattice_case):
+    spec, band, _ = lattice_case
+    energies, vecs = lowest_band_eigh(spec)
+    assert np.array_equal(band.energies, energies)
+    assert np.array_equal(band.eigenvectors, vecs)
+
+
+def test_wannier_matches_direct_sum(lattice_case):
+    # oracle: the plane-wave sum over every (q, l) at every grid point
+    spec, band, wb = lattice_case
+    ref = wannier_direct_sum(band, spec)
+    w0 = wb.w0_samples
+    assert np.max(np.abs(w0 - ref["w0"])) <= 1e-14 * np.max(np.abs(ref["w0"]))
+    assert np.array_equal(w0, w0[::-1])
+    # t cancels terms of size |W0| down to t, so rounding scales as |W0| eps / t
+    eps = np.finfo(np.float64).eps
+    assert abs(wb.t - ref["t"]) <= 10.0 * abs(spec.depth_W0) * eps
+    for name in ("A", "B", "alpha"):
+        assert getattr(wb, name) == pytest.approx(ref[name], abs=1e-14)
+
+
+@pytest.mark.parametrize("routine", ["dstebz", "dstein"])
+def test_band_solve_lapack_failure_raises(monkeypatch, routine):
+    real = getattr(kernels.lapack, routine)
+
+    def failing(*args):
+        *out, _ = real(*args)
+        return (*out, 1)
+
+    monkeypatch.setattr(kernels.lapack, routine, failing)
+    with pytest.raises(ca.BandSolveError, match="plane-wave eigensolve failed"):
+        ca.solve_lowest_band(ca.LatticeSpec(depth_W0=-15.0))

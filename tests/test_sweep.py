@@ -159,6 +159,7 @@ def test_sidecar_names_the_profile_methods(wannier, lattice_spec):
     methods = ca.run_sweep(spec, wannier=wannier).metadata["methods"]
     assert methods["onsite_profile"] == "harmonic_series"
     assert methods["photon_number"] == "harmonic_series"
+    assert methods["wannier_sum"] == "separable_planewave"
     assert methods["harmonic_tail_rtol"] == ca.kernels.HARMONIC_TAIL_RTOL
 
 
@@ -235,12 +236,15 @@ def test_gamma_absent_flag(wannier, lattice_spec):
 def test_depth_axis_recomputes_wannier(lattice_spec):
     spec = _spec(lattice_spec,
                  axis1=ca.Axis("W0", np.array([-12.0, -15.0])),
-                 axis2=ca.Axis("v0", np.array([0.05])))
+                 axis2=ca.Axis("v0", np.array([0.05])),
+                 fixed={"C": -1.0, "delta_c_prime": 0.0})
     result = ca.run_sweep(spec)
     recs = result.records
     assert len(recs) == 2
-    # deeper lattice, smaller hopping, stronger localization at fixed v0
-    assert recs[1].ipr > recs[0].ipr
+    # deeper lattice, smaller hopping: the same cavity potential localizes
+    # the atom at W0 = -15 (IPR 0.66) but not at W0 = -12 (IPR 0.009)
+    assert recs[0].ipr < 0.05
+    assert recs[1].ipr > 0.5
 
 
 def test_photon_ridge_follows_optomechanical_resonance(wannier, lattice_spec):
