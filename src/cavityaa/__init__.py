@@ -15,9 +15,9 @@ from .lattice import (GOLDEN_BETA, LATTICE_CONSTANT, BandSolveError, BlochBand,
 from .model import (EffectivePotential, GroundState, GroundStateError,
                     HubbardProblem, OnsiteProfile, ground_state, onsite_aa,
                     onsite_cavity)
-from .observables import (CavityObservables, FitOptions, LocalizationMetrics,
-                          PumpField, TransitionEstimate, critical_v_cav,
-                          detect_transition, ipr, lyapunov_fit, photon_number)
+from .observables import (FitOptions, LocalizationMetrics, PumpField,
+                          TransitionEstimate, critical_v_cav, detect_transition,
+                          ipr, lyapunov_fit, photon_number)
 from .sweep import (Axis, PumpConfig, SweepRecord, SweepResult, SweepSpec,
                     csv_body, default_filename, export_csv,
                     map_physical_params, read_csv, run_sweep)
@@ -29,9 +29,9 @@ __all__ = [
     "build_wannier", "solve_lowest_band", "tunneling_from_band",
     "EffectivePotential", "GroundState", "GroundStateError", "HubbardProblem",
     "OnsiteProfile", "ground_state", "onsite_aa", "onsite_cavity",
-    "CavityObservables", "FitOptions", "LocalizationMetrics", "PumpField",
-    "TransitionEstimate", "critical_v_cav", "detect_transition", "ipr",
-    "lyapunov_fit", "photon_number",
+    "FitOptions", "LocalizationMetrics", "PumpField", "TransitionEstimate",
+    "critical_v_cav", "detect_transition", "ipr", "lyapunov_fit",
+    "photon_number",
     "Axis", "PumpConfig", "SweepRecord", "SweepResult", "SweepSpec",
     "csv_body", "default_filename", "export_csv", "map_physical_params",
     "read_csv", "run_sweep",

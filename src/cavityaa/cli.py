@@ -24,7 +24,7 @@ from .lattice import (WannierBasis, band_tightbinding_residual, build_wannier,
                       solve_lowest_band)
 from .model import (EffectivePotential, HubbardProblem, ground_state,
                     onsite_aa, onsite_cavity)
-from .observables import critical_v_cav, lyapunov_fit, photon_number
+from .observables import critical_v_cav, ipr, lyapunov_fit, photon_number
 from .sweep import (Axis, SweepSpec, _resolve_model_params, default_filename,
                     export_csv, run_sweep)
 
@@ -101,7 +101,7 @@ def cmd_ground_state(cfg: dict, out_dir: str) -> int:
     out = {
         "v0": v0,
         "E0": gs.energy,
-        "ipr": metrics.ipr,
+        "ipr": ipr(gs),
         "gamma": metrics.lyapunov_gamma,
         "gamma_stderr": metrics.gamma_stderr,
         "fit_r2": metrics.fit_r2,
@@ -119,8 +119,7 @@ def cmd_ground_state(cfg: dict, out_dir: str) -> int:
     if cavity and coop != 0.0:
         out["v_c_analytic"] = critical_v_cav(wb.t, wb.alpha, dcp, coop)
     if zeta is not None and cavity:
-        out["nbar"] = photon_number(gs, wb, zeta, delta_c=dcp,
-                                    U0=coop).mean_photon_number
+        out["nbar"] = photon_number(gs, wb, zeta, delta_c=dcp, U0=coop)
     if cfg["output"]["wavefunction_csv"]:
         path = os.path.join(out_dir, "ground_state.csv")
         with open(path, "w", encoding="utf-8", newline="") as fh:

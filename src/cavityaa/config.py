@@ -49,7 +49,6 @@ DEFAULTS = {
         "background_factor": 10.0,
         "min_window_sites": 10,
         "min_r2": 0.9,
-        "asymmetry_tol": 0.2,
     },
     "sweep": {
         "name": "sweep",
@@ -152,8 +151,7 @@ def fit_options(cfg: dict) -> FitOptions:
     fit = cfg["fit"]
     return FitOptions(background_factor=fit["background_factor"],
                       min_window_sites=_integer(fit, "min_window_sites"),
-                      min_r2=fit["min_r2"],
-                      asymmetry_tol=fit["asymmetry_tol"])
+                      min_r2=fit["min_r2"])
 
 
 def _pump(cfg: dict) -> PumpConfig:

@@ -139,6 +139,9 @@ class GroundState:
     """Normalized real ground state with its energy and solve diagnostics.
 
     certificate_margin > 0 is the smallest LDL^T pivot of H - (energy - tol) I.
+    It proves that no eigenvalue lies below energy - tol, and it is an upper
+    bound on lambda_min(H) - energy + tol.  It is not the spectral gap: at
+    L = 233, C = -1 and v0 = 0.05 the margin is 1.4e-3 while the gap is 2.2e-6.
     """
 
     amplitudes: np.ndarray

@@ -43,7 +43,6 @@ class FitOptions:
     background_factor: float = 10.0  # density threshold over the background
     min_window_sites: int = 10
     min_r2: float = 0.9
-    asymmetry_tol: float = 0.2  # per-side slope mismatch that flags the state
 
     def __post_init__(self):
         if not self.background_factor > 1.0:
@@ -59,21 +58,15 @@ class LocalizationMetrics:
     """Outcome of the density-decay analysis for one state.
 
     lyapunov_gamma is None in the extended or unresolved phase (window too
-    small or poor fit).  Per-side slopes and their average are kept for
-    inspection; edge effects show up as left/right asymmetry.
+    small or poor fit).
     """
 
-    ipr: float
     lyapunov_gamma: float | None
     gamma_stderr: float | None
     fit_r2: float
     peak_site: int  # 1-based
     background_level: float
     window_sites: int
-    left_gamma: float | None = None
-    right_gamma: float | None = None
-    side_average_gamma: float | None = None
-    asymmetric: bool = False
 
 
 def lyapunov_fit(state, opts: FitOptions = FitOptions()) -> LocalizationMetrics:
@@ -96,14 +89,13 @@ def lyapunov_fit(state, opts: FitOptions = FitOptions()) -> LocalizationMetrics:
     background = float(np.median(dens[far]))
     threshold = opts.background_factor * background
 
-    lo = n0
-    while lo - 1 >= 0 and dens[lo - 1] > threshold:
-        lo -= 1
-    hi = n0
-    while hi + 1 < L and dens[hi + 1] > threshold:
-        hi += 1
+    # the window ends at the nearest site on each side not above threshold
+    low = np.flatnonzero(~(dens > threshold))
+    k_lo, k_hi = np.searchsorted(low, [n0, n0 + 1])
+    lo = low[k_lo - 1] + 1 if k_lo > 0 else 0
+    hi = low[k_hi] - 1 if k_hi < low.shape[0] else L - 1
     window = np.arange(lo, hi + 1)
-    base = dict(ipr=ipr(amp), peak_site=n0 + 1, background_level=background,
+    base = dict(peak_site=n0 + 1, background_level=background,
                 window_sites=window.shape[0])
 
     if window.shape[0] < opts.min_window_sites:
@@ -118,7 +110,9 @@ def lyapunov_fit(state, opts: FitOptions = FitOptions()) -> LocalizationMetrics:
     ss_res = float(np.sum((y - pred) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 0.0
-    gamma = -coef[1] / 2.0
+    if r2 < opts.min_r2:
+        return LocalizationMetrics(lyapunov_gamma=None, gamma_stderr=None,
+                                   fit_r2=r2, **base)
 
     # slope standard error from the least-squares covariance
     m = x.shape[0]
@@ -128,32 +122,8 @@ def lyapunov_fit(state, opts: FitOptions = FitOptions()) -> LocalizationMetrics:
         sxx = float(np.sum((x - x.mean()) ** 2))
         if sxx > 0.0:
             stderr = float(np.sqrt(sigma2 / sxx) / 2.0)
-
-    def _side_slope(side):
-        if side.shape[0] < 4:
-            return None
-        xs = np.abs(side - n0).astype(np.float64)
-        ys = np.log(dens[side])
-        return float(-np.polyfit(xs, ys, 1)[0] / 2.0)
-
-    left = _side_slope(window[window < n0])
-    right = _side_slope(window[window > n0])
-    side_avg = None
-    asym = False
-    if left is not None and right is not None:
-        side_avg = 0.5 * (left + right)
-        ref = max(abs(left), abs(right))
-        asym = ref > 0.0 and abs(left - right) > opts.asymmetry_tol * ref
-
-    if r2 < opts.min_r2:
-        return LocalizationMetrics(lyapunov_gamma=None, gamma_stderr=None,
-                                   fit_r2=r2, left_gamma=left, right_gamma=right,
-                                   side_average_gamma=side_avg, asymmetric=asym,
-                                   **base)
-    return LocalizationMetrics(lyapunov_gamma=float(gamma), gamma_stderr=stderr,
-                               fit_r2=r2, left_gamma=left, right_gamma=right,
-                               side_average_gamma=side_avg, asymmetric=asym,
-                               **base)
+    return LocalizationMetrics(lyapunov_gamma=float(-coef[1] / 2.0),
+                               gamma_stderr=stderr, fit_r2=r2, **base)
 
 
 def critical_v_cav(t: float, alpha: float, delta_c_prime: float, C: float) -> float:
@@ -175,13 +145,9 @@ class TransitionEstimate:
 
     v_c_numerical: float
     v_c_analytic: float | None
-    grid: np.ndarray
     method: str
     unresolved: bool
     edge: str | None = None
-
-    def __post_init__(self):
-        self.grid.setflags(write=False)
 
 
 def detect_transition(v0_grid, ipr_values, *, hopping: float | None = None,
@@ -190,7 +156,8 @@ def detect_transition(v0_grid, ipr_values, *, hopping: float | None = None,
     """Locate the transition as the steepest interval of log IPR vs log v0.
 
     The grid must be log-spaced with at least 20 points spanning at least one
-    decade.  The estimate is the geometric midpoint of the steepest interval;
+    decade, and every IPR value finite and positive (a failed point has
+    none).  The estimate is the geometric midpoint of the steepest interval;
     a maximum in the first or last interval marks the estimate unresolved at
     that edge of the grid.  When
     hopping, alpha and C are supplied the dual-model critical value is
@@ -200,6 +167,8 @@ def detect_transition(v0_grid, ipr_values, *, hopping: float | None = None,
     vals = np.asarray(ipr_values, dtype=np.float64)
     if v0.shape != vals.shape or v0.ndim != 1:
         raise ValueError("grid and IPR arrays must be 1-D with equal length")
+    if not np.all(np.isfinite(vals) & (vals > 0.0)):
+        raise ValueError("IPR values must be finite and positive")
     if v0.shape[0] < 20:
         raise ValueError("need at least 20 grid points")
     if np.any(v0 <= 0.0) or np.any(np.diff(v0) <= 0.0):
@@ -220,7 +189,7 @@ def detect_transition(v0_grid, ipr_values, *, hopping: float | None = None,
     if hopping is not None and alpha is not None and C not in (None, 0.0):
         analytic = critical_v_cav(hopping, alpha, delta_c_prime, C)
     return TransitionEstimate(v_c_numerical=v_c, v_c_analytic=analytic,
-                              grid=v0.copy(), method=TRANSITION_METHOD,
+                              method=TRANSITION_METHOD,
                               unresolved=edge is not None, edge=edge)
 
 
@@ -241,17 +210,8 @@ class PumpField:
             raise ValueError("kind must be cavity_pumped or atom_pumped")
 
 
-@dataclass(frozen=True)
-class CavityObservables:
-    mean_photon_number: float
-
-    def __post_init__(self):
-        if self.mean_photon_number < 0.0:
-            raise ValueError("photon number cannot be negative")
-
-
 def photon_number(state, wb: "WannierBasis", zeta: PumpField, delta_c: float,
-                  U0: float) -> CavityObservables:
+                  U0: float) -> float:
     """Mean intracavity photon number of the quasi-steady field.
 
     n = sum_m |psi_m|^2 int w0(z - z_m)^2 zeta(z)^2 /
@@ -280,4 +240,7 @@ def photon_number(state, wb: "WannierBasis", zeta: PumpField, delta_c: float,
     per_site = kernels.site_average(wb.density_weights, wb.grid, sites,
                                     wb.beta, lorentz)
     occupied = np.where(dens > 1e-12, dens, 0.0)
-    return CavityObservables(mean_photon_number=float(occupied @ per_site))
+    nbar = float(occupied @ per_site)
+    if nbar < 0.0:
+        raise ValueError("photon number cannot be negative")
+    return nbar

@@ -315,8 +315,7 @@ def _evaluate_point(runtime: _Runtime, flat_index: int) -> SweepRecord:
             if gamma is None:
                 flags.append("gamma_absent")
         if "nbar" in spec.observables:
-            nbar = photon_number(gs, wb, zeta, delta_c=dcp,
-                                 U0=coop).mean_photon_number
+            nbar = photon_number(gs, wb, zeta, delta_c=dcp, U0=coop)
     except Exception as exc:  # per-point failures never abort the sweep
         flags.append(f"solve_failed:{type(exc).__name__}")
     if spec.mode == "aa":  # the bichromatic profile has no C or delta'
@@ -361,7 +360,8 @@ def run_sweep(spec: SweepSpec, wannier: WannierBasis | None = None,
     The Wannier basis is computed once (or taken from the caller) and shared
     read-only; with workers > 1 the grid is chunked over a process pool.
     Results are identical to a serial run.  progress, when given, is called
-    as progress(done, total) after each completed chunk.
+    as progress(done, total) every 50 points (serial) or after each completed
+    chunk (pool), and once with done == total at the end.
     """
     if wannier is None and spec.axis1.name != "W0" and \
             (spec.axis2 is None or spec.axis2.name != "W0"):
@@ -372,7 +372,7 @@ def run_sweep(spec: SweepSpec, wannier: WannierBasis | None = None,
         runtime = _Runtime(spec, wannier)
         for i in range(n):
             records[i] = _evaluate_point(runtime, i)
-            if progress is not None and (i + 1) % 50 == 0:
+            if progress is not None and (i + 1) % 50 == 0 and i + 1 < n:
                 progress(i + 1, n)
     else:
         done = 0
@@ -385,7 +385,7 @@ def run_sweep(spec: SweepSpec, wannier: WannierBasis | None = None,
                 for i, rec in fut.result():
                     records[i] = rec
                     done += 1
-                if progress is not None:
+                if progress is not None and done < n:
                     progress(done, n)
     if progress is not None:
         progress(n, n)

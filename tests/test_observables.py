@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import cavityaa as ca
 from cavityaa.lattice import GOLDEN_BETA, LATTICE_CONSTANT
-from reference import photon_number_site_loop, thouless_reference
+from reference import decay_fit_scan, photon_number_site_loop, thouless_reference
 
 L = 233
 
@@ -27,7 +29,6 @@ def test_lyapunov_fit_recovers_planted_decay():
     assert metrics.lyapunov_gamma == pytest.approx(0.300, abs=1e-3)
     assert metrics.peak_site == 117
     assert metrics.fit_r2 > 0.999
-    assert not metrics.asymmetric
     assert metrics.gamma_stderr is not None and metrics.gamma_stderr < 1e-3
 
 
@@ -44,6 +45,57 @@ def test_lyapunov_fit_aa_thouless(scanner):
     assert metrics.lyapunov_gamma == pytest.approx(np.log(2.0), rel=0.10)
     assert metrics.fit_r2 >= 0.9
     assert metrics.window_sites >= 10
+
+
+def _planted(n0, rate):
+    psi = np.exp(-rate * np.abs(np.arange(L) - n0))
+    return psi / np.linalg.norm(psi)
+
+
+def _dip(offset):
+    # one site next to the peak falls below the threshold
+    psi = _planted(117, 0.1)
+    psi[117 + offset] = 1e-40
+    return psi
+
+
+def _plateau():
+    # No state lies above the threshold at every site: half the far quarter
+    # is at or below the background median.  This one is above it everywhere
+    # else; the 58 sites farthest from the peak (the far quarter) sit on a
+    # floor.
+    n0 = 116
+    dist = np.abs(np.arange(L) - n0)
+    psi = np.where(dist <= 87, np.exp(-0.01 * dist), 1e-30)
+    return psi / np.linalg.norm(psi)
+
+
+WINDOW_STATES = {
+    "peak_first_site": _planted(0, 0.2),
+    "peak_last_site": _planted(L - 1, 0.2),
+    "dip_right_of_peak": _dip(+1),
+    "dip_left_of_peak": _dip(-1),
+    "above_threshold_outside_far_quarter": _plateau(),
+    "uniform": np.full(L, 1.0 / np.sqrt(L)),
+}
+
+
+def _assert_fit_matches_site_scan(psi):
+    metrics = ca.lyapunov_fit(psi)
+    assert dataclasses.asdict(metrics) == decay_fit_scan(psi, ca.FitOptions())
+
+
+@pytest.mark.parametrize("name", list(WINDOW_STATES))
+def test_lyapunov_fit_window_matches_site_scan(name):
+    _assert_fit_matches_site_scan(WINDOW_STATES[name])
+
+
+@pytest.mark.parametrize("n_sites", [233, 987])
+@pytest.mark.parametrize("ratio", [0.5, 1.2, 3.0, 30.0])  # v0 / 2t
+def test_lyapunov_fit_window_matches_site_scan_aa(wannier, n_sites, ratio):
+    profile = ca.onsite_aa(2.0 * ratio * wannier.t, GOLDEN_BETA, n_sites)
+    gs = ca.ground_state(ca.HubbardProblem(L=n_sites, t=wannier.t, onsite=profile))
+    _assert_fit_matches_site_scan(gs.amplitudes)
 
 
 def test_fit_options_validation():
@@ -88,6 +140,11 @@ def test_detect_transition_validation():
         ca.detect_transition(np.linspace(0.1, 1.0, 25), vals)  # not log spaced
     with pytest.raises(ValueError):
         ca.detect_transition(np.geomspace(0.1, 0.5, 25), vals)  # < one decade
+    for bad in (np.nan, np.inf, 0.0, -1e-3):  # e.g. the IPR of a failed point
+        failed = vals.copy()
+        failed[5] = bad
+        with pytest.raises(ValueError, match="finite and positive"):
+            ca.detect_transition(good, failed)
 
 
 def test_detect_transition_aa(scanner):
@@ -139,7 +196,7 @@ def test_photon_number_flat_mode_limit(wannier):
     psi[87] = 1.0
     for delta_c in (0.0, -2.0, 3.0):
         nbar = ca.photon_number(psi, wannier, ca.PumpField("cavity_pumped", 0.7),
-                                delta_c=delta_c, U0=0.0).mean_photon_number
+                                delta_c=delta_c, U0=0.0)
         assert nbar == pytest.approx(0.49 / (delta_c ** 2 + 1.0), rel=1e-12)
 
 
@@ -153,7 +210,7 @@ def test_photon_number_resonance_peak(wannier):
     u0 = -1.0
     dcs = np.linspace(-3.0, 1.0, 81)
     nbars = [ca.photon_number(psi, wannier, ca.PumpField("cavity_pumped", 1.0),
-                              delta_c=dc, U0=u0).mean_photon_number
+                              delta_c=dc, U0=u0)
              for dc in dcs]
     peak = dcs[int(np.argmax(nbars))]
     assert abs(peak - u0) <= dcs[1] - dcs[0] + 1e-12
@@ -164,8 +221,7 @@ def test_photon_number_bounded_by_pump(wannier):
     psi = rng.uniform(-1, 1, L)
     psi /= np.linalg.norm(psi)
     zeta = ca.PumpField("cavity_pumped", 1.3)
-    nbar = ca.photon_number(psi, wannier, zeta, delta_c=-0.4,
-                            U0=-1.0).mean_photon_number
+    nbar = ca.photon_number(psi, wannier, zeta, delta_c=-0.4, U0=-1.0)
     assert 0.0 <= nbar <= 1.3 ** 2
 
 
@@ -181,8 +237,7 @@ def test_photon_number_atom_pumped_mode_weighting(wannier):
     for site in (node, antinode):
         psi = np.zeros(L)
         psi[site] = 1.0
-        out.append(ca.photon_number(psi, wannier, zeta, delta_c=-2.0,
-                                    U0=0.0).mean_photon_number)
+        out.append(ca.photon_number(psi, wannier, zeta, delta_c=-2.0, U0=0.0))
     assert out[0] < 0.1 * out[1]
 
 
@@ -207,7 +262,6 @@ def test_photon_number_matches_site_loop(wannier, kind, delta_c, U0):
     zeta = ca.PumpField(kind, 0.8)
     for psi in (spread, localized):
         psi = psi / np.linalg.norm(psi)
-        nbar = ca.photon_number(psi, wannier, zeta, delta_c=delta_c,
-                                U0=U0).mean_photon_number
+        nbar = ca.photon_number(psi, wannier, zeta, delta_c=delta_c, U0=U0)
         expected = photon_number_site_loop(psi, wannier, zeta, delta_c, U0)
         assert nbar == pytest.approx(expected, rel=1e-12, abs=0.0)

@@ -15,9 +15,9 @@ PUBLIC = {
     "build_wannier", "solve_lowest_band", "tunneling_from_band",
     "EffectivePotential", "GroundState", "GroundStateError", "HubbardProblem",
     "OnsiteProfile", "ground_state", "onsite_aa", "onsite_cavity",
-    "CavityObservables", "FitOptions", "LocalizationMetrics", "PumpField",
-    "TransitionEstimate", "critical_v_cav", "detect_transition", "ipr",
-    "lyapunov_fit", "photon_number",
+    "FitOptions", "LocalizationMetrics", "PumpField", "TransitionEstimate",
+    "critical_v_cav", "detect_transition", "ipr", "lyapunov_fit",
+    "photon_number",
     "Axis", "PumpConfig", "SweepRecord", "SweepResult", "SweepSpec",
     "csv_body", "default_filename", "export_csv", "map_physical_params",
     "read_csv", "run_sweep",

@@ -221,6 +221,43 @@ def test_failed_points_are_flagged_not_fatal(wannier, lattice_spec):
     assert np.isnan(result.records[1].ipr)
 
 
+def test_failed_point_leaves_its_column_unresolved(wannier, lattice_spec,
+                                                  monkeypatch):
+    spec = _spec(lattice_spec, axis1=ca.Axis.log("v0", 0.01, 0.3, 20),
+                 axis2=ca.Axis("C", np.array([-2.0, -1.0, -0.5])),
+                 observables=("ipr", "vc"))
+    clean = ca.run_sweep(spec, wannier=wannier).metadata["transition_estimates"]
+    failing = 7 * 3 + 1  # v0 index 7 in the C = -1 column
+    calls = iter(range(spec.n_points))
+    solve = ca.sweep.ground_state
+
+    def flaky(problem):
+        if next(calls) == failing:
+            raise ca.GroundStateError("planted failure")
+        return solve(problem)
+
+    monkeypatch.setattr(ca.sweep, "ground_state", flaky)
+    result = ca.run_sweep(spec, wannier=wannier)
+    assert result.records[failing].flags == "solve_failed:GroundStateError"
+    est = result.metadata["transition_estimates"]
+    assert est[1]["v_c_numerical"] is None
+    assert est[1]["unresolved"] is True
+    assert "finite and positive" in est[1]["error"]
+    assert est[0] == clean[0] and est[2] == clean[2]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_progress_reports_completion_once(wannier, lattice_spec, workers):
+    spec = _spec(lattice_spec, axis1=ca.Axis.log("v0", 0.01, 0.12, 25))
+    assert spec.n_points == 50
+    calls = []
+    ca.run_sweep(spec, wannier=wannier, workers=workers,
+                 progress=lambda done, n: calls.append((done, n)))
+    assert calls[-1] == (50, 50)
+    assert calls.count((50, 50)) == 1
+    assert calls == sorted(calls)
+
+
 def test_gamma_absent_flag(wannier, lattice_spec):
     # extended phase at half the critical strength: quasiperiodic density
     # structure spoils the exponential fit
@@ -280,7 +317,7 @@ def test_atom_pumped_eta_axis_drives_v0_and_photon_number(wannier, lattice_spec)
         gs = ca.ground_state(ca.HubbardProblem(L=L, t=wannier.t, onsite=prof))
         zeta = ca.PumpField("atom_pumped", eta * 0.3 / -2.0)
         direct = ca.photon_number(gs, wannier, zeta, delta_c=-4.0, U0=-1.0)
-        assert rec.nbar == pytest.approx(direct.mean_photon_number, rel=1e-12)
+        assert rec.nbar == pytest.approx(direct, rel=1e-12)
 
 
 @pytest.mark.parametrize("pump_mode", ["cavity_pumped", "atom_pumped"])
