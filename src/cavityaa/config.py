@@ -209,6 +209,19 @@ def _validate(cfg: dict):
                 _require(axis["start"] > 0 and axis["stop"] > 0,
                          f"{key}.start", "log grids must be positive")
 
+    # a unit 't' grid is scaled by the hopping at lattice.depth_W0, which a
+    # W0 axis or a fixed W0 replaces
+    axes = {key: cfg["sweep"][key] for key in ("axis1", "axis2")
+            if cfg["sweep"][key] is not None}
+    depth = [f"sweep.{key}" for key, axis in axes.items() if axis["name"] == "W0"]
+    depth += ["sweep.fixed"] if "W0" in cfg["sweep"]["fixed"] else []
+    for key, axis in axes.items():
+        if depth and axis["name"] != "W0":
+            _require(axis["unit"] != "t", f"sweep.{key}.unit",
+                     f"'t' cannot scale sweep.{key} ({axis['name']}) while "
+                     f"{depth[0]} (W0) sets the hopping instead of "
+                     "lattice.depth_W0; give the grid in 'Er'")
+
 
 def axis_values(axis_cfg: dict, hopping: float) -> np.ndarray:
     """Materialize an axis grid; unit 't' scales the grid by the hopping."""

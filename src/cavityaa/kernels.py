@@ -6,7 +6,9 @@ bisection plus inverse iteration (``lowest_tridiagonal_pair``: ``dstebz`` then
 without its per-call validation).  The chain ground state and the plane-wave
 band solve both use it; the chain falls back to a full diagonalization when
 the residual check or the lower-bound certificate (``certificate_margin``)
-fails.
+fails.  Along a sweep column the chain can instead start from the previous
+point's state (``warm_eigenpair``): Rayleigh-quotient iteration finds the
+eigenvalue in a few tridiagonal solves, and ``dstein`` gives its vector.
 
 The onsite profile and the photon number both average an even, pi-periodic
 function g(beta z) over the Wannier density at every site.  ``site_average``
@@ -26,6 +28,7 @@ bit-identical outputs regardless of process or worker count.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, lapack
@@ -33,6 +36,17 @@ from scipy.linalg import eigh_tridiagonal, lapack
 # ---------------------------------------------------------------------------
 # lowest eigenpair of a symmetric tridiagonal matrix
 # ---------------------------------------------------------------------------
+
+
+#: Method strings of the three ways ``model.ground_state`` solves a chain.
+WARM_METHOD = "rayleigh_quotient_dstein"
+COLD_METHOD = "lapack_bisection_inverse_iteration"
+DENSE_METHOD = "tridiagonal_full_fallback"
+
+#: Rayleigh-quotient iteration stops once its residual bound 1/||y|| is at
+#: most this fraction of ||T||, and gives up after WARM_MAX_STEPS solves.
+WARM_RTOL = 1e-13
+WARM_MAX_STEPS = 8
 
 
 def _tridiag_residual(d, e, lam, psi):
@@ -92,7 +106,53 @@ def lowest_eigenpair(
     res = _tridiag_residual(d, e, lam, psi)
     if not np.isfinite(res):
         raise ValueError("matrix must not contain infs or NaNs")
-    return lam, psi, res, "lapack_bisection_inverse_iteration"
+    return lam, psi, res, COLD_METHOD
+
+
+@functools.lru_cache(maxsize=8)
+def _one_block(n: int):
+    """``dstein``'s iblock and isplit for one eigenvalue of an unsplit matrix."""
+    iblock = np.zeros(n, dtype=np.int32)
+    isplit = np.zeros(n, dtype=np.int32)
+    iblock[0], isplit[0] = 1, n
+    iblock.setflags(write=False)
+    isplit.setflags(write=False)
+    return iblock, isplit
+
+
+def warm_eigenpair(d: np.ndarray, e: np.ndarray, start: np.ndarray,
+                   norm_bound: float) -> tuple[float, np.ndarray, float, str] | None:
+    """Eigenpair of tridiag(e, d, e) reached by Rayleigh-quotient iteration from start.
+
+    Each step solves (T - lam I) y = x for the unit vector x with ``dgtsv``;
+    1/||y|| is then the residual of (lam, y/||y||), so an eigenvalue lies
+    within it of lam.  Once it is at most WARM_RTOL * norm_bound, lam takes
+    the step's Rayleigh-quotient correction x.y/||y||^2 and the vector comes
+    from ``dstein`` at lam, the routine of the cold path, whose rounding tail
+    the decay fit sees either way.  Returns ``(energy, vector, residual,
+    method)`` like ``lowest_eigenpair``, or None after WARM_MAX_STEPS steps
+    or a singular pivot.  The eigenvalue found is the one nearest the start,
+    not necessarily the lowest: the caller certifies it.  d and e must be
+    contiguous float64 arrays of lengths n >= 2 and n - 1, start of length n.
+    """
+    x = start / math.sqrt(start @ start)
+    lam = float(x @ (d * x) + 2.0 * (e @ (x[:-1] * x[1:])))
+    for _ in range(WARM_MAX_STEPS):
+        *_, y, info = lapack.dgtsv(e, d - lam, e, x, overwrite_d=1)
+        norm_y = math.sqrt(y @ y)
+        if info != 0 or not math.isfinite(norm_y):
+            return None
+        lam += float(x @ y) / (norm_y * norm_y)
+        if norm_y * WARM_RTOL * norm_bound >= 1.0:
+            break
+        x = y / norm_y
+    else:
+        return None
+    v, info = lapack.dstein(d, e, np.array([lam]), *_one_block(d.shape[0]))
+    if info != 0:
+        return None
+    psi = v[:, 0]
+    return lam, psi, _tridiag_residual(d, e, lam, psi), WARM_METHOD
 
 
 def lowest_eigenpair_dense_fallback(
@@ -103,7 +163,7 @@ def lowest_eigenpair_dense_fallback(
     psi = np.ascontiguousarray(v[:, 0])
     lam = float(w[0])
     res = _tridiag_residual(np.asarray(d, float), np.asarray(e, float), lam, psi)
-    return lam, psi, res, "tridiagonal_full_fallback"
+    return lam, psi, res, DENSE_METHOD
 
 
 def certificate_margin(d: np.ndarray, e: np.ndarray, energy: float,

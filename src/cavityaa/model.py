@@ -12,6 +12,7 @@ localization observables, and a test asserts that invariance explicitly.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -162,25 +163,38 @@ class GroundState:
         return self.amplitudes * self.amplitudes
 
 
-def ground_state(problem: HubbardProblem) -> GroundState:
+def ground_state(problem: HubbardProblem, start: np.ndarray | None = None) -> GroundState:
     """Lowest eigenpair of the chain, sign-fixed, residual-checked and certified.
 
     The chain Hamiltonian is tridiagonal: onsite energies on the diagonal,
     -t on the off-diagonals, hard walls at both ends.
 
-    Uses LAPACK bisection + inverse iteration.  A result is accepted when its
-    residual is at most RESIDUAL_RTOL ||H||, which puts an eigenvalue within
-    the residual of E0, and ``kernels.certificate_margin`` proves that no
-    eigenvalue lies below E0 - tol, tol = residual + CERTIFICATE_RTOL ||H||;
-    together they make E0 the lowest eigenvalue to within tol.
-    Otherwise the solve falls back to a full tridiagonal diagonalization, and
-    the method actually used is recorded on the result.
+    With ``start``, a length-L vector such as the ground state of a nearby
+    chain, the solve first tries Rayleigh-quotient iteration from it
+    (``kernels.warm_eigenpair``).  Without it, or when that result fails a
+    check, it uses LAPACK bisection + inverse iteration, and then a full
+    tridiagonal diagonalization.  A result is accepted when its residual is
+    at most RESIDUAL_RTOL ||H||, which puts an eigenvalue within the residual
+    of E0, and ``kernels.certificate_margin`` proves that no eigenvalue lies
+    below E0 - tol, tol = residual + CERTIFICATE_RTOL ||H||; together they
+    make E0 the lowest eigenvalue to within tol.  The method actually used is
+    recorded on the result.
     """
     diag = problem.onsite.values
     offdiag = np.full(problem.L - 1, -problem.t)
     norm_bound = kernels.gershgorin_norm_bound(diag, offdiag)
-    for solve in (kernels.lowest_eigenpair, kernels.lowest_eigenpair_dense_fallback):
-        energy, psi, res, method = solve(diag, offdiag)
+    solvers = [kernels.lowest_eigenpair, kernels.lowest_eigenpair_dense_fallback]
+    if start is not None:
+        start = np.asarray(start, dtype=np.float64)
+        if start.shape != (problem.L,):
+            raise ValueError("start vector length does not match L")
+        solvers.insert(0, functools.partial(kernels.warm_eigenpair, start=start,
+                                            norm_bound=norm_bound))
+    for solve in solvers:
+        pair = solve(diag, offdiag)
+        if pair is None:  # the warm start did not converge
+            continue
+        energy, psi, res, method = pair
         if res > RESIDUAL_RTOL * norm_bound:
             continue
         tol = res + CERTIFICATE_RTOL * norm_bound

@@ -4,11 +4,13 @@ A sweep walks a one- or two-axis grid; per grid point it maps physical pump
 parameters to model parameters when needed, scales the unit-strength onsite
 profile by v0, solves the chain ground state and evaluates the requested
 observables.  The strength (v0, or eta^2 in pump sweeps) only scales the
-cavity profile, so each process computes one unit profile per
-(W0, C, delta') and reuses it along a v0 or eta axis.  Grid points are
-independent work items, so sweeps parallelize over a process pool with
-deterministic, worker-count-independent results: records are keyed by flat
-grid index and reassembled in row-major order (axis1 outer, axis2 inner).
+cavity profile, so the points that share (W0, C, delta') form a column:
+it runs in increasing strength, computes one unit profile, and starts each
+ground-state solve from the previous point's state.  Columns split only at
+grid-fixed points, and whole runs of a column are the work items of a
+process pool, so results are deterministic and worker-count-independent:
+records are keyed by flat grid index and reassembled in row-major order
+(axis1 outer, axis2 inner).
 
 Axes may be model parameters (v0, C, delta_c_prime, W0) or physical pump
 parameters (eta, U0, delta_c) in units of the cavity linewidth kappa; the
@@ -43,6 +45,10 @@ AXIS_NAMES = MODEL_AXES[:3] + PHYSICAL_AXES + ("W0",)
 #: Axes that set the potential strength: they scan v0 at fixed (C, delta').
 SCAN_AXES = ("v0", "eta")
 OBSERVABLE_NAMES = ("ipr", "gamma", "nbar", "vc")
+#: How a point's ground state was solved: from the previous point's state,
+#: cold at a column start, by select-mode LAPACK after a rejected warm
+#: result, by full diagonalization, or not at all (a failed point).
+SOLVER_KINDS = ("warm", "cold", "select_fallback", "dense_fallback", "unsolved")
 
 #: Floating-point CSV cells use this format; 17 significant digits round-trip.
 FLOAT_FORMAT = "%.17g"
@@ -210,6 +216,7 @@ class SweepRecord:
     gamma: float | None
     nbar: float | None
     flags: str
+    solver: str = ""  # one of SOLVER_KINDS; not a CSV column
 
 
 @dataclass(frozen=True)
@@ -232,10 +239,7 @@ class _Runtime:
         self._wannier_cache: dict[float, WannierBasis] = {}
         if wannier is not None:
             self._wannier_cache[wannier.depth_W0] = wannier
-        # without a strength axis no two points share a unit profile
-        names = (spec.axis1.name, spec.axis2.name if spec.axis2 else None)
-        self._keep_profiles = any(name in SCAN_AXES for name in names)
-        self._unit_profiles: dict[tuple, np.ndarray] = {}
+        self._unit: tuple = (None, None)  # (key, profile) of the current column
 
     def wannier_for(self, depth: float) -> WannierBasis:
         wb = self._wannier_cache.get(depth)
@@ -248,13 +252,14 @@ class _Runtime:
     def unit_profile(self, wb: WannierBasis, coop: float, dcp: float) -> np.ndarray:
         """Cavity profile at v0 = 1, computed at the first point of its column."""
         key = (wb.depth_W0, coop, dcp)
-        unit = self._unit_profiles.get(key)
-        if unit is None:
+        if self._unit[0] != key:
             pot = EffectivePotential.cavity(1.0, coop, dcp, beta=self.spec.lattice.beta)
-            unit = onsite_cavity(wb, pot, self.spec.L).values
-            if self._keep_profiles:
-                self._unit_profiles[key] = unit
-        return unit
+            self._unit = (key, onsite_cavity(wb, pot, self.spec.L).values)
+        return self._unit[1]
+
+    def hoppings(self) -> dict:
+        """(t, alpha) of every basis this process built or was given, by depth."""
+        return {depth: (wb.t, wb.alpha) for depth, wb in self._wannier_cache.items()}
 
 
 def _point_params(spec: SweepSpec, i1: int, i2: int) -> dict:
@@ -287,7 +292,21 @@ def _resolve_model_params(pump: PumpConfig | None, params: dict
     return v0, coop, dcp, zeta
 
 
-def _evaluate_point(runtime: _Runtime, flat_index: int) -> SweepRecord:
+def _solver_kind(warm: bool, method: str) -> str:
+    """Which of the four solver paths produced a ground state."""
+    if method == kernels.WARM_METHOD:
+        return "warm"
+    if method == kernels.DENSE_METHOD:
+        return "dense_fallback"
+    return "select_fallback" if warm else "cold"
+
+
+def _evaluate_point(runtime: _Runtime, flat_index: int, start=None):
+    """The point's record and ground state (None when the point failed).
+
+    start, the ground state of the previous point of the column, is handed
+    to ``ground_state`` as its warm start.
+    """
     spec = runtime.spec
     n2 = spec.shape[1]
     i1, i2 = divmod(flat_index, n2)
@@ -295,7 +314,8 @@ def _evaluate_point(runtime: _Runtime, flat_index: int) -> SweepRecord:
     ax2 = float(spec.axis2.values[i2]) if spec.axis2 is not None else None
     flags = []
     v0 = coop = dcp = float("nan")
-    e0 = p_x = gamma = nbar = None
+    e0 = p_x = gamma = nbar = gs = None
+    solver = "unsolved"
     try:
         v0, coop, dcp, zeta = _resolve_model_params(spec.pump, params)
         wb = runtime.wannier_for(params.get("W0", spec.lattice.depth_W0))
@@ -306,7 +326,8 @@ def _evaluate_point(runtime: _Runtime, flat_index: int) -> SweepRecord:
             unit = runtime.unit_profile(wb, pot.C, pot.delta_c_prime)
             profile = scale_profile(unit, pot.v0, spec.L)
         problem = HubbardProblem(L=spec.L, t=wb.t, onsite=profile)
-        gs = ground_state(problem)
+        gs = ground_state(problem, start=start)
+        solver = _solver_kind(start is not None, gs.method)
         e0 = gs.energy
         p_x = ipr(gs)
         if "gamma" in spec.observables:
@@ -318,21 +339,63 @@ def _evaluate_point(runtime: _Runtime, flat_index: int) -> SweepRecord:
             nbar = photon_number(gs, wb, zeta, delta_c=dcp, U0=coop)
     except Exception as exc:  # per-point failures never abort the sweep
         flags.append(f"solve_failed:{type(exc).__name__}")
+        gs = None
     if spec.mode == "aa":  # the bichromatic profile has no C or delta'
         coop = dcp = 0.0
-    return SweepRecord(
+    record = SweepRecord(
         axis1=float(spec.axis1.values[i1]), axis2=ax2,
         v0=v0, C=coop, delta_c_prime=dcp,
         E0=_nan(e0), ipr=_nan(p_x), gamma=gamma, nbar=nbar,
-        flags=";".join(flags),
+        flags=";".join(flags), solver=solver,
     )
+    return record, gs
 
 
 def _nan(value) -> float:
     return float("nan") if value is None else float(value)
 
 
+def _run_segment(runtime: _Runtime, segment: list) -> list:
+    """(flat index, record) of each point; each solve starts from the last.
+
+    The segment's first point, and any point after a failed one, start cold.
+    """
+    out = []
+    start = None
+    for i in segment:
+        rec, gs = _evaluate_point(runtime, i, start)
+        start = None if gs is None else gs.amplitudes
+        out.append((i, rec))
+    return out
+
+
 # --- execution ---------------------------------------------------------------
+
+#: Longest run of warm-started solves.  A column splits every COLUMN_SEGMENT
+#: points of its strength order, so the split points depend on the grid
+#: alone and a long column can still spread over several workers.
+COLUMN_SEGMENT = 64
+
+
+def _segments(spec: SweepSpec) -> list:
+    """Flat indices in solve order, as runs that each start cold.
+
+    A column is the set of points that share every parameter but the
+    strength (v0 or eta); it runs in increasing strength, split every
+    COLUMN_SEGMENT points.  Without a strength axis every point is its own
+    run.  The runs depend on the grid alone, never on the worker count.
+    """
+    n1, n2 = spec.shape
+    flat = np.arange(n1 * n2).reshape(n1, n2)
+    if spec.axis1.name in SCAN_AXES:
+        columns = flat.T[:, np.argsort(spec.axis1.values, kind="stable")]
+    elif spec.axis2 is not None and spec.axis2.name in SCAN_AXES:
+        columns = flat[:, np.argsort(spec.axis2.values, kind="stable")]
+    else:
+        return [[i] for i in range(n1 * n2)]
+    return [column[k:k + COLUMN_SEGMENT].tolist()
+            for column in columns for k in range(0, column.shape[0], COLUMN_SEGMENT)]
+
 
 _WORKER_RUNTIME: _Runtime | None = None
 
@@ -342,15 +405,27 @@ def _init_worker(spec: SweepSpec, wannier: WannierBasis | None):
     _WORKER_RUNTIME = _Runtime(spec, wannier)
 
 
-def _run_chunk(indices: list) -> list:
-    return [(i, _evaluate_point(_WORKER_RUNTIME, i)) for i in indices]
+def _run_chunk(segments: list) -> tuple[list, dict]:
+    """Records of whole segments, and the hoppings of the bases used."""
+    out = [pair for segment in segments
+           for pair in _run_segment(_WORKER_RUNTIME, segment)]
+    return out, _WORKER_RUNTIME.hoppings()
 
 
-def _chunk_indices(n: int, workers: int) -> list:
-    n_chunks = min(n, max(workers * 8, 1))
-    bounds = np.linspace(0, n, n_chunks + 1).astype(int)
-    return [list(range(bounds[k], bounds[k + 1]))
-            for k in range(n_chunks) if bounds[k + 1] > bounds[k]]
+def _chunks(segments: list, workers: int) -> list:
+    """Consecutive segments grouped into about 8 chunks per worker by size."""
+    n = sum(len(seg) for seg in segments)
+    target = max(n / max(workers * 8, 1), 1.0)
+    chunks, current, size = [], [], 0
+    for seg in segments:
+        current.append(seg)
+        size += len(seg)
+        if size >= target:
+            chunks.append(current)
+            current, size = [], 0
+    if current:
+        chunks.append(current)
+    return chunks
 
 
 def run_sweep(spec: SweepSpec, wannier: WannierBasis | None = None,
@@ -358,31 +433,42 @@ def run_sweep(spec: SweepSpec, wannier: WannierBasis | None = None,
     """Execute the sweep and collect one record per grid point.
 
     The Wannier basis is computed once (or taken from the caller) and shared
-    read-only; with workers > 1 the grid is chunked over a process pool.
-    Results are identical to a serial run.  progress, when given, is called
-    as progress(done, total) every 50 points (serial) or after each completed
-    chunk (pool), and once with done == total at the end.
+    read-only; a W0 axis builds one per depth, in the process that first
+    needs it.  Points run column by column (``_segments``), each solve
+    warm-started from the previous point's ground state; with workers > 1
+    whole segments are chunked over a process pool.  Results are identical
+    to a serial run.  progress, when given, is called as progress(done,
+    total) every 50 points (serial) or after each completed chunk (pool),
+    and once with done == total at the end.
     """
     if wannier is None and spec.axis1.name != "W0" and \
             (spec.axis2 is None or spec.axis2.name != "W0"):
         wannier = build_wannier(solve_lowest_band(spec.lattice), spec.lattice)
     n = spec.n_points
     records: list = [None] * n
+    segments = _segments(spec)
     if workers <= 1:
         runtime = _Runtime(spec, wannier)
-        for i in range(n):
-            records[i] = _evaluate_point(runtime, i)
-            if progress is not None and (i + 1) % 50 == 0 and i + 1 < n:
-                progress(i + 1, n)
+        done = 0
+        for segment in segments:
+            for i, rec in _run_segment(runtime, segment):
+                records[i] = rec
+                done += 1
+                if progress is not None and done % 50 == 0 and done < n:
+                    progress(done, n)
+        hoppings = runtime.hoppings()
     else:
         done = 0
+        hoppings = {}
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=workers, initializer=_init_worker,
                 initargs=(spec, wannier)) as pool:
             futures = [pool.submit(_run_chunk, chunk)
-                       for chunk in _chunk_indices(n, workers)]
+                       for chunk in _chunks(segments, workers)]
             for fut in concurrent.futures.as_completed(futures):
-                for i, rec in fut.result():
+                pairs, chunk_hoppings = fut.result()
+                hoppings.update(chunk_hoppings)
+                for i, rec in pairs:
                     records[i] = rec
                     done += 1
                 if progress is not None and done < n:
@@ -391,9 +477,11 @@ def run_sweep(spec: SweepSpec, wannier: WannierBasis | None = None,
         progress(n, n)
 
     metadata = _build_metadata(spec, wannier)
+    metadata["solver_counts"] = {kind: sum(1 for rec in records if rec.solver == kind)
+                                 for kind in SOLVER_KINDS}
     result = SweepResult(records=records, metadata=metadata)
     if "vc" in spec.observables:
-        metadata["transition_estimates"] = _transition_estimates(spec, result, wannier)
+        metadata["transition_estimates"] = _transition_estimates(spec, result, hoppings)
     return result
 
 
@@ -436,7 +524,8 @@ def _build_metadata(spec: SweepSpec, wannier: WannierBasis | None) -> dict:
 
 
 def _methods(spec: SweepSpec) -> dict:
-    methods = {"transition_detector": TRANSITION_METHOD,
+    methods = {"eigensolver": "column_warm_start",
+               "transition_detector": TRANSITION_METHOD,
                "wannier_sum": WANNIER_SUM_METHOD,
                "harmonic_tail_rtol": kernels.HARMONIC_TAIL_RTOL,
                "max_harmonics": kernels.MAX_HARMONICS}
@@ -448,8 +537,12 @@ def _methods(spec: SweepSpec) -> dict:
 
 
 def _transition_estimates(spec: SweepSpec, result: SweepResult,
-                          wannier: WannierBasis | None) -> list:
-    """Per-column critical points when v0 (or eta) is one of the axes."""
+                          hoppings: dict) -> list:
+    """Per-column critical points when v0 (or eta) is one of the axes.
+
+    hoppings maps each depth the sweep built a basis for to its (t, alpha);
+    each column reads its own depth's.
+    """
     if spec.axis1.name in SCAN_AXES:
         other = spec.axis2
     elif spec.axis2 is not None and spec.axis2.name in SCAN_AXES:
@@ -465,15 +558,15 @@ def _transition_estimates(spec: SweepSpec, result: SweepResult,
     out = []
     for i1, i2, v0s, curve in columns:
         params = _point_params(spec, i1, i2)
-        entry = {"t": None if wannier is None else wannier.t}
+        t, alpha = hoppings.get(params.get("W0", spec.lattice.depth_W0), (None, None))
+        entry = {"t": t}
         if other is not None:
             entry[other.name] = params[other.name]
         try:
             _, coop, dcp, _ = _resolve_model_params(spec.pump, params)
             kwargs = {}
-            if spec.mode == "cavity" and wannier is not None and coop:
-                kwargs = dict(hopping=wannier.t, alpha=wannier.alpha,
-                              C=coop, delta_c_prime=dcp)
+            if spec.mode == "cavity" and t is not None and coop:
+                kwargs = dict(hopping=t, alpha=alpha, C=coop, delta_c_prime=dcp)
             est = detect_transition(v0s, curve, **kwargs)
             entry.update(v_c_numerical=est.v_c_numerical,
                          v_c_analytic=est.v_c_analytic,

@@ -246,6 +246,90 @@ def test_sweep_builds_the_wannier_basis_once(capsys, tmp_path, monkeypatch):
     assert len(builds) == 1
 
 
+@pytest.mark.parametrize("scan_key", ["axis1", "axis2"])
+def test_unit_t_beside_a_depth_axis_exit_code(capsys, tmp_path, scan_key):
+    # the grid would be scaled by the hopping at lattice.depth_W0 in every
+    # column: 0.5 t(-15) is only 0.17 t at W0 = -10
+    depth_key = "axis2" if scan_key == "axis1" else "axis1"
+    doc = {
+        "lattice": {"depth_W0": -15.0},
+        "sweep": {
+            "name": "depth_t",
+            scan_key: {"name": "v0", "scale": "log", "start": 0.5, "stop": 5.0,
+                       "num": 4, "unit": "t"},
+            depth_key: {"name": "W0", "values": [-10.0, -15.0]},
+            "fixed": {"C": -1.0, "delta_c_prime": 0.0},
+        },
+    }
+    cfg = write_cfg(tmp_path, doc)
+    code, out, err = run_cli(capsys, "sweep", "--config", cfg,
+                             "--out", str(tmp_path))
+    assert code == 2
+    assert f"sweep.{scan_key}.unit" in err
+    assert f"sweep.{depth_key} (W0)" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_unit_t_beside_a_fixed_depth_exit_code(capsys, tmp_path):
+    # points run at the fixed W0 = -12, but the grid would be in t(-15)
+    doc = {
+        "lattice": {"depth_W0": -15.0},
+        "sweep": {
+            "axis1": {"name": "v0", "scale": "log", "start": 0.5, "stop": 5.0,
+                      "num": 4, "unit": "t"},
+            "fixed": {"C": -1.0, "W0": -12.0},
+        },
+    }
+    cfg = write_cfg(tmp_path, doc)
+    code, out, err = run_cli(capsys, "sweep", "--config", cfg,
+                             "--out", str(tmp_path))
+    assert code == 2
+    assert "sweep.axis1.unit" in err and "sweep.fixed (W0)" in err
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_depth_axis_estimates_read_each_depth(capsys, tmp_path, monkeypatch,
+                                              workers):
+    # every transition estimate reports its own depth's t and, in cavity
+    # mode, the analytic v_c from that depth's t and alpha, from the bases
+    # the sweep built for its points: one per depth, none in the parent of
+    # a pool
+    builds = []
+
+    def counting(build):
+        def wrapper(*args, **kwargs):
+            builds.append(build)
+            return build(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "build_wannier", counting(cli.build_wannier))
+    monkeypatch.setattr(sweep, "build_wannier", counting(sweep.build_wannier))
+    depths = [-12.0, -15.0]
+    doc = {
+        "sweep": {
+            "name": "depths",
+            "axis1": {"name": "W0", "values": depths},
+            "axis2": {"name": "v0", "scale": "log", "start": 0.005,
+                      "stop": 0.2, "num": 20},
+            "fixed": {"C": -1.0, "delta_c_prime": -0.5},
+            "observables": ["ipr", "vc"],
+        },
+    }
+    cfg = write_cfg(tmp_path, doc)
+    code, *_ = run_cli(capsys, "sweep", "--config", cfg, "--out", str(tmp_path),
+                       "--workers", workers)
+    assert code == 0
+    assert len(builds) == (len(depths) if workers == "1" else 0)
+    sidecar = json.loads((tmp_path / "depths_W0xv0.meta.json").read_text())
+    estimates = sidecar["metadata"]["transition_estimates"]
+    assert [est["W0"] for est in estimates] == depths
+    for est in estimates:
+        spec = ca.LatticeSpec(depth_W0=est["W0"])
+        wb = ca.build_wannier(ca.solve_lowest_band(spec), spec)
+        assert est["t"] == wb.t
+        assert est["v_c_analytic"] == ca.critical_v_cav(wb.t, wb.alpha, -0.5, -1.0)
+
+
 def test_sidecar_reproduces_run(capsys, tmp_path):
     doc = {
         "sweep": {

@@ -71,6 +71,40 @@ def test_certificate_separates_the_lowest_eigenvalue():
     assert kernels.certificate_margin(d, e, w[1], tol) is None
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_warm_start_from_a_perturbed_ground_state(seed):
+    rng = np.random.RandomState(seed)
+    d, e = _random_chain(rng, 233)
+    w, v = np.linalg.eigh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+    start = v[:, 0] + 1e-2 * rng.standard_normal(233) / np.sqrt(233)
+    norm = kernels.gershgorin_norm_bound(d, e)
+    lam, psi, res, method = kernels.warm_eigenpair(d, e, start, norm)
+    assert method == kernels.WARM_METHOD
+    tol = res + 8.0 * np.finfo(float).eps * norm
+    assert abs(lam - w[0]) <= tol
+    assert kernels.certificate_margin(d, e, lam, tol) is not None
+    assert abs(abs(np.dot(psi, v[:, 0])) - 1.0) < 1e-10
+
+
+def test_warm_start_from_the_second_state_is_not_certified():
+    # the iteration converges to the eigenvalue nearest its start
+    rng = np.random.RandomState(4)
+    d, e = _random_chain(rng, 233)
+    w, v = np.linalg.eigh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+    norm = kernels.gershgorin_norm_bound(d, e)
+    lam, psi, res, _ = kernels.warm_eigenpair(d, e, v[:, 1], norm)
+    assert lam == pytest.approx(w[1], abs=1e-12)
+    tol = res + 8.0 * np.finfo(float).eps * norm
+    assert kernels.certificate_margin(d, e, lam, tol) is None
+
+
+def test_warm_start_on_an_exact_eigenvalue_gives_up():
+    # zero hopping: the start's Rayleigh quotient is a diagonal entry, so
+    # the shifted matrix has a zero pivot
+    d = np.array([0.4, -1.3, 0.2, 0.9, -0.7])
+    assert kernels.warm_eigenpair(d, np.zeros(4), np.eye(5)[0], 1.3) is None
+
+
 @pytest.mark.parametrize("sin2", [False, True])
 def test_quadrature_matches_direct_sum(sin2):
     # oracle: the direct quadrature sum_j w_j arctan(C trig(beta (u_j + x_n))^2

@@ -206,6 +206,44 @@ def test_ground_state_falls_back_on_an_excited_pair(wannier, dense_chain, monkey
         ca.ground_state(problem)
 
 
+def test_warm_start_matches_the_dense_ground_state(wannier, dense_chain):
+    t = wannier.t
+    problem = ca.HubbardProblem(L=L, t=t, onsite=ca.onsite_aa(2.5 * t, GOLDEN_BETA, L))
+    w, v = np.linalg.eigh(dense_chain(problem))
+    rng = np.random.RandomState(3)
+    start = v[:, 0] + 1e-3 * rng.standard_normal(L)
+    gs = ca.ground_state(problem, start=start)
+    assert gs.method == kernels.WARM_METHOD
+    norm_bound = kernels.gershgorin_norm_bound(problem.onsite.values,
+                                               np.full(L - 1, -t))
+    tol = gs.residual + ca.model.CERTIFICATE_RTOL * norm_bound
+    assert abs(gs.energy - w[0]) <= tol
+    assert gs.certificate_margin > 0.0
+    assert abs(np.dot(gs.amplitudes, v[:, 0])) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_warm_start_on_the_second_state_falls_back_to_the_cold_solve(wannier,
+                                                                     dense_chain):
+    # the warm result is the second eigenpair; the certificate rejects it
+    # and the point is solved exactly as without a start
+    t = wannier.t
+    problem = ca.HubbardProblem(L=L, t=t, onsite=ca.onsite_aa(2.5 * t, GOLDEN_BETA, L))
+    w, v = np.linalg.eigh(dense_chain(problem))
+    offdiag = np.full(L - 1, -t)
+    warm = kernels.warm_eigenpair(problem.onsite.values, offdiag, v[:, 1],
+                                  kernels.gershgorin_norm_bound(problem.onsite.values, offdiag))
+    assert warm[0] == pytest.approx(w[1], abs=1e-13)
+    gs = ca.ground_state(problem, start=v[:, 1])
+    cold = ca.ground_state(problem)
+    assert gs.method == cold.method == kernels.COLD_METHOD
+    assert gs.energy == cold.energy
+    assert np.array_equal(gs.amplitudes, cold.amplitudes)
+    assert gs.residual == cold.residual
+    assert gs.certificate_margin == cold.certificate_margin
+    with pytest.raises(ValueError, match="start vector"):
+        ca.ground_state(problem, start=v[:-1, 0])
+
+
 def test_variational_and_gershgorin_bounds(scanner):
     rng = np.random.RandomState(21)
     vals = rng.uniform(-0.1, 0.1, L)

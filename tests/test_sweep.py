@@ -122,7 +122,8 @@ def test_sweep_deterministic_and_worker_independent(wannier, lattice_spec):
 
 def test_one_unit_profile_per_column(wannier, lattice_spec, monkeypatch):
     # v0 only scales the profile: one onsite_cavity call per (W0, C, delta'),
-    # and every record equals the direct pipeline at its own v0 bit for bit
+    # and every record equals the direct pipeline bit for bit, replayed
+    # column by column with each solve started from the previous state
     calls = []
     original = ca.sweep.onsite_cavity
 
@@ -137,12 +138,58 @@ def test_one_unit_profile_per_column(wannier, lattice_spec, monkeypatch):
     records = ca.run_sweep(spec, wannier=wannier).records
     assert calls == [(-15.0, C, -0.3, 1.0) for C in (-2.0, -0.5, 1.5)]
     monkeypatch.undo()
-    for rec in records:
-        pot = ca.EffectivePotential.cavity(rec.v0, rec.C, -0.3)
-        prof = ca.onsite_cavity(wannier, pot, L)
-        gs = ca.ground_state(ca.HubbardProblem(L=L, t=wannier.t, onsite=prof))
-        assert rec.E0 == gs.energy
-        assert rec.ipr == ca.ipr(gs)
+    for j in range(3):
+        previous = None
+        for rec in records[j::3]:
+            pot = ca.EffectivePotential.cavity(rec.v0, rec.C, -0.3)
+            prof = ca.onsite_cavity(wannier, pot, L)
+            gs = ca.ground_state(ca.HubbardProblem(L=L, t=wannier.t, onsite=prof),
+                                 start=previous)
+            assert rec.E0 == gs.energy
+            assert rec.ipr == ca.ipr(gs)
+            previous = gs.amplitudes
+
+
+@pytest.mark.parametrize("scan_first", [True, False], ids=["axis1", "axis2"])
+def test_warm_columns_are_worker_independent(wannier, lattice_spec, scan_first):
+    # a column longer than COLUMN_SEGMENT splits at a grid-fixed point, so
+    # serial and pooled runs start the same solves cold
+    n_v0 = ca.sweep.COLUMN_SEGMENT + 6
+    v0 = ca.Axis.log("v0", 0.01, 0.3, n_v0)
+    cs = ca.Axis("C", np.array([-2.0, -0.75]))
+    axes = dict(axis1=v0, axis2=cs) if scan_first else dict(axis1=cs, axis2=v0)
+    spec = _spec(lattice_spec, observables=("ipr", "gamma"), **axes)
+    serial = ca.run_sweep(spec, wannier=wannier, workers=1)
+    pooled = ca.run_sweep(spec, wannier=wannier, workers=2)
+    assert ca.csv_body(serial) == ca.csv_body(pooled)
+    counts = serial.metadata["solver_counts"]
+    assert counts == pooled.metadata["solver_counts"]
+    assert counts["cold"] == 2 * 2  # two columns, each split once
+    assert counts["warm"] > counts["select_fallback"]
+    assert sum(counts.values()) == spec.n_points
+
+
+def test_solver_counts_show_a_planted_certificate_failure(wannier, lattice_spec,
+                                                         monkeypatch):
+    spec = _spec(lattice_spec, axis2=ca.Axis("C", np.array([-2.0])))
+    clean = ca.run_sweep(spec, wannier=wannier)
+    assert clean.metadata["methods"]["eigensolver"] == "column_warm_start"
+    assert [rec.solver for rec in clean.records[:3]] == ["cold", "warm", "warm"]
+    calls = []
+    certify = ca.kernels.certificate_margin
+
+    def planted(*args):
+        calls.append(args)
+        # the third check is the warm result at the third point
+        return None if len(calls) == 3 else certify(*args)
+
+    monkeypatch.setattr(ca.kernels, "certificate_margin", planted)
+    result = ca.run_sweep(spec, wannier=wannier)
+    assert result.records[2].solver == "select_fallback"
+    expected = dict(clean.metadata["solver_counts"])
+    expected["warm"] -= 1
+    expected["select_fallback"] += 1
+    assert result.metadata["solver_counts"] == expected
 
 
 def test_series_past_the_cap_fails_the_point(wannier, lattice_spec):
@@ -228,13 +275,14 @@ def test_failed_point_leaves_its_column_unresolved(wannier, lattice_spec,
                  observables=("ipr", "vc"))
     clean = ca.run_sweep(spec, wannier=wannier).metadata["transition_estimates"]
     failing = 7 * 3 + 1  # v0 index 7 in the C = -1 column
-    calls = iter(range(spec.n_points))
+    pot = ca.EffectivePotential.cavity(spec.axis1.values[7], -1.0, 0.0)
+    planted = ca.onsite_cavity(wannier, pot, L).values
     solve = ca.sweep.ground_state
 
-    def flaky(problem):
-        if next(calls) == failing:
+    def flaky(problem, start=None):
+        if np.array_equal(problem.onsite.values, planted):
             raise ca.GroundStateError("planted failure")
-        return solve(problem)
+        return solve(problem, start=start)
 
     monkeypatch.setattr(ca.sweep, "ground_state", flaky)
     result = ca.run_sweep(spec, wannier=wannier)
