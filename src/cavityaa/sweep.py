@@ -216,7 +216,7 @@ class SweepRecord:
     gamma: float | None
     nbar: float | None
     flags: str
-    solver: str = ""  # one of SOLVER_KINDS; not a CSV column
+    solver: str  # one of SOLVER_KINDS; not a CSV column
 
 
 @dataclass(frozen=True)
@@ -293,7 +293,7 @@ def _resolve_model_params(pump: PumpConfig | None, params: dict
 
 
 def _solver_kind(warm: bool, method: str) -> str:
-    """Which of the four solver paths produced a ground state."""
+    """The SOLVER_KINDS entry (never "unsolved") of a ground state's path."""
     if method == kernels.WARM_METHOD:
         return "warm"
     if method == kernels.DENSE_METHOD:
@@ -355,14 +355,14 @@ def _nan(value) -> float:
     return float("nan") if value is None else float(value)
 
 
-def _run_segment(runtime: _Runtime, segment: list) -> list:
+def _run_column(runtime: _Runtime, column: list) -> list:
     """(flat index, record) of each point; each solve starts from the last.
 
-    The segment's first point, and any point after a failed one, start cold.
+    The column's first point, and any point after a failed one, start cold.
     """
     out = []
     start = None
-    for i in segment:
+    for i in column:
         rec, gs = _evaluate_point(runtime, i, start)
         start = None if gs is None else gs.amplitudes
         out.append((i, rec))
@@ -371,19 +371,13 @@ def _run_segment(runtime: _Runtime, segment: list) -> list:
 
 # --- execution ---------------------------------------------------------------
 
-#: Longest run of warm-started solves.  A column splits every COLUMN_SEGMENT
-#: points of its strength order, so the split points depend on the grid
-#: alone and a long column can still spread over several workers.
-COLUMN_SEGMENT = 64
-
-
-def _segments(spec: SweepSpec) -> list:
-    """Flat indices in solve order, as runs that each start cold.
+def _solve_columns(spec: SweepSpec) -> list:
+    """Flat indices in solve order, one list per column.
 
     A column is the set of points that share every parameter but the
-    strength (v0 or eta); it runs in increasing strength, split every
-    COLUMN_SEGMENT points.  Without a strength axis every point is its own
-    run.  The runs depend on the grid alone, never on the worker count.
+    strength (v0 or eta); it runs in increasing strength and starts cold.
+    Without a strength axis every point is its own column.  The columns
+    depend on the grid alone, never on the worker count.
     """
     n1, n2 = spec.shape
     flat = np.arange(n1 * n2).reshape(n1, n2)
@@ -393,8 +387,7 @@ def _segments(spec: SweepSpec) -> list:
         columns = flat[:, np.argsort(spec.axis2.values, kind="stable")]
     else:
         return [[i] for i in range(n1 * n2)]
-    return [column[k:k + COLUMN_SEGMENT].tolist()
-            for column in columns for k in range(0, column.shape[0], COLUMN_SEGMENT)]
+    return columns.tolist()
 
 
 _WORKER_RUNTIME: _Runtime | None = None
@@ -405,21 +398,21 @@ def _init_worker(spec: SweepSpec, wannier: WannierBasis | None):
     _WORKER_RUNTIME = _Runtime(spec, wannier)
 
 
-def _run_chunk(segments: list) -> tuple[list, dict]:
-    """Records of whole segments, and the hoppings of the bases used."""
-    out = [pair for segment in segments
-           for pair in _run_segment(_WORKER_RUNTIME, segment)]
+def _run_chunk(columns: list) -> tuple[list, dict]:
+    """Records of whole columns, and the hoppings of the bases used."""
+    out = [pair for column in columns
+           for pair in _run_column(_WORKER_RUNTIME, column)]
     return out, _WORKER_RUNTIME.hoppings()
 
 
-def _chunks(segments: list, workers: int) -> list:
-    """Consecutive segments grouped into about 8 chunks per worker by size."""
-    n = sum(len(seg) for seg in segments)
+def _chunks(columns: list, workers: int) -> list:
+    """Consecutive columns grouped into about 8 chunks per worker by size."""
+    n = sum(len(col) for col in columns)
     target = max(n / max(workers * 8, 1), 1.0)
     chunks, current, size = [], [], 0
-    for seg in segments:
-        current.append(seg)
-        size += len(seg)
+    for col in columns:
+        current.append(col)
+        size += len(col)
         if size >= target:
             chunks.append(current)
             current, size = [], 0
@@ -434,24 +427,25 @@ def run_sweep(spec: SweepSpec, wannier: WannierBasis | None = None,
 
     The Wannier basis is computed once (or taken from the caller) and shared
     read-only; a W0 axis builds one per depth, in the process that first
-    needs it.  Points run column by column (``_segments``), each solve
+    needs it.  Points run column by column (``_solve_columns``), each solve
     warm-started from the previous point's ground state; with workers > 1
-    whole segments are chunked over a process pool.  Results are identical
-    to a serial run.  progress, when given, is called as progress(done,
-    total) every 50 points (serial) or after each completed chunk (pool),
-    and once with done == total at the end.
+    whole columns are chunked over a process pool, so a single column runs
+    in one worker.  Results are identical to a serial run.  progress, when
+    given, is called as progress(done, total) every 50 points (serial) or
+    after each completed chunk (pool), and once with done == total at the
+    end.
     """
     if wannier is None and spec.axis1.name != "W0" and \
             (spec.axis2 is None or spec.axis2.name != "W0"):
         wannier = build_wannier(solve_lowest_band(spec.lattice), spec.lattice)
     n = spec.n_points
     records: list = [None] * n
-    segments = _segments(spec)
+    columns = _solve_columns(spec)
     if workers <= 1:
         runtime = _Runtime(spec, wannier)
         done = 0
-        for segment in segments:
-            for i, rec in _run_segment(runtime, segment):
+        for column in columns:
+            for i, rec in _run_column(runtime, column):
                 records[i] = rec
                 done += 1
                 if progress is not None and done % 50 == 0 and done < n:
@@ -464,7 +458,7 @@ def run_sweep(spec: SweepSpec, wannier: WannierBasis | None = None,
                 max_workers=workers, initializer=_init_worker,
                 initargs=(spec, wannier)) as pool:
             futures = [pool.submit(_run_chunk, chunk)
-                       for chunk in _chunks(segments, workers)]
+                       for chunk in _chunks(columns, workers)]
             for fut in concurrent.futures.as_completed(futures):
                 pairs, chunk_hoppings = fut.result()
                 hoppings.update(chunk_hoppings)

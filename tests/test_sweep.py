@@ -152,9 +152,9 @@ def test_one_unit_profile_per_column(wannier, lattice_spec, monkeypatch):
 
 @pytest.mark.parametrize("scan_first", [True, False], ids=["axis1", "axis2"])
 def test_warm_columns_are_worker_independent(wannier, lattice_spec, scan_first):
-    # a column longer than COLUMN_SEGMENT splits at a grid-fixed point, so
-    # serial and pooled runs start the same solves cold
-    n_v0 = ca.sweep.COLUMN_SEGMENT + 6
+    # pool workers get whole columns, so serial and pooled runs start the
+    # same solves cold
+    n_v0 = 24
     v0 = ca.Axis.log("v0", 0.01, 0.3, n_v0)
     cs = ca.Axis("C", np.array([-2.0, -0.75]))
     axes = dict(axis1=v0, axis2=cs) if scan_first else dict(axis1=cs, axis2=v0)
@@ -164,7 +164,7 @@ def test_warm_columns_are_worker_independent(wannier, lattice_spec, scan_first):
     assert ca.csv_body(serial) == ca.csv_body(pooled)
     counts = serial.metadata["solver_counts"]
     assert counts == pooled.metadata["solver_counts"]
-    assert counts["cold"] == 2 * 2  # two columns, each split once
+    assert counts["cold"] == 2  # one cold start per column
     assert counts["warm"] > counts["select_fallback"]
     assert sum(counts.values()) == spec.n_points
 
