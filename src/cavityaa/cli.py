@@ -3,8 +3,8 @@
 Commands: ``wannier``, ``ground-state``, ``sweep``, ``baseline-aa``.  All
 scientific parameters live in a single JSON config (see config.DEFAULTS);
 flags only pick the config file, the output directory and the worker count.
-Exit codes: 0 success, 2 invalid configuration, 3 sweep with more than 1%
-failed grid points.
+Exit codes: 0 success, 2 invalid configuration or a worker count below 1,
+3 sweep with more than 1% failed grid points.
 """
 
 from __future__ import annotations
@@ -137,9 +137,14 @@ def cmd_ground_state(cfg: dict, out_dir: str) -> int:
 
 
 def _sweep_wannier(cfg: dict) -> WannierBasis | None:
-    """Basis shared by every grid point; None when a W0 axis sets the depth."""
+    """Basis shared by every grid point at lattice.depth_W0.
+
+    None when a W0 axis or a fixed W0 sets the depth instead; ``run_sweep``
+    then builds the bases its points use.
+    """
     axes = (cfg["sweep"]["axis1"], cfg["sweep"]["axis2"])
-    if any(ax is not None and ax["name"] == "W0" for ax in axes):
+    if "W0" in cfg["sweep"]["fixed"] or \
+            any(ax is not None and ax["name"] == "W0" for ax in axes):
         return None
     return _build_wannier(cfg)[2]
 
@@ -227,6 +232,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if getattr(args, "workers", 1) < 1:
+            raise ConfigError(f"--workers must be at least 1, got {args.workers}")
         if args.config is None:
             cfg = effective_config({})
         else:

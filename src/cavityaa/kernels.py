@@ -31,17 +31,16 @@ import functools
 import math
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, lapack
+from scipy.linalg import lapack
 
 # ---------------------------------------------------------------------------
 # lowest eigenpair of a symmetric tridiagonal matrix
 # ---------------------------------------------------------------------------
 
 
-#: Method strings of the three ways ``model.ground_state`` solves a chain.
+#: Method strings of the two ways ``model.ground_state`` solves a chain.
 WARM_METHOD = "rayleigh_quotient_dstein"
 COLD_METHOD = "lapack_bisection_inverse_iteration"
-DENSE_METHOD = "tridiagonal_full_fallback"
 
 #: Rayleigh-quotient iteration stops once its residual bound 1/||y|| is at
 #: most this fraction of ||T||, and gives up after WARM_MAX_STEPS solves.
@@ -53,16 +52,7 @@ def _tridiag_residual(d, e, lam, psi):
     r = (d - lam) * psi
     r[:-1] += e * psi[1:]
     r[1:] += e * psi[:-1]
-    return float(np.linalg.norm(r))
-
-
-def gershgorin_norm_bound(d: np.ndarray, e: np.ndarray) -> float:
-    """Upper bound on the spectral norm of tridiag(e, d, e)."""
-    radius = np.zeros_like(d)
-    radius[:-1] += np.abs(e)
-    radius[1:] += np.abs(e)
-    bound = float(np.max(np.abs(d) + radius))
-    return bound if bound > 0.0 else 1.0
+    return math.sqrt(r @ r)  # how np.linalg.norm computes it, bit for bit
 
 
 def lowest_tridiagonal_pair(d: np.ndarray, e: np.ndarray) -> tuple[float, np.ndarray]:
@@ -153,17 +143,6 @@ def warm_eigenpair(d: np.ndarray, e: np.ndarray, start: np.ndarray,
         return None
     psi = v[:, 0]
     return lam, psi, _tridiag_residual(d, e, lam, psi), WARM_METHOD
-
-
-def lowest_eigenpair_dense_fallback(
-    d: np.ndarray, e: np.ndarray
-) -> tuple[float, np.ndarray, float, str]:
-    """Full tridiagonal diagonalization, used when inverse iteration stalls."""
-    w, v = eigh_tridiagonal(np.asarray(d, float), np.asarray(e, float))
-    psi = np.ascontiguousarray(v[:, 0])
-    lam = float(w[0])
-    res = _tridiag_residual(np.asarray(d, float), np.asarray(e, float), lam, psi)
-    return lam, psi, res, DENSE_METHOD
 
 
 def certificate_margin(d: np.ndarray, e: np.ndarray, energy: float,

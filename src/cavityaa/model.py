@@ -13,6 +13,7 @@ localization observables, and a test asserts that invariance explicitly.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -70,16 +71,29 @@ class EffectivePotential:
 
 @dataclass(frozen=True)
 class OnsiteProfile:
-    """Site energies delta_eps_n, n = 1..L, in E_r."""
+    """Site energies delta_eps_n, n = 1..L, in E_r.
+
+    peaks = (a, b): a is the largest |delta_eps_n| over the interior sites and
+    b the larger one at the two end sites.  With the hopping they give the
+    chain's norm bound (``HubbardProblem.norm_bound``).  Left out, they are
+    read off the values, which must then be finite.  ``scale_profile`` passes
+    them scaled from a checked unit profile instead, and finite peaks bound
+    every value.
+    """
 
     values: np.ndarray
     L: int
+    peaks: tuple | None = None
 
     def __post_init__(self):
-        if self.values.shape != (self.L,):
+        if self.L < 1 or self.values.shape != (self.L,):
             raise ValueError("profile length does not match L")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("profile contains non-finite entries")
+        if self.peaks is None:
+            if not np.all(np.isfinite(self.values)):
+                raise ValueError("profile contains non-finite entries")
+            mag = np.abs(self.values)
+            object.__setattr__(self, "peaks", (float(mag[1:-1].max(initial=0.0)),
+                                               float(max(mag[0], mag[-1]))))
         self.values.setflags(write=False)
 
 
@@ -104,20 +118,36 @@ def onsite_cavity(wb: "WannierBasis", pot: EffectivePotential, L: int) -> Onsite
         wb.density_weights, wb.grid, L, wb.site_spacing_a, pot.beta,
         pot.C, pot.delta_c_prime, pot.uses_sin2,
     )
-    return scale_profile(unit, pot.v0, L)
+    return scale_profile(unit_profile(unit, L, arctan=True), pot.v0)
 
 
-def scale_profile(unit: np.ndarray, v0: float, L: int) -> OnsiteProfile:
-    """Cavity profile v0 * unit from its unit-strength values.
+def unit_profile(values: np.ndarray, L: int, arctan: bool = False) -> OnsiteProfile:
+    """Unit-strength profile for ``scale_profile``, checked once for every v0.
 
-    Strength only scales the profile, so a v0 scan can reuse one unit
-    profile; the result is bit-identical to ``onsite_cavity`` at v0.
+    Its values must be finite; with arctan, they must also lie in the range
+    |value| <= pi/2 of the smeared arctan potential.
     """
-    vals = v0 * unit
-    bound = v0 * np.pi / 2.0 + 1e-12
-    if np.any(np.abs(vals) > bound):
+    unit = OnsiteProfile(values=np.asarray(values, dtype=np.float64), L=L)
+    if arctan and max(unit.peaks) > np.pi / 2.0:
         raise ValueError("profile exceeds the arctan range bound")
-    return OnsiteProfile(values=vals, L=L)
+    return unit
+
+
+def scale_profile(unit: OnsiteProfile, v0: float) -> OnsiteProfile:
+    """Profile v0 * unit from a checked unit-strength profile.
+
+    Strength only scales a profile, so the points of a v0 scan share one unit
+    profile and its checks; each point checks v0 >= 0 and multiplies.  The
+    result is bit-identical to ``onsite_cavity`` or ``onsite_aa`` at v0.  Its
+    peaks are v0 times the unit's, exactly, because rounding is monotone; so
+    finite peaks prove every value finite.
+    """
+    if not v0 >= 0.0:
+        raise ValueError("v0 must be non-negative")
+    inner, end = v0 * unit.peaks[0], v0 * unit.peaks[1]
+    if not (math.isfinite(inner) and math.isfinite(end)):
+        raise ValueError(f"profile overflows at v0 = {v0!r}")
+    return OnsiteProfile(values=v0 * unit.values, L=unit.L, peaks=(inner, end))
 
 
 @dataclass(frozen=True)
@@ -133,6 +163,19 @@ class HubbardProblem:
             raise ValueError("L must be >= 3")
         if self.onsite.L != self.L:
             raise ValueError("onsite profile length does not match L")
+
+    @property
+    def norm_bound(self) -> float:
+        """Gershgorin bound max(a + 2|t|, b + |t|) on ||H||; 1.0 when that is 0.
+
+        a and b are the profile's interior and end peaks.  Rounding is
+        monotone, so this equals the largest Gershgorin row sum of the
+        tridiagonal matrix bit for bit, at O(1) cost.
+        """
+        inner, end = self.onsite.peaks
+        hop = abs(self.t)
+        bound = float(max(inner + (hop + hop), end + hop))
+        return bound if bound > 0.0 else 1.0
 
 
 @dataclass(frozen=True)
@@ -163,6 +206,15 @@ class GroundState:
         return self.amplitudes * self.amplitudes
 
 
+@functools.lru_cache(maxsize=8)
+def _offdiagonal(L: int, t: float) -> np.ndarray:
+    """The chain's off-diagonal -t, built once and shared read-only by every
+    chain of that length and hopping, such as the points of a sweep column."""
+    offdiag = np.full(L - 1, -t)
+    offdiag.setflags(write=False)
+    return offdiag
+
+
 def ground_state(problem: HubbardProblem, start: np.ndarray | None = None) -> GroundState:
     """Lowest eigenpair of the chain, sign-fixed, residual-checked and certified.
 
@@ -172,18 +224,19 @@ def ground_state(problem: HubbardProblem, start: np.ndarray | None = None) -> Gr
     With ``start``, a length-L vector such as the ground state of a nearby
     chain, the solve first tries Rayleigh-quotient iteration from it
     (``kernels.warm_eigenpair``).  Without it, or when that result fails a
-    check, it uses LAPACK bisection + inverse iteration, and then a full
-    tridiagonal diagonalization.  A result is accepted when its residual is
-    at most RESIDUAL_RTOL ||H||, which puts an eigenvalue within the residual
-    of E0, and ``kernels.certificate_margin`` proves that no eigenvalue lies
-    below E0 - tol, tol = residual + CERTIFICATE_RTOL ||H||; together they
-    make E0 the lowest eigenvalue to within tol.  The method actually used is
-    recorded on the result.
+    check, it uses LAPACK bisection + inverse iteration.  A result is
+    accepted when its residual is at most RESIDUAL_RTOL ||H||, which puts an
+    eigenvalue within the residual of E0, and ``kernels.certificate_margin``
+    proves that no eigenvalue lies below E0 - tol, tol = residual +
+    CERTIFICATE_RTOL ||H||; together they make E0 the lowest eigenvalue to
+    within tol.  ||H|| is ``problem.norm_bound``.  When no path passes both
+    checks, GroundStateError is raised.  The method actually used is recorded
+    on the result.
     """
     diag = problem.onsite.values
-    offdiag = np.full(problem.L - 1, -problem.t)
-    norm_bound = kernels.gershgorin_norm_bound(diag, offdiag)
-    solvers = [kernels.lowest_eigenpair, kernels.lowest_eigenpair_dense_fallback]
+    offdiag = _offdiagonal(problem.L, problem.t)
+    norm_bound = problem.norm_bound
+    solvers = [kernels.lowest_eigenpair]
     if start is not None:
         start = np.asarray(start, dtype=np.float64)
         if start.shape != (problem.L,):
@@ -203,10 +256,10 @@ def ground_state(problem: HubbardProblem, start: np.ndarray | None = None) -> Gr
             break
     else:
         raise GroundStateError(
-            f"no certified ground state after fallback: residual {res:.3e} "
+            f"no certified ground state: residual {res:.3e} "
             f"(bound {RESIDUAL_RTOL:.0e} * ||H||) or an eigenvalue below E0 - tol")
-    psi = psi / np.linalg.norm(psi)
-    if psi[np.argmax(np.abs(psi))] < 0:
+    psi = psi / math.sqrt(psi @ psi)
+    if psi[np.abs(psi).argmax()] < 0:
         psi = -psi
     return GroundState(amplitudes=psi, energy=float(energy), method=method,
                        residual=float(res), certificate_margin=margin)

@@ -34,8 +34,9 @@ from . import kernels
 from ._version import __version__
 from .lattice import (WANNIER_SUM_METHOD, LatticeSpec, WannierBasis, build_wannier,
                       solve_lowest_band)
-from .model import (EffectivePotential, HubbardProblem, ground_state,
-                    onsite_aa, onsite_cavity, scale_profile)
+from .model import (EffectivePotential, HubbardProblem, OnsiteProfile,
+                    ground_state, onsite_aa, onsite_cavity, scale_profile,
+                    unit_profile)
 from .observables import (TRANSITION_METHOD, FitOptions, PumpField,
                           detect_transition, ipr, lyapunov_fit, photon_number)
 
@@ -47,8 +48,8 @@ SCAN_AXES = ("v0", "eta")
 OBSERVABLE_NAMES = ("ipr", "gamma", "nbar", "vc")
 #: How a point's ground state was solved: from the previous point's state,
 #: cold at a column start, by select-mode LAPACK after a rejected warm
-#: result, by full diagonalization, or not at all (a failed point).
-SOLVER_KINDS = ("warm", "cold", "select_fallback", "dense_fallback", "unsolved")
+#: result, or not at all (a failed point).
+SOLVER_KINDS = ("warm", "cold", "select_fallback", "unsolved")
 
 #: Floating-point CSV cells use this format; 17 significant digits round-trip.
 FLOAT_FORMAT = "%.17g"
@@ -190,6 +191,11 @@ class SweepSpec:
                              f"{PHYSICAL_AXES}, not model parameters")
         if self.L < 3:
             raise ValueError("L must be >= 3")
+        if "W0" in self.fixed:
+            # a fixed W0 is the depth of every point: the lattice carries it,
+            # so the sweep builds and reports the basis of the solved chain
+            object.__setattr__(self, "lattice", replace(
+                self.lattice, depth_W0=float(self.fixed["W0"])))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -239,7 +245,7 @@ class _Runtime:
         self._wannier_cache: dict[float, WannierBasis] = {}
         if wannier is not None:
             self._wannier_cache[wannier.depth_W0] = wannier
-        self._unit: tuple = (None, None)  # (key, profile) of the current column
+        self._unit: tuple = (None, None)  # (key, unit profile) of the current column
 
     def wannier_for(self, depth: float) -> WannierBasis:
         wb = self._wannier_cache.get(depth)
@@ -249,12 +255,24 @@ class _Runtime:
             self._wannier_cache[depth] = wb
         return wb
 
-    def unit_profile(self, wb: WannierBasis, coop: float, dcp: float) -> np.ndarray:
-        """Cavity profile at v0 = 1, computed at the first point of its column."""
+    def column_profile(self, wb: WannierBasis, coop: float, dcp: float) -> OnsiteProfile:
+        """The column's profile at v0 = 1, built and checked at its first point.
+
+        That is ``onsite_cavity`` at v0 = 1, or cos(2 pi beta n) in aa mode.
+        Its values must be finite, and a cavity profile's must lie in the
+        arctan range; each point then only scales it (``scale_profile``).  A
+        set-up that fails is tried again at the next point, so every point
+        of its column fails.
+        """
         key = (wb.depth_W0, coop, dcp)
         if self._unit[0] != key:
-            pot = EffectivePotential.cavity(1.0, coop, dcp, beta=self.spec.lattice.beta)
-            self._unit = (key, onsite_cavity(wb, pot, self.spec.L).values)
+            spec = self.spec
+            if spec.mode == "aa":
+                values = onsite_aa(1.0, spec.lattice.beta, spec.L).values
+            else:
+                pot = EffectivePotential.cavity(1.0, coop, dcp, beta=spec.lattice.beta)
+                values = onsite_cavity(wb, pot, spec.L).values
+            self._unit = (key, unit_profile(values, spec.L, arctan=spec.mode == "cavity"))
         return self._unit[1]
 
     def hoppings(self) -> dict:
@@ -296,8 +314,6 @@ def _solver_kind(warm: bool, method: str) -> str:
     """The SOLVER_KINDS entry (never "unsolved") of a ground state's path."""
     if method == kernels.WARM_METHOD:
         return "warm"
-    if method == kernels.DENSE_METHOD:
-        return "dense_fallback"
     return "select_fallback" if warm else "cold"
 
 
@@ -319,12 +335,7 @@ def _evaluate_point(runtime: _Runtime, flat_index: int, start=None):
     try:
         v0, coop, dcp, zeta = _resolve_model_params(spec.pump, params)
         wb = runtime.wannier_for(params.get("W0", spec.lattice.depth_W0))
-        if spec.mode == "aa":
-            profile = onsite_aa(v0, spec.lattice.beta, spec.L)
-        else:
-            pot = EffectivePotential.cavity(v0, coop, dcp, beta=spec.lattice.beta)
-            unit = runtime.unit_profile(wb, pot.C, pot.delta_c_prime)
-            profile = scale_profile(unit, pot.v0, spec.L)
+        profile = scale_profile(runtime.column_profile(wb, coop, dcp), v0)
         problem = HubbardProblem(L=spec.L, t=wb.t, onsite=profile)
         gs = ground_state(problem, start=start)
         solver = _solver_kind(start is not None, gs.method)
@@ -425,23 +436,31 @@ def run_sweep(spec: SweepSpec, wannier: WannierBasis | None = None,
               workers: int = 1, progress=None) -> SweepResult:
     """Execute the sweep and collect one record per grid point.
 
-    The Wannier basis is computed once (or taken from the caller) and shared
+    The Wannier basis at ``spec.lattice``'s depth is computed once (or taken
+    from the caller; one at another depth raises ValueError) and shared
     read-only; a W0 axis builds one per depth, in the process that first
     needs it.  Points run column by column (``_solve_columns``), each solve
     warm-started from the previous point's ground state; with workers > 1
-    whole columns are chunked over a process pool, so a single column runs
-    in one worker.  Results are identical to a serial run.  progress, when
-    given, is called as progress(done, total) every 50 points (serial) or
-    after each completed chunk (pool), and once with done == total at the
-    end.
+    whole columns are chunked over a process pool of at most one worker per
+    chunk, so a single column runs in one worker, and a sweep that makes a
+    single chunk runs in this process.  Results are identical to a serial
+    run.  workers < 1 raises ValueError.  progress, when given, is called as
+    progress(done, total) every 50 points (serial) or after each completed
+    chunk (pool), and once with done == total at the end.
     """
-    if wannier is None and spec.axis1.name != "W0" and \
-            (spec.axis2 is None or spec.axis2.name != "W0"):
-        wannier = build_wannier(solve_lowest_band(spec.lattice), spec.lattice)
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    if spec.axis1.name != "W0" and (spec.axis2 is None or spec.axis2.name != "W0"):
+        if wannier is None:
+            wannier = build_wannier(solve_lowest_band(spec.lattice), spec.lattice)
+        elif wannier.depth_W0 != spec.lattice.depth_W0:
+            raise ValueError(f"the basis is at depth {wannier.depth_W0}, every point "
+                             f"at {spec.lattice.depth_W0}")
     n = spec.n_points
     records: list = [None] * n
     columns = _solve_columns(spec)
-    if workers <= 1:
+    chunks = _chunks(columns, workers) if workers > 1 else [columns]
+    if len(chunks) == 1:
         runtime = _Runtime(spec, wannier)
         done = 0
         for column in columns:
@@ -455,10 +474,9 @@ def run_sweep(spec: SweepSpec, wannier: WannierBasis | None = None,
         done = 0
         hoppings = {}
         with concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers, initializer=_init_worker,
+                max_workers=min(workers, len(chunks)), initializer=_init_worker,
                 initargs=(spec, wannier)) as pool:
-            futures = [pool.submit(_run_chunk, chunk)
-                       for chunk in _chunks(columns, workers)]
+            futures = [pool.submit(_run_chunk, chunk) for chunk in chunks]
             for fut in concurrent.futures.as_completed(futures):
                 pairs, chunk_hoppings = fut.result()
                 hoppings.update(chunk_hoppings)

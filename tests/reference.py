@@ -62,6 +62,17 @@ def wannier_direct_sum(band, spec) -> dict:
             "alpha": float(np.hypot(a_const, b_const))}
 
 
+def gershgorin_norm_bound(d: np.ndarray, e: np.ndarray) -> float:
+    """Largest Gershgorin row sum of tridiag(e, d, e), an upper bound on its
+    spectral norm; 1.0 for the zero matrix.  The O(L) oracle of
+    ``HubbardProblem.norm_bound``."""
+    radius = np.zeros_like(d)
+    radius[:-1] += np.abs(e)
+    radius[1:] += np.abs(e)
+    bound = float(np.max(np.abs(d) + radius))
+    return bound if bound > 0.0 else 1.0
+
+
 def f_eval(pot, x) -> np.ndarray:
     """Dimensionless cavity potential arctan(-delta' + C trig^2(beta x)).
 

@@ -287,6 +287,61 @@ def test_unit_t_beside_a_fixed_depth_exit_code(capsys, tmp_path):
     assert "sweep.axis1.unit" in err and "sweep.fixed (W0)" in err
 
 
+def test_fixed_depth_is_the_lattice_depth(capsys, tmp_path, monkeypatch):
+    # a fixed W0 is the depth of every point: the sweep builds that basis
+    # once, and the sidecar describes it, not lattice.depth_W0
+    builds = []
+
+    def counting(build):
+        def wrapper(*args, **kwargs):
+            builds.append(args[1].depth_W0)
+            return build(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "build_wannier", counting(cli.build_wannier))
+    monkeypatch.setattr(sweep, "build_wannier", counting(sweep.build_wannier))
+    doc = {
+        "lattice": {"depth_W0": -15.0},
+        "sweep": {
+            "name": "fixed_depth",
+            "axis1": {"name": "v0", "scale": "log", "start": 0.005,
+                      "stop": 0.2, "num": 6},
+            "fixed": {"C": -1.0, "W0": -12.0},
+        },
+    }
+    cfg = write_cfg(tmp_path, doc)
+    code, *_ = run_cli(capsys, "sweep", "--config", cfg, "--out", str(tmp_path))
+    assert code == 0
+    assert builds == [-12.0]
+    spec = ca.LatticeSpec(depth_W0=-12.0)
+    wb = ca.build_wannier(ca.solve_lowest_band(spec), spec)
+    metadata = json.loads((tmp_path / "fixed_depth_v0xnone.meta.json").read_text())["metadata"]
+    assert metadata["constants"]["t"] == wb.t
+    assert metadata["lattice"]["depth_W0"] == -12.0
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_exit_code(capsys, tmp_path, workers):
+    code, out, err = run_cli(capsys, "sweep", "--out", str(tmp_path),
+                             "--workers", workers)
+    assert code == 2
+    assert "--workers must be at least 1" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+def test_shipped_config_is_worker_independent(capsys, tmp_path, path):
+    bodies = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"workers{workers}"
+        code, *_ = run_cli(capsys, "sweep", "--config", str(path),
+                           "--out", str(out), "--workers", workers)
+        assert code == 0
+        (csv_path,) = out.glob("*.csv")
+        bodies.append(csv_path.read_bytes())
+    assert bodies[0] == bodies[1]
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_depth_axis_estimates_read_each_depth(capsys, tmp_path, monkeypatch,
                                               workers):

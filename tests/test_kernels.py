@@ -3,6 +3,7 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from cavityaa import kernels
+from reference import gershgorin_norm_bound
 
 
 def _random_chain(rng, n):
@@ -20,7 +21,7 @@ def test_lowest_eigenpair_matches_dense(seed):
     w, v = np.linalg.eigh(dense)
     assert lam == pytest.approx(w[0], abs=1e-12)
     assert abs(abs(np.dot(psi, v[:, 0])) - 1.0) < 1e-10
-    assert res <= 1e-12 * kernels.gershgorin_norm_bound(d, e)
+    assert res <= 1e-12 * gershgorin_norm_bound(d, e)
     assert method == "lapack_bisection_inverse_iteration"
 
 
@@ -51,15 +52,6 @@ def test_diagonal_matrix_exact():
     assert np.argmax(np.abs(psi)) == 1
 
 
-def test_dense_fallback_consistent():
-    rng = np.random.RandomState(7)
-    d, e = _random_chain(rng, 64)
-    lam, psi, res, method = kernels.lowest_eigenpair_dense_fallback(d, e)
-    ref, _, _, _ = kernels.lowest_eigenpair(d, e)
-    assert lam == pytest.approx(ref, abs=1e-12)
-    assert method == "tridiagonal_full_fallback"
-
-
 def test_certificate_separates_the_lowest_eigenvalue():
     rng = np.random.RandomState(9)
     d, e = _random_chain(rng, 233)
@@ -77,7 +69,7 @@ def test_warm_start_from_a_perturbed_ground_state(seed):
     d, e = _random_chain(rng, 233)
     w, v = np.linalg.eigh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
     start = v[:, 0] + 1e-2 * rng.standard_normal(233) / np.sqrt(233)
-    norm = kernels.gershgorin_norm_bound(d, e)
+    norm = gershgorin_norm_bound(d, e)
     lam, psi, res, method = kernels.warm_eigenpair(d, e, start, norm)
     assert method == kernels.WARM_METHOD
     tol = res + 8.0 * np.finfo(float).eps * norm
@@ -91,7 +83,7 @@ def test_warm_start_from_the_second_state_is_not_certified():
     rng = np.random.RandomState(4)
     d, e = _random_chain(rng, 233)
     w, v = np.linalg.eigh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
-    norm = kernels.gershgorin_norm_bound(d, e)
+    norm = gershgorin_norm_bound(d, e)
     lam, psi, res, _ = kernels.warm_eigenpair(d, e, v[:, 1], norm)
     assert lam == pytest.approx(w[1], abs=1e-12)
     tol = res + 8.0 * np.finfo(float).eps * norm

@@ -5,7 +5,7 @@ from scipy.linalg import eigh_tridiagonal
 import cavityaa as ca
 from cavityaa import kernels
 from cavityaa.lattice import GOLDEN_BETA, LATTICE_CONSTANT
-from reference import f_eval
+from reference import f_eval, gershgorin_norm_bound
 
 L = 233
 
@@ -191,19 +191,23 @@ def _second_eigenpair(d, e):
     return float(w[0]), psi, float(np.linalg.norm(r)), "second_eigenpair"
 
 
-def test_ground_state_falls_back_on_an_excited_pair(wannier, dense_chain, monkeypatch):
+def test_ground_state_falls_back_on_an_excited_pair(wannier, monkeypatch):
+    # the cold path returns the second eigenpair: its residual passes, the
+    # certificate rejects it, and no other path is left
     t = wannier.t
     problem = ca.HubbardProblem(L=L, t=t, onsite=ca.onsite_aa(2.5 * t, GOLDEN_BETA, L))
     monkeypatch.setattr(kernels, "lowest_eigenpair", _second_eigenpair)
-    gs = ca.ground_state(problem)
-    w = np.linalg.eigvalsh(dense_chain(problem))
-    assert gs.method == "tridiagonal_full_fallback"
-    assert gs.energy == pytest.approx(w[0], abs=1e-13)
-    assert gs.certificate_margin > 0.0
+    margins = []
+    certify = kernels.certificate_margin
 
-    monkeypatch.setattr(kernels, "lowest_eigenpair_dense_fallback", _second_eigenpair)
+    def recording(*args):
+        margins.append(certify(*args))
+        return margins[-1]
+
+    monkeypatch.setattr(kernels, "certificate_margin", recording)
     with pytest.raises(ca.GroundStateError, match="eigenvalue below"):
         ca.ground_state(problem)
+    assert margins == [None]
 
 
 def test_warm_start_matches_the_dense_ground_state(wannier, dense_chain):
@@ -214,8 +218,7 @@ def test_warm_start_matches_the_dense_ground_state(wannier, dense_chain):
     start = v[:, 0] + 1e-3 * rng.standard_normal(L)
     gs = ca.ground_state(problem, start=start)
     assert gs.method == kernels.WARM_METHOD
-    norm_bound = kernels.gershgorin_norm_bound(problem.onsite.values,
-                                               np.full(L - 1, -t))
+    norm_bound = gershgorin_norm_bound(problem.onsite.values, np.full(L - 1, -t))
     tol = gs.residual + ca.model.CERTIFICATE_RTOL * norm_bound
     assert abs(gs.energy - w[0]) <= tol
     assert gs.certificate_margin > 0.0
@@ -231,7 +234,7 @@ def test_warm_start_on_the_second_state_falls_back_to_the_cold_solve(wannier,
     w, v = np.linalg.eigh(dense_chain(problem))
     offdiag = np.full(L - 1, -t)
     warm = kernels.warm_eigenpair(problem.onsite.values, offdiag, v[:, 1],
-                                  kernels.gershgorin_norm_bound(problem.onsite.values, offdiag))
+                                  gershgorin_norm_bound(problem.onsite.values, offdiag))
     assert warm[0] == pytest.approx(w[1], abs=1e-13)
     gs = ca.ground_state(problem, start=v[:, 1])
     cold = ca.ground_state(problem)
@@ -242,6 +245,39 @@ def test_warm_start_on_the_second_state_falls_back_to_the_cold_solve(wannier,
     assert gs.certificate_margin == cold.certificate_margin
     with pytest.raises(ValueError, match="start vector"):
         ca.ground_state(problem, start=v[:-1, 0])
+
+
+@pytest.mark.parametrize("peak_site", ["end", "interior"])
+@pytest.mark.parametrize("v0", [0.0, 1e-300, 0.05, 1e3])
+def test_scaled_norm_bound_is_the_gershgorin_bound(wannier, v0, peak_site):
+    # the O(1) bound from the unit profile's peaks equals the O(L) Gershgorin
+    # bound of the scaled chain bit for bit
+    t = wannier.t
+    unit = np.random.RandomState(5).uniform(-1.0, 1.0, L)
+    unit[0 if peak_site == "end" else L // 2] = -1.5
+    profile = ca.model.scale_profile(ca.model.unit_profile(unit, L), v0)
+    assert np.array_equal(profile.values, v0 * unit)
+    problem = ca.HubbardProblem(L=L, t=t, onsite=profile)
+    assert problem.norm_bound == gershgorin_norm_bound(profile.values,
+                                                       np.full(L - 1, -t))
+    unscaled = ca.HubbardProblem(L=L, t=t, onsite=ca.OnsiteProfile(v0 * unit, L))
+    assert unscaled.norm_bound == problem.norm_bound
+    empty = ca.HubbardProblem(L=L, t=0.0, onsite=ca.OnsiteProfile(0.0 * unit, L))
+    assert empty.norm_bound == gershgorin_norm_bound(np.zeros(L), np.zeros(L - 1)) == 1.0
+
+
+def test_scaled_profile_checks():
+    unit = ca.onsite_aa(1.0, GOLDEN_BETA, L)
+    with pytest.raises(ValueError, match="non-negative"):
+        ca.model.scale_profile(unit, -0.1)
+    with pytest.raises(ValueError, match="overflows"):
+        ca.model.scale_profile(ca.model.unit_profile(2.0 * unit.values, L),
+                               float(np.finfo(np.float64).max))
+    with pytest.raises(ValueError, match="non-finite"):
+        ca.model.unit_profile(np.where(unit.values > 0.9, np.nan, unit.values), L)
+    with pytest.raises(ValueError, match="arctan range"):
+        ca.model.unit_profile(1.6 * unit.values, L, arctan=True)
+    assert ca.model.unit_profile(1.5 * unit.values, L, arctan=True).peaks[0] <= 1.5
 
 
 def test_variational_and_gershgorin_bounds(scanner):

@@ -1,4 +1,7 @@
+import concurrent.futures
 import json
+import multiprocessing
+import types
 
 import numpy as np
 import pytest
@@ -294,6 +297,91 @@ def test_failed_point_leaves_its_column_unresolved(wannier, lattice_spec,
     assert est[0] == clean[0] and est[2] == clean[2]
 
 
+@pytest.mark.parametrize("defect", ["nan", "arctan_range"])
+def test_bad_unit_profile_fails_its_column(wannier, lattice_spec, monkeypatch,
+                                           defect):
+    # the column set-up checks the unit profile once; a defect fails every
+    # point of its column and no other
+    spec = _spec(lattice_spec, axis1=ca.Axis.log("v0", 0.01, 0.2, 6),
+                 axis2=ca.Axis("C", np.array([-2.0, -1.0, -0.5])))
+    clean = ca.run_sweep(spec, wannier=wannier).records
+    original = ca.sweep.onsite_cavity
+
+    def planted(wb, pot, L):
+        profile = original(wb, pot, L)
+        if pot.C != -1.0:
+            return profile
+        values = profile.values.copy()
+        values[L // 2] = np.nan if defect == "nan" else 1.6  # pi/2 < 1.6
+        return types.SimpleNamespace(values=values)
+
+    monkeypatch.setattr(ca.sweep, "onsite_cavity", planted)
+    result = ca.run_sweep(spec, wannier=wannier)
+    for k, (rec, ref) in enumerate(zip(result.records, clean)):
+        if k % 3 == 1:
+            assert rec.flags == "solve_failed:ValueError"
+            assert rec.solver == "unsolved"
+        else:
+            assert rec == ref
+    assert result.n_failed == 6
+
+
+def test_overflowing_strength_fails_its_point(wannier, lattice_spec):
+    huge = np.finfo(np.float64).max  # times the unit peak 1.08 overflows
+    spec = _spec(lattice_spec, axis1=ca.Axis("v0", np.array([0.05, 0.06, huge])),
+                 axis2=ca.Axis("C", np.array([-2.0])))
+    recs = ca.run_sweep(spec, wannier=wannier).records
+    assert [r.flags for r in recs] == ["", "", "solve_failed:ValueError"]
+    assert [r.solver for r in recs] == ["cold", "warm", "unsolved"]
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_workers_below_one_rejected(wannier, lattice_spec, workers):
+    with pytest.raises(ValueError, match="workers"):
+        ca.run_sweep(_spec(lattice_spec), wannier=wannier, workers=workers)
+
+
+class _InlinePool:
+    """ProcessPoolExecutor stand-in that runs each chunk at submit time."""
+
+    max_workers: list = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.max_workers.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("workers, pool_size", [(2, 2), (64, 3)])
+def test_pool_has_at_most_one_worker_per_chunk(wannier, lattice_spec,
+                                               monkeypatch, workers, pool_size):
+    # three columns make three chunks: a pool never gets more workers than
+    # that, and a single-column sweep runs without one
+    monkeypatch.setattr(_InlinePool, "max_workers", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(ca.sweep, "_WORKER_RUNTIME", None)
+    spec = _spec(lattice_spec, axis1=ca.Axis.log("v0", 0.01, 0.2, 6),
+                 axis2=ca.Axis("C", np.array([-2.0, -1.0, -0.5])))
+    serial = ca.csv_body(ca.run_sweep(spec, wannier=wannier))
+    assert ca.csv_body(ca.run_sweep(spec, wannier=wannier, workers=workers)) == serial
+    assert _InlinePool.max_workers == [pool_size]
+    column = _spec(lattice_spec, axis2=ca.Axis("C", np.array([-1.0])))
+    assert ca.csv_body(ca.run_sweep(column, wannier=wannier, workers=workers)) == \
+        ca.csv_body(ca.run_sweep(column, wannier=wannier))
+    assert _InlinePool.max_workers == [pool_size]
+    assert multiprocessing.active_children() == []
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_progress_reports_completion_once(wannier, lattice_spec, workers):
     spec = _spec(lattice_spec, axis1=ca.Axis.log("v0", 0.01, 0.12, 25))
@@ -316,6 +404,15 @@ def test_gamma_absent_flag(wannier, lattice_spec):
     rec = ca.run_sweep(spec, wannier=wannier).records[0]
     assert rec.gamma is None
     assert "gamma_absent" in rec.flags
+
+
+def test_fixed_depth_sets_the_lattice_depth(wannier, lattice_spec):
+    spec = _spec(lattice_spec, axis2=None,
+                 fixed={"C": -1.0, "delta_c_prime": 0.0, "W0": -12.0})
+    assert spec.lattice.depth_W0 == -12.0
+    # a basis at another depth would describe a chain the sweep never solves
+    with pytest.raises(ValueError, match="depth"):
+        ca.run_sweep(spec, wannier=wannier)
 
 
 def test_depth_axis_recomputes_wannier(lattice_spec):
