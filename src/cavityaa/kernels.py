@@ -4,11 +4,13 @@ The lowest eigenpair of a symmetric tridiagonal matrix comes from LAPACK
 bisection plus inverse iteration (``lowest_tridiagonal_pair``: ``dstebz`` then
 ``dstein``, the calls ``scipy.linalg.eigh_tridiagonal`` makes in select mode,
 without its per-call validation).  The chain ground state and the plane-wave
-band solve both use it; the chain falls back to a full diagonalization when
-the residual check or the lower-bound certificate (``certificate_margin``)
-fails.  Along a sweep column the chain can instead start from the previous
-point's state (``warm_eigenpair``): Rayleigh-quotient iteration finds the
-eigenvalue in a few tridiagonal solves, and ``dstein`` gives its vector.
+band solve both use it.  Along a sweep column the chain can instead start
+from the previous point's state (``warm_eigenpair``): Rayleigh-quotient
+iteration finds the eigenvalue in a few tridiagonal solves, and ``dstein``
+gives its vector; when that result fails the residual check or the
+lower-bound certificate (``certificate_margin``), the chain tries the
+bisection pair.  A chain point that fails both paths has no ground state
+(``model.GroundStateError``); there is no dense diagonalization.
 
 The onsite profile and the photon number both average an even, pi-periodic
 function g(beta z) over the Wannier density at every site.  ``site_average``

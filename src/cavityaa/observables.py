@@ -69,6 +69,23 @@ class LocalizationMetrics:
     window_sites: int
 
 
+def _far_quarter(dens: np.ndarray, n0: int) -> np.ndarray:
+    """A copy of the densities of the k = L // 4 sites farthest from site n0.
+
+    They are the sites a stable sort by distance puts last, so a tie goes
+    to the right-hand site: the first ``head`` sites and the last k - head.
+    Below L = 4 they are every site (k = L), which any head in [0, L] gives.
+    """
+    L = dens.shape[0]
+    k = L // 4 or L
+    excess = (L - 1 - n0) - n0  # how much farther the right end lies
+    if excess >= 0:
+        head = max(0, k - excess) // 2
+    else:
+        head = min(k, -excess) + max(0, k + excess) // 2
+    return np.concatenate((dens[:head], dens[L - k + head:]))
+
+
 def lyapunov_fit(state, opts: FitOptions = FitOptions()) -> LocalizationMetrics:
     """Exponential decay rate of the density around its peak.
 
@@ -84,42 +101,55 @@ def lyapunov_fit(state, opts: FitOptions = FitOptions()) -> LocalizationMetrics:
     dens = amp * amp
     L = dens.shape[0]
     n0 = int(np.argmax(dens))
-    dist = np.abs(np.arange(L) - n0)
-    far = np.argsort(dist, kind="stable")[-(L // 4):]
-    background = float(np.median(dens[far]))
+    far = _far_quarter(dens, n0)
+    # the median from its order statistic(s), NaN if any value is, as np.median
+    k = far.shape[0]
+    h = k // 2
+    if k % 2:
+        far.partition((h, -1))
+        background = float(far[h])
+    else:
+        far.partition((h - 1, h, -1))
+        background = float((far[h - 1] + far[h]) / 2.0)
+    if np.isnan(far[-1]):
+        background = float("nan")
     threshold = opts.background_factor * background
 
     # the window ends at the nearest site on each side not above threshold
     low = np.flatnonzero(~(dens > threshold))
-    k_lo, k_hi = np.searchsorted(low, [n0, n0 + 1])
-    lo = low[k_lo - 1] + 1 if k_lo > 0 else 0
-    hi = low[k_hi] - 1 if k_hi < low.shape[0] else L - 1
-    window = np.arange(lo, hi + 1)
-    base = dict(peak_site=n0 + 1, background_level=background,
-                window_sites=window.shape[0])
+    k_lo = int(low.searchsorted(n0))
+    k_hi = int(low.searchsorted(n0 + 1))
+    lo = int(low[k_lo - 1]) + 1 if k_lo > 0 else 0
+    hi = int(low[k_hi]) - 1 if k_hi < low.shape[0] else L - 1
+    m = hi + 1 - lo
+    base = dict(peak_site=n0 + 1, background_level=background, window_sites=m)
 
-    if window.shape[0] < opts.min_window_sites:
+    if m < opts.min_window_sites:
         return LocalizationMetrics(lyapunov_gamma=None, gamma_stderr=None,
                                    fit_r2=0.0, **base)
 
-    y = np.log(dens[window])
-    x = np.abs(window - n0).astype(np.float64)
-    design = np.column_stack([np.ones_like(x), x])
+    y = np.log(dens[lo:hi + 1])
+    x = np.abs(np.arange(lo - n0, hi + 1 - n0, dtype=np.float64))
+    design = np.empty((m, 2))
+    design[:, 0] = 1.0
+    design[:, 1] = x
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    pred = design @ coef
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    # sums as np.sum and means as np.mean compute them, without the wrappers
+    r = y - design @ coef
+    ss_res = float((r * r).sum())
+    r = y - y.sum() / m
+    ss_tot = float((r * r).sum())
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 0.0
     if r2 < opts.min_r2:
         return LocalizationMetrics(lyapunov_gamma=None, gamma_stderr=None,
                                    fit_r2=r2, **base)
 
     # slope standard error from the least-squares covariance
-    m = x.shape[0]
     stderr = None
     if m > 2:
         sigma2 = ss_res / (m - 2)
-        sxx = float(np.sum((x - x.mean()) ** 2))
+        r = x - x.sum() / m
+        sxx = float((r * r).sum())
         if sxx > 0.0:
             stderr = float(np.sqrt(sigma2 / sxx) / 2.0)
     return LocalizationMetrics(lyapunov_gamma=float(-coef[1] / 2.0),

@@ -245,7 +245,9 @@ class _Runtime:
         self._wannier_cache: dict[float, WannierBasis] = {}
         if wannier is not None:
             self._wannier_cache[wannier.depth_W0] = wannier
-        self._unit: tuple = (None, None)  # (key, unit profile) of the current column
+        # (key, unit profile, failed set-up's (exception type, args)) of the
+        # current column; one of the last two is None
+        self._unit: tuple = (None, None, None)
 
     def wannier_for(self, depth: float) -> WannierBasis:
         wb = self._wannier_cache.get(depth)
@@ -261,19 +263,27 @@ class _Runtime:
         That is ``onsite_cavity`` at v0 = 1, or cos(2 pi beta n) in aa mode.
         Its values must be finite, and a cavity profile's must lie in the
         arctan range; each point then only scales it (``scale_profile``).  A
-        set-up that fails is tried again at the next point, so every point
-        of its column fails.
+        set-up that fails is not tried again: every later point of its column
+        raises a fresh exception of the same type and message.
         """
         key = (wb.depth_W0, coop, dcp)
         if self._unit[0] != key:
             spec = self.spec
-            if spec.mode == "aa":
-                values = onsite_aa(1.0, spec.lattice.beta, spec.L).values
-            else:
-                pot = EffectivePotential.cavity(1.0, coop, dcp, beta=spec.lattice.beta)
-                values = onsite_cavity(wb, pot, spec.L).values
-            self._unit = (key, unit_profile(values, spec.L, arctan=spec.mode == "cavity"))
-        return self._unit[1]
+            try:
+                if spec.mode == "aa":
+                    values = onsite_aa(1.0, spec.lattice.beta, spec.L).values
+                else:
+                    pot = EffectivePotential.cavity(1.0, coop, dcp, beta=spec.lattice.beta)
+                    values = onsite_cavity(wb, pot, spec.L).values
+                unit = unit_profile(values, spec.L, arctan=spec.mode == "cavity")
+            except Exception as exc:
+                self._unit = (key, None, (type(exc), exc.args))
+                raise
+            self._unit = (key, unit, None)
+        _, unit, failure = self._unit
+        if failure is not None:
+            raise failure[0](*failure[1])
+        return unit
 
     def hoppings(self) -> dict:
         """(t, alpha) of every basis this process built or was given, by depth."""

@@ -5,6 +5,7 @@ import pytest
 
 import cavityaa as ca
 from cavityaa.lattice import GOLDEN_BETA, LATTICE_CONSTANT
+from cavityaa.observables import _far_quarter
 from reference import decay_fit_scan, photon_number_site_loop, thouless_reference
 
 L = 233
@@ -47,8 +48,8 @@ def test_lyapunov_fit_aa_thouless(scanner):
     assert metrics.window_sites >= 10
 
 
-def _planted(n0, rate):
-    psi = np.exp(-rate * np.abs(np.arange(L) - n0))
+def _planted(n0, rate, n_sites=L):
+    psi = np.exp(-rate * np.abs(np.arange(n_sites) - n0))
     return psi / np.linalg.norm(psi)
 
 
@@ -96,6 +97,38 @@ def test_lyapunov_fit_window_matches_site_scan_aa(wannier, n_sites, ratio):
     profile = ca.onsite_aa(2.0 * ratio * wannier.t, GOLDEN_BETA, n_sites)
     gs = ca.ground_state(ca.HubbardProblem(L=n_sites, t=wannier.t, onsite=profile))
     _assert_fit_matches_site_scan(gs.amplitudes)
+
+
+@pytest.mark.parametrize("n_sites", [3, 4, 5, 8, 233, 987])
+def test_far_quarter_is_the_stable_argsort_tail(n_sites):
+    sites = np.arange(n_sites, dtype=np.float64)  # each value names its site
+    for n0 in range(n_sites):
+        far = _far_quarter(sites, n0)
+        dist = np.abs(np.arange(n_sites) - n0)
+        expected = np.argsort(dist, kind="stable")[-(n_sites // 4):]
+        assert np.array_equal(np.sort(far), np.sort(expected).astype(np.float64))
+        assert not np.shares_memory(far, sites)
+
+
+# L < 4 (the far quarter is every site), odd and even far-quarter sizes, and
+# the peak at the centre of odd and even chains
+SMALL_AND_CENTERED = {
+    "L3": (_planted(1, 0.8, n_sites=3), ca.FitOptions(min_window_sites=3)),
+    "L3_edge_peak": (_planted(2, 0.8, n_sites=3), ca.FitOptions(min_window_sites=3)),
+    "L4": (_planted(1, 2.0, n_sites=4), ca.FitOptions(min_window_sites=3)),
+    "L4_edge_peak": (_planted(3, 2.0, n_sites=4), ca.FitOptions(min_window_sites=3)),
+    "odd_far_quarter": (_planted(13, 0.5, n_sites=28), ca.FitOptions()),
+    "odd_center": (_planted(116, 0.2, n_sites=233), ca.FitOptions()),
+    "even_center_left": (_planted(115, 0.2, n_sites=232), ca.FitOptions()),
+    "even_center_right": (_planted(116, 0.2, n_sites=232), ca.FitOptions()),
+}
+
+
+@pytest.mark.parametrize("name", list(SMALL_AND_CENTERED))
+def test_lyapunov_fit_matches_site_scan_small_and_centered(name):
+    psi, opts = SMALL_AND_CENTERED[name]
+    metrics = ca.lyapunov_fit(psi, opts)
+    assert dataclasses.asdict(metrics) == decay_fit_scan(psi, opts)
 
 
 def test_fit_options_validation():

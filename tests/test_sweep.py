@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import json
 import multiprocessing
 import types
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import cavityaa as ca
-from reference import photon_number_site_loop
+from reference import decay_fit_scan, photon_number_site_loop
 
 L = 233
 
@@ -153,6 +154,30 @@ def test_one_unit_profile_per_column(wannier, lattice_spec, monkeypatch):
             previous = gs.amplitudes
 
 
+def test_aa_gamma_is_the_scanned_decay_fit(wannier, lattice_spec):
+    # every record's gamma is the reference fit of its ground state, replayed
+    # column by column with each solve started from the previous state
+    t = wannier.t
+    depths = np.array([-15.0, -12.0])
+    spec = _spec(lattice_spec, axis1=ca.Axis.log("v0", 0.8 * t, 12.0 * t, 14),
+                 axis2=ca.Axis("W0", depths), mode="aa", fixed={},
+                 observables=("ipr", "gamma"), name="aa_gamma")
+    records = ca.run_sweep(spec).records
+    assert any(rec.gamma is None for rec in records)
+    assert sum(rec.gamma is not None for rec in records) >= 10
+    for j, depth in enumerate(depths):
+        lat = dataclasses.replace(lattice_spec, depth_W0=depth)
+        wb = ca.build_wannier(ca.solve_lowest_band(lat), lat)
+        previous = None
+        for rec in records[j::2]:
+            prof = ca.onsite_aa(rec.v0, lat.beta, L)
+            gs = ca.ground_state(ca.HubbardProblem(L=L, t=wb.t, onsite=prof),
+                                 start=previous)
+            assert rec.E0 == gs.energy
+            assert rec.gamma == decay_fit_scan(gs.amplitudes, spec.fit)["lyapunov_gamma"]
+            previous = gs.amplitudes
+
+
 @pytest.mark.parametrize("scan_first", [True, False], ids=["axis1", "axis2"])
 def test_warm_columns_are_worker_independent(wannier, lattice_spec, scan_first):
     # pool workers get whole columns, so serial and pooled runs start the
@@ -202,6 +227,36 @@ def test_series_past_the_cap_fails_the_point(wannier, lattice_spec):
     recs = ca.run_sweep(spec, wannier=wannier).records
     assert [r.flags for r in recs] == ["solve_failed:ValueError", "",
                                        "solve_failed:ValueError", ""]
+
+
+def test_failed_column_set_up_runs_once(wannier, lattice_spec, monkeypatch):
+    # the failing profile is built at the column's first point only; the
+    # rest of the column fails at once, as it failed before
+    calls = []
+    original = ca.sweep.onsite_cavity
+
+    def counting(wb, pot, L, *args, **kwargs):
+        calls.append(pot.C)
+        return original(wb, pot, L, *args, **kwargs)
+
+    monkeypatch.setattr(ca.sweep, "onsite_cavity", counting)
+    spec = _spec(lattice_spec, axis1=ca.Axis.log("v0", 0.01, 0.2, 40),
+                 axis2=ca.Axis("C", np.array([-1e6])))
+    recs = ca.run_sweep(spec, wannier=wannier).records
+    assert calls == [-1e6]
+    assert [r.flags for r in recs] == ["solve_failed:ValueError"] * 40
+    assert {r.solver for r in recs} == {"unsolved"}
+
+    # each later point raises a fresh exception with the first one's message
+    runtime = ca.sweep._Runtime(spec, wannier)
+    raised = []
+    for _ in range(3):
+        with pytest.raises(ValueError) as info:
+            runtime.column_profile(wannier, -1e6, 0.0)
+        raised.append(info.value)
+    assert len(calls) == 2
+    assert len({id(exc) for exc in raised}) == 3
+    assert {str(exc) for exc in raised} == {str(raised[0])}
 
 
 def test_sidecar_names_the_profile_methods(wannier, lattice_spec):
