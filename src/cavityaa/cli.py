@@ -14,6 +14,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -137,27 +138,31 @@ def cmd_ground_state(cfg: dict, out_dir: str) -> int:
 
 
 def _sweep_wannier(cfg: dict) -> WannierBasis | None:
-    """Basis shared by every grid point at lattice.depth_W0.
+    """Basis shared by every grid point: at sweep.fixed.W0 when one is given,
+    else at lattice.depth_W0.
 
-    None when a W0 axis or a fixed W0 sets the depth instead; ``run_sweep``
-    then builds the bases its points use.
+    None when a W0 axis sets the depth instead; ``run_sweep`` then builds the
+    bases its points use.
     """
-    axes = (cfg["sweep"]["axis1"], cfg["sweep"]["axis2"])
-    if "W0" in cfg["sweep"]["fixed"] or \
-            any(ax is not None and ax["name"] == "W0" for ax in axes):
+    sweep_cfg = cfg["sweep"]
+    if any(ax is not None and ax["name"] == "W0"
+           for ax in (sweep_cfg["axis1"], sweep_cfg["axis2"])):
         return None
-    return _build_wannier(cfg)[2]
+    spec = lattice_spec(cfg)
+    if "W0" in sweep_cfg["fixed"]:
+        spec = replace(spec, depth_W0=float(sweep_cfg["fixed"]["W0"]))
+    return build_wannier(solve_lowest_band(spec), spec)
 
 
 def _sweep_spec(cfg: dict, mode_override: str | None = None,
                 wannier: WannierBasis | None = None) -> SweepSpec:
-    """The configured sweep; unit 't' axes scale by the hopping of wannier."""
-    spec = lattice_spec(cfg)
+    """The configured sweep; unit 't' axes scale by the hopping of the basis
+    from ``_sweep_wannier``."""
     sweep_cfg = cfg["sweep"]
     needs_t = any(ax is not None and ax["unit"] == "t"
                   for ax in (sweep_cfg["axis1"], sweep_cfg["axis2"]))
     if needs_t and wannier is None:
-        wannier = build_wannier(solve_lowest_band(spec), spec)
+        wannier = _sweep_wannier(cfg)
     hopping = 0.0 if wannier is None else wannier.t
     axis1 = Axis(sweep_cfg["axis1"]["name"],
                  axis_values(sweep_cfg["axis1"], hopping))
@@ -167,8 +172,8 @@ def _sweep_spec(cfg: dict, mode_override: str | None = None,
                      axis_values(sweep_cfg["axis2"], hopping))
     mode = mode_override or cfg["model"]["mode"]
     return SweepSpec(
-        axis1=axis1, axis2=axis2, lattice=spec, L=int(cfg["model"]["L"]),
-        mode=mode, fixed=dict(sweep_cfg["fixed"]),
+        axis1=axis1, axis2=axis2, lattice=lattice_spec(cfg),
+        L=int(cfg["model"]["L"]), mode=mode, fixed=dict(sweep_cfg["fixed"]),
         observables=tuple(sweep_cfg["observables"]),
         pump=pump_config(cfg), fit=fit_options(cfg),
         name=sweep_cfg["name"],

@@ -209,12 +209,11 @@ def _validate(cfg: dict):
                 _require(axis["start"] > 0 and axis["stop"] > 0,
                          f"{key}.start", "log grids must be positive")
 
-    # a unit 't' grid is scaled by the hopping at lattice.depth_W0, which a
-    # W0 axis or a fixed W0 replaces
+    # a unit 't' grid is scaled by the hopping of the sweep's one basis, at
+    # sweep.fixed.W0 or lattice.depth_W0; a W0 axis has one basis per depth
     axes = {key: cfg["sweep"][key] for key in ("axis1", "axis2")
             if cfg["sweep"][key] is not None}
     depth = [f"sweep.{key}" for key, axis in axes.items() if axis["name"] == "W0"]
-    depth += ["sweep.fixed"] if "W0" in cfg["sweep"]["fixed"] else []
     for key, axis in axes.items():
         if depth and axis["name"] != "W0":
             _require(axis["unit"] != "t", f"sweep.{key}.unit",

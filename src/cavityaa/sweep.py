@@ -4,13 +4,14 @@ A sweep walks a one- or two-axis grid; per grid point it maps physical pump
 parameters to model parameters when needed, scales the unit-strength onsite
 profile by v0, solves the chain ground state and evaluates the requested
 observables.  The strength (v0, or eta^2 in pump sweeps) only scales the
-cavity profile, so the points that share (W0, C, delta') form a column:
-it runs in increasing strength, computes one unit profile, and starts each
-ground-state solve from the previous point's state.  Columns split only at
-grid-fixed points, and whole runs of a column are the work items of a
-process pool, so results are deterministic and worker-count-independent:
-records are keyed by flat grid index and reassembled in row-major order
-(axis1 outer, axis2 inner).
+cavity profile, so the points that share (W0, C, delta') form a column,
+the unit of work: it sets up its basis and unit profile once, runs in
+increasing strength with each ground-state solve started from the previous
+point's state, and estimates its own transition.  A column is never split;
+chunks of whole columns run in this process or on a process pool, so
+results are deterministic and worker-count-independent: records are keyed
+by flat grid index and reassembled in row-major order (axis1 outer, axis2
+inner).
 
 Axes may be model parameters (v0, C, delta_c_prime, W0) or physical pump
 parameters (eta, U0, delta_c) in units of the cavity linewidth kappa; the
@@ -235,19 +236,16 @@ class SweepResult:
         return sum(1 for r in self.records if "solve_failed" in r.flags)
 
 
-# --- per-point evaluation ---------------------------------------------------
+# --- columns -----------------------------------------------------------------
 
 class _Runtime:
-    """Per-process state shared by all grid points of one sweep."""
+    """Per-process state shared by all columns of one sweep: its bases."""
 
     def __init__(self, spec: SweepSpec, wannier: WannierBasis | None):
         self.spec = spec
         self._wannier_cache: dict[float, WannierBasis] = {}
         if wannier is not None:
             self._wannier_cache[wannier.depth_W0] = wannier
-        # (key, unit profile, failed set-up's (exception type, args)) of the
-        # current column; one of the last two is None
-        self._unit: tuple = (None, None, None)
 
     def wannier_for(self, depth: float) -> WannierBasis:
         wb = self._wannier_cache.get(depth)
@@ -256,38 +254,6 @@ class _Runtime:
             wb = build_wannier(solve_lowest_band(spec), spec)
             self._wannier_cache[depth] = wb
         return wb
-
-    def column_profile(self, wb: WannierBasis, coop: float, dcp: float) -> OnsiteProfile:
-        """The column's profile at v0 = 1, built and checked at its first point.
-
-        That is ``onsite_cavity`` at v0 = 1, or cos(2 pi beta n) in aa mode.
-        Its values must be finite, and a cavity profile's must lie in the
-        arctan range; each point then only scales it (``scale_profile``).  A
-        set-up that fails is not tried again: every later point of its column
-        raises a fresh exception of the same type and message.
-        """
-        key = (wb.depth_W0, coop, dcp)
-        if self._unit[0] != key:
-            spec = self.spec
-            try:
-                if spec.mode == "aa":
-                    values = onsite_aa(1.0, spec.lattice.beta, spec.L).values
-                else:
-                    pot = EffectivePotential.cavity(1.0, coop, dcp, beta=spec.lattice.beta)
-                    values = onsite_cavity(wb, pot, spec.L).values
-                unit = unit_profile(values, spec.L, arctan=spec.mode == "cavity")
-            except Exception as exc:
-                self._unit = (key, None, (type(exc), exc.args))
-                raise
-            self._unit = (key, unit, None)
-        _, unit, failure = self._unit
-        if failure is not None:
-            raise failure[0](*failure[1])
-        return unit
-
-    def hoppings(self) -> dict:
-        """(t, alpha) of every basis this process built or was given, by depth."""
-        return {depth: (wb.t, wb.alpha) for depth, wb in self._wannier_cache.items()}
 
 
 def _point_params(spec: SweepSpec, i1: int, i2: int) -> dict:
@@ -327,70 +293,119 @@ def _solver_kind(warm: bool, method: str) -> str:
     return "select_fallback" if warm else "cold"
 
 
-def _evaluate_point(runtime: _Runtime, flat_index: int, start=None):
-    """The point's record and ground state (None when the point failed).
+def _unit_profile(spec: SweepSpec, wb: WannierBasis, coop: float,
+                  dcp: float) -> OnsiteProfile:
+    """The column's profile at v0 = 1, checked once for all its points.
 
-    start, the ground state of the previous point of the column, is handed
-    to ``ground_state`` as its warm start.
+    That is ``onsite_cavity`` at v0 = 1, or cos(2 pi beta n) in aa mode.  Its
+    values must be finite, and a cavity profile's must lie in the arctan
+    range; each point then only scales it (``scale_profile``).
     """
-    spec = runtime.spec
-    n2 = spec.shape[1]
-    i1, i2 = divmod(flat_index, n2)
-    params = _point_params(spec, i1, i2)
-    ax2 = float(spec.axis2.values[i2]) if spec.axis2 is not None else None
-    flags = []
-    v0 = coop = dcp = float("nan")
-    e0 = p_x = gamma = nbar = gs = None
-    solver = "unsolved"
-    try:
-        v0, coop, dcp, zeta = _resolve_model_params(spec.pump, params)
-        wb = runtime.wannier_for(params.get("W0", spec.lattice.depth_W0))
-        profile = scale_profile(runtime.column_profile(wb, coop, dcp), v0)
-        problem = HubbardProblem(L=spec.L, t=wb.t, onsite=profile)
-        gs = ground_state(problem, start=start)
-        solver = _solver_kind(start is not None, gs.method)
-        e0 = gs.energy
-        p_x = ipr(gs)
-        if "gamma" in spec.observables:
-            metrics = lyapunov_fit(gs, spec.fit)
-            gamma = metrics.lyapunov_gamma
-            if gamma is None:
-                flags.append("gamma_absent")
-        if "nbar" in spec.observables:
-            nbar = photon_number(gs, wb, zeta, delta_c=dcp, U0=coop)
-    except Exception as exc:  # per-point failures never abort the sweep
-        flags.append(f"solve_failed:{type(exc).__name__}")
-        gs = None
-    if spec.mode == "aa":  # the bichromatic profile has no C or delta'
-        coop = dcp = 0.0
-    record = SweepRecord(
-        axis1=float(spec.axis1.values[i1]), axis2=ax2,
-        v0=v0, C=coop, delta_c_prime=dcp,
-        E0=_nan(e0), ipr=_nan(p_x), gamma=gamma, nbar=nbar,
-        flags=";".join(flags), solver=solver,
-    )
-    return record, gs
+    if spec.mode == "aa":
+        values = onsite_aa(1.0, spec.lattice.beta, spec.L).values
+    else:
+        pot = EffectivePotential.cavity(1.0, coop, dcp, beta=spec.lattice.beta)
+        values = onsite_cavity(wb, pot, spec.L).values
+    return unit_profile(values, spec.L, arctan=spec.mode == "cavity")
 
 
 def _nan(value) -> float:
     return float("nan") if value is None else float(value)
 
 
-def _run_column(runtime: _Runtime, column: list) -> list:
-    """(flat index, record) of each point; each solve starts from the last.
+def _run_column(runtime: _Runtime, column: list) -> tuple[list, dict | None]:
+    """(flat index, record) of each point of a column, and its transition.
 
-    The column's first point, and any point after a failed one, start cold.
+    The column's first point whose parameters resolve builds the basis and
+    the unit profile; when that set-up fails, it and every later point that
+    resolves fail with its error type.  The points run in solve order
+    (increasing strength), each solve started from the previous point's
+    ground state; the first solve, and any after a failed point, start
+    cold.  The transition estimate reads the records in that order; it is
+    None unless the sweep asks for "vc" along a strength axis.
     """
-    out = []
-    start = None
+    spec = runtime.spec
+    pairs = []
+    wb = unit = start = column_params = None
+    set_up_failed = ""
     for i in column:
-        rec, gs = _evaluate_point(runtime, i, start)
+        i1, i2 = divmod(i, spec.shape[1])
+        params = _point_params(spec, i1, i2)
+        flags = []
+        v0 = coop = dcp = float("nan")
+        e0 = p_x = gamma = nbar = gs = None
+        solver = "unsolved"
+        try:
+            v0, coop, dcp, zeta = _resolve_model_params(spec.pump, params)
+            if column_params is None:  # the column's set-up
+                column_params = (coop, dcp)
+                try:
+                    wb = runtime.wannier_for(params.get("W0", spec.lattice.depth_W0))
+                    unit = _unit_profile(spec, wb, coop, dcp)
+                except Exception as exc:
+                    set_up_failed = f"solve_failed:{type(exc).__name__}"
+            if set_up_failed:
+                flags.append(set_up_failed)
+            else:
+                problem = HubbardProblem(L=spec.L, t=wb.t,
+                                         onsite=scale_profile(unit, v0))
+                gs = ground_state(problem, start=start)
+                solver = _solver_kind(start is not None, gs.method)
+                e0 = gs.energy
+                p_x = ipr(gs)
+                if "gamma" in spec.observables:
+                    gamma = lyapunov_fit(gs, spec.fit).lyapunov_gamma
+                    if gamma is None:
+                        flags.append("gamma_absent")
+                if "nbar" in spec.observables:
+                    nbar = photon_number(gs, wb, zeta, delta_c=dcp, U0=coop)
+        except Exception as exc:  # per-point failures never abort the sweep
+            flags.append(f"solve_failed:{type(exc).__name__}")
+            gs = None
         start = None if gs is None else gs.amplitudes
-        out.append((i, rec))
-    return out
+        if spec.mode == "aa":  # the bichromatic profile has no C or delta'
+            coop = dcp = 0.0
+        pairs.append((i, SweepRecord(
+            axis1=params[spec.axis1.name],
+            axis2=None if spec.axis2 is None else params[spec.axis2.name],
+            v0=v0, C=coop, delta_c_prime=dcp,
+            E0=_nan(e0), ipr=_nan(p_x), gamma=gamma, nbar=nbar,
+            flags=";".join(flags), solver=solver)))
+
+    scan = _scan_axis(spec)
+    if "vc" not in spec.observables or scan is None:
+        return pairs, None
+    other = spec.axis2 if scan is spec.axis1 else spec.axis1
+    entry = {"t": None if wb is None else wb.t}
+    if other is not None:
+        entry[other.name] = params[other.name]
+    kwargs = {}
+    if spec.mode == "cavity" and wb is not None:
+        kwargs = dict(hopping=wb.t, alpha=wb.alpha, C=column_params[0],
+                      delta_c_prime=column_params[1])
+    v0s = [rec.v0 for _, rec in pairs]
+    try:
+        est = detect_transition(v0s, [rec.ipr for _, rec in pairs], **kwargs)
+    except ValueError as exc:
+        entry.update(v_c_numerical=None, v_c_analytic=None, unresolved=True,
+                     error=str(exc))
+        return pairs, entry
+    entry.update(v_c_numerical=est.v_c_numerical, v_c_analytic=est.v_c_analytic,
+                 unresolved=est.unresolved, method=est.method)
+    if est.unresolved:
+        entry.update(edge=est.edge, v0_range=[v0s[0], v0s[-1]])
+    return pairs, entry
 
 
 # --- execution ---------------------------------------------------------------
+
+def _scan_axis(spec: SweepSpec) -> Axis | None:
+    """The axis that scans the strength (v0 or eta), if the grid has one."""
+    for axis in (spec.axis1, spec.axis2):
+        if axis is not None and axis.name in SCAN_AXES:
+            return axis
+    return None
+
 
 def _solve_columns(spec: SweepSpec) -> list:
     """Flat indices in solve order, one list per column.
@@ -401,14 +416,12 @@ def _solve_columns(spec: SweepSpec) -> list:
     depend on the grid alone, never on the worker count.
     """
     n1, n2 = spec.shape
-    flat = np.arange(n1 * n2).reshape(n1, n2)
-    if spec.axis1.name in SCAN_AXES:
-        columns = flat.T[:, np.argsort(spec.axis1.values, kind="stable")]
-    elif spec.axis2 is not None and spec.axis2.name in SCAN_AXES:
-        columns = flat[:, np.argsort(spec.axis2.values, kind="stable")]
-    else:
+    scan = _scan_axis(spec)
+    if scan is None:
         return [[i] for i in range(n1 * n2)]
-    return columns.tolist()
+    flat = np.arange(n1 * n2).reshape(n1, n2)
+    order = np.argsort(scan.values, kind="stable")
+    return (flat.T[:, order] if scan is spec.axis1 else flat[:, order]).tolist()
 
 
 _WORKER_RUNTIME: _Runtime | None = None
@@ -419,11 +432,9 @@ def _init_worker(spec: SweepSpec, wannier: WannierBasis | None):
     _WORKER_RUNTIME = _Runtime(spec, wannier)
 
 
-def _run_chunk(columns: list) -> tuple[list, dict]:
-    """Records of whole columns, and the hoppings of the bases used."""
-    out = [pair for column in columns
-           for pair in _run_column(_WORKER_RUNTIME, column)]
-    return out, _WORKER_RUNTIME.hoppings()
+def _run_chunk(columns: list, runtime: _Runtime | None = None) -> list:
+    """``_run_column`` of whole columns, in the pool worker's runtime by default."""
+    return [_run_column(runtime or _WORKER_RUNTIME, column) for column in columns]
 
 
 def _chunks(columns: list, workers: int) -> list:
@@ -442,6 +453,26 @@ def _chunks(columns: list, workers: int) -> list:
     return chunks
 
 
+def _completed_chunks(spec: SweepSpec, wannier: WannierBasis | None,
+                      chunks: list, workers: int):
+    """(chunk index, ``_run_chunk`` output) of each chunk as it completes.
+
+    Inline in this process when workers == 1 or there is one chunk, else on
+    a process pool of at most one worker per chunk.
+    """
+    if workers == 1 or len(chunks) == 1:
+        runtime = _Runtime(spec, wannier)
+        for k, chunk in enumerate(chunks):
+            yield k, _run_chunk(chunk, runtime)
+        return
+    with concurrent.futures.ProcessPoolExecutor(
+            max_workers=min(workers, len(chunks)), initializer=_init_worker,
+            initargs=(spec, wannier)) as pool:
+        futures = {pool.submit(_run_chunk, chunk): k for k, chunk in enumerate(chunks)}
+        for fut in concurrent.futures.as_completed(futures):
+            yield futures[fut], fut.result()
+
+
 def run_sweep(spec: SweepSpec, wannier: WannierBasis | None = None,
               workers: int = 1, progress=None) -> SweepResult:
     """Execute the sweep and collect one record per grid point.
@@ -449,14 +480,13 @@ def run_sweep(spec: SweepSpec, wannier: WannierBasis | None = None,
     The Wannier basis at ``spec.lattice``'s depth is computed once (or taken
     from the caller; one at another depth raises ValueError) and shared
     read-only; a W0 axis builds one per depth, in the process that first
-    needs it.  Points run column by column (``_solve_columns``), each solve
-    warm-started from the previous point's ground state; with workers > 1
-    whole columns are chunked over a process pool of at most one worker per
-    chunk, so a single column runs in one worker, and a sweep that makes a
-    single chunk runs in this process.  Results are identical to a serial
-    run.  workers < 1 raises ValueError.  progress, when given, is called as
-    progress(done, total) every 50 points (serial) or after each completed
-    chunk (pool), and once with done == total at the end.
+    needs it.  Whole columns (``_solve_columns``) are grouped into chunks
+    (``_chunks``); each column runs warm-started in increasing strength and
+    estimates its own transition (``_run_column``).  The chunks run in this
+    process when workers == 1 or there is one chunk, else on a process
+    pool; results are identical either way.  workers < 1 raises
+    ValueError.  progress, when given, is called as progress(done, total)
+    after each completed chunk, and once with done == total at the end.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -468,44 +498,27 @@ def run_sweep(spec: SweepSpec, wannier: WannierBasis | None = None,
                              f"at {spec.lattice.depth_W0}")
     n = spec.n_points
     records: list = [None] * n
-    columns = _solve_columns(spec)
-    chunks = _chunks(columns, workers) if workers > 1 else [columns]
-    if len(chunks) == 1:
-        runtime = _Runtime(spec, wannier)
-        done = 0
-        for column in columns:
-            for i, rec in _run_column(runtime, column):
+    chunks = _chunks(_solve_columns(spec), workers)
+    estimates: list = [[] for _ in chunks]
+    done = 0
+    for k, columns in _completed_chunks(spec, wannier, chunks, workers):
+        for pairs, entry in columns:
+            for i, rec in pairs:
                 records[i] = rec
-                done += 1
-                if progress is not None and done % 50 == 0 and done < n:
-                    progress(done, n)
-        hoppings = runtime.hoppings()
-    else:
-        done = 0
-        hoppings = {}
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=min(workers, len(chunks)), initializer=_init_worker,
-                initargs=(spec, wannier)) as pool:
-            futures = [pool.submit(_run_chunk, chunk) for chunk in chunks]
-            for fut in concurrent.futures.as_completed(futures):
-                pairs, chunk_hoppings = fut.result()
-                hoppings.update(chunk_hoppings)
-                for i, rec in pairs:
-                    records[i] = rec
-                    done += 1
-                if progress is not None and done < n:
-                    progress(done, n)
+            done += len(pairs)
+            if entry is not None:
+                estimates[k].append(entry)
+        if progress is not None and done < n:
+            progress(done, n)
     if progress is not None:
         progress(n, n)
 
     metadata = _build_metadata(spec, wannier)
     metadata["solver_counts"] = {kind: sum(1 for rec in records if rec.solver == kind)
                                  for kind in SOLVER_KINDS}
-    result = SweepResult(records=records, metadata=metadata)
     if "vc" in spec.observables:
-        metadata["transition_estimates"] = _transition_estimates(spec, result, hoppings)
-    return result
-
+        metadata["transition_estimates"] = [e for chunk in estimates for e in chunk]
+    return SweepResult(records=records, metadata=metadata)
 
 def _build_metadata(spec: SweepSpec, wannier: WannierBasis | None) -> dict:
     axes = {"axis1": {"name": spec.axis1.name,
@@ -556,50 +569,6 @@ def _methods(spec: SweepSpec) -> dict:
     if "nbar" in spec.observables:
         methods["photon_number"] = "harmonic_series"
     return methods
-
-
-def _transition_estimates(spec: SweepSpec, result: SweepResult,
-                          hoppings: dict) -> list:
-    """Per-column critical points when v0 (or eta) is one of the axes.
-
-    hoppings maps each depth the sweep built a basis for to its (t, alpha);
-    each column reads its own depth's.
-    """
-    if spec.axis1.name in SCAN_AXES:
-        other = spec.axis2
-    elif spec.axis2 is not None and spec.axis2.name in SCAN_AXES:
-        other = spec.axis1
-    else:
-        return []
-    grid = np.array([rec.v0 for rec in result.records]).reshape(spec.shape)
-    iprs = np.array([rec.ipr for rec in result.records]).reshape(spec.shape)
-    if other is spec.axis1:
-        columns = [(i, 0, grid[i], iprs[i]) for i in range(spec.shape[0])]
-    else:
-        columns = [(0, j, grid[:, j], iprs[:, j]) for j in range(spec.shape[1])]
-    out = []
-    for i1, i2, v0s, curve in columns:
-        params = _point_params(spec, i1, i2)
-        t, alpha = hoppings.get(params.get("W0", spec.lattice.depth_W0), (None, None))
-        entry = {"t": t}
-        if other is not None:
-            entry[other.name] = params[other.name]
-        try:
-            _, coop, dcp, _ = _resolve_model_params(spec.pump, params)
-            kwargs = {}
-            if spec.mode == "cavity" and t is not None and coop:
-                kwargs = dict(hopping=t, alpha=alpha, C=coop, delta_c_prime=dcp)
-            est = detect_transition(v0s, curve, **kwargs)
-            entry.update(v_c_numerical=est.v_c_numerical,
-                         v_c_analytic=est.v_c_analytic,
-                         unresolved=est.unresolved, method=est.method)
-            if est.unresolved:
-                entry.update(edge=est.edge, v0_range=[v0s[0], v0s[-1]])
-        except ValueError as exc:
-            entry.update(v_c_numerical=None, v_c_analytic=None,
-                         unresolved=True, error=str(exc))
-        out.append(entry)
-    return out
 
 
 # --- serialization -----------------------------------------------------------

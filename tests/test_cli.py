@@ -270,11 +270,24 @@ def test_unit_t_beside_a_depth_axis_exit_code(capsys, tmp_path, scan_key):
     assert not list(tmp_path.glob("*.csv"))
 
 
-def test_unit_t_beside_a_fixed_depth_exit_code(capsys, tmp_path):
-    # points run at the fixed W0 = -12, but the grid would be in t(-15)
+def test_unit_t_beside_a_fixed_depth_scales_by_its_hopping(capsys, tmp_path,
+                                                           monkeypatch):
+    # points run at the fixed W0 = -12, so the grid is in t(-12), not t(-15),
+    # and the one basis built for that hopping is the one the sweep uses
+    builds = []
+
+    def counting(build):
+        def wrapper(*args, **kwargs):
+            builds.append(args[1].depth_W0)
+            return build(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "build_wannier", counting(cli.build_wannier))
+    monkeypatch.setattr(sweep, "build_wannier", counting(sweep.build_wannier))
     doc = {
         "lattice": {"depth_W0": -15.0},
         "sweep": {
+            "name": "fixed_t",
             "axis1": {"name": "v0", "scale": "log", "start": 0.5, "stop": 5.0,
                       "num": 4, "unit": "t"},
             "fixed": {"C": -1.0, "W0": -12.0},
@@ -283,8 +296,12 @@ def test_unit_t_beside_a_fixed_depth_exit_code(capsys, tmp_path):
     cfg = write_cfg(tmp_path, doc)
     code, out, err = run_cli(capsys, "sweep", "--config", cfg,
                              "--out", str(tmp_path))
-    assert code == 2
-    assert "sweep.axis1.unit" in err and "sweep.fixed (W0)" in err
+    assert code == 0
+    assert builds == [-12.0]
+    spec = ca.LatticeSpec(depth_W0=-12.0)
+    wb = ca.build_wannier(ca.solve_lowest_band(spec), spec)
+    _, rows = ca.read_csv(tmp_path / "fixed_t_v0xnone.csv")
+    assert rows[0]["v0"] == 0.5 * wb.t
 
 
 def test_fixed_depth_is_the_lattice_depth(capsys, tmp_path, monkeypatch):
@@ -331,7 +348,7 @@ def test_workers_below_one_exit_code(capsys, tmp_path, workers):
 
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
 def test_shipped_config_is_worker_independent(capsys, tmp_path, path):
-    bodies = []
+    bodies, metadatas = [], []
     for workers in ("1", "2"):
         out = tmp_path / f"workers{workers}"
         code, *_ = run_cli(capsys, "sweep", "--config", str(path),
@@ -339,7 +356,13 @@ def test_shipped_config_is_worker_independent(capsys, tmp_path, path):
         assert code == 0
         (csv_path,) = out.glob("*.csv")
         bodies.append(csv_path.read_bytes())
+        (sidecar,) = out.glob("*.meta.json")
+        metadata = json.loads(sidecar.read_text())["metadata"]
+        del metadata["timestamp"]
+        metadatas.append(metadata)
     assert bodies[0] == bodies[1]
+    # the transition estimates run where their columns ran
+    assert metadatas[0] == metadatas[1]
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

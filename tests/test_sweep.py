@@ -231,7 +231,7 @@ def test_series_past_the_cap_fails_the_point(wannier, lattice_spec):
 
 def test_failed_column_set_up_runs_once(wannier, lattice_spec, monkeypatch):
     # the failing profile is built at the column's first point only; the
-    # rest of the column fails at once, as it failed before
+    # rest of the column fails at once, with the same error type
     calls = []
     original = ca.sweep.onsite_cavity
 
@@ -246,17 +246,6 @@ def test_failed_column_set_up_runs_once(wannier, lattice_spec, monkeypatch):
     assert calls == [-1e6]
     assert [r.flags for r in recs] == ["solve_failed:ValueError"] * 40
     assert {r.solver for r in recs} == {"unsolved"}
-
-    # each later point raises a fresh exception with the first one's message
-    runtime = ca.sweep._Runtime(spec, wannier)
-    raised = []
-    for _ in range(3):
-        with pytest.raises(ValueError) as info:
-            runtime.column_profile(wannier, -1e6, 0.0)
-        raised.append(info.value)
-    assert len(calls) == 2
-    assert len({id(exc) for exc in raised}) == 3
-    assert {str(exc) for exc in raised} == {str(raised[0])}
 
 
 def test_sidecar_names_the_profile_methods(wannier, lattice_spec):
@@ -542,6 +531,31 @@ def test_photon_number_registration_across_u0_zero(wannier, lattice_spec, pump_m
         expected = photon_number_site_loop(gs.amplitudes, wannier, zeta,
                                            rec.delta_c_prime, rec.C)
         assert rec.nbar == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("mode, grid", [("aa", (0.01, 0.3, 40)),
+                                        ("cavity", (1e-4, 1e-3, 20))],
+                         ids=["resolved", "unresolved"])
+def test_descending_strength_axis_estimates_its_transition(wannier, lattice_spec,
+                                                           mode, grid):
+    # a column reads its records in solve order, increasing strength, so a
+    # descending grid gives the ascending grid's records and estimate
+    ascending = ca.Axis.log("v0", *grid)
+    estimates, records = [], []
+    for axis in (ascending, ca.Axis("v0", ascending.values[::-1])):
+        spec = _spec(lattice_spec, axis1=axis, axis2=ca.Axis("C", np.array([-1.0])),
+                     mode=mode, observables=("ipr", "vc"))
+        result = ca.run_sweep(spec, wannier=wannier)
+        (entry,) = result.metadata["transition_estimates"]
+        estimates.append(entry)
+        records.append(sorted(result.records, key=lambda rec: rec.v0))
+    assert estimates[0] == estimates[1]
+    assert records[0] == records[1]
+    if mode == "aa":
+        assert estimates[0]["unresolved"] is False
+        assert estimates[0]["v_c_numerical"] == pytest.approx(2.0 * wannier.t, rel=0.05)
+    else:
+        assert estimates[0]["v0_range"] == [ascending.values[0], ascending.values[-1]]
 
 
 def test_unresolved_transition_names_its_edge(wannier, lattice_spec):
