@@ -1,10 +1,11 @@
 """Command-line surface: wannier diagnostics, single solves, sweeps.
 
 Commands: ``wannier``, ``ground-state``, ``sweep``, ``baseline-aa``.  All
-scientific parameters live in a single JSON config (see config.DEFAULTS);
-flags only pick the config file, the output directory and the worker count.
-Exit codes: 0 success, 2 invalid configuration or a worker count below 1,
-3 sweep with more than 1% failed grid points.
+scientific parameters live in a single JSON config (see config.DEFAULTS),
+checked whole when it loads, whatever the command; flags only pick the
+config file, the output directory and the worker count.  Exit codes:
+0 success, 2 invalid configuration or a worker count below 1, 3 sweep with
+more than 1% failed grid points.
 """
 
 from __future__ import annotations
@@ -14,20 +15,18 @@ import csv
 import json
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from ._version import __version__
-from .config import (ConfigError, axis_values, effective_config,
-                     fit_options, lattice_spec, load_config, pump_config)
-from .lattice import (WannierBasis, band_tightbinding_residual, build_wannier,
-                      solve_lowest_band)
+from .config import (ConfigError, effective_config, fit_options, lattice_spec,
+                     load_config, pump_config, sweep_spec)
+from .lattice import band_tightbinding_residual, build_wannier, solve_lowest_band
 from .model import (EffectivePotential, HubbardProblem, ground_state,
                     onsite_aa, onsite_cavity)
 from .observables import critical_v_cav, ipr, lyapunov_fit, photon_number
-from .sweep import (Axis, SweepSpec, _resolve_model_params, default_filename,
-                    export_csv, run_sweep)
+from .sweep import (_resolve_model_params, default_filename, export_csv,
+                    run_sweep)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -137,61 +136,27 @@ def cmd_ground_state(cfg: dict, out_dir: str) -> int:
     return EXIT_OK
 
 
-def _sweep_wannier(cfg: dict) -> WannierBasis | None:
-    """Basis shared by every grid point: at sweep.fixed.W0 when one is given,
-    else at lattice.depth_W0.
+def cmd_sweep(cfg: dict, out_dir: str, workers: int) -> int:
+    """Run the configured sweep and write CSV + metadata sidecar.
 
-    None when a W0 axis sets the depth instead; ``run_sweep`` then builds the
-    bases its points use.
+    A unit 't' grid needs the hopping before the sweep runs: the basis that
+    gives it is built at the spec's own lattice and handed to ``run_sweep``.
+    Otherwise ``run_sweep`` builds the bases its points use.
     """
-    sweep_cfg = cfg["sweep"]
-    if any(ax is not None and ax["name"] == "W0"
-           for ax in (sweep_cfg["axis1"], sweep_cfg["axis2"])):
-        return None
-    spec = lattice_spec(cfg)
-    if "W0" in sweep_cfg["fixed"]:
-        spec = replace(spec, depth_W0=float(sweep_cfg["fixed"]["W0"]))
-    return build_wannier(solve_lowest_band(spec), spec)
-
-
-def _sweep_spec(cfg: dict, mode_override: str | None = None,
-                wannier: WannierBasis | None = None) -> SweepSpec:
-    """The configured sweep; unit 't' axes scale by the hopping of the basis
-    from ``_sweep_wannier``."""
-    sweep_cfg = cfg["sweep"]
-    needs_t = any(ax is not None and ax["unit"] == "t"
-                  for ax in (sweep_cfg["axis1"], sweep_cfg["axis2"]))
-    if needs_t and wannier is None:
-        wannier = _sweep_wannier(cfg)
-    hopping = 0.0 if wannier is None else wannier.t
-    axis1 = Axis(sweep_cfg["axis1"]["name"],
-                 axis_values(sweep_cfg["axis1"], hopping))
-    axis2 = None
-    if sweep_cfg["axis2"] is not None:
-        axis2 = Axis(sweep_cfg["axis2"]["name"],
-                     axis_values(sweep_cfg["axis2"], hopping))
-    mode = mode_override or cfg["model"]["mode"]
-    return SweepSpec(
-        axis1=axis1, axis2=axis2, lattice=lattice_spec(cfg),
-        L=int(cfg["model"]["L"]), mode=mode, fixed=dict(sweep_cfg["fixed"]),
-        observables=tuple(sweep_cfg["observables"]),
-        pump=pump_config(cfg), fit=fit_options(cfg),
-        name=sweep_cfg["name"],
-    )
-
-
-def _run_and_export(cfg: dict, out_dir: str, workers: int,
-                    mode_override: str | None = None) -> int:
-    wannier = _sweep_wannier(cfg)
-    sweep_spec = _sweep_spec(cfg, mode_override, wannier)
-    total = sweep_spec.n_points
+    spec = sweep_spec(cfg)
+    wannier = None
+    if any(ax is not None and ax["unit"] == "t"
+           for ax in (cfg["sweep"]["axis1"], cfg["sweep"]["axis2"])):
+        wannier = build_wannier(solve_lowest_band(spec.lattice), spec.lattice)
+        spec = sweep_spec(cfg, wannier.t)
+    total = spec.n_points
 
     def progress(done, n):
-        print(f"sweep {sweep_spec.name}: {done}/{n}", file=sys.stderr)
+        print(f"sweep {spec.name}: {done}/{n}", file=sys.stderr)
 
-    result = run_sweep(sweep_spec, wannier=wannier, workers=workers,
+    result = run_sweep(spec, wannier=wannier, workers=workers,
                        progress=progress)
-    path = os.path.join(out_dir, default_filename(sweep_spec))
+    path = os.path.join(out_dir, default_filename(spec))
     export_csv(result, path, config=cfg)
     print(f"wrote {path}")
     failed = result.n_failed
@@ -202,16 +167,15 @@ def _run_and_export(cfg: dict, out_dir: str, workers: int,
     return EXIT_OK
 
 
-def cmd_sweep(cfg: dict, out_dir: str, workers: int) -> int:
-    """Run the configured sweep and write CSV + metadata sidecar."""
-    return _run_and_export(cfg, out_dir, workers)
-
-
 def cmd_baseline_aa(cfg: dict, out_dir: str, workers: int) -> int:
-    """Bichromatic baseline shortcut: force aa mode for the configured sweep."""
+    """Bichromatic baseline shortcut: the configured sweep in aa mode.
+
+    The sidecar echoes mode "aa", so it reproduces the run under ``sweep``.
+    """
     if cfg["sweep"]["axis1"]["name"] != "v0":
         raise ConfigError("sweep.axis1.name: baseline-aa scans v0")
-    return _run_and_export(cfg, out_dir, workers, mode_override="aa")
+    cfg = {**cfg, "model": {**cfg["model"], "mode": "aa"}}
+    return cmd_sweep(cfg, out_dir, workers)
 
 
 def _parser() -> argparse.ArgumentParser:

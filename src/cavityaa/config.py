@@ -3,9 +3,12 @@
 One JSON document drives every command; command-line flags only select the
 config file, the command and the output directory.  Unknown keys anywhere in
 the document are a hard error naming the offending dotted path, so typos
-cannot silently fall back to defaults.  The effective (defaults-merged)
-configuration is echoed into the metadata sidecar of every run, and a sidecar
-can itself be passed back as the config to reproduce the run.
+cannot silently fall back to defaults.  The whole document is checked when
+it loads, whatever the command, by building the objects its sections
+describe: the lattice, the fit, the pump and the sweep.  The effective
+(defaults-merged) configuration is echoed into the metadata sidecar of every
+run, and a sidecar can itself be passed back as the config to reproduce the
+run.
 """
 
 from __future__ import annotations
@@ -13,11 +16,9 @@ from __future__ import annotations
 import copy
 import json
 
-import numpy as np
-
 from .lattice import GOLDEN_BETA, LatticeSpec
 from .observables import FitOptions
-from .sweep import AXIS_NAMES, PumpConfig
+from .sweep import Axis, PumpConfig, SweepSpec
 
 #: Defaults for every configurable field.
 DEFAULTS = {
@@ -107,8 +108,10 @@ _AXIS_DEFAULTS = DEFAULTS["sweep"]["axis1"]
 def effective_config(doc: dict) -> dict:
     """Merge a raw document over the defaults, rejecting unknown keys.
 
-    The lattice, fit and pump sections are checked by constructing their
-    objects (the pump even when disabled); the rest by _validate.
+    Each section is checked by constructing its object: the lattice, the fit,
+    the pump (even when disabled) and the sweep spec (``sweep_spec``, its
+    unit 't' grids at hopping 1).  _validate first makes the few checks that
+    no constructor makes.
     """
     merged = _merge(DEFAULTS, doc, "")
     for axis_key in ("axis1", "axis2"):
@@ -116,13 +119,13 @@ def effective_config(doc: dict) -> dict:
         if axis is not None:
             merged["sweep"][axis_key] = _merge(_AXIS_DEFAULTS, axis,
                                                f"sweep.{axis_key}")
+    _validate(merged)
     for section, build in (("lattice", lattice_spec), ("fit", fit_options),
-                           ("pump", _pump)):
+                           ("pump", _pump), ("sweep", sweep_spec)):
         try:
             build(merged)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{section}: {exc}") from exc
-    _validate(merged)
     return merged
 
 
@@ -166,6 +169,38 @@ def pump_config(cfg: dict) -> PumpConfig | None:
     return _pump(cfg) if cfg["pump"]["enabled"] else None
 
 
+def _axis(axis_cfg: dict, hopping: float) -> Axis:
+    """An axis grid; unit 't' scales the grid by the hopping."""
+    name = axis_cfg["name"]
+    if axis_cfg["values"] is not None:
+        axis = Axis(name, axis_cfg["values"])
+    else:
+        grid = Axis.log if axis_cfg["scale"] == "log" else Axis.linear
+        axis = grid(name, axis_cfg["start"], axis_cfg["stop"],
+                    _integer(axis_cfg, "num"))
+    if axis_cfg["unit"] == "t":
+        axis = Axis(name, axis.values * hopping)
+    return axis
+
+
+def sweep_spec(cfg: dict, hopping: float = 1.0) -> SweepSpec:
+    """The configured sweep; SweepSpec and Axis check every field.
+
+    Unit 't' grids are scaled by ``hopping``, the hopping in E_r of the basis
+    at the spec's own ``lattice`` (into which SweepSpec folds a fixed W0).
+    """
+    sweep_cfg = cfg["sweep"]
+    axis2 = sweep_cfg["axis2"]
+    return SweepSpec(
+        axis1=_axis(sweep_cfg["axis1"], hopping),
+        axis2=None if axis2 is None else _axis(axis2, hopping),
+        lattice=lattice_spec(cfg), L=_integer(cfg["model"], "L"),
+        mode=cfg["model"]["mode"], fixed=sweep_cfg["fixed"],
+        observables=tuple(sweep_cfg["observables"]),
+        pump=pump_config(cfg), fit=fit_options(cfg), name=sweep_cfg["name"],
+    )
+
+
 def _require(cond: bool, key: str, message: str):
     if not cond:
         raise ConfigError(f"{key}: {message}")
@@ -178,63 +213,48 @@ def _require_integer(section: dict, key: str, path: str) -> int:
         raise ConfigError(f"{path}: must be an integer") from None
 
 
+def _require_number(section: dict, key: str, path: str) -> float:
+    value = section[key]
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
+             path, "must be a number")
+    return value
+
+
 def _validate(cfg: dict):
-    """Checks of the model and sweep sections, which no constructor makes."""
+    """The checks of the model and sweep sections that no constructor makes.
+
+    Scale and unit names, integral sizes, positive log grids, a numeric
+    model.v0 (read only by ground-state), and one hopping for unit 't' grids.
+    """
     mdl = cfg["model"]
-    _require(_require_integer(mdl, "L", "model.L") >= 3, "model.L",
-             "must be >= 3")
-    _require(mdl["mode"] in ("cavity", "aa"), "model.mode",
-             "must be 'cavity' or 'aa'")
-    _require(mdl["v0"] >= 0.0, "model.v0", "must be non-negative")
+    _require_integer(mdl, "L", "model.L")
+    _require(_require_number(mdl, "v0", "model.v0") >= 0.0, "model.v0",
+             "must be non-negative")
 
-    for name in cfg["sweep"]["fixed"]:
-        _require(name in AXIS_NAMES, f"sweep.fixed.{name}",
-                 f"must be one of {AXIS_NAMES}")
-
-    for axis_key in ("axis1", "axis2"):
-        axis = cfg["sweep"][axis_key]
-        if axis is None:
-            continue
-        key = f"sweep.{axis_key}"
-        _require(axis["name"] in AXIS_NAMES, f"{key}.name",
-                 f"must be one of {AXIS_NAMES}")
+    axes = {f"sweep.{key}": cfg["sweep"][key] for key in ("axis1", "axis2")
+            if cfg["sweep"][key] is not None}
+    for key, axis in axes.items():
         _require(axis["scale"] in ("log", "linear"), f"{key}.scale",
                  "must be 'log' or 'linear'")
         _require(axis["unit"] in ("Er", "t"), f"{key}.unit",
                  "must be 'Er' or 't'")
         if axis["values"] is None:
-            _require(_require_integer(axis, "num", f"{key}.num") >= 1,
-                     f"{key}.num", "must be >= 1")
+            _require_integer(axis, "num", f"{key}.num")
             if axis["scale"] == "log":
-                _require(axis["start"] > 0 and axis["stop"] > 0,
+                _require(_require_number(axis, "start", f"{key}.start") > 0
+                         and _require_number(axis, "stop", f"{key}.stop") > 0,
                          f"{key}.start", "log grids must be positive")
 
     # a unit 't' grid is scaled by the hopping of the sweep's one basis, at
-    # sweep.fixed.W0 or lattice.depth_W0; a W0 axis has one basis per depth
-    axes = {key: cfg["sweep"][key] for key in ("axis1", "axis2")
-            if cfg["sweep"][key] is not None}
-    depth = [f"sweep.{key}" for key, axis in axes.items() if axis["name"] == "W0"]
+    # sweep.fixed.W0 or lattice.depth_W0; a W0 axis has one basis per depth,
+    # so no grid beside it, nor its own, can be in 't'
+    depth = [key for key, axis in axes.items() if axis["name"] == "W0"]
     for key, axis in axes.items():
-        if depth and axis["name"] != "W0":
-            _require(axis["unit"] != "t", f"sweep.{key}.unit",
-                     f"'t' cannot scale sweep.{key} ({axis['name']}) while "
-                     f"{depth[0]} (W0) sets the hopping instead of "
-                     "lattice.depth_W0; give the grid in 'Er'")
-
-
-def axis_values(axis_cfg: dict, hopping: float) -> np.ndarray:
-    """Materialize an axis grid; unit 't' scales the grid by the hopping."""
-    if axis_cfg["values"] is not None:
-        vals = np.asarray(axis_cfg["values"], dtype=np.float64)
-    elif axis_cfg["scale"] == "log":
-        vals = np.geomspace(axis_cfg["start"], axis_cfg["stop"],
-                            int(axis_cfg["num"]))
-    else:
-        vals = np.linspace(axis_cfg["start"], axis_cfg["stop"],
-                           int(axis_cfg["num"]))
-    if axis_cfg["unit"] == "t":
-        vals = vals * hopping
-    return vals
+        if depth and axis["unit"] == "t":
+            raise ConfigError(f"{key}.unit: 't' cannot scale {key} "
+                              f"({axis['name']}) while {depth[0]} (W0) sets "
+                              "the hopping instead of lattice.depth_W0; give "
+                              "the grid in 'Er'")
 
 
 def load_config(path) -> dict:

@@ -131,7 +131,7 @@ class Axis:
 
     def __post_init__(self):
         if self.name not in AXIS_NAMES:
-            raise ValueError(f"axis name must be one of {AXIS_NAMES}")
+            raise ValueError(f"axis name {self.name!r} must be one of {AXIS_NAMES}")
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.ndim != 1 or vals.shape[0] < 1:
             raise ValueError("axis grid must be a non-empty 1-D array")
@@ -171,9 +171,19 @@ class SweepSpec:
         for obs in self.observables:
             if obs not in OBSERVABLE_NAMES:
                 raise ValueError(f"unknown observable {obs!r}")
-        for key in self.fixed:
+        fixed = {}
+        for key, value in self.fixed.items():
             if key not in AXIS_NAMES:
                 raise ValueError(f"unknown fixed parameter {key!r}")
+            if key in names:
+                # the axis value would win at every point
+                raise ValueError(f"fixed parameter {key!r} is also a sweep axis")
+            try:
+                fixed[key] = float(value)
+            except (TypeError, ValueError):
+                raise ValueError(f"fixed parameter {key!r} must be a number, "
+                                 f"got {value!r}") from None
+        object.__setattr__(self, "fixed", fixed)
         given = names + list(self.fixed)
         physical = [n for n in given if n in PHYSICAL_AXES]
         if physical and self.pump is None:
@@ -196,7 +206,7 @@ class SweepSpec:
             # a fixed W0 is the depth of every point: the lattice carries it,
             # so the sweep builds and reports the basis of the solved chain
             object.__setattr__(self, "lattice", replace(
-                self.lattice, depth_W0=float(self.fixed["W0"])))
+                self.lattice, depth_W0=self.fixed["W0"]))
 
     @property
     def shape(self) -> tuple[int, int]:

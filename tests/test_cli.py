@@ -9,8 +9,8 @@ import pytest
 
 import cavityaa as ca
 from cavityaa import cli, sweep
-from cavityaa.cli import _sweep_spec, main
-from cavityaa.config import DEFAULTS, load_config
+from cavityaa.cli import main
+from cavityaa.config import DEFAULTS, load_config, sweep_spec
 
 L = 233
 CONFIGS = sorted((pathlib.Path(__file__).parent.parent / "configs").glob("*.json"))
@@ -408,7 +408,10 @@ def test_depth_axis_estimates_read_each_depth(capsys, tmp_path, monkeypatch,
         assert est["v_c_analytic"] == ca.critical_v_cav(wb.t, wb.alpha, -0.5, -1.0)
 
 
-def test_sidecar_reproduces_run(capsys, tmp_path):
+@pytest.mark.parametrize("command", ["sweep", "baseline-aa"])
+def test_sidecar_reproduces_run(capsys, tmp_path, command):
+    # the config is in the default cavity mode; a baseline-aa sidecar echoes
+    # the mode that ran, so rerunning it under sweep solves the same chains
     doc = {
         "sweep": {
             "name": "repro",
@@ -419,7 +422,7 @@ def test_sidecar_reproduces_run(capsys, tmp_path):
         },
     }
     cfg = write_cfg(tmp_path, doc)
-    code, *_ = run_cli(capsys, "sweep", "--config", cfg, "--out", str(tmp_path))
+    code, *_ = run_cli(capsys, command, "--config", cfg, "--out", str(tmp_path))
     assert code == 0
     first = (tmp_path / "repro_v0xC.csv").read_bytes()
     sidecar = tmp_path / "repro_v0xC.meta.json"
@@ -507,25 +510,81 @@ def test_nbar_without_physical_parameters_exit_code(capsys, tmp_path):
     assert not list(tmp_path.glob("*.csv"))
 
 
-@pytest.mark.parametrize("command, doc, key", [
-    ("ground-state", {"model": {"mode": "aa", "L": 40.7}}, "model.L"),
+@pytest.mark.parametrize("command, doc, message", [
+    ("ground-state", {"model": {"mode": "aa", "L": 40.7}},
+     "model.L: must be an integer"),
     ("sweep", {"sweep": {"axis1": {"name": "v0", "num": 20.5}}},
-     "sweep.axis1.num"),
-], ids=["model.L", "axis1.num"])
-def test_non_integral_size_exit_code(capsys, tmp_path, command, doc, key):
-    # int() would silently run 40 sites or 20 grid points
+     "sweep.axis1.num: must be an integer"),
+    ("ground-state", {"model": {"v0": "x"}}, "model.v0: must be a number"),
+    ("sweep", {"sweep": {"axis1": {"name": "v0", "start": "a"}}},
+     "sweep.axis1.start: must be a number"),
+    ("sweep", {"sweep": {"fixed": {"C": "x"}}},
+     "fixed parameter 'C' must be a number"),
+], ids=["model.L", "axis1.num", "model.v0", "axis1.start", "fixed.C"])
+def test_non_integral_size_exit_code(capsys, tmp_path, command, doc, message):
+    # int() would silently run 40 sites or 20 grid points; a value that is
+    # not a number is named at load, not met as a traceback (fixed.C used
+    # to fail only at CSV export, after every point had been solved)
     cfg = write_cfg(tmp_path, doc)
     code, out, err = run_cli(capsys, command, "--config", cfg,
                              "--out", str(tmp_path))
     assert code == 2
-    assert f"{key}: must be an integer" in err
+    assert message in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("sweep_doc, fixed", [
+    ({"axis1": {"name": "W0", "values": [-12.0, -15.0]},
+      "axis2": {"name": "v0", "values": [0.05]}}, {"W0": -10.0}),
+    ({"axis1": {"name": "v0", "values": [0.01, 0.05]}}, {"v0": 5.0, "C": -1.0}),
+], ids=["W0", "v0"])
+def test_fixed_parameter_on_an_axis_exit_code(capsys, tmp_path, sweep_doc, fixed):
+    # the axis value would win at every point, while a fixed W0 would still
+    # be the depth the sidecar reports
+    doc = {"model": {"mode": "aa"},
+           "sweep": {"name": "twice", **sweep_doc, "fixed": fixed}}
+    cfg = write_cfg(tmp_path, doc)
+    code, out, err = run_cli(capsys, "sweep", "--config", cfg,
+                             "--out", str(tmp_path))
+    assert code == 2
+    assert f"fixed parameter {next(iter(fixed))!r} is also a sweep axis" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("sweep_doc, message", [
+    ({"observables": ["foo"]}, "unknown observable 'foo'"),
+    ({"axis2": {"name": "v0", "values": [0.1]}}, "sweep axes must be distinct"),
+    ({"axis1": {"name": "v0", "values": []}}, "non-empty"),
+], ids=["observable", "repeated-axis", "empty-grid"])
+def test_every_command_rejects_what_sweep_rejects(capsys, tmp_path, sweep_doc,
+                                                  message):
+    # the whole document is checked at load, also by a command that runs no
+    # sweep, so a config that wannier accepts is one that sweep accepts
+    cfg = write_cfg(tmp_path, {"sweep": sweep_doc})
+    code, out, err = run_cli(capsys, "wannier", "--config", cfg,
+                             "--out", str(tmp_path))
+    assert code == 2
+    assert message in err
+
+
+def test_depth_axis_in_unit_t_exit_code(capsys, tmp_path):
+    # t itself depends on the depth, so a W0 grid cannot be given in t
+    doc = {"sweep": {"axis1": {"name": "W0", "values": [-10.0, -15.0],
+                               "unit": "t"},
+                     "axis2": {"name": "v0", "values": [0.05]},
+                     "fixed": {"C": -1.0}}}
+    cfg = write_cfg(tmp_path, doc)
+    code, out, err = run_cli(capsys, "sweep", "--config", cfg,
+                             "--out", str(tmp_path))
+    assert code == 2
+    assert "sweep.axis1.unit" in err
     assert not list(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
 def test_shipped_config_builds_sweep_spec(path):
     cfg = load_config(path)
-    spec = _sweep_spec(cfg)
+    spec = sweep_spec(cfg)
     assert spec.name == path.stem
     assert spec.n_points >= 1
 

@@ -59,6 +59,16 @@ def test_spec_validation(lattice_spec):
         _spec(lattice_spec, observables=("bogus",))
     with pytest.raises(ValueError):
         _spec(lattice_spec, fixed={"nonsense": 1.0})
+    with pytest.raises(ValueError, match="fixed parameter 'C' must be a number"):
+        _spec(lattice_spec, axis2=None, fixed={"C": "x"})
+    # the axis value would win at every point, and a fixed W0 would still set
+    # the lattice depth the sidecar reports
+    with pytest.raises(ValueError, match="'v0' is also a sweep axis"):
+        _spec(lattice_spec, fixed={"v0": 5.0, "delta_c_prime": 0.0})
+    with pytest.raises(ValueError, match="'W0' is also a sweep axis"):
+        _spec(lattice_spec, axis1=ca.Axis("W0", np.array([-12.0, -15.0])),
+              axis2=ca.Axis("v0", np.array([0.05])), mode="aa",
+              fixed={"W0": -10.0})
     with pytest.raises(ValueError):
         _spec(lattice_spec, observables=("nbar",))  # needs a pump
     with pytest.raises(ValueError, match="nbar requires physical parameters"):
@@ -69,6 +79,12 @@ def test_spec_validation(lattice_spec):
         _spec(lattice_spec, axis1=ca.Axis.log("eta", 0.1, 1.0, 4))  # needs a pump
     with pytest.raises(ValueError):
         ca.Axis("frequency", np.array([1.0]))
+
+
+def test_fixed_values_are_floats(lattice_spec):
+    spec = _spec(lattice_spec, axis2=None, fixed={"C": -1, "delta_c_prime": 0})
+    assert spec.fixed == {"C": -1.0, "delta_c_prime": 0.0}
+    assert all(type(value) is float for value in spec.fixed.values())
 
 
 def test_mixed_model_and_physical_parameters_rejected(lattice_spec):
