@@ -215,17 +215,56 @@ def _require_integer(section: dict, key: str, path: str) -> int:
 
 def _require_number(section: dict, key: str, path: str) -> float:
     value = section[key]
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-             path, "must be a number")
+    _require(_is_number(value), path, "must be a number")
     return value
 
 
-def _validate(cfg: dict):
-    """The checks of the model and sweep sections that no constructor makes.
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
-    Scale and unit names, integral sizes, positive log grids, a numeric
+
+def _numeric_keys(defaults: dict) -> tuple:
+    return tuple(key for key, default in defaults.items() if _is_number(default))
+
+
+#: The fields whose default is a number, by section, and those of an axis.
+_NUMERIC_KEYS = {section: _numeric_keys(DEFAULTS[section])
+                 for section in ("lattice", "model", "pump", "fit")}
+_AXIS_NUMERIC_KEYS = _numeric_keys(_AXIS_DEFAULTS)
+
+
+def _numeric_fields(cfg: dict):
+    """(dotted key, value) of every field that holds a number.
+
+    They are the fields whose default is a number, each entry of an axis's
+    explicit grid, and the fixed parameters.
+    """
+    for section, keys in _NUMERIC_KEYS.items():
+        for key in keys:
+            yield f"{section}.{key}", cfg[section][key]
+    for axis_key in ("axis1", "axis2"):
+        axis = cfg["sweep"][axis_key]
+        if axis is None:
+            continue
+        for key in _AXIS_NUMERIC_KEYS:
+            yield f"sweep.{axis_key}.{key}", axis[key]
+        if isinstance(axis["values"], list):
+            for j, value in enumerate(axis["values"]):
+                yield f"sweep.{axis_key}.values[{j}]", value
+    for key, value in cfg["sweep"]["fixed"].items():
+        yield f"sweep.fixed.{key}", value
+
+
+def _validate(cfg: dict):
+    """The checks that no constructor makes.
+
+    No JSON true or false where a number belongs (Python would read 1 or
+    0), and in the model and sweep sections: scale and unit names, integral sizes, positive log grids, a numeric
     model.v0 (read only by ground-state), and one hopping for unit 't' grids.
     """
+    for key, value in _numeric_fields(cfg):
+        if isinstance(value, bool):
+            raise ConfigError(f"{key}: must be a number, not {json.dumps(value)}")
     mdl = cfg["model"]
     _require_integer(mdl, "L", "model.L")
     _require(_require_number(mdl, "v0", "model.v0") >= 0.0, "model.v0",

@@ -6,11 +6,16 @@ bisection plus inverse iteration (``lowest_tridiagonal_pair``: ``dstebz`` then
 without its per-call validation).  The chain ground state and the plane-wave
 band solve both use it.  Along a sweep column the chain can instead start
 from the previous point's state (``warm_eigenpair``): Rayleigh-quotient
-iteration finds the eigenvalue in a few tridiagonal solves, and ``dstein``
-gives its vector; when that result fails the residual check or the
+iteration finds the eigenpair in a few tridiagonal solves, with no
+``dstein`` call; when that result fails the residual check or the
 lower-bound certificate (``certificate_margin``), the chain tries the
 bisection pair.  A chain point that fails both paths has no ground state
 (``model.GroundStateError``); there is no dense diagonalization.
+
+``inverse_iteration_vector`` is the one ``dstein`` call: the bisection pair
+takes its vector from it, and so does the decay fit at a warm point's
+energy, because the fit reads the density's rounding tail and that tail
+must not depend on how the energy was found.
 
 The onsite profile and the photon number both average an even, pi-periodic
 function g(beta z) over the Wannier density at every site.  ``site_average``
@@ -41,7 +46,7 @@ from scipy.linalg import lapack
 
 
 #: Method strings of the two ways ``model.ground_state`` solves a chain.
-WARM_METHOD = "rayleigh_quotient_dstein"
+WARM_METHOD = "rayleigh_quotient_iteration"
 COLD_METHOD = "lapack_bisection_inverse_iteration"
 
 #: Rayleigh-quotient iteration stops once its residual bound 1/||y|| is at
@@ -72,10 +77,27 @@ def lowest_tridiagonal_pair(d: np.ndarray, e: np.ndarray) -> tuple[float, np.nda
     m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 1.0, 1, 1, 0.0, "B")
     if info != 0:
         raise np.linalg.LinAlgError(f"dstebz failed with info = {info}")
-    v, info = lapack.dstein(d, e, w[:m], iblock, isplit)
+    return float(w[0]), inverse_iteration_vector(d, e, w[:m], iblock, isplit)
+
+
+def inverse_iteration_vector(d: np.ndarray, e: np.ndarray, w: np.ndarray,
+                             iblock: np.ndarray | None = None,
+                             isplit: np.ndarray | None = None) -> np.ndarray:
+    """``dstein``'s unit eigenvector of tridiag(e, d, e) at the eigenvalue w[0].
+
+    w is a length-1 float64 array.  iblock and isplit are the blocks
+    ``dstebz`` found; left out, the matrix is one unsplit block, which is
+    what ``dstebz`` reports for a chain without a zero hopping, so the
+    vector is then bit-identical to the bisection pair's at the same w.
+    d and e are not checked.  Raises ``numpy.linalg.LinAlgError`` when
+    LAPACK reports ``info != 0``.
+    """
+    if iblock is None:
+        iblock, isplit = _one_block(d.shape[0])
+    v, info = lapack.dstein(d, e, w, iblock, isplit)
     if info != 0:
         raise np.linalg.LinAlgError(f"dstein failed with info = {info}")
-    return float(w[0]), v[:, 0]
+    return v[:, 0]
 
 
 def lowest_eigenpair(
@@ -83,8 +105,10 @@ def lowest_eigenpair(
 ) -> tuple[float, np.ndarray, float, str]:
     """Smallest eigenpair of the symmetric tridiagonal matrix tridiag(e, d, e).
 
-    Returns ``(energy, vector, residual, method)`` with the vector normalized
-    to unit 2-norm.  The residual is ``||T v - energy v||_2`` and the method
+    Returns ``(energy, vector, residual, method)``.  The residual is
+    ``||T v - energy v||_2`` of ``dstein``'s vector v, and the vector
+    returned is v / ||v||, normalized once more so that its norm is 1 to
+    rounding, as ``model.decay_fit_vector`` normalizes it too.  The method
     string names the code path that produced the result.  A NaN entry, which
     LAPACK passes through with ``info = 0``, raises ValueError.
     """
@@ -98,7 +122,7 @@ def lowest_eigenpair(
     res = _tridiag_residual(d, e, lam, psi)
     if not np.isfinite(res):
         raise ValueError("matrix must not contain infs or NaNs")
-    return lam, psi, res, COLD_METHOD
+    return lam, psi / math.sqrt(psi @ psi), res, COLD_METHOD
 
 
 @functools.lru_cache(maxsize=8)
@@ -119,12 +143,12 @@ def warm_eigenpair(d: np.ndarray, e: np.ndarray, start: np.ndarray,
     Each step solves (T - lam I) y = x for the unit vector x with ``dgtsv``;
     1/||y|| is then the residual of (lam, y/||y||), so an eigenvalue lies
     within it of lam.  Once it is at most WARM_RTOL * norm_bound, lam takes
-    the step's Rayleigh-quotient correction x.y/||y||^2 and the vector comes
-    from ``dstein`` at lam, the routine of the cold path, whose rounding tail
-    the decay fit sees either way.  Returns ``(energy, vector, residual,
-    method)`` like ``lowest_eigenpair``, or None after WARM_MAX_STEPS steps
-    or a singular pivot.  The eigenvalue found is the one nearest the start,
-    not necessarily the lowest: the caller certifies it.  d and e must be
+    the step's Rayleigh-quotient correction x.y/||y||^2, which can only
+    lower that residual, and the vector is y/||y||: no ``dstein`` call.
+    Returns ``(energy, vector, residual, method)`` like
+    ``lowest_eigenpair``, or None after WARM_MAX_STEPS steps or a singular
+    pivot.  The eigenvalue found is the one nearest the start, not
+    necessarily the lowest: the caller certifies it.  d and e must be
     contiguous float64 arrays of lengths n >= 2 and n - 1, start of length n.
     """
     x = start / math.sqrt(start @ start)
@@ -140,10 +164,7 @@ def warm_eigenpair(d: np.ndarray, e: np.ndarray, start: np.ndarray,
         x = y / norm_y
     else:
         return None
-    v, info = lapack.dstein(d, e, np.array([lam]), *_one_block(d.shape[0]))
-    if info != 0:
-        return None
-    psi = v[:, 0]
+    psi = y / norm_y
     return lam, psi, _tridiag_residual(d, e, lam, psi), WARM_METHOD
 
 

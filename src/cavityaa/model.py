@@ -258,8 +258,27 @@ def ground_state(problem: HubbardProblem, start: np.ndarray | None = None) -> Gr
         raise GroundStateError(
             f"no certified ground state: residual {res:.3e} "
             f"(bound {RESIDUAL_RTOL:.0e} * ||H||) or an eigenvalue below E0 - tol")
-    psi = psi / math.sqrt(psi @ psi)
     if psi[np.abs(psi).argmax()] < 0:
         psi = -psi
     return GroundState(amplitudes=psi, energy=float(energy), method=method,
                        residual=float(res), certificate_margin=margin)
+
+
+def decay_fit_vector(problem: HubbardProblem, gs: GroundState) -> np.ndarray:
+    """The ground state as the decay fit reads it: ``dstein``'s vector at E0.
+
+    Far from its peak a localized state's density is rounding, and the fit
+    reads that tail (README, "How the decay fit is computed").  So every
+    point gives the fit the vector of one routine,
+    ``kernels.inverse_iteration_vector`` at gs.energy, normalized as
+    ``kernels.lowest_eigenpair`` normalizes it.  A cold ground state's
+    amplitudes already are that vector, up to sign; a warm one's come from
+    Rayleigh-quotient iteration, so the vector is made here, at the cost of
+    one ``dstein``.
+    """
+    if gs.method != kernels.WARM_METHOD:
+        return gs.amplitudes
+    psi = kernels.inverse_iteration_vector(
+        problem.onsite.values, _offdiagonal(problem.L, problem.t),
+        np.array([gs.energy]))
+    return psi / math.sqrt(psi @ psi)

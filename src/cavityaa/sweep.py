@@ -36,8 +36,8 @@ from ._version import __version__
 from .lattice import (WANNIER_SUM_METHOD, LatticeSpec, WannierBasis, build_wannier,
                       solve_lowest_band)
 from .model import (EffectivePotential, HubbardProblem, OnsiteProfile,
-                    ground_state, onsite_aa, onsite_cavity, scale_profile,
-                    unit_profile)
+                    decay_fit_vector, ground_state, onsite_aa, onsite_cavity,
+                    scale_profile, unit_profile)
 from .observables import (TRANSITION_METHOD, FitOptions, PumpField,
                           detect_transition, ipr, lyapunov_fit, photon_number)
 
@@ -179,6 +179,8 @@ class SweepSpec:
                 # the axis value would win at every point
                 raise ValueError(f"fixed parameter {key!r} is also a sweep axis")
             try:
+                if isinstance(value, (bool, np.bool_)):  # not the number 1 or 0
+                    raise TypeError
                 fixed[key] = float(value)
             except (TypeError, ValueError):
                 raise ValueError(f"fixed parameter {key!r} must be a number, "
@@ -323,8 +325,9 @@ def _nan(value) -> float:
     return float("nan") if value is None else float(value)
 
 
-def _run_column(runtime: _Runtime, column: list) -> tuple[list, dict | None]:
-    """(flat index, record) of each point of a column, and its transition.
+def _run_column(runtime: _Runtime, column: list
+                ) -> tuple[list, dict | None, dict | None]:
+    """(flat index, record) of each point of a column, its transition, its basis.
 
     The column's first point whose parameters resolve builds the basis and
     the unit profile; when that set-up fails, it and every later point that
@@ -332,7 +335,9 @@ def _run_column(runtime: _Runtime, column: list) -> tuple[list, dict | None]:
     (increasing strength), each solve started from the previous point's
     ground state; the first solve, and any after a failed point, start
     cold.  The transition estimate reads the records in that order; it is
-    None unless the sweep asks for "vc" along a strength axis.
+    None unless the sweep asks for "vc" along a strength axis.  The last
+    item is the basis's depth and constants (``_constants``), or None when
+    the column has no basis.
     """
     spec = runtime.spec
     pairs = []
@@ -364,7 +369,8 @@ def _run_column(runtime: _Runtime, column: list) -> tuple[list, dict | None]:
                 e0 = gs.energy
                 p_x = ipr(gs)
                 if "gamma" in spec.observables:
-                    gamma = lyapunov_fit(gs, spec.fit).lyapunov_gamma
+                    gamma = lyapunov_fit(decay_fit_vector(problem, gs),
+                                         spec.fit).lyapunov_gamma
                     if gamma is None:
                         flags.append("gamma_absent")
                 if "nbar" in spec.observables:
@@ -382,9 +388,20 @@ def _run_column(runtime: _Runtime, column: list) -> tuple[list, dict | None]:
             E0=_nan(e0), ipr=_nan(p_x), gamma=gamma, nbar=nbar,
             flags=";".join(flags), solver=solver)))
 
+    constants = None if wb is None else {"W0": wb.depth_W0, **_constants(wb)}
+    return pairs, _column_estimate(spec, pairs, wb, column_params, params), constants
+
+
+def _column_estimate(spec: SweepSpec, pairs: list, wb: WannierBasis | None,
+                     column_params: tuple | None, params: dict) -> dict | None:
+    """A column's transition_estimates entry from its records in solve order.
+
+    None unless the sweep asks for "vc" along a strength axis.  params are
+    the last point's, which hold the column's other axis value.
+    """
     scan = _scan_axis(spec)
     if "vc" not in spec.observables or scan is None:
-        return pairs, None
+        return None
     other = spec.axis2 if scan is spec.axis1 else spec.axis1
     entry = {"t": None if wb is None else wb.t}
     if other is not None:
@@ -399,12 +416,12 @@ def _run_column(runtime: _Runtime, column: list) -> tuple[list, dict | None]:
     except ValueError as exc:
         entry.update(v_c_numerical=None, v_c_analytic=None, unresolved=True,
                      error=str(exc))
-        return pairs, entry
+        return entry
     entry.update(v_c_numerical=est.v_c_numerical, v_c_analytic=est.v_c_analytic,
                  unresolved=est.unresolved, method=est.method)
     if est.unresolved:
         entry.update(edge=est.edge, v0_range=[v0s[0], v0s[-1]])
-    return pairs, entry
+    return entry
 
 
 # --- execution ---------------------------------------------------------------
@@ -510,25 +527,33 @@ def run_sweep(spec: SweepSpec, wannier: WannierBasis | None = None,
     records: list = [None] * n
     chunks = _chunks(_solve_columns(spec), workers)
     estimates: list = [[] for _ in chunks]
+    depths: dict = {}
     done = 0
     for k, columns in _completed_chunks(spec, wannier, chunks, workers):
-        for pairs, entry in columns:
+        for pairs, entry, constants in columns:
             for i, rec in pairs:
                 records[i] = rec
             done += len(pairs)
             if entry is not None:
                 estimates[k].append(entry)
+            if constants is not None:
+                depths[constants["W0"]] = constants
         if progress is not None and done < n:
             progress(done, n)
     if progress is not None:
         progress(n, n)
 
     metadata = _build_metadata(spec, wannier)
+    if wannier is None:  # a W0 axis: one basis per depth, in axis order
+        axis = spec.axis1 if spec.axis1.name == "W0" else spec.axis2
+        metadata["constants"] = [depths[w] for w in dict.fromkeys(axis.values.tolist())
+                                 if w in depths]
     metadata["solver_counts"] = {kind: sum(1 for rec in records if rec.solver == kind)
                                  for kind in SOLVER_KINDS}
     if "vc" in spec.observables:
         metadata["transition_estimates"] = [e for chunk in estimates for e in chunk]
     return SweepResult(records=records, metadata=metadata)
+
 
 def _build_metadata(spec: SweepSpec, wannier: WannierBasis | None) -> dict:
     axes = {"axis1": {"name": spec.axis1.name,
@@ -556,9 +581,7 @@ def _build_metadata(spec: SweepSpec, wannier: WannierBasis | None) -> dict:
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
     }
     if wannier is not None:
-        meta["constants"] = {"t": wannier.t, "t_band": wannier.t_band,
-                             "A": wannier.A, "B": wannier.B,
-                             "alpha": wannier.alpha}
+        meta["constants"] = _constants(wannier)
     if spec.pump is not None:
         meta["pump"] = {
             "pump_mode": spec.pump.pump_mode, "eta": spec.pump.eta,
@@ -566,6 +589,10 @@ def _build_metadata(spec: SweepSpec, wannier: WannierBasis | None) -> dict:
             "g": spec.pump.g, "kappa_over_recoil": spec.pump.kappa_over_recoil,
         }
     return meta
+
+
+def _constants(wb: WannierBasis) -> dict:
+    return {"t": wb.t, "t_band": wb.t_band, "A": wb.A, "B": wb.B, "alpha": wb.alpha}
 
 
 def _methods(spec: SweepSpec) -> dict:
@@ -576,6 +603,8 @@ def _methods(spec: SweepSpec) -> dict:
                "max_harmonics": kernels.MAX_HARMONICS}
     if spec.mode == "cavity":
         methods["onsite_profile"] = "harmonic_series"
+    if "gamma" in spec.observables:
+        methods["decay_fit_vector"] = "inverse_iteration_at_E0"
     if "nbar" in spec.observables:
         methods["photon_number"] = "harmonic_series"
     return methods

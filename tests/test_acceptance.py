@@ -101,7 +101,12 @@ def test_criterion_6_resonance_detuned(scanner):
     c_min = min(vcs, key=vcs.get)
     detail = ("v_c(C) at delta' = -2: " +
               ", ".join(f"{c:+.2f}: {vcs[c] / scanner.t:.3f}t" for c in cs) +
-              f"; minimum at C = {c_min} (required in [-2.5, -1.5])")
+              f"; minimum at C = {c_min} (required in [-2.5, -1.5])"
+              "; diagnosis: the estimator is ruled out (steepest log IPR slope"
+              " at L = 233 and 987 and finite-size scaling all put the minimum"
+              " at C = -3.0), and the smeared arctan model is suspected"
+              " (first-harmonic 2t/h1 and the no-smearing run); see the"
+              " README estimator table under 'Install and test'")
     _report("6 detuned-resonance", -2.5 <= c_min <= -1.5, detail)
 
 

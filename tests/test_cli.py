@@ -533,6 +533,26 @@ def test_non_integral_size_exit_code(capsys, tmp_path, command, doc, message):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("doc, key, value", [
+    ({"sweep": {"axis1": {"name": "v0", "num": True}}}, "sweep.axis1.num", "true"),
+    ({"model": {"mode": "aa"}, "sweep": {"fixed": {"C": True}}},
+     "sweep.fixed.C", "true"),
+    ({"lattice": {"depth_W0": True}}, "lattice.depth_W0", "true"),
+    ({"fit": {"min_r2": False}}, "fit.min_r2", "false"),
+    ({"sweep": {"axis1": {"name": "v0", "values": [0.05, True]}}},
+     "sweep.axis1.values[1]", "true"),
+], ids=["axis1.num", "fixed.C", "depth_W0", "min_r2", "axis1.values"])
+def test_json_boolean_is_not_a_number_exit_code(capsys, tmp_path, doc, key, value):
+    # Python reads true as 1 and false as 0: a one-point grid, C = 1, a
+    # lattice at W0 = 1; the key is named at load instead
+    cfg = write_cfg(tmp_path, doc)
+    code, out, err = run_cli(capsys, "sweep", "--config", cfg,
+                             "--out", str(tmp_path))
+    assert code == 2
+    assert f"{key}: must be a number, not {value}" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.parametrize("sweep_doc, fixed", [
     ({"axis1": {"name": "W0", "values": [-12.0, -15.0]},
       "axis2": {"name": "v0", "values": [0.05]}}, {"W0": -10.0}),

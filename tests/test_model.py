@@ -225,6 +225,37 @@ def test_warm_start_matches_the_dense_ground_state(wannier, dense_chain):
     assert abs(np.dot(gs.amplitudes, v[:, 0])) == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("ratio", [0.4, 1.05, 2.5])
+def test_warm_vector_is_the_eigenvector_to_residual_over_gap(wannier, dense_chain,
+                                                             ratio):
+    # the warm path returns Rayleigh-quotient iteration's own vector; by
+    # Davis-Kahan its angle to the eigenvector is at most residual / gap, up
+    # to the dense eigenvector's own error of a few eps ||H|| / gap (the
+    # residual is about eps ||H|| here, and the gap 1e-6 to 6e-6)
+    t = wannier.t
+    onsite = ca.onsite_aa(ratio * 2.0 * t, GOLDEN_BETA, L)
+    problem = ca.HubbardProblem(L=L, t=t, onsite=onsite)
+    previous = ca.HubbardProblem(L=L, t=t, onsite=ca.onsite_aa(
+        0.97 * ratio * 2.0 * t, GOLDEN_BETA, L))
+    start = np.linalg.eigh(dense_chain(previous))[1][:, 0]
+    offdiag = np.full(L - 1, -t)
+    norm = gershgorin_norm_bound(onsite.values, offdiag)
+    lam, psi, res, method = kernels.warm_eigenpair(onsite.values, offdiag,
+                                                   start, norm)
+    assert method == kernels.WARM_METHOD
+    assert res <= ca.model.RESIDUAL_RTOL * norm
+    assert psi @ psi == pytest.approx(1.0, abs=4e-16)
+    w, v = np.linalg.eigh(dense_chain(problem))
+    assert abs(lam - w[0]) <= res + 8.0 * np.finfo(float).eps * norm
+    gap = w[1] - w[0]
+    sin_angle = np.linalg.norm(psi - (psi @ v[:, 0]) * v[:, 0])
+    assert sin_angle <= (res + 4.0 * np.finfo(float).eps * norm) / gap
+    gs = ca.ground_state(problem, start=start)
+    assert gs.method == kernels.WARM_METHOD
+    assert gs.residual == res
+    assert np.array_equal(np.abs(gs.amplitudes), np.abs(psi))  # normalized once
+
+
 def test_warm_start_on_the_second_state_falls_back_to_the_cold_solve(wannier,
                                                                      dense_chain):
     # the warm result is the second eigenpair; the certificate rejects it

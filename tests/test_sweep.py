@@ -6,6 +6,7 @@ import types
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import cavityaa as ca
 from reference import decay_fit_scan, photon_number_site_loop
@@ -85,6 +86,9 @@ def test_fixed_values_are_floats(lattice_spec):
     spec = _spec(lattice_spec, axis2=None, fixed={"C": -1, "delta_c_prime": 0})
     assert spec.fixed == {"C": -1.0, "delta_c_prime": 0.0}
     assert all(type(value) is float for value in spec.fixed.values())
+    for flag in (True, np.False_):  # not the number 1 or 0
+        with pytest.raises(ValueError, match="'C' must be a number"):
+            _spec(lattice_spec, axis2=None, fixed={"C": flag})
 
 
 def test_mixed_model_and_physical_parameters_rejected(lattice_spec):
@@ -170,9 +174,24 @@ def test_one_unit_profile_per_column(wannier, lattice_spec, monkeypatch):
             previous = gs.amplitudes
 
 
+def _dstein_state(problem, energy):
+    """LAPACK's inverse-iteration vector of the chain at energy, one block."""
+    n = problem.L
+    iblock = np.zeros(n, dtype=np.int32)
+    isplit = np.zeros(n, dtype=np.int32)
+    iblock[0], isplit[0] = 1, n
+    v, info = scipy.linalg.lapack.dstein(
+        problem.onsite.values, np.full(n - 1, -problem.t), np.array([energy]),
+        iblock, isplit)
+    assert info == 0
+    psi = v[:, 0]
+    return psi / np.sqrt(psi @ psi)
+
+
 def test_aa_gamma_is_the_scanned_decay_fit(wannier, lattice_spec):
-    # every record's gamma is the reference fit of its ground state, replayed
-    # column by column with each solve started from the previous state
+    # every record's gamma is the reference fit of dstein's vector at its
+    # E0, and its IPR that of its ground state; the ground states are
+    # replayed column by column, each solve started from the previous state
     t = wannier.t
     depths = np.array([-15.0, -12.0])
     spec = _spec(lattice_spec, axis1=ca.Axis.log("v0", 0.8 * t, 12.0 * t, 14),
@@ -181,17 +200,57 @@ def test_aa_gamma_is_the_scanned_decay_fit(wannier, lattice_spec):
     records = ca.run_sweep(spec).records
     assert any(rec.gamma is None for rec in records)
     assert sum(rec.gamma is not None for rec in records) >= 10
+    solvers = set()
     for j, depth in enumerate(depths):
         lat = dataclasses.replace(lattice_spec, depth_W0=depth)
         wb = ca.build_wannier(ca.solve_lowest_band(lat), lat)
         previous = None
         for rec in records[j::2]:
-            prof = ca.onsite_aa(rec.v0, lat.beta, L)
-            gs = ca.ground_state(ca.HubbardProblem(L=L, t=wb.t, onsite=prof),
-                                 start=previous)
+            problem = ca.HubbardProblem(L=L, t=wb.t,
+                                        onsite=ca.onsite_aa(rec.v0, lat.beta, L))
+            gs = ca.ground_state(problem, start=previous)
+            solvers.add(gs.method)
             assert rec.E0 == gs.energy
-            assert rec.gamma == decay_fit_scan(gs.amplitudes, spec.fit)["lyapunov_gamma"]
+            assert rec.ipr == ca.ipr(gs)
+            fit = decay_fit_scan(_dstein_state(problem, gs.energy), spec.fit)
+            assert rec.gamma == fit["lyapunov_gamma"]
             previous = gs.amplitudes
+    assert solvers == {ca.kernels.WARM_METHOD, ca.kernels.COLD_METHOD}
+
+
+@pytest.mark.parametrize("observables", [("ipr", "vc"), ("ipr", "gamma")])
+def test_dstein_runs_for_cold_solves_and_the_decay_fit(lattice_spec, monkeypatch,
+                                                       observables):
+    # a warm solve takes Rayleigh-quotient iteration's own vector; inverse
+    # iteration runs for the band solve, the cold solves and, with gamma,
+    # once more per warm point for the vector the decay fit reads
+    calls = []
+    dstein = scipy.linalg.lapack.dstein
+
+    def counting(*args, **kwargs):
+        calls.append(args[2].shape[0])  # eigenvalues asked for
+        return dstein(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dstein", counting)
+    ca.solve_lowest_band(lattice_spec)
+    per_band = len(calls)
+    assert per_band > 0
+    calls.clear()
+    spec = _spec(lattice_spec, axis1=ca.Axis.log("v0", 0.01, 0.3, 24),
+                 axis2=ca.Axis("C", np.array([-2.0, -0.75, 1.5])),
+                 observables=observables)
+    result = ca.run_sweep(spec)
+    counts = result.metadata["solver_counts"]
+    assert counts["warm"] > 0 and counts["unsolved"] == 0
+    cold = counts["cold"] + counts["select_fallback"]
+    fits = counts["warm"] if "gamma" in observables else 0
+    assert len(calls) == per_band + cold + fits
+    assert set(calls) == {1}
+    methods = result.metadata["methods"]
+    if "gamma" in observables:
+        assert methods["decay_fit_vector"] == "inverse_iteration_at_E0"
+    else:
+        assert "decay_fit_vector" not in methods
 
 
 @pytest.mark.parametrize("scan_first", [True, False], ids=["axis1", "axis2"])
@@ -487,6 +546,27 @@ def test_depth_axis_recomputes_wannier(lattice_spec):
     # the atom at W0 = -15 (IPR 0.66) but not at W0 = -12 (IPR 0.009)
     assert recs[0].ipr < 0.05
     assert recs[1].ipr > 0.5
+
+
+def test_depth_axis_lists_each_depth_constants(wannier, lattice_spec):
+    # each column returns its basis's constants; the sidecar lists them per
+    # depth in axis order, whatever process built the basis
+    depths = [-12.0, -15.0]
+    spec = _spec(lattice_spec, axis1=ca.Axis("W0", np.array(depths)),
+                 axis2=ca.Axis.log("v0", 0.01, 0.2, 6),
+                 fixed={"C": -1.0, "delta_c_prime": 0.0})
+    serial = ca.run_sweep(spec, workers=1)
+    pooled = ca.run_sweep(spec, workers=2)
+    assert ca.csv_body(serial) == ca.csv_body(pooled)
+    meta = [dict(r.metadata) for r in (serial, pooled)]
+    for m in meta:
+        m.pop("timestamp")
+    assert meta[0] == meta[1]
+    constants = serial.metadata["constants"]
+    assert [c["W0"] for c in constants] == depths
+    assert constants[1] == {"W0": -15.0, "t": wannier.t, "t_band": wannier.t_band,
+                            "A": wannier.A, "B": wannier.B, "alpha": wannier.alpha}
+    assert constants[0]["t"] > wannier.t
 
 
 def test_photon_ridge_follows_optomechanical_resonance(wannier, lattice_spec):
