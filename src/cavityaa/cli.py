@@ -81,7 +81,7 @@ def cmd_ground_state(cfg: dict, out_dir: str) -> int:
     """
     spec, _, wb = _build_wannier(cfg)
     mdl = cfg["model"]
-    L = int(mdl["L"])
+    L = mdl["L"]
     pump = pump_config(cfg)
     if pump is None:
         params = {"v0": mdl["v0"], "C": mdl["C"],
@@ -91,10 +91,12 @@ def cmd_ground_state(cfg: dict, out_dir: str) -> int:
     v0, coop, dcp, zeta = _resolve_model_params(pump, params)
     cavity = mdl["mode"] == "cavity"
     if cavity:
-        pot = EffectivePotential.cavity(v0, coop, dcp, beta=spec.beta)
+        pot = EffectivePotential(v0, coop, dcp, beta=spec.beta)
         profile = onsite_cavity(wb, pot, L)
+        mode = "cavity_sin2" if pot.uses_sin2 else "cavity_cos2"
     else:
         profile = onsite_aa(v0, spec.beta, L)
+        mode = "aa"
     problem = HubbardProblem(L=L, t=wb.t, onsite=profile)
     gs = ground_state(problem)
     metrics = lyapunov_fit(gs, fit_options(cfg))
@@ -113,7 +115,7 @@ def cmd_ground_state(cfg: dict, out_dir: str) -> int:
         "certificate_margin": gs.certificate_margin,
         "t": wb.t,
         "alpha": wb.alpha,
-        "mode": pot.mode if cavity else "aa",
+        "mode": mode,
         "config": cfg,
     }
     if cavity and coop != 0.0:

@@ -1,8 +1,9 @@
 """JSON run configuration: documented defaults, strict validation.
 
 One JSON document drives every command; command-line flags only select the
-config file, the command and the output directory.  Unknown keys anywhere in
-the document are a hard error naming the offending dotted path, so typos
+config file, the command and the output directory.  Every key is checked as
+it merges over the defaults: an unknown key, or a value of another kind than
+its default's, is a hard error naming the offending dotted path, so typos
 cannot silently fall back to defaults.  The whole document is checked when
 it loads, whatever the command, by building the objects its sections
 describe: the lattice, the fit, the pump and the sweep.  The effective
@@ -77,8 +78,13 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the offending key."""
 
 
-#: Free-form mappings whose keys are validated separately, not schema-merged.
+_AXIS_DEFAULTS = DEFAULTS["sweep"]["axis1"]
+
+#: Free-form mappings whose values are checked by their object, not merged.
 _OPAQUE_PATHS = ("sweep.fixed",)
+
+#: The fields whose default is null, and the default a given value matches.
+_NULLABLE = {"axis2": _AXIS_DEFAULTS, "values": [0.0]}
 
 
 def _merge(defaults, given, path):
@@ -93,20 +99,45 @@ def _merge(defaults, given, path):
             if not isinstance(value, dict):
                 raise ConfigError(f"{dotted}: expected an object")
             merged[key] = copy.deepcopy(value)
-        elif isinstance(defaults[key], dict) and value is not None:
-            if not isinstance(value, dict):
-                raise ConfigError(f"{dotted}: expected an object")
-            merged[key] = _merge(defaults[key], value, dotted)
+        elif defaults[key] is None:
+            merged[key] = None if value is None else _checked(_NULLABLE[key], value,
+                                                               dotted)
         else:
-            merged[key] = copy.deepcopy(value)
+            merged[key] = _checked(defaults[key], value, dotted)
     return merged
 
 
-_AXIS_DEFAULTS = DEFAULTS["sweep"]["axis1"]
+def _checked(default, value, key):
+    """value, if it is of its default's kind: an object merged over it, a
+    list of entries like its first, a bool, a string, or a number (JSON true
+    and false are not numbers).  An int default takes an integral number and
+    stores it as an int."""
+    if isinstance(default, dict):
+        return _merge(default, value, key)
+    if isinstance(default, list):
+        if not isinstance(value, list):
+            _reject(key, "a list", value)
+        return [_checked(default[0], v, f"{key}[{j}]") for j, v in enumerate(value)]
+    if isinstance(default, (bool, str)):
+        if type(value) is not type(default):
+            _reject(key, "a boolean" if isinstance(default, bool) else "a string", value)
+        return value
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        _reject(key, "a number", value)
+    if isinstance(default, int) and isinstance(value, float):
+        if not value.is_integer():
+            _reject(key, "an integer", value)
+        return int(value)
+    return value
+
+
+def _reject(key: str, kind: str, value):
+    raise ConfigError(f"{key}: must be {kind}, not {json.dumps(value)}")
 
 
 def effective_config(doc: dict) -> dict:
-    """Merge a raw document over the defaults, rejecting unknown keys.
+    """Merge a raw document over the defaults, rejecting unknown keys and
+    values of another kind than their default's.
 
     Each section is checked by constructing its object: the lattice, the fit,
     the pump (even when disabled) and the sweep spec (``sweep_spec``, its
@@ -114,11 +145,6 @@ def effective_config(doc: dict) -> dict:
     no constructor makes.
     """
     merged = _merge(DEFAULTS, doc, "")
-    for axis_key in ("axis1", "axis2"):
-        axis = merged["sweep"][axis_key]
-        if axis is not None:
-            merged["sweep"][axis_key] = _merge(_AXIS_DEFAULTS, axis,
-                                               f"sweep.{axis_key}")
     _validate(merged)
     for section, build in (("lattice", lattice_spec), ("fit", fit_options),
                            ("pump", _pump), ("sweep", sweep_spec)):
@@ -129,39 +155,18 @@ def effective_config(doc: dict) -> dict:
     return merged
 
 
-def _integer(section: dict, key: str) -> int:
-    value = section[key]
-    if int(value) != value:
-        raise ValueError(f"{key} must be an integer")
-    return int(value)
-
-
 def lattice_spec(cfg: dict) -> LatticeSpec:
     """The configured lattice; LatticeSpec checks every field."""
-    lat = cfg["lattice"]
-    return LatticeSpec(
-        depth_W0=lat["depth_W0"],
-        planewave_cutoff_M=_integer(lat, "planewave_cutoff_M"),
-        quasimomentum_samples_Nq=_integer(lat, "quasimomentum_samples_Nq"),
-        beta=lat["beta"],
-        window_sites=_integer(lat, "window_sites"),
-        points_per_site=_integer(lat, "points_per_site"),
-    )
+    return LatticeSpec(**cfg["lattice"])
 
 
 def fit_options(cfg: dict) -> FitOptions:
     """The configured decay fit; FitOptions checks every field."""
-    fit = cfg["fit"]
-    return FitOptions(background_factor=fit["background_factor"],
-                      min_window_sites=_integer(fit, "min_window_sites"),
-                      min_r2=fit["min_r2"])
+    return FitOptions(**cfg["fit"])
 
 
 def _pump(cfg: dict) -> PumpConfig:
-    pump = cfg["pump"]
-    return PumpConfig(pump_mode=pump["pump_mode"], eta=pump["eta"],
-                      Omega=pump["Omega"], Delta_a=pump["Delta_a"],
-                      g=pump["g"], kappa_over_recoil=pump["kappa_over_recoil"])
+    return PumpConfig(**{k: v for k, v in cfg["pump"].items() if k != "enabled"})
 
 
 def pump_config(cfg: dict) -> PumpConfig | None:
@@ -176,8 +181,7 @@ def _axis(axis_cfg: dict, hopping: float) -> Axis:
         axis = Axis(name, axis_cfg["values"])
     else:
         grid = Axis.log if axis_cfg["scale"] == "log" else Axis.linear
-        axis = grid(name, axis_cfg["start"], axis_cfg["stop"],
-                    _integer(axis_cfg, "num"))
+        axis = grid(name, axis_cfg["start"], axis_cfg["stop"], axis_cfg["num"])
     if axis_cfg["unit"] == "t":
         axis = Axis(name, axis.values * hopping)
     return axis
@@ -194,7 +198,7 @@ def sweep_spec(cfg: dict, hopping: float = 1.0) -> SweepSpec:
     return SweepSpec(
         axis1=_axis(sweep_cfg["axis1"], hopping),
         axis2=None if axis2 is None else _axis(axis2, hopping),
-        lattice=lattice_spec(cfg), L=_integer(cfg["model"], "L"),
+        lattice=lattice_spec(cfg), L=cfg["model"]["L"],
         mode=cfg["model"]["mode"], fixed=sweep_cfg["fixed"],
         observables=tuple(sweep_cfg["observables"]),
         pump=pump_config(cfg), fit=fit_options(cfg), name=sweep_cfg["name"],
@@ -206,70 +210,13 @@ def _require(cond: bool, key: str, message: str):
         raise ConfigError(f"{key}: {message}")
 
 
-def _require_integer(section: dict, key: str, path: str) -> int:
-    try:
-        return _integer(section, key)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{path}: must be an integer") from None
-
-
-def _require_number(section: dict, key: str, path: str) -> float:
-    value = section[key]
-    _require(_is_number(value), path, "must be a number")
-    return value
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _numeric_keys(defaults: dict) -> tuple:
-    return tuple(key for key, default in defaults.items() if _is_number(default))
-
-
-#: The fields whose default is a number, by section, and those of an axis.
-_NUMERIC_KEYS = {section: _numeric_keys(DEFAULTS[section])
-                 for section in ("lattice", "model", "pump", "fit")}
-_AXIS_NUMERIC_KEYS = _numeric_keys(_AXIS_DEFAULTS)
-
-
-def _numeric_fields(cfg: dict):
-    """(dotted key, value) of every field that holds a number.
-
-    They are the fields whose default is a number, each entry of an axis's
-    explicit grid, and the fixed parameters.
-    """
-    for section, keys in _NUMERIC_KEYS.items():
-        for key in keys:
-            yield f"{section}.{key}", cfg[section][key]
-    for axis_key in ("axis1", "axis2"):
-        axis = cfg["sweep"][axis_key]
-        if axis is None:
-            continue
-        for key in _AXIS_NUMERIC_KEYS:
-            yield f"sweep.{axis_key}.{key}", axis[key]
-        if isinstance(axis["values"], list):
-            for j, value in enumerate(axis["values"]):
-                yield f"sweep.{axis_key}.values[{j}]", value
-    for key, value in cfg["sweep"]["fixed"].items():
-        yield f"sweep.fixed.{key}", value
-
-
 def _validate(cfg: dict):
-    """The checks that no constructor makes.
+    """The checks on values that no constructor makes.
 
-    No JSON true or false where a number belongs (Python would read 1 or
-    0), and in the model and sweep sections: scale and unit names, integral sizes, positive log grids, a numeric
-    model.v0 (read only by ground-state), and one hopping for unit 't' grids.
+    Scale and unit names, a non-negative model.v0 (read only by
+    ground-state), positive log grids, and one hopping for unit 't' grids.
     """
-    for key, value in _numeric_fields(cfg):
-        if isinstance(value, bool):
-            raise ConfigError(f"{key}: must be a number, not {json.dumps(value)}")
-    mdl = cfg["model"]
-    _require_integer(mdl, "L", "model.L")
-    _require(_require_number(mdl, "v0", "model.v0") >= 0.0, "model.v0",
-             "must be non-negative")
-
+    _require(cfg["model"]["v0"] >= 0.0, "model.v0", "must be non-negative")
     axes = {f"sweep.{key}": cfg["sweep"][key] for key in ("axis1", "axis2")
             if cfg["sweep"][key] is not None}
     for key, axis in axes.items():
@@ -277,12 +224,9 @@ def _validate(cfg: dict):
                  "must be 'log' or 'linear'")
         _require(axis["unit"] in ("Er", "t"), f"{key}.unit",
                  "must be 'Er' or 't'")
-        if axis["values"] is None:
-            _require_integer(axis, "num", f"{key}.num")
-            if axis["scale"] == "log":
-                _require(_require_number(axis, "start", f"{key}.start") > 0
-                         and _require_number(axis, "stop", f"{key}.stop") > 0,
-                         f"{key}.start", "log grids must be positive")
+        if axis["values"] is None and axis["scale"] == "log":
+            _require(axis["start"] > 0 and axis["stop"] > 0, f"{key}.start",
+                     "log grids must be positive")
 
     # a unit 't' grid is scaled by the hopping of the sweep's one basis, at
     # sweep.fixed.W0 or lattice.depth_W0; a W0 axis has one basis per depth,

@@ -25,8 +25,6 @@ from .lattice import GOLDEN_BETA
 if TYPE_CHECKING:  # pragma: no cover
     from .lattice import WannierBasis
 
-MODES = ("cavity_cos2", "cavity_sin2")
-
 #: Relative residual bound enforced on every ground-state solve.
 RESIDUAL_RTOL = 1e-10
 
@@ -40,33 +38,24 @@ class GroundStateError(RuntimeError):
 
 @dataclass(frozen=True)
 class EffectivePotential:
-    """Specification of the cavity-induced onsite potential."""
+    """Specification of the cavity-induced onsite potential.
 
-    mode: str
+    The sign of C picks the registration of the mode: sin^2 for C > 0
+    (``kernels.sin2_registration``), cos^2 otherwise.
+    """
+
     v0: float
     C: float = 0.0
     delta_c_prime: float = 0.0
     beta: float = GOLDEN_BETA
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.v0 < 0.0:
             raise ValueError("v0 must be non-negative")
 
-    @classmethod
-    def cavity(cls, v0: float, C: float, delta_c_prime: float = 0.0,
-               beta: float = GOLDEN_BETA) -> "EffectivePotential":
-        """Cavity potential with the trig form chosen by the sign of C.
-
-        C > 0 selects the sin^2 registration (``kernels.sin2_registration``).
-        """
-        mode = "cavity_sin2" if kernels.sin2_registration(C) else "cavity_cos2"
-        return cls(mode=mode, v0=v0, C=C, delta_c_prime=delta_c_prime, beta=beta)
-
     @property
     def uses_sin2(self) -> bool:
-        return self.mode == "cavity_sin2"
+        return kernels.sin2_registration(self.C)
 
 
 @dataclass(frozen=True)

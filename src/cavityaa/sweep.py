@@ -27,7 +27,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -178,13 +178,11 @@ class SweepSpec:
             if key in names:
                 # the axis value would win at every point
                 raise ValueError(f"fixed parameter {key!r} is also a sweep axis")
-            try:
-                if isinstance(value, (bool, np.bool_)):  # not the number 1 or 0
-                    raise TypeError
-                fixed[key] = float(value)
-            except (TypeError, ValueError):
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                # not a string's number, nor true or false as 1 or 0
                 raise ValueError(f"fixed parameter {key!r} must be a number, "
-                                 f"got {value!r}") from None
+                                 f"got {value!r}")
+            fixed[key] = float(value)
         object.__setattr__(self, "fixed", fixed)
         given = names + list(self.fixed)
         physical = [n for n in given if n in PHYSICAL_AXES]
@@ -316,7 +314,7 @@ def _unit_profile(spec: SweepSpec, wb: WannierBasis, coop: float,
     if spec.mode == "aa":
         values = onsite_aa(1.0, spec.lattice.beta, spec.L).values
     else:
-        pot = EffectivePotential.cavity(1.0, coop, dcp, beta=spec.lattice.beta)
+        pot = EffectivePotential(1.0, coop, dcp, beta=spec.lattice.beta)
         values = onsite_cavity(wb, pot, spec.L).values
     return unit_profile(values, spec.L, arctan=spec.mode == "cavity")
 
@@ -568,14 +566,7 @@ def _build_metadata(spec: SweepSpec, wannier: WannierBasis | None) -> dict:
         "axes": axes,
         "fixed": dict(spec.fixed),
         "observables": list(spec.observables),
-        "lattice": {
-            "depth_W0": spec.lattice.depth_W0,
-            "planewave_cutoff_M": spec.lattice.planewave_cutoff_M,
-            "quasimomentum_samples_Nq": spec.lattice.quasimomentum_samples_Nq,
-            "beta": spec.lattice.beta,
-            "window_sites": spec.lattice.window_sites,
-            "points_per_site": spec.lattice.points_per_site,
-        },
+        "lattice": asdict(spec.lattice),
         "methods": _methods(spec),
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
@@ -583,11 +574,7 @@ def _build_metadata(spec: SweepSpec, wannier: WannierBasis | None) -> dict:
     if wannier is not None:
         meta["constants"] = _constants(wannier)
     if spec.pump is not None:
-        meta["pump"] = {
-            "pump_mode": spec.pump.pump_mode, "eta": spec.pump.eta,
-            "Omega": spec.pump.Omega, "Delta_a": spec.pump.Delta_a,
-            "g": spec.pump.g, "kappa_over_recoil": spec.pump.kappa_over_recoil,
-        }
+        meta["pump"] = asdict(spec.pump)
     return meta
 
 

@@ -45,7 +45,7 @@ class TransitionScanner:
     def unit_profile(self, C, dcp):
         key = (C, dcp)
         if key not in self._profiles:
-            pot = ca.EffectivePotential.cavity(1.0, C, dcp, beta=self.wb.beta)
+            pot = ca.EffectivePotential(1.0, C, dcp, beta=self.wb.beta)
             self._profiles[key] = ca.onsite_cavity(self.wb, pot, self.L).values
         return self._profiles[key]
 

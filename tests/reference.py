@@ -73,13 +73,16 @@ def gershgorin_norm_bound(d: np.ndarray, e: np.ndarray) -> float:
     return bound if bound > 0.0 else 1.0
 
 
-def f_eval(pot, x) -> np.ndarray:
+def f_eval(pot, x, sin2: bool | None = None) -> np.ndarray:
     """Dimensionless cavity potential arctan(-delta' + C trig^2(beta x)).
 
-    Principal arctan branch; trig = sin in the sin^2 registration.
+    Principal arctan branch; trig = sin in the sin^2 registration, which is
+    the potential's own (``pot.uses_sin2``) unless ``sin2`` is given.
     """
     x = np.asarray(x, dtype=np.float64)
-    trig = np.sin(pot.beta * x) if pot.uses_sin2 else np.cos(pot.beta * x)
+    if sin2 is None:
+        sin2 = pot.uses_sin2
+    trig = np.sin(pot.beta * x) if sin2 else np.cos(pot.beta * x)
     return np.arctan(pot.C * trig * trig - pot.delta_c_prime)
 
 

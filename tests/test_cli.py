@@ -142,6 +142,19 @@ def test_ground_state_free_chain(capsys, tmp_path):
     assert mid > 10.0 * abs(edge)
 
 
+@pytest.mark.parametrize("C, mode", [(-1.0, "cavity_cos2"), (0.0, "cavity_cos2"),
+                                     (1.5, "cavity_sin2")])
+def test_ground_state_writes_the_registration_of_c(capsys, tmp_path, C, mode):
+    # the sign of C alone picks the registration the profile was built in
+    cfg = write_cfg(tmp_path, {"model": {"mode": "cavity", "C": C},
+                               "output": {"wavefunction_csv": False}})
+    code, out, err = run_cli(capsys, "ground-state", "--config", cfg,
+                             "--out", str(tmp_path))
+    assert code == 0
+    metrics = json.loads((tmp_path / "ground_state_metrics.json").read_text())
+    assert metrics["mode"] == mode
+
+
 @pytest.mark.parametrize("pump, v0", [
     ({"pump_mode": "cavity_pumped", "eta": 0.3}, 0.3 ** 2),
     ({"pump_mode": "cavity_pumped", "eta": 3.0}, 3.0 ** 2),
@@ -160,7 +173,7 @@ def test_ground_state_takes_v0_from_the_pump(capsys, tmp_path, wannier, pump, v0
     assert code == 0
     metrics = json.loads((tmp_path / "ground_state_metrics.json").read_text())
     v0 *= 0.5
-    pot = ca.EffectivePotential.cavity(v0, -1.0, -2.0)
+    pot = ca.EffectivePotential(v0, -1.0, -2.0)
     gs = ca.ground_state(ca.HubbardProblem(
         L=L, t=wannier.t, onsite=ca.onsite_cavity(wannier, pot, L)))
     assert metrics["E0"] == pytest.approx(gs.energy, rel=1e-12)
@@ -520,11 +533,15 @@ def test_nbar_without_physical_parameters_exit_code(capsys, tmp_path):
      "sweep.axis1.start: must be a number"),
     ("sweep", {"sweep": {"fixed": {"C": "x"}}},
      "fixed parameter 'C' must be a number"),
-], ids=["model.L", "axis1.num", "model.v0", "axis1.start", "fixed.C"])
+    ("sweep", {"sweep": {"fixed": {"C": "-1.5"}}},
+     "fixed parameter 'C' must be a number"),
+], ids=["model.L", "axis1.num", "model.v0", "axis1.start", "fixed.C",
+        "fixed.C-string"])
 def test_non_integral_size_exit_code(capsys, tmp_path, command, doc, message):
     # int() would silently run 40 sites or 20 grid points; a value that is
     # not a number is named at load, not met as a traceback (fixed.C used
-    # to fail only at CSV export, after every point had been solved)
+    # to fail only at CSV export, after every point had been solved, and a
+    # string holding a number used to run as that number)
     cfg = write_cfg(tmp_path, doc)
     code, out, err = run_cli(capsys, command, "--config", cfg,
                              "--out", str(tmp_path))
@@ -533,24 +550,104 @@ def test_non_integral_size_exit_code(capsys, tmp_path, command, doc, message):
     assert not list(tmp_path.glob("*.csv"))
 
 
-@pytest.mark.parametrize("doc, key, value", [
-    ({"sweep": {"axis1": {"name": "v0", "num": True}}}, "sweep.axis1.num", "true"),
+@pytest.mark.parametrize("doc, message", [
+    ({"sweep": {"axis1": {"name": "v0", "num": True}}},
+     "sweep.axis1.num: must be a number, not true"),
     ({"model": {"mode": "aa"}, "sweep": {"fixed": {"C": True}}},
-     "sweep.fixed.C", "true"),
-    ({"lattice": {"depth_W0": True}}, "lattice.depth_W0", "true"),
-    ({"fit": {"min_r2": False}}, "fit.min_r2", "false"),
+     "fixed parameter 'C' must be a number"),
+    ({"lattice": {"depth_W0": True}}, "lattice.depth_W0: must be a number, not true"),
+    ({"fit": {"min_r2": False}}, "fit.min_r2: must be a number, not false"),
     ({"sweep": {"axis1": {"name": "v0", "values": [0.05, True]}}},
-     "sweep.axis1.values[1]", "true"),
+     "sweep.axis1.values[1]: must be a number, not true"),
 ], ids=["axis1.num", "fixed.C", "depth_W0", "min_r2", "axis1.values"])
-def test_json_boolean_is_not_a_number_exit_code(capsys, tmp_path, doc, key, value):
+def test_json_boolean_is_not_a_number_exit_code(capsys, tmp_path, doc, message):
     # Python reads true as 1 and false as 0: a one-point grid, C = 1, a
     # lattice at W0 = 1; the key is named at load instead
     cfg = write_cfg(tmp_path, doc)
     code, out, err = run_cli(capsys, "sweep", "--config", cfg,
                              "--out", str(tmp_path))
     assert code == 2
-    assert f"{key}: must be a number, not {value}" in err
+    assert message in err
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_integral_number_is_stored_as_an_integer(tmp_path):
+    # an integer field takes 15.0 and stores 15, which a sidecar echoes
+    doc = {"lattice": {"planewave_cutoff_M": 15.0},
+           "sweep": {"axis1": {"name": "v0", "num": 40.0}}}
+    cfg = load_config(write_cfg(tmp_path, doc))
+    assert type(cfg["lattice"]["planewave_cutoff_M"]) is int
+    assert type(cfg["sweep"]["axis1"]["num"]) is int
+    assert cfg == load_config(write_cfg(tmp_path, {}))
+
+
+def _leaves(tree, path=""):
+    """(dotted key, default) of each configurable value; sweep.fixed, whose
+    values SweepSpec checks, and the fields that default to null are left
+    out."""
+    for key, default in tree.items():
+        dotted = f"{path}.{key}" if path else key
+        if dotted == "sweep.fixed" or default is None:
+            continue
+        if isinstance(default, dict):
+            yield from _leaves(default, dotted)
+        else:
+            yield dotted, default
+
+
+def _other_kind(default):
+    """A JSON value of another kind than the default."""
+    if isinstance(default, bool):
+        return "no"
+    if isinstance(default, str):
+        return 1
+    if isinstance(default, int):
+        return 2.5
+    if isinstance(default, float):
+        return "x"
+    return default[0]  # an entry of a list, not a list
+
+
+def _nested(dotted, value, extra=None):
+    doc = value
+    for key in reversed(dotted.split(".")):
+        doc = {key: doc}
+    section = dotted.split(".")[0]
+    if extra:
+        doc[section] = {**extra, **doc[section]}
+    return doc
+
+
+#: (dotted key, doc): one value of another kind for every field of DEFAULTS,
+#: then the cases where the context or the value is what used to slip
+#: through (a value unused in aa mode or by a driven cavity, a number in a
+#: string, a size beside an explicit grid).
+KIND_CASES = [(key, _nested(key, _other_kind(default)))
+              for key, default in _leaves(DEFAULTS)] + [
+    ("model.delta_c_prime", _nested("model.delta_c_prime", "x", {"mode": "aa"})),
+    ("pump.Omega", _nested("pump.Omega", "x", {"enabled": True})),
+    ("pump.g", _nested("pump.g", [1], {"enabled": True})),
+    ("fit.min_r2", _nested("fit.min_r2", "0.5")),
+    ("sweep.axis1.num", {"sweep": {"axis1": {"name": "v0", "values": [0.05],
+                                             "num": 2.5}}}),
+    ("sweep.axis1.values", {"sweep": {"axis1": {"name": "v0", "values": "x"}}}),
+    ("sweep.axis2.start", {"sweep": {"axis2": {"name": "C", "start": "-4"}}}),
+]
+
+
+@pytest.mark.parametrize("key, doc", KIND_CASES,
+                         ids=[f"{key}={json.dumps(doc)}" for key, doc in KIND_CASES])
+def test_value_of_another_kind_exit_code(capsys, tmp_path, key, doc):
+    # each field takes its default's kind: a string or list where a number
+    # belongs, a fraction where an integer does, or a string where a bool
+    # does is named at load, whatever the command reads, and nothing is written
+    cfg = write_cfg(tmp_path, doc)
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "ground-state", "--config", cfg,
+                             "--out", str(out_dir))
+    assert code == 2
+    assert f"error: {key}: must be " in err
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("sweep_doc, fixed", [

@@ -184,16 +184,16 @@ def test_correction_constants_delta_limit(wannier):
 
 def test_cavity_tunneling_corrections(wannier):
     t = wannier.t
-    pot0 = ca.EffectivePotential.cavity(0.0, -1.0, 0.0)
+    pot0 = ca.EffectivePotential(0.0, -1.0, 0.0)
     assert np.max(np.abs(cavity_tunneling_corrections(wannier, pot0, 40))) == 0.0
 
     # constant potential: reduces to the neighbor overlap, zero by orthogonality
-    pot_const = ca.EffectivePotential.cavity(4.0 * t, 0.0, 1.5)
+    pot_const = ca.EffectivePotential(4.0 * t, 0.0, 1.5)
     tn = cavity_tunneling_corrections(wannier, pot_const, 40)
     assert np.max(np.abs(tn)) < 1e-6 * 4.0 * t
 
     # declared negligibility threshold of the bond corrections
-    pot = ca.EffectivePotential.cavity(4.0 * t, -1.0, 0.0)
+    pot = ca.EffectivePotential(4.0 * t, -1.0, 0.0)
     tn = cavity_tunneling_corrections(wannier, pot, 233)
     assert np.max(np.abs(tn)) / t < 0.05
 

@@ -11,20 +11,18 @@ L = 233
 
 
 def test_potential_mode_selection():
-    pot = ca.EffectivePotential.cavity(0.1, +2.0, 0.0)
-    assert pot.mode == "cavity_sin2"
-    pot = ca.EffectivePotential.cavity(0.1, -2.0, 0.0)
-    assert pot.mode == "cavity_cos2"
-    pot = ca.EffectivePotential.cavity(0.1, 0.0, 0.5)
-    assert pot.mode == "cavity_cos2"
+    pot = ca.EffectivePotential(0.1, +2.0, 0.0)
+    assert pot.uses_sin2
+    pot = ca.EffectivePotential(0.1, -2.0, 0.0)
+    assert not pot.uses_sin2
+    pot = ca.EffectivePotential(0.1, 0.0, 0.5)
+    assert not pot.uses_sin2
     with pytest.raises(ValueError):
-        ca.EffectivePotential.cavity(-0.1, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        ca.EffectivePotential(mode="bogus", v0=0.1)
+        ca.EffectivePotential(-0.1, 1.0, 0.0)
 
 
 def test_f_eval_constant_for_zero_coupling():
-    pot = ca.EffectivePotential.cavity(1.0, 0.0, 0.7)
+    pot = ca.EffectivePotential(1.0, 0.0, 0.7)
     x = np.linspace(-40.0, 40.0, 1001)
     f = f_eval(pot, x)
     assert np.allclose(f, np.arctan(-0.7), atol=1e-15)
@@ -33,25 +31,25 @@ def test_f_eval_constant_for_zero_coupling():
 def test_f_eval_small_coupling_harmonic():
     # weak coupling: oscillation amplitude |C| / (2 (delta'^2 + 1))
     dcp, C = 1.0, 1e-6
-    pot = ca.EffectivePotential(mode="cavity_cos2", v0=1.0, C=C, delta_c_prime=dcp)
+    pot = ca.EffectivePotential(v0=1.0, C=C, delta_c_prime=dcp)
     x = np.linspace(0.0, 200.0 * np.pi, 200001)
-    f = f_eval(pot, x)
+    f = f_eval(pot, x, sin2=False)
     amp = (f.max() - f.min()) / 2.0
     assert amp == pytest.approx(C / (2.0 * (dcp ** 2 + 1.0)), rel=1e-4)
 
 
 def test_f_eval_root_of_argument():
     # cos^2 = 1/2 with delta' = 1 and C = 2 sits exactly on arctan(0)
-    pot = ca.EffectivePotential(mode="cavity_cos2", v0=1.0, C=2.0, delta_c_prime=1.0)
+    pot = ca.EffectivePotential(v0=1.0, C=2.0, delta_c_prime=1.0)
     x = np.pi / (4.0 * pot.beta)
-    assert f_eval(pot, x) == pytest.approx(0.0, abs=1e-12)
+    assert f_eval(pot, x, sin2=False) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_f_eval_odd_in_coupling():
     x = np.linspace(-30.0, 30.0, 501)
     for c in (0.3, 1.7, 4.0):
-        plus = f_eval(ca.EffectivePotential(mode="cavity_cos2", v0=1.0, C=+c), x)
-        minus = f_eval(ca.EffectivePotential(mode="cavity_cos2", v0=1.0, C=-c), x)
+        plus = f_eval(ca.EffectivePotential(v0=1.0, C=+c), x, sin2=False)
+        minus = f_eval(ca.EffectivePotential(v0=1.0, C=-c), x, sin2=False)
         assert np.allclose(plus, -minus, atol=1e-15)
 
 
@@ -74,13 +72,13 @@ def test_onsite_aa_range_reduction():
 
 
 def test_onsite_cavity_zero_strength(wannier):
-    pot = ca.EffectivePotential.cavity(0.0, -1.0, 0.3)
+    pot = ca.EffectivePotential(0.0, -1.0, 0.3)
     assert np.all(ca.onsite_cavity(wannier, pot, L).values == 0.0)
 
 
 def test_onsite_cavity_uniform_for_zero_coupling(wannier):
     v0, dcp = 0.2, 0.8
-    pot = ca.EffectivePotential.cavity(v0, 0.0, dcp)
+    pot = ca.EffectivePotential(v0, 0.0, dcp)
     prof = ca.onsite_cavity(wannier, pot, L)
     assert np.allclose(prof.values, v0 * np.arctan(-dcp), rtol=1e-12)
     # uniform onsite shift: same IPR as the free chain
@@ -92,7 +90,7 @@ def test_onsite_cavity_uniform_for_zero_coupling(wannier):
 
 def test_onsite_cavity_range_bound(wannier):
     v0 = 0.5
-    pot = ca.EffectivePotential.cavity(v0, -4.0, -2.0)
+    pot = ca.EffectivePotential(v0, -4.0, -2.0)
     prof = ca.onsite_cavity(wannier, pot, L)
     assert np.max(np.abs(prof.values)) <= v0 * np.pi / 2.0
 
@@ -100,7 +98,7 @@ def test_onsite_cavity_range_bound(wannier):
 def test_onsite_cavity_smearing_matches_alpha(wannier):
     # ratio of the first-harmonic amplitude, smeared over pointwise, is alpha
     t = wannier.t
-    pot = ca.EffectivePotential.cavity(4.0 * t, -0.5, 0.0)
+    pot = ca.EffectivePotential(4.0 * t, -0.5, 0.0)
     smeared = ca.onsite_cavity(wannier, pot, L).values
     n = np.arange(1, L + 1)
     pointwise = pot.v0 * f_eval(pot, n * LATTICE_CONSTANT)
@@ -354,11 +352,13 @@ def test_scale_covariance(scanner, wannier):
 def test_mode_symmetry_commensurate_registration(wannier):
     # beta = 1/2: the sin^2 form shifted by one site is exactly the cos^2 form
     v0, C = 0.04, -1.5
-    cos_pot = ca.EffectivePotential(mode="cavity_cos2", v0=v0, C=C, beta=0.5)
-    sin_pot = ca.EffectivePotential(mode="cavity_sin2", v0=v0, C=C, beta=0.5)
+    cos_pot = ca.EffectivePotential(v0=v0, C=C, beta=0.5)
     prof_cos = ca.onsite_cavity(wannier, cos_pot, L)
-    prof_sin = ca.onsite_cavity(wannier, sin_pot, L + 1)
-    prof_sin = ca.OnsiteProfile(values=prof_sin.values[1:].copy(), L=L)
+    # C < 0 registers cos^2, so the sin^2 form comes from the quadrature
+    sin_unit = kernels.onsite_quadrature(
+        wannier.density_weights, wannier.grid, L + 1, wannier.site_spacing_a,
+        0.5, C, 0.0, sin2=True)
+    prof_sin = ca.OnsiteProfile(values=v0 * sin_unit[1:], L=L)
     assert np.allclose(prof_cos.values, prof_sin.values, atol=1e-13)
     gs_cos = ca.ground_state(ca.HubbardProblem(L=L, t=wannier.t, onsite=prof_cos))
     gs_sin = ca.ground_state(ca.HubbardProblem(L=L, t=wannier.t, onsite=prof_sin))

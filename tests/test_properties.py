@@ -64,6 +64,6 @@ def test_thouless_identity(ratio, v_c):
 @given(c=st.floats(1e-3, 8.0), x=st.floats(-50.0, 50.0))
 @settings(max_examples=60, deadline=None)
 def test_f_odd_in_coupling_on_resonance(c, x):
-    plus = f_eval(ca.EffectivePotential(mode="cavity_cos2", v0=1.0, C=+c), x)
-    minus = f_eval(ca.EffectivePotential(mode="cavity_cos2", v0=1.0, C=-c), x)
+    plus = f_eval(ca.EffectivePotential(v0=1.0, C=+c), x, sin2=False)
+    minus = f_eval(ca.EffectivePotential(v0=1.0, C=-c), x, sin2=False)
     assert float(plus) == pytest.approx(-float(minus), abs=1e-14)

@@ -87,3 +87,14 @@ def test_benchmark_hooks_see_each_point_and_column(wannier, lattice_spec,
         assert kwargs == {}
         assert wb is wannier and L == 89
         assert (pot.C, pot.delta_c_prime) == (C, -0.5)
+
+
+def test_readme_library_sketch_runs(tmp_path, monkeypatch):
+    # the sketch is the documented use of the public names; run it as written
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library sketch\n", 1)[1]
+    source = section.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    exec(compile(source, "README.md (Library sketch)", "exec"), {})
+    assert (tmp_path / "phase.csv").is_file()
+    assert (tmp_path / "phase.meta.json").is_file()

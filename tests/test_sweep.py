@@ -116,7 +116,7 @@ def test_single_point_sweep_matches_direct_solve(wannier, lattice_spec):
     assert len(result.records) == 1
     rec = result.records[0]
 
-    pot = ca.EffectivePotential.cavity(v0, C, 0.0)
+    pot = ca.EffectivePotential(v0, C, 0.0)
     prof = ca.onsite_cavity(wannier, pot, L)
     gs = ca.ground_state(ca.HubbardProblem(L=L, t=wannier.t, onsite=prof))
     assert rec.E0 == gs.energy
@@ -165,7 +165,7 @@ def test_one_unit_profile_per_column(wannier, lattice_spec, monkeypatch):
     for j in range(3):
         previous = None
         for rec in records[j::3]:
-            pot = ca.EffectivePotential.cavity(rec.v0, rec.C, -0.3)
+            pot = ca.EffectivePotential(rec.v0, rec.C, -0.3)
             prof = ca.onsite_cavity(wannier, pot, L)
             gs = ca.ground_state(ca.HubbardProblem(L=L, t=wannier.t, onsite=prof),
                                  start=previous)
@@ -397,7 +397,7 @@ def test_failed_point_leaves_its_column_unresolved(wannier, lattice_spec,
                  observables=("ipr", "vc"))
     clean = ca.run_sweep(spec, wannier=wannier).metadata["transition_estimates"]
     failing = 7 * 3 + 1  # v0 index 7 in the C = -1 column
-    pot = ca.EffectivePotential.cavity(spec.axis1.values[7], -1.0, 0.0)
+    pot = ca.EffectivePotential(spec.axis1.values[7], -1.0, 0.0)
     planted = ca.onsite_cavity(wannier, pot, L).values
     solve = ca.sweep.ground_state
 
@@ -597,7 +597,7 @@ def test_atom_pumped_eta_axis_drives_v0_and_photon_number(wannier, lattice_spec)
     recs = ca.run_sweep(spec, wannier=wannier).records
     for eta, rec in zip(etas, recs):
         assert rec.v0 == pytest.approx(eta * eta * -4.0 / -2.0, rel=1e-14)
-        pot = ca.EffectivePotential.cavity(rec.v0, -1.0, -4.0)
+        pot = ca.EffectivePotential(rec.v0, -1.0, -4.0)
         prof = ca.onsite_cavity(wannier, pot, L)
         gs = ca.ground_state(ca.HubbardProblem(L=L, t=wannier.t, onsite=prof))
         zeta = ca.PumpField("atom_pumped", eta * 0.3 / -2.0)
@@ -619,7 +619,7 @@ def test_photon_number_registration_across_u0_zero(wannier, lattice_spec, pump_m
     zeta = pump.pump_field(0.6)
     for rec in recs:
         assert rec.flags == ""
-        pot = ca.EffectivePotential.cavity(rec.v0, rec.C, rec.delta_c_prime)
+        pot = ca.EffectivePotential(rec.v0, rec.C, rec.delta_c_prime)
         prof = ca.onsite_cavity(wannier, pot, L)
         gs = ca.ground_state(ca.HubbardProblem(L=L, t=wannier.t, onsite=prof))
         if rec.C != 0.0:
