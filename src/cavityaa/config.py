@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 
 from .lattice import GOLDEN_BETA, LatticeSpec
 from .observables import FitOptions
-from .sweep import Axis, PumpConfig, SweepSpec
+from .sweep import PHYSICAL_AXES, Axis, PumpConfig, SweepSpec
 
 #: Defaults for every configurable field.
 DEFAULTS = {
@@ -109,9 +110,9 @@ def _merge(defaults, given, path):
 
 def _checked(default, value, key):
     """value, if it is of its default's kind: an object merged over it, a
-    list of entries like its first, a bool, a string, or a number (JSON true
-    and false are not numbers).  An int default takes an integral number and
-    stores it as an int."""
+    list of entries like its first, a bool, a string, or a finite number
+    (JSON true and false are not numbers, nor are NaN and Infinity).  An int
+    default takes an integral number and stores it as an int."""
     if isinstance(default, dict):
         return _merge(default, value, key)
     if isinstance(default, list):
@@ -124,6 +125,8 @@ def _checked(default, value, key):
         return value
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         _reject(key, "a number", value)
+    if isinstance(value, float) and not math.isfinite(value):
+        _reject(key, "a finite number", value)
     if isinstance(default, int) and isinstance(value, float):
         if not value.is_integer():
             _reject(key, "an integer", value)
@@ -192,14 +195,29 @@ def sweep_spec(cfg: dict, hopping: float = 1.0) -> SweepSpec:
 
     Unit 't' grids are scaled by ``hopping``, the hopping in E_r of the basis
     at the spec's own ``lattice`` (into which SweepSpec folds a fixed W0).
+    A parameter on no axis and not in ``sweep.fixed`` comes from ``model``:
+    v0, C and delta_c_prime; with the pump enabled and a physical parameter
+    given, U0 = model.C and delta_c = model.delta_c_prime, as ground-state
+    reads them.  In aa mode that is v0 alone, and nothing beside a physical
+    parameter.
     """
-    sweep_cfg = cfg["sweep"]
+    sweep_cfg, mdl = cfg["sweep"], cfg["model"]
     axis2 = sweep_cfg["axis2"]
+    names = [axis["name"] for axis in (sweep_cfg["axis1"], axis2) if axis is not None]
+    given = {*names, *sweep_cfg["fixed"]}
+    physical = cfg["pump"]["enabled"] and given & set(PHYSICAL_AXES)
+    if mdl["mode"] == "aa":
+        implied = {} if physical else {"v0": mdl["v0"]}
+    elif physical:
+        implied = {"U0": mdl["C"], "delta_c": mdl["delta_c_prime"]}
+    else:
+        implied = {key: mdl[key] for key in ("v0", "C", "delta_c_prime")}
+    fixed = {k: v for k, v in implied.items() if k not in given}
     return SweepSpec(
         axis1=_axis(sweep_cfg["axis1"], hopping),
         axis2=None if axis2 is None else _axis(axis2, hopping),
-        lattice=lattice_spec(cfg), L=cfg["model"]["L"],
-        mode=cfg["model"]["mode"], fixed=sweep_cfg["fixed"],
+        lattice=lattice_spec(cfg), L=mdl["L"],
+        mode=mdl["mode"], fixed={**fixed, **sweep_cfg["fixed"]},
         observables=tuple(sweep_cfg["observables"]),
         pump=pump_config(cfg), fit=fit_options(cfg), name=sweep_cfg["name"],
     )
@@ -213,8 +231,9 @@ def _require(cond: bool, key: str, message: str):
 def _validate(cfg: dict):
     """The checks on values that no constructor makes.
 
-    Scale and unit names, a non-negative model.v0 (read only by
-    ground-state), positive log grids, and one hopping for unit 't' grids.
+    Scale and unit names, a non-negative model.v0 (which a sweep reads
+    when v0 is on no axis), positive log grids, and one hopping for unit
+    't' grids.
     """
     _require(cfg["model"]["v0"] >= 0.0, "model.v0", "must be non-negative")
     axes = {f"sweep.{key}": cfg["sweep"][key] for key in ("axis1", "axis2")

@@ -8,7 +8,7 @@ cavity profile, so the points that share (W0, C, delta') form a column,
 the unit of work: it sets up its basis and unit profile once, runs in
 increasing strength with each ground-state solve started from the previous
 point's state, and estimates its own transition.  A column is never split;
-chunks of whole columns run in this process or on a process pool, so
+the columns run in order, in this process or mapped over a process pool, so
 results are deterministic and worker-count-independent: records are keyed
 by flat grid index and reassembled in row-major order (axis1 outer, axis2
 inner).
@@ -26,6 +26,7 @@ import concurrent.futures
 import csv
 import io
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 
@@ -135,6 +136,8 @@ class Axis:
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.ndim != 1 or vals.shape[0] < 1:
             raise ValueError("axis grid must be a non-empty 1-D array")
+        if not np.isfinite(vals).all():
+            raise ValueError(f"axis {self.name!r} grid values must be finite")
         object.__setattr__(self, "values", vals)
         vals.setflags(write=False)
 
@@ -183,6 +186,9 @@ class SweepSpec:
                 raise ValueError(f"fixed parameter {key!r} must be a number, "
                                  f"got {value!r}")
             fixed[key] = float(value)
+            if not math.isfinite(fixed[key]):
+                raise ValueError(f"fixed parameter {key!r} must be finite, "
+                                 f"got {value!r}")
         object.__setattr__(self, "fixed", fixed)
         given = names + list(self.fixed)
         physical = [n for n in given if n in PHYSICAL_AXES]
@@ -194,6 +200,9 @@ class SweepSpec:
             # model parameters next to them would be silently ignored
             raise ValueError(f"model parameters {model} cannot be combined "
                              f"with physical parameters {physical}")
+        if "nbar" in self.observables and self.mode == "aa":
+            raise ValueError("nbar requires mode 'cavity': the bichromatic "
+                             "chain has no cavity")
         if "nbar" in self.observables and self.pump is None:
             raise ValueError("nbar requires a pump config")
         if "nbar" in self.observables and not physical:
@@ -325,20 +334,21 @@ def _nan(value) -> float:
 
 def _run_column(runtime: _Runtime, column: list
                 ) -> tuple[list, dict | None, dict | None]:
-    """(flat index, record) of each point of a column, its transition, its basis.
+    """The records of a column's points, its transition, its basis.
 
+    column holds the points' flat indices in solve order (increasing
+    strength), and the records come back in that order, one per index.
     The column's first point whose parameters resolve builds the basis and
     the unit profile; when that set-up fails, it and every later point that
-    resolves fail with its error type.  The points run in solve order
-    (increasing strength), each solve started from the previous point's
-    ground state; the first solve, and any after a failed point, start
-    cold.  The transition estimate reads the records in that order; it is
-    None unless the sweep asks for "vc" along a strength axis.  The last
-    item is the basis's depth and constants (``_constants``), or None when
-    the column has no basis.
+    resolves fail with its error type.  Each solve starts from the previous
+    point's ground state; the first solve, and any after a failed point,
+    start cold.  The transition estimate reads the records in solve order;
+    it is None unless the sweep asks for "vc" along a strength axis.  The
+    last item is the basis's depth and constants (``_constants``), or None
+    when the column has no basis.
     """
     spec = runtime.spec
-    pairs = []
+    records = []
     wb = unit = start = column_params = None
     set_up_failed = ""
     for i in column:
@@ -379,25 +389,26 @@ def _run_column(runtime: _Runtime, column: list
         start = None if gs is None else gs.amplitudes
         if spec.mode == "aa":  # the bichromatic profile has no C or delta'
             coop = dcp = 0.0
-        pairs.append((i, SweepRecord(
+        records.append(SweepRecord(
             axis1=params[spec.axis1.name],
             axis2=None if spec.axis2 is None else params[spec.axis2.name],
             v0=v0, C=coop, delta_c_prime=dcp,
             E0=_nan(e0), ipr=_nan(p_x), gamma=gamma, nbar=nbar,
-            flags=";".join(flags), solver=solver)))
+            flags=";".join(flags), solver=solver))
 
     constants = None if wb is None else {"W0": wb.depth_W0, **_constants(wb)}
-    return pairs, _column_estimate(spec, pairs, wb, column_params, params), constants
+    estimate = _column_estimate(spec, records, wb, column_params, params)
+    return records, estimate, constants
 
 
-def _column_estimate(spec: SweepSpec, pairs: list, wb: WannierBasis | None,
+def _column_estimate(spec: SweepSpec, records: list, wb: WannierBasis | None,
                      column_params: tuple | None, params: dict) -> dict | None:
     """A column's transition_estimates entry from its records in solve order.
 
     None unless the sweep asks for "vc" along a strength axis.  params are
     the last point's, which hold the column's other axis value.
     """
-    scan = _scan_axis(spec)
+    scan = _axis_named(spec, SCAN_AXES)
     if "vc" not in spec.observables or scan is None:
         return None
     other = spec.axis2 if scan is spec.axis1 else spec.axis1
@@ -408,9 +419,9 @@ def _column_estimate(spec: SweepSpec, pairs: list, wb: WannierBasis | None,
     if spec.mode == "cavity" and wb is not None:
         kwargs = dict(hopping=wb.t, alpha=wb.alpha, C=column_params[0],
                       delta_c_prime=column_params[1])
-    v0s = [rec.v0 for _, rec in pairs]
+    v0s = [rec.v0 for rec in records]
     try:
-        est = detect_transition(v0s, [rec.ipr for _, rec in pairs], **kwargs)
+        est = detect_transition(v0s, [rec.ipr for rec in records], **kwargs)
     except ValueError as exc:
         entry.update(v_c_numerical=None, v_c_analytic=None, unresolved=True,
                      error=str(exc))
@@ -424,10 +435,10 @@ def _column_estimate(spec: SweepSpec, pairs: list, wb: WannierBasis | None,
 
 # --- execution ---------------------------------------------------------------
 
-def _scan_axis(spec: SweepSpec) -> Axis | None:
-    """The axis that scans the strength (v0 or eta), if the grid has one."""
+def _axis_named(spec: SweepSpec, names: tuple) -> Axis | None:
+    """The grid's axis whose name is in names (SCAN_AXES, or W0), if any."""
     for axis in (spec.axis1, spec.axis2):
-        if axis is not None and axis.name in SCAN_AXES:
+        if axis is not None and axis.name in names:
             return axis
     return None
 
@@ -437,11 +448,12 @@ def _solve_columns(spec: SweepSpec) -> list:
 
     A column is the set of points that share every parameter but the
     strength (v0 or eta); it runs in increasing strength and starts cold.
-    Without a strength axis every point is its own column.  The columns
-    depend on the grid alone, never on the worker count.
+    Without a strength axis every point is its own column, so every column
+    has the same length.  The columns depend on the grid alone, never on
+    the worker count.
     """
     n1, n2 = spec.shape
-    scan = _scan_axis(spec)
+    scan = _axis_named(spec, SCAN_AXES)
     if scan is None:
         return [[i] for i in range(n1 * n2)]
     flat = np.arange(n1 * n2).reshape(n1, n2)
@@ -457,103 +469,89 @@ def _init_worker(spec: SweepSpec, wannier: WannierBasis | None):
     _WORKER_RUNTIME = _Runtime(spec, wannier)
 
 
-def _run_chunk(columns: list, runtime: _Runtime | None = None) -> list:
-    """``_run_column`` of whole columns, in the pool worker's runtime by default."""
-    return [_run_column(runtime or _WORKER_RUNTIME, column) for column in columns]
+def _run_in_worker(column: list) -> tuple:
+    return _run_column(_WORKER_RUNTIME, column)
 
 
-def _chunks(columns: list, workers: int) -> list:
-    """Consecutive columns grouped into about 8 chunks per worker by size."""
-    n = sum(len(col) for col in columns)
-    target = max(n / max(workers * 8, 1), 1.0)
-    chunks, current, size = [], [], 0
-    for col in columns:
-        current.append(col)
-        size += len(col)
-        if size >= target:
-            chunks.append(current)
-            current, size = [], 0
-    if current:
-        chunks.append(current)
-    return chunks
-
-
-def _completed_chunks(spec: SweepSpec, wannier: WannierBasis | None,
-                      chunks: list, workers: int):
-    """(chunk index, ``_run_chunk`` output) of each chunk as it completes.
-
-    Inline in this process when workers == 1 or there is one chunk, else on
-    a process pool of at most one worker per chunk.
-    """
-    if workers == 1 or len(chunks) == 1:
+def _column_results(spec: SweepSpec, wannier: WannierBasis | None,
+                    columns: list, chunk: int, workers: int):
+    """``_run_column`` of each column, in column order: in this process when
+    workers == 1 or the columns make one chunk, else over a pool of at most
+    one worker per chunk.  Under fork, ``_init_worker`` hands each worker the
+    shared basis, and a worker keeps the bases it builds across its chunks."""
+    if workers == 1 or chunk >= len(columns):
         runtime = _Runtime(spec, wannier)
-        for k, chunk in enumerate(chunks):
-            yield k, _run_chunk(chunk, runtime)
+        yield from (_run_column(runtime, column) for column in columns)
         return
     with concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(workers, len(chunks)), initializer=_init_worker,
-            initargs=(spec, wannier)) as pool:
-        futures = {pool.submit(_run_chunk, chunk): k for k, chunk in enumerate(chunks)}
-        for fut in concurrent.futures.as_completed(futures):
-            yield futures[fut], fut.result()
+            max_workers=min(workers, -(-len(columns) // chunk)),
+            initializer=_init_worker, initargs=(spec, wannier)) as pool:
+        yield from pool.map(_run_in_worker, columns, chunksize=chunk)
 
 
 def run_sweep(spec: SweepSpec, wannier: WannierBasis | None = None,
               workers: int = 1, progress=None) -> SweepResult:
     """Execute the sweep and collect one record per grid point.
 
-    The Wannier basis at ``spec.lattice``'s depth is computed once (or taken
-    from the caller; one at another depth raises ValueError) and shared
-    read-only; a W0 axis builds one per depth, in the process that first
-    needs it.  Whole columns (``_solve_columns``) are grouped into chunks
-    (``_chunks``); each column runs warm-started in increasing strength and
-    estimates its own transition (``_run_column``).  The chunks run in this
-    process when workers == 1 or there is one chunk, else on a process
-    pool; results are identical either way.  workers < 1 raises
-    ValueError.  progress, when given, is called as progress(done, total)
-    after each completed chunk, and once with done == total at the end.
+    The Wannier basis at ``spec.lattice``'s depth is computed once and
+    shared read-only; a W0 axis builds one per depth, in the process that
+    first needs it.  A caller's basis must be built for ``spec.lattice`` at
+    a depth the sweep solves (``spec.lattice.depth_W0``, or a value of the
+    W0 axis); any other raises ValueError.  The columns
+    (``_solve_columns``) all have the same length; each runs warm-started
+    in increasing strength and estimates its own transition
+    (``_run_column``).  They run in chunks of ceil(columns / (8 workers)),
+    in this process when workers == 1 or there is one chunk, else on a
+    process pool; the results arrive in column order and are identical
+    either way.  workers < 1 raises ValueError.  progress, when given, is
+    called as progress(done, total) after each chunk but the last, and once
+    with done == total at the end.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    if spec.axis1.name != "W0" and (spec.axis2 is None or spec.axis2.name != "W0"):
-        if wannier is None:
-            wannier = build_wannier(solve_lowest_band(spec.lattice), spec.lattice)
-        elif wannier.depth_W0 != spec.lattice.depth_W0:
-            raise ValueError(f"the basis is at depth {wannier.depth_W0}, every point "
-                             f"at {spec.lattice.depth_W0}")
+    depth_axis = _axis_named(spec, ("W0",))
+    depths = ([spec.lattice.depth_W0] if depth_axis is None
+              else depth_axis.values.tolist())
+    if wannier is not None and (
+            wannier.spec != replace(spec.lattice, depth_W0=wannier.depth_W0)
+            or wannier.depth_W0 not in depths):
+        raise ValueError(f"the basis was built for {wannier.spec}; the sweep "
+                         f"solves {spec.lattice} at depth_W0 in {depths}")
+    if wannier is None and depth_axis is None:
+        wannier = build_wannier(solve_lowest_band(spec.lattice), spec.lattice)
     n = spec.n_points
     records: list = [None] * n
-    chunks = _chunks(_solve_columns(spec), workers)
-    estimates: list = [[] for _ in chunks]
-    depths: dict = {}
-    done = 0
-    for k, columns in _completed_chunks(spec, wannier, chunks, workers):
-        for pairs, entry, constants in columns:
-            for i, rec in pairs:
-                records[i] = rec
-            done += len(pairs)
-            if entry is not None:
-                estimates[k].append(entry)
-            if constants is not None:
-                depths[constants["W0"]] = constants
-        if progress is not None and done < n:
-            progress(done, n)
+    columns = _solve_columns(spec)
+    chunk = -(-len(columns) // (8 * workers))
+    estimates, by_depth = [], {}
+    results = _column_results(spec, wannier, columns, chunk, workers)
+    for k, ((column_records, entry, constants), column) in enumerate(
+            zip(results, columns), 1):
+        for i, rec in zip(column, column_records):
+            records[i] = rec
+        if entry is not None:
+            estimates.append(entry)
+        if constants is not None:
+            by_depth[constants["W0"]] = constants
+        if progress is not None and k % chunk == 0 and k < len(columns):
+            progress(k * len(column), n)
     if progress is not None:
         progress(n, n)
 
-    metadata = _build_metadata(spec, wannier)
-    if wannier is None:  # a W0 axis: one basis per depth, in axis order
-        axis = spec.axis1 if spec.axis1.name == "W0" else spec.axis2
-        metadata["constants"] = [depths[w] for w in dict.fromkeys(axis.values.tolist())
-                                 if w in depths]
+    metadata = _build_metadata(spec)
+    if depth_axis is None:
+        metadata["constants"] = _constants(wannier)
+    else:  # one basis per depth, in axis order
+        metadata["constants"] = [by_depth[w] for w in dict.fromkeys(depths)
+                                 if w in by_depth]
     metadata["solver_counts"] = {kind: sum(1 for rec in records if rec.solver == kind)
                                  for kind in SOLVER_KINDS}
     if "vc" in spec.observables:
-        metadata["transition_estimates"] = [e for chunk in estimates for e in chunk]
+        metadata["transition_estimates"] = estimates
     return SweepResult(records=records, metadata=metadata)
 
 
-def _build_metadata(spec: SweepSpec, wannier: WannierBasis | None) -> dict:
+def _build_metadata(spec: SweepSpec) -> dict:
     axes = {"axis1": {"name": spec.axis1.name,
                       "values": spec.axis1.values.tolist()}}
     if spec.axis2 is not None:
@@ -571,8 +569,6 @@ def _build_metadata(spec: SweepSpec, wannier: WannierBasis | None) -> dict:
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
     }
-    if wannier is not None:
-        meta["constants"] = _constants(wannier)
     if spec.pump is not None:
         meta["pump"] = asdict(spec.pump)
     return meta

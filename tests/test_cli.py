@@ -535,8 +535,20 @@ def test_nbar_without_physical_parameters_exit_code(capsys, tmp_path):
      "fixed parameter 'C' must be a number"),
     ("sweep", {"sweep": {"fixed": {"C": "-1.5"}}},
      "fixed parameter 'C' must be a number"),
+    ("sweep", {"sweep": {"fixed": {"C": float("nan")}}},
+     "fixed parameter 'C' must be finite"),
+    ("sweep", {"sweep": {"axis1": {"name": "v0", "values": [0.05, float("nan"), 0.1]},
+                         "axis2": {"name": "C", "values": [-1.0]}}},
+     "sweep.axis1.values[1]: must be a finite number, not NaN"),
+    ("sweep", {"pump": {"enabled": True, "kappa_over_recoil": float("inf")},
+               "sweep": {"axis1": {"name": "eta", "values": [0.1, 0.3]},
+                         "fixed": {"U0": -1.0, "delta_c": 0.0}}},
+     "pump.kappa_over_recoil: must be a finite number, not Infinity"),
+    ("ground-state", {"model": {"C": float("nan")}},
+     "model.C: must be a finite number, not NaN"),
 ], ids=["model.L", "axis1.num", "model.v0", "axis1.start", "fixed.C",
-        "fixed.C-string"])
+        "fixed.C-string", "fixed.C-NaN", "axis1.values-NaN",
+        "kappa_over_recoil-Infinity", "model.C-NaN"])
 def test_non_integral_size_exit_code(capsys, tmp_path, command, doc, message):
     # int() would silently run 40 sites or 20 grid points; a value that is
     # not a number is named at load, not met as a traceback (fixed.C used
@@ -569,6 +581,55 @@ def test_json_boolean_is_not_a_number_exit_code(capsys, tmp_path, doc, message):
     assert code == 2
     assert message in err
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_nbar_in_aa_mode_exit_code(capsys, tmp_path):
+    # the bichromatic chain has no cavity: its rows report C = delta' = 0,
+    # so a photon number at U0 = -1, delta_c = -2 would describe another chain
+    doc = {
+        "model": {"mode": "aa"},
+        "pump": {"enabled": True},
+        "sweep": {"axis1": {"name": "eta", "values": [0.1, 0.3]},
+                  "fixed": {"U0": -1.0, "delta_c": -2.0},
+                  "observables": ["ipr", "nbar"]},
+    }
+    cfg = write_cfg(tmp_path, doc)
+    code, out, err = run_cli(capsys, "sweep", "--config", cfg,
+                             "--out", str(tmp_path))
+    assert code == 2
+    assert "nbar requires mode 'cavity'" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("doc, fixed, C, dcp", [
+    (None, {"C": -1.0, "delta_c_prime": 0.0}, -1.0, 0.0),
+    ({"model": {"C": -2.0, "delta_c_prime": -1.0},
+      "sweep": {"axis1": {"name": "v0", "values": [0.05, 0.2]}}},
+     {"C": -2.0, "delta_c_prime": -1.0}, -2.0, -1.0),
+    ({"model": {"C": -1.5, "delta_c_prime": -0.5}, "pump": {"enabled": True},
+      "sweep": {"axis1": {"name": "eta", "values": [0.1, 0.3]}}},
+     {"U0": -1.5, "delta_c": -0.5}, -1.5, -0.5),
+    ({"model": {"mode": "aa", "v0": 0.2},
+      "sweep": {"axis1": {"name": "W0", "values": [-15.0]}}},
+     {"v0": 0.2}, 0.0, 0.0),
+], ids=["defaults", "model.C", "pump", "aa"])
+def test_sweep_reads_unset_parameters_from_model(capsys, tmp_path, doc, fixed,
+                                                 C, dcp):
+    # a parameter on no axis and not in sweep.fixed comes from the model
+    # section, as ground-state reads it, instead of running at 0 (a flat
+    # potential at C = 0); the sidecar lists the values filled in
+    argv = ["sweep", "--out", str(tmp_path)]
+    if doc is not None:
+        argv += ["--config", write_cfg(tmp_path, doc)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    (path,) = tmp_path.glob("*.csv")
+    cols, rows = ca.read_csv(path)
+    assert {(row["C"], row["delta_c_prime"]) for row in rows} == {(C, dcp)}
+    sidecar = json.loads(path.with_suffix(".meta.json").read_text())
+    assert sidecar["metadata"]["fixed"] == fixed
+    if doc is None:  # C = -1 localizes the default grid's strongest points
+        assert max(row["ipr"] for row in rows) > 0.5
 
 
 def test_integral_number_is_stored_as_an_integer(tmp_path):

@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import json
+import math
 import multiprocessing
 import types
 
@@ -461,9 +462,10 @@ def test_workers_below_one_rejected(wannier, lattice_spec, workers):
 
 
 class _InlinePool:
-    """ProcessPoolExecutor stand-in that runs each chunk at submit time."""
+    """ProcessPoolExecutor stand-in that maps in this process, in order."""
 
     max_workers: list = []
+    chunksizes: list = []
 
     def __init__(self, max_workers, initializer, initargs):
         self.max_workers.append(max_workers)
@@ -475,18 +477,19 @@ class _InlinePool:
     def __exit__(self, *exc):
         return False
 
-    def submit(self, fn, *args):
-        future = concurrent.futures.Future()
-        future.set_result(fn(*args))
-        return future
+    def map(self, fn, iterable, chunksize=1):
+        self.chunksizes.append(chunksize)
+        return map(fn, iterable)
 
 
 @pytest.mark.parametrize("workers, pool_size", [(2, 2), (64, 3)])
 def test_pool_has_at_most_one_worker_per_chunk(wannier, lattice_spec,
                                                monkeypatch, workers, pool_size):
-    # three columns make three chunks: a pool never gets more workers than
-    # that, and a single-column sweep runs without one
+    # three columns make three chunks of ceil(3 / (8 workers)) = 1 column: a
+    # pool never gets more workers than that, and a single-column sweep runs
+    # without one
     monkeypatch.setattr(_InlinePool, "max_workers", [])
+    monkeypatch.setattr(_InlinePool, "chunksizes", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(ca.sweep, "_WORKER_RUNTIME", None)
     spec = _spec(lattice_spec, axis1=ca.Axis.log("v0", 0.01, 0.2, 6),
@@ -494,6 +497,7 @@ def test_pool_has_at_most_one_worker_per_chunk(wannier, lattice_spec,
     serial = ca.csv_body(ca.run_sweep(spec, wannier=wannier))
     assert ca.csv_body(ca.run_sweep(spec, wannier=wannier, workers=workers)) == serial
     assert _InlinePool.max_workers == [pool_size]
+    assert _InlinePool.chunksizes == [math.ceil(3 / (8 * workers))]
     column = _spec(lattice_spec, axis2=ca.Axis("C", np.array([-1.0])))
     assert ca.csv_body(ca.run_sweep(column, wannier=wannier, workers=workers)) == \
         ca.csv_body(ca.run_sweep(column, wannier=wannier))
@@ -508,9 +512,7 @@ def test_progress_reports_completion_once(wannier, lattice_spec, workers):
     calls = []
     ca.run_sweep(spec, wannier=wannier, workers=workers,
                  progress=lambda done, n: calls.append((done, n)))
-    assert calls[-1] == (50, 50)
-    assert calls.count((50, 50)) == 1
-    assert calls == sorted(calls)
+    assert calls == [(25, 50), (50, 50)]
 
 
 def test_gamma_absent_flag(wannier, lattice_spec):
@@ -532,6 +534,64 @@ def test_fixed_depth_sets_the_lattice_depth(wannier, lattice_spec):
     # a basis at another depth would describe a chain the sweep never solves
     with pytest.raises(ValueError, match="depth"):
         ca.run_sweep(spec, wannier=wannier)
+
+
+@pytest.mark.parametrize("field", [{"beta": 0.5}, {"points_per_site": 32}])
+def test_basis_of_another_lattice_rejected(lattice_spec, field):
+    # only the depth used to be compared: such a basis ran the sweep, while
+    # the sidecar reported the spec's lattice
+    other = dataclasses.replace(lattice_spec, **field)
+    basis = ca.build_wannier(ca.solve_lowest_band(other), other)
+    with pytest.raises(ValueError, match="the basis was built for"):
+        ca.run_sweep(_spec(lattice_spec), wannier=basis)
+
+
+def test_basis_off_the_depth_axis_rejected(wannier, lattice_spec):
+    spec = _spec(lattice_spec, axis1=ca.Axis("W0", np.array([-12.0, -10.0])),
+                 axis2=ca.Axis("v0", np.array([0.05])), mode="aa")
+    with pytest.raises(ValueError, match="depth"):
+        ca.run_sweep(spec, wannier=wannier)
+
+
+def test_depth_axis_with_a_basis_lists_every_depth(wannier, lattice_spec):
+    # a caller's basis at one of the depths serves that depth's columns; the
+    # sidecar still lists the constants of every depth
+    spec = _spec(lattice_spec, axis1=ca.Axis("W0", np.array([-15.0, -12.0])),
+                 axis2=ca.Axis("v0", np.array([0.05, 0.1])),
+                 fixed={"C": -1.0, "delta_c_prime": 0.0})
+    given, built = ca.run_sweep(spec, wannier=wannier), ca.run_sweep(spec)
+    assert [c["W0"] for c in given.metadata["constants"]] == [-15.0, -12.0]
+    assert given.metadata["constants"] == built.metadata["constants"]
+    assert ca.csv_body(given) == ca.csv_body(built)
+
+
+def test_pool_maps_chunks_of_equal_count(wannier, lattice_spec, monkeypatch):
+    # 20 columns over 2 workers make chunks of ceil(20 / 16) = 2 columns;
+    # progress follows the chunks, and the records match the serial run's
+    monkeypatch.setattr(_InlinePool, "max_workers", [])
+    monkeypatch.setattr(_InlinePool, "chunksizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(ca.sweep, "_WORKER_RUNTIME", None)
+    spec = _spec(lattice_spec, axis1=ca.Axis("v0", np.array([0.1, 0.05])),
+                 axis2=ca.Axis.linear("C", -3.0, -0.5, 20), observables=("ipr", "vc"))
+    calls = []
+    pooled = ca.run_sweep(spec, wannier=wannier, workers=2,
+                          progress=lambda done, n: calls.append((done, n)))
+    assert _InlinePool.max_workers == [2]
+    assert _InlinePool.chunksizes == [2]
+    assert calls == [(4 * k, 40) for k in range(1, 11)]
+    serial = ca.run_sweep(spec, wannier=wannier)
+    assert pooled.records == serial.records
+    assert pooled.metadata["transition_estimates"] == \
+        serial.metadata["transition_estimates"]
+
+
+def test_non_finite_numbers_rejected(lattice_spec):
+    for bad in (float("nan"), float("inf"), -np.inf):
+        with pytest.raises(ValueError, match="grid values must be finite"):
+            ca.Axis("v0", np.array([0.05, bad]))
+        with pytest.raises(ValueError, match="'C' must be finite"):
+            _spec(lattice_spec, axis2=None, fixed={"C": bad})
 
 
 def test_depth_axis_recomputes_wannier(lattice_spec):
