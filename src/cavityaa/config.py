@@ -198,8 +198,9 @@ def sweep_spec(cfg: dict, hopping: float = 1.0) -> SweepSpec:
     A parameter on no axis and not in ``sweep.fixed`` comes from ``model``:
     v0, C and delta_c_prime; with the pump enabled and a physical parameter
     given, U0 = model.C and delta_c = model.delta_c_prime, as ground-state
-    reads them.  In aa mode that is v0 alone, and nothing beside a physical
-    parameter.
+    reads them.  In aa mode that is v0 alone, and delta_c alone beside a
+    physical parameter: an atom-pumped v0 = Omega^2 delta_c / Delta_a reads
+    it.
     """
     sweep_cfg, mdl = cfg["sweep"], cfg["model"]
     axis2 = sweep_cfg["axis2"]
@@ -207,7 +208,7 @@ def sweep_spec(cfg: dict, hopping: float = 1.0) -> SweepSpec:
     given = {*names, *sweep_cfg["fixed"]}
     physical = cfg["pump"]["enabled"] and given & set(PHYSICAL_AXES)
     if mdl["mode"] == "aa":
-        implied = {} if physical else {"v0": mdl["v0"]}
+        implied = {"delta_c": mdl["delta_c_prime"]} if physical else {"v0": mdl["v0"]}
     elif physical:
         implied = {"U0": mdl["C"], "delta_c": mdl["delta_c_prime"]}
     else:

@@ -240,6 +240,51 @@ class PumpField:
             raise ValueError("kind must be cavity_pumped or atom_pumped")
 
 
+def photon_series(wb: "WannierBasis", kind: str, delta_c: float, U0: float,
+                  L: int) -> np.ndarray:
+    """Per-site photon number of a unit-amplitude drive, at sites 1..L.
+
+    Entry m is int w0(z - z_m)^2 d(z)^2 / [(delta_c - U0 mode^2(beta k0 z))^2
+    + 1] dz, the quasi-steady intracavity field averaged over the Wannier
+    density at site m, with the drive profile d = 1 for a driven cavity and
+    d = mode for a driven atom (kind "cavity_pumped" or "atom_pumped").
+    All frequencies are in units of kappa.  The mode function is read in the
+    registration of the potential: cos for U0 <= 0 and sin for U0 > 0
+    (``kernels.mode_sites``), in the Lorentzian and in the drive.  The
+    integrand is pi-periodic in beta k0 z, so the average at every site
+    comes from its cosine series (``kernels.site_average``).  The drive
+    amplitude only scales the series by amplitude^2, so a sweep builds it
+    once along an eta column.
+    """
+    atom_pumped = kind == "atom_pumped"
+
+    def lorentz(theta):
+        mode = np.cos(theta)
+        mode_sq = mode * mode
+        drive_sq = mode_sq if atom_pumped else 1.0
+        return drive_sq / ((delta_c - U0 * mode_sq) ** 2 + 1.0)
+
+    sites = kernels.mode_sites(L, wb.site_spacing_a, wb.beta,
+                               kernels.sin2_registration(U0))
+    return kernels.site_average(wb.density_weights, wb.grid, sites, wb.beta,
+                                lorentz)
+
+
+def series_photon_number(state, series: np.ndarray, amplitude: float) -> float:
+    """amplitude^2 times the occupied density (above 1e-12) dotted with series.
+
+    series is ``photon_series`` of the state's chain and amplitude the
+    drive amplitude zeta; the result is the mean photon number.
+    """
+    amp = _amplitudes(state)
+    dens = amp * amp
+    occupied = np.where(dens > 1e-12, dens, 0.0)
+    nbar = amplitude * amplitude * float(occupied @ series)
+    if nbar < 0.0:
+        raise ValueError("photon number cannot be negative")
+    return nbar
+
+
 def photon_number(state, wb: "WannierBasis", zeta: PumpField, delta_c: float,
                   U0: float) -> float:
     """Mean intracavity photon number of the quasi-steady field.
@@ -248,29 +293,10 @@ def photon_number(state, wb: "WannierBasis", zeta: PumpField, delta_c: float,
         [(delta_c - U0 mode^2(beta k0 z))^2 + 1] dz,
     summed over the occupied sites (density above 1e-12), with all
     frequencies in units of kappa, so the result is dimensionless and bounded
-    by (max zeta)^2.  The mode function is read in the registration of the
-    potential: cos for U0 <= 0 and sin for U0 > 0 (``kernels.mode_sites``),
-    in the Lorentzian and in the atom-pumped drive zeta(z).  The integrand is
-    pi-periodic in beta k0 z, so the Wannier-density average at every site
-    comes from its cosine series (``kernels.site_average``).
+    by (max zeta)^2.  It is zeta.amplitude^2 times the occupied density
+    dotted with the unit-amplitude ``photon_series`` of the chain
+    (``series_photon_number``), the path a sweep takes at every point.
     """
     amp = _amplitudes(state)
-    dens = amp * amp
-    amp_z = zeta.amplitude
-    atom_pumped = zeta.kind == "atom_pumped"
-
-    def lorentz(theta):
-        mode = np.cos(theta)
-        mode_sq = mode * mode
-        drive_sq = amp_z * amp_z * (mode_sq if atom_pumped else 1.0)
-        return drive_sq / ((delta_c - U0 * mode_sq) ** 2 + 1.0)
-
-    sites = kernels.mode_sites(dens.shape[0], wb.site_spacing_a, wb.beta,
-                               kernels.sin2_registration(U0))
-    per_site = kernels.site_average(wb.density_weights, wb.grid, sites,
-                                    wb.beta, lorentz)
-    occupied = np.where(dens > 1e-12, dens, 0.0)
-    nbar = float(occupied @ per_site)
-    if nbar < 0.0:
-        raise ValueError("photon number cannot be negative")
-    return nbar
+    series = photon_series(wb, zeta.kind, delta_c, U0, amp.shape[0])
+    return series_photon_number(amp, series, zeta.amplitude)

@@ -632,6 +632,27 @@ def test_sweep_reads_unset_parameters_from_model(capsys, tmp_path, doc, fixed,
         assert max(row["ipr"] for row in rows) > 0.5
 
 
+def test_aa_mode_atom_pumped_reads_delta_c_from_model(capsys, tmp_path):
+    # an atom-pumped v0 = Omega^2 delta_c / Delta_a reads delta_c, which aa
+    # mode fills from model.delta_c_prime, as ground-state reads it; at 0 it
+    # would run the flat chain v0 = 0
+    doc = {"model": {"mode": "aa", "delta_c_prime": -4},
+           "pump": {"enabled": True, "pump_mode": "atom_pumped",
+                    "Delta_a": -2, "g": 0.3},
+           "sweep": {"axis1": {"name": "eta", "values": [0.2, 0.5, 1.0]}}}
+    code, out, err = run_cli(capsys, "sweep", "--config", write_cfg(tmp_path, doc),
+                             "--out", str(tmp_path))
+    assert code == 0
+    (path,) = tmp_path.glob("*.csv")
+    cols, rows = ca.read_csv(path)
+    for row in rows:
+        assert row["v0"] == pytest.approx(2.0 * row["eta"] ** 2, rel=1e-14)
+        assert (row["C"], row["delta_c_prime"]) == (0.0, 0.0)
+    assert rows[-1]["ipr"] > 0.5  # v0 = 2 E_r localizes the bichromatic chain
+    sidecar = json.loads(path.with_suffix(".meta.json").read_text())
+    assert sidecar["metadata"]["fixed"] == {"delta_c": -4.0}
+
+
 def test_integral_number_is_stored_as_an_integer(tmp_path):
     # an integer field takes 15.0 and stores 15, which a sidecar echoes
     doc = {"lattice": {"planewave_cutoff_M": 15.0},

@@ -83,6 +83,26 @@ def test_spec_validation(lattice_spec):
         ca.Axis("frequency", np.array([1.0]))
 
 
+def test_unset_coupling_is_rejected(lattice_spec):
+    # a C = 0 chain is flat, so a cavity spec must give C, or U0 beside
+    # physical parameters, instead of running at 0; a driven atom's v0 reads
+    # delta_c, so it must be given too
+    with pytest.raises(ValueError, match="requires 'C'"):
+        _spec(lattice_spec, axis2=None)
+    pump = ca.PumpConfig(pump_mode="cavity_pumped")
+    with pytest.raises(ValueError, match="requires 'U0'"):
+        _spec(lattice_spec, axis1=ca.Axis.log("eta", 0.1, 1.0, 4), axis2=None,
+              fixed={"delta_c": -2.0}, pump=pump)
+    atom = ca.PumpConfig(pump_mode="atom_pumped", Delta_a=-2.0)
+    for mode, fixed in (("cavity", {"U0": -1.0}), ("aa", {})):
+        with pytest.raises(ValueError, match="requires 'delta_c'"):
+            _spec(lattice_spec, axis1=ca.Axis.log("eta", 0.1, 1.0, 4), axis2=None,
+                  mode=mode, fixed=fixed, pump=atom)
+    # the bichromatic chain has no C
+    spec = _spec(lattice_spec, axis2=None, mode="aa", fixed={})
+    assert spec.fixed == {}
+
+
 def test_fixed_values_are_floats(lattice_spec):
     spec = _spec(lattice_spec, axis2=None, fixed={"C": -1, "delta_c_prime": 0})
     assert spec.fixed == {"C": -1.0, "delta_c_prime": 0.0}
@@ -687,6 +707,90 @@ def test_photon_number_registration_across_u0_zero(wannier, lattice_spec, pump_m
         expected = photon_number_site_loop(gs.amplitudes, wannier, zeta,
                                            rec.delta_c_prime, rec.C)
         assert rec.nbar == pytest.approx(expected, rel=1e-12)
+
+
+def _photon_spec(lattice_spec, pump_mode, observables=("ipr", "gamma", "nbar")):
+    # three U0 columns of a driven cavity or atom: Omega^2 delta_c / Delta_a > 0
+    pump = ca.PumpConfig(pump_mode=pump_mode, Delta_a=-2.0, g=0.3,
+                         kappa_over_recoil=1.0)
+    return _spec(lattice_spec, axis1=ca.Axis.log("eta", 0.05, 0.7, 8),
+                 axis2=ca.Axis("U0", np.array([-3.0, -1.0, 0.5])),
+                 fixed={"delta_c": -4.0}, pump=pump, observables=observables,
+                 name="photon")
+
+
+@pytest.mark.parametrize("pooled", [False, True], ids=["serial", "pool"])
+@pytest.mark.parametrize("pump_mode", ["cavity_pumped", "atom_pumped"])
+def test_sweep_nbar_is_the_one_point_photon_number(wannier, lattice_spec,
+                                                   monkeypatch, pump_mode, pooled):
+    # a column builds its unit-amplitude series once; each point's nbar is
+    # amplitude^2 (density @ series), the path photon_number takes for one
+    # state, so the two agree at every point to the last digits
+    spec = _photon_spec(lattice_spec, pump_mode)
+    builds, states = [], []
+    build, point = ca.sweep.photon_series, ca.sweep.series_photon_number
+
+    def counting_build(*args):
+        builds.append(args[1:])
+        return build(*args)
+
+    def keeping_point(state, series, amplitude):
+        states.append((state.amplitudes, amplitude))
+        return point(state, series, amplitude)
+
+    monkeypatch.setattr(ca.sweep, "photon_series", counting_build)
+    monkeypatch.setattr(ca.sweep, "series_photon_number", keeping_point)
+    workers = 1
+    if pooled:
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+        workers = 2
+    result = ca.run_sweep(spec, wannier=wannier, workers=workers)
+    # one build per U0 column, at that column's U0 and delta_c
+    assert builds == [(pump_mode, -4.0, u0, L) for u0 in spec.axis2.values]
+    order = [i for column in ca.sweep._solve_columns(spec) for i in column]
+    assert len(states) == len(order) == spec.n_points
+    for i, (amplitudes, amplitude) in zip(order, states):
+        rec = result.records[i]
+        zeta = spec.pump.pump_field(rec.axis1)
+        assert zeta.amplitude == amplitude
+        direct = ca.photon_number(amplitudes, wannier, zeta, delta_c=-4.0,
+                                  U0=rec.C)
+        assert rec.nbar == pytest.approx(direct, rel=1e-14, abs=0.0)
+        assert rec.nbar > 0.0
+    if pooled:
+        serial = ca.run_sweep(spec, wannier=wannier)
+        assert ca.csv_body(serial) == ca.csv_body(result)
+
+
+def test_failed_photon_series_fails_each_point_after_its_solve(wannier, lattice_spec,
+                                                               monkeypatch):
+    # a series that cannot be built (say, past MAX_HARMONICS) is tried once
+    # per column; every point still solves and reports E0, IPR and gamma,
+    # then fails as a point whose photon number raises, and the next point
+    # starts cold
+    spec = _photon_spec(lattice_spec, "cavity_pumped")
+    builds = []
+
+    def failing_build(*args):
+        builds.append(args)
+        raise ValueError("cosine series not converged")
+
+    def failing_point(*args):
+        raise ValueError("photon number failed")
+
+    monkeypatch.setattr(ca.sweep, "series_photon_number", failing_point)
+    per_point = ca.run_sweep(spec, wannier=wannier)
+    monkeypatch.undo()
+    monkeypatch.setattr(ca.sweep, "photon_series", failing_build)
+    failed = ca.run_sweep(spec, wannier=wannier)
+    assert len(builds) == spec.shape[1]
+    assert failed.records == per_point.records
+    assert failed.n_failed == spec.n_points
+    for rec in failed.records:
+        assert rec.flags.endswith("solve_failed:ValueError")
+        assert rec.nbar is None and np.isfinite(rec.E0) and np.isfinite(rec.ipr)
+        assert rec.solver == "cold"
+    assert failed.metadata["solver_counts"]["cold"] == spec.n_points
 
 
 @pytest.mark.parametrize("mode, grid", [("aa", (0.01, 0.3, 40)),
