@@ -48,7 +48,8 @@ DEFAULTS = {
         "g": 0.0,                   # vacuum Rabi frequency in kappa units
         "kappa_over_recoil": 1.0,   # hbar kappa / E_r
     },
-    "fit": {
+    "fit": {                        # the decay fit of ground-state; a sweep's
+                                    # gamma is the Thouless formula instead
         "background_factor": 10.0,
         "min_window_sites": 10,
         "min_r2": 0.9,
@@ -220,7 +221,7 @@ def sweep_spec(cfg: dict, hopping: float = 1.0) -> SweepSpec:
         lattice=lattice_spec(cfg), L=mdl["L"],
         mode=mdl["mode"], fixed={**fixed, **sweep_cfg["fixed"]},
         observables=tuple(sweep_cfg["observables"]),
-        pump=pump_config(cfg), fit=fit_options(cfg), name=sweep_cfg["name"],
+        pump=pump_config(cfg), name=sweep_cfg["name"],
     )
 
 

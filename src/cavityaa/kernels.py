@@ -10,12 +10,9 @@ iteration finds the eigenpair in a few tridiagonal solves, with no
 ``dstein`` call; when that result fails the residual check or the
 lower-bound certificate (``certificate_margin``), the chain tries the
 bisection pair.  A chain point that fails both paths has no ground state
-(``model.GroundStateError``); there is no dense diagonalization.
-
-``inverse_iteration_vector`` is the one ``dstein`` call: the bisection pair
-takes its vector from it, and so does the decay fit at a warm point's
-energy, because the fit reads the density's rounding tail and that tail
-must not depend on how the energy was found.
+(``model.GroundStateError``); there is no dense diagonalization.  So
+``dstein`` runs only for the band solve and the cold or fallback chain
+solves.
 
 The onsite profile and the photon number both average an even, pi-periodic
 function g(beta z) over the Wannier density at every site.  ``site_average``
@@ -77,27 +74,10 @@ def lowest_tridiagonal_pair(d: np.ndarray, e: np.ndarray) -> tuple[float, np.nda
     m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 1.0, 1, 1, 0.0, "B")
     if info != 0:
         raise np.linalg.LinAlgError(f"dstebz failed with info = {info}")
-    return float(w[0]), inverse_iteration_vector(d, e, w[:m], iblock, isplit)
-
-
-def inverse_iteration_vector(d: np.ndarray, e: np.ndarray, w: np.ndarray,
-                             iblock: np.ndarray | None = None,
-                             isplit: np.ndarray | None = None) -> np.ndarray:
-    """``dstein``'s unit eigenvector of tridiag(e, d, e) at the eigenvalue w[0].
-
-    w is a length-1 float64 array.  iblock and isplit are the blocks
-    ``dstebz`` found; left out, the matrix is one unsplit block, which is
-    what ``dstebz`` reports for a chain without a zero hopping, so the
-    vector is then bit-identical to the bisection pair's at the same w.
-    d and e are not checked.  Raises ``numpy.linalg.LinAlgError`` when
-    LAPACK reports ``info != 0``.
-    """
-    if iblock is None:
-        iblock, isplit = _one_block(d.shape[0])
-    v, info = lapack.dstein(d, e, w, iblock, isplit)
+    v, info = lapack.dstein(d, e, w[:m], iblock, isplit)
     if info != 0:
         raise np.linalg.LinAlgError(f"dstein failed with info = {info}")
-    return v[:, 0]
+    return float(w[0]), v[:, 0]
 
 
 def lowest_eigenpair(
@@ -108,9 +88,9 @@ def lowest_eigenpair(
     Returns ``(energy, vector, residual, method)``.  The residual is
     ``||T v - energy v||_2`` of ``dstein``'s vector v, and the vector
     returned is v / ||v||, normalized once more so that its norm is 1 to
-    rounding, as ``model.decay_fit_vector`` normalizes it too.  The method
-    string names the code path that produced the result.  A NaN entry, which
-    LAPACK passes through with ``info = 0``, raises ValueError.
+    rounding.  The method string names the code path that produced the
+    result.  A NaN entry, which LAPACK passes through with ``info = 0``,
+    raises ValueError.
     """
     d = np.ascontiguousarray(d, dtype=np.float64)
     e = np.ascontiguousarray(e, dtype=np.float64)
@@ -123,17 +103,6 @@ def lowest_eigenpair(
     if not np.isfinite(res):
         raise ValueError("matrix must not contain infs or NaNs")
     return lam, psi / math.sqrt(psi @ psi), res, COLD_METHOD
-
-
-@functools.lru_cache(maxsize=8)
-def _one_block(n: int):
-    """``dstein``'s iblock and isplit for one eigenvalue of an unsplit matrix."""
-    iblock = np.zeros(n, dtype=np.int32)
-    isplit = np.zeros(n, dtype=np.int32)
-    iblock[0], isplit[0] = 1, n
-    iblock.setflags(write=False)
-    isplit.setflags(write=False)
-    return iblock, isplit
 
 
 def warm_eigenpair(d: np.ndarray, e: np.ndarray, start: np.ndarray,

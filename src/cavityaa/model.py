@@ -166,6 +166,12 @@ class HubbardProblem:
         bound = float(max(inner + (hop + hop), end + hop))
         return bound if bound > 0.0 else 1.0
 
+    @property
+    def offdiagonal(self) -> np.ndarray:
+        """The off-diagonal -t, read-only and shared by every chain of this
+        length and hopping."""
+        return _offdiagonal(self.L, self.t)
+
 
 @dataclass(frozen=True)
 class GroundState:
@@ -223,7 +229,7 @@ def ground_state(problem: HubbardProblem, start: np.ndarray | None = None) -> Gr
     on the result.
     """
     diag = problem.onsite.values
-    offdiag = _offdiagonal(problem.L, problem.t)
+    offdiag = problem.offdiagonal
     norm_bound = problem.norm_bound
     solvers = [kernels.lowest_eigenpair]
     if start is not None:
@@ -252,22 +258,3 @@ def ground_state(problem: HubbardProblem, start: np.ndarray | None = None) -> Gr
     return GroundState(amplitudes=psi, energy=float(energy), method=method,
                        residual=float(res), certificate_margin=margin)
 
-
-def decay_fit_vector(problem: HubbardProblem, gs: GroundState) -> np.ndarray:
-    """The ground state as the decay fit reads it: ``dstein``'s vector at E0.
-
-    Far from its peak a localized state's density is rounding, and the fit
-    reads that tail (README, "How the decay fit is computed").  So every
-    point gives the fit the vector of one routine,
-    ``kernels.inverse_iteration_vector`` at gs.energy, normalized as
-    ``kernels.lowest_eigenpair`` normalizes it.  A cold ground state's
-    amplitudes already are that vector, up to sign; a warm one's come from
-    Rayleigh-quotient iteration, so the vector is made here, at the cost of
-    one ``dstein``.
-    """
-    if gs.method != kernels.WARM_METHOD:
-        return gs.amplitudes
-    psi = kernels.inverse_iteration_vector(
-        problem.onsite.values, _offdiagonal(problem.L, problem.t),
-        np.array([gs.energy]))
-    return psi / math.sqrt(psi @ psi)

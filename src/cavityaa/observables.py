@@ -1,7 +1,11 @@
 """Localization diagnostics, critical-point estimates, and the photon number.
 
-The inverse participation ratio and the Lyapunov exponent of the density
-decay characterize the extended/localized phases; the transition point is
+The inverse participation ratio and the Lyapunov exponent characterize the
+extended/localized phases.  A sweep reads the Lyapunov exponent from the
+Thouless formula (``thouless_gamma``): one LDL^T factorization of the chain
+just below its ground energy, with no eigenvector.  ``lyapunov_fit`` instead
+fits the decay of one state's density; the ``ground-state`` command and the
+acceptance criteria on the decay law use it.  The transition point is
 extracted from the steepest slope of log IPR versus log v0, and the small-C
 dual-model prediction (4t/alpha)(delta'^2+1)/|C| provides the analytic
 comparison line.  The mean intracavity photon number follows from the
@@ -10,18 +14,28 @@ quasi-steady cavity field averaged over the atomic density.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
+from scipy.linalg import lapack
 
 from . import kernels
 
 if TYPE_CHECKING:  # pragma: no cover
     from .lattice import WannierBasis
+    from .model import HubbardProblem
 
 #: Identifier of the transition estimator, recorded in output metadata.
 TRANSITION_METHOD = "max_dlogipr_dlogv0"
+
+#: Identifier of the sweep's Lyapunov exponent, recorded in output metadata.
+LYAPUNOV_METHOD = "thouless_ldlt"
+
+#: ``thouless_gamma`` factorizes H - (E0 - delta) I with delta this fraction
+#: of ||H||: far above the rounding of E0, far below the level spacing.
+THOULESS_SHIFT_RTOL = 1e-10
 
 
 def _amplitudes(state) -> np.ndarray:
@@ -154,6 +168,27 @@ def lyapunov_fit(state, opts: FitOptions = FitOptions()) -> LocalizationMetrics:
             stderr = float(np.sqrt(sigma2 / sxx) / 2.0)
     return LocalizationMetrics(lyapunov_gamma=float(-coef[1] / 2.0),
                                gamma_stderr=stderr, fit_r2=r2, **base)
+
+
+def thouless_gamma(problem: "HubbardProblem", energy: float) -> float:
+    """Lyapunov exponent at the ground energy by the Thouless formula.
+
+    gamma(E) = (1 / (L - 1)) sum_{j >= 1} ln|E - E_j| - ln|t| over the
+    chain's eigenvalues E_j above E0 (Thouless, J. Phys. C 5, 77 (1972)).
+    The pivots p_n of the LDL^T factorization (``dpttrf``) of
+    H - (E0 - delta) I multiply to prod_j (E_j - E0 + delta), so with
+    delta = THOULESS_SHIFT_RTOL ||H|| (``problem.norm_bound``)
+    gamma_T = (sum_n ln p_n - ln delta) / (L - 1) - ln|t|.  energy is the
+    certified ground energy E0.  Raises ``numpy.linalg.LinAlgError`` when a
+    pivot is not positive, i.e. when an eigenvalue lies below E0 - delta.
+    """
+    delta = THOULESS_SHIFT_RTOL * problem.norm_bound
+    pivots, _, info = lapack.dpttrf(problem.onsite.values - (energy - delta),
+                                    problem.offdiagonal)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dpttrf failed with info = {info}")
+    return float((np.log(pivots).sum() - math.log(delta)) / (problem.L - 1)
+                 - math.log(abs(problem.t)))
 
 
 def critical_v_cav(t: float, alpha: float, delta_c_prime: float, C: float) -> float:

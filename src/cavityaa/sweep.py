@@ -37,15 +37,15 @@ from ._version import __version__
 from .lattice import (WANNIER_SUM_METHOD, LatticeSpec, WannierBasis, build_wannier,
                       solve_lowest_band)
 from .model import (EffectivePotential, HubbardProblem, OnsiteProfile,
-                    decay_fit_vector, ground_state, onsite_aa, onsite_cavity,
-                    scale_profile, unit_profile)
-from .observables import (TRANSITION_METHOD, FitOptions, PumpField,
-                          detect_transition, ipr, lyapunov_fit, photon_series,
-                          series_photon_number)
-# The benchmark tracer wraps sweep.photon_number, and the public-API tests
-# require every name it wraps to exist; a sweep never calls it, so that
-# layer reads zero.
-from .observables import photon_number  # noqa: F401
+                    ground_state, onsite_aa, onsite_cavity, scale_profile,
+                    unit_profile)
+from .observables import (LYAPUNOV_METHOD, TRANSITION_METHOD, PumpField,
+                          detect_transition, ipr, photon_series,
+                          series_photon_number, thouless_gamma)
+# The benchmark tracer wraps sweep.photon_number and sweep.lyapunov_fit, and
+# the public-API tests require every name it wraps to exist; a sweep calls
+# neither, so those layers read zero.
+from .observables import lyapunov_fit, photon_number  # noqa: F401
 
 MODEL_AXES = ("v0", "C", "delta_c_prime", "W0")
 PHYSICAL_AXES = ("eta", "U0", "delta_c")
@@ -167,7 +167,6 @@ class SweepSpec:
     fixed: dict = field(default_factory=dict)
     observables: tuple = ("ipr",)
     pump: PumpConfig | None = None
-    fit: FitOptions = field(default_factory=FitOptions)
     name: str = "sweep"
 
     def __post_init__(self):
@@ -216,6 +215,10 @@ class SweepSpec:
             # a driven atom's v0 = Omega^2 delta_c / Delta_a is 0 without it
             raise ValueError("an atom-pumped drive requires 'delta_c' on an "
                              "axis or in fixed")
+        if not physical and "v0" not in given:
+            # the strength would be 0: the flat chain, whatever was asked
+            raise ValueError("without physical parameters a sweep requires "
+                             "'v0' on an axis or in fixed")
         if "nbar" in self.observables and self.mode == "aa":
             raise ValueError("nbar requires mode 'cavity': the bichromatic "
                              "chain has no cavity")
@@ -315,7 +318,7 @@ def _resolve_model_params(pump: PumpConfig | None, params: dict
             eta=params.get("eta"),
         )
     else:
-        v0, coop, dcp = (params.get("v0", 0.0), params.get("C", 0.0),
+        v0, coop, dcp = (params["v0"], params.get("C", 0.0),
                          params.get("delta_c_prime", 0.0))
     zeta = None if pump is None else pump.pump_field(params.get("eta"))
     return v0, coop, dcp, zeta
@@ -408,10 +411,7 @@ def _run_column(runtime: _Runtime, column: list
                 e0 = gs.energy
                 p_x = ipr(gs)
                 if "gamma" in spec.observables:
-                    gamma = lyapunov_fit(decay_fit_vector(problem, gs),
-                                         spec.fit).lyapunov_gamma
-                    if gamma is None:
-                        flags.append("gamma_absent")
+                    gamma = thouless_gamma(problem, e0)
                 if series_failed:
                     flags.append(series_failed)
                     gs = None
@@ -621,7 +621,7 @@ def _methods(spec: SweepSpec) -> dict:
     if spec.mode == "cavity":
         methods["onsite_profile"] = "harmonic_series"
     if "gamma" in spec.observables:
-        methods["decay_fit_vector"] = "inverse_iteration_at_E0"
+        methods["lyapunov"] = LYAPUNOV_METHOD
     if "nbar" in spec.observables:
         methods["photon_number"] = "harmonic_series"
     return methods

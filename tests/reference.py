@@ -6,7 +6,7 @@ library's stored constants and profiles against it.
 """
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from cavityaa.lattice import LATTICE_CONSTANT
 
@@ -119,6 +119,21 @@ def cavity_tunneling_corrections(wb, pot, L: int) -> np.ndarray:
     for n in range(1, L):
         out[n - 1] = float(np.dot(pair * wts, f_eval(pot, vgrid + n * a)))
     return pot.v0 * out
+
+
+def thouless_spectrum_gamma(diag, t: float, shift_rtol: float) -> float:
+    """The Thouless formula summed over the full spectrum of the open chain.
+
+    sum_{j >= 1} ln(E_j - E0 + delta) / (L - 1) - ln|t| over every eigenvalue
+    E_j of tridiag(-t, diag, -t) (``eigvalsh_tridiagonal``), with
+    delta = shift_rtol times the chain's Gershgorin norm bound.
+    """
+    diag = np.asarray(diag, dtype=np.float64)
+    offdiag = np.full(diag.shape[0] - 1, -t)
+    energies = eigvalsh_tridiagonal(diag, offdiag)
+    delta = shift_rtol * gershgorin_norm_bound(diag, offdiag)
+    return float(np.log(energies[1:] - energies[0] + delta).sum()
+                 / (diag.shape[0] - 1) - np.log(abs(t)))
 
 
 def thouless_reference(v0: float, v_c: float) -> float:

@@ -10,9 +10,19 @@ import pytest
 import scipy.linalg
 
 import cavityaa as ca
-from reference import decay_fit_scan, photon_number_site_loop
+from reference import photon_number_site_loop, thouless_spectrum_gamma
 
 L = 233
+SHIFT_RTOL = ca.observables.THOULESS_SHIFT_RTOL
+
+
+def _gamma_tol(n_sites):
+    """How far gamma_T may sit from the full-spectrum sum, or from itself at
+    another solve's E0.  E0 and the shifted diagonal carry a few eps ||H|| of
+    rounding; against delta = SHIFT_RTOL ||H|| that is up to 32 eps /
+    SHIFT_RTOL = 7e-5 relative on the smallest factor, whose log the formula
+    divides by L - 1 (3.1e-8 at L = 233, 7.2e-9 at L = 987)."""
+    return 32.0 * np.finfo(np.float64).eps / SHIFT_RTOL / (n_sites - 1)
 
 
 def test_map_physical_params_cavity_pumped():
@@ -103,6 +113,23 @@ def test_unset_coupling_is_rejected(lattice_spec):
     assert spec.fixed == {}
 
 
+@pytest.mark.parametrize("mode, fixed", [("cavity", {"delta_c_prime": 0.0}),
+                                         ("aa", {})], ids=["cavity", "aa"])
+def test_unset_strength_is_rejected(lattice_spec, mode, fixed):
+    # without physical parameters v0 would run at 0, the flat chain, where
+    # the config path fills it from model.v0
+    with pytest.raises(ValueError, match="requires 'v0'"):
+        ca.SweepSpec(axis1=ca.Axis("C", np.array([-1.0, -3.0])), axis2=None,
+                     lattice=lattice_spec, mode=mode, fixed=fixed)
+    spec = ca.SweepSpec(axis1=ca.Axis("C", np.array([-1.0, -3.0])), axis2=None,
+                        lattice=lattice_spec, mode=mode, fixed={**fixed, "v0": 0.1})
+    assert spec.fixed["v0"] == 0.1
+    # a pumped sweep's strength comes from eta, the axis or the pump's own
+    pump = ca.PumpConfig(pump_mode="cavity_pumped", eta=0.3)
+    ca.SweepSpec(axis1=ca.Axis("U0", np.array([-1.0, -3.0])), axis2=None,
+                 lattice=lattice_spec, mode=mode, fixed={"delta_c": 0.0}, pump=pump)
+
+
 def test_fixed_values_are_floats(lattice_spec):
     spec = _spec(lattice_spec, axis2=None, fixed={"C": -1, "delta_c_prime": 0})
     assert spec.fixed == {"C": -1.0, "delta_c_prime": 0.0}
@@ -142,8 +169,9 @@ def test_single_point_sweep_matches_direct_solve(wannier, lattice_spec):
     gs = ca.ground_state(ca.HubbardProblem(L=L, t=wannier.t, onsite=prof))
     assert rec.E0 == gs.energy
     assert rec.ipr == ca.ipr(gs)
-    metrics = ca.lyapunov_fit(gs)
-    assert rec.gamma == metrics.lyapunov_gamma
+    oracle = thouless_spectrum_gamma(prof.values, wannier.t, SHIFT_RTOL)
+    assert abs(rec.gamma - oracle) <= _gamma_tol(L)
+    assert rec.flags == ""
 
 
 def _pumped_spec(lattice, etas=np.geomspace(0.05, 0.6, 8)):
@@ -195,56 +223,122 @@ def test_one_unit_profile_per_column(wannier, lattice_spec, monkeypatch):
             previous = gs.amplitudes
 
 
-def _dstein_state(problem, energy):
-    """LAPACK's inverse-iteration vector of the chain at energy, one block."""
-    n = problem.L
-    iblock = np.zeros(n, dtype=np.int32)
-    isplit = np.zeros(n, dtype=np.int32)
-    iblock[0], isplit[0] = 1, n
-    v, info = scipy.linalg.lapack.dstein(
-        problem.onsite.values, np.full(n - 1, -problem.t), np.array([energy]),
-        iblock, isplit)
-    assert info == 0
-    psi = v[:, 0]
-    return psi / np.sqrt(psi @ psi)
+def _chain(wb, n_sites, rec, beta):
+    """The chain of a sweep record: bichromatic when rec.C is 0, else cavity."""
+    if rec.C == 0.0:
+        onsite = ca.onsite_aa(rec.v0, beta, n_sites)
+    else:
+        pot = ca.EffectivePotential(rec.v0, rec.C, rec.delta_c_prime)
+        onsite = ca.onsite_cavity(wb, pot, n_sites)
+    return ca.HubbardProblem(L=n_sites, t=wb.t, onsite=onsite)
 
 
-def test_aa_gamma_is_the_scanned_decay_fit(wannier, lattice_spec):
-    # every record's gamma is the reference fit of dstein's vector at its
-    # E0, and its IPR that of its ground state; the ground states are
-    # replayed column by column, each solve started from the previous state
+@pytest.mark.parametrize("n_sites", [233, 987])
+@pytest.mark.parametrize("mode", ["aa", "cavity"])
+def test_sweep_gamma_is_the_full_spectrum_sum(wannier, lattice_spec, mode, n_sites):
+    # every record's gamma is the Thouless formula at its E0, which the
+    # full-spectrum sum checks; the ground states are replayed column by
+    # column, each solve started from the previous state
     t = wannier.t
-    depths = np.array([-15.0, -12.0])
-    spec = _spec(lattice_spec, axis1=ca.Axis.log("v0", 0.8 * t, 12.0 * t, 14),
-                 axis2=ca.Axis("W0", depths), mode="aa", fixed={},
-                 observables=("ipr", "gamma"), name="aa_gamma")
-    records = ca.run_sweep(spec).records
-    assert any(rec.gamma is None for rec in records)
-    assert sum(rec.gamma is not None for rec in records) >= 10
+    if mode == "aa":  # over two depths, each with its own hopping
+        spec = _spec(lattice_spec, axis1=ca.Axis.log("v0", 0.8 * t, 12.0 * t, 10),
+                     axis2=ca.Axis("W0", np.array([-15.0, -12.0])), mode="aa",
+                     fixed={}, L=n_sites, observables=("ipr", "gamma"))
+    else:
+        spec = _spec(lattice_spec, axis1=ca.Axis.log("v0", 0.01, 0.2, 10),
+                     axis2=ca.Axis("C", np.array([-2.0, 1.5])), L=n_sites,
+                     fixed={"delta_c_prime": -0.3}, observables=("ipr", "gamma"))
+    result = ca.run_sweep(spec)
+    assert result.metadata["methods"]["lyapunov"] == "thouless_ldlt"
     solvers = set()
-    for j, depth in enumerate(depths):
-        lat = dataclasses.replace(lattice_spec, depth_W0=depth)
+    for j, other in enumerate(spec.axis2.values):
+        lat = lattice_spec
+        if mode == "aa":
+            lat = dataclasses.replace(lattice_spec, depth_W0=other)
         wb = ca.build_wannier(ca.solve_lowest_band(lat), lat)
         previous = None
-        for rec in records[j::2]:
-            problem = ca.HubbardProblem(L=L, t=wb.t,
-                                        onsite=ca.onsite_aa(rec.v0, lat.beta, L))
+        for rec in result.records[j::2]:
+            problem = _chain(wb, n_sites, rec, lat.beta)
             gs = ca.ground_state(problem, start=previous)
             solvers.add(gs.method)
+            assert rec.flags == ""
             assert rec.E0 == gs.energy
             assert rec.ipr == ca.ipr(gs)
-            fit = decay_fit_scan(_dstein_state(problem, gs.energy), spec.fit)
-            assert rec.gamma == fit["lyapunov_gamma"]
+            assert rec.gamma == ca.observables.thouless_gamma(problem, gs.energy)
+            oracle = thouless_spectrum_gamma(problem.onsite.values, wb.t, SHIFT_RTOL)
+            assert abs(rec.gamma - oracle) <= _gamma_tol(n_sites)
             previous = gs.amplitudes
     assert solvers == {ca.kernels.WARM_METHOD, ca.kernels.COLD_METHOD}
 
 
+@pytest.mark.parametrize("mode", ["aa", "cavity"])
+def test_warm_and_cold_gamma_agree(wannier, lattice_spec, mode):
+    # along a column most points are solved warm; the formula at the cold
+    # solve's E0 gives the same gamma to rounding
+    t = wannier.t
+    grid = (0.5 * t, 30.0 * t) if mode == "aa" else (0.003, 0.3)
+    spec = _spec(lattice_spec, axis1=ca.Axis.log("v0", *grid, 40),
+                 axis2=None, mode=mode, fixed={} if mode == "aa" else {"C": -1.0},
+                 observables=("ipr", "gamma"))
+    result = ca.run_sweep(spec, wannier=wannier)
+    assert result.metadata["solver_counts"]["warm"] >= 30
+    for rec in result.records:
+        problem = _chain(wannier, L, rec, lattice_spec.beta)
+        cold = ca.ground_state(problem)
+        gamma = ca.observables.thouless_gamma(problem, cold.energy)
+        assert abs(rec.gamma - gamma) <= _gamma_tol(L)
+
+
+def test_aa_gamma_follows_aubry_andre(wannier, lattice_spec):
+    # gamma = ln(v0 / 2t) in the localized bichromatic chain; the finite
+    # chain reads it high by +1.9%, +1.2% and +0.4% at L = 987
+    ratios = np.array([2.0, 3.0, 25.0])
+    spec = _spec(lattice_spec, axis1=ca.Axis("v0", 2.0 * wannier.t * ratios),
+                 axis2=None, mode="aa", fixed={}, L=987,
+                 observables=("ipr", "gamma"))
+    records = ca.run_sweep(spec, wannier=wannier).records
+    for ratio, rec in zip(ratios, records):
+        assert 0.0 < rec.gamma / np.log(ratio) - 1.0 <= 0.025
+
+
+def test_failed_thouless_factorization_fails_only_its_point(wannier, lattice_spec,
+                                                           monkeypatch):
+    # a dpttrf that reports a non-positive pivot fails its point after the
+    # solve; the next point starts cold and the column goes on
+    spec = _spec(lattice_spec, axis1=ca.Axis.log("v0", 0.01, 0.2, 6),
+                 axis2=ca.Axis("C", np.array([-2.0])), observables=("ipr", "gamma"))
+    clean = ca.run_sweep(spec, wannier=wannier).records
+    calls = []
+    dpttrf = scipy.linalg.lapack.dpttrf
+
+    def planted(d, e):
+        calls.append(d)
+        pivots, factor, info = dpttrf(d, e)
+        return pivots, factor, 1 if len(calls) == 3 else info
+
+    monkeypatch.setattr(ca.observables, "lapack",
+                        types.SimpleNamespace(dpttrf=planted))
+    result = ca.run_sweep(spec, wannier=wannier)
+    assert len(calls) == 6
+    records = result.records
+    assert records[2].flags == "solve_failed:LinAlgError"
+    assert records[2].gamma is None
+    assert records[2].E0 == clean[2].E0
+    assert result.n_failed == 1
+    assert records[:2] == clean[:2]
+    assert [rec.solver for rec in records] == ["cold", "warm", "warm", "cold",
+                                               "warm", "warm"]
+    for rec, ref in zip(records[3:], clean[3:]):
+        assert rec.flags == ""
+        assert abs(rec.gamma - ref.gamma) <= _gamma_tol(L)
+
+
 @pytest.mark.parametrize("observables", [("ipr", "vc"), ("ipr", "gamma")])
-def test_dstein_runs_for_cold_solves_and_the_decay_fit(lattice_spec, monkeypatch,
-                                                       observables):
-    # a warm solve takes Rayleigh-quotient iteration's own vector; inverse
-    # iteration runs for the band solve, the cold solves and, with gamma,
-    # once more per warm point for the vector the decay fit reads
+def test_dstein_runs_for_band_and_cold_solves_only(lattice_spec, monkeypatch,
+                                                   observables):
+    # a warm solve takes Rayleigh-quotient iteration's own vector and gamma
+    # reads no vector, so inverse iteration runs for the band solve and the
+    # cold solves alone
     calls = []
     dstein = scipy.linalg.lapack.dstein
 
@@ -263,15 +357,14 @@ def test_dstein_runs_for_cold_solves_and_the_decay_fit(lattice_spec, monkeypatch
     result = ca.run_sweep(spec)
     counts = result.metadata["solver_counts"]
     assert counts["warm"] > 0 and counts["unsolved"] == 0
-    cold = counts["cold"] + counts["select_fallback"]
-    fits = counts["warm"] if "gamma" in observables else 0
-    assert len(calls) == per_band + cold + fits
+    assert len(calls) == per_band + counts["cold"] + counts["select_fallback"]
     assert set(calls) == {1}
     methods = result.metadata["methods"]
+    assert "decay_fit_vector" not in methods
     if "gamma" in observables:
-        assert methods["decay_fit_vector"] == "inverse_iteration_at_E0"
+        assert methods["lyapunov"] == "thouless_ldlt"
     else:
-        assert "decay_fit_vector" not in methods
+        assert "lyapunov" not in methods
 
 
 @pytest.mark.parametrize("scan_first", [True, False], ids=["axis1", "axis2"])
@@ -535,16 +628,16 @@ def test_progress_reports_completion_once(wannier, lattice_spec, workers):
     assert calls == [(25, 50), (50, 50)]
 
 
-def test_gamma_absent_flag(wannier, lattice_spec):
-    # extended phase at half the critical strength: quasiperiodic density
-    # structure spoils the exponential fit
+def test_extended_point_gamma_is_the_finite_size_floor(wannier, lattice_spec):
+    # extended phase at half the critical strength: the Thouless formula
+    # still gives a value, the finite chain's floor of about 13.4 / L
     spec = _spec(lattice_spec,
                  axis1=ca.Axis("v0", np.array([0.03])),
                  axis2=ca.Axis("C", np.array([-0.5])),
                  observables=("ipr", "gamma"))
     rec = ca.run_sweep(spec, wannier=wannier).records[0]
-    assert rec.gamma is None
-    assert "gamma_absent" in rec.flags
+    assert 0.0 < rec.gamma < 20.0 / L
+    assert rec.flags == ""
 
 
 def test_fixed_depth_sets_the_lattice_depth(wannier, lattice_spec):

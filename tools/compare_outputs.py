@@ -4,10 +4,11 @@
 
 Names every file that is in one tree only or differs between the two.  For
 a differing CSV it prints, per column, the largest relative difference
-|a - b| / max(|a|, |b|) over the rows, and whether the ``flags`` columns
-match; for a differing JSON file, every number that differs with its
-relative difference, and every other value that differs.  Exits 0 when the
-trees are byte-identical, else 1.
+|a - b| / max(|a|, |b|) over the rows and how many cells went from empty to
+a number or back; for ``flags``, how many rows differ and the first
+differing pair.  For a differing JSON file it prints every number that
+differs with its relative difference, and every other value that differs.
+Exits 0 when the trees are byte-identical, else 1.
 """
 
 import csv
@@ -41,18 +42,30 @@ def _compare_csv(a: pathlib.Path, b: pathlib.Path) -> list:
     for j, name in enumerate(rows_a[0]):
         pairs = [(ra[j], rb[j]) for ra, rb in zip(rows_a[1:], rows_b[1:])]
         if name == "flags":
-            lines.append(f"  flags: {'match' if all(x == y for x, y in pairs) else 'DIFFER'}")
+            differ = [(k, x, y) for k, (x, y) in enumerate(pairs, 1) if x != y]
+            if not differ:
+                lines.append("  flags: match")
+                continue
+            k, x, y = differ[0]
+            lines.append(f"  flags: {len(differ)} rows differ, first row {k}: "
+                         f"{x!r} -> {y!r}")
             continue
-        worst, other = 0.0, 0
+        worst, filled, emptied, other = 0.0, 0, 0, 0
         for x, y in pairs:
             if x == y:
                 continue
             nx, ny = _number(x), _number(y)
-            if nx is None or ny is None:
+            if x == "" and ny is not None:
+                filled += 1
+            elif nx is not None and y == "":
+                emptied += 1
+            elif nx is None or ny is None:
                 other += 1
             else:
                 worst = max(worst, _rel(nx, ny))
-        note = f", {other} non-numeric cells differ" if other else ""
+        note = f", {filled} empty -> number" if filled else ""
+        note += f", {emptied} number -> empty" if emptied else ""
+        note += f", {other} non-numeric cells differ" if other else ""
         lines.append(f"  {name}: max rel diff {worst:.3e}{note}")
     return lines
 
