@@ -62,6 +62,7 @@ def cmd_wannier(cfg: dict, out_dir: str) -> int:
     print(f"neighbor_overlap={overlap:.3e}")
     print(f"evenness_deviation={even_dev:.3e}")
     print(f"tightbinding_residual={band_tightbinding_residual(band):.3e}")
+    print(f"band_fallbacks={band.fallbacks}")
     if cfg["output"]["wannier_csv"]:
         path = os.path.join(out_dir, "wannier.csv")
         with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -3,16 +3,20 @@
 The lowest eigenpair of a symmetric tridiagonal matrix comes from LAPACK
 bisection plus inverse iteration (``lowest_tridiagonal_pair``: ``dstebz`` then
 ``dstein``, the calls ``scipy.linalg.eigh_tridiagonal`` makes in select mode,
-without its per-call validation).  The chain ground state and the plane-wave
-band solve both use it.  Along a sweep column the chain can instead start
-from the previous point's state (``warm_eigenpair``): Rayleigh-quotient
+without its per-call validation).  Along a sweep column the chain can instead
+start from the previous point's state (``warm_eigenpair``): Rayleigh-quotient
 iteration finds the eigenpair in a few tridiagonal solves, with no
 ``dstein`` call; when that result fails the residual check or the
 lower-bound certificate (``certificate_margin``), the chain tries the
 bisection pair.  A chain point that fails both paths has no ground state
-(``model.GroundStateError``); there is no dense diagonalization.  So
-``dstein`` runs only for the band solve and the cold or fallback chain
-solves.
+(``model.GroundStateError``); there is no dense diagonalization.
+
+The plane-wave band solve runs the same iteration and certificate for all
+its quasimomenta at once (``warm_eigenpairs``, ``certificate_margins``):
+each LAPACK call works on the block-diagonal concatenation of the chains,
+whose zero couplings keep every block's arithmetic exactly that of its own
+call.  A quasimomentum that fails a check takes the bisection pair alone.
+So ``dstein`` runs only for those and the cold or fallback chain solves.
 
 The onsite profile and the photon number both average an even, pi-periodic
 function g(beta z) over the Wannier density at every site.  ``site_average``
@@ -50,6 +54,13 @@ COLD_METHOD = "lapack_bisection_inverse_iteration"
 #: most this fraction of ||T||, and gives up after WARM_MAX_STEPS solves.
 WARM_RTOL = 1e-13
 WARM_MAX_STEPS = 8
+
+#: Relative residual bound enforced on every certified eigenpair: the chain
+#: ground states and the lowest band.
+RESIDUAL_RTOL = 1e-10
+
+#: Rounding allowance of the lower-bound certificate, relative to ||T||.
+CERTIFICATE_RTOL = 8.0 * np.finfo(np.float64).eps
 
 
 def _tridiag_residual(d, e, lam, psi):
@@ -147,6 +158,113 @@ def certificate_margin(d: np.ndarray, e: np.ndarray, energy: float,
     """
     pivots, _, info = lapack.dpttrf(d - (energy - tol), e)
     return float(pivots.min()) if info == 0 else None
+
+
+# ---------------------------------------------------------------------------
+# K independent chains of one length, solved through block-diagonal calls
+# ---------------------------------------------------------------------------
+
+
+def _joined(E: np.ndarray) -> np.ndarray:
+    """Off-diagonal of the block-diagonal concatenation of the chains with
+    off-diagonals E (K, n - 1): zero couplings between consecutive blocks."""
+    return np.hstack((E, np.zeros((E.shape[0], 1)))).ravel()[:-1]
+
+
+def _tridiag_residuals(D, E, lam, psi):
+    """``_tridiag_residual`` of every row, the same operations in order."""
+    R = (D - lam[:, None]) * psi
+    R[:, :-1] += E * psi[:, 1:]
+    R[:, 1:] += E * psi[:, :-1]
+    return np.sqrt(np.vecdot(R, R))
+
+
+def _rqi_solves(D, E, lam, X):
+    """The step solves (T_k - lam_k I) y_k = x_k and their norms ||y_k||.
+
+    One ``dgtsv`` on the concatenation.  Its elimination never pivots
+    across a zero coupling, so each block gets the arithmetic of its own
+    call.  A zero pivot stops the whole call, and a NaN or inf spreads into
+    the next block through 0 * inf; so when ``info != 0`` or a norm is not
+    finite, every row is solved again alone.  A row whose own solve fails
+    gets a NaN norm.
+    """
+    n = D.shape[1]
+    e = _joined(E)
+    *_, y, info = lapack.dgtsv(e, (D - lam[:, None]).ravel(), e, X.ravel(),
+                               overwrite_d=1)
+    Y = y.reshape(-1, n)
+    norms = np.sqrt(np.vecdot(Y, Y))
+    if info == 0 and np.all(np.isfinite(norms)):
+        return Y, norms
+    Y = np.empty_like(X)
+    for k in range(X.shape[0]):
+        *_, Y[k], info = lapack.dgtsv(E[k], D[k] - lam[k], E[k], X[k], overwrite_d=1)
+        norms[k] = math.sqrt(Y[k] @ Y[k]) if info == 0 else math.nan
+    return Y, norms
+
+
+def warm_eigenpairs(D: np.ndarray, E: np.ndarray, starts: np.ndarray,
+                    norm_bounds: np.ndarray):
+    """``warm_eigenpair`` for K independent chains of one length, in lockstep.
+
+    D (K, n), E (K, n - 1) and starts (K, n) hold the chains row by row,
+    norm_bounds (K,) their bounds on ||T_k||.  Each step solves every row
+    still iterating with one ``dgtsv`` (``_rqi_solves``).  Returns
+    ``(energies, vectors, residuals, converged)``: where converged[k] is
+    True, row k is bit-identical to ``warm_eigenpair(D[k], E[k], starts[k],
+    norm_bounds[k])``; where it is False, that call returns None and the row
+    holds NaN.  n must be at least 2.
+    """
+    K, n = D.shape
+    energies, residuals = np.full(K, np.nan), np.full(K, np.nan)
+    vectors = np.full((K, n), np.nan)
+    converged = np.zeros(K, dtype=bool)
+    X = starts / np.sqrt(np.vecdot(starts, starts))[:, None]
+    lam = np.vecdot(X, D * X) + 2.0 * np.vecdot(E, X[:, :-1] * X[:, 1:])
+    # the rows still iterating, with their chains, bounds, lam and x
+    rows, bounds, d, e = np.arange(K), np.asarray(norm_bounds, dtype=np.float64), D, E
+    for _ in range(WARM_MAX_STEPS):
+        Y, norms = _rqi_solves(d, e, lam, X)
+        solved = np.isfinite(norms)
+        if not solved.all():  # warm_eigenpair gives up on these rows
+            rows, bounds, d, e, lam, X, Y, norms = (
+                a[solved] for a in (rows, bounds, d, e, lam, X, Y, norms))
+        lam = lam + np.vecdot(X, Y) / (norms * norms)
+        Y /= norms[:, None]
+        done = norms * WARM_RTOL * bounds >= 1.0
+        if done.any():
+            energies[rows[done]], vectors[rows[done]] = lam[done], Y[done]
+            converged[rows[done]] = True
+            going = ~done
+            rows, bounds, d, e, lam, Y = (a[going] for a in (rows, bounds, d, e, lam, Y))
+        if rows.size == 0:
+            break
+        X = Y
+    residuals[converged] = _tridiag_residuals(
+        D[converged], E[converged], energies[converged], vectors[converged])
+    return energies, vectors, residuals, converged
+
+
+def certificate_margins(D: np.ndarray, E: np.ndarray, energies: np.ndarray,
+                        tols: np.ndarray) -> np.ndarray:
+    """``certificate_margin`` of K chains of one length from one ``dpttrf``.
+
+    The factorization of the block-diagonal concatenation of the shifted
+    chains carries each block's own pivots bit for bit, since a zero
+    coupling neither changes the next pivot nor passes on a finite value.
+    When a pivot is not positive (the factorization stops there) or not
+    finite (a NaN spreads to the next block), each row is factored alone.
+    Row k is ``certificate_margin(D[k], E[k], energies[k], tols[k])``,
+    with NaN where that returns None (or NaN, for a NaN entry).
+    """
+    K, n = D.shape
+    pivots, _, info = lapack.dpttrf((D - (energies - tols)[:, None]).ravel(), _joined(E))
+    margins = pivots.reshape(K, n).min(axis=1)
+    if info == 0 and np.all(np.isfinite(margins)):
+        return margins
+    return np.array([math.nan if m is None else m for m in map(
+        certificate_margin, D, E, energies, tols)])
 
 
 # ---------------------------------------------------------------------------

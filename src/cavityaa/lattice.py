@@ -3,10 +3,11 @@
 The confining potential is W0 cos^2(k0 x).  Everything here works in recoil
 units: energies in E_r = hbar^2 k0^2 / (2m), lengths in 1/k0, so the lattice
 constant is a = pi and the kinetic operator is -d^2/dx^2.  The lowest band is
-solved in a plane-wave basis, the real lowest-band Wannier orbital is built by
-phase fixing, and the tight-binding constants derived from it (hopping t and
-the smearing constants A, B, alpha of the incommensurate harmonic) are stored
-on the basis object for the downstream chain model.
+solved in a plane-wave basis, all quasimomenta at once; the real lowest-band
+Wannier orbital is built by phase fixing and summed by real FFTs; and the
+tight-binding constants derived from it (hopping t and the smearing constants
+A, B, alpha of the incommensurate harmonic) are stored on the basis object for
+the downstream chain model.
 
 Site centers sit at the potential minima.  For W0 < 0 the minima of
 W0 cos^2(k0 x) are at x = 0 mod a; for W0 > 0 they are shifted by a/2.  The
@@ -28,8 +29,10 @@ GOLDEN_BETA = (np.sqrt(5.0) - 1.0) / 2.0
 #: Lattice constant a = pi / k0 in units of 1/k0.
 LATTICE_CONSTANT = np.pi
 
-#: Identifier of the Wannier plane-wave sum, recorded in output metadata.
-WANNIER_SUM_METHOD = "separable_planewave"
+#: Identifiers of the band solve and of the Wannier plane-wave sum, recorded
+#: in output metadata.
+BAND_SOLVE_METHOD = "block_rayleigh_quotient_certified"
+WANNIER_SUM_METHOD = "planewave_rfft"
 
 
 class BandSolveError(RuntimeError):
@@ -43,7 +46,9 @@ class LatticeSpec:
     depth_W0 is in E_r and may be negative (the deep-lattice figures use
     W0 = -15 E_r).  The plane-wave basis spans reciprocal vectors -M..+M.
     window_sites and points_per_site fix the real-space grid on which the
-    Wannier orbital is sampled.
+    Wannier orbital is sampled.  The orbital built from Nq quasimomenta
+    repeats, with a sign flip, every Nq sites, so the window must stay below
+    Nq/2 sites: a wider one would hold an image of the orbital.
     """
 
     depth_W0: float
@@ -64,18 +69,28 @@ class LatticeSpec:
             raise ValueError("beta must lie strictly between 0 and 1")
         if self.window_sites < 2:
             raise ValueError("window_sites must be >= 2")
+        if self.window_sites >= self.quasimomentum_samples_Nq // 2:
+            raise ValueError(
+                "window_sites must be below quasimomentum_samples_Nq / 2 = "
+                f"{self.quasimomentum_samples_Nq // 2}: the orbital repeats every "
+                f"{self.quasimomentum_samples_Nq} sites")
         if self.points_per_site < 16:
             raise ValueError("points_per_site must be >= 16")
 
 
 @dataclass(frozen=True)
 class BlochBand:
-    """Lowest band sampled on a symmetric quasimomentum grid in [-k0, k0)."""
+    """Lowest band sampled on a symmetric quasimomentum grid in [-k0, k0).
+
+    fallbacks counts the quasimomenta that failed a check of the batched
+    solve and were solved by bisection instead (``solve_lowest_band``).
+    """
 
     quasimomenta: np.ndarray  # (Nq,)
     energies: np.ndarray  # (Nq,) in E_r
     eigenvectors: np.ndarray  # (Nq, 2M+1) plane-wave coefficients, unit norm
     depth_W0: float
+    fallbacks: int = 0
 
     def __post_init__(self):
         for arr in (self.quasimomenta, self.energies, self.eigenvectors):
@@ -93,6 +108,7 @@ class WannierBasis:
     A = -int w0^2 sin(2 beta x) dx and B = int w0^2 cos(2 beta x) dx smear the
     first incommensurate harmonic, and alpha = sqrt(A^2 + B^2); A vanishes for
     the even orbital, and B tends to 1 from below in the deep-lattice limit.
+    band_fallbacks is the band's ``BlochBand.fallbacks``.
     """
 
     grid: np.ndarray  # (Npts,) sample points, site center at 0
@@ -106,6 +122,7 @@ class WannierBasis:
     alpha: float
     beta: float
     depth_W0: float
+    band_fallbacks: int
     spec: LatticeSpec = field(repr=False)
 
     def __post_init__(self):
@@ -129,26 +146,45 @@ def solve_lowest_band(spec: LatticeSpec) -> BlochBand:
 
     In the plane-wave basis the operator is tridiagonal: diagonal (q + 2l)^2 +
     W0/2 and first off-diagonal -|W0|/4 in the site-centered frame (the sign
-    flip for W0 > 0 is the a/2 shift of the site centers).  Each q is one
-    ``kernels.lowest_tridiagonal_pair`` call.
+    flip for W0 > 0 is the a/2 shift of the site centers).  All Nq matrices
+    go through Rayleigh-quotient iteration together
+    (``kernels.warm_eigenpairs``), each from the harmonic-oscillator guess
+    c_l ~ exp(-(q + 2l)^2 / (2 max(sqrt|W0|, 1))).  A q is accepted with the
+    checks of a chain ground state: residual at most ``RESIDUAL_RTOL`` ||M_q||
+    (Gershgorin bound) and a positive-definite LDL^T factorization of
+    M_q - (E_q - tol) I, tol = residual + ``CERTIFICATE_RTOL`` ||M_q||
+    (``kernels.certificate_margins``), which proves E_q the lowest
+    eigenvalue.  A q that fails either check is solved alone by
+    ``kernels.lowest_tridiagonal_pair``; its LAPACK failure raises
+    BandSolveError.
     """
     m_cut = spec.planewave_cutoff_M
-    nq = spec.quasimomentum_samples_Nq
     ls = np.arange(-m_cut, m_cut + 1)
-    qs = _quasimomentum_grid(nq)
-    offdiag = np.full(2 * m_cut, -abs(spec.depth_W0) / 4.0)
-    diags = (qs[:, None] + 2.0 * ls[None, :]) ** 2 + spec.depth_W0 / 2.0
-    energies = np.empty(nq)
-    vecs = np.empty((nq, 2 * m_cut + 1))
-    for j, diag in enumerate(diags):
+    qs = _quasimomentum_grid(spec.quasimomentum_samples_Nq)
+    kvec = qs[:, None] + 2.0 * ls[None, :]
+    hop = abs(spec.depth_W0) / 4.0
+    diags = kvec ** 2 + spec.depth_W0 / 2.0
+    offdiags = np.full((qs.shape[0], 2 * m_cut), -hop)
+    radius = np.full(ls.shape[0], 2.0 * hop)
+    radius[[0, -1]] = hop
+    norms = np.max(np.abs(diags) + radius, axis=1)
+    starts = np.exp(-(kvec ** 2) / (2.0 * max(np.sqrt(abs(spec.depth_W0)), 1.0)))
+    energies, vecs, res, ok = kernels.warm_eigenpairs(diags, offdiags, starts, norms)
+    ok &= res <= kernels.RESIDUAL_RTOL * norms
+    if ok.any():
+        tols = res[ok] + kernels.CERTIFICATE_RTOL * norms[ok]
+        margins = kernels.certificate_margins(diags[ok], offdiags[ok], energies[ok], tols)
+        ok[ok] = margins > 0.0
+    fallbacks = np.flatnonzero(~ok)
+    for j in fallbacks:
         try:
-            energies[j], vecs[j] = kernels.lowest_tridiagonal_pair(diag, offdiag)
+            energies[j], vecs[j] = kernels.lowest_tridiagonal_pair(diags[j], offdiags[j])
         except np.linalg.LinAlgError as exc:
             raise BandSolveError(
                 f"plane-wave eigensolve failed at q = {qs[j]:.6f} k0"
             ) from exc
     return BlochBand(quasimomenta=qs, energies=energies, eigenvectors=vecs,
-                     depth_W0=spec.depth_W0)
+                     depth_W0=spec.depth_W0, fallbacks=int(fallbacks.size))
 
 
 def build_wannier(band: BlochBand, spec: LatticeSpec) -> WannierBasis:
@@ -157,10 +193,12 @@ def build_wannier(band: BlochBand, spec: LatticeSpec) -> WannierBasis:
     Bloch phases are fixed so that every Bloch function is real and positive
     at the site center; for a symmetric 1D band this phase choice yields the
     maximally localized Wannier orbital.  The orbital is evaluated as a plane
-    wave sum, so its second derivative is available exactly.  The sum is
-    separated into q and l factors by cos((q + 2l) x) = cos(qx) cos(2lx) -
-    sin(qx) sin(2lx) and evaluated on the x >= 0 half of the grid; w0 is
-    even, so the other half is its mirror image.
+    wave sum, so its second derivative is available exactly.  On the offset
+    q grid every wavenumber is k = q + 2l = m / Nq with m odd, and the grid
+    points are x_j = j pi / p, so cos(k x_j) = cos(2 pi m j / N) with
+    N = 2 Nq p: w0 and w0'' are the real parts of one length-N rFFT each,
+    of the coefficients binned by |m| mod N.  The transform gives x >= 0;
+    w0 is even, so the other half is its mirror image.
     """
     m_cut = spec.planewave_cutoff_M
     nq = spec.quasimomentum_samples_Nq
@@ -179,26 +217,24 @@ def build_wannier(band: BlochBand, spec: LatticeSpec) -> WannierBasis:
         )
     coeffs[at_center < 0] *= -1.0
 
-    step = LATTICE_CONSTANT / spec.points_per_site
-    half = spec.window_sites * spec.points_per_site
+    p = spec.points_per_site
+    step = LATTICE_CONSTANT / p
+    half = spec.window_sites * p
     grid = np.arange(-half, half + 1) * step
 
     # w0(x) = (1 / (Nq sqrt(pi))) sum_{q,l} c_{q,l} cos((q + 2l) x); the sine
     # parts cancel exactly on the +-q symmetric grid.  w0'' has the
-    # coefficients -(q + 2l)^2 c_{q,l} and shares every trig table.  The q > 0
-    # tables times the coefficients folded over +-q give the q-sums of each
-    # (x, l), which the l tables contract.
-    x = grid[half:]
+    # coefficients -(q + 2l)^2 c_{q,l}.  The window is below Nq/2 sites
+    # (LatticeSpec), so half < N/4 and the rFFT covers it.
+    n_fft = 2 * nq * p
+    m = (2 * np.arange(nq) + 1 - nq)[:, None] + 2 * nq * ls[None, :]
+    bins = np.abs(m).ravel() % n_fft
     c = coeffs / (nq * np.sqrt(np.pi))
     kvec = qs[:, None] + 2.0 * ls[None, :]
-    both = np.hstack((c, -(kvec ** 2) * c)).reshape(nq, 2, ls.shape[0])
-    pos, neg = both[nq // 2:], both[nq // 2 - 1::-1]  # rows q > 0 and -q
-    qx = np.multiply.outer(x, qs[nq // 2:])
-    lx = np.multiply.outer(x, 2.0 * ls)
-    sums = (np.einsum("xkl,xl->xk", np.tensordot(np.cos(qx), pos + neg, 1), np.cos(lx))
-            - np.einsum("xkl,xl->xk", np.tensordot(np.sin(qx), pos - neg, 1), np.sin(lx)))
-    w0 = np.concatenate((sums[:0:-1, 0], sums[:, 0]))
-    w0_lap = np.concatenate((sums[:0:-1, 1], sums[:, 1]))
+    w0, w0_lap = (
+        np.concatenate((s[:0:-1], s)) for s in (
+            np.fft.rfft(np.bincount(bins, weights=wts.ravel(), minlength=n_fft))
+            [:half + 1].real for wts in (c, -(kvec ** 2) * c)))
 
     weights = np.full(grid.shape, step)
     weights[0] = weights[-1] = step / 2.0
@@ -213,7 +249,7 @@ def build_wannier(band: BlochBand, spec: LatticeSpec) -> WannierBasis:
         t=_tunneling_integral(grid, w0, w0_lap, weights, spec),
         t_band=tunneling_from_band(band), A=a_const, B=b_const,
         alpha=float(np.hypot(a_const, b_const)), beta=spec.beta,
-        depth_W0=spec.depth_W0, spec=spec,
+        depth_W0=spec.depth_W0, band_fallbacks=band.fallbacks, spec=spec,
     )
 
 

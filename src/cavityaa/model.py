@@ -20,16 +20,11 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import kernels
+from .kernels import CERTIFICATE_RTOL, RESIDUAL_RTOL
 from .lattice import GOLDEN_BETA
 
 if TYPE_CHECKING:  # pragma: no cover
     from .lattice import WannierBasis
-
-#: Relative residual bound enforced on every ground-state solve.
-RESIDUAL_RTOL = 1e-10
-
-#: Rounding allowance of the lower-bound certificate, relative to ||H||.
-CERTIFICATE_RTOL = 8.0 * np.finfo(np.float64).eps
 
 
 class GroundStateError(RuntimeError):

@@ -34,8 +34,8 @@ import numpy as np
 
 from . import kernels
 from ._version import __version__
-from .lattice import (WANNIER_SUM_METHOD, LatticeSpec, WannierBasis, build_wannier,
-                      solve_lowest_band)
+from .lattice import (BAND_SOLVE_METHOD, WANNIER_SUM_METHOD, LatticeSpec, WannierBasis,
+                      build_wannier, solve_lowest_band)
 from .model import (EffectivePotential, HubbardProblem, OnsiteProfile,
                     ground_state, onsite_aa, onsite_cavity, scale_profile,
                     unit_profile)
@@ -609,12 +609,14 @@ def _build_metadata(spec: SweepSpec) -> dict:
 
 
 def _constants(wb: WannierBasis) -> dict:
-    return {"t": wb.t, "t_band": wb.t_band, "A": wb.A, "B": wb.B, "alpha": wb.alpha}
+    return {"t": wb.t, "t_band": wb.t_band, "A": wb.A, "B": wb.B, "alpha": wb.alpha,
+            "band_fallbacks": wb.band_fallbacks}
 
 
 def _methods(spec: SweepSpec) -> dict:
     methods = {"eigensolver": "column_warm_start",
                "transition_detector": TRANSITION_METHOD,
+               "band_solve": BAND_SOLVE_METHOD,
                "wannier_sum": WANNIER_SUM_METHOD,
                "harmonic_tail_rtol": kernels.HARMONIC_TAIL_RTOL,
                "max_harmonics": kernels.MAX_HARMONICS}

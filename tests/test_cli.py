@@ -53,6 +53,7 @@ def test_wannier_prints_the_stored_constants(capsys, tmp_path, depth):
                for ln in lines)
     for name in ("A", "B", "alpha"):
         assert f"{name}={getattr(wb, name):.12e}" in lines
+    assert "band_fallbacks=0" in lines
 
 
 def test_wannier_invalid_cutoff_names_key(capsys, tmp_path):
@@ -69,6 +70,7 @@ BAD_FIELDS = [
     ("lattice", "quasimomentum_samples_Nq", 64.5, {}),
     ("lattice", "beta", 1.5, {}),
     ("lattice", "window_sites", 1, {}),
+    ("lattice", "window_sites", 64, {}),
     ("lattice", "points_per_site", 8, {}),
     ("pump", "pump_mode", "x", {}),
     ("pump", "kappa_over_recoil", 0, {}),

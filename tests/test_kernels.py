@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 from cavityaa import kernels
@@ -149,3 +151,132 @@ def test_deterministic_repeat():
     r2 = kernels.lowest_eigenpair(d, e)
     assert r1[0] == r2[0]
     assert np.array_equal(r1[1], r2[1])
+
+
+# --- K chains through block-diagonal LAPACK calls ------------------------------
+
+
+def _chain_rows(rng, kinds, n):
+    """Chains, starts and norm bounds, one row per kind: "near" starts close
+    to the ground state (at a random distance, so rows converge at different
+    steps), "random" anywhere, "exact" lands on an eigenvalue of a diagonal
+    chain (a zero pivot: the scalar kernel gives up), "nan" holds a NaN."""
+    D, E, starts = np.empty((len(kinds), n)), np.empty((len(kinds), n - 1)), []
+    for k, kind in enumerate(kinds):
+        D[k], E[k] = _random_chain(rng, n)
+        if kind == "near":
+            w, v = np.linalg.eigh(np.diag(D[k]) + np.diag(E[k], 1) + np.diag(E[k], -1))
+            starts.append(v[:, 0] + 10.0 ** rng.uniform(-8, -1) * rng.standard_normal(n))
+        elif kind == "exact":
+            E[k] = 0.0
+            starts.append(np.eye(n)[rng.randint(n)])
+        else:
+            starts.append(rng.uniform(-1.0, 1.0, n))
+            if kind == "nan":
+                D[k, rng.randint(n)] = np.nan
+    bounds = np.array([gershgorin_norm_bound(d, e) for d, e in zip(D, E)])
+    return D, E, np.array(starts), bounds
+
+
+def _assert_rows_are_the_scalar_kernel(D, E, starts, bounds):
+    energies, vectors, residuals, converged = kernels.warm_eigenpairs(D, E, starts, bounds)
+    for k in range(D.shape[0]):
+        one = kernels.warm_eigenpair(D[k], E[k], starts[k], bounds[k])
+        if one is None:
+            assert not converged[k]
+            assert np.isnan(energies[k]) and np.isnan(residuals[k])
+            assert np.all(np.isnan(vectors[k]))
+        else:
+            assert converged[k]
+            assert energies[k] == one[0] and residuals[k] == one[2]
+            assert np.array_equal(vectors[k], one[1])
+    return converged
+
+
+@given(seed=st.integers(0, 2 ** 31 - 1), n=st.integers(2, 40),
+       kinds=st.lists(st.sampled_from(["near", "random", "exact", "nan"]),
+                      min_size=1, max_size=10))
+@settings(max_examples=80, deadline=None)
+def test_warm_eigenpairs_rows_are_the_scalar_kernel(seed, n, kinds):
+    # every row is bit-identical to warm_eigenpair on its own chain, or gives
+    # up where that does, whatever its neighbours do
+    rng = np.random.RandomState(seed)
+    _assert_rows_are_the_scalar_kernel(*_chain_rows(rng, kinds, n))
+
+
+def test_zero_coupled_concatenation_is_the_per_block_calls():
+    # a zero coupling between blocks keeps each block's arithmetic that of its
+    # own call, row interchanges included
+    rng = np.random.RandomState(7)
+    K, n = 9, 17
+    D = rng.uniform(-1.0, 1.0, (K, n))
+    E = rng.uniform(-1.0, 1.0, (K, n - 1))
+    B = rng.standard_normal((K, n))
+    e = kernels._joined(E)
+    assert e.shape == (K * n - 1,) and np.all(e[n - 1::n] == 0.0)
+    *_, y, info = kernels.lapack.dgtsv(e, D.ravel(), e, B.ravel())
+    assert info == 0
+    for k in range(K):
+        *_, y_k, info_k = kernels.lapack.dgtsv(E[k], D[k], E[k], B[k])
+        assert info_k == 0 and np.array_equal(y[k * n:(k + 1) * n], y_k)
+    S = D + 3.0  # diagonally dominant, so positive definite
+    pivots, mult, info = kernels.lapack.dpttrf(S.ravel(), e)
+    assert info == 0
+    for k in range(K):
+        p_k, m_k, info_k = kernels.lapack.dpttrf(S[k], E[k])
+        assert info_k == 0
+        assert np.array_equal(pivots[k * n:(k + 1) * n], p_k)
+        assert np.array_equal(mult[k * n:(k + 1) * n - 1], m_k)
+
+
+def test_nonfinite_block_is_redone_alone(monkeypatch):
+    # a NaN spreads through the zero couplings, so its step is solved again
+    # row by row: the NaN row gives up and its neighbours are unchanged
+    sizes = []
+    dgtsv = kernels.lapack.dgtsv
+
+    def counting(dl, d, du, b, **kwargs):
+        sizes.append(d.shape[0])
+        return dgtsv(dl, d, du, b, **kwargs)
+
+    rng = np.random.RandomState(3)
+    K, n = 5, 20
+    D, E, starts, bounds = _chain_rows(rng, ["near"] * K, n)
+    D[2, 4] = np.nan
+    monkeypatch.setattr(kernels.lapack, "dgtsv", counting)
+    converged = _assert_rows_are_the_scalar_kernel(D, E, starts, bounds)
+    assert list(converged) == [True, True, False, True, True]
+    solo = kernels.warm_eigenpairs(np.delete(D, 2, 0), np.delete(E, 2, 0),
+                                   np.delete(starts, 2, 0), np.delete(bounds, 2))
+    full = kernels.warm_eigenpairs(D, E, starts, bounds)
+    for got, want in zip(full, solo):
+        assert np.array_equal(np.delete(got, 2, 0), want)
+    # the first step: one call on the concatenation, then one per row
+    assert sizes[:K + 1] == [K * n] + [n] * K
+
+
+def test_certificate_margins_are_the_per_row_margins():
+    # one dpttrf on the concatenation, and a row that fails (the second
+    # eigenvalue) or holds a NaN sends every row to its own call
+    rng = np.random.RandomState(12)
+    K, n = 6, 25
+    D, E = np.empty((K, n)), np.empty((K, n - 1))
+    for k in range(K):
+        D[k], E[k] = _random_chain(rng, n)
+    lowest = np.array([np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))[:2]
+                       for d, e in zip(D, E)])
+    tols = np.full(K, 1e-12)
+    margins = kernels.certificate_margins(D, E, lowest[:, 0], tols)
+    assert np.all(margins > 0.0)
+    energies = lowest[:, 0].copy()
+    energies[1] = lowest[1, 1]
+    D[4, 0] = np.nan
+    margins = kernels.certificate_margins(D, E, energies, tols)
+    for k in range(K):
+        one = kernels.certificate_margin(D[k], E[k], energies[k], tols[k])
+        if one is None or np.isnan(one):
+            assert np.isnan(margins[k])
+        else:
+            assert margins[k] == one
+    assert np.isnan(margins[1]) and np.isnan(margins[4])
+    assert np.count_nonzero(np.isnan(margins)) == 2

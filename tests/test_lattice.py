@@ -5,7 +5,7 @@ import cavityaa as ca
 from cavityaa import kernels
 from cavityaa.lattice import LATTICE_CONSTANT
 from reference import (cavity_tunneling_corrections, correction_constants,
-                       lowest_band_eigh, wannier_direct_sum)
+                       gershgorin_norm_bound, lowest_band_eigh, wannier_direct_sum)
 
 
 def test_spec_validation():
@@ -19,6 +19,20 @@ def test_spec_validation():
         ca.LatticeSpec(depth_W0=-15.0, beta=1.2)
     with pytest.raises(ValueError, match="finite"):
         ca.LatticeSpec(depth_W0=np.nan)
+
+
+def test_window_must_stay_inside_half_the_q_period():
+    # the orbital of Nq quasimomenta repeats (with a sign flip) every Nq
+    # sites, so a window of Nq/2 sites or more holds an image of it
+    with pytest.raises(ValueError, match="window_sites must be below"):
+        ca.LatticeSpec(depth_W0=-2.0, window_sites=200)
+    with pytest.raises(ValueError, match="window_sites must be below"):
+        ca.LatticeSpec(depth_W0=-2.0, window_sites=64)
+    with pytest.raises(ValueError, match="window_sites must be below"):
+        ca.LatticeSpec(depth_W0=-2.0, quasimomentum_samples_Nq=64, window_sites=32)
+    spec = ca.LatticeSpec(depth_W0=-2.0, quasimomentum_samples_Nq=64, window_sites=31)
+    wb = ca.build_wannier(ca.solve_lowest_band(spec), spec)
+    assert abs(float(np.sum(wb.density_weights)) - 1.0) < 1e-8
 
 
 def test_free_particle_band():
@@ -222,11 +236,33 @@ def lattice_case(request):
     return spec, band, ca.build_wannier(band, spec)
 
 
-def test_band_matches_eigh_tridiagonal_bit_for_bit(lattice_case):
-    spec, band, _ = lattice_case
+def _band_matrices(spec, band):
+    ls = np.arange(-spec.planewave_cutoff_M, spec.planewave_cutoff_M + 1)
+    diags = (band.quasimomenta[:, None] + 2.0 * ls[None, :]) ** 2 + spec.depth_W0 / 2.0
+    offdiag = np.full(ls.shape[0] - 1, -abs(spec.depth_W0) / 4.0)
+    return diags, offdiag
+
+
+@pytest.mark.parametrize("depth", ORACLE_DEPTHS + [0.0, 0.3, -0.3])
+def test_band_matches_eigh_tridiagonal(depth):
+    # the batched Rayleigh-quotient solve stops at a residual of
+    # WARM_RTOL = 1e-13 ||M_q||, and bisection is accurate to eps ||M_q||:
+    # energies agree to 1e-13 ||M_q||, unit vectors to 1e-13 up to sign
+    spec = ca.LatticeSpec(depth_W0=depth)
+    band = ca.solve_lowest_band(spec)
     energies, vecs = lowest_band_eigh(spec)
-    assert np.array_equal(band.energies, energies)
-    assert np.array_equal(band.eigenvectors, vecs)
+    diags, offdiag = _band_matrices(spec, band)
+    norms = np.array([gershgorin_norm_bound(d, offdiag) for d in diags])
+    assert np.all(np.abs(band.energies - energies) <= 1e-13 * norms)
+    signs = np.sign(np.sum(band.eigenvectors * vecs, axis=1))
+    assert np.max(np.abs(band.eigenvectors * signs[:, None] - vecs)) <= 1e-13
+    # every q is certified on the batched path, except in the free-particle
+    # band: its matrices are diagonal, so the iteration lands exactly on an
+    # eigenvalue, whose zero pivot stops it, and those q take bisection
+    assert band.fallbacks == 0 or depth == 0.0
+    for d, lam in zip(diags, band.energies):
+        tol = (ca.kernels.CERTIFICATE_RTOL + 1e-13) * gershgorin_norm_bound(d, offdiag)
+        assert kernels.certificate_margin(d, offdiag, lam, tol) is not None
 
 
 def test_wannier_matches_direct_sum(lattice_case):
@@ -243,14 +279,31 @@ def test_wannier_matches_direct_sum(lattice_case):
         assert getattr(wb, name) == pytest.approx(ref[name], abs=1e-14)
 
 
+def _failing(routine):
+    def call(*args, **kwargs):
+        *out, _ = routine(*args, **kwargs)
+        return (*out, 1)
+    return call
+
+
+@pytest.mark.parametrize("routine", ["dgtsv", "dpttrf"])
+def test_band_falls_back_to_bisection_per_q(monkeypatch, routine):
+    # a failed iteration or certificate sends its q to bisection, which is
+    # select-mode eigh_tridiagonal bit for bit
+    monkeypatch.setattr(kernels.lapack, routine, _failing(getattr(kernels.lapack, routine)))
+    spec = ca.LatticeSpec(depth_W0=-15.0)
+    band = ca.solve_lowest_band(spec)
+    energies, vecs = lowest_band_eigh(spec)
+    assert band.fallbacks == spec.quasimomentum_samples_Nq
+    assert np.array_equal(band.energies, energies)
+    assert np.array_equal(band.eigenvectors, vecs)
+
+
 @pytest.mark.parametrize("routine", ["dstebz", "dstein"])
 def test_band_solve_lapack_failure_raises(monkeypatch, routine):
-    real = getattr(kernels.lapack, routine)
-
-    def failing(*args):
-        *out, _ = real(*args)
-        return (*out, 1)
-
-    monkeypatch.setattr(kernels.lapack, routine, failing)
+    # a failing dgtsv sends every q to the bisection fallback, whose LAPACK
+    # failure raises
+    monkeypatch.setattr(kernels.lapack, "dgtsv", _failing(kernels.lapack.dgtsv))
+    monkeypatch.setattr(kernels.lapack, routine, _failing(getattr(kernels.lapack, routine)))
     with pytest.raises(ca.BandSolveError, match="plane-wave eigensolve failed"):
         ca.solve_lowest_band(ca.LatticeSpec(depth_W0=-15.0))

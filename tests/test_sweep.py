@@ -337,8 +337,8 @@ def test_failed_thouless_factorization_fails_only_its_point(wannier, lattice_spe
 def test_dstein_runs_for_band_and_cold_solves_only(lattice_spec, monkeypatch,
                                                    observables):
     # a warm solve takes Rayleigh-quotient iteration's own vector and gamma
-    # reads no vector, so inverse iteration runs for the band solve and the
-    # cold solves alone
+    # reads no vector, so inverse iteration runs for the cold solves alone:
+    # the band solve certifies every q without it at this depth
     calls = []
     dstein = scipy.linalg.lapack.dstein
 
@@ -347,17 +347,15 @@ def test_dstein_runs_for_band_and_cold_solves_only(lattice_spec, monkeypatch,
         return dstein(*args, **kwargs)
 
     monkeypatch.setattr(scipy.linalg.lapack, "dstein", counting)
-    ca.solve_lowest_band(lattice_spec)
-    per_band = len(calls)
-    assert per_band > 0
-    calls.clear()
+    assert ca.solve_lowest_band(lattice_spec).fallbacks == 0
+    assert calls == []
     spec = _spec(lattice_spec, axis1=ca.Axis.log("v0", 0.01, 0.3, 24),
                  axis2=ca.Axis("C", np.array([-2.0, -0.75, 1.5])),
                  observables=observables)
     result = ca.run_sweep(spec)
     counts = result.metadata["solver_counts"]
     assert counts["warm"] > 0 and counts["unsolved"] == 0
-    assert len(calls) == per_band + counts["cold"] + counts["select_fallback"]
+    assert len(calls) == counts["cold"] + counts["select_fallback"]
     assert set(calls) == {1}
     methods = result.metadata["methods"]
     assert "decay_fit_vector" not in methods
@@ -442,7 +440,8 @@ def test_sidecar_names_the_profile_methods(wannier, lattice_spec):
     methods = ca.run_sweep(spec, wannier=wannier).metadata["methods"]
     assert methods["onsite_profile"] == "harmonic_series"
     assert methods["photon_number"] == "harmonic_series"
-    assert methods["wannier_sum"] == "separable_planewave"
+    assert methods["band_solve"] == "block_rayleigh_quotient_certified"
+    assert methods["wannier_sum"] == "planewave_rfft"
     assert methods["harmonic_tail_rtol"] == ca.kernels.HARMONIC_TAIL_RTOL
 
 
@@ -738,7 +737,9 @@ def test_depth_axis_lists_each_depth_constants(wannier, lattice_spec):
     constants = serial.metadata["constants"]
     assert [c["W0"] for c in constants] == depths
     assert constants[1] == {"W0": -15.0, "t": wannier.t, "t_band": wannier.t_band,
-                            "A": wannier.A, "B": wannier.B, "alpha": wannier.alpha}
+                            "A": wannier.A, "B": wannier.B, "alpha": wannier.alpha,
+                            "band_fallbacks": 0}
+    assert constants[0]["band_fallbacks"] == 0
     assert constants[0]["t"] > wannier.t
 
 

@@ -4,16 +4,20 @@
 
 Names every file that is in one tree only or differs between the two.  For
 a differing CSV it prints, per column, the largest relative difference
-|a - b| / max(|a|, |b|) over the rows and how many cells went from empty to
-a number or back; for ``flags``, how many rows differ and the first
-differing pair.  For a differing JSON file it prints every number that
-differs with its relative difference, and every other value that differs.
-Exits 0 when the trees are byte-identical, else 1.
+|a - b| / max(|a|, |b|) and the largest absolute difference |a - b| over the
+rows, and how many cells went from empty to a number or back; for
+``flags``, how many rows differ and the first differing pair.  For a differing JSON file it prints every number that
+differs with its relative and absolute difference, and every other value
+that differs.  For a differing ``log.txt`` it prints the relative and
+absolute difference of every ``name=number`` token whose number differs,
+such as the constants that ``wannier`` prints, and names the tokens found
+in one log only.  Exits 0 when the trees are byte-identical, else 1.
 """
 
 import csv
 import json
 import pathlib
+import re
 import sys
 
 
@@ -50,7 +54,7 @@ def _compare_csv(a: pathlib.Path, b: pathlib.Path) -> list:
             lines.append(f"  flags: {len(differ)} rows differ, first row {k}: "
                          f"{x!r} -> {y!r}")
             continue
-        worst, filled, emptied, other = 0.0, 0, 0, 0
+        worst, worst_abs, filled, emptied, other = 0.0, 0.0, 0, 0, 0
         for x, y in pairs:
             if x == y:
                 continue
@@ -62,11 +66,12 @@ def _compare_csv(a: pathlib.Path, b: pathlib.Path) -> list:
             elif nx is None or ny is None:
                 other += 1
             else:
-                worst = max(worst, _rel(nx, ny))
+                worst, worst_abs = max(worst, _rel(nx, ny)), max(worst_abs, abs(nx - ny))
         note = f", {filled} empty -> number" if filled else ""
         note += f", {emptied} number -> empty" if emptied else ""
         note += f", {other} non-numeric cells differ" if other else ""
-        lines.append(f"  {name}: max rel diff {worst:.3e}{note}")
+        lines.append(f"  {name}: max rel diff {worst:.3e}, "
+                     f"max abs diff {worst_abs:.3e}{note}")
     return lines
 
 
@@ -91,8 +96,33 @@ def _compare_json(a: pathlib.Path, b: pathlib.Path) -> list:
             continue
         numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool)
                       for v in (x, y))
-        lines.append(f"  {key}: max rel diff {_rel(x, y):.3e}" if numbers
-                     else f"  {key}: {json.dumps(x)} -> {json.dumps(y)}")
+        lines.append(f"  {key}: rel diff {_rel(x, y):.3e}, abs diff {abs(x - y):.3e}"
+                     if numbers else f"  {key}: {json.dumps(x)} -> {json.dumps(y)}")
+    return lines
+
+
+_TOKEN = re.compile(r"(\S+?)=([-+0-9.eEinfa]+)")
+
+
+def _tokens(path: pathlib.Path) -> dict:
+    """The name=number tokens of a log, keyed by name and occurrence."""
+    seen, tokens = {}, {}
+    for name, value in _TOKEN.findall(path.read_text()):
+        seen[name] = seen.get(name, 0) + 1
+        tokens[name if seen[name] == 1 else f"{name}#{seen[name]}"] = _number(value)
+    return tokens
+
+
+def _compare_log(a: pathlib.Path, b: pathlib.Path) -> list:
+    tokens_a, tokens_b = _tokens(a), _tokens(b)
+    lines = []
+    for name in sorted(tokens_a.keys() | tokens_b.keys()):
+        x, y = tokens_a.get(name), tokens_b.get(name)
+        if name not in tokens_a or name not in tokens_b:
+            lines.append(f"  {name}: only in {a if name in tokens_a else b}")
+        elif x != y:
+            lines.append(f"  {name}: rel diff {_rel(x, y):.3e}, abs diff {abs(x - y):.3e}"
+                         if x is not None and y is not None else f"  {name}: {x} -> {y}")
     return lines
 
 
@@ -109,7 +139,8 @@ def main(dir_a: str, dir_b: str) -> int:
             continue
         same = False
         print(f"differs: {rel}")
-        compare = {".csv": _compare_csv, ".json": _compare_json}.get(rel.suffix)
+        compare = ({".csv": _compare_csv, ".json": _compare_json}.get(rel.suffix)
+                   or (_compare_log if rel.name == "log.txt" else None))
         for line in compare(a, b) if compare else []:
             print(line)
     print("identical" if same else "different")

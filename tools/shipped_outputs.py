@@ -3,8 +3,10 @@
     python tools/shipped_outputs.py OUT_DIR
 
 Runs ``python -m cavityaa`` from the ``src/`` beside this script: ``sweep``
-on every ``configs/*.json`` at ``--workers 1`` and ``2``, ``baseline-aa`` on
-``aa_baseline``, ``ground-state`` on ``aa_baseline`` and ``pump_scan_eta_u0``.
+on every ``configs/*.json`` at ``--workers 1`` and ``2``, ``wannier`` once per
+distinct ``lattice`` section (on the first config, by name, that has it),
+``baseline-aa`` on ``aa_baseline``, ``ground-state`` on ``aa_baseline`` and
+``pump_scan_eta_u0``.
 Each run writes into its own subdirectory, with its exit code, stdout and
 stderr (the progress lines) in ``log.txt``; sidecar timestamps are dropped.
 """
@@ -20,9 +22,14 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 def _runs():
     configs = ROOT / "configs"
+    lattices = set()
     for path in sorted(configs.glob("*.json")):
         for workers in ("1", "2"):
             yield f"sweep-{path.stem}-w{workers}", ["sweep", path, "--workers", workers]
+        lattice = json.dumps(json.loads(path.read_text()).get("lattice"), sort_keys=True)
+        if lattice not in lattices:
+            lattices.add(lattice)
+            yield f"wannier-{path.stem}", ["wannier", path]
     yield "baseline-aa-aa_baseline", ["baseline-aa", configs / "aa_baseline.json"]
     for stem in ("aa_baseline", "pump_scan_eta_u0"):
         yield f"ground-state-{stem}", ["ground-state", configs / f"{stem}.json"]
