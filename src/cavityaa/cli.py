@@ -19,12 +19,13 @@ import sys
 import numpy as np
 
 from ._version import __version__
-from .config import (ConfigError, effective_config, fit_options, lattice_spec,
-                     load_config, pump_config, sweep_spec)
+from .config import (ConfigError, effective_config, lattice_spec, load_config,
+                     pump_config, sweep_spec)
 from .lattice import band_tightbinding_residual, build_wannier, solve_lowest_band
 from .model import (EffectivePotential, HubbardProblem, ground_state,
                     onsite_aa, onsite_cavity)
-from .observables import critical_v_cav, ipr, lyapunov_fit, photon_number
+from .observables import (LYAPUNOV_CHAIN_SITES, LYAPUNOV_EXPONENT_METHOD,
+                          critical_v_cav, ipr, lyapunov_exponent, photon_number)
 from .sweep import (_resolve_model_params, default_filename, export_csv,
                     run_sweep)
 
@@ -78,7 +79,9 @@ def cmd_ground_state(cfg: dict, out_dir: str) -> int:
     """Solve one chain and write the wavefunction CSV plus a metrics JSON.
 
     With a pump enabled, v0 comes from the drive, with U0 = model.C and
-    delta_c = model.delta_c_prime in kappa units.
+    delta_c = model.delta_c_prime in kappa units.  gamma is the Lyapunov
+    exponent at the certified E0 of the L-site chain, on the chain of
+    max(LYAPUNOV_CHAIN_SITES, L) sites with the same profile.
     """
     spec, _, wb = _build_wannier(cfg)
     mdl = cfg["model"]
@@ -93,24 +96,26 @@ def cmd_ground_state(cfg: dict, out_dir: str) -> int:
     cavity = mdl["mode"] == "cavity"
     if cavity:
         pot = EffectivePotential(v0, coop, dcp, beta=spec.beta)
-        profile = onsite_cavity(wb, pot, L)
         mode = "cavity_sin2" if pot.uses_sin2 else "cavity_cos2"
+
+        def profile(n_sites):
+            return onsite_cavity(wb, pot, n_sites)
     else:
-        profile = onsite_aa(v0, spec.beta, L)
         mode = "aa"
-    problem = HubbardProblem(L=L, t=wb.t, onsite=profile)
-    gs = ground_state(problem)
-    metrics = lyapunov_fit(gs, fit_options(cfg))
+
+        def profile(n_sites):
+            return onsite_aa(v0, spec.beta, n_sites)
+    gs = ground_state(HubbardProblem(L=L, t=wb.t, onsite=profile(L)))
+    n_long = max(LYAPUNOV_CHAIN_SITES, L)
+    gamma = lyapunov_exponent(
+        HubbardProblem(L=n_long, t=wb.t, onsite=profile(n_long)), gs.energy)
     out = {
         "v0": v0,
         "E0": gs.energy,
         "ipr": ipr(gs),
-        "gamma": metrics.lyapunov_gamma,
-        "gamma_stderr": metrics.gamma_stderr,
-        "fit_r2": metrics.fit_r2,
-        "peak_site": metrics.peak_site,
-        "window_sites": metrics.window_sites,
-        "background_level": metrics.background_level,
+        "gamma": gamma,
+        "gamma_method": LYAPUNOV_EXPONENT_METHOD,
+        "gamma_chain_sites": n_long,
         "solver_method": gs.method,
         "residual": gs.residual,
         "certificate_margin": gs.certificate_margin,

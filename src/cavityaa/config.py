@@ -6,10 +6,12 @@ it merges over the defaults: an unknown key, or a value of another kind than
 its default's, is a hard error naming the offending dotted path, so typos
 cannot silently fall back to defaults.  The whole document is checked when
 it loads, whatever the command, by building the objects its sections
-describe: the lattice, the fit, the pump and the sweep.  The effective
+describe: the lattice, the pump and the sweep.  The effective
 (defaults-merged) configuration is echoed into the metadata sidecar of every
 run, and a sidecar can itself be passed back as the config to reproduce the
-run.
+run.  A document with a section no longer in DEFAULTS, such as the ``fit``
+of sidecars written while ``ground-state`` fitted the density decay, fails
+with ``unknown key``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import json
 import math
 
 from .lattice import GOLDEN_BETA, LatticeSpec
-from .observables import FitOptions
 from .sweep import PHYSICAL_AXES, Axis, PumpConfig, SweepSpec
 
 #: Defaults for every configurable field.
@@ -47,12 +48,6 @@ DEFAULTS = {
         "Delta_a": 1.0,             # atomic detuning in kappa units
         "g": 0.0,                   # vacuum Rabi frequency in kappa units
         "kappa_over_recoil": 1.0,   # hbar kappa / E_r
-    },
-    "fit": {                        # the decay fit of ground-state; a sweep's
-                                    # gamma is the Thouless formula instead
-        "background_factor": 10.0,
-        "min_window_sites": 10,
-        "min_r2": 0.9,
     },
     "sweep": {
         "name": "sweep",
@@ -143,15 +138,15 @@ def effective_config(doc: dict) -> dict:
     """Merge a raw document over the defaults, rejecting unknown keys and
     values of another kind than their default's.
 
-    Each section is checked by constructing its object: the lattice, the fit,
-    the pump (even when disabled) and the sweep spec (``sweep_spec``, its
+    Each section is checked by constructing its object: the lattice, the
+    pump (even when disabled) and the sweep spec (``sweep_spec``, its
     unit 't' grids at hopping 1).  _validate first makes the few checks that
     no constructor makes.
     """
     merged = _merge(DEFAULTS, doc, "")
     _validate(merged)
-    for section, build in (("lattice", lattice_spec), ("fit", fit_options),
-                           ("pump", _pump), ("sweep", sweep_spec)):
+    for section, build in (("lattice", lattice_spec), ("pump", _pump),
+                           ("sweep", sweep_spec)):
         try:
             build(merged)
         except (TypeError, ValueError, OverflowError) as exc:
@@ -162,11 +157,6 @@ def effective_config(doc: dict) -> dict:
 def lattice_spec(cfg: dict) -> LatticeSpec:
     """The configured lattice; LatticeSpec checks every field."""
     return LatticeSpec(**cfg["lattice"])
-
-
-def fit_options(cfg: dict) -> FitOptions:
-    """The configured decay fit; FitOptions checks every field."""
-    return FitOptions(**cfg["fit"])
 
 
 def _pump(cfg: dict) -> PumpConfig:

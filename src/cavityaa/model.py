@@ -6,8 +6,9 @@ potential is v0 arctan(-delta' + C trig^2(beta k0 x)) with trig = cos for
 C <= 0 and, to pin a unique localized state, trig = sin for C > 0; onsite
 energies are the Wannier-density average of that function at each site,
 x_n = n a.  The uniform arctan(-delta') offset is kept in the profile: a
-constant shift moves only the ground energy, never the wavefunction or the
-localization observables, and a test asserts that invariance explicitly.
+constant shift moves only the ground energy, never the wavefunction or its
+IPR, and a test asserts that invariance explicitly.  The long-chain
+Lyapunov exponent that ``ground-state`` reports moves by about 1e-4.
 """
 
 from __future__ import annotations

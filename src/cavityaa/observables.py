@@ -1,14 +1,15 @@
 """Localization diagnostics, critical-point estimates, and the photon number.
 
 The inverse participation ratio and the Lyapunov exponent characterize the
-extended/localized phases.  A sweep reads the Lyapunov exponent from the
-Thouless formula (``thouless_gamma``): one LDL^T factorization of the chain
-just below its ground energy, with no eigenvector.  ``lyapunov_fit`` instead
-fits the decay of one state's density; the ``ground-state`` command and the
-acceptance criteria on the decay law use it.  The transition point is
-extracted from the steepest slope of log IPR versus log v0, and the small-C
-dual-model prediction (4t/alpha)(delta'^2+1)/|C| provides the analytic
-comparison line.  The mean intracavity photon number follows from the
+extended/localized phases.  The Lyapunov exponent comes from the Thouless
+formula, with no eigenvector: a sweep takes it on its own chain just below
+the ground energy (``thouless_gamma``, one LDL^T factorization), and the
+``ground-state`` command at the ground energy of a chain of
+LYAPUNOV_CHAIN_SITES sites with the same profile (``lyapunov_exponent``, one
+pivoted LU), where the finite-size bias no longer matters.  The transition
+point is extracted from the steepest slope of log IPR versus log v0, and the
+small-C dual-model prediction (4t/alpha)(delta'^2+1)/|C| provides the
+analytic comparison line.  The mean intracavity photon number follows from the
 quasi-steady cavity field averaged over the atomic density.
 """
 
@@ -37,6 +38,14 @@ LYAPUNOV_METHOD = "thouless_ldlt"
 #: of ||H||: far above the rounding of E0, far below the level spacing.
 THOULESS_SHIFT_RTOL = 1e-10
 
+#: Identifier of ``lyapunov_exponent``, recorded by ``ground-state``.
+LYAPUNOV_EXPONENT_METHOD = "thouless_lu"
+
+#: ``ground-state`` evaluates ``lyapunov_exponent`` on a chain of
+#: max(LYAPUNOV_CHAIN_SITES, L) sites: its finite-size bias is below 0.4%
+#: from v0/2t = 1.5 on, where an L = 233 chain reads +11%.
+LYAPUNOV_CHAIN_SITES = 20000
+
 
 def _amplitudes(state) -> np.ndarray:
     amp = getattr(state, "amplitudes", state)
@@ -48,126 +57,6 @@ def ipr(state) -> float:
     amp = _amplitudes(state)
     dens = amp * amp
     return float(np.sum(dens * dens))
-
-
-@dataclass(frozen=True)
-class FitOptions:
-    """Tuning of the exponential-decay fit."""
-
-    background_factor: float = 10.0  # density threshold over the background
-    min_window_sites: int = 10
-    min_r2: float = 0.9
-
-    def __post_init__(self):
-        if not self.background_factor > 1.0:
-            raise ValueError("background_factor must exceed 1")
-        if self.min_window_sites < 3:
-            raise ValueError("min_window_sites must be >= 3")
-        if not 0.0 < self.min_r2 <= 1.0:
-            raise ValueError("min_r2 must be in (0, 1]")
-
-
-@dataclass(frozen=True)
-class LocalizationMetrics:
-    """Outcome of the density-decay analysis for one state.
-
-    lyapunov_gamma is None in the extended or unresolved phase (window too
-    small or poor fit).
-    """
-
-    lyapunov_gamma: float | None
-    gamma_stderr: float | None
-    fit_r2: float
-    peak_site: int  # 1-based
-    background_level: float
-    window_sites: int
-
-
-def _far_quarter(dens: np.ndarray, n0: int) -> np.ndarray:
-    """A copy of the densities of the k = L // 4 sites farthest from site n0.
-
-    They are the sites a stable sort by distance puts last, so a tie goes
-    to the right-hand site: the first ``head`` sites and the last k - head.
-    Below L = 4 they are every site (k = L), which any head in [0, L] gives.
-    """
-    L = dens.shape[0]
-    k = L // 4 or L
-    excess = (L - 1 - n0) - n0  # how much farther the right end lies
-    if excess >= 0:
-        head = max(0, k - excess) // 2
-    else:
-        head = min(k, -excess) + max(0, k + excess) // 2
-    return np.concatenate((dens[:head], dens[L - k + head:]))
-
-
-def lyapunov_fit(state, opts: FitOptions = FitOptions()) -> LocalizationMetrics:
-    """Exponential decay rate of the density around its peak.
-
-    The background is the median density over the quarter of sites farthest
-    from the peak; the fit window is the contiguous run around the peak where
-    the density exceeds background_factor times that level.  The decay rate
-    gamma comes from the least-squares fit log|psi_n|^2 = c - 2 gamma |n-n0|
-    over the window (the factor 2 is the density convention); gamma is
-    reported only when the window spans at least min_window_sites sites and
-    the fit reaches min_r2.
-    """
-    amp = _amplitudes(state)
-    dens = amp * amp
-    L = dens.shape[0]
-    n0 = int(np.argmax(dens))
-    far = _far_quarter(dens, n0)
-    # the median from its order statistic(s), NaN if any value is, as np.median
-    k = far.shape[0]
-    h = k // 2
-    if k % 2:
-        far.partition((h, -1))
-        background = float(far[h])
-    else:
-        far.partition((h - 1, h, -1))
-        background = float((far[h - 1] + far[h]) / 2.0)
-    if np.isnan(far[-1]):
-        background = float("nan")
-    threshold = opts.background_factor * background
-
-    # the window ends at the nearest site on each side not above threshold
-    low = np.flatnonzero(~(dens > threshold))
-    k_lo = int(low.searchsorted(n0))
-    k_hi = int(low.searchsorted(n0 + 1))
-    lo = int(low[k_lo - 1]) + 1 if k_lo > 0 else 0
-    hi = int(low[k_hi]) - 1 if k_hi < low.shape[0] else L - 1
-    m = hi + 1 - lo
-    base = dict(peak_site=n0 + 1, background_level=background, window_sites=m)
-
-    if m < opts.min_window_sites:
-        return LocalizationMetrics(lyapunov_gamma=None, gamma_stderr=None,
-                                   fit_r2=0.0, **base)
-
-    y = np.log(dens[lo:hi + 1])
-    x = np.abs(np.arange(lo - n0, hi + 1 - n0, dtype=np.float64))
-    design = np.empty((m, 2))
-    design[:, 0] = 1.0
-    design[:, 1] = x
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    # sums as np.sum and means as np.mean compute them, without the wrappers
-    r = y - design @ coef
-    ss_res = float((r * r).sum())
-    r = y - y.sum() / m
-    ss_tot = float((r * r).sum())
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 0.0
-    if r2 < opts.min_r2:
-        return LocalizationMetrics(lyapunov_gamma=None, gamma_stderr=None,
-                                   fit_r2=r2, **base)
-
-    # slope standard error from the least-squares covariance
-    stderr = None
-    if m > 2:
-        sigma2 = ss_res / (m - 2)
-        r = x - x.sum() / m
-        sxx = float((r * r).sum())
-        if sxx > 0.0:
-            stderr = float(np.sqrt(sigma2 / sxx) / 2.0)
-    return LocalizationMetrics(lyapunov_gamma=float(-coef[1] / 2.0),
-                               gamma_stderr=stderr, fit_r2=r2, **base)
 
 
 def thouless_gamma(problem: "HubbardProblem", energy: float) -> float:
@@ -188,6 +77,26 @@ def thouless_gamma(problem: "HubbardProblem", energy: float) -> float:
     if info != 0:
         raise np.linalg.LinAlgError(f"dpttrf failed with info = {info}")
     return float((np.log(pivots).sum() - math.log(delta)) / (problem.L - 1)
+                 - math.log(abs(problem.t)))
+
+
+def lyapunov_exponent(problem: "HubbardProblem", energy: float) -> float:
+    """Lyapunov exponent ln|det(H - E I)| / (L - 1) - ln|t| of the chain at E.
+
+    This is the Thouless formula (1 / (L - 1)) sum_j ln|E - E_j| - ln|t|
+    over every eigenvalue E_j, with |det| the product of the U pivots of one
+    LU factorization with partial pivoting (``dgttrf``).  Unlike
+    ``thouless_gamma`` it takes any E, including one inside the spectrum,
+    such as the ground energy of a shorter chain with the same profile.
+    Raises ``numpy.linalg.LinAlgError`` when a pivot is exactly zero, i.e.
+    when H - E I is singular.
+    """
+    offdiag = problem.offdiagonal
+    _, upper, _, _, _, info = lapack.dgttrf(offdiag,
+                                            problem.onsite.values - energy, offdiag)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dgttrf failed with info = {info}")
+    return float(np.log(np.abs(upper)).sum() / (problem.L - 1)
                  - math.log(abs(problem.t)))
 
 

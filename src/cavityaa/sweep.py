@@ -42,10 +42,10 @@ from .model import (EffectivePotential, HubbardProblem, OnsiteProfile,
 from .observables import (LYAPUNOV_METHOD, TRANSITION_METHOD, PumpField,
                           detect_transition, ipr, photon_series,
                           series_photon_number, thouless_gamma)
-# The benchmark tracer wraps sweep.photon_number and sweep.lyapunov_fit, and
-# the public-API tests require every name it wraps to exist; a sweep calls
-# neither, so those layers read zero.
-from .observables import lyapunov_fit, photon_number  # noqa: F401
+# The benchmark tracer wraps sweep.photon_number, and the public-API tests
+# require every name it wraps to exist; a sweep does not call it, so that
+# layer reads zero.
+from .observables import photon_number  # noqa: F401
 
 MODEL_AXES = ("v0", "C", "delta_c_prime", "W0")
 PHYSICAL_AXES = ("eta", "U0", "delta_c")

@@ -3,6 +3,9 @@ import pytest
 
 import cavityaa as ca
 
+#: Sites of the chain on which ground-state reads gamma (more than L = 233).
+N_LONG = ca.observables.LYAPUNOV_CHAIN_SITES
+
 
 @pytest.fixture(scope="session")
 def lattice_spec():
@@ -29,9 +32,9 @@ def dense_chain():
 
 
 class TransitionScanner:
-    """Shared helper: IPR curves, refined critical points, decay fits.
+    """Shared helper: IPR curves, refined critical points, Lyapunov exponents.
 
-    Unit-strength onsite profiles are cached per (C, delta', mode) so that a
+    Unit-strength onsite profiles are cached per (C, delta', sites) so that a
     v0 scan costs one quadrature plus one eigensolve per grid point.
     """
 
@@ -42,11 +45,12 @@ class TransitionScanner:
         self.L = L
         self._profiles = {}
 
-    def unit_profile(self, C, dcp):
-        key = (C, dcp)
+    def unit_profile(self, C, dcp, n_sites=None):
+        n_sites = n_sites or self.L
+        key = (C, dcp, n_sites)
         if key not in self._profiles:
             pot = ca.EffectivePotential(1.0, C, dcp, beta=self.wb.beta)
-            self._profiles[key] = ca.onsite_cavity(self.wb, pot, self.L).values
+            self._profiles[key] = ca.onsite_cavity(self.wb, pot, n_sites).values
         return self._profiles[key]
 
     def solve(self, values):
@@ -77,9 +81,21 @@ class TransitionScanner:
         second = self.detect(base, vc1 / np.sqrt(10.0), vc1 * np.sqrt(10.0), n_fine)
         return second.v_c_numerical
 
+    def long_gamma(self, values, energy):
+        """Lyapunov exponent at energy of the N_LONG-site chain with values."""
+        profile = ca.OnsiteProfile(values=np.asarray(values, float), L=N_LONG)
+        problem = ca.HubbardProblem(L=N_LONG, t=self.t, onsite=profile)
+        return ca.lyapunov_exponent(problem, energy)
+
     def gamma_at(self, C, dcp, v0):
+        """gamma as ground-state reads it: at the E0 of the L-site chain."""
         gs = self.solve(v0 * self.unit_profile(C, dcp))
-        return ca.lyapunov_fit(gs)
+        return self.long_gamma(v0 * self.unit_profile(C, dcp, N_LONG), gs.energy)
+
+    def gamma_aa(self, v0):
+        """The same for the bichromatic chain."""
+        return self.long_gamma(ca.onsite_aa(v0, self.wb.beta, N_LONG).values,
+                               self.solve_aa(v0).energy)
 
 
 @pytest.fixture(scope="session")

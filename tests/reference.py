@@ -136,6 +136,24 @@ def thouless_spectrum_gamma(diag, t: float, shift_rtol: float) -> float:
                  / (diag.shape[0] - 1) - np.log(abs(t)))
 
 
+def determinant_spectrum_gamma(diag, t: float, energy: float) -> tuple[float, float]:
+    """The Thouless formula at any energy, summed over the full spectrum.
+
+    Returns (gamma, sensitivity): gamma = sum_j ln|E - E_j| / (L - 1) - ln|t|
+    over every eigenvalue E_j of tridiag(-t, diag, -t)
+    (``eigvalsh_tridiagonal``), and sensitivity =
+    ||H|| sum_j 1 / |E - E_j| / (L - 1), by which gamma changes to first
+    order when every E_j moves by a relative amount of ||H|| (the chain's
+    Gershgorin norm bound).
+    """
+    diag = np.asarray(diag, dtype=np.float64)
+    offdiag = np.full(diag.shape[0] - 1, -t)
+    gaps = np.abs(energy - eigvalsh_tridiagonal(diag, offdiag))
+    n = diag.shape[0] - 1
+    return (float(np.log(gaps).sum() / n - np.log(abs(t))),
+            float(gershgorin_norm_bound(diag, offdiag) * np.sum(1.0 / gaps) / n))
+
+
 def thouless_reference(v0: float, v_c: float) -> float:
     """Localized-phase reference decay rate log(v0 / v_c)."""
     if not (v0 > v_c > 0.0):
@@ -159,53 +177,3 @@ def photon_number_site_loop(psi, wb, zeta, delta_c, U0) -> float:
         lorentz = drive_sq / ((delta_c - U0 * mode * mode) ** 2 + 1.0)
         total += dens[m] * float(np.dot(wb.density_weights, lorentz))
     return total
-
-
-def decay_window_scan(dens, n0: int, threshold: float) -> tuple[int, int]:
-    """Bounds (lo, hi) of the decay window, stepping out one site at a time.
-
-    The window is the contiguous run of sites around the peak n0 whose
-    density exceeds threshold; the peak itself is always in it.
-    """
-    lo = n0
-    while lo - 1 >= 0 and dens[lo - 1] > threshold:
-        lo -= 1
-    hi = n0
-    while hi + 1 < len(dens) and dens[hi + 1] > threshold:
-        hi += 1
-    return lo, hi
-
-
-def decay_fit_scan(psi, opts) -> dict:
-    """The Lyapunov fit of ``observables.lyapunov_fit`` on the scanned window.
-
-    Same background, least squares and acceptance rules; the window comes
-    from ``decay_window_scan``.
-    """
-    dens = np.asarray(psi, dtype=np.float64) ** 2
-    L = dens.shape[0]
-    n0 = int(np.argmax(dens))
-    far = np.argsort(np.abs(np.arange(L) - n0), kind="stable")[-(L // 4):]
-    background = float(np.median(dens[far]))
-    lo, hi = decay_window_scan(dens, n0, opts.background_factor * background)
-    window = np.arange(lo, hi + 1)
-    out = dict(lyapunov_gamma=None, gamma_stderr=None, fit_r2=0.0,
-               peak_site=n0 + 1, background_level=background,
-               window_sites=window.shape[0])
-    if window.shape[0] < opts.min_window_sites:
-        return out
-    y = np.log(dens[window])
-    x = np.abs(window - n0).astype(np.float64)
-    design = np.column_stack([np.ones_like(x), x])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    ss_res = float(np.sum((y - design @ coef) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 0.0
-    out["fit_r2"] = r2
-    if r2 < opts.min_r2:
-        return out
-    out["lyapunov_gamma"] = float(-coef[1] / 2.0)
-    sxx = float(np.sum((x - x.mean()) ** 2))
-    if x.shape[0] > 2 and sxx > 0.0:
-        out["gamma_stderr"] = float(np.sqrt(ss_res / (x.shape[0] - 2) / sxx) / 2.0)
-    return out

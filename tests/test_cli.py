@@ -63,8 +63,8 @@ def test_wannier_invalid_cutoff_names_key(capsys, tmp_path):
     assert "planewave_cutoff_M" in err
 
 
-#: One bad value per lattice, pump and fit check: (section, field, value,
-#: other fields of the section that make the check apply).
+#: One bad value per lattice and pump check: (section, field, value, other
+#: fields of the section that make the check apply).
 BAD_FIELDS = [
     ("lattice", "quasimomentum_samples_Nq", 63, {}),
     ("lattice", "quasimomentum_samples_Nq", 64.5, {}),
@@ -76,9 +76,6 @@ BAD_FIELDS = [
     ("pump", "kappa_over_recoil", 0, {}),
     ("pump", "Delta_a", 0, {"enabled": True, "pump_mode": "atom_pumped"}),
     ("pump", "eta", -1, {"enabled": True, "pump_mode": "cavity_pumped"}),
-    ("fit", "min_r2", 0, {}),
-    ("fit", "background_factor", 1, {}),
-    ("fit", "min_window_sites", 2, {}),
 ]
 
 
@@ -97,8 +94,20 @@ def test_config_defaults_match_the_spec_fields():
     def names(cls):
         return {f.name for f in dataclasses.fields(cls)}
     assert set(DEFAULTS["lattice"]) == names(ca.LatticeSpec)
-    assert set(DEFAULTS["fit"]) == names(ca.FitOptions)
     assert set(DEFAULTS["pump"]) == names(ca.PumpConfig) | {"enabled"}
+
+
+def test_fit_section_of_an_old_sidecar_exit_code(capsys, tmp_path):
+    # sidecars written while ground-state fitted the density decay echo a
+    # fit section, which no command reads any more: it is named, not dropped
+    config = {**DEFAULTS, "fit": {"background_factor": 10.0,
+                                  "min_window_sites": 10, "min_r2": 0.9}}
+    cfg = write_cfg(tmp_path, {"metadata": {}, "config": config})
+    code, out, err = run_cli(capsys, "sweep", "--config", cfg,
+                             "--out", str(tmp_path))
+    assert code == 2
+    assert "unknown key: fit" in err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_unknown_key_rejected(capsys, tmp_path):
@@ -133,8 +142,8 @@ def test_ground_state_free_chain(capsys, tmp_path):
     metrics = json.loads((tmp_path / "ground_state_metrics.json").read_text())
     assert metrics["ipr"] == pytest.approx(1.5 / (L + 1), rel=1e-6)
     assert metrics["mode"] == "aa" and metrics["certificate_margin"] > 0.0
-    # the sine envelope has no exponential decay; at most a near-zero slope
-    assert metrics["gamma"] is None or abs(metrics["gamma"]) < 0.02
+    # the free chain is extended: its Lyapunov exponent is 0
+    assert abs(metrics["gamma"]) < 1e-3
     rows = (tmp_path / "ground_state.csv").read_text().splitlines()
     assert rows[0] == "n,psi_n,psi_n_sq"
     assert len(rows) == 1 + L
@@ -142,6 +151,25 @@ def test_ground_state_free_chain(capsys, tmp_path):
     mid = float(rows[117].split(",")[1])
     edge = float(rows[1].split(",")[1])
     assert mid > 10.0 * abs(edge)
+
+
+@pytest.mark.parametrize("ratio", [1.5, 3.0])
+def test_ground_state_gamma_is_the_aubry_andre_exponent(capsys, tmp_path,
+                                                        wannier, ratio):
+    # the bichromatic chain's exponent is ln(v0 / 2t); an L = 233 chain
+    # reads it +11% high at v0 = 3t, the long chain within 1%
+    doc = {"model": {"mode": "aa", "v0": 2.0 * ratio * wannier.t},
+           "output": {"wavefunction_csv": False}}
+    code, out, err = run_cli(capsys, "ground-state", "--config",
+                             write_cfg(tmp_path, doc), "--out", str(tmp_path))
+    assert code == 0
+    metrics = json.loads((tmp_path / "ground_state_metrics.json").read_text())
+    assert abs(metrics["gamma"] / np.log(ratio) - 1.0) <= 0.01
+    assert metrics["gamma_method"] == ca.observables.LYAPUNOV_EXPONENT_METHOD
+    assert metrics["gamma_chain_sites"] == ca.observables.LYAPUNOV_CHAIN_SITES
+    for key in ("gamma_stderr", "fit_r2", "peak_site", "window_sites",
+                "background_level"):
+        assert key not in metrics
 
 
 @pytest.mark.parametrize("C, mode", [(-1.0, "cavity_cos2"), (0.0, "cavity_cos2"),
@@ -570,10 +598,10 @@ def test_non_integral_size_exit_code(capsys, tmp_path, command, doc, message):
     ({"model": {"mode": "aa"}, "sweep": {"fixed": {"C": True}}},
      "fixed parameter 'C' must be a number"),
     ({"lattice": {"depth_W0": True}}, "lattice.depth_W0: must be a number, not true"),
-    ({"fit": {"min_r2": False}}, "fit.min_r2: must be a number, not false"),
+    ({"pump": {"eta": False}}, "pump.eta: must be a number, not false"),
     ({"sweep": {"axis1": {"name": "v0", "values": [0.05, True]}}},
      "sweep.axis1.values[1]: must be a number, not true"),
-], ids=["axis1.num", "fixed.C", "depth_W0", "min_r2", "axis1.values"])
+], ids=["axis1.num", "fixed.C", "depth_W0", "pump.eta", "axis1.values"])
 def test_json_boolean_is_not_a_number_exit_code(capsys, tmp_path, doc, message):
     # Python reads true as 1 and false as 0: a one-point grid, C = 1, a
     # lattice at W0 = 1; the key is named at load instead
@@ -711,7 +739,7 @@ KIND_CASES = [(key, _nested(key, _other_kind(default)))
     ("model.delta_c_prime", _nested("model.delta_c_prime", "x", {"mode": "aa"})),
     ("pump.Omega", _nested("pump.Omega", "x", {"enabled": True})),
     ("pump.g", _nested("pump.g", [1], {"enabled": True})),
-    ("fit.min_r2", _nested("fit.min_r2", "0.5")),
+    ("model.v0", _nested("model.v0", "0.5")),
     ("sweep.axis1.num", {"sweep": {"axis1": {"name": "v0", "values": [0.05],
                                              "num": 2.5}}}),
     ("sweep.axis1.values", {"sweep": {"axis1": {"name": "v0", "values": "x"}}}),

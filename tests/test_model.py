@@ -175,8 +175,12 @@ def test_ground_state_localized_aa_oracle(wannier, dense_chain):
     assert gs.certificate_margin > 0.0
     assert gs.certificate_margin >= w[0] - gs.energy
     assert abs(abs(np.dot(gs.amplitudes, v[:, 0])) - 1.0) < 1e-10
-    metrics = ca.lyapunov_fit(gs)
-    assert metrics.lyapunov_gamma == pytest.approx(np.log(1.25), rel=0.10)
+    # gamma as ground-state reads it: the long chain at this chain's E0
+    n_long = ca.observables.LYAPUNOV_CHAIN_SITES
+    long = ca.HubbardProblem(L=n_long, t=t,
+                             onsite=ca.onsite_aa(2.5 * t, GOLDEN_BETA, n_long))
+    assert ca.lyapunov_exponent(long, gs.energy) == pytest.approx(np.log(1.25),
+                                                                 rel=0.10)
 
 
 def _second_eigenpair(d, e):
@@ -325,17 +329,6 @@ def test_offset_invariance(scanner):
     assert gs2.energy - gs1.energy == pytest.approx(0.37, abs=1e-10)
     assert np.max(np.abs(gs1.amplitudes - gs2.amplitudes)) < 1e-10
     assert ca.ipr(gs1) == pytest.approx(ca.ipr(gs2), abs=1e-12)
-
-
-def test_offset_invariance_of_decay_fit(scanner, wannier):
-    # gamma is offset invariant once the density tails sit above the
-    # eigensolver noise floor; the fit window is then reproducible and the
-    # slope shifts only through last-digit amplitude noise
-    base = ca.onsite_aa(2.25 * wannier.t, GOLDEN_BETA, L).values
-    m1 = ca.lyapunov_fit(scanner.solve(base))
-    m2 = ca.lyapunov_fit(scanner.solve(base + 0.37))
-    assert m1.window_sites == m2.window_sites
-    assert m1.lyapunov_gamma == pytest.approx(m2.lyapunov_gamma, abs=1e-6)
 
 
 def test_scale_covariance(scanner, wannier):

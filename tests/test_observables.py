@@ -1,12 +1,14 @@
-import dataclasses
+import types
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.linalg import eigvalsh_tridiagonal
 
 import cavityaa as ca
 from cavityaa.lattice import GOLDEN_BETA, LATTICE_CONSTANT
-from cavityaa.observables import _far_quarter
-from reference import decay_fit_scan, photon_number_site_loop, thouless_reference
+from reference import (determinant_spectrum_gamma, photon_number_site_loop,
+                       thouless_reference)
 
 L = 233
 
@@ -22,123 +24,68 @@ def test_ipr_reference_states():
     assert ca.ipr(pair) == pytest.approx(0.5, rel=1e-14)
 
 
-def test_lyapunov_fit_recovers_planted_decay():
-    n = np.arange(1, L + 1)
-    psi = np.exp(-0.3 * np.abs(n - 117))
-    psi /= np.linalg.norm(psi)
-    metrics = ca.lyapunov_fit(psi)
-    assert metrics.lyapunov_gamma == pytest.approx(0.300, abs=1e-3)
-    assert metrics.peak_site == 117
-    assert metrics.fit_r2 > 0.999
-    assert metrics.gamma_stderr is not None and metrics.gamma_stderr < 1e-3
+def _chain_profile(wannier, kind, n_sites, strength):
+    """The aa chain at v0 = strength 2t, or the cavity chain (C, delta' = 0)
+    at v0 = 1.5 times its dual-model critical strength."""
+    if kind == "aa":
+        return ca.onsite_aa(2.0 * strength * wannier.t, GOLDEN_BETA, n_sites)
+    v0 = 1.5 * ca.critical_v_cav(wannier.t, wannier.alpha, 0.0, strength)
+    return ca.onsite_cavity(wannier, ca.EffectivePotential(v0, strength, 0.0), n_sites)
 
 
-def test_lyapunov_fit_uniform_state_absent():
-    uniform = np.full(L, 1.0 / np.sqrt(L))
-    metrics = ca.lyapunov_fit(uniform)
-    assert metrics.lyapunov_gamma is None
-    assert metrics.window_sites < 10
+# (kind, sites, v0/2t or C, prefix).  A prefix chain's certified E0 is also
+# checked where that ground state is extended: a localized one has a
+# long-chain eigenvalue within rounding of its E0, so ln|E0 - E_j| is itself
+# rounding there (the offset sensitivity of ground-state's gamma).
+DETERMINANT_CHAINS = [
+    ("aa", 1597, 0.5, 233),
+    ("aa", 1597, 1.5, None),
+    ("cavity", 1000, -2.0, 233),
+    ("cavity", 2000, 1.5, None),
+]
 
 
-def test_lyapunov_fit_aa_thouless(scanner):
-    gs = scanner.solve_aa(4.0 * scanner.t)  # v0 / v_c = 2
-    metrics = ca.lyapunov_fit(gs)
-    assert metrics.lyapunov_gamma == pytest.approx(np.log(2.0), rel=0.10)
-    assert metrics.fit_r2 >= 0.9
-    assert metrics.window_sites >= 10
+@pytest.mark.parametrize("kind, n_sites, strength, prefix", DETERMINANT_CHAINS,
+                         ids=[f"{k}-{n}-{s}" for k, n, s, _ in DETERMINANT_CHAINS])
+def test_lyapunov_exponent_is_the_full_spectrum_sum(wannier, kind, n_sites,
+                                                     strength, prefix):
+    # midpoints between neighbouring eigenvalues at the bottom, middle and
+    # top of the spectrum, one below it, and a prefix chain's E0.  Rounding
+    # moves each E_j (eigvalsh) and the LU's backward error (growth at most
+    # 2 on a tridiagonal, ||H - E|| <= 2 ||H||) by a few eps ||H||: 32 eps
+    # times the first-order sensitivity covers both, 64 eps the log sum
+    profile = _chain_profile(wannier, kind, n_sites, strength)
+    problem = ca.HubbardProblem(L=n_sites, t=wannier.t, onsite=profile)
+    w = eigvalsh_tridiagonal(profile.values, np.full(n_sites - 1, -wannier.t))
+    energies = [0.5 * (w[k] + w[k + 1]) for k in (0, n_sites // 2, n_sites - 2)]
+    energies.append(w[0] - 0.1 * wannier.t)
+    if prefix is not None:
+        head = ca.OnsiteProfile(values=profile.values[:prefix].copy(), L=prefix)
+        energies.append(ca.ground_state(
+            ca.HubbardProblem(L=prefix, t=wannier.t, onsite=head)).energy)
+    eps = np.finfo(np.float64).eps
+    for energy in energies:
+        oracle, sensitivity = determinant_spectrum_gamma(profile.values,
+                                                         wannier.t, energy)
+        bound = 32.0 * eps * sensitivity + 64.0 * eps
+        assert bound < 1e-10, energy
+        assert abs(ca.lyapunov_exponent(problem, energy) - oracle) <= bound
 
 
-def _planted(n0, rate, n_sites=L):
-    psi = np.exp(-rate * np.abs(np.arange(n_sites) - n0))
-    return psi / np.linalg.norm(psi)
+def test_lyapunov_exponent_raises_on_a_zero_pivot(monkeypatch):
+    # 3 free sites have the eigenvalue 0 exactly, so U has a zero pivot
+    problem = ca.HubbardProblem(L=3, t=1.0, onsite=ca.onsite_aa(0.0, GOLDEN_BETA, 3))
+    with pytest.raises(np.linalg.LinAlgError, match="dgttrf"):
+        ca.lyapunov_exponent(problem, 0.0)
+    dgttrf = scipy.linalg.lapack.dgttrf
 
+    def planted(dl, d, du):
+        *factors, info = dgttrf(dl, d, du)
+        return (*factors, 1)
 
-def _dip(offset):
-    # one site next to the peak falls below the threshold
-    psi = _planted(117, 0.1)
-    psi[117 + offset] = 1e-40
-    return psi
-
-
-def _plateau():
-    # No state lies above the threshold at every site: half the far quarter
-    # is at or below the background median.  This one is above it everywhere
-    # else; the 58 sites farthest from the peak (the far quarter) sit on a
-    # floor.
-    n0 = 116
-    dist = np.abs(np.arange(L) - n0)
-    psi = np.where(dist <= 87, np.exp(-0.01 * dist), 1e-30)
-    return psi / np.linalg.norm(psi)
-
-
-WINDOW_STATES = {
-    "peak_first_site": _planted(0, 0.2),
-    "peak_last_site": _planted(L - 1, 0.2),
-    "dip_right_of_peak": _dip(+1),
-    "dip_left_of_peak": _dip(-1),
-    "above_threshold_outside_far_quarter": _plateau(),
-    "uniform": np.full(L, 1.0 / np.sqrt(L)),
-}
-
-
-def _assert_fit_matches_site_scan(psi):
-    metrics = ca.lyapunov_fit(psi)
-    assert dataclasses.asdict(metrics) == decay_fit_scan(psi, ca.FitOptions())
-
-
-@pytest.mark.parametrize("name", list(WINDOW_STATES))
-def test_lyapunov_fit_window_matches_site_scan(name):
-    _assert_fit_matches_site_scan(WINDOW_STATES[name])
-
-
-@pytest.mark.parametrize("n_sites", [233, 987])
-@pytest.mark.parametrize("ratio", [0.5, 1.2, 3.0, 30.0])  # v0 / 2t
-def test_lyapunov_fit_window_matches_site_scan_aa(wannier, n_sites, ratio):
-    profile = ca.onsite_aa(2.0 * ratio * wannier.t, GOLDEN_BETA, n_sites)
-    gs = ca.ground_state(ca.HubbardProblem(L=n_sites, t=wannier.t, onsite=profile))
-    _assert_fit_matches_site_scan(gs.amplitudes)
-
-
-@pytest.mark.parametrize("n_sites", [3, 4, 5, 8, 233, 987])
-def test_far_quarter_is_the_stable_argsort_tail(n_sites):
-    sites = np.arange(n_sites, dtype=np.float64)  # each value names its site
-    for n0 in range(n_sites):
-        far = _far_quarter(sites, n0)
-        dist = np.abs(np.arange(n_sites) - n0)
-        expected = np.argsort(dist, kind="stable")[-(n_sites // 4):]
-        assert np.array_equal(np.sort(far), np.sort(expected).astype(np.float64))
-        assert not np.shares_memory(far, sites)
-
-
-# L < 4 (the far quarter is every site), odd and even far-quarter sizes, and
-# the peak at the centre of odd and even chains
-SMALL_AND_CENTERED = {
-    "L3": (_planted(1, 0.8, n_sites=3), ca.FitOptions(min_window_sites=3)),
-    "L3_edge_peak": (_planted(2, 0.8, n_sites=3), ca.FitOptions(min_window_sites=3)),
-    "L4": (_planted(1, 2.0, n_sites=4), ca.FitOptions(min_window_sites=3)),
-    "L4_edge_peak": (_planted(3, 2.0, n_sites=4), ca.FitOptions(min_window_sites=3)),
-    "odd_far_quarter": (_planted(13, 0.5, n_sites=28), ca.FitOptions()),
-    "odd_center": (_planted(116, 0.2, n_sites=233), ca.FitOptions()),
-    "even_center_left": (_planted(115, 0.2, n_sites=232), ca.FitOptions()),
-    "even_center_right": (_planted(116, 0.2, n_sites=232), ca.FitOptions()),
-}
-
-
-@pytest.mark.parametrize("name", list(SMALL_AND_CENTERED))
-def test_lyapunov_fit_matches_site_scan_small_and_centered(name):
-    psi, opts = SMALL_AND_CENTERED[name]
-    metrics = ca.lyapunov_fit(psi, opts)
-    assert dataclasses.asdict(metrics) == decay_fit_scan(psi, opts)
-
-
-def test_fit_options_validation():
-    with pytest.raises(ValueError, match="min_r2"):
-        ca.FitOptions(min_r2=0)
-    with pytest.raises(ValueError, match="background_factor"):
-        ca.FitOptions(background_factor=1.0)
-    with pytest.raises(ValueError, match="min_window_sites"):
-        ca.FitOptions(min_window_sites=2)
-    assert ca.FitOptions(min_r2=1.0).min_r2 == 1.0
+    monkeypatch.setattr(ca.observables, "lapack", types.SimpleNamespace(dgttrf=planted))
+    with pytest.raises(np.linalg.LinAlgError, match="info = 1"):
+        ca.lyapunov_exponent(problem, -1.0)
 
 
 def test_thouless_reference():
