@@ -63,8 +63,20 @@ def test_wannier_invalid_cutoff_names_key(capsys, tmp_path):
     assert "planewave_cutoff_M" in err
 
 
-#: One bad value per lattice and pump check: (section, field, value, other
-#: fields of the section that make the check apply).
+#: The fit section that sidecars written while ground-state fitted the
+#: density decay echo; no command reads it, so a config holding it is
+#: refused at load as an unknown key, whatever its values.
+OLD_FIT = {"background_factor": 10.0, "min_window_sites": 10, "min_r2": 0.9}
+
+
+def _unknown(key):
+    """The load error for a dotted key under a section no command reads."""
+    section = key.split(".")[0]
+    return None if section in DEFAULTS else f"unknown key: {section}"
+
+
+#: One bad value per lattice, pump and old fit check: (section, field,
+#: value, other fields of the section that make the check apply).
 BAD_FIELDS = [
     ("lattice", "quasimomentum_samples_Nq", 63, {}),
     ("lattice", "quasimomentum_samples_Nq", 64.5, {}),
@@ -76,6 +88,9 @@ BAD_FIELDS = [
     ("pump", "kappa_over_recoil", 0, {}),
     ("pump", "Delta_a", 0, {"enabled": True, "pump_mode": "atom_pumped"}),
     ("pump", "eta", -1, {"enabled": True, "pump_mode": "cavity_pumped"}),
+    ("fit", "min_r2", 0, {}),
+    ("fit", "background_factor", 1, {}),
+    ("fit", "min_window_sites", 2, {}),
 ]
 
 
@@ -86,7 +101,7 @@ def test_invalid_field_names_key(capsys, tmp_path, section, field, value, extra)
     code, out, err = run_cli(capsys, "wannier", "--config", cfg,
                              "--out", str(tmp_path))
     assert code == 2
-    assert field in err
+    assert (_unknown(section) or field) in err
 
 
 def test_config_defaults_match_the_spec_fields():
@@ -100,8 +115,7 @@ def test_config_defaults_match_the_spec_fields():
 def test_fit_section_of_an_old_sidecar_exit_code(capsys, tmp_path):
     # sidecars written while ground-state fitted the density decay echo a
     # fit section, which no command reads any more: it is named, not dropped
-    config = {**DEFAULTS, "fit": {"background_factor": 10.0,
-                                  "min_window_sites": 10, "min_r2": 0.9}}
+    config = {**DEFAULTS, "fit": OLD_FIT}
     cfg = write_cfg(tmp_path, {"metadata": {}, "config": config})
     code, out, err = run_cli(capsys, "sweep", "--config", cfg,
                              "--out", str(tmp_path))
@@ -599,9 +613,11 @@ def test_non_integral_size_exit_code(capsys, tmp_path, command, doc, message):
      "fixed parameter 'C' must be a number"),
     ({"lattice": {"depth_W0": True}}, "lattice.depth_W0: must be a number, not true"),
     ({"pump": {"eta": False}}, "pump.eta: must be a number, not false"),
+    ({"fit": {"min_r2": False}}, "unknown key: fit"),
     ({"sweep": {"axis1": {"name": "v0", "values": [0.05, True]}}},
      "sweep.axis1.values[1]: must be a number, not true"),
-], ids=["axis1.num", "fixed.C", "depth_W0", "pump.eta", "axis1.values"])
+], ids=["axis1.num", "fixed.C", "depth_W0", "pump.eta", "min_r2",
+        "axis1.values"])
 def test_json_boolean_is_not_a_number_exit_code(capsys, tmp_path, doc, message):
     # Python reads true as 1 and false as 0: a one-point grid, C = 1, a
     # lattice at W0 = 1; the key is named at load instead
@@ -730,16 +746,17 @@ def _nested(dotted, value, extra=None):
     return doc
 
 
-#: (dotted key, doc): one value of another kind for every field of DEFAULTS,
-#: then the cases where the context or the value is what used to slip
-#: through (a value unused in aa mode or by a driven cavity, a number in a
-#: string, a size beside an explicit grid).
+#: (dotted key, doc): one value of another kind for every field of DEFAULTS
+#: and of the old fit section, then the cases where the context or the value
+#: is what used to slip through (a value unused in aa mode or by a driven
+#: cavity, a number in a string, a size beside an explicit grid).
 KIND_CASES = [(key, _nested(key, _other_kind(default)))
-              for key, default in _leaves(DEFAULTS)] + [
+              for key, default in _leaves({**DEFAULTS, "fit": OLD_FIT})] + [
     ("model.delta_c_prime", _nested("model.delta_c_prime", "x", {"mode": "aa"})),
     ("pump.Omega", _nested("pump.Omega", "x", {"enabled": True})),
     ("pump.g", _nested("pump.g", [1], {"enabled": True})),
     ("model.v0", _nested("model.v0", "0.5")),
+    ("fit.min_r2", _nested("fit.min_r2", "0.5")),
     ("sweep.axis1.num", {"sweep": {"axis1": {"name": "v0", "values": [0.05],
                                              "num": 2.5}}}),
     ("sweep.axis1.values", {"sweep": {"axis1": {"name": "v0", "values": "x"}}}),
@@ -758,7 +775,8 @@ def test_value_of_another_kind_exit_code(capsys, tmp_path, key, doc):
     code, out, err = run_cli(capsys, "ground-state", "--config", cfg,
                              "--out", str(out_dir))
     assert code == 2
-    assert f"error: {key}: must be " in err
+    expected = _unknown(key) or f"{key}: must be "
+    assert f"error: {expected}" in err
     assert not out_dir.exists()
 
 
