@@ -55,6 +55,11 @@ COLD_METHOD = "lapack_bisection_inverse_iteration"
 WARM_RTOL = 1e-13
 WARM_MAX_STEPS = 8
 
+#: A step whose solve meets a zero pivot is spent moving lam down by this
+#: fraction of ||T||: at least one unit in the last place of lam, and far
+#: enough below WARM_RTOL that the next step converges on that eigenvalue.
+WARM_NUDGE = np.finfo(np.float64).eps
+
 #: Relative residual bound enforced on every certified eigenpair: the chain
 #: ground states and the lowest band.
 RESIDUAL_RTOL = 1e-10
@@ -126,10 +131,14 @@ def warm_eigenpair(d: np.ndarray, e: np.ndarray, start: np.ndarray,
     the step's Rayleigh-quotient correction x.y/||y||^2, which can only
     lower that residual, and the vector is y/||y||: no ``dstein`` call.
     Returns ``(energy, vector, residual, method)`` like
-    ``lowest_eigenpair``, or None after WARM_MAX_STEPS steps or a singular
-    pivot.  The eigenvalue found is the one nearest the start, not
-    necessarily the lowest: the caller certifies it.  d and e must be
-    contiguous float64 arrays of lengths n >= 2 and n - 1, start of length n.
+    ``lowest_eigenpair``, or None after WARM_MAX_STEPS steps.  A solve that
+    meets a zero pivot, or gives a non-finite y, has lam on an eigenvalue to
+    working precision (or a NaN entry): the step is spent moving lam down by
+    WARM_NUDGE * norm_bound, where the next solve is regular, and x is kept.
+    So an exact eigenvector x at its exact eigenvalue comes back, not None.
+    The eigenvalue found is the one nearest the start, not necessarily the
+    lowest: the caller certifies it.  d and e must be contiguous float64
+    arrays of lengths n >= 2 and n - 1, start of length n.
     """
     x = start / math.sqrt(start @ start)
     lam = float(x @ (d * x) + 2.0 * (e @ (x[:-1] * x[1:])))
@@ -137,7 +146,8 @@ def warm_eigenpair(d: np.ndarray, e: np.ndarray, start: np.ndarray,
         *_, y, info = lapack.dgtsv(e, d - lam, e, x, overwrite_d=1)
         norm_y = math.sqrt(y @ y)
         if info != 0 or not math.isfinite(norm_y):
-            return None
+            lam -= WARM_NUDGE * norm_bound
+            continue
         lam += float(x @ y) / (norm_y * norm_y)
         if norm_y * WARM_RTOL * norm_bound >= 1.0:
             break
@@ -226,13 +236,13 @@ def warm_eigenpairs(D: np.ndarray, E: np.ndarray, starts: np.ndarray,
     rows, bounds, d, e = np.arange(K), np.asarray(norm_bounds, dtype=np.float64), D, E
     for _ in range(WARM_MAX_STEPS):
         Y, norms = _rqi_solves(d, e, lam, X)
-        solved = np.isfinite(norms)
-        if not solved.all():  # warm_eigenpair gives up on these rows
-            rows, bounds, d, e, lam, X, Y, norms = (
-                a[solved] for a in (rows, bounds, d, e, lam, X, Y, norms))
-        lam = lam + np.vecdot(X, Y) / (norms * norms)
+        # warm_eigenpair moves these rows' lam down and keeps their x
+        stalled = ~np.isfinite(norms)
+        Y[stalled], norms[stalled] = X[stalled], 1.0
+        lam = np.where(stalled, lam - WARM_NUDGE * bounds,
+                       lam + np.vecdot(X, Y) / (norms * norms))
         Y /= norms[:, None]
-        done = norms * WARM_RTOL * bounds >= 1.0
+        done = ~stalled & (norms * WARM_RTOL * bounds >= 1.0)
         if done.any():
             energies[rows[done]], vectors[rows[done]] = lam[done], Y[done]
             converged[rows[done]] = True
@@ -306,15 +316,32 @@ def cosine_coefficients(g) -> np.ndarray:
         n_s *= 2
 
 
+def _harmonic_args(points: bytes, scale: float, n: int) -> np.ndarray:
+    """m * scale * x for m = 0..n-1 (rows) and the points x."""
+    return np.multiply.outer(np.arange(n, dtype=np.float64),
+                             scale * np.frombuffer(points))
+
+
 @functools.lru_cache(maxsize=16)
-def _harmonic_table(points: bytes, scale: float, n: int):
-    """cos and sin of m * scale * x for m = 0..n-1 (rows) and the points x."""
-    arg = np.multiply.outer(np.arange(n, dtype=np.float64),
-                            scale * np.frombuffer(points))
+def _site_table(sites: bytes, scale: float, n: int):
+    """cos and sin of m * scale * x_n for m = 0..n-1 (rows) and the sites."""
+    arg = _harmonic_args(sites, scale, n)
     cos, sin = np.cos(arg), np.sin(arg)
     cos.setflags(write=False)
     sin.setflags(write=False)
     return cos, sin
+
+
+@functools.lru_cache(maxsize=16)
+def _density_moments(wdens: bytes, grid: bytes, scale: float, n: int):
+    """B_m = sum_j w_j cos(m scale u_j) and A_m = sum_j w_j sin(m scale u_j),
+    m = 0..n-1: the grid's trig tables are contracted and dropped."""
+    arg = _harmonic_args(grid, scale, n)
+    weights = np.frombuffer(wdens)
+    b, a = np.cos(arg) @ weights, np.sin(arg) @ weights
+    b.setflags(write=False)
+    a.setflags(write=False)
+    return b, a
 
 
 def site_average(wdens: np.ndarray, grid: np.ndarray, sites: np.ndarray,
@@ -322,9 +349,10 @@ def site_average(wdens: np.ndarray, grid: np.ndarray, sites: np.ndarray,
     """``sum_j wdens_j g(beta (grid_j + sites_n))`` for every site x_n.
 
     g must be even and pi-periodic, vectorized over a numpy array of angles;
-    its cosine series is truncated by ``cosine_coefficients``.  The trig
-    tables of the grid and the sites depend only on their geometry and the
-    harmonic count, so repeated calls reuse them.
+    its cosine series is truncated by ``cosine_coefficients``.  The density
+    moments depend only on the density, the grid and the harmonic count, and
+    the sites' trig tables only on their geometry and that count, so
+    repeated calls reuse both.
     """
     wdens = np.ascontiguousarray(wdens, dtype=np.float64)
     grid = np.ascontiguousarray(grid, dtype=np.float64)
@@ -333,13 +361,12 @@ def site_average(wdens: np.ndarray, grid: np.ndarray, sites: np.ndarray,
         raise ValueError("weight and grid arrays must have matching shapes")
     coef = cosine_coefficients(g)
     n = coef.shape[0]
-    cos_u, sin_u = _harmonic_table(grid.tobytes(), 2.0 * beta, n)
-    cos_x, sin_x = _harmonic_table(sites.tobytes(), 2.0 * beta, n)
+    b_moments, a_moments = _density_moments(wdens.tobytes(), grid.tobytes(),
+                                            2.0 * beta, n)
+    cos_x, sin_x = _site_table(sites.tobytes(), 2.0 * beta, n)
     # A_m is zero for an even density on a symmetric grid up to rounding;
     # keeping it makes this the exact discrete sum for any density.
-    b_moments = coef * (cos_u @ wdens)
-    a_moments = coef * (sin_u @ wdens)
-    return b_moments @ cos_x - a_moments @ sin_x
+    return (coef * b_moments) @ cos_x - (coef * a_moments) @ sin_x
 
 
 def sin2_registration(c_coop: float) -> bool:

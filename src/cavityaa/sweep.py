@@ -8,10 +8,10 @@ cavity profile, so the points that share (W0, C, delta') form a column,
 the unit of work: it sets up its basis and unit profile once, runs in
 increasing strength with each ground-state solve started from the previous
 point's state, and estimates its own transition.  A column is never split;
-the columns run in order, in this process or mapped over a process pool, so
-results are deterministic and worker-count-independent: records are keyed
-by flat grid index and reassembled in row-major order (axis1 outer, axis2
-inner).
+the columns run in this process, or are dealt out to it and forked workers
+(``_forked_results``), so results are deterministic and
+worker-count-independent: records are keyed by flat grid index and
+reassembled in row-major order (axis1 outer, axis2 inner).
 
 Axes may be model parameters (v0, C, delta_c_prime, W0) or physical pump
 parameters (eta, U0, delta_c) in units of the cavity linewidth kappa; the
@@ -22,12 +22,13 @@ driven atom, in both v0 and the photon number.
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import io
 import json
 import math
+import multiprocessing
 import time
+import traceback
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -57,6 +58,9 @@ OBSERVABLE_NAMES = ("ipr", "gamma", "nbar", "vc")
 #: cold at a column start, by select-mode LAPACK after a rejected warm
 #: result, or not at all (a failed point).
 SOLVER_KINDS = ("warm", "cold", "select_fallback", "unsolved")
+
+#: run_sweep reports progress at most this many times before the end.
+PROGRESS_STEPS = 8
 
 #: Floating-point CSV cells use this format; 17 significant digits round-trip.
 FLOAT_FORMAT = "%.17g"
@@ -495,32 +499,84 @@ def _solve_columns(spec: SweepSpec) -> list:
     return (flat.T[:, order] if scan is spec.axis1 else flat[:, order]).tolist()
 
 
-_WORKER_RUNTIME: _Runtime | None = None
+def _fork_context():
+    """The fork start method's context, whose workers inherit the sweep's
+    ``_Runtime`` and bases.  ValueError where fork does not exist (Windows)."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        raise ValueError("workers > 1 needs the fork start method, which this "
+                         "platform does not have; run with workers = 1")
+    return multiprocessing.get_context("fork")
 
 
-def _init_worker(spec: SweepSpec, wannier: WannierBasis | None):
-    global _WORKER_RUNTIME
-    _WORKER_RUNTIME = _Runtime(spec, wannier)
+def _solve_share(runtime: _Runtime, columns: list, writer) -> None:
+    """A forked worker's columns: sends (True, their ``_run_column`` results)
+    or (False, the traceback of what raised), then returns normally, so the
+    worker's ``multiprocessing.util.Finalize`` callbacks run."""
+    try:
+        message = (True, [_run_column(runtime, column) for column in columns])
+    except Exception:
+        message = (False, traceback.format_exc())
+    writer.send(message)
+    writer.close()
 
 
-def _run_in_worker(column: list) -> tuple:
-    return _run_column(_WORKER_RUNTIME, column)
+def _forked_results(runtime: _Runtime, columns: list, processes: int,
+                    context) -> list:
+    """``_run_column`` of each column, in column order, over ``processes``
+    processes: this one solves columns[0::processes], and a worker forked
+    from it per rank r >= 1 solves columns[r::processes] and sends its share
+    back over a one-way pipe.  Every share is received before any worker is
+    joined, so a full pipe cannot deadlock.  A worker that raises or dies
+    raises RuntimeError here; every worker is terminated and joined on the
+    way out.
+    """
+    workers, readers = [], []
+    try:
+        for r in range(1, processes):
+            reader, writer = context.Pipe(duplex=False)
+            readers.append(reader)
+            worker = context.Process(target=_solve_share,
+                                     args=(runtime, columns[r::processes], writer))
+            worker.start()
+            workers.append(worker)
+            writer.close()  # the worker's copy is the only one: EOF on its death
+        shares = [[_run_column(runtime, column) for column in columns[0::processes]]]
+        for r, (worker, reader) in enumerate(zip(workers, readers), 1):
+            try:
+                ok, share = reader.recv()
+            except EOFError:
+                worker.join()
+                raise RuntimeError(f"sweep worker {r} exited with code "
+                                   f"{worker.exitcode} before sending its "
+                                   "columns") from None
+            if not ok:
+                raise RuntimeError(f"sweep worker {r} raised:\n{share}")
+            shares.append(share)
+        for worker in workers:  # each returns normally once it has sent
+            worker.join()
+    finally:
+        for worker in workers:
+            worker.terminate()  # a no-op on a worker that has been joined
+            worker.join()
+        for reader in readers:
+            reader.close()
+    results = [None] * len(columns)
+    for r, share in enumerate(shares):
+        results[r::processes] = share
+    return results
 
 
 def _column_results(spec: SweepSpec, wannier: WannierBasis | None,
-                    columns: list, chunk: int, workers: int):
-    """``_run_column`` of each column, in column order: in this process when
-    workers == 1 or the columns make one chunk, else over a pool of at most
-    one worker per chunk.  Under fork, ``_init_worker`` hands each worker the
-    shared basis, and a worker keeps the bases it builds across its chunks."""
-    if workers == 1 or chunk >= len(columns):
-        runtime = _Runtime(spec, wannier)
-        yield from (_run_column(runtime, column) for column in columns)
-        return
-    with concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(workers, -(-len(columns) // chunk)),
-            initializer=_init_worker, initargs=(spec, wannier)) as pool:
-        yield from pool.map(_run_in_worker, columns, chunksize=chunk)
+                    columns: list, workers: int, context):
+    """``_run_column`` of each column, in column order: in this process, one
+    column at a time, when workers or the columns number 1, else over
+    min(workers, columns) processes (``_forked_results``).  A process keeps
+    the bases it builds across its columns."""
+    runtime = _Runtime(spec, wannier)
+    processes = min(workers, len(columns))
+    if processes == 1:
+        return (_run_column(runtime, column) for column in columns)
+    return _forked_results(runtime, columns, processes, context)
 
 
 def run_sweep(spec: SweepSpec, wannier: WannierBasis | None = None,
@@ -534,15 +590,19 @@ def run_sweep(spec: SweepSpec, wannier: WannierBasis | None = None,
     W0 axis); any other raises ValueError.  The columns
     (``_solve_columns``) all have the same length; each runs warm-started
     in increasing strength and estimates its own transition
-    (``_run_column``).  They run in chunks of ceil(columns / (8 workers)),
-    in this process when workers == 1 or there is one chunk, else on a
-    process pool; the results arrive in column order and are identical
-    either way.  workers < 1 raises ValueError.  progress, when given, is
-    called as progress(done, total) after each chunk but the last, and once
-    with done == total at the end.
+    (``_run_column``).  workers counts the processes that solve columns,
+    this one included: with P = min(workers, columns) > 1, this process
+    solves every P-th column from the first and P - 1 forked workers the
+    rest (``_column_results``); the results are taken in column order and
+    are identical either way.  workers < 1 raises ValueError, and so does
+    workers > 1 where the fork start method does not exist.  progress, when
+    given, is called as progress(done, total) after every
+    ceil(columns / PROGRESS_STEPS)-th column but the last, and once with
+    done == total at the end.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    context = _fork_context() if workers > 1 else None
     depth_axis = _axis_named(spec, ("W0",))
     depths = ([spec.lattice.depth_W0] if depth_axis is None
               else depth_axis.values.tolist())
@@ -556,9 +616,9 @@ def run_sweep(spec: SweepSpec, wannier: WannierBasis | None = None,
     n = spec.n_points
     records: list = [None] * n
     columns = _solve_columns(spec)
-    chunk = -(-len(columns) // (8 * workers))
+    step = -(-len(columns) // PROGRESS_STEPS)
     estimates, by_depth = [], {}
-    results = _column_results(spec, wannier, columns, chunk, workers)
+    results = _column_results(spec, wannier, columns, workers, context)
     for k, ((column_records, entry, constants), column) in enumerate(
             zip(results, columns), 1):
         for i, rec in zip(column, column_records):
@@ -567,7 +627,7 @@ def run_sweep(spec: SweepSpec, wannier: WannierBasis | None = None,
             estimates.append(entry)
         if constants is not None:
             by_depth[constants["W0"]] = constants
-        if progress is not None and k % chunk == 0 and k < len(columns):
+        if progress is not None and k % step == 0 and k < len(columns):
             progress(k * len(column), n)
     if progress is not None:
         progress(n, n)

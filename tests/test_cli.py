@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import multiprocessing
 import pathlib
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import cavityaa as ca
 from cavityaa import cli, sweep
 from cavityaa.cli import main
 from cavityaa.config import DEFAULTS, load_config, sweep_spec
+from test_sweep import inline_fork
 
 L = 233
 CONFIGS = sorted((pathlib.Path(__file__).parent.parent / "configs").glob("*.json"))
@@ -403,6 +405,17 @@ def test_workers_below_one_exit_code(capsys, tmp_path, workers):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_workers_without_fork_exit_code(capsys, tmp_path, monkeypatch):
+    # where the fork start method does not exist (Windows), --workers 2
+    # exits 2 rather than running serially
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    code, out, err = run_cli(capsys, "sweep", "--out", str(tmp_path),
+                             "--workers", "2")
+    assert code == 2
+    assert "fork start method" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
 def test_shipped_config_is_worker_independent(capsys, tmp_path, path):
     bodies, metadatas = [], []
@@ -427,18 +440,19 @@ def test_depth_axis_estimates_read_each_depth(capsys, tmp_path, monkeypatch,
                                               workers):
     # every transition estimate reports its own depth's t and, in cavity
     # mode, the analytic v_c from that depth's t and alpha, from the bases
-    # the sweep built for its points: one per depth, none in the parent of
-    # a pool
+    # the sweep built for its points: each depth once, across the parent
+    # and its worker, which runs inline here so that its builds are counted
     builds = []
 
     def counting(build):
-        def wrapper(*args, **kwargs):
-            builds.append(build)
-            return build(*args, **kwargs)
+        def wrapper(band, spec):
+            builds.append(spec.depth_W0)
+            return build(band, spec)
         return wrapper
 
     monkeypatch.setattr(cli, "build_wannier", counting(cli.build_wannier))
     monkeypatch.setattr(sweep, "build_wannier", counting(sweep.build_wannier))
+    inline_fork(monkeypatch)
     depths = [-12.0, -15.0]
     doc = {
         "sweep": {
@@ -454,7 +468,7 @@ def test_depth_axis_estimates_read_each_depth(capsys, tmp_path, monkeypatch,
     code, *_ = run_cli(capsys, "sweep", "--config", cfg, "--out", str(tmp_path),
                        "--workers", workers)
     assert code == 0
-    assert len(builds) == (len(depths) if workers == "1" else 0)
+    assert sorted(builds) == sorted(depths)
     sidecar = json.loads((tmp_path / "depths_W0xv0.meta.json").read_text())
     estimates = sidecar["metadata"]["transition_estimates"]
     assert [est["W0"] for est in estimates] == depths

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
+import cavityaa as ca
 from cavityaa import kernels
 from reference import gershgorin_norm_bound
 
@@ -92,11 +93,27 @@ def test_warm_start_from_the_second_state_is_not_certified():
     assert kernels.certificate_margin(d, e, lam, tol) is None
 
 
-def test_warm_start_on_an_exact_eigenvalue_gives_up():
+def test_warm_start_on_an_exact_eigenvalue_returns_it():
     # zero hopping: the start's Rayleigh quotient is a diagonal entry, so
-    # the shifted matrix has a zero pivot
-    d = np.array([0.4, -1.3, 0.2, 0.9, -0.7])
-    assert kernels.warm_eigenpair(d, np.zeros(4), np.eye(5)[0], 1.3) is None
+    # the shifted matrix has a zero pivot, and the start is that entry's
+    # eigenvector: the pair comes back with residual 0
+    d, e = np.array([0.4, -1.3, 0.2, 0.9, -0.7]), np.zeros(4)
+    lam, psi, res, method = kernels.warm_eigenpair(d, e, np.eye(5)[0], 1.3)
+    assert (lam, res, method) == (0.4, 0.0, kernels.WARM_METHOD)
+    assert np.array_equal(psi, np.eye(5)[0])
+    # it is not the lowest pair: the certificate rejects it, and the ground
+    # state comes from bisection
+    assert kernels.certificate_margin(d, e, lam, kernels.CERTIFICATE_RTOL * 1.3) is None
+    problem = ca.HubbardProblem(L=5, t=0.0, onsite=ca.OnsiteProfile(values=d, L=5))
+    gs = ca.ground_state(problem, start=np.eye(5)[0])
+    assert (gs.energy, gs.method) == (-1.3, kernels.COLD_METHOD)
+
+
+def test_warm_start_on_a_zero_pivot_off_an_eigenvector_gives_up():
+    # the start's Rayleigh quotient (-1 + 1) / 2 = 0 is the first diagonal
+    # entry, a zero pivot, but the start is no eigenvector: residual 1
+    d, e = np.array([0.0, -1.0, 1.0]), np.zeros(2)
+    assert kernels.warm_eigenpair(d, e, np.array([0.0, 1.0, 1.0]), 1.0) is None
 
 
 @pytest.mark.parametrize("sin2", [False, True])
@@ -114,6 +131,29 @@ def test_quadrature_matches_direct_sum(sin2):
     arg = beta * (grid[None, :] + xn[:, None])
     expected = np.arctan(C * trig(arg) ** 2 - dcp) @ wdens
     assert np.allclose(out, expected, rtol=1e-12, atol=0.0)
+
+
+def test_density_moments_are_the_table_contraction():
+    # the cached moments are the grid's cos and sin tables contracted with
+    # the density, bit for bit, and site_average sums them as before
+    rng = np.random.RandomState(5)
+    grid = np.linspace(-5 * np.pi, 5 * np.pi, 641)
+    wdens = rng.uniform(0.0, 1.0, grid.shape[0])
+    sites = np.arange(1, 58) * np.pi
+    scale = 2.0 * 0.618
+    g = lambda th: np.arctan(-2.3 * np.cos(th) ** 2 + 1.1)
+    coef = kernels.cosine_coefficients(g)
+    for n in (16, coef.shape[0], 64):
+        b, a = kernels._density_moments(wdens.tobytes(), grid.tobytes(), scale, n)
+        arg = np.multiply.outer(np.arange(n, dtype=np.float64), scale * grid)
+        assert np.array_equal(b, np.cos(arg) @ wdens)
+        assert np.array_equal(a, np.sin(arg) @ wdens)
+    n = coef.shape[0]
+    arg_u = np.multiply.outer(np.arange(n, dtype=np.float64), scale * grid)
+    arg_x = np.multiply.outer(np.arange(n, dtype=np.float64), scale * sites)
+    tables = (coef * (np.cos(arg_u) @ wdens)) @ np.cos(arg_x) \
+        - (coef * (np.sin(arg_u) @ wdens)) @ np.sin(arg_x)
+    assert np.array_equal(kernels.site_average(wdens, grid, sites, 0.618, g), tables)
 
 
 def test_quadrature_constant_potential():
@@ -160,7 +200,8 @@ def _chain_rows(rng, kinds, n):
     """Chains, starts and norm bounds, one row per kind: "near" starts close
     to the ground state (at a random distance, so rows converge at different
     steps), "random" anywhere, "exact" lands on an eigenvalue of a diagonal
-    chain (a zero pivot: the scalar kernel gives up), "nan" holds a NaN."""
+    chain (a zero pivot at an exact eigenvector: the scalar kernel returns
+    it), "nan" holds a NaN."""
     D, E, starts = np.empty((len(kinds), n)), np.empty((len(kinds), n - 1)), []
     for k, kind in enumerate(kinds):
         D[k], E[k] = _random_chain(rng, n)

@@ -1,6 +1,5 @@
 """The package's public surface, and the names the benchmark wraps by name."""
 
-import concurrent.futures
 import importlib
 import sys
 from pathlib import Path
@@ -9,7 +8,7 @@ import numpy as np
 import pytest
 
 import cavityaa as ca
-from test_sweep import _InlinePool
+from test_sweep import inline_fork
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -70,22 +69,22 @@ def test_benchmark_hooks_see_each_point_and_column(wannier, lattice_spec,
 
     monkeypatch.setattr(ca.sweep, "ground_state", counting_solve)
     monkeypatch.setattr(ca.sweep, "onsite_cavity", counting_profile)
-    monkeypatch.setattr(_InlinePool, "max_workers", [])
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr(ca.sweep, "_WORKER_RUNTIME", None)
+    context = inline_fork(monkeypatch)
     spec = ca.SweepSpec(axis1=ca.Axis.log("v0", 0.01, 0.2, 8),
                         axis2=ca.Axis("C", np.array([-2.0, -1.0, -0.5])),
                         lattice=lattice_spec, L=89,
                         fixed={"delta_c_prime": -0.5})
     result = ca.run_sweep(spec, wannier=wannier, workers=workers)
-    assert len(_InlinePool.max_workers) == (workers > 1)
+    assert len(context.shares) == workers - 1
     assert {rec.solver for rec in result.records} <= {"cold", "warm", "select_fallback"}
     assert len(solves) == spec.n_points
     for args, kwargs in solves:
         assert isinstance(args[0], ca.HubbardProblem)
         assert set(kwargs) <= {"start"}
     assert len(profiles) == 3
-    for (args, kwargs), C in zip(profiles, (-2.0, -1.0, -0.5)):
+    # the inline worker solves its share, the middle column, when it starts
+    order = (-2.0, -1.0, -0.5) if workers == 1 else (-1.0, -2.0, -0.5)
+    for (args, kwargs), C in zip(profiles, order):
         wb, pot, L = args
         assert kwargs == {}
         assert wb is wannier and L == 89

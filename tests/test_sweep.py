@@ -1,8 +1,8 @@
-import concurrent.futures
+import collections
 import dataclasses
 import json
-import math
 import multiprocessing
+import os
 import types
 
 import numpy as np
@@ -367,7 +367,7 @@ def test_dstein_runs_for_band_and_cold_solves_only(lattice_spec, monkeypatch,
 
 @pytest.mark.parametrize("scan_first", [True, False], ids=["axis1", "axis2"])
 def test_warm_columns_are_worker_independent(wannier, lattice_spec, scan_first):
-    # pool workers get whole columns, so serial and pooled runs start the
+    # forked workers get whole columns, so serial and pooled runs start the
     # same solves cold
     n_v0 = 24
     v0 = ca.Axis.log("v0", 0.01, 0.3, n_v0)
@@ -573,48 +573,136 @@ def test_workers_below_one_rejected(wannier, lattice_spec, workers):
         ca.run_sweep(_spec(lattice_spec), wannier=wannier, workers=workers)
 
 
-class _InlinePool:
-    """ProcessPoolExecutor stand-in that maps in this process, in order."""
+class _InlineFork:
+    """Fork-context stand-in: a worker runs its target in this process when
+    it starts, on the parent's runtime, and a pipe is an in-memory queue.
+    ``shares`` holds the columns handed to each worker, in start order."""
 
-    max_workers: list = []
-    chunksizes: list = []
+    def __init__(self):
+        self.shares = []
 
-    def __init__(self, max_workers, initializer, initargs):
-        self.max_workers.append(max_workers)
-        initializer(*initargs)
+    def Pipe(self, duplex=True):
+        assert not duplex
+        queue = collections.deque()
+        return (types.SimpleNamespace(recv=queue.popleft, close=lambda: None),
+                types.SimpleNamespace(send=queue.append, close=lambda: None))
 
-    def __enter__(self):
-        return self
+    def Process(self, target, args):
+        return _InlineWorker(self.shares, target, args)
 
-    def __exit__(self, *exc):
-        return False
 
-    def map(self, fn, iterable, chunksize=1):
-        self.chunksizes.append(chunksize)
-        return map(fn, iterable)
+class _InlineWorker:
+    """Process stand-in of ``_InlineFork``: records the share it is handed
+    and runs its target when it starts."""
+
+    exitcode = None
+
+    def __init__(self, shares, target, args):
+        self.shares, self.target, self.args = shares, target, args
+
+    def start(self):
+        self.shares.append(self.args[1])
+        self.target(*self.args)
+        self.exitcode = 0
+
+    def join(self):
+        pass
+
+    def terminate(self):
+        pass
+
+
+def inline_fork(monkeypatch) -> _InlineFork:
+    """Make run_sweep's forked workers run inline for the rest of the test."""
+    context = _InlineFork()
+    monkeypatch.setattr(ca.sweep, "_fork_context", lambda: context)
+    return context
+
+
+def _inline_solve_order(spec, processes):
+    """Flat indices in the order the stand-in solves them: each worker's
+    share as it starts, then the parent's columns[0::processes]."""
+    columns = ca.sweep._solve_columns(spec)
+    shares = [columns[r::processes] for r in range(1, processes)] + [columns[::processes]]
+    return [i for share in shares for column in share for i in column]
 
 
 @pytest.mark.parametrize("workers, pool_size", [(2, 2), (64, 3)])
 def test_pool_has_at_most_one_worker_per_chunk(wannier, lattice_spec,
                                                monkeypatch, workers, pool_size):
-    # three columns make three chunks of ceil(3 / (8 workers)) = 1 column: a
-    # pool never gets more workers than that, and a single-column sweep runs
-    # without one
-    monkeypatch.setattr(_InlinePool, "max_workers", [])
-    monkeypatch.setattr(_InlinePool, "chunksizes", [])
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr(ca.sweep, "_WORKER_RUNTIME", None)
+    # each of the min(workers, columns) processes solves one chunk, its
+    # share columns[r::P]: three columns never get more than two forked
+    # workers beside the parent, and a single-column sweep forks none
+    context = inline_fork(monkeypatch)
     spec = _spec(lattice_spec, axis1=ca.Axis.log("v0", 0.01, 0.2, 6),
                  axis2=ca.Axis("C", np.array([-2.0, -1.0, -0.5])))
+    columns = ca.sweep._solve_columns(spec)
     serial = ca.csv_body(ca.run_sweep(spec, wannier=wannier))
     assert ca.csv_body(ca.run_sweep(spec, wannier=wannier, workers=workers)) == serial
-    assert _InlinePool.max_workers == [pool_size]
-    assert _InlinePool.chunksizes == [math.ceil(3 / (8 * workers))]
+    assert context.shares == [columns[r::pool_size] for r in range(1, pool_size)]
     column = _spec(lattice_spec, axis2=ca.Axis("C", np.array([-1.0])))
     assert ca.csv_body(ca.run_sweep(column, wannier=wannier, workers=workers)) == \
         ca.csv_body(ca.run_sweep(column, wannier=wannier))
-    assert _InlinePool.max_workers == [pool_size]
+    assert len(context.shares) == pool_size - 1
     assert multiprocessing.active_children() == []
+
+
+def _fails_in(monkeypatch, where, fail):
+    """Make every column's transition estimate, which runs outside any
+    point, call fail() in the parent or only in forked workers."""
+    parent, estimate = os.getpid(), ca.sweep._column_estimate
+
+    def planted(*args):
+        if (os.getpid() == parent) == (where == "parent"):
+            fail()
+        return estimate(*args)
+
+    monkeypatch.setattr(ca.sweep, "_column_estimate", planted)
+
+
+def _three_columns(lattice_spec):
+    return _spec(lattice_spec, axis1=ca.Axis.log("v0", 0.01, 0.2, 4),
+                 axis2=ca.Axis("C", np.array([-2.0, -1.0, -0.5])))
+
+
+def test_worker_that_raises_fails_the_sweep(wannier, lattice_spec, monkeypatch):
+    # a real fork: the worker's traceback comes back over its pipe
+    def fail():
+        raise ZeroDivisionError("planted in the worker")
+
+    _fails_in(monkeypatch, "worker", fail)
+    with pytest.raises(RuntimeError, match=r"(?s)sweep worker 1 raised:.*"
+                                           r"ZeroDivisionError: planted in the worker"):
+        ca.run_sweep(_three_columns(lattice_spec), wannier=wannier, workers=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_that_dies_fails_the_sweep(wannier, lattice_spec, monkeypatch):
+    # a worker gone without a word closes its pipe: the parent reads EOF
+    _fails_in(monkeypatch, "worker", lambda: os._exit(7))
+    with pytest.raises(RuntimeError, match="sweep worker 1 exited with code 7 "
+                                           "before sending its columns"):
+        ca.run_sweep(_three_columns(lattice_spec), wannier=wannier, workers=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_parent_that_raises_stops_its_workers(wannier, lattice_spec, monkeypatch):
+    def fail():
+        raise KeyboardInterrupt
+
+    _fails_in(monkeypatch, "parent", fail)
+    with pytest.raises(KeyboardInterrupt):
+        ca.run_sweep(_three_columns(lattice_spec), wannier=wannier, workers=3)
+    assert multiprocessing.active_children() == []
+
+
+def test_workers_need_the_fork_start_method(wannier, lattice_spec, monkeypatch):
+    # without fork (Windows) more than one worker is an error, not a serial run
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    spec = _three_columns(lattice_spec)
+    with pytest.raises(ValueError, match="fork start method"):
+        ca.run_sweep(spec, wannier=wannier, workers=2)
+    assert ca.run_sweep(spec, wannier=wannier, workers=1).n_failed == 0
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -678,20 +766,19 @@ def test_depth_axis_with_a_basis_lists_every_depth(wannier, lattice_spec):
 
 
 def test_pool_maps_chunks_of_equal_count(wannier, lattice_spec, monkeypatch):
-    # 20 columns over 2 workers make chunks of ceil(20 / 16) = 2 columns;
-    # progress follows the chunks, and the records match the serial run's
-    monkeypatch.setattr(_InlinePool, "max_workers", [])
-    monkeypatch.setattr(_InlinePool, "chunksizes", [])
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr(ca.sweep, "_WORKER_RUNTIME", None)
+    # 20 columns over 2 processes: the parent solves the even columns and
+    # one forked worker the odd ones, 10 each; progress follows every
+    # ceil(20 / PROGRESS_STEPS) = 3rd column in column order, and the
+    # records match the serial run's
+    context = inline_fork(monkeypatch)
     spec = _spec(lattice_spec, axis1=ca.Axis("v0", np.array([0.1, 0.05])),
                  axis2=ca.Axis.linear("C", -3.0, -0.5, 20), observables=("ipr", "vc"))
     calls = []
     pooled = ca.run_sweep(spec, wannier=wannier, workers=2,
                           progress=lambda done, n: calls.append((done, n)))
-    assert _InlinePool.max_workers == [2]
-    assert _InlinePool.chunksizes == [2]
-    assert calls == [(4 * k, 40) for k in range(1, 11)]
+    assert context.shares == [ca.sweep._solve_columns(spec)[1::2]]
+    assert [len(share) for share in context.shares] == [10]
+    assert calls == [(6 * k, 40) for k in range(1, 7)] + [(40, 40)]
     serial = ca.run_sweep(spec, wannier=wannier)
     assert pooled.records == serial.records
     assert pooled.metadata["transition_estimates"] == \
@@ -836,12 +923,15 @@ def test_sweep_nbar_is_the_one_point_photon_number(wannier, lattice_spec,
     monkeypatch.setattr(ca.sweep, "series_photon_number", keeping_point)
     workers = 1
     if pooled:
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+        inline_fork(monkeypatch)
         workers = 2
     result = ca.run_sweep(spec, wannier=wannier, workers=workers)
-    # one build per U0 column, at that column's U0 and delta_c
-    assert builds == [(pump_mode, -4.0, u0, L) for u0 in spec.axis2.values]
-    order = [i for column in ca.sweep._solve_columns(spec) for i in column]
+    # one build per U0 column, at that column's U0 and delta_c, in the
+    # order the columns are solved
+    order = _inline_solve_order(spec, workers)
+    u0s = [result.records[i].C for i in order[::spec.shape[0]]]
+    assert sorted(u0s) == sorted(spec.axis2.values)
+    assert builds == [(pump_mode, -4.0, u0, L) for u0 in u0s]
     assert len(states) == len(order) == spec.n_points
     for i, (amplitudes, amplitude) in zip(order, states):
         rec = result.records[i]
