@@ -20,14 +20,14 @@ import numpy as np
 
 from ._version import __version__
 from .config import (ConfigError, effective_config, lattice_spec, load_config,
-                     pump_config, sweep_spec)
+                     model_params, pump_config, sweep_spec)
+from .kernels import sin2_registration
 from .lattice import band_tightbinding_residual, build_wannier, solve_lowest_band
-from .model import (EffectivePotential, HubbardProblem, ground_state,
-                    onsite_aa, onsite_cavity)
+from .model import HubbardProblem, ground_state, scale_profile
 from .observables import (LYAPUNOV_CHAIN_SITES, LYAPUNOV_EXPONENT_METHOD,
                           critical_v_cav, ipr, lyapunov_exponent, photon_number)
-from .sweep import (_resolve_model_params, default_filename, export_csv,
-                    run_sweep)
+from .sweep import (default_filename, export_csv, resolve_model_params,
+                    run_sweep, unit_profile)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -79,36 +79,26 @@ def cmd_ground_state(cfg: dict, out_dir: str) -> int:
     """Solve one chain and write the wavefunction CSV plus a metrics JSON.
 
     With a pump enabled, v0 comes from the drive, with U0 = model.C and
-    delta_c = model.delta_c_prime in kappa units.  gamma is the Lyapunov
-    exponent at the certified E0 of the L-site chain, on the chain of
-    max(LYAPUNOV_CHAIN_SITES, L) sites with the same profile.
+    delta_c = model.delta_c_prime in kappa units (``model_params``).  Both
+    chains are built like a sweep column's points: the unit profile scaled
+    by v0.  gamma is the Lyapunov exponent at the certified E0 of the
+    L-site chain, on the chain of max(LYAPUNOV_CHAIN_SITES, L) sites with
+    the same profile.
     """
-    spec, _, wb = _build_wannier(cfg)
+    _, _, wb = _build_wannier(cfg)
     mdl = cfg["model"]
-    L = mdl["L"]
+    L, n_long = mdl["L"], max(LYAPUNOV_CHAIN_SITES, mdl["L"])
     pump = pump_config(cfg)
-    if pump is None:
-        params = {"v0": mdl["v0"], "C": mdl["C"],
-                  "delta_c_prime": mdl["delta_c_prime"]}
-    else:
-        params = {"U0": mdl["C"], "delta_c": mdl["delta_c_prime"]}
-    v0, coop, dcp, zeta = _resolve_model_params(pump, params)
+    v0, coop, dcp, zeta = resolve_model_params(
+        pump, model_params(cfg, pump is not None))
+    chain, long_chain = (
+        HubbardProblem(L=n, t=wb.t, onsite=scale_profile(
+            unit_profile(mdl["mode"], wb, coop, dcp, n), v0))
+        for n in (L, n_long))
+    gs = ground_state(chain)
+    gamma = lyapunov_exponent(long_chain, gs.energy)
     cavity = mdl["mode"] == "cavity"
-    if cavity:
-        pot = EffectivePotential(v0, coop, dcp, beta=spec.beta)
-        mode = "cavity_sin2" if pot.uses_sin2 else "cavity_cos2"
-
-        def profile(n_sites):
-            return onsite_cavity(wb, pot, n_sites)
-    else:
-        mode = "aa"
-
-        def profile(n_sites):
-            return onsite_aa(v0, spec.beta, n_sites)
-    gs = ground_state(HubbardProblem(L=L, t=wb.t, onsite=profile(L)))
-    n_long = max(LYAPUNOV_CHAIN_SITES, L)
-    gamma = lyapunov_exponent(
-        HubbardProblem(L=n_long, t=wb.t, onsite=profile(n_long)), gs.energy)
+    mode = ("cavity_sin2" if sin2_registration(coop) else "cavity_cos2") if cavity else "aa"
     out = {
         "v0": v0,
         "E0": gs.energy,

@@ -181,29 +181,37 @@ def _axis(axis_cfg: dict, hopping: float) -> Axis:
     return axis
 
 
+def model_params(cfg: dict, physical: bool) -> dict:
+    """The parameters that ``model`` sets, by sweep parameter name.
+
+    v0, C and delta_c_prime; with physical parameters (the pump), model.C
+    is U0 and model.delta_c_prime is delta_c, and v0 comes from the drive.
+    """
+    mdl = cfg["model"]
+    if physical:
+        return {"U0": mdl["C"], "delta_c": mdl["delta_c_prime"]}
+    return {key: mdl[key] for key in ("v0", "C", "delta_c_prime")}
+
+
 def sweep_spec(cfg: dict, hopping: float = 1.0) -> SweepSpec:
     """The configured sweep; SweepSpec and Axis check every field.
 
     Unit 't' grids are scaled by ``hopping``, the hopping in E_r of the basis
     at the spec's own ``lattice`` (into which SweepSpec folds a fixed W0).
-    A parameter on no axis and not in ``sweep.fixed`` comes from ``model``:
-    v0, C and delta_c_prime; with the pump enabled and a physical parameter
-    given, U0 = model.C and delta_c = model.delta_c_prime, as ground-state
-    reads them.  In aa mode that is v0 alone, and delta_c alone beside a
-    physical parameter: an atom-pumped v0 = Omega^2 delta_c / Delta_a reads
-    it.
+    A parameter on no axis and not in ``sweep.fixed`` comes from ``model``
+    (``model_params``), physical when the pump is enabled and a physical
+    parameter is given, as ground-state reads them.  In aa mode that is v0
+    alone, and delta_c alone beside a physical parameter: an atom-pumped
+    v0 = Omega^2 delta_c / Delta_a reads it.
     """
     sweep_cfg, mdl = cfg["sweep"], cfg["model"]
     axis2 = sweep_cfg["axis2"]
     names = [axis["name"] for axis in (sweep_cfg["axis1"], axis2) if axis is not None]
     given = {*names, *sweep_cfg["fixed"]}
-    physical = cfg["pump"]["enabled"] and given & set(PHYSICAL_AXES)
-    if mdl["mode"] == "aa":
-        implied = {"delta_c": mdl["delta_c_prime"]} if physical else {"v0": mdl["v0"]}
-    elif physical:
-        implied = {"U0": mdl["C"], "delta_c": mdl["delta_c_prime"]}
-    else:
-        implied = {key: mdl[key] for key in ("v0", "C", "delta_c_prime")}
+    physical = bool(cfg["pump"]["enabled"] and given & set(PHYSICAL_AXES))
+    implied = model_params(cfg, physical)
+    if mdl["mode"] == "aa":  # the bichromatic chain has no C or delta'
+        implied = {k: v for k, v in implied.items() if k in ("v0", "delta_c")}
     fixed = {k: v for k, v in implied.items() if k not in given}
     return SweepSpec(
         axis1=_axis(sweep_cfg["axis1"], hopping),

@@ -1,9 +1,10 @@
 """Hot numerical kernels: tridiagonal ground-state solve and site averages.
 
-The lowest eigenpair of a symmetric tridiagonal matrix comes from LAPACK
-bisection plus inverse iteration (``lowest_tridiagonal_pair``: ``dstebz`` then
+The lowest eigenpair of a symmetric tridiagonal matrix comes cold from LAPACK
+bisection plus inverse iteration (``lowest_eigenpair``: ``dstebz`` then
 ``dstein``, the calls ``scipy.linalg.eigh_tridiagonal`` makes in select mode,
-without its per-call validation).  Along a sweep column the chain can instead
+without its per-call validation), the one cold solver of the chains and of
+the band's fallback.  Along a sweep column the chain can instead
 start from the previous point's state (``warm_eigenpair``): Rayleigh-quotient
 iteration finds the eigenpair in a few tridiagonal solves, with no
 ``dstein`` call; when that result fails the residual check or the
@@ -15,7 +16,7 @@ The plane-wave band solve runs the same iteration and certificate for all
 its quasimomenta at once (``warm_eigenpairs``, ``certificate_margins``):
 each LAPACK call works on the block-diagonal concatenation of the chains,
 whose zero couplings keep every block's arithmetic exactly that of its own
-call.  A quasimomentum that fails a check takes the bisection pair alone.
+call.  A quasimomentum that fails a check takes ``lowest_eigenpair`` alone.
 So ``dstein`` runs only for those and the cold or fallback chain solves.
 
 The onsite profile and the photon number both average an even, pi-periodic
@@ -75,46 +76,32 @@ def _tridiag_residual(d, e, lam, psi):
     return math.sqrt(r @ r)  # how np.linalg.norm computes it, bit for bit
 
 
-def lowest_tridiagonal_pair(d: np.ndarray, e: np.ndarray) -> tuple[float, np.ndarray]:
-    """Smallest eigenvalue and unit eigenvector of tridiag(e, d, e).
-
-    ``dstebz`` bisects for the first eigenvalue (range I, il = iu = 1) and
-    ``dstein`` inverse-iterates for its vector; the result is bit-identical
-    to ``eigh_tridiagonal(d, e, select="i", select_range=(0, 0))``.  d and e
-    must be contiguous float64 arrays of lengths n and n - 1; they are not
-    checked.  Raises ``numpy.linalg.LinAlgError`` when LAPACK reports
-    ``info != 0``.
-    """
-    if d.shape[0] == 1:
-        return float(d[0]), np.ones(1)
-    m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 1.0, 1, 1, 0.0, "B")
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dstebz failed with info = {info}")
-    v, info = lapack.dstein(d, e, w[:m], iblock, isplit)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dstein failed with info = {info}")
-    return float(w[0]), v[:, 0]
-
-
 def lowest_eigenpair(
     d: np.ndarray, e: np.ndarray
 ) -> tuple[float, np.ndarray, float, str]:
     """Smallest eigenpair of the symmetric tridiagonal matrix tridiag(e, d, e).
 
-    Returns ``(energy, vector, residual, method)``.  The residual is
-    ``||T v - energy v||_2`` of ``dstein``'s vector v, and the vector
-    returned is v / ||v||, normalized once more so that its norm is 1 to
-    rounding.  The method string names the code path that produced the
-    result.  A NaN entry, which LAPACK passes through with ``info = 0``,
-    raises ValueError.
+    ``dstebz`` bisects for the first eigenvalue (range I, il = iu = 1) and
+    ``dstein`` inverse-iterates for its vector v: the calls that
+    ``eigh_tridiagonal(d, e, select="i", select_range=(0, 0))`` makes, whose
+    pair (energy, v) this is bit for bit.  Returns ``(energy, vector,
+    residual, method)``: the residual is ``||T v - energy v||_2``, the
+    vector is v / ||v||, normalized once more so that its norm is 1 to
+    rounding, and the method is COLD_METHOD.  d and e must be float64 arrays of lengths
+    n >= 1 and n - 1; they are not checked.  A NaN entry, which LAPACK
+    passes through with ``info = 0``, raises ValueError; ``info != 0``
+    raises ``numpy.linalg.LinAlgError``.
     """
-    d = np.ascontiguousarray(d, dtype=np.float64)
-    e = np.ascontiguousarray(e, dtype=np.float64)
-    if d.ndim != 1 or e.shape != (max(d.shape[0] - 1, 0),):
-        raise ValueError("expected diag of length n and offdiag of length n-1")
-    if d.shape[0] < 1:
-        raise ValueError("empty matrix")
-    lam, psi = lowest_tridiagonal_pair(d, e)
+    if d.shape[0] == 1:
+        lam, psi = float(d[0]), np.ones(1)
+    else:
+        m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 1.0, 1, 1, 0.0, "B")
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dstebz failed with info = {info}")
+        v, info = lapack.dstein(d, e, w[:m], iblock, isplit)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dstein failed with info = {info}")
+        lam, psi = float(w[0]), v[:, 0]
     res = _tridiag_residual(d, e, lam, psi)
     if not np.isfinite(res):
         raise ValueError("matrix must not contain infs or NaNs")

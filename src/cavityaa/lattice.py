@@ -155,8 +155,7 @@ def solve_lowest_band(spec: LatticeSpec) -> BlochBand:
     M_q - (E_q - tol) I, tol = residual + ``CERTIFICATE_RTOL`` ||M_q||
     (``kernels.certificate_margins``), which proves E_q the lowest
     eigenvalue.  A q that fails either check is solved alone by
-    ``kernels.lowest_tridiagonal_pair``; its LAPACK failure raises
-    BandSolveError.
+    ``kernels.lowest_eigenpair``; its LAPACK failure raises BandSolveError.
     """
     m_cut = spec.planewave_cutoff_M
     ls = np.arange(-m_cut, m_cut + 1)
@@ -178,7 +177,7 @@ def solve_lowest_band(spec: LatticeSpec) -> BlochBand:
     fallbacks = np.flatnonzero(~ok)
     for j in fallbacks:
         try:
-            energies[j], vecs[j] = kernels.lowest_tridiagonal_pair(diags[j], offdiags[j])
+            energies[j], vecs[j], *_ = kernels.lowest_eigenpair(diags[j], offdiags[j])
         except np.linalg.LinAlgError as exc:
             raise BandSolveError(
                 f"plane-wave eigensolve failed at q = {qs[j]:.6f} k0"

@@ -61,9 +61,10 @@ class OnsiteProfile:
     peaks = (a, b): a is the largest |delta_eps_n| over the interior sites and
     b the larger one at the two end sites.  With the hopping they give the
     chain's norm bound (``HubbardProblem.norm_bound``).  Left out, they are
-    read off the values, which must then be finite.  ``scale_profile`` passes
-    them scaled from a checked unit profile instead, and finite peaks bound
-    every value.
+    read off the values, which must then be finite, and the profile keeps a
+    read-only copy of them.  ``scale_profile`` passes the peaks scaled from a
+    checked unit profile instead, and finite peaks bound every value; the
+    profile then keeps its fresh values array itself.
     """
 
     values: np.ndarray
@@ -74,6 +75,8 @@ class OnsiteProfile:
         if self.L < 1 or self.values.shape != (self.L,):
             raise ValueError("profile length does not match L")
         if self.peaks is None:
+            # the read-only flag below must not reach the caller's array
+            object.__setattr__(self, "values", self.values.copy())
             if not np.all(np.isfinite(self.values)):
                 raise ValueError("profile contains non-finite entries")
             mag = np.abs(self.values)

@@ -8,7 +8,7 @@ cavity profile, so the points that share (W0, C, delta') form a column,
 the unit of work: it sets up its basis and unit profile once, runs in
 increasing strength with each ground-state solve started from the previous
 point's state, and estimates its own transition.  A column is never split;
-the columns run in this process, or are dealt out to it and forked workers
+the columns are dealt out to this process and to any forked workers
 (``_forked_results``), so results are deterministic and
 worker-count-independent: records are keyed by flat grid index and
 reassembled in row-major order (axis1 outer, axis2 inner).
@@ -33,13 +33,12 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from . import kernels
+from . import kernels, model
 from ._version import __version__
 from .lattice import (BAND_SOLVE_METHOD, WANNIER_SUM_METHOD, LatticeSpec, WannierBasis,
                       build_wannier, solve_lowest_band)
 from .model import (EffectivePotential, HubbardProblem, OnsiteProfile,
-                    ground_state, onsite_aa, onsite_cavity, scale_profile,
-                    unit_profile)
+                    ground_state, onsite_aa, onsite_cavity, scale_profile)
 from .observables import (LYAPUNOV_METHOD, TRANSITION_METHOD, PumpField,
                           detect_transition, ipr, photon_series,
                           series_photon_number, thouless_gamma)
@@ -142,7 +141,7 @@ class Axis:
     def __post_init__(self):
         if self.name not in AXIS_NAMES:
             raise ValueError(f"axis name {self.name!r} must be one of {AXIS_NAMES}")
-        vals = np.asarray(self.values, dtype=np.float64)
+        vals = np.array(self.values, dtype=np.float64)  # a copy, made read-only
         if vals.ndim != 1 or vals.shape[0] < 1:
             raise ValueError("axis grid must be a non-empty 1-D array")
         if not np.isfinite(vals).all():
@@ -280,22 +279,14 @@ class SweepResult:
 
 # --- columns -----------------------------------------------------------------
 
-class _Runtime:
-    """Per-process state shared by all columns of one sweep: its bases."""
-
-    def __init__(self, spec: SweepSpec, wannier: WannierBasis | None):
-        self.spec = spec
-        self._wannier_cache: dict[float, WannierBasis] = {}
-        if wannier is not None:
-            self._wannier_cache[wannier.depth_W0] = wannier
-
-    def wannier_for(self, depth: float) -> WannierBasis:
-        wb = self._wannier_cache.get(depth)
-        if wb is None:
-            spec = replace(self.spec.lattice, depth_W0=depth)
-            wb = build_wannier(solve_lowest_band(spec), spec)
-            self._wannier_cache[depth] = wb
-        return wb
+def _basis(spec: SweepSpec, bases: dict, depth: float) -> WannierBasis:
+    """The basis of spec's lattice at depth, built once per process: bases
+    maps the depths this process has built (or was given) to their bases."""
+    wb = bases.get(depth)
+    if wb is None:
+        lattice = replace(spec.lattice, depth_W0=depth)
+        wb = bases[depth] = build_wannier(solve_lowest_band(lattice), lattice)
+    return wb
 
 
 def _point_params(spec: SweepSpec, i1: int, i2: int) -> dict:
@@ -306,8 +297,8 @@ def _point_params(spec: SweepSpec, i1: int, i2: int) -> dict:
     return params
 
 
-def _resolve_model_params(pump: PumpConfig | None, params: dict
-                          ) -> tuple[float, float, float, PumpField | None]:
+def resolve_model_params(pump: PumpConfig | None, params: dict
+                         ) -> tuple[float, float, float, PumpField | None]:
     """Model parameters (v0, C, delta_c_prime) and pump field zeta of a point.
 
     The one place where sweep or config parameters become model parameters.
@@ -335,20 +326,22 @@ def _solver_kind(warm: bool, method: str) -> str:
     return "select_fallback" if warm else "cold"
 
 
-def _unit_profile(spec: SweepSpec, wb: WannierBasis, coop: float,
-                  dcp: float) -> OnsiteProfile:
-    """The column's profile at v0 = 1, checked once for all its points.
+def unit_profile(mode: str, wb: WannierBasis, coop: float, dcp: float,
+                 L: int) -> OnsiteProfile:
+    """The L-site profile at v0 = 1 of a sweep column, checked once for all
+    its points.
 
-    That is ``onsite_cavity`` at v0 = 1, or cos(2 pi beta n) in aa mode.  Its
-    values must be finite, and a cavity profile's must lie in the arctan
-    range; each point then only scales it (``scale_profile``).
+    That is ``onsite_cavity`` at v0 = 1, or cos(2 pi beta n) in aa mode,
+    with beta the basis's.  Its values must be finite, and a cavity
+    profile's must lie in the arctan range; each point then only scales it
+    (``scale_profile``).
     """
-    if spec.mode == "aa":
-        values = onsite_aa(1.0, spec.lattice.beta, spec.L).values
+    if mode == "aa":
+        values = onsite_aa(1.0, wb.beta, L).values
     else:
-        pot = EffectivePotential(1.0, coop, dcp, beta=spec.lattice.beta)
-        values = onsite_cavity(wb, pot, spec.L).values
-    return unit_profile(values, spec.L, arctan=spec.mode == "cavity")
+        pot = EffectivePotential(1.0, coop, dcp, beta=wb.beta)
+        values = onsite_cavity(wb, pot, L).values
+    return model.unit_profile(values, L, arctan=mode == "cavity")
 
 
 def _failure(exc: Exception) -> str:
@@ -360,7 +353,7 @@ def _nan(value) -> float:
     return float("nan") if value is None else float(value)
 
 
-def _run_column(runtime: _Runtime, column: list
+def _run_column(spec: SweepSpec, bases: dict, column: list
                 ) -> tuple[list, dict | None, dict | None]:
     """The records of a column's points, its transition, its basis.
 
@@ -378,9 +371,8 @@ def _run_column(runtime: _Runtime, column: list
     start cold.  The transition estimate reads the records in solve order;
     it is None unless the sweep asks for "vc" along a strength axis.  The
     last item is the basis's depth and constants (``_constants``), or None
-    when the column has no basis.
+    when the column has no basis.  bases is this process's (``_basis``).
     """
-    spec = runtime.spec
     records = []
     wb = unit = series = start = column_params = None
     set_up_failed = series_failed = ""
@@ -392,12 +384,12 @@ def _run_column(runtime: _Runtime, column: list
         e0 = p_x = gamma = nbar = gs = None
         solver = "unsolved"
         try:
-            v0, coop, dcp, zeta = _resolve_model_params(spec.pump, params)
+            v0, coop, dcp, zeta = resolve_model_params(spec.pump, params)
             if column_params is None:  # the column's set-up
                 column_params = (coop, dcp)
                 try:
-                    wb = runtime.wannier_for(params.get("W0", spec.lattice.depth_W0))
-                    unit = _unit_profile(spec, wb, coop, dcp)
+                    wb = _basis(spec, bases, params.get("W0", spec.lattice.depth_W0))
+                    unit = unit_profile(spec.mode, wb, coop, dcp, spec.L)
                 except Exception as exc:
                     set_up_failed = _failure(exc)
                 if not set_up_failed and "nbar" in spec.observables:
@@ -501,46 +493,56 @@ def _solve_columns(spec: SweepSpec) -> list:
 
 def _fork_context():
     """The fork start method's context, whose workers inherit the sweep's
-    ``_Runtime`` and bases.  ValueError where fork does not exist (Windows)."""
+    bases.  ValueError where fork does not exist (Windows)."""
     if "fork" not in multiprocessing.get_all_start_methods():
         raise ValueError("workers > 1 needs the fork start method, which this "
                          "platform does not have; run with workers = 1")
     return multiprocessing.get_context("fork")
 
 
-def _solve_share(runtime: _Runtime, columns: list, writer) -> None:
+def _solve_share(spec: SweepSpec, bases: dict, columns: list, writer) -> None:
     """A forked worker's columns: sends (True, their ``_run_column`` results)
     or (False, the traceback of what raised), then returns normally, so the
     worker's ``multiprocessing.util.Finalize`` callbacks run."""
     try:
-        message = (True, [_run_column(runtime, column) for column in columns])
+        message = (True, [_run_column(spec, bases, column) for column in columns])
     except Exception:
         message = (False, traceback.format_exc())
     writer.send(message)
     writer.close()
 
 
-def _forked_results(runtime: _Runtime, columns: list, processes: int,
-                    context) -> list:
+def _forked_results(spec: SweepSpec, bases: dict, columns: list, processes: int,
+                    context, progress) -> list:
     """``_run_column`` of each column, in column order, over ``processes``
     processes: this one solves columns[0::processes], and a worker forked
     from it per rank r >= 1 solves columns[r::processes] and sends its share
-    back over a one-way pipe.  Every share is received before any worker is
-    joined, so a full pipe cannot deadlock.  A worker that raises or dies
-    raises RuntimeError here; every worker is terminated and joined on the
-    way out.
+    back over a one-way pipe.  With one process nothing is forked.  This
+    process reports progress(done, n) as it solves its own columns, after
+    every ceil(columns / PROGRESS_STEPS)-th of them while done, the points
+    whose records it holds, is below n.  Every share is received before any
+    worker is joined, so a full pipe cannot deadlock.  A worker that raises
+    or dies raises RuntimeError here; every worker is terminated and joined
+    on the way out.
     """
+    n, step = spec.n_points, -(-len(columns) // PROGRESS_STEPS)
     workers, readers = [], []
     try:
         for r in range(1, processes):
             reader, writer = context.Pipe(duplex=False)
             readers.append(reader)
             worker = context.Process(target=_solve_share,
-                                     args=(runtime, columns[r::processes], writer))
+                                     args=(spec, bases, columns[r::processes], writer))
             worker.start()
             workers.append(worker)
             writer.close()  # the worker's copy is the only one: EOF on its death
-        shares = [[_run_column(runtime, column) for column in columns[0::processes]]]
+        own, done = [], 0
+        for k, column in enumerate(columns[0::processes], 1):
+            own.append(_run_column(spec, bases, column))
+            done += len(column)
+            if progress is not None and k % step == 0 and done < n:
+                progress(done, n)
+        shares = [own]
         for r, (worker, reader) in enumerate(zip(workers, readers), 1):
             try:
                 ok, share = reader.recv()
@@ -566,19 +568,6 @@ def _forked_results(runtime: _Runtime, columns: list, processes: int,
     return results
 
 
-def _column_results(spec: SweepSpec, wannier: WannierBasis | None,
-                    columns: list, workers: int, context):
-    """``_run_column`` of each column, in column order: in this process, one
-    column at a time, when workers or the columns number 1, else over
-    min(workers, columns) processes (``_forked_results``).  A process keeps
-    the bases it builds across its columns."""
-    runtime = _Runtime(spec, wannier)
-    processes = min(workers, len(columns))
-    if processes == 1:
-        return (_run_column(runtime, column) for column in columns)
-    return _forked_results(runtime, columns, processes, context)
-
-
 def run_sweep(spec: SweepSpec, wannier: WannierBasis | None = None,
               workers: int = 1, progress=None) -> SweepResult:
     """Execute the sweep and collect one record per grid point.
@@ -591,14 +580,14 @@ def run_sweep(spec: SweepSpec, wannier: WannierBasis | None = None,
     (``_solve_columns``) all have the same length; each runs warm-started
     in increasing strength and estimates its own transition
     (``_run_column``).  workers counts the processes that solve columns,
-    this one included: with P = min(workers, columns) > 1, this process
-    solves every P-th column from the first and P - 1 forked workers the
-    rest (``_column_results``); the results are taken in column order and
-    are identical either way.  workers < 1 raises ValueError, and so does
+    this one included: with P = min(workers, columns), this process solves
+    every P-th column from the first and P - 1 forked workers the rest
+    (``_forked_results``); the results are taken in column order and are
+    identical for every P.  workers < 1 raises ValueError, and so does
     workers > 1 where the fork start method does not exist.  progress, when
-    given, is called as progress(done, total) after every
-    ceil(columns / PROGRESS_STEPS)-th column but the last, and once with
-    done == total at the end.
+    given, is called as progress(done, total) as this process finishes its
+    own columns (``_forked_results``), and once with done == total at the
+    end.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -611,24 +600,22 @@ def run_sweep(spec: SweepSpec, wannier: WannierBasis | None = None,
             or wannier.depth_W0 not in depths):
         raise ValueError(f"the basis was built for {wannier.spec}; the sweep "
                          f"solves {spec.lattice} at depth_W0 in {depths}")
-    if wannier is None and depth_axis is None:
-        wannier = build_wannier(solve_lowest_band(spec.lattice), spec.lattice)
+    bases = {} if wannier is None else {wannier.depth_W0: wannier}
+    if depth_axis is None:
+        wannier = _basis(spec, bases, spec.lattice.depth_W0)
     n = spec.n_points
     records: list = [None] * n
     columns = _solve_columns(spec)
-    step = -(-len(columns) // PROGRESS_STEPS)
     estimates, by_depth = [], {}
-    results = _column_results(spec, wannier, columns, workers, context)
-    for k, ((column_records, entry, constants), column) in enumerate(
-            zip(results, columns), 1):
+    results = _forked_results(spec, bases, columns, min(workers, len(columns)),
+                              context, progress)
+    for (column_records, entry, constants), column in zip(results, columns):
         for i, rec in zip(column, column_records):
             records[i] = rec
         if entry is not None:
             estimates.append(entry)
         if constants is not None:
             by_depth[constants["W0"]] = constants
-        if progress is not None and k % step == 0 and k < len(columns):
-            progress(k * len(column), n)
     if progress is not None:
         progress(n, n)
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,12 +32,16 @@ def test_lowest_eigenpair_matches_dense(seed):
 
 @pytest.mark.parametrize("n", [1, 2, 31, 233])
 def test_lowest_pair_is_select_mode_eigh_tridiagonal(n):
+    # the pair of eigh_tridiagonal bit for bit, its vector divided by its
+    # norm once more; one site has the exact pair
     rng = np.random.RandomState(n)
     d, e = _random_chain(rng, n)
     w, v = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
-    lam, psi = kernels.lowest_tridiagonal_pair(d, e)
+    lam, psi, res, _ = kernels.lowest_eigenpair(d, e)
     assert lam == w[0]
-    assert np.array_equal(psi, v[:, 0])
+    assert np.array_equal(psi, v[:, 0] / math.sqrt(v[:, 0] @ v[:, 0]))
+    if n == 1:
+        assert res == 0.0
 
 
 def test_lowest_eigenpair_rejects_nonfinite_entries():

@@ -397,3 +397,15 @@ def test_problem_validation():
                           onsite=ca.OnsiteProfile(values=np.zeros(2), L=2))
     with pytest.raises(ValueError):
         ca.OnsiteProfile(values=np.array([np.nan, 0.0, 0.0]), L=3)
+
+
+def test_profile_leaves_the_callers_array_writeable():
+    # the profile freezes a copy of what it is given: the caller's array
+    # stays writeable, and a write to it leaves the profile as it was
+    vals = np.array([0.3, -0.2, 0.1, 0.5])
+    prof = ca.OnsiteProfile(values=vals, L=4)
+    vals[0] = 9.0
+    assert prof.values.tolist() == [0.3, -0.2, 0.1, 0.5]
+    assert prof.peaks == (0.2, 0.5)
+    with pytest.raises(ValueError, match="read-only"):
+        prof.values[0] = 9.0

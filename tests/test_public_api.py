@@ -75,7 +75,8 @@ def test_benchmark_hooks_see_each_point_and_column(wannier, lattice_spec,
                         lattice=lattice_spec, L=89,
                         fixed={"delta_c_prime": -0.5})
     result = ca.run_sweep(spec, wannier=wannier, workers=workers)
-    assert len(context.shares) == workers - 1
+    columns = ca.sweep._solve_columns(spec)
+    assert context.shares == [columns[r::workers] for r in range(1, workers)]
     assert {rec.solver for rec in result.records} <= {"cold", "warm", "select_fallback"}
     assert len(solves) == spec.n_points
     for args, kwargs in solves:

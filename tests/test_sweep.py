@@ -575,7 +575,7 @@ def test_workers_below_one_rejected(wannier, lattice_spec, workers):
 
 class _InlineFork:
     """Fork-context stand-in: a worker runs its target in this process when
-    it starts, on the parent's runtime, and a pipe is an in-memory queue.
+    it starts, on the parent's bases, and a pipe is an in-memory queue.
     ``shares`` holds the columns handed to each worker, in start order."""
 
     def __init__(self):
@@ -601,7 +601,8 @@ class _InlineWorker:
         self.shares, self.target, self.args = shares, target, args
 
     def start(self):
-        self.shares.append(self.args[1])
+        # the share is the one list among the target's arguments
+        self.shares.append(next(a for a in self.args if isinstance(a, list)))
         self.target(*self.args)
         self.exitcode = 0
 
@@ -696,6 +697,36 @@ def test_parent_that_raises_stops_its_workers(wannier, lattice_spec, monkeypatch
     assert multiprocessing.active_children() == []
 
 
+def test_progress_comes_while_the_workers_solve(wannier, lattice_spec, monkeypatch):
+    # a real fork: the worker's first column waits up to 10 s for the first
+    # progress line, which the calling process reports as it finishes its
+    # own first column, not once every share is in
+    context = multiprocessing.get_context("fork")
+    reported, seen = context.Event(), context.Value("b", 0)
+    waited = []  # the worker's copy records its first column
+
+    def wait():
+        if not waited:
+            waited.append(True)
+            seen.value = reported.wait(10.0)
+
+    _fails_in(monkeypatch, "worker", wait)
+    calls = []
+
+    def progress(done, n):
+        calls.append((done, n))
+        reported.set()
+
+    spec = _spec(lattice_spec, axis1=ca.Axis.log("v0", 0.01, 0.12, 3),
+                 axis2=ca.Axis.linear("C", -2.0, -0.5, 8))
+    ca.run_sweep(spec, wannier=wannier, workers=2, progress=progress)
+    n = spec.n_points
+    assert seen.value == 1
+    assert calls[0][0] < n
+    assert calls[-1] == (n, n)
+    assert multiprocessing.active_children() == []
+
+
 def test_workers_need_the_fork_start_method(wannier, lattice_spec, monkeypatch):
     # without fork (Windows) more than one worker is an error, not a serial run
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
@@ -767,9 +798,9 @@ def test_depth_axis_with_a_basis_lists_every_depth(wannier, lattice_spec):
 
 def test_pool_maps_chunks_of_equal_count(wannier, lattice_spec, monkeypatch):
     # 20 columns over 2 processes: the parent solves the even columns and
-    # one forked worker the odd ones, 10 each; progress follows every
-    # ceil(20 / PROGRESS_STEPS) = 3rd column in column order, and the
-    # records match the serial run's
+    # one forked worker the odd ones, 10 each; the parent reports progress
+    # after every ceil(20 / PROGRESS_STEPS) = 3rd of its own columns, and
+    # the records match the serial run's
     context = inline_fork(monkeypatch)
     spec = _spec(lattice_spec, axis1=ca.Axis("v0", np.array([0.1, 0.05])),
                  axis2=ca.Axis.linear("C", -3.0, -0.5, 20), observables=("ipr", "vc"))
@@ -778,11 +809,22 @@ def test_pool_maps_chunks_of_equal_count(wannier, lattice_spec, monkeypatch):
                           progress=lambda done, n: calls.append((done, n)))
     assert context.shares == [ca.sweep._solve_columns(spec)[1::2]]
     assert [len(share) for share in context.shares] == [10]
-    assert calls == [(6 * k, 40) for k in range(1, 7)] + [(40, 40)]
+    assert calls == [(6, 40), (12, 40), (18, 40), (40, 40)]
     serial = ca.run_sweep(spec, wannier=wannier)
     assert pooled.records == serial.records
     assert pooled.metadata["transition_estimates"] == \
         serial.metadata["transition_estimates"]
+
+
+def test_axis_leaves_the_callers_grid_writeable():
+    # the axis freezes a copy of its grid: the caller's array stays
+    # writeable, and a write to it leaves the axis as it was
+    grid = np.array([0.05, 0.1, 0.2])
+    axis = ca.Axis("v0", grid)
+    grid[0] = 9.0
+    assert axis.values.tolist() == [0.05, 0.1, 0.2]
+    with pytest.raises(ValueError, match="read-only"):
+        axis.values[0] = 9.0
 
 
 def test_non_finite_numbers_rejected(lattice_spec):

@@ -11,10 +11,13 @@ differs with its relative and absolute difference, and every other value
 that differs.  For a differing ``log.txt`` it prints the relative and
 absolute difference of every ``name=number`` token whose number differs,
 such as the constants that ``wannier`` prints, and names the tokens found
-in one log only.  Exits 0 when the trees are byte-identical, else 1.
+in one log only; when no token differs, such as in the progress lines, it
+prints the first pair of differing lines.  Exits 0 when the trees are
+byte-identical, else 1.
 """
 
 import csv
+import itertools
 import json
 import pathlib
 import re
@@ -123,6 +126,15 @@ def _compare_log(a: pathlib.Path, b: pathlib.Path) -> list:
         elif x != y:
             lines.append(f"  {name}: rel diff {_rel(x, y):.3e}, abs diff {abs(x - y):.3e}"
                          if x is not None and y is not None else f"  {name}: {x} -> {y}")
+    if not lines:
+        pairs = itertools.zip_longest(a.read_text().splitlines(),
+                                      b.read_text().splitlines())
+        differ = [(k, x, y) for k, (x, y) in enumerate(pairs, 1) if x != y]
+        if differ:
+            k, x, y = differ[0]
+            lines.append(f"  line {k}: {x!r} -> {y!r}")
+        else:
+            lines.append("  the lines match; line endings differ")
     return lines
 
 
