@@ -7,17 +7,21 @@ without its per-call validation), the one cold solver of the chains and of
 the band's fallback.  Along a sweep column the chain can instead
 start from the previous point's state (``warm_eigenpair``): Rayleigh-quotient
 iteration finds the eigenpair in a few tridiagonal solves, with no
-``dstein`` call; when that result fails the residual check or the
-lower-bound certificate (``certificate_margin``), the chain tries the
-bisection pair.  A chain point that fails both paths has no ground state
+``dstein`` call.  Every eigenpair, warm or cold, is accepted only with the
+residual bound and the lower-bound certificate (``certified_margin``:
+``certificate_margin``); a warm result that fails them sends the chain to
+the bisection pair.  A chain point that fails both paths has no ground state
 (``model.GroundStateError``); there is no dense diagonalization.
 
-The plane-wave band solve runs the same iteration and certificate for all
-its quasimomenta at once (``warm_eigenpairs``, ``certificate_margins``):
-each LAPACK call works on the block-diagonal concatenation of the chains,
-whose zero couplings keep every block's arithmetic exactly that of its own
-call.  A quasimomentum that fails a check takes ``lowest_eigenpair`` alone.
-So ``dstein`` runs only for those and the cold or fallback chain solves.
+Many chains of one length run the same iteration and checks at once
+(``warm_eigenpairs``, ``certified_margins``, ``certificate_margins``): the
+plane-wave band solve for all its quasimomenta, and a sweep step for the
+columns it advances together.  Each LAPACK call works on the block-diagonal
+concatenation of the chains, whose zero couplings keep every block's
+arithmetic exactly that of its own call; the off-diagonal is joined once per
+set of chains still iterating.  A chain that fails a check takes the cold
+solve alone.  So ``dstein`` runs only for those and the cold or fallback
+chain solves.
 
 The onsite profile and the photon number both average an even, pi-periodic
 function g(beta z) over the Wannier density at every site.  ``site_average``
@@ -176,29 +180,29 @@ def _tridiag_residuals(D, E, lam, psi):
     return np.sqrt(np.vecdot(R, R))
 
 
-def _rqi_solves(D, E, lam, X):
-    """The step solves (T_k - lam_k I) y_k = x_k and their norms ||y_k||.
+def _rqi_solves(D, E, joined, lam, X):
+    """The step solves (T_k - lam_k I) y_k = x_k, their norms ||y_k|| and
+    whether the block call stood.
 
-    One ``dgtsv`` on the concatenation.  Its elimination never pivots
-    across a zero coupling, so each block gets the arithmetic of its own
-    call.  A zero pivot stops the whole call, and a NaN or inf spreads into
-    the next block through 0 * inf; so when ``info != 0`` or a norm is not
-    finite, every row is solved again alone.  A row whose own solve fails
-    gets a NaN norm.
+    One ``dgtsv`` on the concatenation, whose off-diagonal is ``joined``
+    (``_joined(E)``).  Its elimination never pivots across a zero coupling,
+    so each block gets the arithmetic of its own call.  A zero pivot stops
+    the whole call, and a NaN or inf spreads into the next block through
+    0 * inf; so when ``info != 0`` or a norm is not finite, every row is
+    solved again alone.  A row whose own solve fails gets a NaN norm.
     """
     n = D.shape[1]
-    e = _joined(E)
-    *_, y, info = lapack.dgtsv(e, (D - lam[:, None]).ravel(), e, X.ravel(),
+    *_, y, info = lapack.dgtsv(joined, (D - lam[:, None]).ravel(), joined, X.ravel(),
                                overwrite_d=1)
     Y = y.reshape(-1, n)
     norms = np.sqrt(np.vecdot(Y, Y))
-    if info == 0 and np.all(np.isfinite(norms)):
-        return Y, norms
+    if info == 0 and np.isfinite(norms).all():
+        return Y, norms, True
     Y = np.empty_like(X)
     for k in range(X.shape[0]):
         *_, Y[k], info = lapack.dgtsv(E[k], D[k] - lam[k], E[k], X[k], overwrite_d=1)
         norms[k] = math.sqrt(Y[k] @ Y[k]) if info == 0 else math.nan
-    return Y, norms
+    return Y, norms, False
 
 
 def warm_eigenpairs(D: np.ndarray, E: np.ndarray, starts: np.ndarray,
@@ -207,7 +211,8 @@ def warm_eigenpairs(D: np.ndarray, E: np.ndarray, starts: np.ndarray,
 
     D (K, n), E (K, n - 1) and starts (K, n) hold the chains row by row,
     norm_bounds (K,) their bounds on ||T_k||.  Each step solves every row
-    still iterating with one ``dgtsv`` (``_rqi_solves``).  Returns
+    still iterating with one ``dgtsv`` (``_rqi_solves``), whose off-diagonal
+    is joined once per set of rows still iterating.  Returns
     ``(energies, vectors, residuals, converged)``: where converged[k] is
     True, row k is bit-identical to ``warm_eigenpair(D[k], E[k], starts[k],
     norm_bounds[k])``; where it is False, that call returns None and the row
@@ -221,25 +226,35 @@ def warm_eigenpairs(D: np.ndarray, E: np.ndarray, starts: np.ndarray,
     lam = np.vecdot(X, D * X) + 2.0 * np.vecdot(E, X[:, :-1] * X[:, 1:])
     # the rows still iterating, with their chains, bounds, lam and x
     rows, bounds, d, e = np.arange(K), np.asarray(norm_bounds, dtype=np.float64), D, E
+    joined = _joined(e)
     for _ in range(WARM_MAX_STEPS):
-        Y, norms = _rqi_solves(d, e, lam, X)
-        # warm_eigenpair moves these rows' lam down and keeps their x
-        stalled = ~np.isfinite(norms)
-        Y[stalled], norms[stalled] = X[stalled], 1.0
-        lam = np.where(stalled, lam - WARM_NUDGE * bounds,
-                       lam + np.vecdot(X, Y) / (norms * norms))
+        Y, norms, stood = _rqi_solves(d, e, joined, lam, X)
+        if stood:
+            lam = lam + np.vecdot(X, Y) / (norms * norms)
+            done = norms * WARM_RTOL * bounds >= 1.0
+        else:
+            # warm_eigenpair moves stalled rows' lam down and keeps their x
+            stalled = ~np.isfinite(norms)
+            Y[stalled], norms[stalled] = X[stalled], 1.0
+            lam = np.where(stalled, lam - WARM_NUDGE * bounds,
+                           lam + np.vecdot(X, Y) / (norms * norms))
+            done = ~stalled & (norms * WARM_RTOL * bounds >= 1.0)
         Y /= norms[:, None]
-        done = ~stalled & (norms * WARM_RTOL * bounds >= 1.0)
         if done.any():
-            energies[rows[done]], vectors[rows[done]] = lam[done], Y[done]
-            converged[rows[done]] = True
+            finished = rows[done]
+            energies[finished], vectors[finished] = lam[done], Y[done]
+            converged[finished] = True
+            if done.all():
+                break
             going = ~done
             rows, bounds, d, e, lam, Y = (a[going] for a in (rows, bounds, d, e, lam, Y))
-        if rows.size == 0:
-            break
+            joined = _joined(e)
         X = Y
-    residuals[converged] = _tridiag_residuals(
-        D[converged], E[converged], energies[converged], vectors[converged])
+    if converged.all():
+        residuals = _tridiag_residuals(D, E, energies, vectors)
+    else:
+        residuals[converged] = _tridiag_residuals(
+            D[converged], E[converged], energies[converged], vectors[converged])
     return energies, vectors, residuals, converged
 
 
@@ -262,6 +277,43 @@ def certificate_margins(D: np.ndarray, E: np.ndarray, energies: np.ndarray,
         return margins
     return np.array([math.nan if m is None else m for m in map(
         certificate_margin, D, E, energies, tols)])
+
+
+def certified_margin(d: np.ndarray, e: np.ndarray, energy: float, residual: float,
+                     norm_bound: float) -> float:
+    """The two checks of every accepted eigenpair (energy, v) of tridiag(e, d, e).
+
+    The residual ||T v - energy v|| must be at most RESIDUAL_RTOL *
+    norm_bound, which puts an eigenvalue within it of energy, and
+    ``certificate_margin`` must prove that no eigenvalue lies below
+    energy - tol, tol = residual + CERTIFICATE_RTOL * norm_bound: together
+    they make energy the lowest eigenvalue to within tol.  norm_bound bounds
+    ||T||.  Returns the certificate's margin, or NaN when a check fails.
+    """
+    if residual > RESIDUAL_RTOL * norm_bound:
+        return math.nan
+    margin = certificate_margin(d, e, energy, residual + CERTIFICATE_RTOL * norm_bound)
+    return math.nan if margin is None else margin
+
+
+def certified_margins(D: np.ndarray, E: np.ndarray, energies: np.ndarray,
+                      residuals: np.ndarray, norm_bounds: np.ndarray,
+                      candidates: np.ndarray) -> np.ndarray:
+    """``certified_margin`` of K chains of one length, for the rows that
+    candidates marks; NaN for the others.
+
+    The certificates of the rows whose residual passes come from one
+    ``certificate_margins`` call.  Row k is ``certified_margin(D[k], E[k],
+    energies[k], residuals[k], norm_bounds[k])``.
+    """
+    ok = candidates & ~(residuals > RESIDUAL_RTOL * norm_bounds)
+    if ok.all():
+        return certificate_margins(D, E, energies, residuals + CERTIFICATE_RTOL * norm_bounds)
+    margins = np.full(ok.shape, np.nan)
+    if ok.any():
+        margins[ok] = certificate_margins(
+            D[ok], E[ok], energies[ok], residuals[ok] + CERTIFICATE_RTOL * norm_bounds[ok])
+    return margins
 
 
 # ---------------------------------------------------------------------------

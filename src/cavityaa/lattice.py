@@ -150,10 +150,10 @@ def solve_lowest_band(spec: LatticeSpec) -> BlochBand:
     go through Rayleigh-quotient iteration together
     (``kernels.warm_eigenpairs``), each from the harmonic-oscillator guess
     c_l ~ exp(-(q + 2l)^2 / (2 max(sqrt|W0|, 1))).  A q is accepted with the
-    checks of a chain ground state: residual at most ``RESIDUAL_RTOL`` ||M_q||
-    (Gershgorin bound) and a positive-definite LDL^T factorization of
-    M_q - (E_q - tol) I, tol = residual + ``CERTIFICATE_RTOL`` ||M_q||
-    (``kernels.certificate_margins``), which proves E_q the lowest
+    checks of a chain ground state (``kernels.certified_margins``): residual
+    at most ``RESIDUAL_RTOL`` ||M_q|| (Gershgorin bound) and a
+    positive-definite LDL^T factorization of M_q - (E_q - tol) I, tol =
+    residual + ``CERTIFICATE_RTOL`` ||M_q||, which proves E_q the lowest
     eigenvalue.  A q that fails either check is solved alone by
     ``kernels.lowest_eigenpair``; its LAPACK failure raises BandSolveError.
     """
@@ -169,11 +169,7 @@ def solve_lowest_band(spec: LatticeSpec) -> BlochBand:
     norms = np.max(np.abs(diags) + radius, axis=1)
     starts = np.exp(-(kvec ** 2) / (2.0 * max(np.sqrt(abs(spec.depth_W0)), 1.0)))
     energies, vecs, res, ok = kernels.warm_eigenpairs(diags, offdiags, starts, norms)
-    ok &= res <= kernels.RESIDUAL_RTOL * norms
-    if ok.any():
-        tols = res[ok] + kernels.CERTIFICATE_RTOL * norms[ok]
-        margins = kernels.certificate_margins(diags[ok], offdiags[ok], energies[ok], tols)
-        ok[ok] = margins > 0.0
+    ok = kernels.certified_margins(diags, offdiags, energies, res, norms, ok) > 0.0
     fallbacks = np.flatnonzero(~ok)
     for j in fallbacks:
         try:

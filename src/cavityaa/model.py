@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -209,7 +209,39 @@ def _offdiagonal(L: int, t: float) -> np.ndarray:
     return offdiag
 
 
-def ground_state(problem: HubbardProblem, start: np.ndarray | None = None) -> GroundState:
+class WarmSolve(NamedTuple):
+    """A chain's row of ``warm_solves``: its Rayleigh-quotient pair and the
+    pair's ``kernels.certified_margin``, NaN when the pair failed a check
+    (all NaN when the iteration gave up)."""
+
+    energy: float
+    vector: np.ndarray
+    residual: float
+    margin: float
+
+
+def warm_solves(D: np.ndarray, E: np.ndarray, starts: np.ndarray,
+                norm_bounds: np.ndarray) -> list:
+    """The warm-started solves of K chains of one length, in lockstep.
+
+    D (K, L) and E (K, L - 1) hold the chains' diagonals and off-diagonals,
+    starts (K, L) the vectors they start from and norm_bounds (K,) their
+    ``HubbardProblem.norm_bound``.  Rayleigh-quotient iteration runs for
+    every row at once (``kernels.warm_eigenpairs``), and its pairs take the
+    residual bound and the certificate together
+    (``kernels.certified_margins``).  Row k is what ``ground_state`` finds
+    from starts[k] on chain k before the sign rule, bit for bit; passed to
+    it as ``start``, it is used as it is.
+    """
+    energies, vectors, residuals, converged = kernels.warm_eigenpairs(
+        D, E, starts, norm_bounds)
+    margins = kernels.certified_margins(D, E, energies, residuals, norm_bounds,
+                                        converged)
+    return list(map(WarmSolve, energies.tolist(), vectors, residuals.tolist(),
+                    margins.tolist()))
+
+
+def ground_state(problem: HubbardProblem, start=None) -> GroundState:
     """Lowest eigenpair of the chain, sign-fixed, residual-checked and certified.
 
     The chain Hamiltonian is tridiagonal: onsite energies on the diagonal,
@@ -217,43 +249,38 @@ def ground_state(problem: HubbardProblem, start: np.ndarray | None = None) -> Gr
 
     With ``start``, a length-L vector such as the ground state of a nearby
     chain, the solve first tries Rayleigh-quotient iteration from it
-    (``kernels.warm_eigenpair``).  Without it, or when that result fails a
-    check, it uses LAPACK bisection + inverse iteration.  A result is
-    accepted when its residual is at most RESIDUAL_RTOL ||H||, which puts an
-    eigenvalue within the residual of E0, and ``kernels.certificate_margin``
-    proves that no eigenvalue lies below E0 - tol, tol = residual +
-    CERTIFICATE_RTOL ||H||; together they make E0 the lowest eigenvalue to
-    within tol.  ||H|| is ``problem.norm_bound``.  When no path passes both
-    checks, GroundStateError is raised.  The method actually used is recorded
-    on the result.
+    (``kernels.warm_eigenpair``).  ``start`` may instead be this chain's row
+    of ``warm_solves``, the same iteration run for many chains at once.
+    Without a start, or when the warm result fails a check, it uses LAPACK
+    bisection + inverse iteration.  A result is accepted when its residual
+    is at most RESIDUAL_RTOL ||H||, which puts an eigenvalue within the
+    residual of E0, and the certificate proves that no eigenvalue lies below
+    E0 - tol, tol = residual + CERTIFICATE_RTOL ||H||; together they make E0
+    the lowest eigenvalue to within tol (``kernels.certified_margin``).
+    ||H|| is ``problem.norm_bound``.  When no path passes both checks,
+    GroundStateError is raised.  The vector's largest entry is made
+    positive, and the method actually used is recorded on the result.
     """
-    diag = problem.onsite.values
-    offdiag = problem.offdiagonal
-    norm_bound = problem.norm_bound
-    solvers = [kernels.lowest_eigenpair]
-    if start is not None:
+    if start is not None and not isinstance(start, WarmSolve):
         start = np.asarray(start, dtype=np.float64)
         if start.shape != (problem.L,):
             raise ValueError("start vector length does not match L")
-        solvers.insert(0, functools.partial(kernels.warm_eigenpair, start=start,
-                                            norm_bound=norm_bound))
-    for solve in solvers:
-        pair = solve(diag, offdiag)
-        if pair is None:  # the warm start did not converge
-            continue
-        energy, psi, res, method = pair
-        if res > RESIDUAL_RTOL * norm_bound:
-            continue
-        tol = res + CERTIFICATE_RTOL * norm_bound
-        margin = kernels.certificate_margin(diag, offdiag, energy, tol)
-        if margin is not None:
-            break
+        diag, offdiag, norm_bound = problem.onsite.values, problem.offdiagonal, problem.norm_bound
+        pair = kernels.warm_eigenpair(diag, offdiag, start, norm_bound)
+        start = None if pair is None else WarmSolve(*pair[:3], kernels.certified_margin(
+            diag, offdiag, pair[0], pair[2], norm_bound))
+    if start is not None and start.margin > 0.0:
+        energy, psi, res, margin = start
+        method = kernels.WARM_METHOD
     else:
-        raise GroundStateError(
-            f"no certified ground state: residual {res:.3e} "
-            f"(bound {RESIDUAL_RTOL:.0e} * ||H||) or an eigenvalue below E0 - tol")
+        diag, offdiag, norm_bound = problem.onsite.values, problem.offdiagonal, problem.norm_bound
+        energy, psi, res, method = kernels.lowest_eigenpair(diag, offdiag)
+        margin = kernels.certified_margin(diag, offdiag, energy, res, norm_bound)
+        if not margin > 0.0:
+            raise GroundStateError(
+                f"no certified ground state: residual {res:.3e} "
+                f"(bound {RESIDUAL_RTOL:.0e} * ||H||) or an eigenvalue below E0 - tol")
     if psi[np.abs(psi).argmax()] < 0:
         psi = -psi
     return GroundState(amplitudes=psi, energy=float(energy), method=method,
                        residual=float(res), certificate_margin=margin)
-

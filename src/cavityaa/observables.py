@@ -52,11 +52,16 @@ def _amplitudes(state) -> np.ndarray:
     return np.asarray(amp, dtype=np.float64)
 
 
-def ipr(state) -> float:
-    """Inverse participation ratio sum_n |psi_n|^4 of a normalized state."""
+def ipr(state):
+    """Inverse participation ratio sum_n |psi_n|^4 of a normalized state.
+
+    Given a (K, L) array of K states, one per row, returns the K ratios as
+    an array, each bit-identical to that of its row alone.
+    """
     amp = _amplitudes(state)
     dens = amp * amp
-    return float(np.sum(dens * dens))
+    ratios = (dens * dens).sum(axis=-1)
+    return float(ratios) if amp.ndim == 1 else ratios
 
 
 def thouless_gamma(problem: "HubbardProblem", energy: float) -> float:
@@ -78,6 +83,31 @@ def thouless_gamma(problem: "HubbardProblem", energy: float) -> float:
         raise np.linalg.LinAlgError(f"dpttrf failed with info = {info}")
     return float((np.log(pivots).sum() - math.log(delta)) / (problem.L - 1)
                  - math.log(abs(problem.t)))
+
+
+def thouless_gammas(D: np.ndarray, E: np.ndarray, energies: np.ndarray,
+                    norm_bounds: np.ndarray, hoppings: list) -> list | None:
+    """``thouless_gamma`` of K chains of one length from one ``dpttrf``.
+
+    D (K, L) and E (K, L - 1) hold the chains, energies their certified
+    ground energies, norm_bounds their ``norm_bound`` and hoppings their t.
+    The factorization of the block-diagonal concatenation carries each
+    chain's own pivots bit for bit (see ``kernels.certificate_margins``),
+    so entry k is ``thouless_gamma`` of chain k, bit for bit.  Returns None
+    when a pivot is not positive or not finite: each chain must then be
+    factored alone, and ``thouless_gamma`` raises for the one at fault.
+    """
+    K, n = D.shape
+    deltas = THOULESS_SHIFT_RTOL * norm_bounds
+    pivots, _, info = lapack.dpttrf((D - (energies - deltas)[:, None]).ravel(),
+                                    kernels._joined(E))
+    if info != 0:
+        return None
+    sums = np.log(pivots.reshape(K, n)).sum(axis=1)
+    if not np.isfinite(sums).all():
+        return None
+    return [float((s - math.log(delta)) / (n - 1) - math.log(abs(t)))
+            for s, delta, t in zip(sums, deltas.tolist(), hoppings)]
 
 
 def lyapunov_exponent(problem: "HubbardProblem", energy: float) -> float:

@@ -4,14 +4,18 @@ A sweep walks a one- or two-axis grid; per grid point it maps physical pump
 parameters to model parameters when needed, scales the unit-strength onsite
 profile by v0, solves the chain ground state and evaluates the requested
 observables.  The strength (v0, or eta^2 in pump sweeps) only scales the
-cavity profile, so the points that share (W0, C, delta') form a column,
-the unit of work: it sets up its basis and unit profile once, runs in
-increasing strength with each ground-state solve started from the previous
-point's state, and estimates its own transition.  A column is never split;
-the columns are dealt out to this process and to any forked workers
-(``_forked_results``), so results are deterministic and
-worker-count-independent: records are keyed by flat grid index and
-reassembled in row-major order (axis1 outer, axis2 inner).
+cavity profile, so the points that share (W0, C, delta') form a column: it
+sets up its basis and unit profile once, runs in increasing strength with
+each ground-state solve started from the previous point's state, and
+estimates its own transition.  A column is never split; the columns are
+dealt out to this process and to any forked workers (``_forked_results``),
+and each process advances its share of columns one strength step at a time
+(``_run_share``): a step solves one point of every column, and with enough
+short chains their warm solves, certificates, IPR and gamma_T go through
+block LAPACK calls and batched sums (``_solve_step``), bit-identical to one
+chain at a time.  So results are deterministic and worker-count-independent:
+records are keyed by flat grid index and reassembled in row-major order
+(axis1 outer, axis2 inner).
 
 Axes may be model parameters (v0, C, delta_c_prime, W0) or physical pump
 parameters (eta, U0, delta_c) in units of the cavity linewidth kappa; the
@@ -41,7 +45,7 @@ from .model import (EffectivePotential, HubbardProblem, OnsiteProfile,
                     ground_state, onsite_aa, onsite_cavity, scale_profile)
 from .observables import (LYAPUNOV_METHOD, TRANSITION_METHOD, PumpField,
                           detect_transition, ipr, photon_series,
-                          series_photon_number, thouless_gamma)
+                          series_photon_number, thouless_gamma, thouless_gammas)
 # The benchmark tracer wraps sweep.photon_number, and the public-API tests
 # require every name it wraps to exist; a sweep does not call it, so that
 # layer reads zero.
@@ -58,8 +62,20 @@ OBSERVABLE_NAMES = ("ipr", "gamma", "nbar", "vc")
 #: result, or not at all (a failed point).
 SOLVER_KINDS = ("warm", "cold", "select_fallback", "unsolved")
 
-#: run_sweep reports progress at most this many times before the end.
+#: A process reports progress after every ceil(steps / PROGRESS_STEPS)-th
+#: strength step of its share, so at most this many times before the end.
 PROGRESS_STEPS = 8
+
+#: The columns of a share advance in groups whose chains hold at most this
+#: many sites in all, and a group's warm solves and gamma_T go through
+#: block LAPACK calls when it holds at least LOCKSTEP_MIN_CHAINS points.
+#: Those calls share the per-call overhead that dominates a short chain's
+#: solve.  Fewer chains do not repay the block calls' own overhead, and
+#: larger blocks fall out of cache; a chain of more than LOCKSTEP_SITES /
+#: LOCKSTEP_MIN_CHAINS = 768 sites is always solved alone, as its own
+#: arithmetic outweighs the shared overhead.
+LOCKSTEP_SITES = 6144
+LOCKSTEP_MIN_CHAINS = 8
 
 #: Floating-point CSV cells use this format; 17 significant digits round-trip.
 FLOAT_FORMAT = "%.17g"
@@ -353,82 +369,167 @@ def _nan(value) -> float:
     return float("nan") if value is None else float(value)
 
 
-def _run_column(spec: SweepSpec, bases: dict, column: list
-                ) -> tuple[list, dict | None, dict | None]:
-    """The records of a column's points, its transition, its basis.
+class _Column:
+    """A column's state between the strength steps of its share: its records
+    so far, its set-up and the ground state its next point starts from.
 
-    column holds the points' flat indices in solve order (increasing
-    strength), and the records come back in that order, one per index.
-    The column's first point whose parameters resolve builds the basis and
-    the unit profile; when that set-up fails, it and every later point that
-    resolves fail with its error type.  When the sweep asks for "nbar", the
-    set-up then builds the column's unit-amplitude ``photon_series``: U0,
-    delta_c and the pump kind are fixed along a column, and the drive only
-    scales it.  When that build fails, every point still solves and gets
-    its E0, IPR and gamma, then fails with its error type, as a point whose
-    photon number raises.  Each solve starts from the previous
-    point's ground state; the first solve, and any after a failed point,
-    start cold.  The transition estimate reads the records in solve order;
-    it is None unless the sweep asks for "vc" along a strength axis.  The
-    last item is the basis's depth and constants (``_constants``), or None
-    when the column has no basis.  bases is this process's (``_basis``).
+    indices holds the points' flat indices in solve order (increasing
+    strength), and records gets one record per index, in that order.  The
+    column's first point whose parameters resolve sets it up (``set_up``);
+    start is None at the column's start and after a failed point, whose
+    successor then starts cold.
     """
-    records = []
-    wb = unit = series = start = column_params = None
-    set_up_failed = series_failed = ""
-    for i in column:
-        i1, i2 = divmod(i, spec.shape[1])
-        params = _point_params(spec, i1, i2)
-        flags = []
-        v0 = coop = dcp = float("nan")
-        e0 = p_x = gamma = nbar = gs = None
-        solver = "unsolved"
+
+    def __init__(self, indices: list):
+        self.indices = indices
+        self.records = []
+        self.wb = self.unit = self.series = self.start = None
+        self.params = self.column_params = None
+        self.set_up_failed = self.series_failed = ""
+
+    def set_up(self, spec: SweepSpec, bases: dict, coop: float, dcp: float,
+               zeta: PumpField | None) -> None:
+        """Build the basis and the unit profile; when that fails, this point
+        and every later one that resolves fail with its error type.  When the
+        sweep asks for "nbar", then build the column's unit-amplitude
+        ``photon_series``: U0, delta_c and the pump kind are fixed along a
+        column, and the drive only scales it.  When that build fails, every
+        point still solves and gets its E0, IPR and gamma, then fails with
+        its error type, as a point whose photon number raises."""
+        self.column_params = (coop, dcp)
         try:
-            v0, coop, dcp, zeta = resolve_model_params(spec.pump, params)
-            if column_params is None:  # the column's set-up
-                column_params = (coop, dcp)
-                try:
-                    wb = _basis(spec, bases, params.get("W0", spec.lattice.depth_W0))
-                    unit = unit_profile(spec.mode, wb, coop, dcp, spec.L)
-                except Exception as exc:
-                    set_up_failed = _failure(exc)
-                if not set_up_failed and "nbar" in spec.observables:
-                    try:
-                        series = photon_series(wb, zeta.kind, dcp, coop, spec.L)
-                    except Exception as exc:
-                        series_failed = _failure(exc)
-            if set_up_failed:
-                flags.append(set_up_failed)
-            else:
-                problem = HubbardProblem(L=spec.L, t=wb.t,
-                                         onsite=scale_profile(unit, v0))
-                gs = ground_state(problem, start=start)
-                solver = _solver_kind(start is not None, gs.method)
-                e0 = gs.energy
-                p_x = ipr(gs)
-                if "gamma" in spec.observables:
-                    gamma = thouless_gamma(problem, e0)
-                if series_failed:
-                    flags.append(series_failed)
-                    gs = None
-                elif "nbar" in spec.observables:
-                    nbar = series_photon_number(gs, series, zeta.amplitude)
-        except Exception as exc:  # per-point failures never abort the sweep
-            flags.append(_failure(exc))
-            gs = None
-        start = None if gs is None else gs.amplitudes
+            self.wb = _basis(spec, bases, self.params.get("W0", spec.lattice.depth_W0))
+            self.unit = unit_profile(spec.mode, self.wb, coop, dcp, spec.L)
+        except Exception as exc:
+            self.set_up_failed = _failure(exc)
+        if not self.set_up_failed and "nbar" in spec.observables:
+            try:
+                self.series = photon_series(self.wb, zeta.kind, dcp, coop, spec.L)
+            except Exception as exc:
+                self.series_failed = _failure(exc)
+
+    def add(self, spec: SweepSpec, v0: float, coop: float, dcp: float, flags: list,
+            solver: str = "unsolved", e0=None, p_x=None, gamma=None, nbar=None,
+            gs=None) -> None:
+        """Record the current point.  Its ground state gs, None when the
+        point failed, is where the next point starts."""
+        self.start = None if gs is None else gs.amplitudes
         if spec.mode == "aa":  # the bichromatic profile has no C or delta'
             coop = dcp = 0.0
-        records.append(SweepRecord(
+        params = self.params
+        self.records.append(SweepRecord(
             axis1=params[spec.axis1.name],
             axis2=None if spec.axis2 is None else params[spec.axis2.name],
-            v0=v0, C=coop, delta_c_prime=dcp,
-            E0=_nan(e0), ipr=_nan(p_x), gamma=gamma, nbar=nbar,
-            flags=";".join(flags), solver=solver))
+            v0=v0, C=coop, delta_c_prime=dcp, E0=_nan(e0), ipr=_nan(p_x),
+            gamma=gamma, nbar=nbar, flags=";".join(flags), solver=solver))
 
-    constants = None if wb is None else {"W0": wb.depth_W0, **_constants(wb)}
-    estimate = _column_estimate(spec, records, wb, column_params, params)
-    return records, estimate, constants
+    def result(self, spec: SweepSpec) -> tuple:
+        """The column's records in solve order, its transition
+        (``_column_estimate``) and its basis's depth and constants
+        (``_constants``), None when it has no basis."""
+        constants = None if self.wb is None else {"W0": self.wb.depth_W0,
+                                                   **_constants(self.wb)}
+        estimate = _column_estimate(spec, self.records, self.wb, self.column_params,
+                                    self.params)
+        return self.records, estimate, constants
+
+
+class _Point:
+    """A point of the current step that reached its chain; start is its
+    column's ground state, or after the step's warm solves its row of them."""
+
+    __slots__ = ("column", "v0", "coop", "dcp", "zeta", "problem", "start", "gs")
+
+    def __init__(self, column, v0, coop, dcp, zeta, problem):
+        self.column, self.v0, self.coop, self.dcp = column, v0, coop, dcp
+        self.zeta, self.problem, self.start, self.gs = zeta, problem, column.start, None
+
+
+def _chains(points: list) -> tuple:
+    """The diagonals (K, L), off-diagonals (K, L - 1) and norm bounds (K,)
+    of the points' chains, stacked row by row."""
+    problems = [p.problem for p in points]
+    return (np.stack([q.onsite.values for q in problems]),
+            np.stack([q.offdiagonal for q in problems]),
+            np.array([q.norm_bound for q in problems]))
+
+
+def _solve_step(spec: SweepSpec, bases: dict, group: list, step: int) -> None:
+    """Advance every column of a group by its step-th point.
+
+    Each point resolves its parameters, sets up its column when it is the
+    first to resolve, and scales the unit profile by its v0.  The points
+    whose columns hold a ground state start from it; when there are at
+    least LOCKSTEP_MIN_CHAINS of them, their Rayleigh-quotient iterations
+    and checks run together (``model.warm_solves``).  Each point then takes
+    its ground state from one ``ground_state`` call: from its row of those,
+    from its start vector, or cold at a column start.  The IPR of the
+    step's solved points is one batched sum, and so is gamma_T for at least
+    LOCKSTEP_MIN_CHAINS of them (``thouless_gammas``); otherwise, and after
+    a pivot that fails, gamma_T is taken point by point
+    (``thouless_gamma``).  The photon number is taken point by point.  A
+    point that raises fails alone, and the next point of its column starts
+    cold.
+    """
+    points = []
+    for column in group:
+        i1, i2 = divmod(column.indices[step], spec.shape[1])
+        column.params = _point_params(spec, i1, i2)
+        v0 = coop = dcp = math.nan
+        try:
+            v0, coop, dcp, zeta = resolve_model_params(spec.pump, column.params)
+            if column.column_params is None:
+                column.set_up(spec, bases, coop, dcp, zeta)
+            if column.set_up_failed:
+                column.add(spec, v0, coop, dcp, [column.set_up_failed])
+                continue
+            problem = HubbardProblem(L=spec.L, t=column.wb.t,
+                                     onsite=scale_profile(column.unit, v0))
+        except Exception as exc:  # per-point failures never abort the sweep
+            column.add(spec, v0, coop, dcp, [_failure(exc)])
+            continue
+        points.append(_Point(column, v0, coop, dcp, zeta, problem))
+    warm = [p for p in points if p.start is not None]
+    chains = None
+    if len(warm) >= LOCKSTEP_MIN_CHAINS:
+        D, E, bounds = chains = _chains(warm)
+        solves = model.warm_solves(D, E, np.stack([p.start for p in warm]), bounds)
+        for p, solve in zip(warm, solves):
+            p.start = solve
+    solved = []
+    for p in points:
+        try:
+            p.gs = ground_state(p.problem, start=p.start)
+        except Exception as exc:
+            p.column.add(spec, p.v0, p.coop, p.dcp, [_failure(exc)])
+            continue
+        solved.append(p)
+    gammas = None
+    if len(solved) > 1:
+        iprs = ipr(np.stack([p.gs.amplitudes for p in solved])).tolist()
+        if "gamma" in spec.observables and len(solved) >= LOCKSTEP_MIN_CHAINS:
+            D, E, bounds = chains if solved == warm else _chains(solved)
+            gammas = thouless_gammas(D, E, np.array([p.gs.energy for p in solved]),
+                                     bounds, [p.problem.t for p in solved])
+    else:
+        iprs = [ipr(p.gs) for p in solved]
+    for j, p in enumerate(solved):
+        column, gs, flags, gamma, nbar = p.column, p.gs, [], None, None
+        solver = _solver_kind(p.start is not None, gs.method)
+        try:
+            if "gamma" in spec.observables:
+                gamma = (thouless_gamma(p.problem, gs.energy) if gammas is None
+                         else gammas[j])
+            if column.series_failed:
+                flags.append(column.series_failed)
+                gs = None
+            elif "nbar" in spec.observables:
+                nbar = series_photon_number(gs, column.series, p.zeta.amplitude)
+        except Exception as exc:
+            flags.append(_failure(exc))
+            gs = None
+        column.add(spec, p.v0, p.coop, p.dcp, flags, solver, p.gs.energy, iprs[j],
+                   gamma, nbar, gs)
 
 
 def _column_estimate(spec: SweepSpec, records: list, wb: WannierBasis | None,
@@ -500,12 +601,38 @@ def _fork_context():
     return multiprocessing.get_context("fork")
 
 
+def _run_share(spec: SweepSpec, bases: dict, columns: list, progress=None) -> list:
+    """The ``_Column.result`` of each of a process's columns, in order.
+
+    The columns advance one strength step at a time, in contiguous groups
+    of near-equal size whose chains hold at most LOCKSTEP_SITES sites in
+    all: each step solves one point of every column of a group together
+    (``_solve_step``).  All columns have the same length.  bases is this
+    process's (``_basis``).  With progress, this process reports
+    progress(done, n) after every ceil(steps / PROGRESS_STEPS)-th step while
+    done, the points whose records it holds, is below the sweep's n.
+    """
+    share = [_Column(column) for column in columns]
+    count = -(-len(share) // max(1, LOCKSTEP_SITES // spec.L))
+    groups = [share[len(share) * k // count:len(share) * (k + 1) // count]
+              for k in range(count)]
+    n, steps = spec.n_points, len(columns[0]) if columns else 0
+    every = -(-steps // PROGRESS_STEPS)
+    for step in range(steps):
+        for group in groups:
+            _solve_step(spec, bases, group, step)
+        done = (step + 1) * len(share)
+        if progress is not None and (step + 1) % every == 0 and done < n:
+            progress(done, n)
+    return [column.result(spec) for column in share]
+
+
 def _solve_share(spec: SweepSpec, bases: dict, columns: list, writer) -> None:
-    """A forked worker's columns: sends (True, their ``_run_column`` results)
+    """A forked worker's columns: sends (True, their ``_run_share`` results)
     or (False, the traceback of what raised), then returns normally, so the
     worker's ``multiprocessing.util.Finalize`` callbacks run."""
     try:
-        message = (True, [_run_column(spec, bases, column) for column in columns])
+        message = (True, _run_share(spec, bases, columns))
     except Exception:
         message = (False, traceback.format_exc())
     writer.send(message)
@@ -514,18 +641,15 @@ def _solve_share(spec: SweepSpec, bases: dict, columns: list, writer) -> None:
 
 def _forked_results(spec: SweepSpec, bases: dict, columns: list, processes: int,
                     context, progress) -> list:
-    """``_run_column`` of each column, in column order, over ``processes``
+    """The results of each column, in column order, over ``processes``
     processes: this one solves columns[0::processes], and a worker forked
     from it per rank r >= 1 solves columns[r::processes] and sends its share
-    back over a one-way pipe.  With one process nothing is forked.  This
-    process reports progress(done, n) as it solves its own columns, after
-    every ceil(columns / PROGRESS_STEPS)-th of them while done, the points
-    whose records it holds, is below n.  Every share is received before any
-    worker is joined, so a full pipe cannot deadlock.  A worker that raises
-    or dies raises RuntimeError here; every worker is terminated and joined
-    on the way out.
+    back over a one-way pipe (``_run_share`` in each).  With one process
+    nothing is forked.  This process reports progress as it solves its own
+    share.  Every share is received before any worker is joined, so a full
+    pipe cannot deadlock.  A worker that raises or dies raises RuntimeError
+    here; every worker is terminated and joined on the way out.
     """
-    n, step = spec.n_points, -(-len(columns) // PROGRESS_STEPS)
     workers, readers = [], []
     try:
         for r in range(1, processes):
@@ -536,13 +660,7 @@ def _forked_results(spec: SweepSpec, bases: dict, columns: list, processes: int,
             worker.start()
             workers.append(worker)
             writer.close()  # the worker's copy is the only one: EOF on its death
-        own, done = [], 0
-        for k, column in enumerate(columns[0::processes], 1):
-            own.append(_run_column(spec, bases, column))
-            done += len(column)
-            if progress is not None and k % step == 0 and done < n:
-                progress(done, n)
-        shares = [own]
+        shares = [_run_share(spec, bases, columns[0::processes], progress)]
         for r, (worker, reader) in enumerate(zip(workers, readers), 1):
             try:
                 ok, share = reader.recv()

@@ -384,6 +384,123 @@ def test_warm_columns_are_worker_independent(wannier, lattice_spec, scan_first):
     assert sum(counts.values()) == spec.n_points
 
 
+def _lockstep_spec(lattice, kind="cavity"):
+    """Columns of 20 points: four cavity ones at L = 233, with nbar when
+    pumped, or three bichromatic ones at three depths at L = 987."""
+    if kind == "pumped":
+        spec = _pumped_spec(lattice, etas=np.geomspace(0.05, 0.6, 20))
+        return dataclasses.replace(spec, axis2=ca.Axis("U0", np.array([-3.0, -2.0, -1.0, 0.5])),
+                                   observables=("ipr", "gamma", "nbar", "vc"))
+    if kind == "long":
+        return _spec(lattice, axis1=ca.Axis.log("v0", 0.005, 0.1, 20),
+                     axis2=ca.Axis("W0", np.array([-15.0, -13.0, -11.0])),
+                     mode="aa", fixed={}, L=987, observables=("ipr", "gamma", "vc"))
+    return _spec(lattice, axis1=ca.Axis.log("v0", 0.01, 0.3, 20),
+                 axis2=ca.Axis("C", np.array([-2.0, -1.0, -0.5, 1.5])),
+                 observables=("ipr", "gamma", "vc"))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("kind, min_chains", [("cavity", 2), ("cavity", 8),
+                                              ("pumped", 2), ("long", 2)])
+def test_lockstep_columns_are_their_one_column_sweeps(wannier, lattice_spec, monkeypatch,
+                                                      workers, kind, min_chains):
+    # a share's columns advance together, through block LAPACK calls and
+    # batched sums when at least min_chains of them are solved in a step
+    # (four or two here, eight as shipped); a one-column sweep takes the
+    # single-chain calls: every record, solver path and transition estimate
+    # is the same bit for bit, on chains of 233 and of 987 sites.
+    monkeypatch.setattr(ca.sweep, "LOCKSTEP_MIN_CHAINS", min_chains)
+    spec = _lockstep_spec(lattice_spec, kind)
+    result = ca.run_sweep(spec, wannier=wannier, workers=workers)
+    counts = result.metadata["solver_counts"]
+    assert counts["warm"] > 0 and counts["unsolved"] == 0
+    if kind != "long":
+        assert counts["select_fallback"] > 0
+    columns = spec.shape[1]
+    for j, value in enumerate(spec.axis2.values):
+        column = dataclasses.replace(spec, axis2=ca.Axis(spec.axis2.name, [value]))
+        alone = ca.run_sweep(column, wannier=wannier if value == -15.0 else None)
+        assert result.records[j::columns] == alone.records
+        assert result.metadata["transition_estimates"][j] == \
+            alone.metadata["transition_estimates"][0]
+
+
+def _plant(monkeypatch, spec, wannier, failure, column):
+    """Make one column fail: its set-up, or the solve or the gamma_T
+    factorization of its 8th point, alone or inside a block call."""
+    C, dcp = spec.axis2.values[column], spec.fixed["delta_c_prime"]
+    if failure == "set_up":
+        profile = ca.sweep.onsite_cavity
+
+        def planted_profile(wb, pot, n_sites):
+            if pot.C == C:
+                raise ValueError("planted set-up failure")
+            return profile(wb, pot, n_sites)
+
+        monkeypatch.setattr(ca.sweep, "onsite_cavity", planted_profile)
+        return
+    values = ca.onsite_cavity(wannier, ca.EffectivePotential(spec.axis1.values[7], C, dcp),
+                              L).values
+    if failure == "solve":
+        solve = ca.sweep.ground_state
+
+        def planted_solve(problem, start=None):
+            if np.array_equal(problem.onsite.values, values):
+                raise ca.GroundStateError("planted solve failure")
+            return solve(problem, start=start)
+
+        monkeypatch.setattr(ca.sweep, "ground_state", planted_solve)
+        return
+    dpttrf = scipy.linalg.lapack.dpttrf
+
+    def planted_factorization(d, e):
+        # a block of d that is the planted chain shifted by a constant
+        # reports a non-positive first pivot, in a block call or alone
+        pivots, factor, info = dpttrf(d, e)
+        for k in range(d.shape[0] // L):
+            if np.ptp(d[k * L:(k + 1) * L] - values) < 1e-12:
+                return pivots, factor, k * L + 1
+        return pivots, factor, info
+
+    monkeypatch.setattr(ca.observables, "lapack",
+                        types.SimpleNamespace(dpttrf=planted_factorization))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("failure, error", [("set_up", "ValueError"),
+                                            ("solve", "GroundStateError"),
+                                            ("gamma", "LinAlgError")])
+def test_failure_in_one_column_leaves_the_others_alone(wannier, lattice_spec, monkeypatch,
+                                                      workers, failure, error):
+    # the planted column is the forked worker's at two workers; every other
+    # column's CSV rows and transition estimate stay byte-identical
+    monkeypatch.setattr(ca.sweep, "LOCKSTEP_MIN_CHAINS", 2)  # block calls at 2 workers too
+    spec = _lockstep_spec(lattice_spec)
+    clean = ca.run_sweep(spec, wannier=wannier)
+    _plant(monkeypatch, spec, wannier, failure, column=1)
+    result = ca.run_sweep(spec, wannier=wannier, workers=workers)
+    rows, clean_rows = ca.csv_body(result).splitlines(), ca.csv_body(clean).splitlines()
+    assert rows[0] == clean_rows[0]
+    for i in range(spec.n_points):
+        if i % 4 != 1:
+            assert rows[i + 1] == clean_rows[i + 1]
+    estimates = result.metadata["transition_estimates"]
+    for j in (0, 2, 3):
+        assert estimates[j] == clean.metadata["transition_estimates"][j]
+    planted = result.records[1::4]
+    flags = [rec.flags for rec in planted]
+    if failure == "set_up":
+        assert flags == [f"solve_failed:{error}"] * 20
+        assert {rec.solver for rec in planted} == {"unsolved"}
+    else:
+        assert flags == [""] * 7 + [f"solve_failed:{error}"] + [""] * 12
+        assert planted[:7] == clean.records[1::4][:7]
+        assert planted[8].solver == "cold"
+    assert result.n_failed == flags.count(f"solve_failed:{error}")
+    assert multiprocessing.active_children() == []
+
+
 def test_solver_counts_show_a_planted_certificate_failure(wannier, lattice_spec,
                                                          monkeypatch):
     spec = _spec(lattice_spec, axis2=ca.Axis("C", np.array([-2.0])))
@@ -620,12 +737,11 @@ def inline_fork(monkeypatch) -> _InlineFork:
     return context
 
 
-def _inline_solve_order(spec, processes):
-    """Flat indices in the order the stand-in solves them: each worker's
-    share as it starts, then the parent's columns[0::processes]."""
+def _inline_shares(spec, processes):
+    """Each process's columns in the order the stand-in runs them: each
+    worker's share as it starts, then the parent's columns[0::processes]."""
     columns = ca.sweep._solve_columns(spec)
-    shares = [columns[r::processes] for r in range(1, processes)] + [columns[::processes]]
-    return [i for share in shares for column in share for i in column]
+    return [columns[r::processes] for r in range(1, processes)] + [columns[::processes]]
 
 
 @pytest.mark.parametrize("workers, pool_size", [(2, 2), (64, 3)])
@@ -738,12 +854,16 @@ def test_workers_need_the_fork_start_method(wannier, lattice_spec, monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_progress_reports_completion_once(wannier, lattice_spec, workers):
+    # two columns of 25 points: this process reports after every
+    # ceil(25 / PROGRESS_STEPS) = 4th strength step of its share, both
+    # columns at one worker and one at two, and once at the end
     spec = _spec(lattice_spec, axis1=ca.Axis.log("v0", 0.01, 0.12, 25))
     assert spec.n_points == 50
     calls = []
     ca.run_sweep(spec, wannier=wannier, workers=workers,
                  progress=lambda done, n: calls.append((done, n)))
-    assert calls == [(25, 50), (50, 50)]
+    own = 2 // workers
+    assert calls == [(step * own, 50) for step in (4, 8, 12, 16, 20, 24)] + [(50, 50)]
 
 
 def test_extended_point_gamma_is_the_finite_size_floor(wannier, lattice_spec):
@@ -797,10 +917,11 @@ def test_depth_axis_with_a_basis_lists_every_depth(wannier, lattice_spec):
 
 
 def test_pool_maps_chunks_of_equal_count(wannier, lattice_spec, monkeypatch):
-    # 20 columns over 2 processes: the parent solves the even columns and
-    # one forked worker the odd ones, 10 each; the parent reports progress
-    # after every ceil(20 / PROGRESS_STEPS) = 3rd of its own columns, and
-    # the records match the serial run's
+    # 20 columns of 2 points over 2 processes: the parent solves the even
+    # columns and one forked worker the odd ones, 10 each; the parent
+    # reports progress after each of its ceil(2 / PROGRESS_STEPS) = 1
+    # strength steps while points remain, and the records match the
+    # serial run's
     context = inline_fork(monkeypatch)
     spec = _spec(lattice_spec, axis1=ca.Axis("v0", np.array([0.1, 0.05])),
                  axis2=ca.Axis.linear("C", -3.0, -0.5, 20), observables=("ipr", "vc"))
@@ -809,7 +930,7 @@ def test_pool_maps_chunks_of_equal_count(wannier, lattice_spec, monkeypatch):
                           progress=lambda done, n: calls.append((done, n)))
     assert context.shares == [ca.sweep._solve_columns(spec)[1::2]]
     assert [len(share) for share in context.shares] == [10]
-    assert calls == [(6, 40), (12, 40), (18, 40), (40, 40)]
+    assert calls == [(10, 40), (20, 40), (40, 40)]
     serial = ca.run_sweep(spec, wannier=wannier)
     assert pooled.records == serial.records
     assert pooled.metadata["transition_estimates"] == \
@@ -970,8 +1091,11 @@ def test_sweep_nbar_is_the_one_point_photon_number(wannier, lattice_spec,
     result = ca.run_sweep(spec, wannier=wannier, workers=workers)
     # one build per U0 column, at that column's U0 and delta_c, in the
     # order the columns are solved
-    order = _inline_solve_order(spec, workers)
-    u0s = [result.records[i].C for i in order[::spec.shape[0]]]
+    # a share sets its columns up at its first step, in share order, then
+    # solves one point of each column per strength step
+    shares = _inline_shares(spec, workers)
+    u0s = [result.records[column[0]].C for share in shares for column in share]
+    order = [i for share in shares for step in zip(*share) for i in step]
     assert sorted(u0s) == sorted(spec.axis2.values)
     assert builds == [(pump_mode, -4.0, u0, L) for u0 in u0s]
     assert len(states) == len(order) == spec.n_points
