@@ -209,6 +209,12 @@ def _offdiagonal(L: int, t: float) -> np.ndarray:
     return offdiag
 
 
+#: ``warm_solves`` and ``observables.thouless_gammas`` put at least this many
+#: chains through block LAPACK calls, which share the per-call overhead that
+#: dominates a short chain's solve; fewer do not repay the calls' own cost.
+LOCKSTEP_MIN_CHAINS = 8
+
+
 class WarmSolve(NamedTuple):
     """A chain's row of ``warm_solves``: its Rayleigh-quotient pair and the
     pair's ``kernels.certified_margin``, NaN when the pair failed a check
@@ -220,21 +226,39 @@ class WarmSolve(NamedTuple):
     margin: float
 
 
-def warm_solves(D: np.ndarray, E: np.ndarray, starts: np.ndarray,
-                norm_bounds: np.ndarray) -> list:
-    """The warm-started solves of K chains of one length, in lockstep.
+def stacked_chains(problems: list) -> tuple:
+    """The diagonals (K, L), off-diagonals (K, L - 1) and norm bounds (K,)
+    of K chains of one length, stacked row by row."""
+    return (np.stack([q.onsite.values for q in problems]),
+            np.stack([q.offdiagonal for q in problems]),
+            np.array([q.norm_bound for q in problems]))
 
-    D (K, L) and E (K, L - 1) hold the chains' diagonals and off-diagonals,
-    starts (K, L) the vectors they start from and norm_bounds (K,) their
-    ``HubbardProblem.norm_bound``.  Rayleigh-quotient iteration runs for
-    every row at once (``kernels.warm_eigenpairs``), and its pairs take the
+
+def _warm_solve(problem: HubbardProblem, start: np.ndarray) -> WarmSolve:
+    """One chain's row of ``warm_solves``, from its own kernel calls."""
+    diag, offdiag, norm_bound = problem.onsite.values, problem.offdiagonal, problem.norm_bound
+    pair = kernels.warm_eigenpair(diag, offdiag, start, norm_bound)
+    if pair is None:
+        return WarmSolve(math.nan, np.full(problem.L, math.nan), math.nan, math.nan)
+    return WarmSolve(*pair[:3], kernels.certified_margin(diag, offdiag, pair[0], pair[2],
+                                                         norm_bound))
+
+
+def warm_solves(problems: list, starts: list) -> list:
+    """The warm-started solves of K chains of one length, row k from starts[k].
+
+    At least LOCKSTEP_MIN_CHAINS chains run Rayleigh-quotient iteration
+    together (``kernels.warm_eigenpairs``), and their pairs take the
     residual bound and the certificate together
-    (``kernels.certified_margins``).  Row k is what ``ground_state`` finds
-    from starts[k] on chain k before the sign rule, bit for bit; passed to
-    it as ``start``, it is used as it is.
+    (``kernels.certified_margins``); fewer go one at a time.  Row k is what
+    ``ground_state`` finds from starts[k] on chain k before the sign rule,
+    bit for bit; passed to it as ``start``, it is used as it is.
     """
+    if len(problems) < LOCKSTEP_MIN_CHAINS:
+        return list(map(_warm_solve, problems, starts))
+    D, E, norm_bounds = stacked_chains(problems)
     energies, vectors, residuals, converged = kernels.warm_eigenpairs(
-        D, E, starts, norm_bounds)
+        D, E, np.stack(starts), norm_bounds)
     margins = kernels.certified_margins(D, E, energies, residuals, norm_bounds,
                                         converged)
     return list(map(WarmSolve, energies.tolist(), vectors, residuals.tolist(),
@@ -250,7 +274,7 @@ def ground_state(problem: HubbardProblem, start=None) -> GroundState:
     With ``start``, a length-L vector such as the ground state of a nearby
     chain, the solve first tries Rayleigh-quotient iteration from it
     (``kernels.warm_eigenpair``).  ``start`` may instead be this chain's row
-    of ``warm_solves``, the same iteration run for many chains at once.
+    of ``warm_solves``, which runs the same iteration for many chains.
     Without a start, or when the warm result fails a check, it uses LAPACK
     bisection + inverse iteration.  A result is accepted when its residual
     is at most RESIDUAL_RTOL ||H||, which puts an eigenvalue within the
@@ -265,10 +289,7 @@ def ground_state(problem: HubbardProblem, start=None) -> GroundState:
         start = np.asarray(start, dtype=np.float64)
         if start.shape != (problem.L,):
             raise ValueError("start vector length does not match L")
-        diag, offdiag, norm_bound = problem.onsite.values, problem.offdiagonal, problem.norm_bound
-        pair = kernels.warm_eigenpair(diag, offdiag, start, norm_bound)
-        start = None if pair is None else WarmSolve(*pair[:3], kernels.certified_margin(
-            diag, offdiag, pair[0], pair[2], norm_bound))
+        start = _warm_solve(problem, start)
     if start is not None and start.margin > 0.0:
         energy, psi, res, margin = start
         method = kernels.WARM_METHOD

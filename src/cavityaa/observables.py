@@ -3,10 +3,11 @@
 The inverse participation ratio and the Lyapunov exponent characterize the
 extended/localized phases.  The Lyapunov exponent comes from the Thouless
 formula, with no eigenvector: a sweep takes it on its own chain just below
-the ground energy (``thouless_gamma``, one LDL^T factorization), and the
-``ground-state`` command at the ground energy of a chain of
-LYAPUNOV_CHAIN_SITES sites with the same profile (``lyapunov_exponent``, one
-pivoted LU), where the finite-size bias no longer matters.  The transition
+the ground energy (``thouless_gamma``, one LDL^T factorization, taken for
+all chains of a sweep step by ``thouless_gammas``), and the ``ground-state``
+command at the ground energy of a chain of LYAPUNOV_CHAIN_SITES sites with
+the same profile (``lyapunov_exponent``, one pivoted LU), where the
+finite-size bias no longer matters.  The transition
 point is extracted from the steepest slope of log IPR versus log v0, and the
 small-C dual-model prediction (4t/alpha)(delta'^2+1)/|C| provides the
 analytic comparison line.  The mean intracavity photon number follows from the
@@ -22,7 +23,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.linalg import lapack
 
-from . import kernels
+from . import kernels, model
 
 if TYPE_CHECKING:  # pragma: no cover
     from .lattice import WannierBasis
@@ -85,29 +86,33 @@ def thouless_gamma(problem: "HubbardProblem", energy: float) -> float:
                  - math.log(abs(problem.t)))
 
 
-def thouless_gammas(D: np.ndarray, E: np.ndarray, energies: np.ndarray,
-                    norm_bounds: np.ndarray, hoppings: list) -> list | None:
-    """``thouless_gamma`` of K chains of one length from one ``dpttrf``.
+def _gamma_or_error(problem: "HubbardProblem", energy: float):
+    try:
+        return thouless_gamma(problem, energy)
+    except np.linalg.LinAlgError as exc:
+        return exc
 
-    D (K, L) and E (K, L - 1) hold the chains, energies their certified
-    ground energies, norm_bounds their ``norm_bound`` and hoppings their t.
-    The factorization of the block-diagonal concatenation carries each
-    chain's own pivots bit for bit (see ``kernels.certificate_margins``),
-    so entry k is ``thouless_gamma`` of chain k, bit for bit.  Returns None
-    when a pivot is not positive or not finite: each chain must then be
-    factored alone, and ``thouless_gamma`` raises for the one at fault.
+
+def thouless_gammas(problems: list, energies: list) -> list:
+    """``thouless_gamma`` of K chains of one length at their ground energies.
+
+    Entry k is ``thouless_gamma(problems[k], energies[k])`` bit for bit, or
+    the ``numpy.linalg.LinAlgError`` it raises.  At least
+    ``model.LOCKSTEP_MIN_CHAINS`` chains take one ``dpttrf`` on their
+    block-diagonal concatenation, which carries each chain's own pivots bit
+    for bit (see ``kernels.certificate_margins``); fewer chains, or all of
+    them after a pivot that is not positive or not finite, go one at a time.
     """
-    K, n = D.shape
-    deltas = THOULESS_SHIFT_RTOL * norm_bounds
-    pivots, _, info = lapack.dpttrf((D - (energies - deltas)[:, None]).ravel(),
-                                    kernels._joined(E))
-    if info != 0:
-        return None
-    sums = np.log(pivots.reshape(K, n)).sum(axis=1)
-    if not np.isfinite(sums).all():
-        return None
-    return [float((s - math.log(delta)) / (n - 1) - math.log(abs(t)))
-            for s, delta, t in zip(sums, deltas.tolist(), hoppings)]
+    if len(problems) >= model.LOCKSTEP_MIN_CHAINS:
+        D, E, norm_bounds = model.stacked_chains(problems)
+        deltas = THOULESS_SHIFT_RTOL * norm_bounds
+        pivots, _, info = lapack.dpttrf((D - (np.array(energies) - deltas)[:, None]).ravel(),
+                                        kernels._joined(E))
+        sums = np.log(pivots.reshape(D.shape)).sum(axis=1) if info == 0 else None
+        if sums is not None and np.isfinite(sums).all():
+            return [float((s - math.log(delta)) / (q.L - 1) - math.log(abs(q.t)))
+                    for s, delta, q in zip(sums, deltas.tolist(), problems)]
+    return list(map(_gamma_or_error, problems, energies))
 
 
 def lyapunov_exponent(problem: "HubbardProblem", energy: float) -> float:

@@ -10,12 +10,12 @@ each ground-state solve started from the previous point's state, and
 estimates its own transition.  A column is never split; the columns are
 dealt out to this process and to any forked workers (``_forked_results``),
 and each process advances its share of columns one strength step at a time
-(``_run_share``): a step solves one point of every column, and with enough
-short chains their warm solves, certificates, IPR and gamma_T go through
-block LAPACK calls and batched sums (``_solve_step``), bit-identical to one
-chain at a time.  So results are deterministic and worker-count-independent:
-records are keyed by flat grid index and reassembled in row-major order
-(axis1 outer, axis2 inner).
+(``_run_share``): a step solves one point of every column, and hands its
+warm solves, IPR and gamma_T each to one call on all its chains
+(``_solve_step``), which takes block LAPACK calls for enough of them,
+bit-identical to one chain at a time.  So results are deterministic and
+worker-count-independent: records are keyed by flat grid index and
+reassembled in row-major order (axis1 outer, axis2 inner).
 
 Axes may be model parameters (v0, C, delta_c_prime, W0) or physical pump
 parameters (eta, U0, delta_c) in units of the cavity linewidth kappa; the
@@ -45,7 +45,7 @@ from .model import (EffectivePotential, HubbardProblem, OnsiteProfile,
                     ground_state, onsite_aa, onsite_cavity, scale_profile)
 from .observables import (LYAPUNOV_METHOD, TRANSITION_METHOD, PumpField,
                           detect_transition, ipr, photon_series,
-                          series_photon_number, thouless_gamma, thouless_gammas)
+                          series_photon_number, thouless_gammas)
 # The benchmark tracer wraps sweep.photon_number, and the public-API tests
 # require every name it wraps to exist; a sweep does not call it, so that
 # layer reads zero.
@@ -67,15 +67,10 @@ SOLVER_KINDS = ("warm", "cold", "select_fallback", "unsolved")
 PROGRESS_STEPS = 8
 
 #: The columns of a share advance in groups whose chains hold at most this
-#: many sites in all, and a group's warm solves and gamma_T go through
-#: block LAPACK calls when it holds at least LOCKSTEP_MIN_CHAINS points.
-#: Those calls share the per-call overhead that dominates a short chain's
-#: solve.  Fewer chains do not repay the block calls' own overhead, and
-#: larger blocks fall out of cache; a chain of more than LOCKSTEP_SITES /
-#: LOCKSTEP_MIN_CHAINS = 768 sites is always solved alone, as its own
-#: arithmetic outweighs the shared overhead.
+#: many sites in all; larger blocks fall out of cache.  A group takes block
+#: LAPACK calls from ``model.LOCKSTEP_MIN_CHAINS`` points on, so a chain of
+#: more than 6144 / 8 = 768 sites is always solved alone.
 LOCKSTEP_SITES = 6144
-LOCKSTEP_MIN_CHAINS = 8
 
 #: Floating-point CSV cells use this format; 17 significant digits round-trip.
 FLOAT_FORMAT = "%.17g"
@@ -238,6 +233,9 @@ class SweepSpec:
             # the strength would be 0: the flat chain, whatever was asked
             raise ValueError("without physical parameters a sweep requires "
                              "'v0' on an axis or in fixed")
+        if "vc" in self.observables and not set(SCAN_AXES) & set(names):
+            # each column estimates its transition along its strength axis
+            raise ValueError("vc requires a 'v0' or 'eta' axis")
         if "nbar" in self.observables and self.mode == "aa":
             raise ValueError("nbar requires mode 'cavity': the bichromatic "
                              "chain has no cavity")
@@ -347,17 +345,14 @@ def unit_profile(mode: str, wb: WannierBasis, coop: float, dcp: float,
     """The L-site profile at v0 = 1 of a sweep column, checked once for all
     its points.
 
-    That is ``onsite_cavity`` at v0 = 1, or cos(2 pi beta n) in aa mode,
-    with beta the basis's.  Its values must be finite, and a cavity
-    profile's must lie in the arctan range; each point then only scales it
-    (``scale_profile``).
+    That is ``onsite_cavity`` at v0 = 1, or ``onsite_aa``'s cos(2 pi beta n)
+    in aa mode, with beta the basis's.  Both check that its values are
+    finite, and ``onsite_cavity`` that they lie in the arctan range; each
+    point then only scales it (``scale_profile``).
     """
     if mode == "aa":
-        values = onsite_aa(1.0, wb.beta, L).values
-    else:
-        pot = EffectivePotential(1.0, coop, dcp, beta=wb.beta)
-        values = onsite_cavity(wb, pot, L).values
-    return model.unit_profile(values, L, arctan=mode == "cavity")
+        return onsite_aa(1.0, wb.beta, L)
+    return onsite_cavity(wb, EffectivePotential(1.0, coop, dcp, beta=wb.beta), L)
 
 
 def _failure(exc: Exception) -> str:
@@ -445,31 +440,17 @@ class _Point:
         self.zeta, self.problem, self.start, self.gs = zeta, problem, column.start, None
 
 
-def _chains(points: list) -> tuple:
-    """The diagonals (K, L), off-diagonals (K, L - 1) and norm bounds (K,)
-    of the points' chains, stacked row by row."""
-    problems = [p.problem for p in points]
-    return (np.stack([q.onsite.values for q in problems]),
-            np.stack([q.offdiagonal for q in problems]),
-            np.array([q.norm_bound for q in problems]))
-
-
 def _solve_step(spec: SweepSpec, bases: dict, group: list, step: int) -> None:
     """Advance every column of a group by its step-th point.
 
     Each point resolves its parameters, sets up its column when it is the
     first to resolve, and scales the unit profile by its v0.  The points
-    whose columns hold a ground state start from it; when there are at
-    least LOCKSTEP_MIN_CHAINS of them, their Rayleigh-quotient iterations
-    and checks run together (``model.warm_solves``).  Each point then takes
-    its ground state from one ``ground_state`` call: from its row of those,
-    from its start vector, or cold at a column start.  The IPR of the
-    step's solved points is one batched sum, and so is gamma_T for at least
-    LOCKSTEP_MIN_CHAINS of them (``thouless_gammas``); otherwise, and after
-    a pivot that fails, gamma_T is taken point by point
-    (``thouless_gamma``).  The photon number is taken point by point.  A
-    point that raises fails alone, and the next point of its column starts
-    cold.
+    that start from their column's ground state take their rows of one
+    ``model.warm_solves`` call, and every point one ``ground_state`` call,
+    cold at a column start.  The solved points take one ``ipr`` and one
+    ``thouless_gammas`` call, which choose block LAPACK calls or one chain
+    at a time, and the photon number point by point.  A point that raises,
+    or whose gamma_T fails, fails alone; its column's next point starts cold.
     """
     points = []
     for column in group:
@@ -490,12 +471,9 @@ def _solve_step(spec: SweepSpec, bases: dict, group: list, step: int) -> None:
             continue
         points.append(_Point(column, v0, coop, dcp, zeta, problem))
     warm = [p for p in points if p.start is not None]
-    chains = None
-    if len(warm) >= LOCKSTEP_MIN_CHAINS:
-        D, E, bounds = chains = _chains(warm)
-        solves = model.warm_solves(D, E, np.stack([p.start for p in warm]), bounds)
-        for p, solve in zip(warm, solves):
-            p.start = solve
+    for p, solve in zip(warm, model.warm_solves([p.problem for p in warm],
+                                                [p.start for p in warm])):
+        p.start = solve
     solved = []
     for p in points:
         try:
@@ -504,22 +482,16 @@ def _solve_step(spec: SweepSpec, bases: dict, group: list, step: int) -> None:
             p.column.add(spec, p.v0, p.coop, p.dcp, [_failure(exc)])
             continue
         solved.append(p)
-    gammas = None
-    if len(solved) > 1:
-        iprs = ipr(np.stack([p.gs.amplitudes for p in solved])).tolist()
-        if "gamma" in spec.observables and len(solved) >= LOCKSTEP_MIN_CHAINS:
-            D, E, bounds = chains if solved == warm else _chains(solved)
-            gammas = thouless_gammas(D, E, np.array([p.gs.energy for p in solved]),
-                                     bounds, [p.problem.t for p in solved])
-    else:
-        iprs = [ipr(p.gs) for p in solved]
-    for j, p in enumerate(solved):
-        column, gs, flags, gamma, nbar = p.column, p.gs, [], None, None
+    iprs = ipr(np.reshape([p.gs.amplitudes for p in solved], (-1, spec.L))).tolist()
+    gammas = ([None] * len(solved) if "gamma" not in spec.observables else
+              thouless_gammas([p.problem for p in solved], [p.gs.energy for p in solved]))
+    for p, p_x, gamma in zip(solved, iprs, gammas):
+        column, gs, flags, nbar = p.column, p.gs, [], None
         solver = _solver_kind(p.start is not None, gs.method)
+        if isinstance(gamma, Exception):
+            column.add(spec, p.v0, p.coop, p.dcp, [_failure(gamma)], solver, gs.energy, p_x)
+            continue
         try:
-            if "gamma" in spec.observables:
-                gamma = (thouless_gamma(p.problem, gs.energy) if gammas is None
-                         else gammas[j])
             if column.series_failed:
                 flags.append(column.series_failed)
                 gs = None
@@ -528,7 +500,7 @@ def _solve_step(spec: SweepSpec, bases: dict, group: list, step: int) -> None:
         except Exception as exc:
             flags.append(_failure(exc))
             gs = None
-        column.add(spec, p.v0, p.coop, p.dcp, flags, solver, p.gs.energy, iprs[j],
+        column.add(spec, p.v0, p.coop, p.dcp, flags, solver, p.gs.energy, p_x,
                    gamma, nbar, gs)
 
 
@@ -536,12 +508,12 @@ def _column_estimate(spec: SweepSpec, records: list, wb: WannierBasis | None,
                      column_params: tuple | None, params: dict) -> dict | None:
     """A column's transition_estimates entry from its records in solve order.
 
-    None unless the sweep asks for "vc" along a strength axis.  params are
-    the last point's, which hold the column's other axis value.
+    None unless the sweep asks for "vc", which needs a strength axis.
+    params are the last point's, which hold the column's other axis value.
     """
-    scan = _axis_named(spec, SCAN_AXES)
-    if "vc" not in spec.observables or scan is None:
+    if "vc" not in spec.observables:
         return None
+    scan = _axis_named(spec, SCAN_AXES)
     other = spec.axis2 if scan is spec.axis1 else spec.axis1
     entry = {"t": None if wb is None else wb.t}
     if other is not None:
@@ -697,7 +669,7 @@ def run_sweep(spec: SweepSpec, wannier: WannierBasis | None = None,
     W0 axis); any other raises ValueError.  The columns
     (``_solve_columns``) all have the same length; each runs warm-started
     in increasing strength and estimates its own transition
-    (``_run_column``).  workers counts the processes that solve columns,
+    (``_Column.result``).  workers counts the processes that solve columns,
     this one included: with P = min(workers, columns), this process solves
     every P-th column from the first and P - 1 forked workers the rest
     (``_forked_results``); the results are taken in column order and are

@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import json
+import math
 import multiprocessing
 import pathlib
 import subprocess
@@ -16,6 +18,18 @@ from test_sweep import inline_fork
 
 L = 233
 CONFIGS = sorted((pathlib.Path(__file__).parent.parent / "configs").glob("*.json"))
+#: Each shipped config's solver counts, transition estimates and constants,
+#: and the small configs' CSV rows, as tools/refresh_reference.py wrote them.
+REFERENCE = json.loads((pathlib.Path(__file__).parent / "shipped_reference.json").read_text())
+#: (absolute, relative) bounds of a fresh run against REFERENCE, by name:
+#: E0 and ipr carry the rounding of the solve path, gamma_T that of E0
+#: against the Thouless shift (3.1e-8 at L = 233), nbar that of the density
+#: sum.  Any other number, such as a grid value or a constant, may move by
+#: 1e-12 relative or 1e-15 absolute (A is 0 to rounding); flags, solver
+#: counts and every other value must match exactly.
+REFERENCE_BOUNDS = {"E0": (1e-13, 0.0), "ipr": (0.0, 1e-11), "gamma": (3.1e-8, 0.0),
+                    "nbar": (0.0, 1e-14)}
+OTHER_BOUND = (1e-15, 1e-12)
 
 
 def run_cli(capsys, *argv):
@@ -433,6 +447,36 @@ def test_shipped_config_is_worker_independent(capsys, tmp_path, path):
     assert bodies[0] == bodies[1]
     # the transition estimates run where their columns ran
     assert metadatas[0] == metadatas[1]
+    reference = REFERENCE[path.stem]
+    assert metadatas[0]["solver_counts"] == reference["solver_counts"]
+    for key in ("constants", "transition_estimates"):
+        _assert_near(metadatas[0].get(key), reference.get(key), key)
+    if "csv" in reference:
+        _assert_near(_csv_rows(bodies[0].decode().splitlines()),
+                     _csv_rows(reference["csv"]), "csv")
+
+
+def _csv_rows(lines: list) -> list:
+    """CSV lines as dicts by column: numbers as floats, empty cells None."""
+    return [{name: cell if name == "flags" else None if cell == "" else float(cell)
+             for name, cell in row.items()} for row in csv.DictReader(lines)]
+
+
+def _assert_near(got, want, name: str) -> None:
+    """got equals want, up to REFERENCE_BOUNDS on the floats named in it."""
+    if isinstance(want, dict):
+        assert got.keys() == want.keys(), name
+        for key in want:
+            _assert_near(got[key], want[key], key)
+    elif isinstance(want, list):
+        assert len(got) == len(want), name
+        for got_item, want_item in zip(got, want):
+            _assert_near(got_item, want_item, name)
+    elif isinstance(want, float) and isinstance(got, float):
+        atol, rtol = REFERENCE_BOUNDS.get(name, OTHER_BOUND)
+        assert math.isclose(got, want, rel_tol=rtol, abs_tol=atol), (name, got, want)
+    else:
+        assert got == want, (name, got, want)
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

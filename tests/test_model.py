@@ -8,6 +8,7 @@ from cavityaa.lattice import GOLDEN_BETA, LATTICE_CONSTANT
 from reference import f_eval, gershgorin_norm_bound
 
 L = 233
+MIN_CHAINS = ca.model.LOCKSTEP_MIN_CHAINS
 
 
 def test_potential_mode_selection():
@@ -278,6 +279,51 @@ def test_warm_start_on_the_second_state_falls_back_to_the_cold_solve(wannier,
     assert gs.certificate_margin == cold.certificate_margin
     with pytest.raises(ValueError, match="start vector"):
         ca.ground_state(problem, start=v[:-1, 0])
+
+
+@pytest.mark.parametrize("K, planted", [(1, False), (MIN_CHAINS - 1, False),
+                                        (MIN_CHAINS, False), (MIN_CHAINS - 1, True),
+                                        (MIN_CHAINS, True)])
+def test_warm_solves_rows_are_their_one_chain_calls(wannier, monkeypatch, K, planted):
+    # cavity chains at v0 = 0.05 start from their ground states at 0.049;
+    # at least MIN_CHAINS take one block iteration, fewer go one at a time,
+    # and row k is chain k's own warm solve, which ground_state takes as it
+    # would solve from the vector.  A planted row starts on its chain's
+    # second eigenvector and converges there: the certificate finds a
+    # non-positive pivot for that row alone
+    problems, starts = [], []
+    for C in np.linspace(-4.0, -0.5, K):
+        chain = [ca.HubbardProblem(L=L, t=wannier.t, onsite=ca.onsite_cavity(
+            wannier, ca.EffectivePotential(v0, C, -0.3), L)) for v0 in (0.049, 0.05)]
+        starts.append(ca.ground_state(chain[0]).amplitudes)
+        problems.append(chain[1])
+    if planted:
+        q = problems[-1]
+        starts[-1] = eigh_tridiagonal(q.onsite.values, q.offdiagonal, select="i",
+                                      select_range=(1, 1))[1][:, 0]
+    blocks, block_solve = [], kernels.warm_eigenpairs
+
+    def counting(D, *args):
+        blocks.append(D.shape[0])
+        return block_solve(D, *args)
+
+    monkeypatch.setattr(kernels, "warm_eigenpairs", counting)
+    rows = ca.model.warm_solves(problems, starts)
+    assert blocks == ([K] if K >= MIN_CHAINS else []) and len(rows) == K
+    for k, (q, start, row) in enumerate(zip(problems, starts, rows)):
+        d, e, bound = q.onsite.values, q.offdiagonal, q.norm_bound
+        energy, vector, residual, _ = kernels.warm_eigenpair(d, e, start, bound)
+        margin = kernels.certified_margin(d, e, energy, residual, bound)
+        assert (row.energy, row.residual) == (energy, residual)
+        assert np.array_equal(row.vector, vector)
+        if planted and k == K - 1:
+            assert np.isnan(row.margin) and np.isnan(margin)
+        else:
+            assert row.margin == margin > 0.0
+        a, b = ca.ground_state(q, start=row), ca.ground_state(q, start=start)
+        assert (a.energy, a.method, a.residual, a.certificate_margin) == \
+            (b.energy, b.method, b.residual, b.certificate_margin)
+        assert np.array_equal(a.amplitudes, b.amplitudes)
 
 
 @pytest.mark.parametrize("peak_site", ["end", "interior"])

@@ -8,9 +8,10 @@ from scipy.linalg import eigvalsh_tridiagonal
 import cavityaa as ca
 from cavityaa.lattice import GOLDEN_BETA, LATTICE_CONSTANT
 from reference import (determinant_spectrum_gamma, photon_number_site_loop,
-                       thouless_reference)
+                       thouless_reference, thouless_spectrum_gamma)
 
 L = 233
+MIN_CHAINS = ca.model.LOCKSTEP_MIN_CHAINS
 
 
 def test_ipr_reference_states():
@@ -86,6 +87,65 @@ def test_lyapunov_exponent_raises_on_a_zero_pivot(monkeypatch):
     monkeypatch.setattr(ca.observables, "lapack", types.SimpleNamespace(dgttrf=planted))
     with pytest.raises(np.linalg.LinAlgError, match="info = 1"):
         ca.lyapunov_exponent(problem, -1.0)
+
+
+def _cavity_chains(wannier, K):
+    """K cavity chains of L sites at v0 = 0.05 and delta' = -0.3, C from -4
+    to -0.5, with their certified ground energies."""
+    problems = [ca.HubbardProblem(L=L, t=wannier.t, onsite=ca.onsite_cavity(
+        wannier, ca.EffectivePotential(0.05, C, -0.3), L)) for C in np.linspace(-4.0, -0.5, K)]
+    return problems, [ca.ground_state(q).energy for q in problems]
+
+
+# (K, planted): a planted row sits on each side of the block threshold
+CHAIN_COUNTS = [(1, False), (MIN_CHAINS - 1, False), (MIN_CHAINS, False),
+                (MIN_CHAINS - 1, True), (MIN_CHAINS, True)]
+
+
+@pytest.mark.parametrize("K, planted", CHAIN_COUNTS)
+def test_thouless_gammas_rows_are_their_one_chain_calls(wannier, monkeypatch, K, planted):
+    # one dpttrf for at least MIN_CHAINS chains, else one per chain; entry k
+    # is thouless_gamma of chain k bit for bit.  A planted row factored at
+    # its chain's second eigenvalue has a non-positive pivot: that row
+    # alone holds the LinAlgError, and a block call is redone chain by chain
+    problems, energies = _cavity_chains(wannier, K)
+    if planted:
+        q = problems[-1]
+        energies[-1] = float(eigvalsh_tridiagonal(q.onsite.values, q.offdiagonal,
+                                                  select="i", select_range=(1, 1))[0])
+    calls = []
+    dpttrf = scipy.linalg.lapack.dpttrf
+
+    def counting(d, e):
+        calls.append(d.shape[0])
+        return dpttrf(d, e)
+
+    monkeypatch.setattr(ca.observables, "lapack", types.SimpleNamespace(dpttrf=counting))
+    gammas = ca.observables.thouless_gammas(problems, energies)
+    block = [K * L] if K >= MIN_CHAINS else []
+    assert calls == block + ([L] * K if planted or not block else [])
+    assert len(gammas) == K
+    for k, (q, energy) in enumerate(zip(problems, energies)):
+        if planted and k == K - 1:
+            assert isinstance(gammas[k], np.linalg.LinAlgError)
+            with pytest.raises(np.linalg.LinAlgError, match="dpttrf"):
+                ca.observables.thouless_gamma(q, energy)
+        else:
+            assert gammas[k] == ca.observables.thouless_gamma(q, energy)
+
+
+def test_thouless_gamma_is_the_full_spectrum_sum(wannier):
+    # the rounding of E0, a few eps ||H||, against the shift delta bounds
+    # the difference: 32 eps / THOULESS_SHIFT_RTOL / (L - 1) = 3.1e-8
+    shift = ca.observables.THOULESS_SHIFT_RTOL
+    problems, energies = _cavity_chains(wannier, 4)
+    problems.append(ca.HubbardProblem(L=L, t=wannier.t, onsite=ca.onsite_aa(
+        3.0 * wannier.t, GOLDEN_BETA, L)))
+    energies.append(ca.ground_state(problems[-1]).energy)
+    tol = 32.0 * np.finfo(np.float64).eps / shift / (L - 1)
+    for q, energy in zip(problems, energies):
+        oracle = thouless_spectrum_gamma(q.onsite.values, q.t, shift)
+        assert abs(ca.observables.thouless_gamma(q, energy) - oracle) <= tol
 
 
 def test_thouless_reference():

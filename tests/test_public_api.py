@@ -57,8 +57,7 @@ def test_benchmark_hooks_see_each_point_and_column(wannier, lattice_spec,
     # the benchmark's set-up probe and tracer wrap these two names: a point
     # is one ground_state(problem, start=...) call, a column one
     # onsite_cavity(wb, pot, L).  A column start is cold; later points start
-    # from their row of the step's lockstep warm solves, or from their
-    # column's vector when they are the only warm point of their step
+    # from their row of the step's warm solves, in a block or one at a time
     solves, profiles = [], []
     solve, profile = ca.sweep.ground_state, ca.sweep.onsite_cavity
 
@@ -70,7 +69,7 @@ def test_benchmark_hooks_see_each_point_and_column(wannier, lattice_spec,
         profiles.append((args, kwargs))
         return profile(*args, **kwargs)
 
-    monkeypatch.setattr(ca.sweep, "LOCKSTEP_MIN_CHAINS", 2)
+    monkeypatch.setattr(ca.model, "LOCKSTEP_MIN_CHAINS", 2)
     monkeypatch.setattr(ca.sweep, "ground_state", counting_solve)
     monkeypatch.setattr(ca.sweep, "onsite_cavity", counting_profile)
     context = inline_fork(monkeypatch)
@@ -89,9 +88,9 @@ def test_benchmark_hooks_see_each_point_and_column(wannier, lattice_spec,
     starts = [kwargs.get("start") for _, kwargs in solves]
     assert sum(start is None for start in starts) == 3
     kinds = {type(start) for start in starts if start is not None}
-    # at 2 workers the forked worker's share is one column, a lone warm point
-    assert kinds == ({ca.model.WarmSolve} if workers == 1
-                     else {ca.model.WarmSolve, np.ndarray})
+    # at 2 workers the forked worker's share is one column: its lone warm
+    # point takes its row of a one-chain warm_solves call
+    assert kinds == {ca.model.WarmSolve}
     assert len(profiles) == 3
     # the inline worker solves its share, the middle column, when it starts
     order = (-2.0, -1.0, -0.5) if workers == 1 else (-1.0, -2.0, -0.5)

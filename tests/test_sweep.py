@@ -89,6 +89,10 @@ def test_spec_validation(lattice_spec):
               pump=ca.PumpConfig(pump_mode="cavity_pumped", eta=0.3))
     with pytest.raises(ValueError):
         _spec(lattice_spec, axis1=ca.Axis.log("eta", 0.1, 1.0, 4))  # needs a pump
+    with pytest.raises(ValueError, match="vc requires a 'v0' or 'eta' axis"):
+        # no column would have a strength axis to estimate along
+        _spec(lattice_spec, axis1=ca.Axis("C", np.array([-2.0, -1.0])), axis2=None,
+              fixed={"v0": 0.05, "delta_c_prime": 0.0}, observables=("ipr", "vc"))
     with pytest.raises(ValueError):
         ca.Axis("frequency", np.array([1.0]))
 
@@ -410,7 +414,7 @@ def test_lockstep_columns_are_their_one_column_sweeps(wannier, lattice_spec, mon
     # (four or two here, eight as shipped); a one-column sweep takes the
     # single-chain calls: every record, solver path and transition estimate
     # is the same bit for bit, on chains of 233 and of 987 sites.
-    monkeypatch.setattr(ca.sweep, "LOCKSTEP_MIN_CHAINS", min_chains)
+    monkeypatch.setattr(ca.model, "LOCKSTEP_MIN_CHAINS", min_chains)
     spec = _lockstep_spec(lattice_spec, kind)
     result = ca.run_sweep(spec, wannier=wannier, workers=workers)
     counts = result.metadata["solver_counts"]
@@ -475,7 +479,7 @@ def test_failure_in_one_column_leaves_the_others_alone(wannier, lattice_spec, mo
                                                       workers, failure, error):
     # the planted column is the forked worker's at two workers; every other
     # column's CSV rows and transition estimate stay byte-identical
-    monkeypatch.setattr(ca.sweep, "LOCKSTEP_MIN_CHAINS", 2)  # block calls at 2 workers too
+    monkeypatch.setattr(ca.model, "LOCKSTEP_MIN_CHAINS", 2)  # block calls at 2 workers too
     spec = _lockstep_spec(lattice_spec)
     clean = ca.run_sweep(spec, wannier=wannier)
     _plant(monkeypatch, spec, wannier, failure, column=1)
@@ -649,22 +653,20 @@ def test_failed_point_leaves_its_column_unresolved(wannier, lattice_spec,
 @pytest.mark.parametrize("defect", ["nan", "arctan_range"])
 def test_bad_unit_profile_fails_its_column(wannier, lattice_spec, monkeypatch,
                                            defect):
-    # the column set-up checks the unit profile once; a defect fails every
-    # point of its column and no other
+    # the column set-up checks the unit profile once, as onsite_cavity
+    # builds it; a defect fails every point of its column and no other
     spec = _spec(lattice_spec, axis1=ca.Axis.log("v0", 0.01, 0.2, 6),
                  axis2=ca.Axis("C", np.array([-2.0, -1.0, -0.5])))
     clean = ca.run_sweep(spec, wannier=wannier).records
-    original = ca.sweep.onsite_cavity
+    original = ca.kernels.onsite_quadrature
 
-    def planted(wb, pot, L):
-        profile = original(wb, pot, L)
-        if pot.C != -1.0:
-            return profile
-        values = profile.values.copy()
-        values[L // 2] = np.nan if defect == "nan" else 1.6  # pi/2 < 1.6
-        return types.SimpleNamespace(values=values)
+    def planted(*args):
+        values = original(*args)
+        if args[5] == -1.0:  # C
+            values[L // 2] = np.nan if defect == "nan" else 1.6  # pi/2 < 1.6
+        return values
 
-    monkeypatch.setattr(ca.sweep, "onsite_cavity", planted)
+    monkeypatch.setattr(ca.kernels, "onsite_quadrature", planted)
     result = ca.run_sweep(spec, wannier=wannier)
     for k, (rec, ref) in enumerate(zip(result.records, clean)):
         if k % 3 == 1:

@@ -1,5 +1,8 @@
-"""The output-comparison tool on small planted trees."""
+"""The output-comparison tool on small planted trees, and the reference
+refresh script."""
 
+import copy
+import importlib.util
 import json
 import pathlib
 import subprocess
@@ -51,3 +54,29 @@ def test_planted_change_is_named(tmp_path, name, old, new, detail):
     assert lines[0] == f"differs: sweep-x-w2/{name}"
     assert any(line.startswith(detail) for line in lines[1:]), out
     assert lines[-1] == "different"
+
+
+def test_refresh_names_each_change():
+    # the refresh script reports the largest move per kind of number, and
+    # every other value that changed, between two references
+    spec = importlib.util.spec_from_file_location("refresh_reference",
+                                                  TOOL.parent / "refresh_reference.py")
+    refresh = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(refresh)
+    old = json.loads(refresh.REFERENCE.read_text())
+    new = copy.deepcopy(old)
+    rows = new["aa_baseline"]["csv"]
+    for k, scale in ((3, 1.0 + 1e-12), (7, 1.0 + 4e-12)):
+        cells = rows[k].split(",")
+        cells[4] = repr(float(cells[4]) * scale)  # ipr
+        rows[k] = ",".join(cells)
+    rows[2] += "solve_failed:ValueError"  # its flags cell
+    new["pump_scan_eta_u0"]["solver_counts"]["warm"] += 1
+    lines = refresh._changes(old, new)
+    assert lines[0] == 'aa_baseline.csv[1].flags: "" -> "solve_failed:ValueError"'
+    assert lines[1].startswith("aa_baseline.csv.ipr: largest abs change ")
+    assert float(lines[1].rsplit(" ", 1)[1]) == pytest.approx(4e-12, rel=1e-3)
+    assert lines[2].startswith("pump_scan_eta_u0.solver_counts.warm: "
+                               "largest abs change 1.000e+00")
+    assert len(lines) == 3
+    assert refresh._changes(old, old) == []
