@@ -8,20 +8,21 @@ the band's fallback.  Along a sweep column the chain can instead
 start from the previous point's state (``warm_eigenpair``): Rayleigh-quotient
 iteration finds the eigenpair in a few tridiagonal solves, with no
 ``dstein`` call.  Every eigenpair, warm or cold, is accepted only with the
-residual bound and the lower-bound certificate (``certified_margin``:
-``certificate_margin``); a warm result that fails them sends the chain to
-the bisection pair.  A chain point that fails both paths has no ground state
-(``model.GroundStateError``); there is no dense diagonalization.
+residual bound and the lower-bound certificate (``certified_margins``); a
+warm result that fails them sends the chain to the bisection pair.  A chain
+point that fails both paths has no ground state (``model.GroundStateError``);
+there is no dense diagonalization.
 
-Many chains of one length run the same iteration and checks at once
-(``warm_eigenpairs``, ``certified_margins``, ``certificate_margins``): the
-plane-wave band solve for all its quasimomenta, and a sweep step for the
-columns it advances together.  Each LAPACK call works on the block-diagonal
-concatenation of the chains, whose zero couplings keep every block's
-arithmetic exactly that of its own call; the off-diagonal is joined once per
-set of chains still iterating.  A chain that fails a check takes the cold
-solve alone.  So ``dstein`` runs only for those and the cold or fallback
-chain solves.
+The warm solve and the checks take K chains of one length at once
+(``warm_eigenpairs``, ``certified_margins``), as do the sweep's gamma_T
+factorizations: the plane-wave band solve for all its quasimomenta, a
+sweep step for all its columns, a lone ground state as K = 1.  One rule,
+K >= LOCKSTEP_MIN_CHAINS, chooses the path.  Below it the chains go one at a
+time (``warm_eigenpair``, one ``dpttrf`` each in ``_ldlt``); from it each
+LAPACK call works on the block-diagonal concatenation of the chains, whose
+zero couplings keep every block's arithmetic exactly that of its own call.
+So the two paths give the same rows bit for bit.  ``dstein`` runs only for
+the cold or fallback chain solves.
 
 The onsite profile and the photon number both average an even, pi-periodic
 function g(beta z) over the Wannier density at every site.  ``site_average``
@@ -149,21 +150,15 @@ def warm_eigenpair(d: np.ndarray, e: np.ndarray, start: np.ndarray,
     return lam, psi, _tridiag_residual(d, e, lam, psi), WARM_METHOD
 
 
-def certificate_margin(d: np.ndarray, e: np.ndarray, energy: float,
-                       tol: float) -> float | None:
-    """Smallest pivot of the LDL^T factorization of T - (energy - tol) I.
-
-    ``dpttrf`` completes with positive pivots only for a positive definite
-    matrix, which proves that no eigenvalue of tridiag(e, d, e) lies below
-    energy - tol.  Returns None when a pivot is not positive.
-    """
-    pivots, _, info = lapack.dpttrf(d - (energy - tol), e)
-    return float(pivots.min()) if info == 0 else None
-
-
 # ---------------------------------------------------------------------------
-# K independent chains of one length, solved through block-diagonal calls
+# K independent chains of one length: block-diagonal calls or one at a time
 # ---------------------------------------------------------------------------
+
+#: The one rule that chooses the path of K chains of one length: at least
+#: this many go through block-diagonal LAPACK calls, which share the per-call
+#: overhead that dominates a short chain's solve; fewer do not repay the
+#: calls' own cost and are solved one at a time.
+LOCKSTEP_MIN_CHAINS = 8
 
 
 def _joined(E: np.ndarray) -> np.ndarray:
@@ -205,24 +200,33 @@ def _rqi_solves(D, E, joined, lam, X):
     return Y, norms, False
 
 
-def warm_eigenpairs(D: np.ndarray, E: np.ndarray, starts: np.ndarray,
-                    norm_bounds: np.ndarray):
-    """``warm_eigenpair`` for K independent chains of one length, in lockstep.
+def warm_eigenpairs(D: np.ndarray, E: np.ndarray, starts, norm_bounds: np.ndarray):
+    """``warm_eigenpair`` for K independent chains of one length.
 
-    D (K, n), E (K, n - 1) and starts (K, n) hold the chains row by row,
-    norm_bounds (K,) their bounds on ||T_k||.  Each step solves every row
-    still iterating with one ``dgtsv`` (``_rqi_solves``), whose off-diagonal
-    is joined once per set of rows still iterating.  Returns
-    ``(energies, vectors, residuals, converged)``: where converged[k] is
-    True, row k is bit-identical to ``warm_eigenpair(D[k], E[k], starts[k],
-    norm_bounds[k])``; where it is False, that call returns None and the row
-    holds NaN.  n must be at least 2.
+    D (K, n) and E (K, n - 1) hold the chains row by row, starts their K
+    start vectors (an array or a list), norm_bounds (K,) their bounds on
+    ||T_k||.  Fewer than LOCKSTEP_MIN_CHAINS chains take ``warm_eigenpair``
+    one at a time.  More run in lockstep: each step solves every row still
+    iterating with one ``dgtsv`` (``_rqi_solves``), whose off-diagonal is
+    joined once per set of rows still iterating.  Returns ``(energies,
+    vectors, residuals, converged)``: where converged[k] is True, row k is
+    bit-identical to ``warm_eigenpair(D[k], E[k], starts[k],
+    norm_bounds[k])`` either way; where it is False, that call returns None
+    and the row holds NaN.  n must be at least 2.
     """
     K, n = D.shape
     energies, residuals = np.full(K, np.nan), np.full(K, np.nan)
     vectors = np.full((K, n), np.nan)
     converged = np.zeros(K, dtype=bool)
-    X = starts / np.sqrt(np.vecdot(starts, starts))[:, None]
+    if K < LOCKSTEP_MIN_CHAINS:
+        for k, bound in enumerate(np.asarray(norm_bounds).tolist()):
+            pair = warm_eigenpair(D[k], E[k], starts[k], bound)
+            if pair is not None:
+                energies[k], vectors[k], residuals[k], _ = pair
+                converged[k] = True
+        return energies, vectors, residuals, converged
+    X = np.array(starts)
+    X /= np.sqrt(np.vecdot(X, X))[:, None]
     lam = np.vecdot(X, D * X) + 2.0 * np.vecdot(E, X[:, :-1] * X[:, 1:])
     # the rows still iterating, with their chains, bounds, lam and x
     rows, bounds, d, e = np.arange(K), np.asarray(norm_bounds, dtype=np.float64), D, E
@@ -258,62 +262,71 @@ def warm_eigenpairs(D: np.ndarray, E: np.ndarray, starts: np.ndarray,
     return energies, vectors, residuals, converged
 
 
-def certificate_margins(D: np.ndarray, E: np.ndarray, energies: np.ndarray,
-                        tols: np.ndarray) -> np.ndarray:
-    """``certificate_margin`` of K chains of one length from one ``dpttrf``.
+def _min_pivot(pivots: np.ndarray):
+    """The certificate's reduction of ``_ldlt``: the smallest pivot."""
+    return pivots.min(axis=-1)
 
-    The factorization of the block-diagonal concatenation of the shifted
-    chains carries each block's own pivots bit for bit, since a zero
+
+def _ldlt(D: np.ndarray, E: np.ndarray, shifts: np.ndarray, reduce) -> np.ndarray:
+    """reduce(pivots) of the LDL^T factorization of each T_k - shifts[k] I.
+
+    The one LDL^T path (``dpttrf``) of the certificate (``_min_pivot``) and
+    of the sweep's gamma_T (its log-pivot sum).  reduce maps the pivots of
+    one chain (n,), or of chains (K, n), to one number per chain along the
+    last axis, NaN when a pivot is NaN.  Row k is NaN where a pivot is not
+    positive (the factorization stops there) or where its reduction is NaN
+    (a NaN entry), and otherwise what its own ``dpttrf`` gives, bit for bit.
+    Fewer than LOCKSTEP_MIN_CHAINS chains are factored one at a time.  More
+    take one ``dpttrf`` on the block-diagonal concatenation of the shifted
+    chains, which carries each block's own pivots bit for bit, since a zero
     coupling neither changes the next pivot nor passes on a finite value.
-    When a pivot is not positive (the factorization stops there) or not
-    finite (a NaN spreads to the next block), each row is factored alone.
-    Row k is ``certificate_margin(D[k], E[k], energies[k], tols[k])``,
-    with NaN where that returns None (or NaN, for a NaN entry).
+    The first row that fails stops the call, or spreads its NaN into the
+    next block: it is set to NaN, and the rows after it are factored again
+    in one call.  So a block run makes one call more than it has failed
+    rows at most.
     """
     K, n = D.shape
-    pivots, _, info = lapack.dpttrf((D - (energies - tols)[:, None]).ravel(), _joined(E))
-    margins = pivots.reshape(K, n).min(axis=1)
-    if info == 0 and np.all(np.isfinite(margins)):
-        return margins
-    return np.array([math.nan if m is None else m for m in map(
-        certificate_margin, D, E, energies, tols)])
-
-
-def certified_margin(d: np.ndarray, e: np.ndarray, energy: float, residual: float,
-                     norm_bound: float) -> float:
-    """The two checks of every accepted eigenpair (energy, v) of tridiag(e, d, e).
-
-    The residual ||T v - energy v|| must be at most RESIDUAL_RTOL *
-    norm_bound, which puts an eigenvalue within it of energy, and
-    ``certificate_margin`` must prove that no eigenvalue lies below
-    energy - tol, tol = residual + CERTIFICATE_RTOL * norm_bound: together
-    they make energy the lowest eigenvalue to within tol.  norm_bound bounds
-    ||T||.  Returns the certificate's margin, or NaN when a check fails.
-    """
-    if residual > RESIDUAL_RTOL * norm_bound:
-        return math.nan
-    margin = certificate_margin(d, e, energy, residual + CERTIFICATE_RTOL * norm_bound)
-    return math.nan if margin is None else margin
+    out = np.full(K, np.nan)
+    if K < LOCKSTEP_MIN_CHAINS:
+        for k in range(K):
+            pivots, _, info = lapack.dpttrf(D[k] - shifts[k], E[k])
+            if info == 0:
+                out[k] = reduce(pivots)
+        return out
+    first = 0
+    while first < K:
+        pivots, _, info = lapack.dpttrf((D[first:] - shifts[first:, None]).ravel(),
+                                        _joined(E[first:]))
+        # the rows before the first that failed: its pivot stopped the call,
+        # or its reduction is NaN
+        good = K - first if info == 0 else (info - 1) // n
+        values = reduce(pivots[:good * n].reshape(good, n))
+        nan = np.flatnonzero(np.isnan(values))
+        good = nan[0] if nan.size else good
+        out[first:first + good] = values[:good]
+        first += good + 1
+    return out
 
 
 def certified_margins(D: np.ndarray, E: np.ndarray, energies: np.ndarray,
-                      residuals: np.ndarray, norm_bounds: np.ndarray,
-                      candidates: np.ndarray) -> np.ndarray:
-    """``certified_margin`` of K chains of one length, for the rows that
-    candidates marks; NaN for the others.
+                      residuals: np.ndarray, norm_bounds: np.ndarray) -> np.ndarray:
+    """The two checks of every accepted eigenpair (energy_k, v_k) of K chains
+    of one length.
 
-    The certificates of the rows whose residual passes come from one
-    ``certificate_margins`` call.  Row k is ``certified_margin(D[k], E[k],
-    energies[k], residuals[k], norm_bounds[k])``.
+    The residual ||T_k v_k - energy_k v_k|| must be at most RESIDUAL_RTOL *
+    norm_bounds[k], which puts an eigenvalue within it of energy_k, and the
+    LDL^T factorization of T_k - (energy_k - tol_k) I, tol_k = residual_k +
+    CERTIFICATE_RTOL * norm_bounds[k], must have positive pivots only
+    (``_ldlt``), which proves that no eigenvalue lies below energy_k -
+    tol_k: together they make energy_k the lowest eigenvalue to within
+    tol_k.  norm_bounds bound ||T_k||.  Returns the smallest pivot of each
+    row, its certificate's margin, or NaN where a check fails.  A row whose
+    residual fails, or is NaN as where ``warm_eigenpairs`` gave up, is
+    factored at a NaN shift, which makes it NaN.
     """
-    ok = candidates & ~(residuals > RESIDUAL_RTOL * norm_bounds)
-    if ok.all():
-        return certificate_margins(D, E, energies, residuals + CERTIFICATE_RTOL * norm_bounds)
-    margins = np.full(ok.shape, np.nan)
-    if ok.any():
-        margins[ok] = certificate_margins(
-            D[ok], E[ok], energies[ok], residuals[ok] + CERTIFICATE_RTOL * norm_bounds[ok])
-    return margins
+    shifts = np.where(residuals <= RESIDUAL_RTOL * norm_bounds,
+                      energies - (residuals + CERTIFICATE_RTOL * norm_bounds), np.nan)
+    return _ldlt(D, E, shifts, _min_pivot)
 
 
 # ---------------------------------------------------------------------------

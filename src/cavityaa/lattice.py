@@ -168,8 +168,8 @@ def solve_lowest_band(spec: LatticeSpec) -> BlochBand:
     radius[[0, -1]] = hop
     norms = np.max(np.abs(diags) + radius, axis=1)
     starts = np.exp(-(kvec ** 2) / (2.0 * max(np.sqrt(abs(spec.depth_W0)), 1.0)))
-    energies, vecs, res, ok = kernels.warm_eigenpairs(diags, offdiags, starts, norms)
-    ok = kernels.certified_margins(diags, offdiags, energies, res, norms, ok) > 0.0
+    energies, vecs, res, _ = kernels.warm_eigenpairs(diags, offdiags, starts, norms)
+    ok = kernels.certified_margins(diags, offdiags, energies, res, norms) > 0.0
     fallbacks = np.flatnonzero(~ok)
     for j in fallbacks:
         try:

@@ -209,16 +209,10 @@ def _offdiagonal(L: int, t: float) -> np.ndarray:
     return offdiag
 
 
-#: ``warm_solves`` and ``observables.thouless_gammas`` put at least this many
-#: chains through block LAPACK calls, which share the per-call overhead that
-#: dominates a short chain's solve; fewer do not repay the calls' own cost.
-LOCKSTEP_MIN_CHAINS = 8
-
-
 class WarmSolve(NamedTuple):
     """A chain's row of ``warm_solves``: its Rayleigh-quotient pair and the
-    pair's ``kernels.certified_margin``, NaN when the pair failed a check
-    (all NaN when the iteration gave up)."""
+    pair's ``kernels.certified_margins`` margin, NaN when the pair failed a
+    check (all NaN when the iteration gave up)."""
 
     energy: float
     vector: np.ndarray
@@ -226,41 +220,21 @@ class WarmSolve(NamedTuple):
     margin: float
 
 
-def stacked_chains(problems: list) -> tuple:
-    """The diagonals (K, L), off-diagonals (K, L - 1) and norm bounds (K,)
-    of K chains of one length, stacked row by row."""
-    return (np.stack([q.onsite.values for q in problems]),
-            np.stack([q.offdiagonal for q in problems]),
-            np.array([q.norm_bound for q in problems]))
-
-
-def _warm_solve(problem: HubbardProblem, start: np.ndarray) -> WarmSolve:
-    """One chain's row of ``warm_solves``, from its own kernel calls."""
-    diag, offdiag, norm_bound = problem.onsite.values, problem.offdiagonal, problem.norm_bound
-    pair = kernels.warm_eigenpair(diag, offdiag, start, norm_bound)
-    if pair is None:
-        return WarmSolve(math.nan, np.full(problem.L, math.nan), math.nan, math.nan)
-    return WarmSolve(*pair[:3], kernels.certified_margin(diag, offdiag, pair[0], pair[2],
-                                                         norm_bound))
-
-
-def warm_solves(problems: list, starts: list) -> list:
+def warm_solves(D: np.ndarray, E: np.ndarray, norm_bounds: np.ndarray,
+                starts: list) -> list:
     """The warm-started solves of K chains of one length, row k from starts[k].
 
-    At least LOCKSTEP_MIN_CHAINS chains run Rayleigh-quotient iteration
-    together (``kernels.warm_eigenpairs``), and their pairs take the
-    residual bound and the certificate together
-    (``kernels.certified_margins``); fewer go one at a time.  Row k is what
+    D (K, L), E (K, L - 1) and norm_bounds (K,) hold the chains' diagonals,
+    off-diagonals and ``norm_bound`` row by row, starts their K start
+    vectors.  The chains run Rayleigh-quotient iteration together
+    (``kernels.warm_eigenpairs``), and their pairs take the residual bound
+    and the certificate together (``kernels.certified_margins``), in block
+    calls or one at a time as ``kernels`` chooses.  Row k is what
     ``ground_state`` finds from starts[k] on chain k before the sign rule,
     bit for bit; passed to it as ``start``, it is used as it is.
     """
-    if len(problems) < LOCKSTEP_MIN_CHAINS:
-        return list(map(_warm_solve, problems, starts))
-    D, E, norm_bounds = stacked_chains(problems)
-    energies, vectors, residuals, converged = kernels.warm_eigenpairs(
-        D, E, np.stack(starts), norm_bounds)
-    margins = kernels.certified_margins(D, E, energies, residuals, norm_bounds,
-                                        converged)
+    energies, vectors, residuals, _ = kernels.warm_eigenpairs(D, E, starts, norm_bounds)
+    margins = kernels.certified_margins(D, E, energies, residuals, norm_bounds)
     return list(map(WarmSolve, energies.tolist(), vectors, residuals.tolist(),
                     margins.tolist()))
 
@@ -272,15 +246,15 @@ def ground_state(problem: HubbardProblem, start=None) -> GroundState:
     -t on the off-diagonals, hard walls at both ends.
 
     With ``start``, a length-L vector such as the ground state of a nearby
-    chain, the solve first tries Rayleigh-quotient iteration from it
-    (``kernels.warm_eigenpair``).  ``start`` may instead be this chain's row
-    of ``warm_solves``, which runs the same iteration for many chains.
-    Without a start, or when the warm result fails a check, it uses LAPACK
-    bisection + inverse iteration.  A result is accepted when its residual
-    is at most RESIDUAL_RTOL ||H||, which puts an eigenvalue within the
-    residual of E0, and the certificate proves that no eigenvalue lies below
-    E0 - tol, tol = residual + CERTIFICATE_RTOL ||H||; together they make E0
-    the lowest eigenvalue to within tol (``kernels.certified_margin``).
+    chain, the solve first tries Rayleigh-quotient iteration from it: its
+    row of a one-chain ``warm_solves`` call.  ``start`` may instead be this
+    chain's row of a ``warm_solves`` call on many chains.  Without a start,
+    or when the warm result fails a check, it uses LAPACK bisection +
+    inverse iteration.  A result is accepted when its residual is at most
+    RESIDUAL_RTOL ||H||, which puts an eigenvalue within the residual of E0,
+    and the certificate proves that no eigenvalue lies below E0 - tol, tol =
+    residual + CERTIFICATE_RTOL ||H||; together they make E0 the lowest
+    eigenvalue to within tol (``kernels.certified_margins``, for one chain).
     ||H|| is ``problem.norm_bound``.  When no path passes both checks,
     GroundStateError is raised.  The vector's largest entry is made
     positive, and the method actually used is recorded on the result.
@@ -289,14 +263,17 @@ def ground_state(problem: HubbardProblem, start=None) -> GroundState:
         start = np.asarray(start, dtype=np.float64)
         if start.shape != (problem.L,):
             raise ValueError("start vector length does not match L")
-        start = _warm_solve(problem, start)
+        start, = warm_solves(problem.onsite.values[None], problem.offdiagonal[None],
+                             np.array([problem.norm_bound]), [start])
     if start is not None and start.margin > 0.0:
         energy, psi, res, margin = start
         method = kernels.WARM_METHOD
     else:
-        diag, offdiag, norm_bound = problem.onsite.values, problem.offdiagonal, problem.norm_bound
+        diag, offdiag = problem.onsite.values, problem.offdiagonal
         energy, psi, res, method = kernels.lowest_eigenpair(diag, offdiag)
-        margin = kernels.certified_margin(diag, offdiag, energy, res, norm_bound)
+        margin = float(kernels.certified_margins(
+            diag[None], offdiag[None], np.array([energy]), np.array([res]),
+            np.array([problem.norm_bound]))[0])
         if not margin > 0.0:
             raise GroundStateError(
                 f"no certified ground state: residual {res:.3e} "

@@ -3,8 +3,8 @@
 The inverse participation ratio and the Lyapunov exponent characterize the
 extended/localized phases.  The Lyapunov exponent comes from the Thouless
 formula, with no eigenvector: a sweep takes it on its own chain just below
-the ground energy (``thouless_gamma``, one LDL^T factorization, taken for
-all chains of a sweep step by ``thouless_gammas``), and the ``ground-state``
+the ground energy (``thouless_gammas``, one LDL^T factorization per chain,
+taken for all chains of a sweep step at once), and the ``ground-state``
 command at the ground energy of a chain of LYAPUNOV_CHAIN_SITES sites with
 the same profile (``lyapunov_exponent``, one pivoted LU), where the
 finite-size bias no longer matters.  The transition
@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.linalg import lapack
 
-from . import kernels, model
+from . import kernels
 
 if TYPE_CHECKING:  # pragma: no cover
     from .lattice import WannierBasis
@@ -35,7 +35,7 @@ TRANSITION_METHOD = "max_dlogipr_dlogv0"
 #: Identifier of the sweep's Lyapunov exponent, recorded in output metadata.
 LYAPUNOV_METHOD = "thouless_ldlt"
 
-#: ``thouless_gamma`` factorizes H - (E0 - delta) I with delta this fraction
+#: ``thouless_gammas`` factorizes H - (E0 - delta) I with delta this fraction
 #: of ||H||: far above the rounding of E0, far below the level spacing.
 THOULESS_SHIFT_RTOL = 1e-10
 
@@ -65,54 +65,33 @@ def ipr(state):
     return float(ratios) if amp.ndim == 1 else ratios
 
 
-def thouless_gamma(problem: "HubbardProblem", energy: float) -> float:
-    """Lyapunov exponent at the ground energy by the Thouless formula.
+def _log_pivot_sum(pivots: np.ndarray):
+    """gamma_T's reduction of ``kernels._ldlt``: the sum of the log pivots."""
+    return np.log(pivots).sum(axis=-1)
 
-    gamma(E) = (1 / (L - 1)) sum_{j >= 1} ln|E - E_j| - ln|t| over the
-    chain's eigenvalues E_j above E0 (Thouless, J. Phys. C 5, 77 (1972)).
-    The pivots p_n of the LDL^T factorization (``dpttrf``) of
+
+def thouless_gammas(D: np.ndarray, E: np.ndarray, norm_bounds: np.ndarray,
+                    energies) -> list:
+    """Lyapunov exponents of K chains of one length at their ground energies.
+
+    gamma(E) = (1 / (L - 1)) sum_{j >= 1} ln|E - E_j| - ln|t| over a
+    chain's eigenvalues E_j above E0, by the Thouless formula (Thouless,
+    J. Phys. C 5, 77 (1972)).  The pivots p_n of the LDL^T factorization of
     H - (E0 - delta) I multiply to prod_j (E_j - E0 + delta), so with
-    delta = THOULESS_SHIFT_RTOL ||H|| (``problem.norm_bound``)
-    gamma_T = (sum_n ln p_n - ln delta) / (L - 1) - ln|t|.  energy is the
-    certified ground energy E0.  Raises ``numpy.linalg.LinAlgError`` when a
-    pivot is not positive, i.e. when an eigenvalue lies below E0 - delta.
+    delta = THOULESS_SHIFT_RTOL ||H|| gamma_T = (sum_n ln p_n - ln delta) /
+    (L - 1) - ln|t|.  D (K, L) and E (K, L - 1) hold the chains' diagonals
+    and off-diagonals -t, norm_bounds their ``norm_bound`` ||H||, and
+    energies their certified E0.  The factorizations take block calls or go
+    one at a time as ``kernels._ldlt`` chooses.  Entry k is chain k's
+    gamma_T, or a ``numpy.linalg.LinAlgError`` where a pivot is NaN or not
+    positive, i.e. where an eigenvalue lies below E0 - delta.
     """
-    delta = THOULESS_SHIFT_RTOL * problem.norm_bound
-    pivots, _, info = lapack.dpttrf(problem.onsite.values - (energy - delta),
-                                    problem.offdiagonal)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dpttrf failed with info = {info}")
-    return float((np.log(pivots).sum() - math.log(delta)) / (problem.L - 1)
-                 - math.log(abs(problem.t)))
-
-
-def _gamma_or_error(problem: "HubbardProblem", energy: float):
-    try:
-        return thouless_gamma(problem, energy)
-    except np.linalg.LinAlgError as exc:
-        return exc
-
-
-def thouless_gammas(problems: list, energies: list) -> list:
-    """``thouless_gamma`` of K chains of one length at their ground energies.
-
-    Entry k is ``thouless_gamma(problems[k], energies[k])`` bit for bit, or
-    the ``numpy.linalg.LinAlgError`` it raises.  At least
-    ``model.LOCKSTEP_MIN_CHAINS`` chains take one ``dpttrf`` on their
-    block-diagonal concatenation, which carries each chain's own pivots bit
-    for bit (see ``kernels.certificate_margins``); fewer chains, or all of
-    them after a pivot that is not positive or not finite, go one at a time.
-    """
-    if len(problems) >= model.LOCKSTEP_MIN_CHAINS:
-        D, E, norm_bounds = model.stacked_chains(problems)
-        deltas = THOULESS_SHIFT_RTOL * norm_bounds
-        pivots, _, info = lapack.dpttrf((D - (np.array(energies) - deltas)[:, None]).ravel(),
-                                        kernels._joined(E))
-        sums = np.log(pivots.reshape(D.shape)).sum(axis=1) if info == 0 else None
-        if sums is not None and np.isfinite(sums).all():
-            return [float((s - math.log(delta)) / (q.L - 1) - math.log(abs(q.t)))
-                    for s, delta, q in zip(sums, deltas.tolist(), problems)]
-    return list(map(_gamma_or_error, problems, energies))
+    deltas = THOULESS_SHIFT_RTOL * norm_bounds
+    sums = kernels._ldlt(D, E, np.asarray(energies) - deltas, _log_pivot_sum)
+    return [np.linalg.LinAlgError("dpttrf: a pivot of H - (E0 - delta) I is not positive")
+            if math.isnan(s) else
+            float((s - math.log(delta)) / (D.shape[1] - 1) - math.log(abs(hop)))
+            for s, delta, hop in zip(sums.tolist(), deltas.tolist(), E[:, 0].tolist())]
 
 
 def lyapunov_exponent(problem: "HubbardProblem", energy: float) -> float:
@@ -121,7 +100,7 @@ def lyapunov_exponent(problem: "HubbardProblem", energy: float) -> float:
     This is the Thouless formula (1 / (L - 1)) sum_j ln|E - E_j| - ln|t|
     over every eigenvalue E_j, with |det| the product of the U pivots of one
     LU factorization with partial pivoting (``dgttrf``).  Unlike
-    ``thouless_gamma`` it takes any E, including one inside the spectrum,
+    ``thouless_gammas`` it takes any E, including one inside the spectrum,
     such as the ground energy of a shorter chain with the same profile.
     Raises ``numpy.linalg.LinAlgError`` when a pivot is exactly zero, i.e.
     when H - E I is singular.

@@ -10,10 +10,10 @@ each ground-state solve started from the previous point's state, and
 estimates its own transition.  A column is never split; the columns are
 dealt out to this process and to any forked workers (``_forked_results``),
 and each process advances its share of columns one strength step at a time
-(``_run_share``): a step solves one point of every column, and hands its
-warm solves, IPR and gamma_T each to one call on all its chains
-(``_solve_step``), which takes block LAPACK calls for enough of them,
-bit-identical to one chain at a time.  So results are deterministic and
+(``_run_share``): a step solves one point of every column, stacks their
+chains once, and hands its warm solves, IPR and gamma_T each to one call on
+all of them (``_solve_step``); ``kernels`` chooses block LAPACK calls or one
+chain at a time, bit-identical either way.  So results are deterministic and
 worker-count-independent: records are keyed by flat grid index and
 reassembled in row-major order (axis1 outer, axis2 inner).
 
@@ -46,10 +46,6 @@ from .model import (EffectivePotential, HubbardProblem, OnsiteProfile,
 from .observables import (LYAPUNOV_METHOD, TRANSITION_METHOD, PumpField,
                           detect_transition, ipr, photon_series,
                           series_photon_number, thouless_gammas)
-# The benchmark tracer wraps sweep.photon_number, and the public-API tests
-# require every name it wraps to exist; a sweep does not call it, so that
-# layer reads zero.
-from .observables import photon_number  # noqa: F401
 
 MODEL_AXES = ("v0", "C", "delta_c_prime", "W0")
 PHYSICAL_AXES = ("eta", "U0", "delta_c")
@@ -65,12 +61,6 @@ SOLVER_KINDS = ("warm", "cold", "select_fallback", "unsolved")
 #: A process reports progress after every ceil(steps / PROGRESS_STEPS)-th
 #: strength step of its share, so at most this many times before the end.
 PROGRESS_STEPS = 8
-
-#: The columns of a share advance in groups whose chains hold at most this
-#: many sites in all; larger blocks fall out of cache.  A group takes block
-#: LAPACK calls from ``model.LOCKSTEP_MIN_CHAINS`` points on, so a chain of
-#: more than 6144 / 8 = 768 sites is always solved alone.
-LOCKSTEP_SITES = 6144
 
 #: Floating-point CSV cells use this format; 17 significant digits round-trip.
 FLOAT_FORMAT = "%.17g"
@@ -440,20 +430,21 @@ class _Point:
         self.zeta, self.problem, self.start, self.gs = zeta, problem, column.start, None
 
 
-def _solve_step(spec: SweepSpec, bases: dict, group: list, step: int) -> None:
-    """Advance every column of a group by its step-th point.
+def _solve_step(spec: SweepSpec, bases: dict, share: list, step: int) -> None:
+    """Advance every column of a share by its step-th point.
 
     Each point resolves its parameters, sets up its column when it is the
-    first to resolve, and scales the unit profile by its v0.  The points
-    that start from their column's ground state take their rows of one
-    ``model.warm_solves`` call, and every point one ``ground_state`` call,
-    cold at a column start.  The solved points take one ``ipr`` and one
-    ``thouless_gammas`` call, which choose block LAPACK calls or one chain
-    at a time, and the photon number point by point.  A point that raises,
-    or whose gamma_T fails, fails alone; its column's next point starts cold.
+    first to resolve, and scales the unit profile by its v0.  The chains of
+    the points that reach one are stacked once: diagonals, off-diagonals and
+    norm bounds.  The points that start from their column's ground state
+    take their rows of one ``model.warm_solves`` call, and every point one
+    ``ground_state`` call, cold at a column start.  The solved points take
+    one ``ipr`` and one ``thouless_gammas`` call on their rows of the stack,
+    and the photon number point by point.  A point that raises, or whose
+    gamma_T fails, fails alone; its column's next point starts cold.
     """
     points = []
-    for column in group:
+    for column in share:
         i1, i2 = divmod(column.indices[step], spec.shape[1])
         column.params = _point_params(spec, i1, i2)
         v0 = coop = dcp = math.nan
@@ -470,21 +461,28 @@ def _solve_step(spec: SweepSpec, bases: dict, group: list, step: int) -> None:
             column.add(spec, v0, coop, dcp, [_failure(exc)])
             continue
         points.append(_Point(column, v0, coop, dcp, zeta, problem))
-    warm = [p for p in points if p.start is not None]
-    for p, solve in zip(warm, model.warm_solves([p.problem for p in warm],
-                                                [p.start for p in warm])):
-        p.start = solve
-    solved = []
+    if not points:
+        return
+    chains = (np.array([p.problem.onsite.values for p in points]),
+              np.array([p.problem.offdiagonal for p in points]),
+              np.array([p.problem.norm_bound for p in points]))
+    warm = [k for k, p in enumerate(points) if p.start is not None]
+    if warm:
+        solves = model.warm_solves(*_rows(chains, warm, len(points)),
+                                   [points[k].start for k in warm])
+        for k, solve in zip(warm, solves):
+            points[k].start = solve
     for p in points:
         try:
             p.gs = ground_state(p.problem, start=p.start)
         except Exception as exc:
             p.column.add(spec, p.v0, p.coop, p.dcp, [_failure(exc)])
-            continue
-        solved.append(p)
+    solved_rows = [k for k, p in enumerate(points) if p.gs is not None]
+    solved = [points[k] for k in solved_rows]
     iprs = ipr(np.reshape([p.gs.amplitudes for p in solved], (-1, spec.L))).tolist()
     gammas = ([None] * len(solved) if "gamma" not in spec.observables else
-              thouless_gammas([p.problem for p in solved], [p.gs.energy for p in solved]))
+              thouless_gammas(*_rows(chains, solved_rows, len(points)),
+                              [p.gs.energy for p in solved]))
     for p, p_x, gamma in zip(solved, iprs, gammas):
         column, gs, flags, nbar = p.column, p.gs, [], None
         solver = _solver_kind(p.start is not None, gs.method)
@@ -502,6 +500,12 @@ def _solve_step(spec: SweepSpec, bases: dict, group: list, step: int) -> None:
             gs = None
         column.add(spec, p.v0, p.coop, p.dcp, flags, solver, p.gs.energy, p_x,
                    gamma, nbar, gs)
+
+
+def _rows(chains: tuple, ks: list, count: int) -> tuple:
+    """The rows ks of a step's stack of count chains: the stack itself when
+    ks holds every row, else a copy of those rows."""
+    return chains if len(ks) == count else tuple(a[ks] for a in chains)
 
 
 def _column_estimate(spec: SweepSpec, records: list, wb: WannierBasis | None,
@@ -576,23 +580,18 @@ def _fork_context():
 def _run_share(spec: SweepSpec, bases: dict, columns: list, progress=None) -> list:
     """The ``_Column.result`` of each of a process's columns, in order.
 
-    The columns advance one strength step at a time, in contiguous groups
-    of near-equal size whose chains hold at most LOCKSTEP_SITES sites in
-    all: each step solves one point of every column of a group together
-    (``_solve_step``).  All columns have the same length.  bases is this
+    The columns advance one strength step at a time: each step solves one
+    point of every column together (``_solve_step``).  All columns have the
+    same length.  bases is this
     process's (``_basis``).  With progress, this process reports
     progress(done, n) after every ceil(steps / PROGRESS_STEPS)-th step while
     done, the points whose records it holds, is below the sweep's n.
     """
     share = [_Column(column) for column in columns]
-    count = -(-len(share) // max(1, LOCKSTEP_SITES // spec.L))
-    groups = [share[len(share) * k // count:len(share) * (k + 1) // count]
-              for k in range(count)]
     n, steps = spec.n_points, len(columns[0]) if columns else 0
     every = -(-steps // PROGRESS_STEPS)
     for step in range(steps):
-        for group in groups:
-            _solve_step(spec, bases, group, step)
+        _solve_step(spec, bases, share, step)
         done = (step + 1) * len(share)
         if progress is not None and (step + 1) % every == 0 and done < n:
             progress(done, n)

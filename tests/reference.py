@@ -5,8 +5,10 @@ independently of the harmonic-series kernels, so tests can check the
 library's stored constants and profiles against it.
 """
 
+import math
+
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal, lapack
 
 from cavityaa.lattice import LATTICE_CONSTANT
 
@@ -134,6 +136,24 @@ def thouless_spectrum_gamma(diag, t: float, shift_rtol: float) -> float:
     delta = shift_rtol * gershgorin_norm_bound(diag, offdiag)
     return float(np.log(energies[1:] - energies[0] + delta).sum()
                  / (diag.shape[0] - 1) - np.log(abs(t)))
+
+
+def thouless_ldlt_gamma(diag, t: float, energy: float, shift_rtol: float) -> float:
+    """The Thouless formula of the chain from one LDL^T factorization.
+
+    (sum_n ln p_n - ln delta) / (L - 1) - ln|t| over the pivots p_n of one
+    ``dpttrf`` of tridiag(-t, diag, -t) - (energy - delta) I, with delta =
+    shift_rtol times the chain's Gershgorin norm bound, in the order of
+    operations of the sweep's gamma_T.  NaN when a pivot is not positive.
+    """
+    diag = np.asarray(diag, dtype=np.float64)
+    offdiag = np.full(diag.shape[0] - 1, -t)
+    delta = shift_rtol * gershgorin_norm_bound(diag, offdiag)
+    pivots, _, info = lapack.dpttrf(diag - (energy - delta), offdiag)
+    if info != 0:
+        return float("nan")
+    return float((np.log(pivots).sum() - math.log(delta)) / (diag.shape[0] - 1)
+                 - math.log(abs(t)))
 
 
 def determinant_spectrum_gamma(diag, t: float, energy: float) -> tuple[float, float]:

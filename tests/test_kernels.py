@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, lapack
 
 import cavityaa as ca
 from cavityaa import kernels
@@ -61,15 +61,22 @@ def test_diagonal_matrix_exact():
     assert np.argmax(np.abs(psi)) == 1
 
 
+def _margin(d, e, energy, tol):
+    """The certificate of one chain: the smallest LDL^T pivot of
+    T - (energy - tol) I, NaN when a pivot is not positive."""
+    return kernels._ldlt(d[None], e[None], np.array([energy - tol]), kernels._min_pivot)[0]
+
+
 def test_certificate_separates_the_lowest_eigenvalue():
     rng = np.random.RandomState(9)
     d, e = _random_chain(rng, 233)
     w = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
     tol = 1e-12
-    margin = kernels.certificate_margin(d, e, w[0], tol)
-    assert margin is not None and margin >= tol / 2
+    margin = _margin(d, e, w[0], tol)
+    assert margin >= tol / 2
+    assert margin == lapack.dpttrf(d - (w[0] - tol), e)[0].min()
     # at the second eigenvalue the shifted matrix is indefinite
-    assert kernels.certificate_margin(d, e, w[1], tol) is None
+    assert np.isnan(_margin(d, e, w[1], tol))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -83,7 +90,7 @@ def test_warm_start_from_a_perturbed_ground_state(seed):
     assert method == kernels.WARM_METHOD
     tol = res + 8.0 * np.finfo(float).eps * norm
     assert abs(lam - w[0]) <= tol
-    assert kernels.certificate_margin(d, e, lam, tol) is not None
+    assert _margin(d, e, lam, tol) > 0.0
     assert abs(abs(np.dot(psi, v[:, 0])) - 1.0) < 1e-10
 
 
@@ -96,7 +103,7 @@ def test_warm_start_from_the_second_state_is_not_certified():
     lam, psi, res, _ = kernels.warm_eigenpair(d, e, v[:, 1], norm)
     assert lam == pytest.approx(w[1], abs=1e-12)
     tol = res + 8.0 * np.finfo(float).eps * norm
-    assert kernels.certificate_margin(d, e, lam, tol) is None
+    assert np.isnan(_margin(d, e, lam, tol))
 
 
 def test_warm_start_on_an_exact_eigenvalue_returns_it():
@@ -109,7 +116,7 @@ def test_warm_start_on_an_exact_eigenvalue_returns_it():
     assert np.array_equal(psi, np.eye(5)[0])
     # it is not the lowest pair: the certificate rejects it, and the ground
     # state comes from bisection
-    assert kernels.certificate_margin(d, e, lam, kernels.CERTIFICATE_RTOL * 1.3) is None
+    assert np.isnan(_margin(d, e, lam, kernels.CERTIFICATE_RTOL * 1.3))
     problem = ca.HubbardProblem(L=5, t=0.0, onsite=ca.OnsiteProfile(values=d, L=5))
     gs = ca.ground_state(problem, start=np.eye(5)[0])
     assert (gs.energy, gs.method) == (-1.3, kernels.COLD_METHOD)
@@ -225,30 +232,36 @@ def _chain_rows(rng, kinds, n):
     return D, E, np.array(starts), bounds
 
 
-def _assert_rows_are_the_scalar_kernel(D, E, starts, bounds):
+def _assert_rows_are_their_own_calls(D, E, starts, bounds):
+    """Every row of warm_eigenpairs is bit-identical to the row's own
+    one-chain call, or gives up where that does, and a converged row is an
+    eigenpair of its chain to within its residual (eigh_tridiagonal)."""
     energies, vectors, residuals, converged = kernels.warm_eigenpairs(D, E, starts, bounds)
     for k in range(D.shape[0]):
-        one = kernels.warm_eigenpair(D[k], E[k], starts[k], bounds[k])
-        if one is None:
-            assert not converged[k]
+        one = kernels.warm_eigenpairs(D[k:k + 1], E[k:k + 1], starts[k:k + 1], bounds[k:k + 1])
+        assert converged[k] == one[3][0]
+        assert np.array_equal(energies[k], one[0][0], equal_nan=True)
+        assert np.array_equal(residuals[k], one[2][0], equal_nan=True)
+        assert np.array_equal(vectors[k], one[1][0], equal_nan=True)
+        if converged[k]:
+            w = eigh_tridiagonal(D[k], E[k], eigvals_only=True)
+            assert np.min(np.abs(w - energies[k])) <= residuals[k] + 1e-14 * bounds[k]
+        else:
             assert np.isnan(energies[k]) and np.isnan(residuals[k])
             assert np.all(np.isnan(vectors[k]))
-        else:
-            assert converged[k]
-            assert energies[k] == one[0] and residuals[k] == one[2]
-            assert np.array_equal(vectors[k], one[1])
     return converged
 
 
 @given(seed=st.integers(0, 2 ** 31 - 1), n=st.integers(2, 40),
        kinds=st.lists(st.sampled_from(["near", "random", "exact", "nan"]),
-                      min_size=1, max_size=10))
+                      min_size=1, max_size=2 * kernels.LOCKSTEP_MIN_CHAINS))
 @settings(max_examples=80, deadline=None)
 def test_warm_eigenpairs_rows_are_the_scalar_kernel(seed, n, kinds):
-    # every row is bit-identical to warm_eigenpair on its own chain, or gives
-    # up where that does, whatever its neighbours do
+    # from LOCKSTEP_MIN_CHAINS rows on the block path, below it one row at a
+    # time: either way each row is its own one-chain call bit for bit,
+    # whatever its neighbours do
     rng = np.random.RandomState(seed)
-    _assert_rows_are_the_scalar_kernel(*_chain_rows(rng, kinds, n))
+    _assert_rows_are_their_own_calls(*_chain_rows(rng, kinds, n))
 
 
 def test_zero_coupled_concatenation_is_the_per_block_calls():
@@ -290,12 +303,13 @@ def test_nonfinite_block_is_redone_alone(monkeypatch):
     K, n = 5, 20
     D, E, starts, bounds = _chain_rows(rng, ["near"] * K, n)
     D[2, 4] = np.nan
+    monkeypatch.setattr(kernels, "LOCKSTEP_MIN_CHAINS", 2)  # block calls at K = 5
     monkeypatch.setattr(kernels.lapack, "dgtsv", counting)
-    converged = _assert_rows_are_the_scalar_kernel(D, E, starts, bounds)
+    full = kernels.warm_eigenpairs(D, E, starts, bounds)
+    converged = _assert_rows_are_their_own_calls(D, E, starts, bounds)
     assert list(converged) == [True, True, False, True, True]
     solo = kernels.warm_eigenpairs(np.delete(D, 2, 0), np.delete(E, 2, 0),
                                    np.delete(starts, 2, 0), np.delete(bounds, 2))
-    full = kernels.warm_eigenpairs(D, E, starts, bounds)
     for got, want in zip(full, solo):
         assert np.array_equal(np.delete(got, 2, 0), want)
     # the first step: one call on the concatenation, then one per row
@@ -303,27 +317,66 @@ def test_nonfinite_block_is_redone_alone(monkeypatch):
 
 
 def test_certificate_margins_are_the_per_row_margins():
-    # one dpttrf on the concatenation, and a row that fails (the second
-    # eigenvalue) or holds a NaN sends every row to its own call
+    # each row whose residual passes has the smallest pivot of its own
+    # dpttrf of T_k - (energy_k - tol_k) I, one row at a time or in block
+    # calls; a row at the second eigenvalue, one whose iteration gave up (a
+    # NaN pair) and one whose residual is too large are NaN
     rng = np.random.RandomState(12)
-    K, n = 6, 25
+    n = 25
+    for K in (4, 2 * kernels.LOCKSTEP_MIN_CHAINS):
+        D, E = np.empty((K, n)), np.empty((K, n - 1))
+        for k in range(K):
+            D[k], E[k] = _random_chain(rng, n)
+        lowest = np.array([eigh_tridiagonal(d, e, eigvals_only=True)[:2] for d, e in zip(D, E)])
+        energies, residuals = lowest[:, 0].copy(), np.full(K, 1e-14)
+        bounds = np.array([gershgorin_norm_bound(d, e) for d, e in zip(D, E)])
+        energies[1], residuals[3] = lowest[1, 1], 2e-10 * bounds[3]
+        energies[2] = residuals[2] = np.nan
+        margins = kernels.certified_margins(D, E, energies, residuals, bounds)
+        assert np.all(np.isnan(margins[1:4]))
+        for k in (0, *range(4, K)):
+            tol = residuals[k] + kernels.CERTIFICATE_RTOL * bounds[k]
+            pivots, _, info = lapack.dpttrf(D[k] - (energies[k] - tol), E[k])
+            assert info == 0 and margins[k] == pivots.min() > 0.0
+
+
+@pytest.mark.parametrize("reduce", [kernels._min_pivot, ca.observables._log_pivot_sum])
+@pytest.mark.parametrize("block", [False, True])
+def test_ldlt_restarts_after_each_failed_row(monkeypatch, block, reduce):
+    # rows shifted to their second eigenvalue (a pivot that is not positive)
+    # at the first, a middle and the last position, and a row that holds a
+    # NaN: each is NaN, and every other row is its own dpttrf bit for bit.
+    # A block run starts again after each failed row, in one call on the
+    # rest: one call more than it has failed rows at most
+    rng = np.random.RandomState(12)
+    K, n = 10, 25
     D, E = np.empty((K, n)), np.empty((K, n - 1))
     for k in range(K):
         D[k], E[k] = _random_chain(rng, n)
-    lowest = np.array([np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))[:2]
-                       for d, e in zip(D, E)])
-    tols = np.full(K, 1e-12)
-    margins = kernels.certificate_margins(D, E, lowest[:, 0], tols)
-    assert np.all(margins > 0.0)
-    energies = lowest[:, 0].copy()
-    energies[1] = lowest[1, 1]
-    D[4, 0] = np.nan
-    margins = kernels.certificate_margins(D, E, energies, tols)
+    lowest = np.array([eigh_tridiagonal(d, e, eigvals_only=True)[:2] for d, e in zip(D, E)])
+    shifts = lowest[:, 0] - 1e-12
+    failed = (0, 4, 6, K - 1)
+    shifts[[0, 4, K - 1]] = lowest[[0, 4, K - 1], 1]
+    D[6, 3] = np.nan
+    calls, dpttrf = [], lapack.dpttrf
+
+    def counting(d, e):
+        calls.append(d.shape[0])
+        return dpttrf(d, e)
+
+    monkeypatch.setattr(kernels, "LOCKSTEP_MIN_CHAINS", 2 if block else K + 1)
+    monkeypatch.setattr(kernels.lapack, "dpttrf", counting)
+    out = kernels._ldlt(D, E, shifts, reduce)
     for k in range(K):
-        one = kernels.certificate_margin(D[k], E[k], energies[k], tols[k])
-        if one is None or np.isnan(one):
-            assert np.isnan(margins[k])
+        if k in failed:
+            assert np.isnan(out[k])
         else:
-            assert margins[k] == one
-    assert np.isnan(margins[1]) and np.isnan(margins[4])
-    assert np.count_nonzero(np.isnan(margins)) == 2
+            pivots, _, info = dpttrf(D[k] - shifts[k], E[k])
+            assert info == 0 and out[k] == reduce(pivots)
+    if block:
+        # rows 0-9 stop at row 0, 1-9 at row 4, 5-9 spread row 6's NaN, and
+        # 7-9 stop at the last row
+        assert calls == [K * n, 9 * n, 5 * n, 3 * n]
+        assert len(calls) <= len(failed) + 1
+    else:
+        assert calls == [n] * K

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg import eigh_tridiagonal
 
 import cavityaa as ca
@@ -8,7 +9,7 @@ from cavityaa.lattice import GOLDEN_BETA, LATTICE_CONSTANT
 from reference import f_eval, gershgorin_norm_bound
 
 L = 233
-MIN_CHAINS = ca.model.LOCKSTEP_MIN_CHAINS
+MIN_CHAINS = kernels.LOCKSTEP_MIN_CHAINS
 
 
 def test_potential_mode_selection():
@@ -201,16 +202,16 @@ def test_ground_state_falls_back_on_an_excited_pair(wannier, monkeypatch):
     problem = ca.HubbardProblem(L=L, t=t, onsite=ca.onsite_aa(2.5 * t, GOLDEN_BETA, L))
     monkeypatch.setattr(kernels, "lowest_eigenpair", _second_eigenpair)
     margins = []
-    certify = kernels.certificate_margin
+    ldlt = kernels._ldlt
 
     def recording(*args):
-        margins.append(certify(*args))
+        margins.append(ldlt(*args))
         return margins[-1]
 
-    monkeypatch.setattr(kernels, "certificate_margin", recording)
+    monkeypatch.setattr(kernels, "_ldlt", recording)
     with pytest.raises(ca.GroundStateError, match="eigenvalue below"):
         ca.ground_state(problem)
-    assert margins == [None]
+    assert len(margins) == 1 and margins[0].shape == (1,) and np.isnan(margins[0][0])
 
 
 def test_warm_start_matches_the_dense_ground_state(wannier, dense_chain):
@@ -286,11 +287,13 @@ def test_warm_start_on_the_second_state_falls_back_to_the_cold_solve(wannier,
                                         (MIN_CHAINS, True)])
 def test_warm_solves_rows_are_their_one_chain_calls(wannier, monkeypatch, K, planted):
     # cavity chains at v0 = 0.05 start from their ground states at 0.049;
-    # at least MIN_CHAINS take one block iteration, fewer go one at a time,
-    # and row k is chain k's own warm solve, which ground_state takes as it
-    # would solve from the vector.  A planted row starts on its chain's
-    # second eigenvector and converges there: the certificate finds a
-    # non-positive pivot for that row alone
+    # from MIN_CHAINS on they take block dgtsv calls, below it one per
+    # chain.  Row k is chain k's lowest eigenpair (eigh_tridiagonal) with
+    # the certificate's smallest pivot (its own dpttrf), and what
+    # ground_state finds from the start vector, a one-chain warm_solves
+    # call, bit for bit.  A planted row starts on its chain's second
+    # eigenvector and converges there: the certificate finds a non-positive
+    # pivot for that row alone
     problems, starts = [], []
     for C in np.linspace(-4.0, -0.5, K):
         chain = [ca.HubbardProblem(L=L, t=wannier.t, onsite=ca.onsite_cavity(
@@ -301,25 +304,31 @@ def test_warm_solves_rows_are_their_one_chain_calls(wannier, monkeypatch, K, pla
         q = problems[-1]
         starts[-1] = eigh_tridiagonal(q.onsite.values, q.offdiagonal, select="i",
                                       select_range=(1, 1))[1][:, 0]
-    blocks, block_solve = [], kernels.warm_eigenpairs
+    sizes, dgtsv = [], kernels.lapack.dgtsv
 
-    def counting(D, *args):
-        blocks.append(D.shape[0])
-        return block_solve(D, *args)
+    def counting(dl, d, *args, **kwargs):
+        sizes.append(d.shape[0])
+        return dgtsv(dl, d, *args, **kwargs)
 
-    monkeypatch.setattr(kernels, "warm_eigenpairs", counting)
-    rows = ca.model.warm_solves(problems, starts)
-    assert blocks == ([K] if K >= MIN_CHAINS else []) and len(rows) == K
+    D = np.array([q.onsite.values for q in problems])
+    E = np.array([q.offdiagonal for q in problems])
+    bounds = np.array([q.norm_bound for q in problems])
+    monkeypatch.setattr(kernels.lapack, "dgtsv", counting)
+    rows = ca.model.warm_solves(D, E, bounds, starts)
+    assert len(rows) == K
+    assert sizes[0] == (K * L if K >= MIN_CHAINS else L)
     for k, (q, start, row) in enumerate(zip(problems, starts, rows)):
         d, e, bound = q.onsite.values, q.offdiagonal, q.norm_bound
-        energy, vector, residual, _ = kernels.warm_eigenpair(d, e, start, bound)
-        margin = kernels.certified_margin(d, e, energy, residual, bound)
-        assert (row.energy, row.residual) == (energy, residual)
-        assert np.array_equal(row.vector, vector)
-        if planted and k == K - 1:
-            assert np.isnan(row.margin) and np.isnan(margin)
+        w, v = eigh_tridiagonal(d, e, select="i", select_range=(0, 1))
+        j = 1 if planted and k == K - 1 else 0
+        tol = row.residual + ca.model.CERTIFICATE_RTOL * bound
+        assert abs(row.energy - w[j]) <= tol
+        assert abs(abs(row.vector @ v[:, j]) - 1.0) < 1e-10
+        pivots, _, info = scipy.linalg.lapack.dpttrf(d - (row.energy - tol), e)
+        if j == 1:
+            assert info > 0 and np.isnan(row.margin)
         else:
-            assert row.margin == margin > 0.0
+            assert info == 0 and row.margin == pivots.min() > 0.0
         a, b = ca.ground_state(q, start=row), ca.ground_state(q, start=start)
         assert (a.energy, a.method, a.residual, a.certificate_margin) == \
             (b.energy, b.method, b.residual, b.certificate_margin)

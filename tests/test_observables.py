@@ -8,10 +8,11 @@ from scipy.linalg import eigvalsh_tridiagonal
 import cavityaa as ca
 from cavityaa.lattice import GOLDEN_BETA, LATTICE_CONSTANT
 from reference import (determinant_spectrum_gamma, photon_number_site_loop,
-                       thouless_reference, thouless_spectrum_gamma)
+                       thouless_ldlt_gamma, thouless_reference, thouless_spectrum_gamma)
 
 L = 233
-MIN_CHAINS = ca.model.LOCKSTEP_MIN_CHAINS
+MIN_CHAINS = ca.kernels.LOCKSTEP_MIN_CHAINS
+SHIFT_RTOL = ca.observables.THOULESS_SHIFT_RTOL
 
 
 def test_ipr_reference_states():
@@ -97,6 +98,14 @@ def _cavity_chains(wannier, K):
     return problems, [ca.ground_state(q).energy for q in problems]
 
 
+def _gammas(problems, energies):
+    """thouless_gammas of the chains, stacked row by row."""
+    return ca.observables.thouless_gammas(np.array([q.onsite.values for q in problems]),
+                                          np.array([q.offdiagonal for q in problems]),
+                                          np.array([q.norm_bound for q in problems]),
+                                          energies)
+
+
 # (K, planted): a planted row sits on each side of the block threshold
 CHAIN_COUNTS = [(1, False), (MIN_CHAINS - 1, False), (MIN_CHAINS, False),
                 (MIN_CHAINS - 1, True), (MIN_CHAINS, True)]
@@ -105,9 +114,9 @@ CHAIN_COUNTS = [(1, False), (MIN_CHAINS - 1, False), (MIN_CHAINS, False),
 @pytest.mark.parametrize("K, planted", CHAIN_COUNTS)
 def test_thouless_gammas_rows_are_their_one_chain_calls(wannier, monkeypatch, K, planted):
     # one dpttrf for at least MIN_CHAINS chains, else one per chain; entry k
-    # is thouless_gamma of chain k bit for bit.  A planted row factored at
-    # its chain's second eigenvalue has a non-positive pivot: that row
-    # alone holds the LinAlgError, and a block call is redone chain by chain
+    # is the gamma_T of chain k's own dpttrf bit for bit.  A planted last row
+    # factored at its chain's second eigenvalue has a non-positive pivot:
+    # that row alone holds a LinAlgError
     problems, energies = _cavity_chains(wannier, K)
     if planted:
         q = problems[-1]
@@ -120,32 +129,29 @@ def test_thouless_gammas_rows_are_their_one_chain_calls(wannier, monkeypatch, K,
         calls.append(d.shape[0])
         return dpttrf(d, e)
 
-    monkeypatch.setattr(ca.observables, "lapack", types.SimpleNamespace(dpttrf=counting))
-    gammas = ca.observables.thouless_gammas(problems, energies)
-    block = [K * L] if K >= MIN_CHAINS else []
-    assert calls == block + ([L] * K if planted or not block else [])
+    monkeypatch.setattr(ca.kernels.lapack, "dpttrf", counting)
+    gammas = _gammas(problems, energies)
+    assert calls == ([K * L] if K >= MIN_CHAINS else [L] * K)
     assert len(gammas) == K
     for k, (q, energy) in enumerate(zip(problems, energies)):
         if planted and k == K - 1:
             assert isinstance(gammas[k], np.linalg.LinAlgError)
-            with pytest.raises(np.linalg.LinAlgError, match="dpttrf"):
-                ca.observables.thouless_gamma(q, energy)
+            assert np.isnan(thouless_ldlt_gamma(q.onsite.values, q.t, energy, SHIFT_RTOL))
         else:
-            assert gammas[k] == ca.observables.thouless_gamma(q, energy)
+            assert gammas[k] == thouless_ldlt_gamma(q.onsite.values, q.t, energy, SHIFT_RTOL)
 
 
 def test_thouless_gamma_is_the_full_spectrum_sum(wannier):
     # the rounding of E0, a few eps ||H||, against the shift delta bounds
     # the difference: 32 eps / THOULESS_SHIFT_RTOL / (L - 1) = 3.1e-8
-    shift = ca.observables.THOULESS_SHIFT_RTOL
     problems, energies = _cavity_chains(wannier, 4)
     problems.append(ca.HubbardProblem(L=L, t=wannier.t, onsite=ca.onsite_aa(
         3.0 * wannier.t, GOLDEN_BETA, L)))
     energies.append(ca.ground_state(problems[-1]).energy)
-    tol = 32.0 * np.finfo(np.float64).eps / shift / (L - 1)
-    for q, energy in zip(problems, energies):
-        oracle = thouless_spectrum_gamma(q.onsite.values, q.t, shift)
-        assert abs(ca.observables.thouless_gamma(q, energy) - oracle) <= tol
+    tol = 32.0 * np.finfo(np.float64).eps / SHIFT_RTOL / (L - 1)
+    for q, gamma in zip(problems, _gammas(problems, energies)):
+        oracle = thouless_spectrum_gamma(q.onsite.values, q.t, SHIFT_RTOL)
+        assert abs(gamma - oracle) <= tol
 
 
 def test_thouless_reference():

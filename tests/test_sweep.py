@@ -10,7 +10,7 @@ import pytest
 import scipy.linalg
 
 import cavityaa as ca
-from reference import photon_number_site_loop, thouless_spectrum_gamma
+from reference import photon_number_site_loop, thouless_ldlt_gamma, thouless_spectrum_gamma
 
 L = 233
 SHIFT_RTOL = ca.observables.THOULESS_SHIFT_RTOL
@@ -268,7 +268,8 @@ def test_sweep_gamma_is_the_full_spectrum_sum(wannier, lattice_spec, mode, n_sit
             assert rec.flags == ""
             assert rec.E0 == gs.energy
             assert rec.ipr == ca.ipr(gs)
-            assert rec.gamma == ca.observables.thouless_gamma(problem, gs.energy)
+            assert rec.gamma == thouless_ldlt_gamma(problem.onsite.values, wb.t, gs.energy,
+                                                    SHIFT_RTOL)
             oracle = thouless_spectrum_gamma(problem.onsite.values, wb.t, SHIFT_RTOL)
             assert abs(rec.gamma - oracle) <= _gamma_tol(n_sites)
             previous = gs.amplitudes
@@ -289,7 +290,7 @@ def test_warm_and_cold_gamma_agree(wannier, lattice_spec, mode):
     for rec in result.records:
         problem = _chain(wannier, L, rec, lattice_spec.beta)
         cold = ca.ground_state(problem)
-        gamma = ca.observables.thouless_gamma(problem, cold.energy)
+        gamma = thouless_ldlt_gamma(problem.onsite.values, wannier.t, cold.energy, SHIFT_RTOL)
         assert abs(rec.gamma - gamma) <= _gamma_tol(L)
 
 
@@ -307,21 +308,24 @@ def test_aa_gamma_follows_aubry_andre(wannier, lattice_spec):
 
 def test_failed_thouless_factorization_fails_only_its_point(wannier, lattice_spec,
                                                            monkeypatch):
-    # a dpttrf that reports a non-positive pivot fails its point after the
-    # solve; the next point starts cold and the column goes on
+    # a gamma_T factorization that finds a pivot that is not positive fails
+    # its point after the solve; the next point starts cold and the column
+    # goes on
     spec = _spec(lattice_spec, axis1=ca.Axis.log("v0", 0.01, 0.2, 6),
                  axis2=ca.Axis("C", np.array([-2.0])), observables=("ipr", "gamma"))
     clean = ca.run_sweep(spec, wannier=wannier).records
     calls = []
-    dpttrf = scipy.linalg.lapack.dpttrf
+    ldlt = ca.kernels._ldlt
 
-    def planted(d, e):
-        calls.append(d)
-        pivots, factor, info = dpttrf(d, e)
-        return pivots, factor, 1 if len(calls) == 3 else info
+    def planted(D, E, shifts, reduce):
+        out = ldlt(D, E, shifts, reduce)
+        if reduce is ca.observables._log_pivot_sum:
+            calls.append(D.shape[0])
+            if len(calls) == 3:
+                out[:] = np.nan
+        return out
 
-    monkeypatch.setattr(ca.observables, "lapack",
-                        types.SimpleNamespace(dpttrf=planted))
+    monkeypatch.setattr(ca.kernels, "_ldlt", planted)
     result = ca.run_sweep(spec, wannier=wannier)
     assert len(calls) == 6
     records = result.records
@@ -414,7 +418,7 @@ def test_lockstep_columns_are_their_one_column_sweeps(wannier, lattice_spec, mon
     # (four or two here, eight as shipped); a one-column sweep takes the
     # single-chain calls: every record, solver path and transition estimate
     # is the same bit for bit, on chains of 233 and of 987 sites.
-    monkeypatch.setattr(ca.model, "LOCKSTEP_MIN_CHAINS", min_chains)
+    monkeypatch.setattr(ca.kernels, "LOCKSTEP_MIN_CHAINS", min_chains)
     spec = _lockstep_spec(lattice_spec, kind)
     result = ca.run_sweep(spec, wannier=wannier, workers=workers)
     counts = result.metadata["solver_counts"]
@@ -456,19 +460,16 @@ def _plant(monkeypatch, spec, wannier, failure, column):
 
         monkeypatch.setattr(ca.sweep, "ground_state", planted_solve)
         return
-    dpttrf = scipy.linalg.lapack.dpttrf
+    ldlt = ca.kernels._ldlt
 
-    def planted_factorization(d, e):
-        # a block of d that is the planted chain shifted by a constant
-        # reports a non-positive first pivot, in a block call or alone
-        pivots, factor, info = dpttrf(d, e)
-        for k in range(d.shape[0] // L):
-            if np.ptp(d[k * L:(k + 1) * L] - values) < 1e-12:
-                return pivots, factor, k * L + 1
-        return pivots, factor, info
+    def planted_factorization(D, E, shifts, reduce):
+        # the planted chain's gamma_T factorization fails, among others or alone
+        out = ldlt(D, E, shifts, reduce)
+        if reduce is ca.observables._log_pivot_sum:
+            out[np.array([np.array_equal(d, values) for d in D], dtype=bool)] = np.nan
+        return out
 
-    monkeypatch.setattr(ca.observables, "lapack",
-                        types.SimpleNamespace(dpttrf=planted_factorization))
+    monkeypatch.setattr(ca.kernels, "_ldlt", planted_factorization)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -479,7 +480,7 @@ def test_failure_in_one_column_leaves_the_others_alone(wannier, lattice_spec, mo
                                                       workers, failure, error):
     # the planted column is the forked worker's at two workers; every other
     # column's CSV rows and transition estimate stay byte-identical
-    monkeypatch.setattr(ca.model, "LOCKSTEP_MIN_CHAINS", 2)  # block calls at 2 workers too
+    monkeypatch.setattr(ca.kernels, "LOCKSTEP_MIN_CHAINS", 2)  # block calls at 2 workers too
     spec = _lockstep_spec(lattice_spec)
     clean = ca.run_sweep(spec, wannier=wannier)
     _plant(monkeypatch, spec, wannier, failure, column=1)
@@ -512,14 +513,16 @@ def test_solver_counts_show_a_planted_certificate_failure(wannier, lattice_spec,
     assert clean.metadata["methods"]["eigensolver"] == "column_warm_start"
     assert [rec.solver for rec in clean.records[:3]] == ["cold", "warm", "warm"]
     calls = []
-    certify = ca.kernels.certificate_margin
+    ldlt = ca.kernels._ldlt
 
     def planted(*args):
         calls.append(args)
-        # the third check is the warm result at the third point
-        return None if len(calls) == 3 else certify(*args)
+        out = ldlt(*args)
+        if len(calls) == 3:  # the third check is the warm result at the third point
+            out[:] = np.nan
+        return out
 
-    monkeypatch.setattr(ca.kernels, "certificate_margin", planted)
+    monkeypatch.setattr(ca.kernels, "_ldlt", planted)
     result = ca.run_sweep(spec, wannier=wannier)
     assert result.records[2].solver == "select_fallback"
     expected = dict(clean.metadata["solver_counts"])
