@@ -9,29 +9,24 @@ phase diagrams over the cavity parameters.
 """
 
 from ._version import __version__
-from .lattice import (GOLDEN_BETA, LATTICE_CONSTANT, BandSolveError, BlochBand,
-                      LatticeSpec, WannierBasis, band_tightbinding_residual,
-                      build_wannier, solve_lowest_band, tunneling_from_band)
+from .lattice import (GOLDEN_BETA, BandSolveError, BlochBand, LatticeSpec,
+                      WannierBasis, band_tightbinding_residual, build_wannier,
+                      solve_lowest_band)
 from .model import (EffectivePotential, GroundState, GroundStateError,
                     HubbardProblem, OnsiteProfile, ground_state, onsite_aa,
                     onsite_cavity)
-from .observables import (PumpField, TransitionEstimate, critical_v_cav,
-                          detect_transition, ipr, lyapunov_exponent,
-                          photon_number)
+from .observables import critical_v_cav, ipr, lyapunov_exponent, photon_number
 from .sweep import (Axis, PumpConfig, SweepRecord, SweepResult, SweepSpec,
-                    csv_body, default_filename, export_csv,
-                    map_physical_params, read_csv, run_sweep)
+                    default_filename, export_csv, run_sweep)
 
 __all__ = [
     "__version__",
-    "GOLDEN_BETA", "LATTICE_CONSTANT", "BandSolveError", "BlochBand",
-    "LatticeSpec", "WannierBasis", "band_tightbinding_residual",
-    "build_wannier", "solve_lowest_band", "tunneling_from_band",
+    "GOLDEN_BETA", "BandSolveError", "BlochBand", "LatticeSpec",
+    "WannierBasis", "band_tightbinding_residual", "build_wannier",
+    "solve_lowest_band",
     "EffectivePotential", "GroundState", "GroundStateError", "HubbardProblem",
     "OnsiteProfile", "ground_state", "onsite_aa", "onsite_cavity",
-    "PumpField", "TransitionEstimate", "critical_v_cav", "detect_transition",
-    "ipr", "lyapunov_exponent", "photon_number",
+    "critical_v_cav", "ipr", "lyapunov_exponent", "photon_number",
     "Axis", "PumpConfig", "SweepRecord", "SweepResult", "SweepSpec",
-    "csv_body", "default_filename", "export_csv", "map_physical_params",
-    "read_csv", "run_sweep",
+    "default_filename", "export_csv", "run_sweep",
 ]

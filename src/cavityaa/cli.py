@@ -4,8 +4,8 @@ Commands: ``wannier``, ``ground-state``, ``sweep``, ``baseline-aa``.  All
 scientific parameters live in a single JSON config (see config.DEFAULTS),
 checked whole when it loads, whatever the command; flags only pick the
 config file, the output directory and the worker count.  Exit codes:
-0 success, 2 invalid configuration or a worker count below 1, 3 sweep with
-more than 1% failed grid points.
+0 success, 2 invalid configuration, a worker count below 1 or an output
+directory that cannot be made, 3 sweep with more than 1% failed grid points.
 """
 
 from __future__ import annotations
@@ -206,7 +206,11 @@ def main(argv=None) -> int:
         else:
             cfg = load_config(args.config)
         out_dir = args.out
-        os.makedirs(out_dir, exist_ok=True)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out {out_dir}: cannot make the output "
+                              f"directory: {exc.strerror}") from exc
         if args.command == "wannier":
             return cmd_wannier(cfg, out_dir)
         if args.command == "ground-state":

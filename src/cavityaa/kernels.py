@@ -93,20 +93,17 @@ def lowest_eigenpair(
     residual, method)``: the residual is ``||T v - energy v||_2``, the
     vector is v / ||v||, normalized once more so that its norm is 1 to
     rounding, and the method is COLD_METHOD.  d and e must be float64 arrays of lengths
-    n >= 1 and n - 1; they are not checked.  A NaN entry, which LAPACK
+    n >= 2 and n - 1; they are not checked.  A NaN entry, which LAPACK
     passes through with ``info = 0``, raises ValueError; ``info != 0``
     raises ``numpy.linalg.LinAlgError``.
     """
-    if d.shape[0] == 1:
-        lam, psi = float(d[0]), np.ones(1)
-    else:
-        m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 1.0, 1, 1, 0.0, "B")
-        if info != 0:
-            raise np.linalg.LinAlgError(f"dstebz failed with info = {info}")
-        v, info = lapack.dstein(d, e, w[:m], iblock, isplit)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"dstein failed with info = {info}")
-        lam, psi = float(w[0]), v[:, 0]
+    m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 1.0, 1, 1, 0.0, "B")
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dstebz failed with info = {info}")
+    v, info = lapack.dstein(d, e, w[:m], iblock, isplit)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dstein failed with info = {info}")
+    lam, psi = float(w[0]), v[:, 0]
     res = _tridiag_residual(d, e, lam, psi)
     if not np.isfinite(res):
         raise ValueError("matrix must not contain infs or NaNs")

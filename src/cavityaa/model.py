@@ -99,26 +99,18 @@ def onsite_cavity(wb: "WannierBasis", pot: EffectivePotential, L: int) -> Onsite
     x_n = n a with the full incommensurate argument (no fractional-part
     reduction).  The integral is the discrete sum over the Wannier grid,
     evaluated through the cosine series of f (``kernels.onsite_quadrature``).
+    The unit-strength sums are checked once, before the scaling by v0: they
+    must be finite and lie in the range |value| <= pi/2 of the arctan.
     """
     if L < 3:
         raise ValueError("need at least 3 sites")
-    unit = kernels.onsite_quadrature(
+    unit = OnsiteProfile(values=kernels.onsite_quadrature(
         wb.density_weights, wb.grid, L, wb.site_spacing_a, pot.beta,
         pot.C, pot.delta_c_prime, pot.uses_sin2,
-    )
-    return scale_profile(unit_profile(unit, L, arctan=True), pot.v0)
-
-
-def unit_profile(values: np.ndarray, L: int, arctan: bool = False) -> OnsiteProfile:
-    """Unit-strength profile for ``scale_profile``, checked once for every v0.
-
-    Its values must be finite; with arctan, they must also lie in the range
-    |value| <= pi/2 of the smeared arctan potential.
-    """
-    unit = OnsiteProfile(values=np.asarray(values, dtype=np.float64), L=L)
-    if arctan and max(unit.peaks) > np.pi / 2.0:
+    ), L=L)
+    if max(unit.peaks) > np.pi / 2.0:
         raise ValueError("profile exceeds the arctan range bound")
-    return unit
+    return scale_profile(unit, pot.v0)
 
 
 def scale_profile(unit: OnsiteProfile, v0: float) -> OnsiteProfile:
@@ -229,9 +221,9 @@ def warm_solves(D: np.ndarray, E: np.ndarray, norm_bounds: np.ndarray,
     vectors.  The chains run Rayleigh-quotient iteration together
     (``kernels.warm_eigenpairs``), and their pairs take the residual bound
     and the certificate together (``kernels.certified_margins``), in block
-    calls or one at a time as ``kernels`` chooses.  Row k is what
-    ``ground_state`` finds from starts[k] on chain k before the sign rule,
-    bit for bit; passed to it as ``start``, it is used as it is.
+    calls or one at a time as ``kernels`` chooses.  Row k is chain k's own
+    one-chain call, bit for bit; passed to ``ground_state`` as ``start``,
+    it is used as it is.
     """
     energies, vectors, residuals, _ = kernels.warm_eigenpairs(D, E, starts, norm_bounds)
     margins = kernels.certified_margins(D, E, energies, residuals, norm_bounds)
@@ -239,18 +231,17 @@ def warm_solves(D: np.ndarray, E: np.ndarray, norm_bounds: np.ndarray,
                     margins.tolist()))
 
 
-def ground_state(problem: HubbardProblem, start=None) -> GroundState:
+def ground_state(problem: HubbardProblem, start: WarmSolve | None = None) -> GroundState:
     """Lowest eigenpair of the chain, sign-fixed, residual-checked and certified.
 
     The chain Hamiltonian is tridiagonal: onsite energies on the diagonal,
     -t on the off-diagonals, hard walls at both ends.
 
-    With ``start``, a length-L vector such as the ground state of a nearby
-    chain, the solve first tries Rayleigh-quotient iteration from it: its
-    row of a one-chain ``warm_solves`` call.  ``start`` may instead be this
-    chain's row of a ``warm_solves`` call on many chains.  Without a start,
-    or when the warm result fails a check, it uses LAPACK bisection +
-    inverse iteration.  A result is accepted when its residual is at most
+    ``start``, when given, is this chain's row of a ``warm_solves`` call:
+    Rayleigh-quotient iteration from a vector such as the ground state of a
+    nearby chain.  A row that passed both checks is the result.  Without a
+    start, or when the row failed a check, the solve uses LAPACK bisection
+    + inverse iteration.  A result is accepted when its residual is at most
     RESIDUAL_RTOL ||H||, which puts an eigenvalue within the residual of E0,
     and the certificate proves that no eigenvalue lies below E0 - tol, tol =
     residual + CERTIFICATE_RTOL ||H||; together they make E0 the lowest
@@ -259,12 +250,6 @@ def ground_state(problem: HubbardProblem, start=None) -> GroundState:
     GroundStateError is raised.  The vector's largest entry is made
     positive, and the method actually used is recorded on the result.
     """
-    if start is not None and not isinstance(start, WarmSolve):
-        start = np.asarray(start, dtype=np.float64)
-        if start.shape != (problem.L,):
-            raise ValueError("start vector length does not match L")
-        start, = warm_solves(problem.onsite.values[None], problem.offdiagonal[None],
-                             np.array([problem.norm_bound]), [start])
     if start is not None and start.margin > 0.0:
         energy, psi, res, margin = start
         method = kernels.WARM_METHOD

@@ -814,20 +814,21 @@ def csv_body(result: SweepResult) -> str:
     return buf.getvalue()
 
 
-def export_csv(result: SweepResult, path, sidecar_path=None, config=None) -> None:
+def export_csv(result: SweepResult, path, config=None) -> None:
     """Write the records CSV and its JSON metadata sidecar.
 
-    When the effective run configuration is given it is echoed into the
-    sidecar, which then doubles as a config file for reproducing the run.
+    The sidecar is ``<path without .csv>.meta.json``.  When the effective
+    run configuration is given it is echoed into the sidecar, which then
+    doubles as a config file for reproducing the run.
     """
     path = str(path)
+    sidecar = (path[:-4] if path.endswith(".csv") else path) + ".meta.json"
     doc = {"metadata": result.metadata}
     if config is not None:
         doc["config"] = config
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(csv_body(result))
-        sidecar = str(sidecar_path) if sidecar_path else _sidecar_path(path)
         with open(sidecar, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -835,28 +836,6 @@ def export_csv(result: SweepResult, path, sidecar_path=None, config=None) -> Non
         raise OSError(f"failed to write sweep output at {path}: {exc}") from exc
 
 
-def _sidecar_path(csv_path: str) -> str:
-    base = csv_path[:-4] if csv_path.endswith(".csv") else csv_path
-    return base + ".meta.json"
-
-
 def default_filename(spec: SweepSpec) -> str:
     ax2 = spec.axis2.name if spec.axis2 is not None else "none"
     return f"{spec.name}_{spec.axis1.name}x{ax2}.csv"
-
-
-def read_csv(path) -> tuple[list, list]:
-    """Parse an exported CSV back into (column names, row dicts)."""
-    with open(str(path), encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        cols = next(reader)
-        rows = []
-        for raw in reader:
-            row = {}
-            for name, cell in zip(cols, raw):
-                if name == "flags":
-                    row[name] = cell
-                else:
-                    row[name] = None if cell == "" else float(cell)
-            rows.append(row)
-    return cols, rows

@@ -70,7 +70,7 @@ class TransitionScanner:
 
     def detect(self, base, lo, hi, num, **kwargs):
         v0s, iprs = self.ipr_curve(base, lo, hi, num)
-        return ca.detect_transition(v0s, iprs, **kwargs)
+        return ca.observables.detect_transition(v0s, iprs, **kwargs)
 
     def refined_vc(self, C, dcp, wide=(0.05, 25.0), n_coarse=72, n_fine=600):
         """Coarse bracket around the dual-model estimate, then a dense decade."""

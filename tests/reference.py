@@ -1,16 +1,19 @@
-"""Verification oracles that the library itself never calls.
+"""Verification oracles and test helpers that the library itself never calls.
 
-Each evaluates a quantity of the model pointwise or by direct quadrature,
-independently of the harmonic-series kernels, so tests can check the
-library's stored constants and profiles against it.
+Each oracle evaluates a quantity of the model pointwise or by direct
+quadrature, independently of the harmonic-series kernels, so tests can check
+the library's stored constants and profiles against it.  The helpers at the
+end read an exported CSV back and warm-start one chain from a vector.
 """
 
+import csv
 import math
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal, lapack
 
 from cavityaa.lattice import LATTICE_CONSTANT
+from cavityaa.model import warm_solves
 
 
 def lowest_band_eigh(spec) -> tuple[np.ndarray, np.ndarray]:
@@ -197,3 +200,26 @@ def photon_number_site_loop(psi, wb, zeta, delta_c, U0) -> float:
         lorentz = drive_sq / ((delta_c - U0 * mode * mode) ** 2 + 1.0)
         total += dens[m] * float(np.dot(wb.density_weights, lorentz))
     return total
+
+
+def read_csv(path) -> tuple[list, list]:
+    """Parse an exported sweep CSV back into (column names, row dicts).
+
+    ``flags`` stays text; every other cell is a float, or None when empty.
+    """
+    with open(str(path), encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        cols = next(reader)
+        rows = [{name: cell if name == "flags" else (None if cell == "" else float(cell))
+                 for name, cell in zip(cols, raw)} for raw in reader]
+    return cols, rows
+
+
+def warm_start(problem, vector):
+    """The ``ground_state`` start of one chain from a start vector: its row
+    of a one-chain ``model.warm_solves`` call; None (a cold start) for None."""
+    if vector is None:
+        return None
+    row, = warm_solves(problem.onsite.values[None], problem.offdiagonal[None],
+                       np.array([problem.norm_bound]), [vector])
+    return row

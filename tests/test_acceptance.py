@@ -115,7 +115,7 @@ def test_criterion_7_photon_resonance(wannier):
     psi[site] = 1.0
     u0 = -1.0
     dcs = np.linspace(-3.0, 1.0, 81)
-    nbars = [ca.photon_number(psi, wannier, ca.PumpField("cavity_pumped", 1.0),
+    nbars = [ca.photon_number(psi, wannier, ca.observables.PumpField("cavity_pumped", 1.0),
                               delta_c=dc, U0=u0)
              for dc in dcs]
     peak = float(dcs[int(np.argmax(nbars))])
@@ -174,9 +174,9 @@ def test_criterion_8_invariant_suite(scanner, wannier, lattice_spec):
         axis2=ca.Axis("C", np.array([-2.0, -0.75, -0.3])),
         lattice=lattice_spec, L=L, mode="cavity",
         fixed={"delta_c_prime": 0.0}, observables=("ipr",), name="det")
-    b1 = ca.csv_body(ca.run_sweep(spec, wannier=wannier, workers=1))
-    b2 = ca.csv_body(ca.run_sweep(spec, wannier=wannier, workers=2))
-    b3 = ca.csv_body(ca.run_sweep(spec, wannier=wannier, workers=1))
+    b1 = ca.sweep.csv_body(ca.run_sweep(spec, wannier=wannier, workers=1))
+    b2 = ca.sweep.csv_body(ca.run_sweep(spec, wannier=wannier, workers=2))
+    b3 = ca.sweep.csv_body(ca.run_sweep(spec, wannier=wannier, workers=1))
     checks.append(("parallel-serial-determinism", b1 == b2 and b1 == b3))
 
     ok = all(flag for _, flag in checks)

@@ -14,6 +14,7 @@ import cavityaa as ca
 from cavityaa import cli, sweep
 from cavityaa.cli import main
 from cavityaa.config import DEFAULTS, load_config, sweep_spec
+from reference import read_csv
 from test_sweep import inline_fork
 
 L = 233
@@ -239,9 +240,9 @@ def test_ground_state_takes_v0_from_the_pump(capsys, tmp_path, wannier, pump, v0
     assert metrics["E0"] == pytest.approx(gs.energy, rel=1e-12)
     assert metrics["v0"] == pytest.approx(v0, rel=1e-14)
     if pump["pump_mode"] == "cavity_pumped":
-        zeta = ca.PumpField("cavity_pumped", pump["eta"])
+        zeta = ca.observables.PumpField("cavity_pumped", pump["eta"])
     else:
-        zeta = ca.PumpField("atom_pumped", pump["Omega"] * 0.3 / -2.0)
+        zeta = ca.observables.PumpField("atom_pumped", pump["Omega"] * 0.3 / -2.0)
     direct = ca.photon_number(gs, wannier, zeta, delta_c=-2.0, U0=-1.0)
     assert metrics["nbar"] == pytest.approx(direct, rel=1e-12)
 
@@ -373,7 +374,7 @@ def test_unit_t_beside_a_fixed_depth_scales_by_its_hopping(capsys, tmp_path,
     assert builds == [-12.0]
     spec = ca.LatticeSpec(depth_W0=-12.0)
     wb = ca.build_wannier(ca.solve_lowest_band(spec), spec)
-    _, rows = ca.read_csv(tmp_path / "fixed_t_v0xnone.csv")
+    _, rows = read_csv(tmp_path / "fixed_t_v0xnone.csv")
     assert rows[0]["v0"] == 0.5 * wb.t
 
 
@@ -428,6 +429,40 @@ def test_workers_without_fork_exit_code(capsys, tmp_path, monkeypatch):
     assert code == 2
     assert "fork start method" in err
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("under_file", [False, True], ids=["file", "under_file"])
+@pytest.mark.parametrize("command", ["wannier", "sweep"])
+def test_out_that_cannot_be_a_directory_exit_code(capsys, tmp_path, command,
+                                                  under_file):
+    # an --out that names an existing file, or a path under one, exits 2
+    # with one error line that names --out, and writes nothing
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    out_dir = taken / "sub" if under_file else taken
+    code, out, err = run_cli(capsys, command, "--out", str(out_dir))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: --out {out_dir}: cannot make the output directory: ")
+    assert err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == [taken] and taken.read_text() == "kept"
+
+
+@pytest.mark.parametrize("content, reason", [
+    (None, "cannot read config {path}: "),
+    ("{\"lattice\": ", "config {path} is not valid JSON: "),
+    ("[1, 2]", "config {path}: top level must be an object"),
+], ids=["missing", "invalid_json", "not_an_object"])
+def test_unreadable_config_exit_code(capsys, tmp_path, content, reason):
+    path = tmp_path / "cfg.json"
+    if content is not None:
+        path.write_text(content)
+    code, out, err = run_cli(capsys, "wannier", "--config", str(path),
+                             "--out", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: " + reason.format(path=path))
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
@@ -728,7 +763,7 @@ def test_sweep_reads_unset_parameters_from_model(capsys, tmp_path, doc, fixed,
     code, out, err = run_cli(capsys, *argv)
     assert code == 0
     (path,) = tmp_path.glob("*.csv")
-    cols, rows = ca.read_csv(path)
+    cols, rows = read_csv(path)
     assert {(row["C"], row["delta_c_prime"]) for row in rows} == {(C, dcp)}
     sidecar = json.loads(path.with_suffix(".meta.json").read_text())
     assert sidecar["metadata"]["fixed"] == fixed
@@ -748,7 +783,7 @@ def test_aa_mode_atom_pumped_reads_delta_c_from_model(capsys, tmp_path):
                              "--out", str(tmp_path))
     assert code == 0
     (path,) = tmp_path.glob("*.csv")
-    cols, rows = ca.read_csv(path)
+    cols, rows = read_csv(path)
     for row in rows:
         assert row["v0"] == pytest.approx(2.0 * row["eta"] ** 2, rel=1e-14)
         assert (row["C"], row["delta_c_prime"]) == (0.0, 0.0)

@@ -73,7 +73,7 @@ def test_synthetic_cosine_band_inverts_exactly(band):
                         energies=energies,
                         eigenvectors=band.eigenvectors.copy(),
                         depth_W0=-1.0)
-    assert ca.tunneling_from_band(fake) == pytest.approx(tau, rel=1e-12)
+    assert ca.lattice.tunneling_from_band(fake) == pytest.approx(tau, rel=1e-12)
 
 
 def test_tightbinding_residual_regimes(band):
@@ -118,8 +118,8 @@ def test_wannier_decay(wannier):
 
 def test_hopping_cross_oracle(band, wannier):
     # the real-space matrix element against the band sum
-    assert wannier.t == pytest.approx(ca.tunneling_from_band(band), rel=1e-2)
-    assert wannier.t_band == ca.tunneling_from_band(band)
+    assert wannier.t == pytest.approx(ca.lattice.tunneling_from_band(band), rel=1e-2)
+    assert wannier.t_band == ca.lattice.tunneling_from_band(band)
     assert wannier.t > 0.0
 
 

@@ -6,7 +6,7 @@ from scipy.linalg import eigh_tridiagonal
 import cavityaa as ca
 from cavityaa import kernels
 from cavityaa.lattice import GOLDEN_BETA, LATTICE_CONSTANT
-from reference import f_eval, gershgorin_norm_bound
+from reference import f_eval, gershgorin_norm_bound, warm_start
 
 L = 233
 MIN_CHAINS = kernels.LOCKSTEP_MIN_CHAINS
@@ -220,7 +220,7 @@ def test_warm_start_matches_the_dense_ground_state(wannier, dense_chain):
     w, v = np.linalg.eigh(dense_chain(problem))
     rng = np.random.RandomState(3)
     start = v[:, 0] + 1e-3 * rng.standard_normal(L)
-    gs = ca.ground_state(problem, start=start)
+    gs = ca.ground_state(problem, start=warm_start(problem, start))
     assert gs.method == kernels.WARM_METHOD
     norm_bound = gershgorin_norm_bound(problem.onsite.values, np.full(L - 1, -t))
     tol = gs.residual + ca.model.CERTIFICATE_RTOL * norm_bound
@@ -254,7 +254,7 @@ def test_warm_vector_is_the_eigenvector_to_residual_over_gap(wannier, dense_chai
     gap = w[1] - w[0]
     sin_angle = np.linalg.norm(psi - (psi @ v[:, 0]) * v[:, 0])
     assert sin_angle <= (res + 4.0 * np.finfo(float).eps * norm) / gap
-    gs = ca.ground_state(problem, start=start)
+    gs = ca.ground_state(problem, start=warm_start(problem, start))
     assert gs.method == kernels.WARM_METHOD
     assert gs.residual == res
     assert np.array_equal(np.abs(gs.amplitudes), np.abs(psi))  # normalized once
@@ -271,15 +271,13 @@ def test_warm_start_on_the_second_state_falls_back_to_the_cold_solve(wannier,
     warm = kernels.warm_eigenpair(problem.onsite.values, offdiag, v[:, 1],
                                   gershgorin_norm_bound(problem.onsite.values, offdiag))
     assert warm[0] == pytest.approx(w[1], abs=1e-13)
-    gs = ca.ground_state(problem, start=v[:, 1])
+    gs = ca.ground_state(problem, start=warm_start(problem, v[:, 1]))
     cold = ca.ground_state(problem)
     assert gs.method == cold.method == kernels.COLD_METHOD
     assert gs.energy == cold.energy
     assert np.array_equal(gs.amplitudes, cold.amplitudes)
     assert gs.residual == cold.residual
     assert gs.certificate_margin == cold.certificate_margin
-    with pytest.raises(ValueError, match="start vector"):
-        ca.ground_state(problem, start=v[:-1, 0])
 
 
 @pytest.mark.parametrize("K, planted", [(1, False), (MIN_CHAINS - 1, False),
@@ -290,8 +288,8 @@ def test_warm_solves_rows_are_their_one_chain_calls(wannier, monkeypatch, K, pla
     # from MIN_CHAINS on they take block dgtsv calls, below it one per
     # chain.  Row k is chain k's lowest eigenpair (eigh_tridiagonal) with
     # the certificate's smallest pivot (its own dpttrf), and what
-    # ground_state finds from the start vector, a one-chain warm_solves
-    # call, bit for bit.  A planted row starts on its chain's second
+    # ground_state finds from the chain's one-chain warm_solves call, bit
+    # for bit.  A planted row starts on its chain's second
     # eigenvector and converges there: the certificate finds a non-positive
     # pivot for that row alone
     problems, starts = [], []
@@ -329,7 +327,7 @@ def test_warm_solves_rows_are_their_one_chain_calls(wannier, monkeypatch, K, pla
             assert info > 0 and np.isnan(row.margin)
         else:
             assert info == 0 and row.margin == pivots.min() > 0.0
-        a, b = ca.ground_state(q, start=row), ca.ground_state(q, start=start)
+        a, b = (ca.ground_state(q, start=r) for r in (row, warm_start(q, start)))
         assert (a.energy, a.method, a.residual, a.certificate_margin) == \
             (b.energy, b.method, b.residual, b.certificate_margin)
         assert np.array_equal(a.amplitudes, b.amplitudes)
@@ -343,7 +341,7 @@ def test_scaled_norm_bound_is_the_gershgorin_bound(wannier, v0, peak_site):
     t = wannier.t
     unit = np.random.RandomState(5).uniform(-1.0, 1.0, L)
     unit[0 if peak_site == "end" else L // 2] = -1.5
-    profile = ca.model.scale_profile(ca.model.unit_profile(unit, L), v0)
+    profile = ca.model.scale_profile(ca.OnsiteProfile(unit, L), v0)
     assert np.array_equal(profile.values, v0 * unit)
     problem = ca.HubbardProblem(L=L, t=t, onsite=profile)
     assert problem.norm_bound == gershgorin_norm_bound(profile.values,
@@ -359,13 +357,36 @@ def test_scaled_profile_checks():
     with pytest.raises(ValueError, match="non-negative"):
         ca.model.scale_profile(unit, -0.1)
     with pytest.raises(ValueError, match="overflows"):
-        ca.model.scale_profile(ca.model.unit_profile(2.0 * unit.values, L),
+        ca.model.scale_profile(ca.OnsiteProfile(2.0 * unit.values, L),
                                float(np.finfo(np.float64).max))
     with pytest.raises(ValueError, match="non-finite"):
-        ca.model.unit_profile(np.where(unit.values > 0.9, np.nan, unit.values), L)
+        ca.OnsiteProfile(np.where(unit.values > 0.9, np.nan, unit.values), L)
+
+
+def test_cavity_profile_checks_the_arctan_range(wannier, monkeypatch):
+    # onsite_cavity checks its unit-strength sums once, before scaling by
+    # v0: every |value| <= pi/2, the range of the arctan.  Sums 1.6 times
+    # the true ones (peak 1.08 at C = -2) leave that range; a sum of exactly
+    # -pi/2 stays in it, and the next float below does not
+    pot = ca.EffectivePotential(0.05, -2.0, 0.0)
+    quadrature = kernels.onsite_quadrature
+
+    def patched(factor=1.0, site_value=None):
+        def onsite_quadrature(*args):
+            values = factor * quadrature(*args)
+            if site_value is not None:
+                values[L // 2] = site_value
+            return values
+        monkeypatch.setattr(kernels, "onsite_quadrature", onsite_quadrature)
+
+    patched(factor=1.6)
     with pytest.raises(ValueError, match="arctan range"):
-        ca.model.unit_profile(1.6 * unit.values, L, arctan=True)
-    assert ca.model.unit_profile(1.5 * unit.values, L, arctan=True).peaks[0] <= 1.5
+        ca.onsite_cavity(wannier, pot, L)
+    patched(site_value=-np.pi / 2.0)
+    assert ca.onsite_cavity(wannier, pot, L).peaks[0] == 0.05 * (np.pi / 2.0)
+    patched(site_value=np.nextafter(-np.pi / 2.0, -np.inf))
+    with pytest.raises(ValueError, match="arctan range"):
+        ca.onsite_cavity(wannier, pot, L)
 
 
 def test_variational_and_gershgorin_bounds(scanner):

@@ -181,16 +181,16 @@ def test_detect_transition_validation():
     good = np.geomspace(0.1, 1.0, 25)
     vals = np.linspace(0.01, 0.5, 25)
     with pytest.raises(ValueError):
-        ca.detect_transition(good[:15], vals[:15])  # too few points
+        ca.observables.detect_transition(good[:15], vals[:15])  # too few points
     with pytest.raises(ValueError):
-        ca.detect_transition(np.linspace(0.1, 1.0, 25), vals)  # not log spaced
+        ca.observables.detect_transition(np.linspace(0.1, 1.0, 25), vals)  # not log spaced
     with pytest.raises(ValueError):
-        ca.detect_transition(np.geomspace(0.1, 0.5, 25), vals)  # < one decade
+        ca.observables.detect_transition(np.geomspace(0.1, 0.5, 25), vals)  # < one decade
     for bad in (np.nan, np.inf, 0.0, -1e-3):  # e.g. the IPR of a failed point
         failed = vals.copy()
         failed[5] = bad
         with pytest.raises(ValueError, match="finite and positive"):
-            ca.detect_transition(good, failed)
+            ca.observables.detect_transition(good, failed)
 
 
 def test_detect_transition_aa(scanner):
@@ -228,9 +228,9 @@ def test_detect_transition_names_the_edge():
     v0 = np.geomspace(0.1, 10.0, 30)
     # log IPR = -v0 is steepest at the low end, log IPR = v0 at the high end,
     # and tanh(3 log v0) at v0 = 1, inside the grid
-    low = ca.detect_transition(v0, np.exp(-v0))
-    high = ca.detect_transition(v0, np.exp(v0))
-    inside = ca.detect_transition(v0, np.exp(np.tanh(3.0 * np.log(v0))))
+    low = ca.observables.detect_transition(v0, np.exp(-v0))
+    high = ca.observables.detect_transition(v0, np.exp(v0))
+    inside = ca.observables.detect_transition(v0, np.exp(np.tanh(3.0 * np.log(v0))))
     assert (low.unresolved, low.edge) == (True, "low")
     assert (high.unresolved, high.edge) == (True, "high")
     assert (inside.unresolved, inside.edge) == (False, None)
@@ -241,7 +241,7 @@ def test_photon_number_flat_mode_limit(wannier):
     psi = np.zeros(L)
     psi[87] = 1.0
     for delta_c in (0.0, -2.0, 3.0):
-        nbar = ca.photon_number(psi, wannier, ca.PumpField("cavity_pumped", 0.7),
+        nbar = ca.photon_number(psi, wannier, ca.observables.PumpField("cavity_pumped", 0.7),
                                 delta_c=delta_c, U0=0.0)
         assert nbar == pytest.approx(0.49 / (delta_c ** 2 + 1.0), rel=1e-12)
 
@@ -255,7 +255,7 @@ def test_photon_number_resonance_peak(wannier):
     psi[site] = 1.0
     u0 = -1.0
     dcs = np.linspace(-3.0, 1.0, 81)
-    nbars = [ca.photon_number(psi, wannier, ca.PumpField("cavity_pumped", 1.0),
+    nbars = [ca.photon_number(psi, wannier, ca.observables.PumpField("cavity_pumped", 1.0),
                               delta_c=dc, U0=u0)
              for dc in dcs]
     peak = dcs[int(np.argmax(nbars))]
@@ -266,7 +266,7 @@ def test_photon_number_bounded_by_pump(wannier):
     rng = np.random.RandomState(2)
     psi = rng.uniform(-1, 1, L)
     psi /= np.linalg.norm(psi)
-    zeta = ca.PumpField("cavity_pumped", 1.3)
+    zeta = ca.observables.PumpField("cavity_pumped", 1.3)
     nbar = ca.photon_number(psi, wannier, zeta, delta_c=-0.4, U0=-1.0)
     assert 0.0 <= nbar <= 1.3 ** 2
 
@@ -278,7 +278,7 @@ def test_photon_number_atom_pumped_mode_weighting(wannier):
     cos2 = np.cos(GOLDEN_BETA * np.pi * n) ** 2
     node = int(np.argmin(cos2))
     antinode = int(np.argmax(cos2[:-1]))
-    zeta = ca.PumpField("atom_pumped", 1.0)
+    zeta = ca.observables.PumpField("atom_pumped", 1.0)
     out = []
     for site in (node, antinode):
         psi = np.zeros(L)
@@ -305,7 +305,7 @@ def test_photon_number_matches_site_loop(wannier, kind, delta_c, U0):
     n = np.arange(1, L + 1)
     # the localized state leaves most sites below the 1e-12 density cutoff
     localized = np.exp(-0.3 * np.abs(n - 117))
-    zeta = ca.PumpField(kind, 0.8)
+    zeta = ca.observables.PumpField(kind, 0.8)
     for psi in (spread, localized):
         psi = psi / np.linalg.norm(psi)
         nbar = ca.photon_number(psi, wannier, zeta, delta_c=delta_c, U0=U0)

@@ -1,6 +1,7 @@
 """The package's public surface, and the names the benchmark wraps by name."""
 
 import importlib
+import re
 import sys
 from pathlib import Path
 
@@ -14,16 +15,14 @@ ROOT = Path(__file__).resolve().parents[1]
 
 PUBLIC = {
     "__version__",
-    "GOLDEN_BETA", "LATTICE_CONSTANT", "BandSolveError", "BlochBand",
-    "LatticeSpec", "WannierBasis", "band_tightbinding_residual",
-    "build_wannier", "solve_lowest_band", "tunneling_from_band",
+    "GOLDEN_BETA", "BandSolveError", "BlochBand", "LatticeSpec",
+    "WannierBasis", "band_tightbinding_residual", "build_wannier",
+    "solve_lowest_band",
     "EffectivePotential", "GroundState", "GroundStateError", "HubbardProblem",
     "OnsiteProfile", "ground_state", "onsite_aa", "onsite_cavity",
-    "PumpField", "TransitionEstimate", "critical_v_cav", "detect_transition",
-    "ipr", "lyapunov_exponent", "photon_number",
+    "critical_v_cav", "ipr", "lyapunov_exponent", "photon_number",
     "Axis", "PumpConfig", "SweepRecord", "SweepResult", "SweepSpec",
-    "csv_body", "default_filename", "export_csv", "map_physical_params",
-    "read_csv", "run_sweep",
+    "default_filename", "export_csv", "run_sweep",
 }
 
 
@@ -35,6 +34,21 @@ def test_all_is_the_public_set():
 def test_every_public_name_resolves():
     for name in ca.__all__:
         assert getattr(ca, name) is not None, name
+
+
+def _readme_section(heading: str) -> str:
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return re.split(r"\n##+ ", readme.split(f"\n{heading}\n", 1)[1], maxsplit=1)[0]
+
+
+def test_readme_public_api_names_every_public_name():
+    # the section states the count and names each export in backticks, so
+    # an export added or dropped without the docs fails here
+    section = _readme_section("### Public API")
+    missing = [name for name in ca.__all__ if f"`{name}`" not in section]
+    assert missing == []
+    stated = re.search(r"`cavityaa\.__all__` holds (\d+) names", section)
+    assert stated is not None and int(stated.group(1)) == len(ca.__all__)
 
 
 def test_benchmark_wrapped_names_exist():
@@ -106,8 +120,7 @@ def test_benchmark_hooks_see_each_point_and_column(wannier, lattice_spec,
 
 def test_readme_library_sketch_runs(tmp_path, monkeypatch):
     # the sketch is the documented use of the public names; run it as written
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    section = readme.split("\n## Library sketch\n", 1)[1]
+    section = _readme_section("## Library sketch")
     source = section.split("```python\n", 1)[1].split("```", 1)[0]
     monkeypatch.chdir(tmp_path)
     exec(compile(source, "README.md (Library sketch)", "exec"), {})

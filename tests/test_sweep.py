@@ -10,7 +10,8 @@ import pytest
 import scipy.linalg
 
 import cavityaa as ca
-from reference import photon_number_site_loop, thouless_ldlt_gamma, thouless_spectrum_gamma
+from reference import (photon_number_site_loop, read_csv, thouless_ldlt_gamma,
+                       thouless_spectrum_gamma, warm_start)
 
 L = 233
 SHIFT_RTOL = ca.observables.THOULESS_SHIFT_RTOL
@@ -27,28 +28,28 @@ def _gamma_tol(n_sites):
 
 def test_map_physical_params_cavity_pumped():
     pump = ca.PumpConfig(pump_mode="cavity_pumped", eta=0.0, kappa_over_recoil=1.0)
-    v0, C, dcp = ca.map_physical_params(pump, U0=-1.0, delta_c=-5.5)
+    v0, C, dcp = ca.sweep.map_physical_params(pump, U0=-1.0, delta_c=-5.5)
     assert v0 == 0.0
     assert C == -1.0
     assert dcp == -5.5
     # drive at the loss rate with kappa = E_r/hbar gives one recoil of depth
     pump = ca.PumpConfig(pump_mode="cavity_pumped", eta=1.0, kappa_over_recoil=1.0)
-    v0, _, _ = ca.map_physical_params(pump, U0=0.0, delta_c=0.0)
+    v0, _, _ = ca.sweep.map_physical_params(pump, U0=0.0, delta_c=0.0)
     assert v0 == pytest.approx(1.0, rel=1e-14)
     # quadratic in the drive, linear in the frequency scale
     pump = ca.PumpConfig(pump_mode="cavity_pumped", eta=0.5, kappa_over_recoil=2.0)
-    v0, _, _ = ca.map_physical_params(pump, U0=0.0, delta_c=0.0)
+    v0, _, _ = ca.sweep.map_physical_params(pump, U0=0.0, delta_c=0.0)
     assert v0 == pytest.approx(0.5, rel=1e-14)
 
 
 def test_map_physical_params_atom_pumped_sign():
     pump = ca.PumpConfig(pump_mode="atom_pumped", Omega=1.0, Delta_a=-2.0, g=0.1)
-    v0, C, dcp = ca.map_physical_params(pump, U0=-1.0, delta_c=-4.0)
+    v0, C, dcp = ca.sweep.map_physical_params(pump, U0=-1.0, delta_c=-4.0)
     assert dcp == -4.0
     assert C == -1.0
     assert v0 == pytest.approx((1.0 / -2.0) * -4.0, rel=1e-14)
     with pytest.raises(ValueError, match="sign"):
-        ca.map_physical_params(
+        ca.sweep.map_physical_params(
             ca.PumpConfig(pump_mode="atom_pumped", Omega=1.0, Delta_a=2.0, g=0.1),
             U0=-1.0, delta_c=-4.0)
 
@@ -190,9 +191,9 @@ def test_sweep_deterministic_and_worker_independent(wannier, lattice_spec):
     # the second spec is pumped and reads nbar
     for spec in (_spec(lattice_spec, observables=("ipr", "gamma")),
                  _pumped_spec(lattice_spec)):
-        body1 = ca.csv_body(ca.run_sweep(spec, wannier=wannier, workers=1))
-        body2 = ca.csv_body(ca.run_sweep(spec, wannier=wannier, workers=1))
-        body3 = ca.csv_body(ca.run_sweep(spec, wannier=wannier, workers=2))
+        body1 = ca.sweep.csv_body(ca.run_sweep(spec, wannier=wannier, workers=1))
+        body2 = ca.sweep.csv_body(ca.run_sweep(spec, wannier=wannier, workers=1))
+        body3 = ca.sweep.csv_body(ca.run_sweep(spec, wannier=wannier, workers=2))
         assert body1 == body2
         assert body1 == body3
 
@@ -219,9 +220,9 @@ def test_one_unit_profile_per_column(wannier, lattice_spec, monkeypatch):
         previous = None
         for rec in records[j::3]:
             pot = ca.EffectivePotential(rec.v0, rec.C, -0.3)
-            prof = ca.onsite_cavity(wannier, pot, L)
-            gs = ca.ground_state(ca.HubbardProblem(L=L, t=wannier.t, onsite=prof),
-                                 start=previous)
+            problem = ca.HubbardProblem(L=L, t=wannier.t,
+                                        onsite=ca.onsite_cavity(wannier, pot, L))
+            gs = ca.ground_state(problem, start=warm_start(problem, previous))
             assert rec.E0 == gs.energy
             assert rec.ipr == ca.ipr(gs)
             previous = gs.amplitudes
@@ -263,7 +264,7 @@ def test_sweep_gamma_is_the_full_spectrum_sum(wannier, lattice_spec, mode, n_sit
         previous = None
         for rec in result.records[j::2]:
             problem = _chain(wb, n_sites, rec, lat.beta)
-            gs = ca.ground_state(problem, start=previous)
+            gs = ca.ground_state(problem, start=warm_start(problem, previous))
             solvers.add(gs.method)
             assert rec.flags == ""
             assert rec.E0 == gs.energy
@@ -384,7 +385,7 @@ def test_warm_columns_are_worker_independent(wannier, lattice_spec, scan_first):
     spec = _spec(lattice_spec, observables=("ipr", "gamma"), **axes)
     serial = ca.run_sweep(spec, wannier=wannier, workers=1)
     pooled = ca.run_sweep(spec, wannier=wannier, workers=2)
-    assert ca.csv_body(serial) == ca.csv_body(pooled)
+    assert ca.sweep.csv_body(serial) == ca.sweep.csv_body(pooled)
     counts = serial.metadata["solver_counts"]
     assert counts == pooled.metadata["solver_counts"]
     assert counts["cold"] == 2  # one cold start per column
@@ -485,7 +486,7 @@ def test_failure_in_one_column_leaves_the_others_alone(wannier, lattice_spec, mo
     clean = ca.run_sweep(spec, wannier=wannier)
     _plant(monkeypatch, spec, wannier, failure, column=1)
     result = ca.run_sweep(spec, wannier=wannier, workers=workers)
-    rows, clean_rows = ca.csv_body(result).splitlines(), ca.csv_body(clean).splitlines()
+    rows, clean_rows = (ca.sweep.csv_body(r).splitlines() for r in (result, clean))
     assert rows[0] == clean_rows[0]
     for i in range(spec.n_points):
         if i % 4 != 1:
@@ -586,7 +587,7 @@ def test_physical_axes_match_premapped_model_axes(wannier, lattice_spec):
     phys = _spec(lattice_spec,
                  axis1=ca.Axis("eta", etas), axis2=ca.Axis("U0", u0s),
                  fixed={"delta_c": 0.0}, pump=pump, name="phys")
-    mapped_v0 = np.array([ca.map_physical_params(pump, 0.0, 0.0, eta)[0]
+    mapped_v0 = np.array([ca.sweep.map_physical_params(pump, 0.0, 0.0, eta)[0]
                           for eta in etas])
     model = _spec(lattice_spec,
                   axis1=ca.Axis("v0", mapped_v0), axis2=ca.Axis("C", u0s),
@@ -759,12 +760,12 @@ def test_pool_has_at_most_one_worker_per_chunk(wannier, lattice_spec,
     spec = _spec(lattice_spec, axis1=ca.Axis.log("v0", 0.01, 0.2, 6),
                  axis2=ca.Axis("C", np.array([-2.0, -1.0, -0.5])))
     columns = ca.sweep._solve_columns(spec)
-    serial = ca.csv_body(ca.run_sweep(spec, wannier=wannier))
-    assert ca.csv_body(ca.run_sweep(spec, wannier=wannier, workers=workers)) == serial
+    serial = ca.sweep.csv_body(ca.run_sweep(spec, wannier=wannier))
+    assert ca.sweep.csv_body(ca.run_sweep(spec, wannier=wannier, workers=workers)) == serial
     assert context.shares == [columns[r::pool_size] for r in range(1, pool_size)]
     column = _spec(lattice_spec, axis2=ca.Axis("C", np.array([-1.0])))
-    assert ca.csv_body(ca.run_sweep(column, wannier=wannier, workers=workers)) == \
-        ca.csv_body(ca.run_sweep(column, wannier=wannier))
+    assert ca.sweep.csv_body(ca.run_sweep(column, wannier=wannier, workers=workers)) == \
+        ca.sweep.csv_body(ca.run_sweep(column, wannier=wannier))
     assert len(context.shares) == pool_size - 1
     assert multiprocessing.active_children() == []
 
@@ -918,7 +919,7 @@ def test_depth_axis_with_a_basis_lists_every_depth(wannier, lattice_spec):
     given, built = ca.run_sweep(spec, wannier=wannier), ca.run_sweep(spec)
     assert [c["W0"] for c in given.metadata["constants"]] == [-15.0, -12.0]
     assert given.metadata["constants"] == built.metadata["constants"]
-    assert ca.csv_body(given) == ca.csv_body(built)
+    assert ca.sweep.csv_body(given) == ca.sweep.csv_body(built)
 
 
 def test_pool_maps_chunks_of_equal_count(wannier, lattice_spec, monkeypatch):
@@ -984,7 +985,7 @@ def test_depth_axis_lists_each_depth_constants(wannier, lattice_spec):
                  fixed={"C": -1.0, "delta_c_prime": 0.0})
     serial = ca.run_sweep(spec, workers=1)
     pooled = ca.run_sweep(spec, workers=2)
-    assert ca.csv_body(serial) == ca.csv_body(pooled)
+    assert ca.sweep.csv_body(serial) == ca.sweep.csv_body(pooled)
     meta = [dict(r.metadata) for r in (serial, pooled)]
     for m in meta:
         m.pop("timestamp")
@@ -1029,7 +1030,7 @@ def test_atom_pumped_eta_axis_drives_v0_and_photon_number(wannier, lattice_spec)
         pot = ca.EffectivePotential(rec.v0, -1.0, -4.0)
         prof = ca.onsite_cavity(wannier, pot, L)
         gs = ca.ground_state(ca.HubbardProblem(L=L, t=wannier.t, onsite=prof))
-        zeta = ca.PumpField("atom_pumped", eta * 0.3 / -2.0)
+        zeta = ca.observables.PumpField("atom_pumped", eta * 0.3 / -2.0)
         direct = ca.photon_number(gs, wannier, zeta, delta_c=-4.0, U0=-1.0)
         assert rec.nbar == pytest.approx(direct, rel=1e-12)
 
@@ -1114,7 +1115,7 @@ def test_sweep_nbar_is_the_one_point_photon_number(wannier, lattice_spec,
         assert rec.nbar > 0.0
     if pooled:
         serial = ca.run_sweep(spec, wannier=wannier)
-        assert ca.csv_body(serial) == ca.csv_body(result)
+        assert ca.sweep.csv_body(serial) == ca.sweep.csv_body(result)
 
 
 def test_failed_photon_series_fails_each_point_after_its_solve(wannier, lattice_spec,
@@ -1191,7 +1192,7 @@ def test_csv_round_trip_bit_exact(tmp_path, wannier, lattice_spec):
     result = ca.run_sweep(spec, wannier=wannier)
     path = tmp_path / ca.default_filename(spec)
     ca.export_csv(result, path)
-    cols, rows = ca.read_csv(path)
+    cols, rows = read_csv(path)
     assert cols[0] == "v0" and cols[-1] == "flags"
     assert len(rows) == spec.n_points
     for rec, row in zip(result.records, rows):
@@ -1212,7 +1213,7 @@ def test_csv_header_only_for_empty_grid(tmp_path, wannier, lattice_spec):
                  axis2=ca.Axis("C", np.array([-1.0])))
     result = ca.run_sweep(spec, wannier=wannier)
     trimmed = ca.SweepResult(records=[], metadata=result.metadata)
-    body = ca.csv_body(trimmed)
+    body = ca.sweep.csv_body(trimmed)
     assert body.count("\n") == 1
     assert body.startswith("v0,C,")
 
@@ -1222,5 +1223,5 @@ def test_cardinality(wannier, lattice_spec):
                  axis2=ca.Axis("C", np.linspace(-3.0, -0.5, 5)))
     result = ca.run_sweep(spec, wannier=wannier)
     assert len(result.records) == 50
-    body = ca.csv_body(result)
+    body = ca.sweep.csv_body(result)
     assert body.count("\n") == 51  # header + one line per grid point
