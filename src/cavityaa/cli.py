@@ -4,13 +4,15 @@ Commands: ``wannier``, ``ground-state``, ``sweep``, ``baseline-aa``.  All
 scientific parameters live in a single JSON config (see config.DEFAULTS),
 checked whole when it loads, whatever the command; flags only pick the
 config file, the output directory and the worker count.  Exit codes:
-0 success, 2 invalid configuration, a worker count below 1 or an output
-directory that cannot be made, 3 sweep with more than 1% failed grid points.
+0 success, 2 invalid configuration, a worker count below 1, an output
+directory that cannot be made or an output file that cannot be written,
+3 sweep with more than 1% failed grid points.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -32,6 +34,18 @@ from .sweep import (default_filename, export_csv, resolve_model_params,
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_PARTIAL = 3
+
+
+@contextlib.contextmanager
+def _output(path: str):
+    """The output file at path, open for writing; a failed open or write
+    exits 2 (ConfigError) with one line that names path."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    print(f"wrote {path}")
 
 
 def _build_wannier(cfg: dict):
@@ -65,13 +79,11 @@ def cmd_wannier(cfg: dict, out_dir: str) -> int:
     print(f"tightbinding_residual={band_tightbinding_residual(band):.3e}")
     print(f"band_fallbacks={band.fallbacks}")
     if cfg["output"]["wannier_csv"]:
-        path = os.path.join(out_dir, "wannier.csv")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with _output(os.path.join(out_dir, "wannier.csv")) as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["x", "w0"])
             for x, w in zip(wb.grid, wb.w0_samples):
                 writer.writerow(["%.17g" % x, "%.17g" % w])
-        print(f"wrote {path}")
     return EXIT_OK
 
 
@@ -119,43 +131,35 @@ def cmd_ground_state(cfg: dict, out_dir: str) -> int:
     if zeta is not None and cavity:
         out["nbar"] = photon_number(gs, wb, zeta, delta_c=dcp, U0=coop)
     if cfg["output"]["wavefunction_csv"]:
-        path = os.path.join(out_dir, "ground_state.csv")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with _output(os.path.join(out_dir, "ground_state.csv")) as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["n", "psi_n", "psi_n_sq"])
             for n, amp in enumerate(gs.amplitudes, start=1):
                 writer.writerow([n, "%.17g" % amp, "%.17g" % (amp * amp)])
-        print(f"wrote {path}")
-    metrics_path = os.path.join(out_dir, "ground_state_metrics.json")
-    with open(metrics_path, "w", encoding="utf-8") as fh:
+    with _output(os.path.join(out_dir, "ground_state_metrics.json")) as fh:
         json.dump(out, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"wrote {metrics_path}")
     return EXIT_OK
 
 
 def cmd_sweep(cfg: dict, out_dir: str, workers: int) -> int:
     """Run the configured sweep and write CSV + metadata sidecar.
 
-    A unit 't' grid needs the hopping before the sweep runs: the basis that
-    gives it is built at the spec's own lattice and handed to ``run_sweep``.
-    Otherwise ``run_sweep`` builds the bases its points use.
+    ``run_sweep`` builds the bases its points use and scales a unit 't'
+    grid by the hopping of its basis.
     """
     spec = sweep_spec(cfg)
-    wannier = None
-    if any(ax is not None and ax["unit"] == "t"
-           for ax in (cfg["sweep"]["axis1"], cfg["sweep"]["axis2"])):
-        wannier = build_wannier(solve_lowest_band(spec.lattice), spec.lattice)
-        spec = sweep_spec(cfg, wannier.t)
     total = spec.n_points
 
     def progress(done, n):
         print(f"sweep {spec.name}: {done}/{n}", file=sys.stderr)
 
-    result = run_sweep(spec, wannier=wannier, workers=workers,
-                       progress=progress)
+    result = run_sweep(spec, workers=workers, progress=progress)
     path = os.path.join(out_dir, default_filename(spec))
-    export_csv(result, path, config=cfg)
+    try:
+        export_csv(result, path, config=cfg)
+    except OSError as exc:  # exit 2 with export_csv's message, which names path
+        raise ConfigError(str(exc)) from exc
     print(f"wrote {path}")
     failed = result.n_failed
     if failed:

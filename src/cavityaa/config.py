@@ -57,7 +57,7 @@ DEFAULTS = {
             "start": 0.01,
             "stop": 0.3,
             "num": 40,
-            "unit": "Er",           # "Er" or "t" (grid scaled by the hopping)
+            "unit": "Er",           # "Er" or "t" (the sweep scales by its hopping)
             "values": None,         # explicit grid overrides start/stop/num
         },
         "axis2": None,              # same shape as axis1, or null for 1-D
@@ -139,9 +139,8 @@ def effective_config(doc: dict) -> dict:
     values of another kind than their default's.
 
     Each section is checked by constructing its object: the lattice, the
-    pump (even when disabled) and the sweep spec (``sweep_spec``, its
-    unit 't' grids at hopping 1).  _validate first makes the few checks that
-    no constructor makes.
+    pump (even when disabled) and the sweep spec (``sweep_spec``).
+    _validate first makes the few checks that no constructor makes.
     """
     merged = _merge(DEFAULTS, doc, "")
     _validate(merged)
@@ -168,17 +167,13 @@ def pump_config(cfg: dict) -> PumpConfig | None:
     return _pump(cfg) if cfg["pump"]["enabled"] else None
 
 
-def _axis(axis_cfg: dict, hopping: float) -> Axis:
-    """An axis grid; unit 't' scales the grid by the hopping."""
-    name = axis_cfg["name"]
+def _axis(axis_cfg: dict) -> Axis:
+    """An axis grid in its configured unit; Axis checks the unit name."""
+    name, unit = axis_cfg["name"], axis_cfg["unit"]
     if axis_cfg["values"] is not None:
-        axis = Axis(name, axis_cfg["values"])
-    else:
-        grid = Axis.log if axis_cfg["scale"] == "log" else Axis.linear
-        axis = grid(name, axis_cfg["start"], axis_cfg["stop"], axis_cfg["num"])
-    if axis_cfg["unit"] == "t":
-        axis = Axis(name, axis.values * hopping)
-    return axis
+        return Axis(name, axis_cfg["values"], unit)
+    grid = Axis.log if axis_cfg["scale"] == "log" else Axis.linear
+    return grid(name, axis_cfg["start"], axis_cfg["stop"], axis_cfg["num"], unit)
 
 
 def model_params(cfg: dict, physical: bool) -> dict:
@@ -193,16 +188,15 @@ def model_params(cfg: dict, physical: bool) -> dict:
     return {key: mdl[key] for key in ("v0", "C", "delta_c_prime")}
 
 
-def sweep_spec(cfg: dict, hopping: float = 1.0) -> SweepSpec:
+def sweep_spec(cfg: dict) -> SweepSpec:
     """The configured sweep; SweepSpec and Axis check every field.
 
-    Unit 't' grids are scaled by ``hopping``, the hopping in E_r of the basis
-    at the spec's own ``lattice`` (into which SweepSpec folds a fixed W0).
-    A parameter on no axis and not in ``sweep.fixed`` comes from ``model``
-    (``model_params``), physical when the pump is enabled and a physical
-    parameter is given, as ground-state reads them.  In aa mode that is v0
-    alone, and delta_c alone beside a physical parameter: an atom-pumped
-    v0 = Omega^2 delta_c / Delta_a reads it.
+    Unit 't' grids stay in 't': ``run_sweep`` scales them by the hopping of
+    the basis it builds.  A parameter on no axis and not in ``sweep.fixed``
+    comes from ``model`` (``model_params``), physical when the pump is
+    enabled and a physical parameter is given, as ground-state reads them.
+    In aa mode that is v0 alone, and delta_c alone beside a physical
+    parameter: an atom-pumped v0 = Omega^2 delta_c / Delta_a reads it.
     """
     sweep_cfg, mdl = cfg["sweep"], cfg["model"]
     axis2 = sweep_cfg["axis2"]
@@ -214,8 +208,8 @@ def sweep_spec(cfg: dict, hopping: float = 1.0) -> SweepSpec:
         implied = {k: v for k, v in implied.items() if k in ("v0", "delta_c")}
     fixed = {k: v for k, v in implied.items() if k not in given}
     return SweepSpec(
-        axis1=_axis(sweep_cfg["axis1"], hopping),
-        axis2=None if axis2 is None else _axis(axis2, hopping),
+        axis1=_axis(sweep_cfg["axis1"]),
+        axis2=None if axis2 is None else _axis(axis2),
         lattice=lattice_spec(cfg), L=mdl["L"],
         mode=mdl["mode"], fixed={**fixed, **sweep_cfg["fixed"]},
         observables=tuple(sweep_cfg["observables"]),
@@ -231,9 +225,8 @@ def _require(cond: bool, key: str, message: str):
 def _validate(cfg: dict):
     """The checks on values that no constructor makes.
 
-    Scale and unit names, a non-negative model.v0 (which a sweep reads
-    when v0 is on no axis), positive log grids, and one hopping for unit
-    't' grids.
+    Scale names, a non-negative model.v0 (which a sweep reads when v0 is
+    on no axis) and positive log grids.
     """
     _require(cfg["model"]["v0"] >= 0.0, "model.v0", "must be non-negative")
     axes = {f"sweep.{key}": cfg["sweep"][key] for key in ("axis1", "axis2")
@@ -241,22 +234,9 @@ def _validate(cfg: dict):
     for key, axis in axes.items():
         _require(axis["scale"] in ("log", "linear"), f"{key}.scale",
                  "must be 'log' or 'linear'")
-        _require(axis["unit"] in ("Er", "t"), f"{key}.unit",
-                 "must be 'Er' or 't'")
         if axis["values"] is None and axis["scale"] == "log":
             _require(axis["start"] > 0 and axis["stop"] > 0, f"{key}.start",
                      "log grids must be positive")
-
-    # a unit 't' grid is scaled by the hopping of the sweep's one basis, at
-    # sweep.fixed.W0 or lattice.depth_W0; a W0 axis has one basis per depth,
-    # so no grid beside it, nor its own, can be in 't'
-    depth = [key for key, axis in axes.items() if axis["name"] == "W0"]
-    for key, axis in axes.items():
-        if depth and axis["unit"] == "t":
-            raise ConfigError(f"{key}.unit: 't' cannot scale {key} "
-                              f"({axis['name']}) while {depth[0]} (W0) sets "
-                              "the hopping instead of lattice.depth_W0; give "
-                              "the grid in 'Er'")
 
 
 def load_config(path) -> dict:

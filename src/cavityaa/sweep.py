@@ -134,14 +134,19 @@ def map_physical_params(pump: PumpConfig, U0: float, delta_c: float,
 
 @dataclass(frozen=True)
 class Axis:
-    """Named sweep axis with an explicit grid."""
+    """Named sweep axis with an explicit grid, in E_r or, with unit "t", in
+    units of the hopping of the basis the sweep builds (``run_sweep``)."""
 
     name: str
     values: np.ndarray
+    unit: str = "Er"
 
     def __post_init__(self):
         if self.name not in AXIS_NAMES:
             raise ValueError(f"axis name {self.name!r} must be one of {AXIS_NAMES}")
+        if self.unit not in ("Er", "t"):
+            raise ValueError(f"axis {self.name!r} unit must be 'Er' or 't', "
+                             f"got {self.unit!r}")
         vals = np.array(self.values, dtype=np.float64)  # a copy, made read-only
         if vals.ndim != 1 or vals.shape[0] < 1:
             raise ValueError("axis grid must be a non-empty 1-D array")
@@ -151,12 +156,14 @@ class Axis:
         vals.setflags(write=False)
 
     @classmethod
-    def linear(cls, name: str, start: float, stop: float, num: int) -> "Axis":
-        return cls(name, np.linspace(start, stop, num))
+    def linear(cls, name: str, start: float, stop: float, num: int,
+               unit: str = "Er") -> "Axis":
+        return cls(name, np.linspace(start, stop, num), unit)
 
     @classmethod
-    def log(cls, name: str, start: float, stop: float, num: int) -> "Axis":
-        return cls(name, np.geomspace(start, stop, num))
+    def log(cls, name: str, start: float, stop: float, num: int,
+            unit: str = "Er") -> "Axis":
+        return cls(name, np.geomspace(start, stop, num), unit)
 
 
 @dataclass(frozen=True)
@@ -176,9 +183,20 @@ class SweepSpec:
     def __post_init__(self):
         if self.mode not in ("cavity", "aa"):
             raise ValueError("mode must be 'cavity' or 'aa'")
-        names = [self.axis1.name] + ([self.axis2.name] if self.axis2 else [])
+        axes = _axes(self)
+        names = [axis.name for axis in axes.values()]
         if len(set(names)) != len(names):
             raise ValueError("sweep axes must be distinct")
+        depth = [key for key, axis in axes.items() if axis.name == "W0"]
+        for key, axis in axes.items():
+            # a 't' grid is scaled by the hopping of the sweep's one basis; a
+            # W0 axis has one basis per depth, so no grid beside it, nor its
+            # own, can be in 't'
+            if depth and axis.unit == "t":
+                reason = ("the hopping depends on the depth" if axis.name == "W0"
+                          else f"{depth[0]} (W0) sets the hopping")
+                raise ValueError(f"{key} ({axis.name}) cannot be in unit 't': "
+                                 f"{reason}; give it in 'Er'")
         for obs in self.observables:
             if obs not in OBSERVABLE_NAMES:
                 raise ValueError(f"unknown observable {obs!r}")
@@ -283,9 +301,15 @@ class SweepResult:
 
 # --- columns -----------------------------------------------------------------
 
+def _axes(spec: SweepSpec) -> dict:
+    """The grid's axes by key: axis1, and axis2 when the grid has one."""
+    return {key: axis for key, axis in (("axis1", spec.axis1), ("axis2", spec.axis2))
+            if axis is not None}
+
+
 def _basis(spec: SweepSpec, bases: dict, depth: float) -> WannierBasis:
     """The basis of spec's lattice at depth, built once per process: bases
-    maps the depths this process has built (or was given) to their bases."""
+    maps the depths this process has built to their bases."""
     wb = bases.get(depth)
     if wb is None:
         lattice = replace(spec.lattice, depth_W0=depth)
@@ -544,8 +568,8 @@ def _column_estimate(spec: SweepSpec, records: list, wb: WannierBasis | None,
 
 def _axis_named(spec: SweepSpec, names: tuple) -> Axis | None:
     """The grid's axis whose name is in names (SCAN_AXES, or W0), if any."""
-    for axis in (spec.axis1, spec.axis2):
-        if axis is not None and axis.name in names:
+    for axis in _axes(spec).values():
+        if axis.name in names:
             return axis
     return None
 
@@ -657,15 +681,13 @@ def _forked_results(spec: SweepSpec, bases: dict, columns: list, processes: int,
     return results
 
 
-def run_sweep(spec: SweepSpec, wannier: WannierBasis | None = None,
-              workers: int = 1, progress=None) -> SweepResult:
+def run_sweep(spec: SweepSpec, workers: int = 1, progress=None) -> SweepResult:
     """Execute the sweep and collect one record per grid point.
 
-    The Wannier basis at ``spec.lattice``'s depth is computed once and
-    shared read-only; a W0 axis builds one per depth, in the process that
-    first needs it.  A caller's basis must be built for ``spec.lattice`` at
-    a depth the sweep solves (``spec.lattice.depth_W0``, or a value of the
-    W0 axis); any other raises ValueError.  The columns
+    The Wannier basis at ``spec.lattice``'s depth is built once and shared
+    read-only, and a unit 't' axis is scaled by its hopping before any
+    column runs; a W0 axis builds one basis per depth, in the process that
+    first needs it.  The columns
     (``_solve_columns``) all have the same length; each runs warm-started
     in increasing strength and estimates its own transition
     (``_Column.result``).  workers counts the processes that solve columns,
@@ -682,16 +704,11 @@ def run_sweep(spec: SweepSpec, wannier: WannierBasis | None = None,
         raise ValueError(f"workers must be at least 1, got {workers}")
     context = _fork_context() if workers > 1 else None
     depth_axis = _axis_named(spec, ("W0",))
-    depths = ([spec.lattice.depth_W0] if depth_axis is None
-              else depth_axis.values.tolist())
-    if wannier is not None and (
-            wannier.spec != replace(spec.lattice, depth_W0=wannier.depth_W0)
-            or wannier.depth_W0 not in depths):
-        raise ValueError(f"the basis was built for {wannier.spec}; the sweep "
-                         f"solves {spec.lattice} at depth_W0 in {depths}")
-    bases = {} if wannier is None else {wannier.depth_W0: wannier}
-    if depth_axis is None:
+    bases = {}
+    if depth_axis is None:  # SweepSpec allows unit 't' axes only here
         wannier = _basis(spec, bases, spec.lattice.depth_W0)
+        spec = replace(spec, **{key: Axis(axis.name, axis.values * wannier.t)
+                                for key, axis in _axes(spec).items() if axis.unit == "t"})
     n = spec.n_points
     records: list = [None] * n
     columns = _solve_columns(spec)
@@ -712,7 +729,8 @@ def run_sweep(spec: SweepSpec, wannier: WannierBasis | None = None,
     if depth_axis is None:
         metadata["constants"] = _constants(wannier)
     else:  # one basis per depth, in axis order
-        metadata["constants"] = [by_depth[w] for w in dict.fromkeys(depths)
+        metadata["constants"] = [by_depth[w] for w in
+                                 dict.fromkeys(depth_axis.values.tolist())
                                  if w in by_depth]
     metadata["solver_counts"] = {kind: sum(1 for rec in records if rec.solver == kind)
                                  for kind in SOLVER_KINDS}
@@ -722,11 +740,8 @@ def run_sweep(spec: SweepSpec, wannier: WannierBasis | None = None,
 
 
 def _build_metadata(spec: SweepSpec) -> dict:
-    axes = {"axis1": {"name": spec.axis1.name,
-                      "values": spec.axis1.values.tolist()}}
-    if spec.axis2 is not None:
-        axes["axis2"] = {"name": spec.axis2.name,
-                         "values": spec.axis2.values.tolist()}
+    axes = {key: {"name": axis.name, "values": axis.values.tolist()}
+            for key, axis in _axes(spec).items()}
     meta = {
         "sweep_name": spec.name,
         "mode": spec.mode,

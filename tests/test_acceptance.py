@@ -174,9 +174,9 @@ def test_criterion_8_invariant_suite(scanner, wannier, lattice_spec):
         axis2=ca.Axis("C", np.array([-2.0, -0.75, -0.3])),
         lattice=lattice_spec, L=L, mode="cavity",
         fixed={"delta_c_prime": 0.0}, observables=("ipr",), name="det")
-    b1 = ca.sweep.csv_body(ca.run_sweep(spec, wannier=wannier, workers=1))
-    b2 = ca.sweep.csv_body(ca.run_sweep(spec, wannier=wannier, workers=2))
-    b3 = ca.sweep.csv_body(ca.run_sweep(spec, wannier=wannier, workers=1))
+    b1 = ca.sweep.csv_body(ca.run_sweep(spec, workers=1))
+    b2 = ca.sweep.csv_body(ca.run_sweep(spec, workers=2))
+    b3 = ca.sweep.csv_body(ca.run_sweep(spec, workers=1))
     checks.append(("parallel-serial-determinism", b1 == b2 and b1 == b3))
 
     ok = all(flag for _, flag in checks)
@@ -193,13 +193,13 @@ def _perf_spec(lattice_spec):
         fixed={"delta_c_prime": 0.0}, observables=("ipr",), name="perf")
 
 
-def test_criterion_9_sweep_runtime(scanner, wannier, lattice_spec):
+def test_criterion_9_sweep_runtime(scanner, lattice_spec):
     # warm the compiled kernels so the timing covers the sweep alone
     scanner.solve(0.05 * scanner.unit_profile(-1.0, 0.0))
     spec = _perf_spec(lattice_spec)
     workers = min(4, os.cpu_count() or 1)
     start = time.perf_counter()
-    result = ca.run_sweep(spec, wannier=wannier, workers=workers)
+    result = ca.run_sweep(spec, workers=workers)
     elapsed = time.perf_counter() - start
     ok = elapsed < 300.0 and result.n_failed == 0
     _report("9a sweep-runtime", ok,
@@ -209,13 +209,13 @@ def test_criterion_9_sweep_runtime(scanner, wannier, lattice_spec):
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 4,
                     reason="scaling clause is stated for a 4-core machine")
-def test_criterion_9_worker_scaling(wannier, lattice_spec):
+def test_criterion_9_worker_scaling(lattice_spec):
     spec = _perf_spec(lattice_spec)
     start = time.perf_counter()
-    ca.run_sweep(spec, wannier=wannier, workers=1)
+    ca.run_sweep(spec, workers=1)
     serial = time.perf_counter() - start
     start = time.perf_counter()
-    ca.run_sweep(spec, wannier=wannier, workers=4)
+    ca.run_sweep(spec, workers=4)
     quad = time.perf_counter() - start
     speedup = serial / quad
     _report("9b worker-scaling", speedup >= 3.0,

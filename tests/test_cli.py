@@ -111,6 +111,19 @@ BAD_FIELDS = [
 ]
 
 
+@pytest.mark.parametrize("axis, message", [
+    ({"scale": "lgo"}, "sweep.axis1.scale: must be 'log' or 'linear'"),
+    ({"unit": "furlong"}, "sweep: axis 'v0' unit must be 'Er' or 't', got 'furlong'"),
+    ({"scale": "log", "start": 0}, "sweep.axis1.start: log grids must be positive"),
+], ids=["scale", "unit", "log_start"])
+def test_invalid_axis_field_names_the_axis(capsys, tmp_path, axis, message):
+    cfg = write_cfg(tmp_path, {"sweep": {"axis1": {"name": "v0", **axis}}})
+    code, out, err = run_cli(capsys, "wannier", "--config", cfg,
+                             "--out", str(tmp_path))
+    assert code == 2
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("section, field, value, extra", BAD_FIELDS,
                          ids=[f"{s}.{f}={v}" for s, f, v, _ in BAD_FIELDS])
 def test_invalid_field_names_key(capsys, tmp_path, section, field, value, extra):
@@ -293,8 +306,8 @@ def test_sweep_writes_csv_and_sidecar(capsys, tmp_path):
 
 
 def test_sweep_builds_the_wannier_basis_once(capsys, tmp_path, monkeypatch):
-    # a unit 't' axis needs the hopping before the sweep runs; the basis
-    # built for it is the one the sweep uses
+    # a unit 't' axis is scaled by the hopping of the one basis the sweep
+    # builds, which is the one its points use; the command builds none
     builds = []
 
     def counting(build):
@@ -339,8 +352,8 @@ def test_unit_t_beside_a_depth_axis_exit_code(capsys, tmp_path, scan_key):
     code, out, err = run_cli(capsys, "sweep", "--config", cfg,
                              "--out", str(tmp_path))
     assert code == 2
-    assert f"sweep.{scan_key}.unit" in err
-    assert f"sweep.{depth_key} (W0)" in err
+    assert err == (f"error: sweep: {scan_key} (v0) cannot be in unit 't': "
+                   f"{depth_key} (W0) sets the hopping; give it in 'Er'\n")
     assert not list(tmp_path.glob("*.csv"))
 
 
@@ -446,6 +459,27 @@ def test_out_that_cannot_be_a_directory_exit_code(capsys, tmp_path, command,
     assert err.startswith(f"error: --out {out_dir}: cannot make the output directory: ")
     assert err.count("\n") == 1
     assert sorted(tmp_path.iterdir()) == [taken] and taken.read_text() == "kept"
+
+
+@pytest.mark.parametrize("command, doc, name", [
+    ("sweep", {"sweep": {"axis1": {"name": "v0", "values": [0.05]}}},
+     "sweep_v0xnone.csv"),
+    ("wannier", {"output": {"wannier_csv": True}}, "wannier.csv"),
+    ("ground-state", {}, "ground_state.csv"),
+])
+def test_output_file_that_cannot_be_written_exit_code(capsys, tmp_path, command,
+                                                      doc, name):
+    # an output path that is a directory exits 2 with one error line that
+    # names it, after any progress lines, not a traceback
+    cfg = write_cfg(tmp_path, doc)
+    out_dir = tmp_path / "out"
+    (out_dir / name).mkdir(parents=True)
+    code, out, err = run_cli(capsys, command, "--config", cfg, "--out", str(out_dir))
+    assert code == 2
+    errors = [ln for ln in err.splitlines() if not ln.startswith("sweep sweep: ")]
+    assert len(errors) == 1
+    assert errors[0].startswith("error: ") and str(out_dir / name) in errors[0]
+    assert (out_dir / name).is_dir()
 
 
 @pytest.mark.parametrize("content, reason", [
@@ -917,7 +951,8 @@ def test_depth_axis_in_unit_t_exit_code(capsys, tmp_path):
     code, out, err = run_cli(capsys, "sweep", "--config", cfg,
                              "--out", str(tmp_path))
     assert code == 2
-    assert "sweep.axis1.unit" in err
+    assert err == ("error: sweep: axis1 (W0) cannot be in unit 't': the hopping "
+                   "depends on the depth; give it in 'Er'\n")
     assert not list(tmp_path.glob("*.csv"))
 
 

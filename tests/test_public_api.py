@@ -94,7 +94,7 @@ def test_benchmark_hooks_see_each_point_and_column(wannier, lattice_spec,
                         axis2=ca.Axis("C", np.array([-2.0, -1.0, -0.5])),
                         lattice=lattice_spec, L=89,
                         fixed={"delta_c_prime": -0.5})
-    result = ca.run_sweep(spec, wannier=wannier, workers=workers)
+    result = ca.run_sweep(spec, workers=workers)
     columns = ca.sweep._solve_columns(spec)
     assert context.shares == [columns[r::workers] for r in range(1, workers)]
     assert {rec.solver for rec in result.records} <= {"cold", "warm", "select_fallback"}
@@ -114,7 +114,9 @@ def test_benchmark_hooks_see_each_point_and_column(wannier, lattice_spec,
     for (args, kwargs), C in zip(profiles, order):
         wb, pot, L = args
         assert kwargs == {}
-        assert wb is wannier and L == 89
+        # every column reads the one basis the sweep built
+        assert wb is profiles[0][0][0] and L == 89
+        assert (wb.spec, wb.t) == (wannier.spec, wannier.t)
         assert (pot.C, pot.delta_c_prime) == (C, -0.5)
 
 

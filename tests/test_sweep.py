@@ -165,7 +165,7 @@ def test_single_point_sweep_matches_direct_solve(wannier, lattice_spec):
                  axis1=ca.Axis("v0", np.array([v0])),
                  axis2=ca.Axis("C", np.array([C])),
                  observables=("ipr", "gamma"))
-    result = ca.run_sweep(spec, wannier=wannier)
+    result = ca.run_sweep(spec)
     assert len(result.records) == 1
     rec = result.records[0]
 
@@ -187,13 +187,13 @@ def _pumped_spec(lattice, etas=np.geomspace(0.05, 0.6, 8)):
                  observables=("ipr", "gamma", "nbar"), name="pumped")
 
 
-def test_sweep_deterministic_and_worker_independent(wannier, lattice_spec):
+def test_sweep_deterministic_and_worker_independent(lattice_spec):
     # the second spec is pumped and reads nbar
     for spec in (_spec(lattice_spec, observables=("ipr", "gamma")),
                  _pumped_spec(lattice_spec)):
-        body1 = ca.sweep.csv_body(ca.run_sweep(spec, wannier=wannier, workers=1))
-        body2 = ca.sweep.csv_body(ca.run_sweep(spec, wannier=wannier, workers=1))
-        body3 = ca.sweep.csv_body(ca.run_sweep(spec, wannier=wannier, workers=2))
+        body1 = ca.sweep.csv_body(ca.run_sweep(spec, workers=1))
+        body2 = ca.sweep.csv_body(ca.run_sweep(spec, workers=1))
+        body3 = ca.sweep.csv_body(ca.run_sweep(spec, workers=2))
         assert body1 == body2
         assert body1 == body3
 
@@ -213,7 +213,7 @@ def test_one_unit_profile_per_column(wannier, lattice_spec, monkeypatch):
     spec = _spec(lattice_spec, axis1=ca.Axis.log("v0", 0.01, 0.2, 6),
                  axis2=ca.Axis("C", np.array([-2.0, -0.5, 1.5])),
                  fixed={"delta_c_prime": -0.3})
-    records = ca.run_sweep(spec, wannier=wannier).records
+    records = ca.run_sweep(spec).records
     assert calls == [(-15.0, C, -0.3, 1.0) for C in (-2.0, -0.5, 1.5)]
     monkeypatch.undo()
     for j in range(3):
@@ -286,7 +286,7 @@ def test_warm_and_cold_gamma_agree(wannier, lattice_spec, mode):
     spec = _spec(lattice_spec, axis1=ca.Axis.log("v0", *grid, 40),
                  axis2=None, mode=mode, fixed={} if mode == "aa" else {"C": -1.0},
                  observables=("ipr", "gamma"))
-    result = ca.run_sweep(spec, wannier=wannier)
+    result = ca.run_sweep(spec)
     assert result.metadata["solver_counts"]["warm"] >= 30
     for rec in result.records:
         problem = _chain(wannier, L, rec, lattice_spec.beta)
@@ -302,19 +302,19 @@ def test_aa_gamma_follows_aubry_andre(wannier, lattice_spec):
     spec = _spec(lattice_spec, axis1=ca.Axis("v0", 2.0 * wannier.t * ratios),
                  axis2=None, mode="aa", fixed={}, L=987,
                  observables=("ipr", "gamma"))
-    records = ca.run_sweep(spec, wannier=wannier).records
+    records = ca.run_sweep(spec).records
     for ratio, rec in zip(ratios, records):
         assert 0.0 < rec.gamma / np.log(ratio) - 1.0 <= 0.025
 
 
-def test_failed_thouless_factorization_fails_only_its_point(wannier, lattice_spec,
+def test_failed_thouless_factorization_fails_only_its_point(lattice_spec,
                                                            monkeypatch):
     # a gamma_T factorization that finds a pivot that is not positive fails
     # its point after the solve; the next point starts cold and the column
     # goes on
     spec = _spec(lattice_spec, axis1=ca.Axis.log("v0", 0.01, 0.2, 6),
                  axis2=ca.Axis("C", np.array([-2.0])), observables=("ipr", "gamma"))
-    clean = ca.run_sweep(spec, wannier=wannier).records
+    clean = ca.run_sweep(spec).records
     calls = []
     ldlt = ca.kernels._ldlt
 
@@ -327,7 +327,7 @@ def test_failed_thouless_factorization_fails_only_its_point(wannier, lattice_spe
         return out
 
     monkeypatch.setattr(ca.kernels, "_ldlt", planted)
-    result = ca.run_sweep(spec, wannier=wannier)
+    result = ca.run_sweep(spec)
     assert len(calls) == 6
     records = result.records
     assert records[2].flags == "solve_failed:LinAlgError"
@@ -375,7 +375,7 @@ def test_dstein_runs_for_band_and_cold_solves_only(lattice_spec, monkeypatch,
 
 
 @pytest.mark.parametrize("scan_first", [True, False], ids=["axis1", "axis2"])
-def test_warm_columns_are_worker_independent(wannier, lattice_spec, scan_first):
+def test_warm_columns_are_worker_independent(lattice_spec, scan_first):
     # forked workers get whole columns, so serial and pooled runs start the
     # same solves cold
     n_v0 = 24
@@ -383,8 +383,8 @@ def test_warm_columns_are_worker_independent(wannier, lattice_spec, scan_first):
     cs = ca.Axis("C", np.array([-2.0, -0.75]))
     axes = dict(axis1=v0, axis2=cs) if scan_first else dict(axis1=cs, axis2=v0)
     spec = _spec(lattice_spec, observables=("ipr", "gamma"), **axes)
-    serial = ca.run_sweep(spec, wannier=wannier, workers=1)
-    pooled = ca.run_sweep(spec, wannier=wannier, workers=2)
+    serial = ca.run_sweep(spec, workers=1)
+    pooled = ca.run_sweep(spec, workers=2)
     assert ca.sweep.csv_body(serial) == ca.sweep.csv_body(pooled)
     counts = serial.metadata["solver_counts"]
     assert counts == pooled.metadata["solver_counts"]
@@ -412,7 +412,7 @@ def _lockstep_spec(lattice, kind="cavity"):
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("kind, min_chains", [("cavity", 2), ("cavity", 8),
                                               ("pumped", 2), ("long", 2)])
-def test_lockstep_columns_are_their_one_column_sweeps(wannier, lattice_spec, monkeypatch,
+def test_lockstep_columns_are_their_one_column_sweeps(lattice_spec, monkeypatch,
                                                       workers, kind, min_chains):
     # a share's columns advance together, through block LAPACK calls and
     # batched sums when at least min_chains of them are solved in a step
@@ -421,7 +421,7 @@ def test_lockstep_columns_are_their_one_column_sweeps(wannier, lattice_spec, mon
     # is the same bit for bit, on chains of 233 and of 987 sites.
     monkeypatch.setattr(ca.kernels, "LOCKSTEP_MIN_CHAINS", min_chains)
     spec = _lockstep_spec(lattice_spec, kind)
-    result = ca.run_sweep(spec, wannier=wannier, workers=workers)
+    result = ca.run_sweep(spec, workers=workers)
     counts = result.metadata["solver_counts"]
     assert counts["warm"] > 0 and counts["unsolved"] == 0
     if kind != "long":
@@ -429,7 +429,7 @@ def test_lockstep_columns_are_their_one_column_sweeps(wannier, lattice_spec, mon
     columns = spec.shape[1]
     for j, value in enumerate(spec.axis2.values):
         column = dataclasses.replace(spec, axis2=ca.Axis(spec.axis2.name, [value]))
-        alone = ca.run_sweep(column, wannier=wannier if value == -15.0 else None)
+        alone = ca.run_sweep(column)
         assert result.records[j::columns] == alone.records
         assert result.metadata["transition_estimates"][j] == \
             alone.metadata["transition_estimates"][0]
@@ -483,9 +483,9 @@ def test_failure_in_one_column_leaves_the_others_alone(wannier, lattice_spec, mo
     # column's CSV rows and transition estimate stay byte-identical
     monkeypatch.setattr(ca.kernels, "LOCKSTEP_MIN_CHAINS", 2)  # block calls at 2 workers too
     spec = _lockstep_spec(lattice_spec)
-    clean = ca.run_sweep(spec, wannier=wannier)
+    clean = ca.run_sweep(spec)
     _plant(monkeypatch, spec, wannier, failure, column=1)
-    result = ca.run_sweep(spec, wannier=wannier, workers=workers)
+    result = ca.run_sweep(spec, workers=workers)
     rows, clean_rows = (ca.sweep.csv_body(r).splitlines() for r in (result, clean))
     assert rows[0] == clean_rows[0]
     for i in range(spec.n_points):
@@ -507,24 +507,25 @@ def test_failure_in_one_column_leaves_the_others_alone(wannier, lattice_spec, mo
     assert multiprocessing.active_children() == []
 
 
-def test_solver_counts_show_a_planted_certificate_failure(wannier, lattice_spec,
+def test_solver_counts_show_a_planted_certificate_failure(lattice_spec,
                                                          monkeypatch):
     spec = _spec(lattice_spec, axis2=ca.Axis("C", np.array([-2.0])))
-    clean = ca.run_sweep(spec, wannier=wannier)
+    clean = ca.run_sweep(spec)
     assert clean.metadata["methods"]["eigensolver"] == "column_warm_start"
     assert [rec.solver for rec in clean.records[:3]] == ["cold", "warm", "warm"]
     calls = []
     ldlt = ca.kernels._ldlt
 
-    def planted(*args):
-        calls.append(args)
-        out = ldlt(*args)
-        if len(calls) == 3:  # the third check is the warm result at the third point
-            out[:] = np.nan
+    def planted(D, *args):
+        out = ldlt(D, *args)
+        if D.shape[1] == L:  # the sweep's own band solve factors chains too
+            calls.append(D)
+            if len(calls) == 3:  # the third check is the warm result at the third point
+                out[:] = np.nan
         return out
 
     monkeypatch.setattr(ca.kernels, "_ldlt", planted)
-    result = ca.run_sweep(spec, wannier=wannier)
+    result = ca.run_sweep(spec)
     assert result.records[2].solver == "select_fallback"
     expected = dict(clean.metadata["solver_counts"])
     expected["warm"] -= 1
@@ -532,16 +533,16 @@ def test_solver_counts_show_a_planted_certificate_failure(wannier, lattice_spec,
     assert result.metadata["solver_counts"] == expected
 
 
-def test_series_past_the_cap_fails_the_point(wannier, lattice_spec):
+def test_series_past_the_cap_fails_the_point(lattice_spec):
     # a coupling whose cosine series needs more than MAX_HARMONICS harmonics
     spec = _spec(lattice_spec, axis1=ca.Axis("v0", np.array([0.05, 0.1])),
                  axis2=ca.Axis("C", np.array([-1e6, -1.0])))
-    recs = ca.run_sweep(spec, wannier=wannier).records
+    recs = ca.run_sweep(spec).records
     assert [r.flags for r in recs] == ["solve_failed:ValueError", "",
                                        "solve_failed:ValueError", ""]
 
 
-def test_failed_column_set_up_runs_once(wannier, lattice_spec, monkeypatch):
+def test_failed_column_set_up_runs_once(lattice_spec, monkeypatch):
     # the failing profile is built at the column's first point only; the
     # rest of the column fails at once, with the same error type
     calls = []
@@ -554,15 +555,15 @@ def test_failed_column_set_up_runs_once(wannier, lattice_spec, monkeypatch):
     monkeypatch.setattr(ca.sweep, "onsite_cavity", counting)
     spec = _spec(lattice_spec, axis1=ca.Axis.log("v0", 0.01, 0.2, 40),
                  axis2=ca.Axis("C", np.array([-1e6])))
-    recs = ca.run_sweep(spec, wannier=wannier).records
+    recs = ca.run_sweep(spec).records
     assert calls == [-1e6]
     assert [r.flags for r in recs] == ["solve_failed:ValueError"] * 40
     assert {r.solver for r in recs} == {"unsolved"}
 
 
-def test_sidecar_names_the_profile_methods(wannier, lattice_spec):
+def test_sidecar_names_the_profile_methods(lattice_spec):
     spec = _pumped_spec(lattice_spec, etas=np.array([0.2]))
-    methods = ca.run_sweep(spec, wannier=wannier).metadata["methods"]
+    methods = ca.run_sweep(spec).metadata["methods"]
     assert methods["onsite_profile"] == "harmonic_series"
     assert methods["photon_number"] == "harmonic_series"
     assert methods["band_solve"] == "block_rayleigh_quotient_certified"
@@ -570,9 +571,9 @@ def test_sidecar_names_the_profile_methods(wannier, lattice_spec):
     assert methods["harmonic_tail_rtol"] == ca.kernels.HARMONIC_TAIL_RTOL
 
 
-def test_sweep_row_major_ordering(wannier, lattice_spec):
+def test_sweep_row_major_ordering(lattice_spec):
     spec = _spec(lattice_spec)
-    result = ca.run_sweep(spec, wannier=wannier)
+    result = ca.run_sweep(spec)
     ax1 = [rec.axis1 for rec in result.records]
     ax2 = [rec.axis2 for rec in result.records]
     n2 = spec.axis2.values.shape[0]
@@ -580,7 +581,7 @@ def test_sweep_row_major_ordering(wannier, lattice_spec):
     assert ax1[:n2] == [spec.axis1.values[0]] * n2
 
 
-def test_physical_axes_match_premapped_model_axes(wannier, lattice_spec):
+def test_physical_axes_match_premapped_model_axes(lattice_spec):
     pump = ca.PumpConfig(pump_mode="cavity_pumped", kappa_over_recoil=1.0)
     etas = np.geomspace(0.08, 0.3, 6)
     u0s = np.array([-2.0, -1.0])
@@ -592,8 +593,8 @@ def test_physical_axes_match_premapped_model_axes(wannier, lattice_spec):
     model = _spec(lattice_spec,
                   axis1=ca.Axis("v0", mapped_v0), axis2=ca.Axis("C", u0s),
                   fixed={"delta_c_prime": 0.0}, name="model")
-    rp = ca.run_sweep(phys, wannier=wannier).records
-    rm = ca.run_sweep(model, wannier=wannier).records
+    rp = ca.run_sweep(phys).records
+    rm = ca.run_sweep(model).records
     for a, b in zip(rp, rm):
         assert a.v0 == b.v0
         assert a.C == b.C
@@ -607,7 +608,7 @@ def test_aa_mode_sweep_and_transition_metadata(wannier, lattice_spec):
                  axis1=ca.Axis.log("v0", 0.5 * 2 * t, 5 * 2 * t, 40),
                  axis2=None, mode="aa", fixed={},
                  observables=("ipr", "vc"), name="baseline")
-    result = ca.run_sweep(spec, wannier=wannier)
+    result = ca.run_sweep(spec)
     assert len(result.records) == 40
     est = result.metadata["transition_estimates"]
     assert len(est) == 1
@@ -616,11 +617,11 @@ def test_aa_mode_sweep_and_transition_metadata(wannier, lattice_spec):
     assert "edge" not in est[0] and "v0_range" not in est[0]
 
 
-def test_failed_points_are_flagged_not_fatal(wannier, lattice_spec):
+def test_failed_points_are_flagged_not_fatal(lattice_spec):
     spec = _spec(lattice_spec,
                  axis1=ca.Axis("v0", np.array([0.05, -0.01, 0.06])),
                  axis2=ca.Axis("C", np.array([-1.0])))
-    result = ca.run_sweep(spec, wannier=wannier)
+    result = ca.run_sweep(spec)
     flags = [rec.flags for rec in result.records]
     assert flags[0] == "" and flags[2] == ""
     assert "solve_failed" in flags[1]
@@ -633,7 +634,7 @@ def test_failed_point_leaves_its_column_unresolved(wannier, lattice_spec,
     spec = _spec(lattice_spec, axis1=ca.Axis.log("v0", 0.01, 0.3, 20),
                  axis2=ca.Axis("C", np.array([-2.0, -1.0, -0.5])),
                  observables=("ipr", "vc"))
-    clean = ca.run_sweep(spec, wannier=wannier).metadata["transition_estimates"]
+    clean = ca.run_sweep(spec).metadata["transition_estimates"]
     failing = 7 * 3 + 1  # v0 index 7 in the C = -1 column
     pot = ca.EffectivePotential(spec.axis1.values[7], -1.0, 0.0)
     planted = ca.onsite_cavity(wannier, pot, L).values
@@ -645,7 +646,7 @@ def test_failed_point_leaves_its_column_unresolved(wannier, lattice_spec,
         return solve(problem, start=start)
 
     monkeypatch.setattr(ca.sweep, "ground_state", flaky)
-    result = ca.run_sweep(spec, wannier=wannier)
+    result = ca.run_sweep(spec)
     assert result.records[failing].flags == "solve_failed:GroundStateError"
     est = result.metadata["transition_estimates"]
     assert est[1]["v_c_numerical"] is None
@@ -655,13 +656,13 @@ def test_failed_point_leaves_its_column_unresolved(wannier, lattice_spec,
 
 
 @pytest.mark.parametrize("defect", ["nan", "arctan_range"])
-def test_bad_unit_profile_fails_its_column(wannier, lattice_spec, monkeypatch,
+def test_bad_unit_profile_fails_its_column(lattice_spec, monkeypatch,
                                            defect):
     # the column set-up checks the unit profile once, as onsite_cavity
     # builds it; a defect fails every point of its column and no other
     spec = _spec(lattice_spec, axis1=ca.Axis.log("v0", 0.01, 0.2, 6),
                  axis2=ca.Axis("C", np.array([-2.0, -1.0, -0.5])))
-    clean = ca.run_sweep(spec, wannier=wannier).records
+    clean = ca.run_sweep(spec).records
     original = ca.kernels.onsite_quadrature
 
     def planted(*args):
@@ -671,7 +672,7 @@ def test_bad_unit_profile_fails_its_column(wannier, lattice_spec, monkeypatch,
         return values
 
     monkeypatch.setattr(ca.kernels, "onsite_quadrature", planted)
-    result = ca.run_sweep(spec, wannier=wannier)
+    result = ca.run_sweep(spec)
     for k, (rec, ref) in enumerate(zip(result.records, clean)):
         if k % 3 == 1:
             assert rec.flags == "solve_failed:ValueError"
@@ -681,19 +682,19 @@ def test_bad_unit_profile_fails_its_column(wannier, lattice_spec, monkeypatch,
     assert result.n_failed == 6
 
 
-def test_overflowing_strength_fails_its_point(wannier, lattice_spec):
+def test_overflowing_strength_fails_its_point(lattice_spec):
     huge = np.finfo(np.float64).max  # times the unit peak 1.08 overflows
     spec = _spec(lattice_spec, axis1=ca.Axis("v0", np.array([0.05, 0.06, huge])),
                  axis2=ca.Axis("C", np.array([-2.0])))
-    recs = ca.run_sweep(spec, wannier=wannier).records
+    recs = ca.run_sweep(spec).records
     assert [r.flags for r in recs] == ["", "", "solve_failed:ValueError"]
     assert [r.solver for r in recs] == ["cold", "warm", "unsolved"]
 
 
 @pytest.mark.parametrize("workers", [0, -3])
-def test_workers_below_one_rejected(wannier, lattice_spec, workers):
+def test_workers_below_one_rejected(lattice_spec, workers):
     with pytest.raises(ValueError, match="workers"):
-        ca.run_sweep(_spec(lattice_spec), wannier=wannier, workers=workers)
+        ca.run_sweep(_spec(lattice_spec), workers=workers)
 
 
 class _InlineFork:
@@ -751,7 +752,7 @@ def _inline_shares(spec, processes):
 
 
 @pytest.mark.parametrize("workers, pool_size", [(2, 2), (64, 3)])
-def test_pool_has_at_most_one_worker_per_chunk(wannier, lattice_spec,
+def test_pool_has_at_most_one_worker_per_chunk(lattice_spec,
                                                monkeypatch, workers, pool_size):
     # each of the min(workers, columns) processes solves one chunk, its
     # share columns[r::P]: three columns never get more than two forked
@@ -760,12 +761,12 @@ def test_pool_has_at_most_one_worker_per_chunk(wannier, lattice_spec,
     spec = _spec(lattice_spec, axis1=ca.Axis.log("v0", 0.01, 0.2, 6),
                  axis2=ca.Axis("C", np.array([-2.0, -1.0, -0.5])))
     columns = ca.sweep._solve_columns(spec)
-    serial = ca.sweep.csv_body(ca.run_sweep(spec, wannier=wannier))
-    assert ca.sweep.csv_body(ca.run_sweep(spec, wannier=wannier, workers=workers)) == serial
+    serial = ca.sweep.csv_body(ca.run_sweep(spec))
+    assert ca.sweep.csv_body(ca.run_sweep(spec, workers=workers)) == serial
     assert context.shares == [columns[r::pool_size] for r in range(1, pool_size)]
     column = _spec(lattice_spec, axis2=ca.Axis("C", np.array([-1.0])))
-    assert ca.sweep.csv_body(ca.run_sweep(column, wannier=wannier, workers=workers)) == \
-        ca.sweep.csv_body(ca.run_sweep(column, wannier=wannier))
+    assert ca.sweep.csv_body(ca.run_sweep(column, workers=workers)) == \
+        ca.sweep.csv_body(ca.run_sweep(column))
     assert len(context.shares) == pool_size - 1
     assert multiprocessing.active_children() == []
 
@@ -788,7 +789,7 @@ def _three_columns(lattice_spec):
                  axis2=ca.Axis("C", np.array([-2.0, -1.0, -0.5])))
 
 
-def test_worker_that_raises_fails_the_sweep(wannier, lattice_spec, monkeypatch):
+def test_worker_that_raises_fails_the_sweep(lattice_spec, monkeypatch):
     # a real fork: the worker's traceback comes back over its pipe
     def fail():
         raise ZeroDivisionError("planted in the worker")
@@ -796,30 +797,30 @@ def test_worker_that_raises_fails_the_sweep(wannier, lattice_spec, monkeypatch):
     _fails_in(monkeypatch, "worker", fail)
     with pytest.raises(RuntimeError, match=r"(?s)sweep worker 1 raised:.*"
                                            r"ZeroDivisionError: planted in the worker"):
-        ca.run_sweep(_three_columns(lattice_spec), wannier=wannier, workers=2)
+        ca.run_sweep(_three_columns(lattice_spec), workers=2)
     assert multiprocessing.active_children() == []
 
 
-def test_worker_that_dies_fails_the_sweep(wannier, lattice_spec, monkeypatch):
+def test_worker_that_dies_fails_the_sweep(lattice_spec, monkeypatch):
     # a worker gone without a word closes its pipe: the parent reads EOF
     _fails_in(monkeypatch, "worker", lambda: os._exit(7))
     with pytest.raises(RuntimeError, match="sweep worker 1 exited with code 7 "
                                            "before sending its columns"):
-        ca.run_sweep(_three_columns(lattice_spec), wannier=wannier, workers=2)
+        ca.run_sweep(_three_columns(lattice_spec), workers=2)
     assert multiprocessing.active_children() == []
 
 
-def test_parent_that_raises_stops_its_workers(wannier, lattice_spec, monkeypatch):
+def test_parent_that_raises_stops_its_workers(lattice_spec, monkeypatch):
     def fail():
         raise KeyboardInterrupt
 
     _fails_in(monkeypatch, "parent", fail)
     with pytest.raises(KeyboardInterrupt):
-        ca.run_sweep(_three_columns(lattice_spec), wannier=wannier, workers=3)
+        ca.run_sweep(_three_columns(lattice_spec), workers=3)
     assert multiprocessing.active_children() == []
 
 
-def test_progress_comes_while_the_workers_solve(wannier, lattice_spec, monkeypatch):
+def test_progress_comes_while_the_workers_solve(lattice_spec, monkeypatch):
     # a real fork: the worker's first column waits up to 10 s for the first
     # progress line, which the calling process reports as it finishes its
     # own first column, not once every share is in
@@ -841,7 +842,7 @@ def test_progress_comes_while_the_workers_solve(wannier, lattice_spec, monkeypat
 
     spec = _spec(lattice_spec, axis1=ca.Axis.log("v0", 0.01, 0.12, 3),
                  axis2=ca.Axis.linear("C", -2.0, -0.5, 8))
-    ca.run_sweep(spec, wannier=wannier, workers=2, progress=progress)
+    ca.run_sweep(spec, workers=2, progress=progress)
     n = spec.n_points
     assert seen.value == 1
     assert calls[0][0] < n
@@ -849,80 +850,86 @@ def test_progress_comes_while_the_workers_solve(wannier, lattice_spec, monkeypat
     assert multiprocessing.active_children() == []
 
 
-def test_workers_need_the_fork_start_method(wannier, lattice_spec, monkeypatch):
+def test_workers_need_the_fork_start_method(lattice_spec, monkeypatch):
     # without fork (Windows) more than one worker is an error, not a serial run
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     spec = _three_columns(lattice_spec)
     with pytest.raises(ValueError, match="fork start method"):
-        ca.run_sweep(spec, wannier=wannier, workers=2)
-    assert ca.run_sweep(spec, wannier=wannier, workers=1).n_failed == 0
+        ca.run_sweep(spec, workers=2)
+    assert ca.run_sweep(spec, workers=1).n_failed == 0
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_progress_reports_completion_once(wannier, lattice_spec, workers):
+def test_progress_reports_completion_once(lattice_spec, workers):
     # two columns of 25 points: this process reports after every
     # ceil(25 / PROGRESS_STEPS) = 4th strength step of its share, both
     # columns at one worker and one at two, and once at the end
     spec = _spec(lattice_spec, axis1=ca.Axis.log("v0", 0.01, 0.12, 25))
     assert spec.n_points == 50
     calls = []
-    ca.run_sweep(spec, wannier=wannier, workers=workers,
+    ca.run_sweep(spec, workers=workers,
                  progress=lambda done, n: calls.append((done, n)))
     own = 2 // workers
     assert calls == [(step * own, 50) for step in (4, 8, 12, 16, 20, 24)] + [(50, 50)]
 
 
-def test_extended_point_gamma_is_the_finite_size_floor(wannier, lattice_spec):
+def test_extended_point_gamma_is_the_finite_size_floor(lattice_spec):
     # extended phase at half the critical strength: the Thouless formula
     # still gives a value, the finite chain's floor of about 13.4 / L
     spec = _spec(lattice_spec,
                  axis1=ca.Axis("v0", np.array([0.03])),
                  axis2=ca.Axis("C", np.array([-0.5])),
                  observables=("ipr", "gamma"))
-    rec = ca.run_sweep(spec, wannier=wannier).records[0]
+    rec = ca.run_sweep(spec).records[0]
     assert 0.0 < rec.gamma < 20.0 / L
     assert rec.flags == ""
 
 
-def test_fixed_depth_sets_the_lattice_depth(wannier, lattice_spec):
+def test_fixed_depth_sets_the_lattice_depth(lattice_spec):
+    # the sweep builds and reports the basis at the fixed depth
     spec = _spec(lattice_spec, axis2=None,
                  fixed={"C": -1.0, "delta_c_prime": 0.0, "W0": -12.0})
     assert spec.lattice.depth_W0 == -12.0
-    # a basis at another depth would describe a chain the sweep never solves
-    with pytest.raises(ValueError, match="depth"):
-        ca.run_sweep(spec, wannier=wannier)
 
 
-@pytest.mark.parametrize("field", [{"beta": 0.5}, {"points_per_site": 32}])
-def test_basis_of_another_lattice_rejected(lattice_spec, field):
-    # only the depth used to be compared: such a basis ran the sweep, while
-    # the sidecar reported the spec's lattice
-    other = dataclasses.replace(lattice_spec, **field)
-    basis = ca.build_wannier(ca.solve_lowest_band(other), other)
-    with pytest.raises(ValueError, match="the basis was built for"):
-        ca.run_sweep(_spec(lattice_spec), wannier=basis)
-
-
-def test_basis_off_the_depth_axis_rejected(wannier, lattice_spec):
-    spec = _spec(lattice_spec, axis1=ca.Axis("W0", np.array([-12.0, -10.0])),
-                 axis2=ca.Axis("v0", np.array([0.05])), mode="aa")
-    with pytest.raises(ValueError, match="depth"):
-        ca.run_sweep(spec, wannier=wannier)
+def test_unit_t_axis_is_scaled_by_the_sweeps_hopping(wannier, lattice_spec):
+    # a 't' grid runs as the E_r grid it is at the hopping of the basis the
+    # sweep builds: every record field for field, the sidecar's grid and the
+    # transition estimates
+    axis = ca.Axis.log("v0", 0.5, 5.0, 24, unit="t")
+    observables = ("ipr", "gamma", "vc")
+    in_t = ca.run_sweep(_spec(lattice_spec, axis1=axis, observables=observables))
+    in_er = ca.run_sweep(_spec(lattice_spec, axis1=ca.Axis("v0", axis.values * wannier.t),
+                               observables=observables))
+    assert in_t.records == in_er.records
+    for key in ("axes", "constants", "transition_estimates"):
+        assert in_t.metadata[key] == in_er.metadata[key]
+    # beside a W0 axis no one hopping scales it, nor can the W0 grid be in 't'
+    depths, fixed = ca.Axis("W0", np.array([-15.0, -12.0])), {"C": -1.0}
+    _spec(lattice_spec, axis1=ca.Axis("v0", axis.values), axis2=depths, fixed=fixed)
+    with pytest.raises(ValueError, match=r"axis1 \(v0\) cannot be in unit 't': "
+                                         r"axis2 \(W0\) sets the hopping"):
+        _spec(lattice_spec, axis1=axis, axis2=depths, fixed=fixed)
+    with pytest.raises(ValueError, match=r"axis2 \(W0\) cannot be in unit 't'"):
+        _spec(lattice_spec, axis1=ca.Axis("v0", axis.values),
+              axis2=ca.Axis("W0", depths.values, unit="t"), fixed=fixed)
+    with pytest.raises(ValueError, match="unit must be 'Er' or 't'"):
+        ca.Axis.linear("v0", 0.5, 5.0, 4, unit="furlong")
 
 
 def test_depth_axis_with_a_basis_lists_every_depth(wannier, lattice_spec):
-    # a caller's basis at one of the depths serves that depth's columns; the
-    # sidecar still lists the constants of every depth
+    # the lattice's own depth is one of the axis's: its columns get a basis
+    # of their own like every other depth's, and the sidecar lists the
+    # constants of every depth, the lattice's equal to its basis's
     spec = _spec(lattice_spec, axis1=ca.Axis("W0", np.array([-15.0, -12.0])),
                  axis2=ca.Axis("v0", np.array([0.05, 0.1])),
                  fixed={"C": -1.0, "delta_c_prime": 0.0})
-    given, built = ca.run_sweep(spec, wannier=wannier), ca.run_sweep(spec)
-    assert [c["W0"] for c in given.metadata["constants"]] == [-15.0, -12.0]
-    assert given.metadata["constants"] == built.metadata["constants"]
-    assert ca.sweep.csv_body(given) == ca.sweep.csv_body(built)
+    constants = ca.run_sweep(spec).metadata["constants"]
+    assert [c["W0"] for c in constants] == [-15.0, -12.0]
+    assert constants[0]["t"] == wannier.t
 
 
-def test_pool_maps_chunks_of_equal_count(wannier, lattice_spec, monkeypatch):
+def test_pool_maps_chunks_of_equal_count(lattice_spec, monkeypatch):
     # 20 columns of 2 points over 2 processes: the parent solves the even
     # columns and one forked worker the odd ones, 10 each; the parent
     # reports progress after each of its ceil(2 / PROGRESS_STEPS) = 1
@@ -932,12 +939,12 @@ def test_pool_maps_chunks_of_equal_count(wannier, lattice_spec, monkeypatch):
     spec = _spec(lattice_spec, axis1=ca.Axis("v0", np.array([0.1, 0.05])),
                  axis2=ca.Axis.linear("C", -3.0, -0.5, 20), observables=("ipr", "vc"))
     calls = []
-    pooled = ca.run_sweep(spec, wannier=wannier, workers=2,
+    pooled = ca.run_sweep(spec, workers=2,
                           progress=lambda done, n: calls.append((done, n)))
     assert context.shares == [ca.sweep._solve_columns(spec)[1::2]]
     assert [len(share) for share in context.shares] == [10]
     assert calls == [(10, 40), (20, 40), (40, 40)]
-    serial = ca.run_sweep(spec, wannier=wannier)
+    serial = ca.run_sweep(spec)
     assert pooled.records == serial.records
     assert pooled.metadata["transition_estimates"] == \
         serial.metadata["transition_estimates"]
@@ -999,7 +1006,7 @@ def test_depth_axis_lists_each_depth_constants(wannier, lattice_spec):
     assert constants[0]["t"] > wannier.t
 
 
-def test_photon_ridge_follows_optomechanical_resonance(wannier, lattice_spec):
+def test_photon_ridge_follows_optomechanical_resonance(lattice_spec):
     # localized strongly-driven column: the photon number peaks where the
     # detuning matches the dynamical shift at the occupied antinode
     pump = ca.PumpConfig(pump_mode="cavity_pumped", kappa_over_recoil=1.0)
@@ -1008,7 +1015,7 @@ def test_photon_ridge_follows_optomechanical_resonance(wannier, lattice_spec):
                  axis2=ca.Axis.linear("delta_c", -3.0, 1.0, 9),
                  fixed={"U0": -1.0}, pump=pump,
                  observables=("ipr", "nbar"), name="ridge")
-    recs = ca.run_sweep(spec, wannier=wannier).records
+    recs = ca.run_sweep(spec).records
     nbars = [r.nbar for r in recs]
     dcs = [r.axis2 for r in recs]
     assert recs[0].ipr > 0.5  # drive deep enough to localize
@@ -1024,7 +1031,7 @@ def test_atom_pumped_eta_axis_drives_v0_and_photon_number(wannier, lattice_spec)
     spec = _spec(lattice_spec, axis1=ca.Axis("eta", etas), axis2=None,
                  fixed={"U0": -1.0, "delta_c": -4.0}, pump=pump,
                  observables=("ipr", "nbar"), name="atom")
-    recs = ca.run_sweep(spec, wannier=wannier).records
+    recs = ca.run_sweep(spec).records
     for eta, rec in zip(etas, recs):
         assert rec.v0 == pytest.approx(eta * eta * -4.0 / -2.0, rel=1e-14)
         pot = ca.EffectivePotential(rec.v0, -1.0, -4.0)
@@ -1045,7 +1052,7 @@ def test_photon_number_registration_across_u0_zero(wannier, lattice_spec, pump_m
                  axis2=ca.Axis.linear("U0", -2.0, 2.0, 5),
                  fixed={"delta_c": 0.5}, pump=pump,
                  observables=("ipr", "nbar"), name="u0")
-    recs = ca.run_sweep(spec, wannier=wannier).records
+    recs = ca.run_sweep(spec).records
     zeta = pump.pump_field(0.6)
     for rec in recs:
         assert rec.flags == ""
@@ -1094,7 +1101,7 @@ def test_sweep_nbar_is_the_one_point_photon_number(wannier, lattice_spec,
     if pooled:
         inline_fork(monkeypatch)
         workers = 2
-    result = ca.run_sweep(spec, wannier=wannier, workers=workers)
+    result = ca.run_sweep(spec, workers=workers)
     # one build per U0 column, at that column's U0 and delta_c, in the
     # order the columns are solved
     # a share sets its columns up at its first step, in share order, then
@@ -1114,11 +1121,11 @@ def test_sweep_nbar_is_the_one_point_photon_number(wannier, lattice_spec,
         assert rec.nbar == pytest.approx(direct, rel=1e-14, abs=0.0)
         assert rec.nbar > 0.0
     if pooled:
-        serial = ca.run_sweep(spec, wannier=wannier)
+        serial = ca.run_sweep(spec)
         assert ca.sweep.csv_body(serial) == ca.sweep.csv_body(result)
 
 
-def test_failed_photon_series_fails_each_point_after_its_solve(wannier, lattice_spec,
+def test_failed_photon_series_fails_each_point_after_its_solve(lattice_spec,
                                                                monkeypatch):
     # a series that cannot be built (say, past MAX_HARMONICS) is tried once
     # per column; every point still solves and reports E0, IPR and gamma,
@@ -1135,10 +1142,10 @@ def test_failed_photon_series_fails_each_point_after_its_solve(wannier, lattice_
         raise ValueError("photon number failed")
 
     monkeypatch.setattr(ca.sweep, "series_photon_number", failing_point)
-    per_point = ca.run_sweep(spec, wannier=wannier)
+    per_point = ca.run_sweep(spec)
     monkeypatch.undo()
     monkeypatch.setattr(ca.sweep, "photon_series", failing_build)
-    failed = ca.run_sweep(spec, wannier=wannier)
+    failed = ca.run_sweep(spec)
     assert len(builds) == spec.shape[1]
     assert failed.records == per_point.records
     assert failed.n_failed == spec.n_points
@@ -1161,7 +1168,7 @@ def test_descending_strength_axis_estimates_its_transition(wannier, lattice_spec
     for axis in (ascending, ca.Axis("v0", ascending.values[::-1])):
         spec = _spec(lattice_spec, axis1=axis, axis2=ca.Axis("C", np.array([-1.0])),
                      mode=mode, observables=("ipr", "vc"))
-        result = ca.run_sweep(spec, wannier=wannier)
+        result = ca.run_sweep(spec)
         (entry,) = result.metadata["transition_estimates"]
         estimates.append(entry)
         records.append(sorted(result.records, key=lambda rec: rec.v0))
@@ -1174,13 +1181,13 @@ def test_descending_strength_axis_estimates_its_transition(wannier, lattice_spec
         assert estimates[0]["v0_range"] == [ascending.values[0], ascending.values[-1]]
 
 
-def test_unresolved_transition_names_its_edge(wannier, lattice_spec):
+def test_unresolved_transition_names_its_edge(lattice_spec):
     # the dual-model v_c lies far above the grid, so the IPR rises fastest
     # in the last interval
     spec = _spec(lattice_spec, axis1=ca.Axis.log("v0", 1e-4, 1e-3, 20),
                  axis2=ca.Axis("C", np.array([-1.0])),
                  observables=("ipr", "vc"))
-    (entry,) = ca.run_sweep(spec, wannier=wannier).metadata["transition_estimates"]
+    (entry,) = ca.run_sweep(spec).metadata["transition_estimates"]
     assert entry["v_c_analytic"] > 10.0 * 1e-3
     assert entry["unresolved"] is True
     assert entry["edge"] == "high"
@@ -1189,7 +1196,7 @@ def test_unresolved_transition_names_its_edge(wannier, lattice_spec):
 
 def test_csv_round_trip_bit_exact(tmp_path, wannier, lattice_spec):
     spec = _spec(lattice_spec, observables=("ipr", "gamma"))
-    result = ca.run_sweep(spec, wannier=wannier)
+    result = ca.run_sweep(spec)
     path = tmp_path / ca.default_filename(spec)
     ca.export_csv(result, path)
     cols, rows = read_csv(path)
@@ -1208,20 +1215,20 @@ def test_csv_round_trip_bit_exact(tmp_path, wannier, lattice_spec):
     assert sidecar["metadata"]["constants"]["t"] == wannier.t
 
 
-def test_csv_header_only_for_empty_grid(tmp_path, wannier, lattice_spec):
+def test_csv_header_only_for_empty_grid(tmp_path, lattice_spec):
     spec = _spec(lattice_spec, axis1=ca.Axis("v0", np.array([0.05])),
                  axis2=ca.Axis("C", np.array([-1.0])))
-    result = ca.run_sweep(spec, wannier=wannier)
+    result = ca.run_sweep(spec)
     trimmed = ca.SweepResult(records=[], metadata=result.metadata)
     body = ca.sweep.csv_body(trimmed)
     assert body.count("\n") == 1
     assert body.startswith("v0,C,")
 
 
-def test_cardinality(wannier, lattice_spec):
+def test_cardinality(lattice_spec):
     spec = _spec(lattice_spec, axis1=ca.Axis.log("v0", 0.01, 0.11, 10),
                  axis2=ca.Axis("C", np.linspace(-3.0, -0.5, 5)))
-    result = ca.run_sweep(spec, wannier=wannier)
+    result = ca.run_sweep(spec)
     assert len(result.records) == 50
     body = ca.sweep.csv_body(result)
     assert body.count("\n") == 51  # header + one line per grid point
