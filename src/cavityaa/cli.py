@@ -104,7 +104,7 @@ def cmd_ground_state(cfg: dict, out_dir: str) -> int:
     v0, coop, dcp, zeta = resolve_model_params(
         pump, model_params(cfg, pump is not None))
     chain, long_chain = (
-        HubbardProblem(L=n, t=wb.t, onsite=scale_profile(
+        HubbardProblem(t=wb.t, onsite=scale_profile(
             unit_profile(mdl["mode"], wb, coop, dcp, n), v0))
         for n in (L, n_long))
     gs = ground_state(chain)
@@ -130,15 +130,21 @@ def cmd_ground_state(cfg: dict, out_dir: str) -> int:
         out["v_c_analytic"] = critical_v_cav(wb.t, wb.alpha, dcp, coop)
     if zeta is not None and cavity:
         out["nbar"] = photon_number(gs, wb, zeta, delta_c=dcp, U0=coop)
+    wavefunction = os.path.join(out_dir, "ground_state.csv")
     if cfg["output"]["wavefunction_csv"]:
-        with _output(os.path.join(out_dir, "ground_state.csv")) as fh:
+        with _output(wavefunction) as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["n", "psi_n", "psi_n_sq"])
             for n, amp in enumerate(gs.amplitudes, start=1):
                 writer.writerow([n, "%.17g" % amp, "%.17g" % (amp * amp)])
-    with _output(os.path.join(out_dir, "ground_state_metrics.json")) as fh:
-        json.dump(out, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        with _output(os.path.join(out_dir, "ground_state_metrics.json")) as fh:
+            json.dump(out, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except ConfigError:
+        if cfg["output"]["wavefunction_csv"]:
+            os.remove(wavefunction)  # a run writes both outputs or neither
+        raise
     return EXIT_OK
 
 

@@ -193,8 +193,12 @@ def build_wannier(band: BlochBand, spec: LatticeSpec) -> WannierBasis:
     points are x_j = j pi / p, so cos(k x_j) = cos(2 pi m j / N) with
     N = 2 Nq p: w0 and w0'' are the real parts of one length-N rFFT each,
     of the coefficients binned by |m| mod N.  The transform gives x >= 0;
-    w0 is even, so the other half is its mirror image.
+    w0 is even, so the other half is its mirror image.  band must be the
+    lowest band of spec's depth.
     """
+    if band.depth_W0 != spec.depth_W0:
+        raise ValueError(f"band of depth W0 = {band.depth_W0!r} does not belong "
+                         f"to the lattice of depth W0 = {spec.depth_W0!r}")
     m_cut = spec.planewave_cutoff_M
     nq = spec.quasimomentum_samples_Nq
     ls = np.arange(-m_cut, m_cut + 1)

@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from . import kernels
 from .kernels import CERTIFICATE_RTOL, RESIDUAL_RTOL
-from .lattice import GOLDEN_BETA
 
 if TYPE_CHECKING:  # pragma: no cover
     from .lattice import WannierBasis
@@ -37,13 +36,13 @@ class EffectivePotential:
     """Specification of the cavity-induced onsite potential.
 
     The sign of C picks the registration of the mode: sin^2 for C > 0
-    (``kernels.sin2_registration``), cos^2 otherwise.
+    (``kernels.sin2_registration``), cos^2 otherwise.  The incommensuration
+    beta is the Wannier basis's (``onsite_cavity``).
     """
 
     v0: float
     C: float = 0.0
     delta_c_prime: float = 0.0
-    beta: float = GOLDEN_BETA
 
     def __post_init__(self):
         if self.v0 < 0.0:
@@ -56,33 +55,36 @@ class EffectivePotential:
 
 @dataclass(frozen=True)
 class OnsiteProfile:
-    """Site energies delta_eps_n, n = 1..L, in E_r.
+    """Site energies delta_eps_n, n = 1..L, in E_r, with L = len(values).
 
     peaks = (a, b): a is the largest |delta_eps_n| over the interior sites and
     b the larger one at the two end sites.  With the hopping they give the
-    chain's norm bound (``HubbardProblem.norm_bound``).  Left out, they are
-    read off the values, which must then be finite, and the profile keeps a
-    read-only copy of them.  ``scale_profile`` passes the peaks scaled from a
-    checked unit profile instead, and finite peaks bound every value; the
-    profile then keeps its fresh values array itself.
+    chain's norm bound (``HubbardProblem.norm_bound``).  They are read off the
+    values, which must be a non-empty 1-D array of finite entries; the
+    profile keeps a read-only copy of them.  Only ``scale_profile`` sets the
+    peaks itself (``_filled``).
     """
 
     values: np.ndarray
-    L: int
-    peaks: tuple | None = None
+    peaks: tuple = field(init=False)
 
     def __post_init__(self):
-        if self.L < 1 or self.values.shape != (self.L,):
-            raise ValueError("profile length does not match L")
-        if self.peaks is None:
-            # the read-only flag below must not reach the caller's array
-            object.__setattr__(self, "values", self.values.copy())
-            if not np.all(np.isfinite(self.values)):
-                raise ValueError("profile contains non-finite entries")
-            mag = np.abs(self.values)
-            object.__setattr__(self, "peaks", (float(mag[1:-1].max(initial=0.0)),
-                                               float(max(mag[0], mag[-1]))))
-        self.values.setflags(write=False)
+        values = np.array(self.values, dtype=float)  # a copy: the caller's stays writeable
+        if values.ndim != 1 or values.size == 0:
+            raise ValueError("profile must be a non-empty 1-D array")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("profile contains non-finite entries")
+        mag = np.abs(values)
+        _filled(self, values, (float(mag[1:-1].max(initial=0.0)),
+                               float(max(mag[0], mag[-1]))))
+
+
+def _filled(profile: OnsiteProfile, values: np.ndarray, peaks: tuple) -> OnsiteProfile:
+    """profile holding values, made read-only, and their exact peaks."""
+    values.setflags(write=False)
+    object.__setattr__(profile, "values", values)
+    object.__setattr__(profile, "peaks", peaks)
+    return profile
 
 
 def onsite_aa(v0: float, beta: float, L: int) -> OnsiteProfile:
@@ -90,7 +92,7 @@ def onsite_aa(v0: float, beta: float, L: int) -> OnsiteProfile:
     if L < 3:
         raise ValueError("need at least 3 sites")
     n = np.arange(1, L + 1)
-    return OnsiteProfile(values=v0 * np.cos(2.0 * np.pi * beta * n), L=L)
+    return OnsiteProfile(v0 * np.cos(2.0 * np.pi * beta * n))
 
 
 def onsite_cavity(wb: "WannierBasis", pot: EffectivePotential, L: int) -> OnsiteProfile:
@@ -104,10 +106,10 @@ def onsite_cavity(wb: "WannierBasis", pot: EffectivePotential, L: int) -> Onsite
     """
     if L < 3:
         raise ValueError("need at least 3 sites")
-    unit = OnsiteProfile(values=kernels.onsite_quadrature(
-        wb.density_weights, wb.grid, L, wb.site_spacing_a, pot.beta,
+    unit = OnsiteProfile(kernels.onsite_quadrature(
+        wb.density_weights, wb.grid, L, wb.site_spacing_a, wb.beta,
         pot.C, pot.delta_c_prime, pot.uses_sin2,
-    ), L=L)
+    ))
     if max(unit.peaks) > np.pi / 2.0:
         raise ValueError("profile exceeds the arctan range bound")
     return scale_profile(unit, pot.v0)
@@ -127,22 +129,25 @@ def scale_profile(unit: OnsiteProfile, v0: float) -> OnsiteProfile:
     inner, end = v0 * unit.peaks[0], v0 * unit.peaks[1]
     if not (math.isfinite(inner) and math.isfinite(end)):
         raise ValueError(f"profile overflows at v0 = {v0!r}")
-    return OnsiteProfile(values=v0 * unit.values, L=unit.L, peaks=(inner, end))
+    # a fresh array with exact peaks: no O(L) copy, max or check
+    return _filled(object.__new__(OnsiteProfile), v0 * unit.values, (inner, end))
 
 
 @dataclass(frozen=True)
 class HubbardProblem:
-    """Hard-wall chain with uniform hopping t and onsite profile."""
+    """Hard-wall chain with uniform hopping t and onsite profile; its
+    length L is the profile's."""
 
-    L: int
     t: float
     onsite: OnsiteProfile
 
     def __post_init__(self):
         if self.L < 3:
             raise ValueError("L must be >= 3")
-        if self.onsite.L != self.L:
-            raise ValueError("onsite profile length does not match L")
+
+    @property
+    def L(self) -> int:
+        return self.onsite.values.shape[0]
 
     @property
     def norm_bound(self) -> float:
@@ -182,10 +187,6 @@ class GroundState:
 
     def __post_init__(self):
         self.amplitudes.setflags(write=False)
-
-    @property
-    def L(self) -> int:
-        return self.amplitudes.shape[0]
 
     @property
     def density(self) -> np.ndarray:

@@ -31,6 +31,7 @@ import io
 import json
 import math
 import multiprocessing
+import os
 import time
 import traceback
 from dataclasses import asdict, dataclass, field, replace
@@ -366,7 +367,7 @@ def unit_profile(mode: str, wb: WannierBasis, coop: float, dcp: float,
     """
     if mode == "aa":
         return onsite_aa(1.0, wb.beta, L)
-    return onsite_cavity(wb, EffectivePotential(1.0, coop, dcp, beta=wb.beta), L)
+    return onsite_cavity(wb, EffectivePotential(1.0, coop, dcp), L)
 
 
 def _failure(exc: Exception) -> str:
@@ -479,8 +480,7 @@ def _solve_step(spec: SweepSpec, bases: dict, share: list, step: int) -> None:
             if column.set_up_failed:
                 column.add(spec, v0, coop, dcp, [column.set_up_failed])
                 continue
-            problem = HubbardProblem(L=spec.L, t=column.wb.t,
-                                     onsite=scale_profile(column.unit, v0))
+            problem = HubbardProblem(t=column.wb.t, onsite=scale_profile(column.unit, v0))
         except Exception as exc:  # per-point failures never abort the sweep
             column.add(spec, v0, coop, dcp, [_failure(exc)])
             continue
@@ -783,38 +783,21 @@ def _methods(spec: SweepSpec) -> dict:
 # --- serialization -----------------------------------------------------------
 
 def _columns(result: SweepResult) -> list:
+    """The CSV header: the axes, then the SweepRecord fields of the model
+    parameters no axis holds, E0, ipr, the observables asked for and flags."""
     meta = result.metadata
-    cols = [meta["axes"]["axis1"]["name"]]
-    if "axis2" in meta["axes"]:
-        cols.append(meta["axes"]["axis2"]["name"])
-    for name in ("v0", "C", "delta_c_prime"):
-        if name not in cols:
-            cols.append(name)
-    cols += ["E0", "ipr"]
-    if "gamma" in meta["observables"]:
-        cols.append("gamma")
-    if "nbar" in meta["observables"]:
-        cols.append("nbar")
-    cols.append("flags")
-    return cols
+    cols = [axis["name"] for axis in meta["axes"].values()]
+    cols += [name for name in ("v0", "C", "delta_c_prime") if name not in cols]
+    return cols + ["E0", "ipr"] + [name for name in ("gamma", "nbar")
+                                   if name in meta["observables"]] + ["flags"]
 
 
 def _record_cells(rec: SweepRecord, cols: list) -> list:
-    values = {
-        "v0": rec.v0, "C": rec.C, "delta_c_prime": rec.delta_c_prime,
-        "E0": rec.E0, "ipr": rec.ipr, "gamma": rec.gamma, "nbar": rec.nbar,
-    }
-    cells = [FLOAT_FORMAT % rec.axis1]
-    rest = cols[1:]
-    if rec.axis2 is not None:
-        cells.append(FLOAT_FORMAT % rec.axis2)
-        rest = cols[2:]
-    for name in rest:
-        if name == "flags":
-            cells.append(rec.flags)
-        else:
-            v = values[name]
-            cells.append("" if v is None else FLOAT_FORMAT % v)
+    cells = [FLOAT_FORMAT % value for value in (rec.axis1, rec.axis2) if value is not None]
+    for name in cols[len(cells):]:
+        value = getattr(rec, name)
+        cells.append(value if name == "flags" else
+                     "" if value is None else FLOAT_FORMAT % value)
     return cells
 
 
@@ -844,9 +827,13 @@ def export_csv(result: SweepResult, path, config=None) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(csv_body(result))
-        with open(sidecar, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        try:
+            with open(sidecar, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except OSError:
+            os.remove(path)  # a run writes both outputs or neither
+            raise
     except OSError as exc:
         raise OSError(f"failed to write sweep output at {path}: {exc}") from exc
 

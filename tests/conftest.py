@@ -49,18 +49,18 @@ class TransitionScanner:
         n_sites = n_sites or self.L
         key = (C, dcp, n_sites)
         if key not in self._profiles:
-            pot = ca.EffectivePotential(1.0, C, dcp, beta=self.wb.beta)
+            pot = ca.EffectivePotential(1.0, C, dcp)
             self._profiles[key] = ca.onsite_cavity(self.wb, pot, n_sites).values
         return self._profiles[key]
 
     def solve(self, values):
-        profile = ca.OnsiteProfile(values=np.asarray(values, float), L=self.L)
-        problem = ca.HubbardProblem(L=self.L, t=self.t, onsite=profile)
+        profile = ca.OnsiteProfile(values=np.asarray(values, float))
+        problem = ca.HubbardProblem(t=self.t, onsite=profile)
         return ca.ground_state(problem)
 
     def solve_aa(self, v0):
         profile = ca.onsite_aa(v0, self.wb.beta, self.L)
-        problem = ca.HubbardProblem(L=self.L, t=self.t, onsite=profile)
+        problem = ca.HubbardProblem(t=self.t, onsite=profile)
         return ca.ground_state(problem)
 
     def ipr_curve(self, base, lo, hi, num):
@@ -83,8 +83,8 @@ class TransitionScanner:
 
     def long_gamma(self, values, energy):
         """Lyapunov exponent at energy of the N_LONG-site chain with values."""
-        profile = ca.OnsiteProfile(values=np.asarray(values, float), L=N_LONG)
-        problem = ca.HubbardProblem(L=N_LONG, t=self.t, onsite=profile)
+        profile = ca.OnsiteProfile(values=np.asarray(values, float))
+        problem = ca.HubbardProblem(t=self.t, onsite=profile)
         return ca.lyapunov_exponent(problem, energy)
 
     def gamma_at(self, C, dcp, v0):

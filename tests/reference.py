@@ -12,7 +12,7 @@ import math
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal, lapack
 
-from cavityaa.lattice import LATTICE_CONSTANT
+from cavityaa.lattice import GOLDEN_BETA, LATTICE_CONSTANT
 from cavityaa.model import warm_solves
 
 
@@ -78,7 +78,7 @@ def gershgorin_norm_bound(d: np.ndarray, e: np.ndarray) -> float:
     return bound if bound > 0.0 else 1.0
 
 
-def f_eval(pot, x, sin2: bool | None = None) -> np.ndarray:
+def f_eval(pot, x, sin2: bool | None = None, beta: float = GOLDEN_BETA) -> np.ndarray:
     """Dimensionless cavity potential arctan(-delta' + C trig^2(beta x)).
 
     Principal arctan branch; trig = sin in the sin^2 registration, which is
@@ -87,7 +87,7 @@ def f_eval(pot, x, sin2: bool | None = None) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if sin2 is None:
         sin2 = pot.uses_sin2
-    trig = np.sin(pot.beta * x) if sin2 else np.cos(pot.beta * x)
+    trig = np.sin(beta * x) if sin2 else np.cos(beta * x)
     return np.arctan(pot.C * trig * trig - pot.delta_c_prime)
 
 
@@ -122,7 +122,7 @@ def cavity_tunneling_corrections(wb, pot, L: int) -> np.ndarray:
     vgrid = wb.grid[p:]
     out = np.empty(L - 1)
     for n in range(1, L):
-        out[n - 1] = float(np.dot(pair * wts, f_eval(pot, vgrid + n * a)))
+        out[n - 1] = float(np.dot(pair * wts, f_eval(pot, vgrid + n * a, beta=wb.beta)))
     return pot.v0 * out
 
 

@@ -161,9 +161,8 @@ def test_criterion_8_invariant_suite(scanner, wannier, lattice_spec):
     offset_ok = (abs((g2.energy - g1.energy) - 0.2) < 1e-10 and
                  np.max(np.abs(g1.amplitudes - g2.amplitudes)) < 1e-10)
     s = 2.5
-    g3 = ca.ground_state(ca.HubbardProblem(
-        L=L, t=s * scanner.t,
-        onsite=ca.OnsiteProfile(values=s * base, L=L)))
+    g3 = ca.ground_state(ca.HubbardProblem(t=s * scanner.t,
+                                           onsite=ca.OnsiteProfile(values=s * base)))
     scale_ok = (abs(g3.energy - s * g1.energy) < 1e-10 * s and
                 abs(ca.ipr(g3) - ca.ipr(g1)) < 1e-12)
     checks.append(("offset-invariance(1e-10)", offset_ok))

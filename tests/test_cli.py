@@ -92,8 +92,8 @@ def _unknown(key):
     return None if section in DEFAULTS else f"unknown key: {section}"
 
 
-#: One bad value per lattice, pump and old fit check: (section, field,
-#: value, other fields of the section that make the check apply).
+#: One bad value per lattice, pump, model and old fit check: (section,
+#: field, value, other fields of the section that make the check apply).
 BAD_FIELDS = [
     ("lattice", "quasimomentum_samples_Nq", 63, {}),
     ("lattice", "quasimomentum_samples_Nq", 64.5, {}),
@@ -108,6 +108,8 @@ BAD_FIELDS = [
     ("fit", "min_r2", 0, {}),
     ("fit", "background_factor", 1, {}),
     ("fit", "min_window_sites", 2, {}),
+    ("model", "mode", "aab", {}),
+    ("model", "L", 2, {}),
 ]
 
 
@@ -249,7 +251,7 @@ def test_ground_state_takes_v0_from_the_pump(capsys, tmp_path, wannier, pump, v0
     v0 *= 0.5
     pot = ca.EffectivePotential(v0, -1.0, -2.0)
     gs = ca.ground_state(ca.HubbardProblem(
-        L=L, t=wannier.t, onsite=ca.onsite_cavity(wannier, pot, L)))
+        t=wannier.t, onsite=ca.onsite_cavity(wannier, pot, L)))
     assert metrics["E0"] == pytest.approx(gs.energy, rel=1e-12)
     assert metrics["v0"] == pytest.approx(v0, rel=1e-14)
     if pump["pump_mode"] == "cavity_pumped":
@@ -466,11 +468,15 @@ def test_out_that_cannot_be_a_directory_exit_code(capsys, tmp_path, command,
      "sweep_v0xnone.csv"),
     ("wannier", {"output": {"wannier_csv": True}}, "wannier.csv"),
     ("ground-state", {}, "ground_state.csv"),
+    ("sweep", {"sweep": {"axis1": {"name": "v0", "values": [0.05]}}},
+     "sweep_v0xnone.meta.json"),
+    ("ground-state", {}, "ground_state_metrics.json"),
 ])
 def test_output_file_that_cannot_be_written_exit_code(capsys, tmp_path, command,
                                                       doc, name):
     # an output path that is a directory exits 2 with one error line that
-    # names it, after any progress lines, not a traceback
+    # names it, after any progress lines, not a traceback; when it is the
+    # second output, the first one written is removed again
     cfg = write_cfg(tmp_path, doc)
     out_dir = tmp_path / "out"
     (out_dir / name).mkdir(parents=True)
@@ -479,6 +485,7 @@ def test_output_file_that_cannot_be_written_exit_code(capsys, tmp_path, command,
     errors = [ln for ln in err.splitlines() if not ln.startswith("sweep sweep: ")]
     assert len(errors) == 1
     assert errors[0].startswith("error: ") and str(out_dir / name) in errors[0]
+    assert list(out_dir.iterdir()) == [out_dir / name]
     assert (out_dir / name).is_dir()
 
 
@@ -717,9 +724,12 @@ def test_nbar_without_physical_parameters_exit_code(capsys, tmp_path):
      "pump.kappa_over_recoil: must be a finite number, not Infinity"),
     ("ground-state", {"model": {"C": float("nan")}},
      "model.C: must be a finite number, not NaN"),
+    ("ground-state", {"lattice": 3}, "lattice: expected an object"),
+    ("sweep", {"sweep": {"fixed": [1]}}, "sweep.fixed: expected an object"),
 ], ids=["model.L", "axis1.num", "model.v0", "axis1.start", "fixed.C",
         "fixed.C-string", "fixed.C-NaN", "axis1.values-NaN",
-        "kappa_over_recoil-Infinity", "model.C-NaN"])
+        "kappa_over_recoil-Infinity", "model.C-NaN", "lattice-not-object",
+        "fixed-not-object"])
 def test_non_integral_size_exit_code(capsys, tmp_path, command, doc, message):
     # int() would silently run 40 sites or 20 grid points; a value that is
     # not a number is named at load, not met as a traceback (fixed.C used

@@ -115,7 +115,7 @@ def test_warm_start_on_an_exact_eigenvalue_returns_it():
     # it is not the lowest pair: the certificate rejects it, and the ground
     # state comes from bisection
     assert np.isnan(_margin(d, e, lam, kernels.CERTIFICATE_RTOL * 1.3))
-    problem = ca.HubbardProblem(L=5, t=0.0, onsite=ca.OnsiteProfile(values=d, L=5))
+    problem = ca.HubbardProblem(t=0.0, onsite=ca.OnsiteProfile(values=d))
     gs = ca.ground_state(problem, start=warm_start(problem, np.eye(5)[0]))
     assert (gs.energy, gs.method) == (-1.3, kernels.COLD_METHOD)
 

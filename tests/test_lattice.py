@@ -228,6 +228,13 @@ def test_phase_fixing_error_message():
         ca.build_wannier(bad, spec)
 
 
+def test_band_of_another_depth_rejected(band):
+    # a W0 = -15 band under a W0 = -12 spec would report W0 = -12 with the
+    # -15 band's t_band and a hopping that belongs to neither depth
+    with pytest.raises(ValueError, match=r"W0 = -15\.0 .* W0 = -12\.0"):
+        ca.build_wannier(band, ca.LatticeSpec(depth_W0=-12.0))
+
+
 ORACLE_DEPTHS = [-15.0, -10.5, -40.0, 8.0]
 
 

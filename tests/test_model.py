@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -43,7 +45,7 @@ def test_f_eval_small_coupling_harmonic():
 def test_f_eval_root_of_argument():
     # cos^2 = 1/2 with delta' = 1 and C = 2 sits exactly on arctan(0)
     pot = ca.EffectivePotential(v0=1.0, C=2.0, delta_c_prime=1.0)
-    x = np.pi / (4.0 * pot.beta)
+    x = np.pi / (4.0 * GOLDEN_BETA)
     assert f_eval(pot, x, sin2=False) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -84,9 +86,9 @@ def test_onsite_cavity_uniform_for_zero_coupling(wannier):
     prof = ca.onsite_cavity(wannier, pot, L)
     assert np.allclose(prof.values, v0 * np.arctan(-dcp), rtol=1e-12)
     # uniform onsite shift: same IPR as the free chain
-    gs = ca.ground_state(ca.HubbardProblem(L=L, t=wannier.t, onsite=prof))
+    gs = ca.ground_state(ca.HubbardProblem(t=wannier.t, onsite=prof))
     free = ca.ground_state(ca.HubbardProblem(
-        L=L, t=wannier.t, onsite=ca.OnsiteProfile(values=np.zeros(L), L=L)))
+        t=wannier.t, onsite=ca.OnsiteProfile(values=np.zeros(L))))
     assert ca.ipr(gs) == pytest.approx(ca.ipr(free), rel=1e-10)
 
 
@@ -114,8 +116,8 @@ def test_onsite_cavity_smearing_matches_alpha(wannier):
 
 
 def test_ground_state_three_site_chain():
-    prof = ca.OnsiteProfile(values=np.zeros(3), L=3)
-    gs = ca.ground_state(ca.HubbardProblem(L=3, t=1.0, onsite=prof))
+    prof = ca.OnsiteProfile(values=np.zeros(3))
+    gs = ca.ground_state(ca.HubbardProblem(t=1.0, onsite=prof))
     assert gs.energy == pytest.approx(-np.sqrt(2.0), abs=1e-12)
     assert np.allclose(gs.amplitudes, [0.5, np.sqrt(0.5), 0.5], atol=1e-12)
 
@@ -123,16 +125,16 @@ def test_ground_state_three_site_chain():
 def test_ground_state_diagonal_limit():
     rng = np.random.RandomState(5)
     vals = rng.uniform(-1, 1, 12)
-    prof = ca.OnsiteProfile(values=vals, L=12)
-    gs = ca.ground_state(ca.HubbardProblem(L=12, t=0.0, onsite=prof))
+    prof = ca.OnsiteProfile(values=vals)
+    gs = ca.ground_state(ca.HubbardProblem(t=0.0, onsite=prof))
     assert gs.energy == pytest.approx(np.min(vals), abs=1e-14)
     assert abs(gs.amplitudes[np.argmin(vals)]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ground_state_free_chain(wannier):
     t = wannier.t
-    prof = ca.OnsiteProfile(values=np.zeros(L), L=L)
-    gs = ca.ground_state(ca.HubbardProblem(L=L, t=t, onsite=prof))
+    prof = ca.OnsiteProfile(values=np.zeros(L))
+    gs = ca.ground_state(ca.HubbardProblem(t=t, onsite=prof))
     n = np.arange(1, L + 1)
     exact = np.sin(np.pi * n / (L + 1))
     exact /= np.linalg.norm(exact)
@@ -145,8 +147,7 @@ def test_ground_state_single_deep_site(wannier):
     t = wannier.t
     vals = np.zeros(L)
     vals[116] = -100.0 * t
-    gs = ca.ground_state(ca.HubbardProblem(
-        L=L, t=t, onsite=ca.OnsiteProfile(values=vals, L=L)))
+    gs = ca.ground_state(ca.HubbardProblem(t=t, onsite=ca.OnsiteProfile(values=vals)))
     assert ca.ipr(gs) > 0.95
     assert int(np.argmax(np.abs(gs.amplitudes))) == 116
 
@@ -154,7 +155,7 @@ def test_ground_state_single_deep_site(wannier):
 def test_ground_state_normalization_sign_residual(wannier, dense_chain):
     t = wannier.t
     prof = ca.onsite_aa(5.0 * t, GOLDEN_BETA, L)
-    problem = ca.HubbardProblem(L=L, t=t, onsite=prof)
+    problem = ca.HubbardProblem(t=t, onsite=prof)
     gs = ca.ground_state(problem)
     assert abs(np.sum(gs.density) - 1.0) < 1e-12
     assert gs.amplitudes[np.argmax(np.abs(gs.amplitudes))] > 0.0
@@ -168,7 +169,7 @@ def test_ground_state_localized_aa_oracle(wannier, dense_chain):
     # dense diagonalization as the independent oracle at v0 = 2.5 t
     t = wannier.t
     prof = ca.onsite_aa(2.5 * t, GOLDEN_BETA, L)
-    problem = ca.HubbardProblem(L=L, t=t, onsite=prof)
+    problem = ca.HubbardProblem(t=t, onsite=prof)
     gs = ca.ground_state(problem)
     w, v = np.linalg.eigh(dense_chain(problem))
     assert gs.energy == pytest.approx(w[0], abs=1e-13)
@@ -179,8 +180,7 @@ def test_ground_state_localized_aa_oracle(wannier, dense_chain):
     assert abs(abs(np.dot(gs.amplitudes, v[:, 0])) - 1.0) < 1e-10
     # gamma as ground-state reads it: the long chain at this chain's E0
     n_long = ca.observables.LYAPUNOV_CHAIN_SITES
-    long = ca.HubbardProblem(L=n_long, t=t,
-                             onsite=ca.onsite_aa(2.5 * t, GOLDEN_BETA, n_long))
+    long = ca.HubbardProblem(t=t, onsite=ca.onsite_aa(2.5 * t, GOLDEN_BETA, n_long))
     assert ca.lyapunov_exponent(long, gs.energy) == pytest.approx(np.log(1.25),
                                                                  rel=0.10)
 
@@ -199,7 +199,7 @@ def test_ground_state_falls_back_on_an_excited_pair(wannier, monkeypatch):
     # the cold path returns the second eigenpair: its residual passes, the
     # certificate rejects it, and no other path is left
     t = wannier.t
-    problem = ca.HubbardProblem(L=L, t=t, onsite=ca.onsite_aa(2.5 * t, GOLDEN_BETA, L))
+    problem = ca.HubbardProblem(t=t, onsite=ca.onsite_aa(2.5 * t, GOLDEN_BETA, L))
     monkeypatch.setattr(kernels, "lowest_eigenpair", _second_eigenpair)
     margins = []
     ldlt = kernels._ldlt
@@ -216,7 +216,7 @@ def test_ground_state_falls_back_on_an_excited_pair(wannier, monkeypatch):
 
 def test_warm_start_matches_the_dense_ground_state(wannier, dense_chain):
     t = wannier.t
-    problem = ca.HubbardProblem(L=L, t=t, onsite=ca.onsite_aa(2.5 * t, GOLDEN_BETA, L))
+    problem = ca.HubbardProblem(t=t, onsite=ca.onsite_aa(2.5 * t, GOLDEN_BETA, L))
     w, v = np.linalg.eigh(dense_chain(problem))
     rng = np.random.RandomState(3)
     start = v[:, 0] + 1e-3 * rng.standard_normal(L)
@@ -238,8 +238,8 @@ def test_warm_vector_is_the_eigenvector_to_residual_over_gap(wannier, dense_chai
     # residual is about eps ||H|| here, and the gap 1e-6 to 6e-6)
     t = wannier.t
     onsite = ca.onsite_aa(ratio * 2.0 * t, GOLDEN_BETA, L)
-    problem = ca.HubbardProblem(L=L, t=t, onsite=onsite)
-    previous = ca.HubbardProblem(L=L, t=t, onsite=ca.onsite_aa(
+    problem = ca.HubbardProblem(t=t, onsite=onsite)
+    previous = ca.HubbardProblem(t=t, onsite=ca.onsite_aa(
         0.97 * ratio * 2.0 * t, GOLDEN_BETA, L))
     start = np.linalg.eigh(dense_chain(previous))[1][:, 0]
     offdiag = np.full(L - 1, -t)
@@ -265,7 +265,7 @@ def test_warm_start_on_the_second_state_falls_back_to_the_cold_solve(wannier,
     # the warm result is the second eigenpair; the certificate rejects it
     # and the point is solved exactly as without a start
     t = wannier.t
-    problem = ca.HubbardProblem(L=L, t=t, onsite=ca.onsite_aa(2.5 * t, GOLDEN_BETA, L))
+    problem = ca.HubbardProblem(t=t, onsite=ca.onsite_aa(2.5 * t, GOLDEN_BETA, L))
     w, v = np.linalg.eigh(dense_chain(problem))
     offdiag = np.full(L - 1, -t)
     warm = kernels.warm_eigenpair(problem.onsite.values, offdiag, v[:, 1],
@@ -294,7 +294,7 @@ def test_warm_solves_rows_are_their_one_chain_calls(wannier, monkeypatch, K, pla
     # pivot for that row alone
     problems, starts = [], []
     for C in np.linspace(-4.0, -0.5, K):
-        chain = [ca.HubbardProblem(L=L, t=wannier.t, onsite=ca.onsite_cavity(
+        chain = [ca.HubbardProblem(t=wannier.t, onsite=ca.onsite_cavity(
             wannier, ca.EffectivePotential(v0, C, -0.3), L)) for v0 in (0.049, 0.05)]
         starts.append(ca.ground_state(chain[0]).amplitudes)
         problems.append(chain[1])
@@ -341,14 +341,14 @@ def test_scaled_norm_bound_is_the_gershgorin_bound(wannier, v0, peak_site):
     t = wannier.t
     unit = np.random.RandomState(5).uniform(-1.0, 1.0, L)
     unit[0 if peak_site == "end" else L // 2] = -1.5
-    profile = ca.model.scale_profile(ca.OnsiteProfile(unit, L), v0)
+    profile = ca.model.scale_profile(ca.OnsiteProfile(unit), v0)
     assert np.array_equal(profile.values, v0 * unit)
-    problem = ca.HubbardProblem(L=L, t=t, onsite=profile)
+    problem = ca.HubbardProblem(t=t, onsite=profile)
     assert problem.norm_bound == gershgorin_norm_bound(profile.values,
                                                        np.full(L - 1, -t))
-    unscaled = ca.HubbardProblem(L=L, t=t, onsite=ca.OnsiteProfile(v0 * unit, L))
+    unscaled = ca.HubbardProblem(t=t, onsite=ca.OnsiteProfile(v0 * unit))
     assert unscaled.norm_bound == problem.norm_bound
-    empty = ca.HubbardProblem(L=L, t=0.0, onsite=ca.OnsiteProfile(0.0 * unit, L))
+    empty = ca.HubbardProblem(t=0.0, onsite=ca.OnsiteProfile(0.0 * unit))
     assert empty.norm_bound == gershgorin_norm_bound(np.zeros(L), np.zeros(L - 1)) == 1.0
 
 
@@ -357,10 +357,10 @@ def test_scaled_profile_checks():
     with pytest.raises(ValueError, match="non-negative"):
         ca.model.scale_profile(unit, -0.1)
     with pytest.raises(ValueError, match="overflows"):
-        ca.model.scale_profile(ca.OnsiteProfile(2.0 * unit.values, L),
+        ca.model.scale_profile(ca.OnsiteProfile(2.0 * unit.values),
                                float(np.finfo(np.float64).max))
     with pytest.raises(ValueError, match="non-finite"):
-        ca.OnsiteProfile(np.where(unit.values > 0.9, np.nan, unit.values), L)
+        ca.OnsiteProfile(np.where(unit.values > 0.9, np.nan, unit.values))
 
 
 def test_cavity_profile_checks_the_arctan_range(wannier, monkeypatch):
@@ -411,27 +411,39 @@ def test_scale_covariance(scanner, wannier):
     base = scanner.unit_profile(-2.0, 0.0) * 0.06
     gs1 = scanner.solve(base)
     s = 3.7
-    prof = ca.OnsiteProfile(values=s * base, L=L)
-    gs2 = ca.ground_state(ca.HubbardProblem(L=L, t=s * wannier.t, onsite=prof))
+    prof = ca.OnsiteProfile(values=s * base)
+    gs2 = ca.ground_state(ca.HubbardProblem(t=s * wannier.t, onsite=prof))
     assert gs2.energy == pytest.approx(s * gs1.energy, rel=1e-12)
     assert np.max(np.abs(gs1.amplitudes - gs2.amplitudes)) < 1e-10
     assert ca.ipr(gs1) == pytest.approx(ca.ipr(gs2), abs=1e-13)
 
 
-def test_mode_symmetry_commensurate_registration(wannier):
+def test_mode_symmetry_commensurate_registration(band, lattice_spec):
     # beta = 1/2: the sin^2 form shifted by one site is exactly the cos^2 form
     v0, C = 0.04, -1.5
-    cos_pot = ca.EffectivePotential(v0=v0, C=C, beta=0.5)
-    prof_cos = ca.onsite_cavity(wannier, cos_pot, L)
+    half = dataclasses.replace(lattice_spec, beta=0.5)
+    wb = ca.build_wannier(band, half)
+    prof_cos = ca.onsite_cavity(wb, ca.EffectivePotential(v0=v0, C=C), L)
     # C < 0 registers cos^2, so the sin^2 form comes from the quadrature
     sin_unit = kernels.onsite_quadrature(
-        wannier.density_weights, wannier.grid, L + 1, wannier.site_spacing_a,
-        0.5, C, 0.0, sin2=True)
-    prof_sin = ca.OnsiteProfile(values=v0 * sin_unit[1:], L=L)
+        wb.density_weights, wb.grid, L + 1, wb.site_spacing_a, 0.5, C, 0.0, sin2=True)
+    prof_sin = ca.OnsiteProfile(values=v0 * sin_unit[1:])
     assert np.allclose(prof_cos.values, prof_sin.values, atol=1e-13)
-    gs_cos = ca.ground_state(ca.HubbardProblem(L=L, t=wannier.t, onsite=prof_cos))
-    gs_sin = ca.ground_state(ca.HubbardProblem(L=L, t=wannier.t, onsite=prof_sin))
+    gs_cos = ca.ground_state(ca.HubbardProblem(t=wb.t, onsite=prof_cos))
+    gs_sin = ca.ground_state(ca.HubbardProblem(t=wb.t, onsite=prof_sin))
     assert ca.ipr(gs_cos) == pytest.approx(ca.ipr(gs_sin), rel=1e-12)
+
+
+@pytest.mark.parametrize("C", [-2.0, 1.5])
+def test_profile_reads_the_basis_beta(band, lattice_spec, C):
+    # the potential carries no beta: a beta = 0.6 basis gives the profile at
+    # 0.6, in either registration, not at the golden ratio
+    spec = dataclasses.replace(lattice_spec, beta=0.6)
+    wb = ca.build_wannier(band, spec)
+    profile = ca.onsite_cavity(wb, ca.EffectivePotential(0.5, C, -0.3), L)
+    unit = kernels.onsite_quadrature(wb.density_weights, wb.grid, L, wb.site_spacing_a,
+                                     0.6, C, -0.3, sin2=C > 0.0)
+    assert np.array_equal(profile.values, 0.5 * unit)
 
 
 @pytest.mark.parametrize("coupling", [+0.01, -0.01])
@@ -468,18 +480,26 @@ def test_small_coupling_vs_aa_away_from_transition(scanner, wannier, coupling):
 
 
 def test_problem_validation():
-    with pytest.raises(ValueError):
-        ca.HubbardProblem(L=2, t=1.0,
-                          onsite=ca.OnsiteProfile(values=np.zeros(2), L=2))
-    with pytest.raises(ValueError):
-        ca.OnsiteProfile(values=np.array([np.nan, 0.0, 0.0]), L=3)
+    # the chain's length is its profile's, and a profile takes only values:
+    # its peaks, which set ||H||, are read off them, so a caller's peaks
+    # cannot vouch for NaN values
+    with pytest.raises(ValueError, match="L must be >= 3"):
+        ca.HubbardProblem(t=1.0, onsite=ca.OnsiteProfile(values=np.zeros(2)))
+    assert ca.HubbardProblem(t=1.0, onsite=ca.OnsiteProfile(np.zeros(5))).L == 5
+    with pytest.raises(ValueError, match="non-finite"):
+        ca.OnsiteProfile(values=np.array([np.nan, 0.0, 0.0]))
+    with pytest.raises(TypeError):
+        ca.OnsiteProfile(np.full(3, np.nan), peaks=(1.0, 1.0))
+    for bad in (np.zeros(0), np.zeros((2, 3))):
+        with pytest.raises(ValueError, match="non-empty 1-D"):
+            ca.OnsiteProfile(bad)
 
 
 def test_profile_leaves_the_callers_array_writeable():
     # the profile freezes a copy of what it is given: the caller's array
     # stays writeable, and a write to it leaves the profile as it was
     vals = np.array([0.3, -0.2, 0.1, 0.5])
-    prof = ca.OnsiteProfile(values=vals, L=4)
+    prof = ca.OnsiteProfile(values=vals)
     vals[0] = 9.0
     assert prof.values.tolist() == [0.3, -0.2, 0.1, 0.5]
     assert prof.peaks == (0.2, 0.5)

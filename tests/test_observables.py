@@ -57,14 +57,14 @@ def test_lyapunov_exponent_is_the_full_spectrum_sum(wannier, kind, n_sites,
     # 2 on a tridiagonal, ||H - E|| <= 2 ||H||) by a few eps ||H||: 32 eps
     # times the first-order sensitivity covers both, 64 eps the log sum
     profile = _chain_profile(wannier, kind, n_sites, strength)
-    problem = ca.HubbardProblem(L=n_sites, t=wannier.t, onsite=profile)
+    problem = ca.HubbardProblem(t=wannier.t, onsite=profile)
     w = eigvalsh_tridiagonal(profile.values, np.full(n_sites - 1, -wannier.t))
     energies = [0.5 * (w[k] + w[k + 1]) for k in (0, n_sites // 2, n_sites - 2)]
     energies.append(w[0] - 0.1 * wannier.t)
     if prefix is not None:
-        head = ca.OnsiteProfile(values=profile.values[:prefix].copy(), L=prefix)
+        head = ca.OnsiteProfile(values=profile.values[:prefix].copy())
         energies.append(ca.ground_state(
-            ca.HubbardProblem(L=prefix, t=wannier.t, onsite=head)).energy)
+            ca.HubbardProblem(t=wannier.t, onsite=head)).energy)
     eps = np.finfo(np.float64).eps
     for energy in energies:
         oracle, sensitivity = determinant_spectrum_gamma(profile.values,
@@ -76,7 +76,7 @@ def test_lyapunov_exponent_is_the_full_spectrum_sum(wannier, kind, n_sites,
 
 def test_lyapunov_exponent_raises_on_a_zero_pivot(monkeypatch):
     # 3 free sites have the eigenvalue 0 exactly, so U has a zero pivot
-    problem = ca.HubbardProblem(L=3, t=1.0, onsite=ca.onsite_aa(0.0, GOLDEN_BETA, 3))
+    problem = ca.HubbardProblem(t=1.0, onsite=ca.onsite_aa(0.0, GOLDEN_BETA, 3))
     with pytest.raises(np.linalg.LinAlgError, match="dgttrf"):
         ca.lyapunov_exponent(problem, 0.0)
     dgttrf = scipy.linalg.lapack.dgttrf
@@ -93,7 +93,7 @@ def test_lyapunov_exponent_raises_on_a_zero_pivot(monkeypatch):
 def _cavity_chains(wannier, K):
     """K cavity chains of L sites at v0 = 0.05 and delta' = -0.3, C from -4
     to -0.5, with their certified ground energies."""
-    problems = [ca.HubbardProblem(L=L, t=wannier.t, onsite=ca.onsite_cavity(
+    problems = [ca.HubbardProblem(t=wannier.t, onsite=ca.onsite_cavity(
         wannier, ca.EffectivePotential(0.05, C, -0.3), L)) for C in np.linspace(-4.0, -0.5, K)]
     return problems, [ca.ground_state(q).energy for q in problems]
 
@@ -145,7 +145,7 @@ def test_thouless_gamma_is_the_full_spectrum_sum(wannier):
     # the rounding of E0, a few eps ||H||, against the shift delta bounds
     # the difference: 32 eps / THOULESS_SHIFT_RTOL / (L - 1) = 3.1e-8
     problems, energies = _cavity_chains(wannier, 4)
-    problems.append(ca.HubbardProblem(L=L, t=wannier.t, onsite=ca.onsite_aa(
+    problems.append(ca.HubbardProblem(t=wannier.t, onsite=ca.onsite_aa(
         3.0 * wannier.t, GOLDEN_BETA, L)))
     energies.append(ca.ground_state(problems[-1]).energy)
     tol = 32.0 * np.finfo(np.float64).eps / SHIFT_RTOL / (L - 1)

@@ -30,9 +30,8 @@ def test_offset_invariance(seed, shift):
     rng = np.random.RandomState(seed)
     vals = rng.uniform(-0.05, 0.05, 60)
     t = 0.01
-    p1 = ca.HubbardProblem(L=60, t=t, onsite=ca.OnsiteProfile(values=vals, L=60))
-    p2 = ca.HubbardProblem(L=60, t=t,
-                           onsite=ca.OnsiteProfile(values=vals + shift, L=60))
+    p1 = ca.HubbardProblem(t=t, onsite=ca.OnsiteProfile(values=vals))
+    p2 = ca.HubbardProblem(t=t, onsite=ca.OnsiteProfile(values=vals + shift))
     g1, g2 = ca.ground_state(p1), ca.ground_state(p2)
     assert g2.energy - g1.energy == pytest.approx(shift, abs=1e-9)
     assert np.max(np.abs(g1.amplitudes - g2.amplitudes)) < 1e-9
@@ -46,9 +45,8 @@ def test_scale_covariance(seed, scale):
     rng = np.random.RandomState(seed)
     vals = rng.uniform(-0.05, 0.05, 60)
     t = 0.01
-    p1 = ca.HubbardProblem(L=60, t=t, onsite=ca.OnsiteProfile(values=vals, L=60))
-    p2 = ca.HubbardProblem(L=60, t=scale * t,
-                           onsite=ca.OnsiteProfile(values=scale * vals, L=60))
+    p1 = ca.HubbardProblem(t=t, onsite=ca.OnsiteProfile(values=vals))
+    p2 = ca.HubbardProblem(t=scale * t, onsite=ca.OnsiteProfile(values=scale * vals))
     g1, g2 = ca.ground_state(p1), ca.ground_state(p2)
     assert g2.energy == pytest.approx(scale * g1.energy, rel=1e-9)
     assert np.max(np.abs(g1.amplitudes - g2.amplitudes)) < 1e-9

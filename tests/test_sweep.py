@@ -171,7 +171,7 @@ def test_single_point_sweep_matches_direct_solve(wannier, lattice_spec):
 
     pot = ca.EffectivePotential(v0, C, 0.0)
     prof = ca.onsite_cavity(wannier, pot, L)
-    gs = ca.ground_state(ca.HubbardProblem(L=L, t=wannier.t, onsite=prof))
+    gs = ca.ground_state(ca.HubbardProblem(t=wannier.t, onsite=prof))
     assert rec.E0 == gs.energy
     assert rec.ipr == ca.ipr(gs)
     oracle = thouless_spectrum_gamma(prof.values, wannier.t, SHIFT_RTOL)
@@ -220,8 +220,7 @@ def test_one_unit_profile_per_column(wannier, lattice_spec, monkeypatch):
         previous = None
         for rec in records[j::3]:
             pot = ca.EffectivePotential(rec.v0, rec.C, -0.3)
-            problem = ca.HubbardProblem(L=L, t=wannier.t,
-                                        onsite=ca.onsite_cavity(wannier, pot, L))
+            problem = ca.HubbardProblem(t=wannier.t, onsite=ca.onsite_cavity(wannier, pot, L))
             gs = ca.ground_state(problem, start=warm_start(problem, previous))
             assert rec.E0 == gs.energy
             assert rec.ipr == ca.ipr(gs)
@@ -235,7 +234,7 @@ def _chain(wb, n_sites, rec, beta):
     else:
         pot = ca.EffectivePotential(rec.v0, rec.C, rec.delta_c_prime)
         onsite = ca.onsite_cavity(wb, pot, n_sites)
-    return ca.HubbardProblem(L=n_sites, t=wb.t, onsite=onsite)
+    return ca.HubbardProblem(t=wb.t, onsite=onsite)
 
 
 @pytest.mark.parametrize("n_sites", [233, 987])
@@ -618,15 +617,21 @@ def test_aa_mode_sweep_and_transition_metadata(wannier, lattice_spec):
 
 
 def test_failed_points_are_flagged_not_fatal(lattice_spec):
-    spec = _spec(lattice_spec,
-                 axis1=ca.Axis("v0", np.array([0.05, -0.01, 0.06])),
-                 axis2=ca.Axis("C", np.array([-1.0])))
-    result = ca.run_sweep(spec)
-    flags = [rec.flags for rec in result.records]
-    assert flags[0] == "" and flags[2] == ""
-    assert "solve_failed" in flags[1]
-    assert result.n_failed == 1
-    assert np.isnan(result.records[1].ipr)
+    # a negative strength fails its point, given as v0 or as a cavity drive
+    pump = ca.PumpConfig(pump_mode="cavity_pumped", kappa_over_recoil=1.0)
+    for spec in (_spec(lattice_spec,
+                       axis1=ca.Axis("v0", np.array([0.05, -0.01, 0.06])),
+                       axis2=ca.Axis("C", np.array([-1.0]))),
+                 _spec(lattice_spec,
+                       axis1=ca.Axis("eta", np.array([0.2, -0.1, 0.25])),
+                       axis2=ca.Axis("U0", np.array([-1.0])),
+                       fixed={"delta_c": 0.0}, pump=pump)):
+        result = ca.run_sweep(spec)
+        flags = [rec.flags for rec in result.records]
+        assert flags[0] == "" and flags[2] == ""
+        assert flags[1] == "solve_failed:ValueError"
+        assert result.n_failed == 1
+        assert np.isnan(result.records[1].ipr)
 
 
 def test_failed_point_leaves_its_column_unresolved(wannier, lattice_spec,
@@ -1036,7 +1041,7 @@ def test_atom_pumped_eta_axis_drives_v0_and_photon_number(wannier, lattice_spec)
         assert rec.v0 == pytest.approx(eta * eta * -4.0 / -2.0, rel=1e-14)
         pot = ca.EffectivePotential(rec.v0, -1.0, -4.0)
         prof = ca.onsite_cavity(wannier, pot, L)
-        gs = ca.ground_state(ca.HubbardProblem(L=L, t=wannier.t, onsite=prof))
+        gs = ca.ground_state(ca.HubbardProblem(t=wannier.t, onsite=prof))
         zeta = ca.observables.PumpField("atom_pumped", eta * 0.3 / -2.0)
         direct = ca.photon_number(gs, wannier, zeta, delta_c=-4.0, U0=-1.0)
         assert rec.nbar == pytest.approx(direct, rel=1e-12)
@@ -1058,7 +1063,7 @@ def test_photon_number_registration_across_u0_zero(wannier, lattice_spec, pump_m
         assert rec.flags == ""
         pot = ca.EffectivePotential(rec.v0, rec.C, rec.delta_c_prime)
         prof = ca.onsite_cavity(wannier, pot, L)
-        gs = ca.ground_state(ca.HubbardProblem(L=L, t=wannier.t, onsite=prof))
+        gs = ca.ground_state(ca.HubbardProblem(t=wannier.t, onsite=prof))
         if rec.C != 0.0:
             assert rec.ipr > 0.5  # localized, so the registration matters
         expected = photon_number_site_loop(gs.amplitudes, wannier, zeta,
