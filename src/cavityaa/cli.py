@@ -39,13 +39,13 @@ EXIT_PARTIAL = 3
 @contextlib.contextmanager
 def _output(path: str):
     """The output file at path, open for writing; a failed open or write
-    exits 2 (ConfigError) with one line that names path."""
+    exits 2 (ConfigError) with one line that names path.  A command prints
+    its ``wrote`` lines only once every one of its outputs is written."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             yield fh
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
-    print(f"wrote {path}")
 
 
 def _build_wannier(cfg: dict):
@@ -79,11 +79,13 @@ def cmd_wannier(cfg: dict, out_dir: str) -> int:
     print(f"tightbinding_residual={band_tightbinding_residual(band):.3e}")
     print(f"band_fallbacks={band.fallbacks}")
     if cfg["output"]["wannier_csv"]:
-        with _output(os.path.join(out_dir, "wannier.csv")) as fh:
+        path = os.path.join(out_dir, "wannier.csv")
+        with _output(path) as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["x", "w0"])
             for x, w in zip(wb.grid, wb.w0_samples):
                 writer.writerow(["%.17g" % x, "%.17g" % w])
+        print(f"wrote {path}")
     return EXIT_OK
 
 
@@ -131,20 +133,24 @@ def cmd_ground_state(cfg: dict, out_dir: str) -> int:
     if zeta is not None and cavity:
         out["nbar"] = photon_number(gs, wb, zeta, delta_c=dcp, U0=coop)
     wavefunction = os.path.join(out_dir, "ground_state.csv")
-    if cfg["output"]["wavefunction_csv"]:
+    written = [wavefunction] if cfg["output"]["wavefunction_csv"] else []
+    if written:
         with _output(wavefunction) as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["n", "psi_n", "psi_n_sq"])
             for n, amp in enumerate(gs.amplitudes, start=1):
                 writer.writerow([n, "%.17g" % amp, "%.17g" % (amp * amp)])
+    metrics = os.path.join(out_dir, "ground_state_metrics.json")
     try:
-        with _output(os.path.join(out_dir, "ground_state_metrics.json")) as fh:
+        with _output(metrics) as fh:
             json.dump(out, fh, indent=2, sort_keys=True)
             fh.write("\n")
     except ConfigError:
-        if cfg["output"]["wavefunction_csv"]:
-            os.remove(wavefunction)  # a run writes both outputs or neither
+        for path in written:
+            os.remove(path)  # a run writes both outputs or neither
         raise
+    for path in written + [metrics]:
+        print(f"wrote {path}")
     return EXIT_OK
 
 

@@ -173,8 +173,7 @@ def _tridiag_residuals(D, E, lam, psi):
 
 
 def _rqi_solves(D, E, joined, lam, X):
-    """The step solves (T_k - lam_k I) y_k = x_k, their norms ||y_k|| and
-    whether the block call stood.
+    """The step solves (T_k - lam_k I) y_k = x_k and their norms ||y_k||.
 
     One ``dgtsv`` on the concatenation, whose off-diagonal is ``joined``
     (``_joined(E)``).  Its elimination never pivots across a zero coupling,
@@ -189,12 +188,12 @@ def _rqi_solves(D, E, joined, lam, X):
     Y = y.reshape(-1, n)
     norms = np.sqrt(np.vecdot(Y, Y))
     if info == 0 and np.isfinite(norms).all():
-        return Y, norms, True
+        return Y, norms
     Y = np.empty_like(X)
     for k in range(X.shape[0]):
         *_, Y[k], info = lapack.dgtsv(E[k], D[k] - lam[k], E[k], X[k], overwrite_d=1)
         norms[k] = math.sqrt(Y[k] @ Y[k]) if info == 0 else math.nan
-    return Y, norms, False
+    return Y, norms
 
 
 def warm_eigenpairs(D: np.ndarray, E: np.ndarray, starts, norm_bounds: np.ndarray):
@@ -229,17 +228,13 @@ def warm_eigenpairs(D: np.ndarray, E: np.ndarray, starts, norm_bounds: np.ndarra
     rows, bounds, d, e = np.arange(K), np.asarray(norm_bounds, dtype=np.float64), D, E
     joined = _joined(e)
     for _ in range(WARM_MAX_STEPS):
-        Y, norms, stood = _rqi_solves(d, e, joined, lam, X)
-        if stood:
-            lam = lam + np.vecdot(X, Y) / (norms * norms)
-            done = norms * WARM_RTOL * bounds >= 1.0
-        else:
-            # warm_eigenpair moves stalled rows' lam down and keeps their x
-            stalled = ~np.isfinite(norms)
-            Y[stalled], norms[stalled] = X[stalled], 1.0
-            lam = np.where(stalled, lam - WARM_NUDGE * bounds,
-                           lam + np.vecdot(X, Y) / (norms * norms))
-            done = ~stalled & (norms * WARM_RTOL * bounds >= 1.0)
+        Y, norms = _rqi_solves(d, e, joined, lam, X)
+        # warm_eigenpair moves stalled rows' lam down and keeps their x
+        stalled = ~np.isfinite(norms)
+        Y[stalled], norms[stalled] = X[stalled], 1.0
+        lam = np.where(stalled, lam - WARM_NUDGE * bounds,
+                       lam + np.vecdot(X, Y) / (norms * norms))
+        done = ~stalled & (norms * WARM_RTOL * bounds >= 1.0)
         Y /= norms[:, None]
         if done.any():
             finished = rows[done]

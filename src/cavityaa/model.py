@@ -142,6 +142,8 @@ class HubbardProblem:
     onsite: OnsiteProfile
 
     def __post_init__(self):
+        if not math.isfinite(self.t):
+            raise ValueError(f"hopping t must be finite, got {self.t!r}")
         if self.L < 3:
             raise ValueError("L must be >= 3")
 

@@ -13,7 +13,9 @@ and each process advances its share of columns one strength step at a time
 (``_run_share``): a step solves one point of every column, stacks their
 chains once, and hands its warm solves, IPR and gamma_T each to one call on
 all of them (``_solve_step``); ``kernels`` chooses block LAPACK calls or one
-chain at a time, bit-identical either way.  So results are deterministic and
+chain at a time, bit-identical either way.  Each column holds its step's
+point as far as it gets and records it once at the end of the step, failed
+or not (``_Column``).  So results are deterministic and
 worker-count-independent: records are keyed by flat grid index and
 reassembled in row-major order (axis1 outer, axis2 inner).
 
@@ -318,14 +320,6 @@ def _basis(spec: SweepSpec, bases: dict, depth: float) -> WannierBasis:
     return wb
 
 
-def _point_params(spec: SweepSpec, i1: int, i2: int) -> dict:
-    params = dict(spec.fixed)
-    params[spec.axis1.name] = float(spec.axis1.values[i1])
-    if spec.axis2 is not None:
-        params[spec.axis2.name] = float(spec.axis2.values[i2])
-    return params
-
-
 def resolve_model_params(pump: PumpConfig | None, params: dict
                          ) -> tuple[float, float, float, PumpField | None]:
     """Model parameters (v0, C, delta_c_prime) and pump field zeta of a point.
@@ -375,16 +369,16 @@ def _failure(exc: Exception) -> str:
     return f"solve_failed:{type(exc).__name__}"
 
 
-def _nan(value) -> float:
-    return float("nan") if value is None else float(value)
-
-
 class _Column:
-    """A column's state between the strength steps of its share: its records
-    so far, its set-up and the ground state its next point starts from.
+    """A column between the strength steps of its share: its records so far,
+    its set-up, the ground state its next point starts from, and the point
+    of the current step.
 
     indices holds the points' flat indices in solve order (increasing
-    strength), and records gets one record per index, in that order.  The
+    strength), and records gets one record per index, in that order.  A
+    step starts each point (``begin``), fills in its v0, C, delta', zeta,
+    chain, ground state, IPR, gamma, nbar, flag and solver kind as far as
+    the point gets, and then records it (``record``), failed or not.  The
     column's first point whose parameters resolve sets it up (``set_up``);
     start is None at the column's start and after a failed point, whose
     successor then starts cold.
@@ -393,45 +387,66 @@ class _Column:
     def __init__(self, indices: list):
         self.indices = indices
         self.records = []
-        self.wb = self.unit = self.series = self.start = None
-        self.params = self.column_params = None
+        self.wb = self.unit = self.series = self.start = self.column_params = None
         self.set_up_failed = self.series_failed = ""
 
-    def set_up(self, spec: SweepSpec, bases: dict, coop: float, dcp: float,
-               zeta: PumpField | None) -> None:
-        """Build the basis and the unit profile; when that fails, this point
-        and every later one that resolves fail with its error type.  When the
-        sweep asks for "nbar", then build the column's unit-amplitude
-        ``photon_series``: U0, delta_c and the pump kind are fixed along a
-        column, and the drive only scales it.  When that build fails, every
-        point still solves and gets its E0, IPR and gamma, then fails with
-        its error type, as a point whose photon number raises."""
-        self.column_params = (coop, dcp)
+    def begin(self, spec: SweepSpec, bases: dict, step: int) -> bool:
+        """Start the step-th point: resolve its parameters, set the column up
+        when it is the first to resolve, and scale the unit profile by its v0
+        into its chain.  False when the point fails before it has a chain."""
+        i1, i2 = divmod(self.indices[step], spec.shape[1])
+        self.params = params = dict(spec.fixed)
+        params[spec.axis1.name] = float(spec.axis1.values[i1])
+        if spec.axis2 is not None:
+            params[spec.axis2.name] = float(spec.axis2.values[i2])
+        self.v0 = self.coop = self.dcp = self.ipr = math.nan
+        self.zeta = self.problem = self.gs = self.gamma = self.nbar = None
+        self.flag, self.solver = "", "unsolved"
+        try:
+            self.v0, self.coop, self.dcp, self.zeta = resolve_model_params(
+                spec.pump, self.params)
+            if self.column_params is None:
+                self.set_up(spec, bases)
+            self.flag = self.set_up_failed
+            if not self.flag:
+                self.problem = HubbardProblem(self.wb.t, scale_profile(self.unit, self.v0))
+        except Exception as exc:  # per-point failures never abort the sweep
+            self.flag = _failure(exc)
+        return not self.flag
+
+    def set_up(self, spec: SweepSpec, bases: dict) -> None:
+        """Build the basis and the unit profile of the current point's
+        (C, delta'); when that fails, this point and every later one that
+        resolves fail with its error type.  When the sweep asks for "nbar",
+        then build the column's unit-amplitude ``photon_series``: U0, delta_c
+        and the pump kind are fixed along a column, and the drive only
+        scales it.  When that build fails, every point still solves and gets
+        its E0, IPR and gamma, then fails with its error type, as a point
+        whose photon number raises."""
+        self.column_params = (self.coop, self.dcp)
         try:
             self.wb = _basis(spec, bases, self.params.get("W0", spec.lattice.depth_W0))
-            self.unit = unit_profile(spec.mode, self.wb, coop, dcp, spec.L)
+            self.unit = unit_profile(spec.mode, self.wb, self.coop, self.dcp, spec.L)
         except Exception as exc:
             self.set_up_failed = _failure(exc)
         if not self.set_up_failed and "nbar" in spec.observables:
             try:
-                self.series = photon_series(self.wb, zeta.kind, dcp, coop, spec.L)
+                self.series = photon_series(self.wb, self.zeta.kind, self.dcp,
+                                            self.coop, spec.L)
             except Exception as exc:
                 self.series_failed = _failure(exc)
 
-    def add(self, spec: SweepSpec, v0: float, coop: float, dcp: float, flags: list,
-            solver: str = "unsolved", e0=None, p_x=None, gamma=None, nbar=None,
-            gs=None) -> None:
-        """Record the current point.  Its ground state gs, None when the
-        point failed, is where the next point starts."""
-        self.start = None if gs is None else gs.amplitudes
-        if spec.mode == "aa":  # the bichromatic profile has no C or delta'
-            coop = dcp = 0.0
-        params = self.params
+    def record(self, spec: SweepSpec) -> None:
+        """Record the current point.  Its ground state is where the next
+        point starts, unless the point failed."""
+        self.start = None if self.flag else self.gs.amplitudes
+        aa = spec.mode == "aa"  # the bichromatic profile has no C or delta'
         self.records.append(SweepRecord(
-            axis1=params[spec.axis1.name],
-            axis2=None if spec.axis2 is None else params[spec.axis2.name],
-            v0=v0, C=coop, delta_c_prime=dcp, E0=_nan(e0), ipr=_nan(p_x),
-            gamma=gamma, nbar=nbar, flags=";".join(flags), solver=solver))
+            axis1=self.params[spec.axis1.name],
+            axis2=None if spec.axis2 is None else self.params[spec.axis2.name],
+            v0=self.v0, C=0.0 if aa else self.coop, delta_c_prime=0.0 if aa else self.dcp,
+            E0=math.nan if self.gs is None else self.gs.energy, ipr=self.ipr,
+            gamma=self.gamma, nbar=self.nbar, flags=self.flag, solver=self.solver))
 
     def result(self, spec: SweepSpec) -> tuple:
         """The column's records in solve order, its transition
@@ -439,28 +454,15 @@ class _Column:
         (``_constants``), None when it has no basis."""
         constants = None if self.wb is None else {"W0": self.wb.depth_W0,
                                                    **_constants(self.wb)}
-        estimate = _column_estimate(spec, self.records, self.wb, self.column_params,
-                                    self.params)
-        return self.records, estimate, constants
-
-
-class _Point:
-    """A point of the current step that reached its chain; start is its
-    column's ground state, or after the step's warm solves its row of them."""
-
-    __slots__ = ("column", "v0", "coop", "dcp", "zeta", "problem", "start", "gs")
-
-    def __init__(self, column, v0, coop, dcp, zeta, problem):
-        self.column, self.v0, self.coop, self.dcp = column, v0, coop, dcp
-        self.zeta, self.problem, self.start, self.gs = zeta, problem, column.start, None
+        return self.records, _column_estimate(spec, self), constants
 
 
 def _solve_step(spec: SweepSpec, bases: dict, share: list, step: int) -> None:
-    """Advance every column of a share by its step-th point.
+    """Advance every column of a share by its step-th point, and record each
+    point once at the end, failed or not.
 
-    Each point resolves its parameters, sets up its column when it is the
-    first to resolve, and scales the unit profile by its v0.  The chains of
-    the points that reach one are stacked once: diagonals, off-diagonals and
+    Each column starts its point (``_Column.begin``).  The chains of the
+    points that reach one are stacked once: diagonals, off-diagonals and
     norm bounds.  The points that start from their column's ground state
     take their rows of one ``model.warm_solves`` call, and every point one
     ``ground_state`` call, cold at a column start.  The solved points take
@@ -468,62 +470,44 @@ def _solve_step(spec: SweepSpec, bases: dict, share: list, step: int) -> None:
     and the photon number point by point.  A point that raises, or whose
     gamma_T fails, fails alone; its column's next point starts cold.
     """
-    points = []
-    for column in share:
-        i1, i2 = divmod(column.indices[step], spec.shape[1])
-        column.params = _point_params(spec, i1, i2)
-        v0 = coop = dcp = math.nan
-        try:
-            v0, coop, dcp, zeta = resolve_model_params(spec.pump, column.params)
-            if column.column_params is None:
-                column.set_up(spec, bases, coop, dcp, zeta)
-            if column.set_up_failed:
-                column.add(spec, v0, coop, dcp, [column.set_up_failed])
+    points = [column for column in share if column.begin(spec, bases, step)]
+    if points:
+        chains = (np.array([p.problem.onsite.values for p in points]),
+                  np.array([p.problem.offdiagonal for p in points]),
+                  np.array([p.problem.norm_bound for p in points]))
+        warm = [k for k, p in enumerate(points) if p.start is not None]
+        if warm:
+            solves = model.warm_solves(*_rows(chains, warm, len(points)),
+                                       [points[k].start for k in warm])
+            for k, solve in zip(warm, solves):
+                points[k].start = solve
+        for p in points:
+            try:
+                p.gs = ground_state(p.problem, start=p.start)
+                p.solver = _solver_kind(p.start is not None, p.gs.method)
+            except Exception as exc:
+                p.flag = _failure(exc)
+        solved_rows = [k for k, p in enumerate(points) if p.gs is not None]
+        solved = [points[k] for k in solved_rows]
+        iprs = ipr(np.reshape([p.gs.amplitudes for p in solved], (-1, spec.L))).tolist()
+        gammas = ([None] * len(solved) if "gamma" not in spec.observables else
+                  thouless_gammas(*_rows(chains, solved_rows, len(points)),
+                                  [p.gs.energy for p in solved]))
+        for p, p_x, gamma in zip(solved, iprs, gammas):
+            p.ipr = p_x
+            if isinstance(gamma, Exception):
+                p.flag = _failure(gamma)
                 continue
-            problem = HubbardProblem(t=column.wb.t, onsite=scale_profile(column.unit, v0))
-        except Exception as exc:  # per-point failures never abort the sweep
-            column.add(spec, v0, coop, dcp, [_failure(exc)])
-            continue
-        points.append(_Point(column, v0, coop, dcp, zeta, problem))
-    if not points:
-        return
-    chains = (np.array([p.problem.onsite.values for p in points]),
-              np.array([p.problem.offdiagonal for p in points]),
-              np.array([p.problem.norm_bound for p in points]))
-    warm = [k for k, p in enumerate(points) if p.start is not None]
-    if warm:
-        solves = model.warm_solves(*_rows(chains, warm, len(points)),
-                                   [points[k].start for k in warm])
-        for k, solve in zip(warm, solves):
-            points[k].start = solve
-    for p in points:
-        try:
-            p.gs = ground_state(p.problem, start=p.start)
-        except Exception as exc:
-            p.column.add(spec, p.v0, p.coop, p.dcp, [_failure(exc)])
-    solved_rows = [k for k, p in enumerate(points) if p.gs is not None]
-    solved = [points[k] for k in solved_rows]
-    iprs = ipr(np.reshape([p.gs.amplitudes for p in solved], (-1, spec.L))).tolist()
-    gammas = ([None] * len(solved) if "gamma" not in spec.observables else
-              thouless_gammas(*_rows(chains, solved_rows, len(points)),
-                              [p.gs.energy for p in solved]))
-    for p, p_x, gamma in zip(solved, iprs, gammas):
-        column, gs, flags, nbar = p.column, p.gs, [], None
-        solver = _solver_kind(p.start is not None, gs.method)
-        if isinstance(gamma, Exception):
-            column.add(spec, p.v0, p.coop, p.dcp, [_failure(gamma)], solver, gs.energy, p_x)
-            continue
-        try:
-            if column.series_failed:
-                flags.append(column.series_failed)
-                gs = None
+            p.gamma = gamma
+            if p.series_failed:
+                p.flag = p.series_failed
             elif "nbar" in spec.observables:
-                nbar = series_photon_number(gs, column.series, p.zeta.amplitude)
-        except Exception as exc:
-            flags.append(_failure(exc))
-            gs = None
-        column.add(spec, p.v0, p.coop, p.dcp, flags, solver, p.gs.energy, p_x,
-                   gamma, nbar, gs)
+                try:
+                    p.nbar = series_photon_number(p.gs, p.series, p.zeta.amplitude)
+                except Exception as exc:
+                    p.flag = _failure(exc)
+    for column in share:
+        column.record(spec)
 
 
 def _rows(chains: tuple, ks: list, count: int) -> tuple:
@@ -532,24 +516,24 @@ def _rows(chains: tuple, ks: list, count: int) -> tuple:
     return chains if len(ks) == count else tuple(a[ks] for a in chains)
 
 
-def _column_estimate(spec: SweepSpec, records: list, wb: WannierBasis | None,
-                     column_params: tuple | None, params: dict) -> dict | None:
+def _column_estimate(spec: SweepSpec, column: _Column) -> dict | None:
     """A column's transition_estimates entry from its records in solve order.
 
-    None unless the sweep asks for "vc", which needs a strength axis.
-    params are the last point's, which hold the column's other axis value.
+    None unless the sweep asks for "vc", which needs a strength axis.  The
+    column's last point's params hold its other axis value.
     """
     if "vc" not in spec.observables:
         return None
     scan = _axis_named(spec, SCAN_AXES)
     other = spec.axis2 if scan is spec.axis1 else spec.axis1
+    wb, records = column.wb, column.records
     entry = {"t": None if wb is None else wb.t}
     if other is not None:
-        entry[other.name] = params[other.name]
+        entry[other.name] = column.params[other.name]
     kwargs = {}
     if spec.mode == "cavity" and wb is not None:
-        kwargs = dict(hopping=wb.t, alpha=wb.alpha, C=column_params[0],
-                      delta_c_prime=column_params[1])
+        kwargs = dict(hopping=wb.t, alpha=wb.alpha, C=column.column_params[0],
+                      delta_c_prime=column.column_params[1])
     v0s = [rec.v0 for rec in records]
     try:
         est = detect_transition(v0s, [rec.ipr for rec in records], **kwargs)
@@ -606,10 +590,10 @@ def _run_share(spec: SweepSpec, bases: dict, columns: list, progress=None) -> li
 
     The columns advance one strength step at a time: each step solves one
     point of every column together (``_solve_step``).  All columns have the
-    same length.  bases is this
-    process's (``_basis``).  With progress, this process reports
-    progress(done, n) after every ceil(steps / PROGRESS_STEPS)-th step while
-    done, the points whose records it holds, is below the sweep's n.
+    same length.  bases is this process's (``_basis``).  With progress, this
+    process reports progress(done, n) after every ceil(steps /
+    PROGRESS_STEPS)-th step while done, the points whose records it holds,
+    is below the sweep's n.
     """
     share = [_Column(column) for column in columns]
     n, steps = spec.n_points, len(columns[0]) if columns else 0

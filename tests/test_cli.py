@@ -476,7 +476,8 @@ def test_output_file_that_cannot_be_written_exit_code(capsys, tmp_path, command,
                                                       doc, name):
     # an output path that is a directory exits 2 with one error line that
     # names it, after any progress lines, not a traceback; when it is the
-    # second output, the first one written is removed again
+    # second output, the first one written is removed again, and stdout
+    # names no file that the run leaves missing
     cfg = write_cfg(tmp_path, doc)
     out_dir = tmp_path / "out"
     (out_dir / name).mkdir(parents=True)
@@ -487,6 +488,8 @@ def test_output_file_that_cannot_be_written_exit_code(capsys, tmp_path, command,
     assert errors[0].startswith("error: ") and str(out_dir / name) in errors[0]
     assert list(out_dir.iterdir()) == [out_dir / name]
     assert (out_dir / name).is_dir()
+    wrote = [ln.removeprefix("wrote ") for ln in out.splitlines() if ln.startswith("wrote ")]
+    assert all(pathlib.Path(path).is_file() for path in wrote), out
 
 
 @pytest.mark.parametrize("content, reason", [

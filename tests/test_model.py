@@ -486,6 +486,10 @@ def test_problem_validation():
     with pytest.raises(ValueError, match="L must be >= 3"):
         ca.HubbardProblem(t=1.0, onsite=ca.OnsiteProfile(values=np.zeros(2)))
     assert ca.HubbardProblem(t=1.0, onsite=ca.OnsiteProfile(np.zeros(5))).L == 5
+    # a non-finite hopping is named here, not left to fail inside LAPACK
+    for t in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="hopping t must be finite"):
+            ca.HubbardProblem(t=t, onsite=ca.OnsiteProfile(np.zeros(5)))
     with pytest.raises(ValueError, match="non-finite"):
         ca.OnsiteProfile(values=np.array([np.nan, 0.0, 0.0]))
     with pytest.raises(TypeError):

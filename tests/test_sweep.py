@@ -506,6 +506,34 @@ def test_failure_in_one_column_leaves_the_others_alone(wannier, lattice_spec, mo
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failures_of_three_kinds_in_one_step(wannier, lattice_spec, monkeypatch, workers):
+    # one sweep plants a set-up failure in column 0, a solve failure in
+    # column 1 and a gamma_T failure in column 2, so the 8th step holds all
+    # three: each planted column's CSV rows and solver kinds are those of
+    # its sweep with that plant alone, and column 3's those of the clean one
+    monkeypatch.setattr(ca.kernels, "LOCKSTEP_MIN_CHAINS", 2)  # block calls at 2 workers too
+    spec = _lockstep_spec(lattice_spec)
+    failures = ("set_up", "solve", "gamma")
+
+    def column(result, j):
+        rows = ca.sweep.csv_body(result).splitlines()[1:]
+        return rows[j::4], [rec.solver for rec in result.records[j::4]]
+
+    alone = []
+    for j, failure in enumerate(failures):
+        with pytest.MonkeyPatch.context() as planted:
+            _plant(planted, spec, wannier, failure, column=j)
+            alone.append(column(ca.run_sweep(spec), j))
+    alone.append(column(ca.run_sweep(spec), 3))
+    for j, failure in enumerate(failures):
+        _plant(monkeypatch, spec, wannier, failure, column=j)
+    result = ca.run_sweep(spec, workers=workers)
+    assert [column(result, j) for j in range(4)] == alone
+    assert result.n_failed == 20 + 1 + 1
+    assert multiprocessing.active_children() == []
+
+
 def test_solver_counts_show_a_planted_certificate_failure(lattice_spec,
                                                          monkeypatch):
     spec = _spec(lattice_spec, axis2=ca.Axis("C", np.array([-2.0])))

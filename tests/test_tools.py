@@ -80,3 +80,20 @@ def test_refresh_names_each_change():
                                "largest abs change 1.000e+00")
     assert len(lines) == 3
     assert refresh._changes(old, old) == []
+
+
+def test_shipped_outputs_runs_the_benchmark_workloads():
+    # beside the shipped configs, every workload at seeds 3 and 11 is swept
+    # at one and two workers, from the config the seed draws
+    spec = importlib.util.spec_from_file_location("shipped_outputs",
+                                                  TOOL.parent / "shipped_outputs.py")
+    shipped = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(shipped)
+    runs = dict(shipped._runs())
+    for name in shipped.workloads.NAMES:
+        for seed in (3, 11):
+            config = shipped.workloads.generate(name, seed).config
+            for workers in ("1", "2"):
+                assert runs[f"workload-{name}-s{seed}-w{workers}"] == \
+                    ["sweep", config, "--workers", workers]
+    assert "sweep-aa_baseline-w2" in runs
