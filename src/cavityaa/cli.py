@@ -67,9 +67,7 @@ def cmd_wannier(cfg: dict, out_dir: str) -> int:
                            wb.w0_samples[:-p]))
     even_dev = float(np.max(np.abs(wb.w0_samples - wb.w0_samples[::-1])))
     print(f"depth_W0={spec.depth_W0:.6g} Er  beta={spec.beta:.12g}")
-    print(f"t_integral={wb.t:.12e} Er")
-    print(f"t_band={wb.t_band:.12e} Er  "
-          f"(rel diff {abs(wb.t_band - wb.t) / max(wb.t, 1e-300):.3e})")
+    print(f"t={wb.t:.12e} Er")
     print(f"A={wb.A:.12e}")
     print(f"B={wb.B:.12e}")
     print(f"alpha={wb.alpha:.12e}")

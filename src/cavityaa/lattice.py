@@ -4,10 +4,10 @@ The confining potential is W0 cos^2(k0 x).  Everything here works in recoil
 units: energies in E_r = hbar^2 k0^2 / (2m), lengths in 1/k0, so the lattice
 constant is a = pi and the kinetic operator is -d^2/dx^2.  The lowest band is
 solved in a plane-wave basis, all quasimomenta at once; the real lowest-band
-Wannier orbital is built by phase fixing and summed by real FFTs; and the
-tight-binding constants derived from it (hopping t and the smearing constants
-A, B, alpha of the incommensurate harmonic) are stored on the basis object for
-the downstream chain model.
+Wannier orbital is built by phase fixing and summed by a real FFT; and the
+tight-binding constants (the band's hopping t and the orbital's smearing
+constants A, B, alpha of the incommensurate harmonic) are stored on the basis
+object for the downstream chain model.
 
 Site centers sit at the potential minima.  For W0 < 0 the minima of
 W0 cos^2(k0 x) are at x = 0 mod a; for W0 > 0 they are shifted by a/2.  The
@@ -103,8 +103,8 @@ class WannierBasis:
 
     The grid spans +-window_sites lattice sites around one site center with
     points_per_site samples per site; quad_weights are trapezoid weights, so
-    integrals over the window are plain dot products.  t is the hopping from
-    the real-space matrix element (t_band is the band-sum cross-check).
+    integrals over the window are plain dot products.  t is the hopping of
+    the band (``tunneling_from_band``).
     A = -int w0^2 sin(2 beta x) dx and B = int w0^2 cos(2 beta x) dx smear the
     first incommensurate harmonic, and alpha = sqrt(A^2 + B^2); A vanishes for
     the even orbital, and B tends to 1 from below in the deep-lattice limit.
@@ -116,7 +116,6 @@ class WannierBasis:
     quad_weights: np.ndarray  # (Npts,) trapezoid weights
     site_spacing_a: float
     t: float
-    t_band: float
     A: float
     B: float
     alpha: float
@@ -188,12 +187,12 @@ def build_wannier(band: BlochBand, spec: LatticeSpec) -> WannierBasis:
     Bloch phases are fixed so that every Bloch function is real and positive
     at the site center; for a symmetric 1D band this phase choice yields the
     maximally localized Wannier orbital.  The orbital is evaluated as a plane
-    wave sum, so its second derivative is available exactly.  On the offset
-    q grid every wavenumber is k = q + 2l = m / Nq with m odd, and the grid
-    points are x_j = j pi / p, so cos(k x_j) = cos(2 pi m j / N) with
-    N = 2 Nq p: w0 and w0'' are the real parts of one length-N rFFT each,
-    of the coefficients binned by |m| mod N.  The transform gives x >= 0;
-    w0 is even, so the other half is its mirror image.  band must be the
+    wave sum.  On the offset q grid every wavenumber is k = q + 2l = m / Nq
+    with m odd, and the grid points are x_j = j pi / p, so
+    cos(k x_j) = cos(2 pi m j / N) with N = 2 Nq p: w0 is the real part of
+    one length-N rFFT of the coefficients binned by |m| mod N.  The transform
+    gives x >= 0; w0 is even, so the other half is its mirror image.  The
+    hopping t is the band's (``tunneling_from_band``).  band must be the
     lowest band of spec's depth.
     """
     if band.depth_W0 != spec.depth_W0:
@@ -202,14 +201,13 @@ def build_wannier(band: BlochBand, spec: LatticeSpec) -> WannierBasis:
     m_cut = spec.planewave_cutoff_M
     nq = spec.quasimomentum_samples_Nq
     ls = np.arange(-m_cut, m_cut + 1)
-    qs = band.quasimomenta
 
     # u_q(0) = sum of plane-wave coefficients; fix its sign to +.
     coeffs = band.eigenvectors.copy()
     at_center = coeffs.sum(axis=1)
     bad = np.abs(at_center) < 1e-12
     if np.any(bad):
-        qbad = qs[np.argmax(bad)]
+        qbad = band.quasimomenta[np.argmax(bad)]
         raise BandSolveError(
             f"phase fixing failed at q = {qbad:.6f} k0: Bloch function vanishes "
             "at the site center (degenerate band point)"
@@ -222,18 +220,15 @@ def build_wannier(band: BlochBand, spec: LatticeSpec) -> WannierBasis:
     grid = np.arange(-half, half + 1) * step
 
     # w0(x) = (1 / (Nq sqrt(pi))) sum_{q,l} c_{q,l} cos((q + 2l) x); the sine
-    # parts cancel exactly on the +-q symmetric grid.  w0'' has the
-    # coefficients -(q + 2l)^2 c_{q,l}.  The window is below Nq/2 sites
-    # (LatticeSpec), so half < N/4 and the rFFT covers it.
+    # parts cancel exactly on the +-q symmetric grid.  The window is below
+    # Nq/2 sites (LatticeSpec), so half < N/4 and the rFFT covers it.
     n_fft = 2 * nq * p
     m = (2 * np.arange(nq) + 1 - nq)[:, None] + 2 * nq * ls[None, :]
     bins = np.abs(m).ravel() % n_fft
     c = coeffs / (nq * np.sqrt(np.pi))
-    kvec = qs[:, None] + 2.0 * ls[None, :]
-    w0, w0_lap = (
-        np.concatenate((s[:0:-1], s)) for s in (
-            np.fft.rfft(np.bincount(bins, weights=wts.ravel(), minlength=n_fft))
-            [:half + 1].real for wts in (c, -(kvec ** 2) * c)))
+    right = np.fft.rfft(np.bincount(bins, weights=c.ravel(), minlength=n_fft))
+    right = right[:half + 1].real
+    w0 = np.concatenate((right[:0:-1], right))
 
     weights = np.full(grid.shape, step)
     weights[0] = weights[-1] = step / 2.0
@@ -245,8 +240,7 @@ def build_wannier(band: BlochBand, spec: LatticeSpec) -> WannierBasis:
     return WannierBasis(
         grid=grid, w0_samples=w0, quad_weights=weights,
         site_spacing_a=LATTICE_CONSTANT,
-        t=_tunneling_integral(grid, w0, w0_lap, weights, spec),
-        t_band=tunneling_from_band(band), A=a_const, B=b_const,
+        t=tunneling_from_band(band), A=a_const, B=b_const,
         alpha=float(np.hypot(a_const, b_const)), beta=spec.beta,
         depth_W0=spec.depth_W0, band_fallbacks=band.fallbacks, spec=spec,
     )
@@ -269,18 +263,3 @@ def band_tightbinding_residual(band: BlochBand) -> float:
     model = eps0 - 2.0 * t * np.cos(band.quasimomenta * LATTICE_CONSTANT)
     width = float(band.energies.max() - band.energies.min())
     return float(np.max(np.abs(band.energies - model)) / max(width, 1e-300))
-
-
-def _tunneling_integral(grid, w0, w0_lap, weights, spec: LatticeSpec) -> float:
-    p = spec.points_per_site
-    # Neighbor orbital w0(x - a) is an exact index shift of p samples; the
-    # overlap region carries the whole integrand (tails are below 1e-12).
-    w1 = np.zeros_like(w0)
-    w1[p:] = w0[:-p]
-    w1_lap = np.zeros_like(w0_lap)
-    w1_lap[p:] = w0_lap[:-p]
-    # Site-centered frame: W(x) = W0/2 - (|W0|/2) cos(2x).
-    pot = spec.depth_W0 / 2.0 - abs(spec.depth_W0) / 2.0 * np.cos(2.0 * grid)
-    integrand = w0 * (-w1_lap + pot * w1)
-    # Sign convention: t > 0 so the chain Hamiltonian carries -t off-diagonal.
-    return float(-np.dot(weights, integrand))

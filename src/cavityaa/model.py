@@ -89,8 +89,6 @@ def _filled(profile: OnsiteProfile, values: np.ndarray, peaks: tuple) -> OnsiteP
 
 def onsite_aa(v0: float, beta: float, L: int) -> OnsiteProfile:
     """Bichromatic baseline profile delta_eps_n = v0 cos(2 pi beta n)."""
-    if L < 3:
-        raise ValueError("need at least 3 sites")
     n = np.arange(1, L + 1)
     return OnsiteProfile(v0 * np.cos(2.0 * np.pi * beta * n))
 
@@ -104,8 +102,6 @@ def onsite_cavity(wb: "WannierBasis", pot: EffectivePotential, L: int) -> Onsite
     The unit-strength sums are checked once, before the scaling by v0: they
     must be finite and lie in the range |value| <= pi/2 of the arctan.
     """
-    if L < 3:
-        raise ValueError("need at least 3 sites")
     unit = OnsiteProfile(kernels.onsite_quadrature(
         wb.density_weights, wb.grid, L, wb.site_spacing_a, wb.beta,
         pot.C, pot.delta_c_prime, pot.uses_sin2,

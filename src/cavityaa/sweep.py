@@ -744,7 +744,7 @@ def _build_metadata(spec: SweepSpec) -> dict:
 
 
 def _constants(wb: WannierBasis) -> dict:
-    return {"t": wb.t, "t_band": wb.t_band, "A": wb.A, "B": wb.B, "alpha": wb.alpha,
+    return {"t": wb.t, "A": wb.A, "B": wb.B, "alpha": wb.alpha,
             "band_fallbacks": wb.band_fallbacks}
 
 

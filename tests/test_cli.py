@@ -65,9 +65,7 @@ def test_wannier_prints_the_stored_constants(capsys, tmp_path, depth):
     spec = ca.LatticeSpec(depth_W0=depth)
     wb = ca.build_wannier(ca.solve_lowest_band(spec), spec)
     lines = out.splitlines()
-    assert f"t_integral={wb.t:.12e} Er" in lines
-    assert any(ln.startswith(f"t_band={wb.t_band:.12e} Er  (rel diff ")
-               for ln in lines)
+    assert f"t={wb.t:.12e} Er" in lines
     for name in ("A", "B", "alpha"):
         assert f"{name}={getattr(wb, name):.12e}" in lines
     assert "band_fallbacks=0" in lines

@@ -485,6 +485,8 @@ def test_problem_validation():
     # cannot vouch for NaN values
     with pytest.raises(ValueError, match="L must be >= 3"):
         ca.HubbardProblem(t=1.0, onsite=ca.OnsiteProfile(values=np.zeros(2)))
+    with pytest.raises(ValueError, match="L must be >= 3"):
+        ca.HubbardProblem(t=1.0, onsite=ca.model.onsite_aa(1.0, ca.GOLDEN_BETA, 2))
     assert ca.HubbardProblem(t=1.0, onsite=ca.OnsiteProfile(np.zeros(5))).L == 5
     # a non-finite hopping is named here, not left to fail inside LAPACK
     for t in (np.nan, np.inf, -np.inf):

@@ -1032,7 +1032,7 @@ def test_depth_axis_lists_each_depth_constants(wannier, lattice_spec):
     assert meta[0] == meta[1]
     constants = serial.metadata["constants"]
     assert [c["W0"] for c in constants] == depths
-    assert constants[1] == {"W0": -15.0, "t": wannier.t, "t_band": wannier.t_band,
+    assert constants[1] == {"W0": -15.0, "t": wannier.t,
                             "A": wannier.A, "B": wannier.B, "alpha": wannier.alpha,
                             "band_fallbacks": 0}
     assert constants[0]["band_fallbacks"] == 0

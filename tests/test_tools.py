@@ -72,13 +72,15 @@ def test_refresh_names_each_change():
         rows[k] = ",".join(cells)
     rows[2] += "solve_failed:ValueError"  # its flags cell
     new["pump_scan_eta_u0"]["solver_counts"]["warm"] += 1
+    dropped = new["aa_baseline"]["constants"].pop("B")
     lines = refresh._changes(old, new)
-    assert lines[0] == 'aa_baseline.csv[1].flags: "" -> "solve_failed:ValueError"'
-    assert lines[1].startswith("aa_baseline.csv.ipr: largest abs change ")
-    assert float(lines[1].rsplit(" ", 1)[1]) == pytest.approx(4e-12, rel=1e-3)
-    assert lines[2].startswith("pump_scan_eta_u0.solver_counts.warm: "
+    assert lines[0] == f"aa_baseline.constants.B: {json.dumps(dropped)} -> null"
+    assert lines[1] == 'aa_baseline.csv[1].flags: "" -> "solve_failed:ValueError"'
+    assert lines[2].startswith("aa_baseline.csv.ipr: largest abs change ")
+    assert float(lines[2].rsplit(" ", 1)[1]) == pytest.approx(4e-12, rel=1e-3)
+    assert lines[3].startswith("pump_scan_eta_u0.solver_counts.warm: "
                                "largest abs change 1.000e+00")
-    assert len(lines) == 3
+    assert len(lines) == 4
     assert refresh._changes(old, old) == []
 
 
