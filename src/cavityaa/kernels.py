@@ -15,7 +15,7 @@ there is no dense diagonalization.
 
 The warm solve and the checks take K chains of one length at once
 (``warm_eigenpairs``, ``certified_margins``), as do the sweep's gamma_T
-factorizations: the plane-wave band solve for all its quasimomenta, a
+factorizations: the plane-wave band solve for its quasimomenta q > 0, a
 sweep step for all its columns, a lone ground state as K = 1.  One rule,
 K >= LOCKSTEP_MIN_CHAINS, chooses the path.  Below it the chains go one at a
 time (``warm_eigenpair``, one ``dpttrf`` each in ``_ldlt``); from it each

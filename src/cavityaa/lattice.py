@@ -3,11 +3,11 @@
 The confining potential is W0 cos^2(k0 x).  Everything here works in recoil
 units: energies in E_r = hbar^2 k0^2 / (2m), lengths in 1/k0, so the lattice
 constant is a = pi and the kinetic operator is -d^2/dx^2.  The lowest band is
-solved in a plane-wave basis, all quasimomenta at once; the real lowest-band
-Wannier orbital is built by phase fixing and summed by a real FFT; and the
-tight-binding constants (the band's hopping t and the orbital's smearing
-constants A, B, alpha of the incommensurate harmonic) are stored on the basis
-object for the downstream chain model.
+solved in a plane-wave basis, all q > 0 at once and mirrored to -q; the real
+lowest-band Wannier orbital is built by phase fixing and summed by a real
+FFT; and the tight-binding constants (the band's hopping t and the
+orbital's smearing constants A, B, alpha of the incommensurate harmonic)
+are stored on the basis object for the downstream chain model.
 
 Site centers sit at the potential minima.  For W0 < 0 the minima of
 W0 cos^2(k0 x) are at x = 0 mod a; for W0 > 0 they are shifted by a/2.  The
@@ -83,7 +83,9 @@ class BlochBand:
     """Lowest band sampled on a symmetric quasimomentum grid in [-k0, k0).
 
     fallbacks counts the quasimomenta that failed a check of the batched
-    solve and were solved by bisection instead (``solve_lowest_band``).
+    solve and were solved by bisection instead (``solve_lowest_band``).  The
+    solve covers q > 0 and mirrors each q to -q, so a pair falls back
+    together and counts twice: fallbacks is even.
     """
 
     quasimomenta: np.ndarray  # (Nq,)
@@ -135,9 +137,18 @@ class WannierBasis:
 
 
 def _quasimomentum_grid(nq: int) -> np.ndarray:
-    # Offset symmetric grid: every q has an exact -q partner and the zone edge
-    # q = +-k0 is avoided, which keeps the Wannier sum exactly real and even.
-    return -1.0 + (2.0 * np.arange(nq) + 1.0) / nq
+    """Offset symmetric grid q_j = -1 + (2j + 1) / nq, j < nq, nq even.
+
+    The q > 0 half (2j + 1) / nq, j < nq/2, is computed and mirrored, so
+    grid[::-1] == -grid bit for bit: every q has an exact -q partner, which
+    keeps the Wannier sum exactly real and even and lets the band solve
+    mirror its q < 0 half.  q = 0 and the zone edge q = +-k0 are avoided.
+    For a power-of-two nq, such as the default 128, every entry is exact and
+    equals -1 + (2j + 1) / nq; for other nq that formula is not
+    antisymmetric, and this grid differs from it by up to 1.1e-16.
+    """
+    positive = (2.0 * np.arange(nq // 2) + 1.0) / nq
+    return np.concatenate((-positive[::-1], positive))
 
 
 def solve_lowest_band(spec: LatticeSpec) -> BlochBand:
@@ -145,8 +156,11 @@ def solve_lowest_band(spec: LatticeSpec) -> BlochBand:
 
     In the plane-wave basis the operator is tridiagonal: diagonal (q + 2l)^2 +
     W0/2 and first off-diagonal -|W0|/4 in the site-centered frame (the sign
-    flip for W0 > 0 is the a/2 shift of the site centers).  All Nq matrices
-    go through Rayleigh-quotient iteration together
+    flip for W0 > 0 is the a/2 shift of the site centers).  M_{-q} is M_q
+    with l reversed, so only the Nq/2 matrices of q > 0 are solved, and each
+    -q row is the exact mirror E(-q) = E(q), c(-q, l) = c(q, -l): an
+    eigenpair of M_{-q} with the same residual and certificate.  The q > 0
+    matrices go through Rayleigh-quotient iteration together
     (``kernels.warm_eigenpairs``), each from the harmonic-oscillator guess
     c_l ~ exp(-(q + 2l)^2 / (2 max(sqrt|W0|, 1))).  A q is accepted with the
     checks of a chain ground state (``kernels.certified_margins``): residual
@@ -159,10 +173,11 @@ def solve_lowest_band(spec: LatticeSpec) -> BlochBand:
     m_cut = spec.planewave_cutoff_M
     ls = np.arange(-m_cut, m_cut + 1)
     qs = _quasimomentum_grid(spec.quasimomentum_samples_Nq)
-    kvec = qs[:, None] + 2.0 * ls[None, :]
+    positive = qs[qs.shape[0] // 2:]
+    kvec = positive[:, None] + 2.0 * ls[None, :]
     hop = abs(spec.depth_W0) / 4.0
     diags = kvec ** 2 + spec.depth_W0 / 2.0
-    offdiags = np.full((qs.shape[0], 2 * m_cut), -hop)
+    offdiags = np.full((positive.shape[0], 2 * m_cut), -hop)
     radius = np.full(ls.shape[0], 2.0 * hop)
     radius[[0, -1]] = hop
     norms = np.max(np.abs(diags) + radius, axis=1)
@@ -175,10 +190,12 @@ def solve_lowest_band(spec: LatticeSpec) -> BlochBand:
             energies[j], vecs[j], *_ = kernels.lowest_eigenpair(diags[j], offdiags[j])
         except np.linalg.LinAlgError as exc:
             raise BandSolveError(
-                f"plane-wave eigensolve failed at q = {qs[j]:.6f} k0"
+                f"plane-wave eigensolve failed at q = {positive[j]:.6f} k0"
             ) from exc
-    return BlochBand(quasimomenta=qs, energies=energies, eigenvectors=vecs,
-                     depth_W0=spec.depth_W0, fallbacks=int(fallbacks.size))
+    return BlochBand(quasimomenta=qs,
+                     energies=np.concatenate((energies[::-1], energies)),
+                     eigenvectors=np.concatenate((vecs[::-1, ::-1], vecs)),
+                     depth_W0=spec.depth_W0, fallbacks=2 * int(fallbacks.size))
 
 
 def build_wannier(band: BlochBand, spec: LatticeSpec) -> WannierBasis:

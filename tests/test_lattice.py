@@ -48,11 +48,28 @@ def test_free_particle_band():
     assert band.energies.min() < 1e-4
 
 
+@pytest.mark.parametrize("nq", [64, 100, 128, 130])
+def test_quasimomentum_grid_is_antisymmetric(nq):
+    grid = ca.lattice._quasimomentum_grid(nq)
+    assert grid.shape == (nq,)
+    assert np.all(np.diff(grid) > 0.0)
+    assert np.array_equal(grid[::-1], -grid)
+    offset = -1.0 + (2.0 * np.arange(nq) + 1.0) / nq
+    if nq in (64, 128):
+        # powers of 2: every entry is exact, the formula's grid bit for bit
+        assert np.array_equal(grid, offset)
+    else:
+        # the formula's grid is not antisymmetric here; the mirror moves it
+        # by rounding only
+        assert not np.array_equal(offset[::-1], -offset)
+        assert np.max(np.abs(grid - offset)) <= 1.2e-16
+
+
 def test_band_time_reversal_symmetry(band):
-    # the offset grid contains -q for every q
-    e_of_q = dict(zip(np.round(band.quasimomenta, 12), band.energies))
-    for q, e in e_of_q.items():
-        assert e == pytest.approx(e_of_q[-q], rel=1e-12)
+    # M_{-q} is M_q with l reversed: the q < 0 rows mirror the q > 0 rows
+    assert np.array_equal(band.quasimomenta[::-1], -band.quasimomenta)
+    assert np.array_equal(band.energies[::-1], band.energies)
+    assert np.array_equal(band.eigenvectors[::-1, ::-1], band.eigenvectors)
 
 
 def test_eigenvectors_unit_norm(band):
@@ -254,6 +271,27 @@ def _band_matrices(spec, band):
     return diags, offdiag
 
 
+def _assert_rows_within_contract(spec, band, rows):
+    # the solver's own contract against the oracle: energies within
+    # RESIDUAL_RTOL of each q's Gershgorin bound, unit vectors parallel
+    energies, vecs = lowest_band_eigh(spec)
+    diags, offdiag = _band_matrices(spec, band)
+    for j in rows:
+        bound = gershgorin_norm_bound(diags[j], offdiag)
+        assert abs(band.energies[j] - energies[j]) <= kernels.RESIDUAL_RTOL * bound
+        assert abs(band.eigenvectors[j] @ vecs[j]) >= 1.0 - 1e-12
+
+
+@pytest.mark.parametrize("depth", [-40.0, -15.0, -5.0])
+def test_band_rows_match_oracle_both_halves(depth):
+    # Nq = 100 is not a power of 2: the mirrored grid differs from the
+    # oracle's formula by rounding, and every row still meets the contract
+    spec = ca.LatticeSpec(depth_W0=depth, quasimomentum_samples_Nq=100)
+    band = ca.solve_lowest_band(spec)
+    assert band.energies.shape == (100,)
+    _assert_rows_within_contract(spec, band, range(100))
+
+
 @pytest.mark.parametrize("depth", ORACLE_DEPTHS + [0.0, 0.3, -0.3])
 def test_band_matches_eigh_tridiagonal(depth):
     # the batched Rayleigh-quotient solve stops at a residual of
@@ -302,24 +340,31 @@ def _failing(routine):
 
 @pytest.mark.parametrize("routine", ["dgtsv", "dpttrf"])
 def test_band_falls_back_to_bisection_per_q(monkeypatch, routine):
-    # a failed iteration or certificate sends its q to the cold chain solver,
-    # kernels.lowest_eigenpair: select-mode eigh_tridiagonal bit for bit, its
-    # vector divided by its norm once more
+    # a failed iteration or certificate sends its q > 0 to the cold chain
+    # solver, kernels.lowest_eigenpair: select-mode eigh_tridiagonal bit for
+    # bit, its vector divided by its norm once more; its -q partner is the
+    # mirror, and both count as fallbacks
     monkeypatch.setattr(kernels.lapack, routine, _failing(getattr(kernels.lapack, routine)))
     spec = ca.LatticeSpec(depth_W0=-15.0)
     band = ca.solve_lowest_band(spec)
     energies, vecs = lowest_band_eigh(spec)
-    assert band.fallbacks == spec.quasimomentum_samples_Nq
-    assert np.array_equal(band.energies, energies)
-    assert np.array_equal(band.eigenvectors,
-                          np.array([v / math.sqrt(v @ v) for v in vecs]))
+    nq = spec.quasimomentum_samples_Nq
+    half = nq // 2
+    assert band.fallbacks == nq
+    assert np.array_equal(band.energies[half:], energies[half:])
+    assert np.array_equal(band.eigenvectors[half:],
+                          np.array([v / math.sqrt(v @ v) for v in vecs[half:]]))
+    assert np.array_equal(band.energies[::-1], band.energies)
+    assert np.array_equal(band.eigenvectors[::-1, ::-1], band.eigenvectors)
+    _assert_rows_within_contract(spec, band, range(half))
 
 
 @pytest.mark.parametrize("routine", ["dstebz", "dstein"])
 def test_band_solve_lapack_failure_raises(monkeypatch, routine):
-    # a failing dgtsv sends every q to the bisection fallback, whose LAPACK
-    # failure raises
+    # a failing dgtsv sends every solved q > 0 to the bisection fallback,
+    # whose LAPACK failure raises at the first of them, 1/Nq
     monkeypatch.setattr(kernels.lapack, "dgtsv", _failing(kernels.lapack.dgtsv))
     monkeypatch.setattr(kernels.lapack, routine, _failing(getattr(kernels.lapack, routine)))
-    with pytest.raises(ca.BandSolveError, match="plane-wave eigensolve failed"):
+    with pytest.raises(ca.BandSolveError,
+                       match=r"plane-wave eigensolve failed at q = 0\.007812 k0"):
         ca.solve_lowest_band(ca.LatticeSpec(depth_W0=-15.0))
