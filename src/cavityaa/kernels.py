@@ -7,7 +7,12 @@ without its per-call validation), the one cold solver of the chains and of
 the band's fallback.  Along a sweep column the chain can instead
 start from the previous point's state (``warm_eigenpair``): Rayleigh-quotient
 iteration finds the eigenpair in a few tridiagonal solves, with no
-``dstein`` call.  Every eigenpair, warm or cold, is accepted only with the
+``dstein`` call.  Its first shift is the start's Rayleigh quotient plus an
+offset the caller predicts (the sweep's second-order step of the concave
+ground energy), since the iteration converges to the eigenvalue nearest
+that shift; a zero offset leaves the quotient as it is.  A clean block step,
+where no row met a zero pivot or a non-finite norm, updates every row with
+one expression.  Every eigenpair, warm or cold, is accepted only with the
 residual bound and the lower-bound certificate (``certified_margins``); a
 warm result that fails them sends the chain to the bisection pair.  A chain
 point that fails both paths has no ground state (``model.GroundStateError``);
@@ -111,10 +116,14 @@ def lowest_eigenpair(
 
 
 def warm_eigenpair(d: np.ndarray, e: np.ndarray, start: np.ndarray,
-                   norm_bound: float) -> tuple[float, np.ndarray, float, str] | None:
+                   norm_bound: float, offset: float = 0.0
+                   ) -> tuple[float, np.ndarray, float, str] | None:
     """Eigenpair of tridiag(e, d, e) reached by Rayleigh-quotient iteration from start.
 
-    Each step solves (T - lam I) y = x for the unit vector x with ``dgtsv``;
+    The first shift lam is the start's Rayleigh quotient plus offset, a
+    prediction of how far below it the wanted eigenvalue lies; a zero offset
+    is not added, so lam is then the Rayleigh quotient bit for bit.  Each
+    step solves (T - lam I) y = x for the unit vector x with ``dgtsv``;
     1/||y|| is then the residual of (lam, y/||y||), so an eigenvalue lies
     within it of lam.  Once it is at most WARM_RTOL * norm_bound, lam takes
     the step's Rayleigh-quotient correction x.y/||y||^2, which can only
@@ -131,6 +140,8 @@ def warm_eigenpair(d: np.ndarray, e: np.ndarray, start: np.ndarray,
     """
     x = start / math.sqrt(start @ start)
     lam = float(x @ (d * x) + 2.0 * (e @ (x[:-1] * x[1:])))
+    if offset:
+        lam += offset
     for _ in range(WARM_MAX_STEPS):
         *_, y, info = lapack.dgtsv(e, d - lam, e, x, overwrite_d=1)
         norm_y = math.sqrt(y @ y)
@@ -173,14 +184,16 @@ def _tridiag_residuals(D, E, lam, psi):
 
 
 def _rqi_solves(D, E, joined, lam, X):
-    """The step solves (T_k - lam_k I) y_k = x_k and their norms ||y_k||.
+    """The step solves (T_k - lam_k I) y_k = x_k, their norms ||y_k||, and
+    whether the step was clean: every row solved with a finite norm.
 
     One ``dgtsv`` on the concatenation, whose off-diagonal is ``joined``
     (``_joined(E)``).  Its elimination never pivots across a zero coupling,
     so each block gets the arithmetic of its own call.  A zero pivot stops
     the whole call, and a NaN or inf spreads into the next block through
     0 * inf; so when ``info != 0`` or a norm is not finite, every row is
-    solved again alone.  A row whose own solve fails gets a NaN norm.
+    solved again alone and the step is not clean.  A row whose own solve
+    fails gets a NaN norm.
     """
     n = D.shape[1]
     *_, y, info = lapack.dgtsv(joined, (D - lam[:, None]).ravel(), joined, X.ravel(),
@@ -188,35 +201,40 @@ def _rqi_solves(D, E, joined, lam, X):
     Y = y.reshape(-1, n)
     norms = np.sqrt(np.vecdot(Y, Y))
     if info == 0 and np.isfinite(norms).all():
-        return Y, norms
+        return Y, norms, True
     Y = np.empty_like(X)
     for k in range(X.shape[0]):
         *_, Y[k], info = lapack.dgtsv(E[k], D[k] - lam[k], E[k], X[k], overwrite_d=1)
         norms[k] = math.sqrt(Y[k] @ Y[k]) if info == 0 else math.nan
-    return Y, norms
+    return Y, norms, False
 
 
-def warm_eigenpairs(D: np.ndarray, E: np.ndarray, starts, norm_bounds: np.ndarray):
+def warm_eigenpairs(D: np.ndarray, E: np.ndarray, starts, norm_bounds: np.ndarray,
+                    offsets: np.ndarray | None = None):
     """``warm_eigenpair`` for K independent chains of one length.
 
     D (K, n) and E (K, n - 1) hold the chains row by row, starts their K
     start vectors (an array or a list), norm_bounds (K,) their bounds on
-    ||T_k||.  Fewer than LOCKSTEP_MIN_CHAINS chains take ``warm_eigenpair``
-    one at a time.  More run in lockstep: each step solves every row still
-    iterating with one ``dgtsv`` (``_rqi_solves``), whose off-diagonal is
-    joined once per set of rows still iterating.  Returns ``(energies,
-    vectors, residuals, converged)``: where converged[k] is True, row k is
-    bit-identical to ``warm_eigenpair(D[k], E[k], starts[k],
-    norm_bounds[k])`` either way; where it is False, that call returns None
-    and the row holds NaN.  n must be at least 2.
+    ||T_k||, and offsets (K,), when given, the offsets of their first shifts
+    (none is added where it is zero).  Fewer than LOCKSTEP_MIN_CHAINS chains
+    take ``warm_eigenpair`` one at a time.  More run in lockstep: each step
+    solves every row still iterating with one ``dgtsv`` (``_rqi_solves``),
+    whose off-diagonal is joined once per set of rows still iterating.
+    Returns ``(energies, vectors, residuals, converged)``: where
+    converged[k] is True, row k is bit-identical to ``warm_eigenpair(D[k],
+    E[k], starts[k], norm_bounds[k], offsets[k])`` either way; where it is
+    False, that call returns None and the row holds NaN.  n must be at
+    least 2.
     """
     K, n = D.shape
     energies, residuals = np.full(K, np.nan), np.full(K, np.nan)
     vectors = np.full((K, n), np.nan)
     converged = np.zeros(K, dtype=bool)
+    offsets = np.zeros(K) if offsets is None else np.asarray(offsets, dtype=np.float64)
     if K < LOCKSTEP_MIN_CHAINS:
-        for k, bound in enumerate(np.asarray(norm_bounds).tolist()):
-            pair = warm_eigenpair(D[k], E[k], starts[k], bound)
+        for k, (bound, offset) in enumerate(zip(np.asarray(norm_bounds).tolist(),
+                                                offsets.tolist())):
+            pair = warm_eigenpair(D[k], E[k], starts[k], bound, offset)
             if pair is not None:
                 energies[k], vectors[k], residuals[k], _ = pair
                 converged[k] = True
@@ -224,17 +242,22 @@ def warm_eigenpairs(D: np.ndarray, E: np.ndarray, starts, norm_bounds: np.ndarra
     X = np.array(starts)
     X /= np.sqrt(np.vecdot(X, X))[:, None]
     lam = np.vecdot(X, D * X) + 2.0 * np.vecdot(E, X[:, :-1] * X[:, 1:])
+    lam = np.where(offsets != 0.0, lam + offsets, lam)
     # the rows still iterating, with their chains, bounds, lam and x
     rows, bounds, d, e = np.arange(K), np.asarray(norm_bounds, dtype=np.float64), D, E
     joined = _joined(e)
     for _ in range(WARM_MAX_STEPS):
-        Y, norms = _rqi_solves(d, e, joined, lam, X)
-        # warm_eigenpair moves stalled rows' lam down and keeps their x
-        stalled = ~np.isfinite(norms)
-        Y[stalled], norms[stalled] = X[stalled], 1.0
-        lam = np.where(stalled, lam - WARM_NUDGE * bounds,
-                       lam + np.vecdot(X, Y) / (norms * norms))
-        done = ~stalled & (norms * WARM_RTOL * bounds >= 1.0)
+        Y, norms, clean = _rqi_solves(d, e, joined, lam, X)
+        if clean:
+            lam += np.vecdot(X, Y) / (norms * norms)
+            done = norms * WARM_RTOL * bounds >= 1.0
+        else:
+            # warm_eigenpair moves stalled rows' lam down and keeps their x
+            stalled = ~np.isfinite(norms)
+            Y[stalled], norms[stalled] = X[stalled], 1.0
+            lam = np.where(stalled, lam - WARM_NUDGE * bounds,
+                           lam + np.vecdot(X, Y) / (norms * norms))
+            done = ~stalled & (norms * WARM_RTOL * bounds >= 1.0)
         Y /= norms[:, None]
         if done.any():
             finished = rows[done]

@@ -212,19 +212,21 @@ class WarmSolve(NamedTuple):
 
 
 def warm_solves(D: np.ndarray, E: np.ndarray, norm_bounds: np.ndarray,
-                starts: list) -> list:
+                starts: list, offsets: np.ndarray) -> list:
     """The warm-started solves of K chains of one length, row k from starts[k].
 
     D (K, L), E (K, L - 1) and norm_bounds (K,) hold the chains' diagonals,
     off-diagonals and ``norm_bound`` row by row, starts their K start
-    vectors.  The chains run Rayleigh-quotient iteration together
-    (``kernels.warm_eigenpairs``), and their pairs take the residual bound
+    vectors, and offsets (K,) the offsets of their first shifts from the
+    starts' Rayleigh quotients (``kernels.warm_eigenpair``).  The chains run Rayleigh-quotient
+    iteration together (``kernels.warm_eigenpairs``), and their pairs take the residual bound
     and the certificate together (``kernels.certified_margins``), in block
     calls or one at a time as ``kernels`` chooses.  Row k is chain k's own
     one-chain call, bit for bit; passed to ``ground_state`` as ``start``,
     it is used as it is.
     """
-    energies, vectors, residuals, _ = kernels.warm_eigenpairs(D, E, starts, norm_bounds)
+    energies, vectors, residuals, _ = kernels.warm_eigenpairs(D, E, starts, norm_bounds,
+                                                              offsets)
     margins = kernels.certified_margins(D, E, energies, residuals, norm_bounds)
     return list(map(WarmSolve, energies.tolist(), vectors, residuals.tolist(),
                     margins.tolist()))

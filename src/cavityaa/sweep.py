@@ -6,8 +6,9 @@ profile by v0, solves the chain ground state and evaluates the requested
 observables.  The strength (v0, or eta^2 in pump sweeps) only scales the
 cavity profile, so the points that share (W0, C, delta') form a column: it
 sets up its basis and unit profile once, runs in increasing strength with
-each ground-state solve started from the previous point's state, and
-estimates its own transition.  A column is never split; the columns are
+each ground-state solve started from the previous point's state, at a
+first shift predicted from its last two points (``_Column.first_shift``),
+and estimates its own transition.  A column is never split; the columns are
 dealt out to this process and to any forked workers (``_forked_results``),
 and each process advances its share of columns one strength step at a time
 (``_run_share``): a step solves one point of every column, stacks their
@@ -33,6 +34,7 @@ import io
 import json
 import math
 import multiprocessing
+import operator
 import os
 import time
 import traceback
@@ -60,6 +62,11 @@ OBSERVABLE_NAMES = ("ipr", "gamma", "nbar", "vc")
 #: cold at a column start, by select-mode LAPACK after a rejected warm
 #: result, or not at all (a failed point).
 SOLVER_KINDS = ("warm", "cold", "select_fallback", "unsolved")
+#: The sidecar's name of where a warm solve takes its first shift
+#: (``_Column.first_shift``): the start's Rayleigh quotient plus the
+#: second-order term of E0(v0), from the secant of its Hellmann-Feynman
+#: slopes at the column's last two points.
+FIRST_SHIFT_METHOD = "hellmann_feynman_second_order"
 
 #: A process reports progress after every ceil(steps / PROGRESS_STEPS)-th
 #: strength step of its share, so at most this many times before the end.
@@ -381,12 +388,16 @@ class _Column:
     the point gets, and then records it (``record``), failed or not.  The
     column's first point whose parameters resolve sets it up (``set_up``);
     start is None at the column's start and after a failed point, whose
-    successor then starts cold.
+    successor then starts cold.  history holds (v0, s) of the last two
+    points solved since then, s = <psi|U|psi> being the slope dE0/dv0 of
+    the ground energy (Hellmann-Feynman, U the unit profile); the next warm
+    solve reads its first shift from them (``first_shift``).
     """
 
     def __init__(self, indices: list):
         self.indices = indices
         self.records = []
+        self.history = []
         self.wb = self.unit = self.series = self.start = self.column_params = None
         self.set_up_failed = self.series_failed = ""
 
@@ -436,10 +447,35 @@ class _Column:
             except Exception as exc:
                 self.series_failed = _failure(exc)
 
+    def first_shift(self) -> float:
+        """The offset of the current point's first Rayleigh-quotient shift
+        from its start's Rayleigh quotient.
+
+        The start psi_k, solved at v_k, has the quotient E0(v_k) + s_k dv at
+        v0 = v_k + dv, the tangent of the concave E0(v0).  Its second-order
+        term 0.5 dv^2 c, with the curvature c = (s_k - s_{k-1}) / (v_k -
+        v_{k-1}) of the last two points, predicts how far below the tangent
+        the ground energy lies.  0.0 with fewer than two points of history,
+        with two equal strengths, or where c is not negative.
+        """
+        if len(self.history) < 2:
+            return 0.0
+        (v_before, s_before), (v_last, s_last) = self.history
+        if v_last == v_before:
+            return 0.0
+        curvature = (s_last - s_before) / (v_last - v_before)
+        step = self.v0 - v_last
+        return 0.5 * step * step * curvature if curvature < 0.0 else 0.0
+
     def record(self, spec: SweepSpec) -> None:
         """Record the current point.  Its ground state is where the next
-        point starts, unless the point failed."""
-        self.start = None if self.flag else self.gs.amplitudes
+        point starts, and joins the history, unless the point failed."""
+        if self.flag:
+            self.start, self.history = None, []
+        else:
+            self.start = self.gs.amplitudes
+            self.history = self.history[-1:] + [
+                (self.v0, float(self.gs.density @ self.unit.values))]
         aa = spec.mode == "aa"  # the bichromatic profile has no C or delta'
         self.records.append(SweepRecord(
             axis1=self.params[spec.axis1.name],
@@ -478,7 +514,8 @@ def _solve_step(spec: SweepSpec, bases: dict, share: list, step: int) -> None:
         warm = [k for k, p in enumerate(points) if p.start is not None]
         if warm:
             solves = model.warm_solves(*_rows(chains, warm, len(points)),
-                                       [points[k].start for k in warm])
+                                       [points[k].start for k in warm],
+                                       np.array([points[k].first_shift() for k in warm]))
             for k, solve in zip(warm, solves):
                 points[k].start = solve
         for p in points:
@@ -750,6 +787,7 @@ def _constants(wb: WannierBasis) -> dict:
 
 def _methods(spec: SweepSpec) -> dict:
     methods = {"eigensolver": "column_warm_start",
+               "warm_first_shift": FIRST_SHIFT_METHOD,
                "transition_detector": TRANSITION_METHOD,
                "band_solve": BAND_SOLVE_METHOD,
                "wannier_sum": WANNIER_SUM_METHOD,
@@ -786,13 +824,27 @@ def _record_cells(rec: SweepRecord, cols: list) -> list:
 
 
 def csv_body(result: SweepResult) -> str:
-    """CSV text (header + rows); stable across runs and worker counts."""
+    """CSV text (header + rows); stable across runs and worker counts.
+
+    A row whose cells are all set is formatted with one ``%``: FLOAT_FORMAT
+    for each number and ``%s`` for flags, which is what ``csv.writer``
+    writes, since no cell (a number, "" or ``solve_failed:<TypeName>``)
+    needs quoting.  A row with an empty (None) cell goes through
+    ``_record_cells``.
+    """
     cols = _columns(result)
+    n_axes = len(result.metadata["axes"])
+    cells = operator.attrgetter(*("axis1", "axis2")[:n_axes], *cols[n_axes:])
+    row = ",".join([FLOAT_FORMAT] * (len(cols) - 1) + ["%s\n"])
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(cols)
     for rec in result.records:
-        writer.writerow(_record_cells(rec, cols))
+        values = cells(rec)
+        if None in values:
+            writer.writerow(_record_cells(rec, cols))
+        else:
+            buf.write(row % values)
     return buf.getvalue()
 
 

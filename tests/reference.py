@@ -215,11 +215,25 @@ def read_csv(path) -> tuple[list, list]:
     return cols, rows
 
 
-def warm_start(problem, vector):
-    """The ``ground_state`` start of one chain from a start vector: its row
-    of a one-chain ``model.warm_solves`` call; None (a cold start) for None."""
+def warm_start(problem, vector, offset=0.0):
+    """The ``ground_state`` start of one chain from a start vector, its first
+    shift offset from the vector's Rayleigh quotient: its row of a one-chain
+    ``model.warm_solves`` call; None (a cold start) for None."""
     if vector is None:
         return None
     row, = warm_solves(problem.onsite.values[None], problem.offdiagonal[None],
-                       np.array([problem.norm_bound]), [vector])
+                       np.array([problem.norm_bound]), [vector], np.array([offset]))
     return row
+
+
+def first_shift(history, v0):
+    """The offset of a column point's first shift from the last two points
+    of its history, each (v0, sum psi^2 U): 0.5 dv^2 times their slopes'
+    secant curvature when that is negative, as ``sweep._Column`` computes
+    it; 0.0 with a shorter history or two equal strengths."""
+    if len(history) < 2 or history[-1][0] == history[-2][0]:
+        return 0.0
+    (v_before, s_before), (v_last, s_last) = history[-2:]
+    curvature = (s_last - s_before) / (v_last - v_before)
+    step = v0 - v_last
+    return 0.5 * step * step * curvature if curvature < 0.0 else 0.0

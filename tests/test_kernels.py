@@ -262,6 +262,33 @@ def test_warm_eigenpairs_rows_are_the_scalar_kernel(seed, n, kinds):
     _assert_rows_are_their_own_calls(*_chain_rows(rng, kinds, n))
 
 
+@given(seed=st.integers(0, 2 ** 31 - 1), n=st.integers(2, 40),
+       kinds=st.lists(st.sampled_from(["near", "random", "exact", "nan"]),
+                      min_size=1, max_size=2 * kernels.LOCKSTEP_MIN_CHAINS),
+       shifted=st.lists(st.booleans(), min_size=2 * kernels.LOCKSTEP_MIN_CHAINS,
+                        max_size=2 * kernels.LOCKSTEP_MIN_CHAINS))
+@settings(max_examples=80, deadline=None)
+def test_offset_rows_are_the_scalar_kernel_with_their_offset(seed, n, kinds, shifted):
+    # below and from LOCKSTEP_MIN_CHAINS rows, each row is warm_eigenpair
+    # with its own offset of the first shift bit for bit; a row whose offset
+    # is 0.0 is the call without one, since no 0.0 is added to its quotient
+    rng = np.random.RandomState(seed)
+    D, E, starts, bounds = _chain_rows(rng, kinds, n)
+    offsets = np.where(shifted[:len(kinds)], -10.0 ** rng.uniform(-12, 0, len(kinds)), 0.0)
+    energies, vectors, residuals, converged = kernels.warm_eigenpairs(
+        D, E, starts, bounds, offsets)
+    plain = kernels.warm_eigenpairs(D, E, starts, bounds)
+    for k in range(len(kinds)):
+        pair = kernels.warm_eigenpair(D[k], E[k], starts[k], bounds[k], offsets[k])
+        assert converged[k] == (pair is not None)
+        if pair is not None:
+            assert (energies[k], residuals[k]) == pair[0::2]
+            assert np.array_equal(vectors[k], pair[1])
+        if offsets[k] == 0.0:
+            for got, want in zip((energies, vectors, residuals), plain):
+                assert np.array_equal(got[k], want[k], equal_nan=True)
+
+
 def test_zero_coupled_concatenation_is_the_per_block_calls():
     # a zero coupling between blocks keeps each block's arithmetic that of its
     # own call, row interchanges included

@@ -312,7 +312,7 @@ def test_warm_solves_rows_are_their_one_chain_calls(wannier, monkeypatch, K, pla
     E = np.array([q.offdiagonal for q in problems])
     bounds = np.array([q.norm_bound for q in problems])
     monkeypatch.setattr(kernels.lapack, "dgtsv", counting)
-    rows = ca.model.warm_solves(D, E, bounds, starts)
+    rows = ca.model.warm_solves(D, E, bounds, starts, np.zeros(K))
     assert len(rows) == K
     assert sizes[0] == (K * L if K >= MIN_CHAINS else L)
     for k, (q, start, row) in enumerate(zip(problems, starts, rows)):

@@ -1,8 +1,11 @@
 import collections
+import csv
 import dataclasses
+import io
 import json
 import multiprocessing
 import os
+import pathlib
 import types
 
 import numpy as np
@@ -10,11 +13,13 @@ import pytest
 import scipy.linalg
 
 import cavityaa as ca
-from reference import (photon_number_site_loop, read_csv, thouless_ldlt_gamma,
-                       thouless_spectrum_gamma, warm_start)
+from cavityaa.config import load_config, sweep_spec
+from reference import (first_shift, photon_number_site_loop, read_csv,
+                       thouless_ldlt_gamma, thouless_spectrum_gamma, warm_start)
 
 L = 233
 SHIFT_RTOL = ca.observables.THOULESS_SHIFT_RTOL
+CONFIGS = sorted((pathlib.Path(__file__).parent.parent / "configs").glob("*.json"))
 
 
 def _gamma_tol(n_sites):
@@ -201,7 +206,8 @@ def test_sweep_deterministic_and_worker_independent(lattice_spec):
 def test_one_unit_profile_per_column(wannier, lattice_spec, monkeypatch):
     # v0 only scales the profile: one onsite_cavity call per (W0, C, delta'),
     # and every record equals the direct pipeline bit for bit, replayed
-    # column by column with each solve started from the previous state
+    # column by column with each solve started from the previous state and
+    # its first shift predicted from the previous two points
     calls = []
     original = ca.sweep.onsite_cavity
 
@@ -216,15 +222,18 @@ def test_one_unit_profile_per_column(wannier, lattice_spec, monkeypatch):
     records = ca.run_sweep(spec).records
     assert calls == [(-15.0, C, -0.3, 1.0) for C in (-2.0, -0.5, 1.5)]
     monkeypatch.undo()
-    for j in range(3):
-        previous = None
+    for j, C in enumerate((-2.0, -0.5, 1.5)):
+        unit = ca.onsite_cavity(wannier, ca.EffectivePotential(1.0, C, -0.3), L).values
+        previous, history = None, []
         for rec in records[j::3]:
             pot = ca.EffectivePotential(rec.v0, rec.C, -0.3)
             problem = ca.HubbardProblem(t=wannier.t, onsite=ca.onsite_cavity(wannier, pot, L))
-            gs = ca.ground_state(problem, start=warm_start(problem, previous))
+            gs = ca.ground_state(problem, start=warm_start(
+                problem, previous, first_shift(history, rec.v0)))
             assert rec.E0 == gs.energy
             assert rec.ipr == ca.ipr(gs)
             previous = gs.amplitudes
+            history.append((rec.v0, float(gs.density @ unit)))
 
 
 def _chain(wb, n_sites, rec, beta):
@@ -260,10 +269,13 @@ def test_sweep_gamma_is_the_full_spectrum_sum(wannier, lattice_spec, mode, n_sit
         if mode == "aa":
             lat = dataclasses.replace(lattice_spec, depth_W0=other)
         wb = ca.build_wannier(ca.solve_lowest_band(lat), lat)
-        previous = None
+        unit = _chain(wb, n_sites, dataclasses.replace(result.records[j], v0=1.0),
+                      lat.beta).onsite.values
+        previous, history = None, []
         for rec in result.records[j::2]:
             problem = _chain(wb, n_sites, rec, lat.beta)
-            gs = ca.ground_state(problem, start=warm_start(problem, previous))
+            gs = ca.ground_state(problem, start=warm_start(
+                problem, previous, first_shift(history, rec.v0)))
             solvers.add(gs.method)
             assert rec.flags == ""
             assert rec.E0 == gs.energy
@@ -273,6 +285,7 @@ def test_sweep_gamma_is_the_full_spectrum_sum(wannier, lattice_spec, mode, n_sit
             oracle = thouless_spectrum_gamma(problem.onsite.values, wb.t, SHIFT_RTOL)
             assert abs(rec.gamma - oracle) <= _gamma_tol(n_sites)
             previous = gs.amplitudes
+            history.append((rec.v0, float(gs.density @ unit)))
     assert solvers == {ca.kernels.WARM_METHOD, ca.kernels.COLD_METHOD}
 
 
@@ -539,6 +552,7 @@ def test_solver_counts_show_a_planted_certificate_failure(lattice_spec,
     spec = _spec(lattice_spec, axis2=ca.Axis("C", np.array([-2.0])))
     clean = ca.run_sweep(spec)
     assert clean.metadata["methods"]["eigensolver"] == "column_warm_start"
+    assert clean.metadata["methods"]["warm_first_shift"] == "hellmann_feynman_second_order"
     assert [rec.solver for rec in clean.records[:3]] == ["cold", "warm", "warm"]
     calls = []
     ldlt = ca.kernels._ldlt
@@ -1246,6 +1260,84 @@ def test_csv_round_trip_bit_exact(tmp_path, wannier, lattice_spec):
     sidecar = json.loads((tmp_path / "test_v0xC.meta.json").read_text())
     assert sidecar["metadata"]["sweep_name"] == "test"
     assert sidecar["metadata"]["constants"]["t"] == wannier.t
+
+
+def _writer_body(result):
+    """The CSV body as csv.writer writes each row's ``_record_cells``."""
+    cols = ca.sweep._columns(result)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(cols)
+    writer.writerows(ca.sweep._record_cells(rec, cols) for rec in result.records)
+    return buf.getvalue()
+
+
+def test_csv_rows_are_the_csv_writer_rows_with_empty_cells(lattice_spec, monkeypatch):
+    # the U0 = -1 column fails its set-up (no gamma, no nbar, NaN E0) and the
+    # U0 = 0.5 column its photon series (a gamma but no nbar): rows with an
+    # empty cell and rows without one are csv.writer's bytes
+    profile, series = ca.sweep.onsite_cavity, ca.sweep.photon_series
+
+    def planted_profile(wb, pot, n_sites):
+        if pot.C == -1.0:
+            raise ValueError("planted set-up failure")
+        return profile(wb, pot, n_sites)
+
+    def planted_series(wb, kind, dcp, coop, n_sites):
+        if coop == 0.5:
+            raise ValueError("planted series failure")
+        return series(wb, kind, dcp, coop, n_sites)
+
+    monkeypatch.setattr(ca.sweep, "onsite_cavity", planted_profile)
+    monkeypatch.setattr(ca.sweep, "photon_series", planted_series)
+    result = ca.run_sweep(_photon_spec(lattice_spec, "cavity_pumped"))
+    gammas = [rec.gamma is None for rec in result.records]
+    nbars = [rec.nbar is None for rec in result.records]
+    assert gammas == [False, True, False] * 8
+    assert nbars == [False, True, True] * 8
+    assert ca.sweep.csv_body(result) == _writer_body(result)
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+def test_shipped_csv_rows_are_the_csv_writer_rows(path):
+    result = ca.run_sweep(sweep_spec(load_config(path)))
+    assert ca.sweep.csv_body(result) == _writer_body(result)
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+def test_first_shifts_of_the_shipped_configs_lie_below_the_quotient(path, monkeypatch):
+    # each warm solve's first shift sits at or below its start's Rayleigh
+    # quotient; only a column's second point, with one point of history, is
+    # not shifted, so the slopes' curvature is negative at every other one,
+    # as the concave E0(v0) has it
+    offsets = []
+    warm_solves = ca.model.warm_solves
+
+    def spy(D, E, norm_bounds, starts, shifts):
+        offsets.extend(shifts.tolist())
+        return warm_solves(D, E, norm_bounds, starts, shifts)
+
+    monkeypatch.setattr(ca.model, "warm_solves", spy)
+    spec = sweep_spec(load_config(path))
+    result = ca.run_sweep(spec)
+    counts = result.metadata["solver_counts"]
+    assert result.n_failed == 0
+    assert len(offsets) == counts["warm"] + counts["select_fallback"]
+    assert max(offsets) <= 0.0
+    assert offsets.count(0.0) == len(ca.sweep._solve_columns(spec))
+
+
+def test_repeated_strength_solves_alike_at_any_worker_count(lattice_spec):
+    # two equal strengths in a column's history leave its next first shift
+    # at the start's quotient, not a division by zero
+    spec = _spec(lattice_spec, axis1=ca.Axis("v0", [0.01, 0.02, 0.02, 0.04, 0.04, 0.04, 0.1]),
+                 observables=("ipr", "gamma", "vc"))
+    bodies = []
+    for workers in (1, 2):
+        result = ca.run_sweep(spec, workers=workers)
+        assert result.n_failed == 0
+        bodies.append(ca.sweep.csv_body(result))
+    assert bodies[0] == bodies[1]
 
 
 def test_csv_header_only_for_empty_grid(tmp_path, lattice_spec):

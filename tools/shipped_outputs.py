@@ -52,7 +52,7 @@ def _runs():
 def main(out_dir: str) -> None:
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     for name, (command, config, *flags) in _runs():
-        run_dir = pathlib.Path(out_dir, name)
+        run_dir = pathlib.Path(out_dir, name).resolve()  # the run's cwd and --config
         run_dir.mkdir(parents=True, exist_ok=True)
         if isinstance(config, dict):  # a workload's, written where it runs
             path = run_dir / "config.json"
