@@ -87,7 +87,9 @@ _NULLABLE = {"axis2": _AXIS_DEFAULTS, "values": [0.0]}
 def _merge(defaults, given, path):
     if not isinstance(given, dict):
         raise ConfigError(f"{path or 'config'}: expected an object")
-    merged = copy.deepcopy(defaults)
+    # in the defaults' key order; only the defaults left out are copied
+    merged = {key: None if key in given else copy.deepcopy(default)
+              for key, default in defaults.items()}
     for key, value in given.items():
         dotted = f"{path}.{key}" if path else key
         if key not in defaults:

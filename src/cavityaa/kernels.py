@@ -13,21 +13,24 @@ ground energy), since the iteration converges to the eigenvalue nearest
 that shift; a zero offset leaves the quotient as it is.  A clean block step,
 where no row met a zero pivot or a non-finite norm, updates every row with
 one expression.  Every eigenpair, warm or cold, is accepted only with the
-residual bound and the lower-bound certificate (``certified_margins``); a
-warm result that fails them sends the chain to the bisection pair.  A chain
-point that fails both paths has no ground state (``model.GroundStateError``);
-there is no dense diagonalization.
+residual bound and the lower-bound certificate (``certified_margins``).
+The warm solve of K chains (``warm_eigenpairs``) returns every pair with
+its certificate margin, and NaN is its one failure value: a NaN margin
+means that a check failed or that the iteration gave up, and it sends the
+chain to the bisection pair.  A chain point that fails both paths has no
+ground state (``model.GroundStateError``); there is no dense
+diagonalization.
 
-The warm solve and the checks take K chains of one length at once
-(``warm_eigenpairs``, ``certified_margins``), as do the sweep's gamma_T
-factorizations: the plane-wave band solve for its quasimomenta q > 0, a
-sweep step for all its columns, a lone ground state as K = 1.  One rule,
-K >= LOCKSTEP_MIN_CHAINS, chooses the path.  Below it the chains go one at a
-time (``warm_eigenpair``, one ``dpttrf`` each in ``_ldlt``); from it each
-LAPACK call works on the block-diagonal concatenation of the chains, whose
-zero couplings keep every block's arithmetic exactly that of its own call.
-So the two paths give the same rows bit for bit.  ``dstein`` runs only for
-the cold or fallback chain solves.
+The warm solve and the checks take K chains of one length at once, as do
+the sweep's gamma_T factorizations: the plane-wave band solve for its
+quasimomenta q > 0, a sweep step for all its columns, a lone ground state
+as K = 1.  One rule, K >= LOCKSTEP_MIN_CHAINS, chooses the path.  Below it
+the chains go one at a time (``warm_eigenpair``, one ``dpttrf`` each in
+``_ldlt``); from it each LAPACK call works on the block-diagonal
+concatenation of the chains, whose zero couplings keep every block's
+arithmetic exactly that of its own call.  So the two paths give the same
+rows bit for bit.  ``dstein`` runs only for the cold or fallback chain
+solves.
 
 The onsite profile and the photon number both average an even, pi-periodic
 function g(beta z) over the Wannier density at every site.  ``site_average``
@@ -136,8 +139,11 @@ def warm_eigenpair(d: np.ndarray, e: np.ndarray, start: np.ndarray,
     So an exact eigenvector x at its exact eigenvalue comes back, not None.
     The eigenvalue found is the one nearest the start, not necessarily the
     lowest: the caller certifies it.  d and e must be contiguous float64
-    arrays of lengths n >= 2 and n - 1, start of length n.
+    arrays of lengths n >= 2 and n - 1, start of length n.  The start is
+    read as a contiguous float64 array, so a strided view gives the same
+    pair as its copy: a strided dot product rounds differently.
     """
+    start = np.ascontiguousarray(start, dtype=np.float64)
     x = start / math.sqrt(start @ start)
     lam = float(x @ (d * x) + 2.0 * (e @ (x[:-1] * x[1:])))
     if offset:
@@ -211,7 +217,7 @@ def _rqi_solves(D, E, joined, lam, X):
 
 def warm_eigenpairs(D: np.ndarray, E: np.ndarray, starts, norm_bounds: np.ndarray,
                     offsets: np.ndarray | None = None):
-    """``warm_eigenpair`` for K independent chains of one length.
+    """``warm_eigenpair`` for K independent chains of one length, certified.
 
     D (K, n) and E (K, n - 1) hold the chains row by row, starts their K
     start vectors (an array or a list), norm_bounds (K,) their bounds on
@@ -220,31 +226,42 @@ def warm_eigenpairs(D: np.ndarray, E: np.ndarray, starts, norm_bounds: np.ndarra
     take ``warm_eigenpair`` one at a time.  More run in lockstep: each step
     solves every row still iterating with one ``dgtsv`` (``_rqi_solves``),
     whose off-diagonal is joined once per set of rows still iterating.
-    Returns ``(energies, vectors, residuals, converged)``: where
-    converged[k] is True, row k is bit-identical to ``warm_eigenpair(D[k],
-    E[k], starts[k], norm_bounds[k], offsets[k])`` either way; where it is
-    False, that call returns None and the row holds NaN.  n must be at
-    least 2.
+    Returns ``(energies, vectors, residuals, margins)``: row k is
+    bit-identical to ``warm_eigenpair(D[k], E[k], starts[k], norm_bounds[k],
+    offsets[k])`` either way, or all NaN where that call returns None, and
+    margins[k] is ``certified_margins`` of that row alone.  So a NaN margin
+    means that the iteration gave up or that the pair failed a check.  n
+    must be at least 2.
     """
     K, n = D.shape
-    energies, residuals = np.full(K, np.nan), np.full(K, np.nan)
-    vectors = np.full((K, n), np.nan)
-    converged = np.zeros(K, dtype=bool)
+    norm_bounds = np.asarray(norm_bounds, dtype=np.float64)
     offsets = np.zeros(K) if offsets is None else np.asarray(offsets, dtype=np.float64)
     if K < LOCKSTEP_MIN_CHAINS:
-        for k, (bound, offset) in enumerate(zip(np.asarray(norm_bounds).tolist(),
-                                                offsets.tolist())):
+        energies, residuals = np.full(K, np.nan), np.full(K, np.nan)
+        vectors = np.full((K, n), np.nan)
+        for k, (bound, offset) in enumerate(zip(norm_bounds.tolist(), offsets.tolist())):
             pair = warm_eigenpair(D[k], E[k], starts[k], bound, offset)
             if pair is not None:
                 energies[k], vectors[k], residuals[k], _ = pair
-                converged[k] = True
-        return energies, vectors, residuals, converged
+    else:
+        energies, vectors = _lockstep_pairs(D, E, starts, norm_bounds, offsets)
+        # a row that gave up holds NaN, and so do its residual and margin
+        residuals = _tridiag_residuals(D, E, energies, vectors)
+    return (energies, vectors, residuals,
+            certified_margins(D, E, energies, residuals, norm_bounds))
+
+
+def _lockstep_pairs(D, E, starts, bounds, offsets):
+    """The energies and vectors of ``warm_eigenpairs``' block path, NaN in
+    the rows that give up."""
+    K, n = D.shape
+    energies, vectors = np.full(K, np.nan), np.full((K, n), np.nan)
     X = np.array(starts)
     X /= np.sqrt(np.vecdot(X, X))[:, None]
     lam = np.vecdot(X, D * X) + 2.0 * np.vecdot(E, X[:, :-1] * X[:, 1:])
     lam = np.where(offsets != 0.0, lam + offsets, lam)
     # the rows still iterating, with their chains, bounds, lam and x
-    rows, bounds, d, e = np.arange(K), np.asarray(norm_bounds, dtype=np.float64), D, E
+    rows, d, e = np.arange(K), D, E
     joined = _joined(e)
     for _ in range(WARM_MAX_STEPS):
         Y, norms, clean = _rqi_solves(d, e, joined, lam, X)
@@ -262,19 +279,13 @@ def warm_eigenpairs(D: np.ndarray, E: np.ndarray, starts, norm_bounds: np.ndarra
         if done.any():
             finished = rows[done]
             energies[finished], vectors[finished] = lam[done], Y[done]
-            converged[finished] = True
             if done.all():
                 break
             going = ~done
             rows, bounds, d, e, lam, Y = (a[going] for a in (rows, bounds, d, e, lam, Y))
             joined = _joined(e)
         X = Y
-    if converged.all():
-        residuals = _tridiag_residuals(D, E, energies, vectors)
-    else:
-        residuals[converged] = _tridiag_residuals(
-            D[converged], E[converged], energies[converged], vectors[converged])
-    return energies, vectors, residuals, converged
+    return energies, vectors
 
 
 def _min_pivot(pivots: np.ndarray):

@@ -3,11 +3,12 @@
 The confining potential is W0 cos^2(k0 x).  Everything here works in recoil
 units: energies in E_r = hbar^2 k0^2 / (2m), lengths in 1/k0, so the lattice
 constant is a = pi and the kinetic operator is -d^2/dx^2.  The lowest band is
-solved in a plane-wave basis, all q > 0 at once and mirrored to -q; the real
-lowest-band Wannier orbital is built by phase fixing and summed by a real
-FFT; and the tight-binding constants (the band's hopping t and the
-orbital's smearing constants A, B, alpha of the incommensurate harmonic)
-are stored on the basis object for the downstream chain model.
+solved in a plane-wave basis, all q > 0 at once, each q certified as a chain
+ground state is, and mirrored to -q; the real lowest-band Wannier orbital is
+built by phase fixing and summed by a real FFT; and the tight-binding
+constants (the band's hopping t and the orbital's smearing constants A, B,
+alpha of the incommensurate harmonic) are stored on the basis object for the
+downstream chain model.
 
 Site centers sit at the potential minima.  For W0 < 0 the minima of
 W0 cos^2(k0 x) are at x = 0 mod a; for W0 > 0 they are shifted by a/2.  The
@@ -162,13 +163,14 @@ def solve_lowest_band(spec: LatticeSpec) -> BlochBand:
     eigenpair of M_{-q} with the same residual and certificate.  The q > 0
     matrices go through Rayleigh-quotient iteration together
     (``kernels.warm_eigenpairs``), each from the harmonic-oscillator guess
-    c_l ~ exp(-(q + 2l)^2 / (2 max(sqrt|W0|, 1))).  A q is accepted with the
-    checks of a chain ground state (``kernels.certified_margins``): residual
-    at most ``RESIDUAL_RTOL`` ||M_q|| (Gershgorin bound) and a
-    positive-definite LDL^T factorization of M_q - (E_q - tol) I, tol =
-    residual + ``CERTIFICATE_RTOL`` ||M_q||, which proves E_q the lowest
-    eigenvalue.  A q that fails either check is solved alone by
-    ``kernels.lowest_eigenpair``; its LAPACK failure raises BandSolveError.
+    c_l ~ exp(-(q + 2l)^2 / (2 max(sqrt|W0|, 1))), and come out with the
+    certificate margins of a chain ground state: residual at most
+    ``RESIDUAL_RTOL`` ||M_q|| (Gershgorin bound) and a positive-definite
+    LDL^T factorization of M_q - (E_q - tol) I, tol = residual +
+    ``CERTIFICATE_RTOL`` ||M_q||, which proves E_q the lowest eigenvalue.  A
+    q whose margin is NaN, because it failed either check or its iteration
+    gave up, is solved alone by ``kernels.lowest_eigenpair``; its LAPACK
+    failure raises BandSolveError.
     """
     m_cut = spec.planewave_cutoff_M
     ls = np.arange(-m_cut, m_cut + 1)
@@ -182,9 +184,8 @@ def solve_lowest_band(spec: LatticeSpec) -> BlochBand:
     radius[[0, -1]] = hop
     norms = np.max(np.abs(diags) + radius, axis=1)
     starts = np.exp(-(kvec ** 2) / (2.0 * max(np.sqrt(abs(spec.depth_W0)), 1.0)))
-    energies, vecs, res, _ = kernels.warm_eigenpairs(diags, offdiags, starts, norms)
-    ok = kernels.certified_margins(diags, offdiags, energies, res, norms) > 0.0
-    fallbacks = np.flatnonzero(~ok)
+    energies, vecs, _, margins = kernels.warm_eigenpairs(diags, offdiags, starts, norms)
+    fallbacks = np.flatnonzero(~(margins > 0.0))
     for j in fallbacks:
         try:
             energies[j], vecs[j], *_ = kernels.lowest_eigenpair(diags[j], offdiags[j])

@@ -9,6 +9,10 @@ x_n = n a.  The uniform arctan(-delta') offset is kept in the profile: a
 constant shift moves only the ground energy, never the wavefunction or its
 IPR, and a test asserts that invariance explicitly.  The long-chain
 Lyapunov exponent that ``ground-state`` reports moves by about 1e-4.
+
+A chain's ground state (``ground_state``) is certified on either path: a
+warm start is the chain's row of ``kernels.warm_eigenpairs``, which carries
+its certificate margin, and the cold solve takes the same checks.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -200,58 +204,28 @@ def _offdiagonal(L: int, t: float) -> np.ndarray:
     return offdiag
 
 
-class WarmSolve(NamedTuple):
-    """A chain's row of ``warm_solves``: its Rayleigh-quotient pair and the
-    pair's ``kernels.certified_margins`` margin, NaN when the pair failed a
-    check (all NaN when the iteration gave up)."""
-
-    energy: float
-    vector: np.ndarray
-    residual: float
-    margin: float
-
-
-def warm_solves(D: np.ndarray, E: np.ndarray, norm_bounds: np.ndarray,
-                starts: list, offsets: np.ndarray) -> list:
-    """The warm-started solves of K chains of one length, row k from starts[k].
-
-    D (K, L), E (K, L - 1) and norm_bounds (K,) hold the chains' diagonals,
-    off-diagonals and ``norm_bound`` row by row, starts their K start
-    vectors, and offsets (K,) the offsets of their first shifts from the
-    starts' Rayleigh quotients (``kernels.warm_eigenpair``).  The chains run Rayleigh-quotient
-    iteration together (``kernels.warm_eigenpairs``), and their pairs take the residual bound
-    and the certificate together (``kernels.certified_margins``), in block
-    calls or one at a time as ``kernels`` chooses.  Row k is chain k's own
-    one-chain call, bit for bit; passed to ``ground_state`` as ``start``,
-    it is used as it is.
-    """
-    energies, vectors, residuals, _ = kernels.warm_eigenpairs(D, E, starts, norm_bounds,
-                                                              offsets)
-    margins = kernels.certified_margins(D, E, energies, residuals, norm_bounds)
-    return list(map(WarmSolve, energies.tolist(), vectors, residuals.tolist(),
-                    margins.tolist()))
-
-
-def ground_state(problem: HubbardProblem, start: WarmSolve | None = None) -> GroundState:
+def ground_state(problem: HubbardProblem, start: tuple | None = None) -> GroundState:
     """Lowest eigenpair of the chain, sign-fixed, residual-checked and certified.
 
     The chain Hamiltonian is tridiagonal: onsite energies on the diagonal,
     -t on the off-diagonals, hard walls at both ends.
 
-    ``start``, when given, is this chain's row of a ``warm_solves`` call:
-    Rayleigh-quotient iteration from a vector such as the ground state of a
-    nearby chain.  A row that passed both checks is the result.  Without a
-    start, or when the row failed a check, the solve uses LAPACK bisection
-    + inverse iteration.  A result is accepted when its residual is at most
-    RESIDUAL_RTOL ||H||, which puts an eigenvalue within the residual of E0,
-    and the certificate proves that no eigenvalue lies below E0 - tol, tol =
-    residual + CERTIFICATE_RTOL ||H||; together they make E0 the lowest
-    eigenvalue to within tol (``kernels.certified_margins``, for one chain).
-    ||H|| is ``problem.norm_bound``.  When no path passes both checks,
+    ``start``, when given, is this chain's row ``(energy, vector, residual,
+    margin)`` of a ``kernels.warm_eigenpairs`` call: Rayleigh-quotient
+    iteration from a vector such as the ground state of a nearby chain,
+    with its certificate margin.  A row whose margin is positive passed both
+    checks and is the result.  Without a start, or when the row's margin is
+    NaN, the solve uses LAPACK bisection + inverse iteration.  A result is
+    accepted when its residual is at most RESIDUAL_RTOL ||H||, which puts an
+    eigenvalue within the residual of E0, and the certificate proves that no
+    eigenvalue lies below E0 - tol, tol = residual + CERTIFICATE_RTOL ||H||;
+    together they make E0 the lowest eigenvalue to within tol
+    (``kernels.certified_margins``, for one chain).  ||H|| is
+    ``problem.norm_bound``.  When no path passes both checks,
     GroundStateError is raised.  The vector's largest entry is made
     positive, and the method actually used is recorded on the result.
     """
-    if start is not None and start.margin > 0.0:
+    if start is not None and start[3] > 0.0:  # the row's margin
         energy, psi, res, margin = start
         method = kernels.WARM_METHOD
     else:

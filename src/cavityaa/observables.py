@@ -71,7 +71,7 @@ def _log_pivot_sum(pivots: np.ndarray):
 
 
 def thouless_gammas(D: np.ndarray, E: np.ndarray, norm_bounds: np.ndarray,
-                    energies) -> list:
+                    energies) -> list[float]:
     """Lyapunov exponents of K chains of one length at their ground energies.
 
     gamma(E) = (1 / (L - 1)) sum_{j >= 1} ln|E - E_j| - ln|t| over a
@@ -83,14 +83,12 @@ def thouless_gammas(D: np.ndarray, E: np.ndarray, norm_bounds: np.ndarray,
     and off-diagonals -t, norm_bounds their ``norm_bound`` ||H||, and
     energies their certified E0.  The factorizations take block calls or go
     one at a time as ``kernels._ldlt`` chooses.  Entry k is chain k's
-    gamma_T, or a ``numpy.linalg.LinAlgError`` where a pivot is NaN or not
-    positive, i.e. where an eigenvalue lies below E0 - delta.
+    gamma_T, or NaN where a pivot is NaN or not positive, i.e. where an
+    eigenvalue lies below E0 - delta.
     """
     deltas = THOULESS_SHIFT_RTOL * norm_bounds
     sums = kernels._ldlt(D, E, np.asarray(energies) - deltas, _log_pivot_sum)
-    return [np.linalg.LinAlgError("dpttrf: a pivot of H - (E0 - delta) I is not positive")
-            if math.isnan(s) else
-            float((s - math.log(delta)) / (D.shape[1] - 1) - math.log(abs(hop)))
+    return [(s - math.log(delta)) / (D.shape[1] - 1) - math.log(abs(hop))
             for s, delta, hop in zip(sums.tolist(), deltas.tolist(), E[:, 0].tolist())]
 
 

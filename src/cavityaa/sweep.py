@@ -42,7 +42,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from . import kernels, model
+from . import kernels
 from ._version import __version__
 from .lattice import (BAND_SOLVE_METHOD, WANNIER_SUM_METHOD, LatticeSpec, WannierBasis,
                       build_wannier, solve_lowest_band)
@@ -500,11 +500,12 @@ def _solve_step(spec: SweepSpec, bases: dict, share: list, step: int) -> None:
     Each column starts its point (``_Column.begin``).  The chains of the
     points that reach one are stacked once: diagonals, off-diagonals and
     norm bounds.  The points that start from their column's ground state
-    take their rows of one ``model.warm_solves`` call, and every point one
-    ``ground_state`` call, cold at a column start.  The solved points take
-    one ``ipr`` and one ``thouless_gammas`` call on their rows of the stack,
-    and the photon number point by point.  A point that raises, or whose
-    gamma_T fails, fails alone; its column's next point starts cold.
+    take their certified rows of one ``kernels.warm_eigenpairs`` call, and
+    every point one ``ground_state`` call, cold at a column start.  The
+    solved points take one ``ipr`` and one ``thouless_gammas`` call on their
+    rows of the stack, and the photon number point by point.  A point that
+    raises, or whose gamma_T is NaN (``solve_failed:LinAlgError``), fails
+    alone; its column's next point starts cold.
     """
     points = [column for column in share if column.begin(spec, bases, step)]
     if points:
@@ -513,11 +514,13 @@ def _solve_step(spec: SweepSpec, bases: dict, share: list, step: int) -> None:
                   np.array([p.problem.norm_bound for p in points]))
         warm = [k for k, p in enumerate(points) if p.start is not None]
         if warm:
-            solves = model.warm_solves(*_rows(chains, warm, len(points)),
-                                       [points[k].start for k in warm],
-                                       np.array([points[k].first_shift() for k in warm]))
-            for k, solve in zip(warm, solves):
-                points[k].start = solve
+            D, E, bounds = _rows(chains, warm, len(points))
+            energies, vectors, residuals, margins = kernels.warm_eigenpairs(
+                D, E, [points[k].start for k in warm], bounds,
+                np.array([points[k].first_shift() for k in warm]))
+            rows = zip(energies.tolist(), vectors, residuals.tolist(), margins.tolist())
+            for k, row in zip(warm, rows):
+                points[k].start = row
         for p in points:
             try:
                 p.gs = ground_state(p.problem, start=p.start)
@@ -532,8 +535,8 @@ def _solve_step(spec: SweepSpec, bases: dict, share: list, step: int) -> None:
                                   [p.gs.energy for p in solved]))
         for p, p_x, gamma in zip(solved, iprs, gammas):
             p.ipr = p_x
-            if isinstance(gamma, Exception):
-                p.flag = _failure(gamma)
+            if gamma is not None and math.isnan(gamma):  # a pivot that is not positive
+                p.flag = _failure(np.linalg.LinAlgError())
                 continue
             p.gamma = gamma
             if p.series_failed:

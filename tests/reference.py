@@ -12,8 +12,8 @@ import math
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal, lapack
 
+from cavityaa import kernels
 from cavityaa.lattice import GOLDEN_BETA, LATTICE_CONSTANT
-from cavityaa.model import warm_solves
 
 
 def lowest_band_eigh(spec) -> tuple[np.ndarray, np.ndarray]:
@@ -217,13 +217,15 @@ def read_csv(path) -> tuple[list, list]:
 
 def warm_start(problem, vector, offset=0.0):
     """The ``ground_state`` start of one chain from a start vector, its first
-    shift offset from the vector's Rayleigh quotient: its row of a one-chain
-    ``model.warm_solves`` call; None (a cold start) for None."""
+    shift offset from the vector's Rayleigh quotient: its row (energy,
+    vector, residual, margin) of a one-chain ``kernels.warm_eigenpairs``
+    call; None (a cold start) for None."""
     if vector is None:
         return None
-    row, = warm_solves(problem.onsite.values[None], problem.offdiagonal[None],
-                       np.array([problem.norm_bound]), [vector], np.array([offset]))
-    return row
+    (energy,), (psi,), (residual,), (margin,) = kernels.warm_eigenpairs(
+        problem.onsite.values[None], problem.offdiagonal[None], [vector],
+        np.array([problem.norm_bound]), np.array([offset]))
+    return float(energy), psi, float(residual), float(margin)
 
 
 def first_shift(history, v0):

@@ -13,7 +13,7 @@ import pytest
 import cavityaa as ca
 from cavityaa import cli, sweep
 from cavityaa.cli import main
-from cavityaa.config import DEFAULTS, load_config, sweep_spec
+from cavityaa.config import DEFAULTS, effective_config, load_config, sweep_spec
 from reference import read_csv
 from test_sweep import inline_fork
 
@@ -140,6 +140,25 @@ def test_config_defaults_match_the_spec_fields():
         return {f.name for f in dataclasses.fields(cls)}
     assert set(DEFAULTS["lattice"]) == names(ca.LatticeSpec)
     assert set(DEFAULTS["pump"]) == names(ca.PumpConfig) | {"enabled"}
+
+
+def test_merged_config_shares_nothing_with_the_defaults():
+    # a merge copies only the defaults the document leaves out, in the
+    # defaults' key order; mutating what it returns, nested axis dicts and
+    # the observables list included, leaves DEFAULTS as it was
+    before = json.dumps(DEFAULTS)
+    assert effective_config({}) == DEFAULTS
+    for doc in ({}, {"sweep": {"axis1": {"num": 30}, "observables": ["ipr", "vc"]},
+                     "lattice": {"depth_W0": -12.0}}):
+        merged = effective_config(doc)
+        assert list(merged) == list(DEFAULTS)
+        assert list(merged["sweep"]["axis1"]) == list(DEFAULTS["sweep"]["axis1"])
+        merged["sweep"]["axis1"]["start"] = 99.0
+        merged["sweep"]["observables"].append("gamma")
+        merged["sweep"]["fixed"]["C"] = -2.0
+        merged["lattice"]["beta"] = 0.5
+        merged["output"]["wannier_csv"] = True
+        assert json.dumps(DEFAULTS) == before
 
 
 def test_fit_section_of_an_old_sidecar_exit_code(capsys, tmp_path):

@@ -210,15 +210,19 @@ def test_deterministic_repeat():
 def _chain_rows(rng, kinds, n):
     """Chains, starts and norm bounds, one row per kind: "near" starts close
     to the ground state (at a random distance, so rows converge at different
-    steps), "random" anywhere, "exact" lands on an eigenvalue of a diagonal
-    chain (a zero pivot at an exact eigenvector: the scalar kernel returns
-    it), "nan" holds a NaN."""
+    steps), "strided" likewise but as a column of a C-ordered (n, 8) array,
+    a strided view, "random" anywhere, "exact" lands on an eigenvalue of a
+    diagonal chain (a zero pivot at an exact eigenvector: the scalar kernel
+    returns it), "nan" holds a NaN.  The starts are a list, so a strided
+    start reaches its one-chain call as the view it is."""
     D, E, starts = np.empty((len(kinds), n)), np.empty((len(kinds), n - 1)), []
     for k, kind in enumerate(kinds):
         D[k], E[k] = _random_chain(rng, n)
-        if kind == "near":
+        if kind in ("near", "strided"):
             w, v = np.linalg.eigh(np.diag(D[k]) + np.diag(E[k], 1) + np.diag(E[k], -1))
-            starts.append(v[:, 0] + 10.0 ** rng.uniform(-8, -1) * rng.standard_normal(n))
+            start = v[:, 0] + 10.0 ** rng.uniform(-8, -1) * rng.standard_normal(n)
+            starts.append(start if kind == "near" else
+                          np.repeat(start[:, None], 8, axis=1)[:, 3])
         elif kind == "exact":
             E[k] = 0.0
             starts.append(np.eye(n)[rng.randint(n)])
@@ -227,65 +231,91 @@ def _chain_rows(rng, kinds, n):
             if kind == "nan":
                 D[k, rng.randint(n)] = np.nan
     bounds = np.array([gershgorin_norm_bound(d, e) for d, e in zip(D, E)])
-    return D, E, np.array(starts), bounds
+    return D, E, starts, bounds
 
 
 def _assert_rows_are_their_own_calls(D, E, starts, bounds):
     """Every row of warm_eigenpairs is bit-identical to the row's own
-    one-chain call, or gives up where that does, and a converged row is an
-    eigenpair of its chain to within its residual (eigh_tridiagonal)."""
-    energies, vectors, residuals, converged = kernels.warm_eigenpairs(D, E, starts, bounds)
+    one-chain call, or gives up where that does; its margin is
+    certified_margins of that row alone, NaN where it gave up; and a
+    finite row is an eigenpair of its chain to within its residual
+    (eigh_tridiagonal).  Returns which rows are finite."""
+    rows = kernels.warm_eigenpairs(D, E, starts, bounds)
+    energies, vectors, residuals, margins = rows
     for k in range(D.shape[0]):
         one = kernels.warm_eigenpairs(D[k:k + 1], E[k:k + 1], starts[k:k + 1], bounds[k:k + 1])
-        assert converged[k] == one[3][0]
-        assert np.array_equal(energies[k], one[0][0], equal_nan=True)
-        assert np.array_equal(residuals[k], one[2][0], equal_nan=True)
-        assert np.array_equal(vectors[k], one[1][0], equal_nan=True)
-        if converged[k]:
+        for got, want in zip(rows, one):
+            assert np.array_equal(got[k], want[0], equal_nan=True)
+        alone = kernels.certified_margins(D[k:k + 1], E[k:k + 1], energies[k:k + 1],
+                                          residuals[k:k + 1], bounds[k:k + 1])
+        assert np.array_equal(margins[k], alone[0], equal_nan=True)
+        if np.isfinite(energies[k]):
             w = eigh_tridiagonal(D[k], E[k], eigvals_only=True)
             assert np.min(np.abs(w - energies[k])) <= residuals[k] + 1e-14 * bounds[k]
         else:
-            assert np.isnan(energies[k]) and np.isnan(residuals[k])
+            assert np.isnan(residuals[k]) and np.isnan(margins[k])
             assert np.all(np.isnan(vectors[k]))
-    return converged
+    return np.isfinite(energies)
+
+
+KINDS = st.sampled_from(["near", "strided", "random", "exact", "nan"])
 
 
 @given(seed=st.integers(0, 2 ** 31 - 1), n=st.integers(2, 40),
-       kinds=st.lists(st.sampled_from(["near", "random", "exact", "nan"]),
-                      min_size=1, max_size=2 * kernels.LOCKSTEP_MIN_CHAINS))
+       kinds=st.lists(KINDS, min_size=1, max_size=2 * kernels.LOCKSTEP_MIN_CHAINS))
 @settings(max_examples=80, deadline=None)
 def test_warm_eigenpairs_rows_are_the_scalar_kernel(seed, n, kinds):
     # from LOCKSTEP_MIN_CHAINS rows on the block path, below it one row at a
     # time: either way each row is its own one-chain call bit for bit,
-    # whatever its neighbours do
+    # whatever its neighbours do, and carries its own certificate margin
     rng = np.random.RandomState(seed)
     _assert_rows_are_their_own_calls(*_chain_rows(rng, kinds, n))
 
 
+@pytest.mark.parametrize("n", [40, 233, 987])
+def test_strided_start_is_its_contiguous_copy(n):
+    # a start that is a column of a C-ordered array gives the pair of its
+    # contiguous copy bit for bit, as the block path's copy of the starts
+    # does: its norm is not a strided dot product
+    rng = np.random.RandomState(n)
+    d, e = _random_chain(rng, n)
+    v = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))[1][:, 0]
+    bound = gershgorin_norm_bound(d, e)
+    block = v[:, None] + 1e-3 * rng.standard_normal((n, 8))
+    for j in range(8):
+        strided, copy = block[:, j], block[:, j].copy()
+        got = kernels.warm_eigenpair(d, e, strided, bound)
+        want = kernels.warm_eigenpair(d, e, copy, bound)
+        assert (got[0], got[2]) == (want[0], want[2])
+        assert np.array_equal(got[1], want[1])
+
+
 @given(seed=st.integers(0, 2 ** 31 - 1), n=st.integers(2, 40),
-       kinds=st.lists(st.sampled_from(["near", "random", "exact", "nan"]),
-                      min_size=1, max_size=2 * kernels.LOCKSTEP_MIN_CHAINS),
+       kinds=st.lists(KINDS, min_size=1, max_size=2 * kernels.LOCKSTEP_MIN_CHAINS),
        shifted=st.lists(st.booleans(), min_size=2 * kernels.LOCKSTEP_MIN_CHAINS,
                         max_size=2 * kernels.LOCKSTEP_MIN_CHAINS))
 @settings(max_examples=80, deadline=None)
 def test_offset_rows_are_the_scalar_kernel_with_their_offset(seed, n, kinds, shifted):
     # below and from LOCKSTEP_MIN_CHAINS rows, each row is warm_eigenpair
-    # with its own offset of the first shift bit for bit; a row whose offset
-    # is 0.0 is the call without one, since no 0.0 is added to its quotient
+    # with its own offset of the first shift bit for bit, finite exactly
+    # where that call returns a pair; a row whose offset is 0.0 is the call
+    # without one, since no 0.0 is added to its quotient
     rng = np.random.RandomState(seed)
     D, E, starts, bounds = _chain_rows(rng, kinds, n)
     offsets = np.where(shifted[:len(kinds)], -10.0 ** rng.uniform(-12, 0, len(kinds)), 0.0)
-    energies, vectors, residuals, converged = kernels.warm_eigenpairs(
-        D, E, starts, bounds, offsets)
+    rows = kernels.warm_eigenpairs(D, E, starts, bounds, offsets)
+    energies, vectors, residuals, margins = rows
     plain = kernels.warm_eigenpairs(D, E, starts, bounds)
     for k in range(len(kinds)):
         pair = kernels.warm_eigenpair(D[k], E[k], starts[k], bounds[k], offsets[k])
-        assert converged[k] == (pair is not None)
+        assert np.isfinite(energies[k]) == (pair is not None)
         if pair is not None:
             assert (energies[k], residuals[k]) == pair[0::2]
             assert np.array_equal(vectors[k], pair[1])
+        else:
+            assert np.isnan(margins[k])
         if offsets[k] == 0.0:
-            for got, want in zip((energies, vectors, residuals), plain):
+            for got, want in zip(rows, plain):
                 assert np.array_equal(got[k], want[k], equal_nan=True)
 
 
@@ -331,8 +361,9 @@ def test_nonfinite_block_is_redone_alone(monkeypatch):
     monkeypatch.setattr(kernels, "LOCKSTEP_MIN_CHAINS", 2)  # block calls at K = 5
     monkeypatch.setattr(kernels.lapack, "dgtsv", counting)
     full = kernels.warm_eigenpairs(D, E, starts, bounds)
-    converged = _assert_rows_are_their_own_calls(D, E, starts, bounds)
-    assert list(converged) == [True, True, False, True, True]
+    finite = _assert_rows_are_their_own_calls(D, E, starts, bounds)
+    assert list(finite) == [True, True, False, True, True]
+    assert np.isnan(full[3][2]) and np.all(np.delete(full[3], 2) > 0.0)
     solo = kernels.warm_eigenpairs(np.delete(D, 2, 0), np.delete(E, 2, 0),
                                    np.delete(starts, 2, 0), np.delete(bounds, 2))
     for got, want in zip(full, solo):

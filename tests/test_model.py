@@ -287,11 +287,11 @@ def test_warm_solves_rows_are_their_one_chain_calls(wannier, monkeypatch, K, pla
     # cavity chains at v0 = 0.05 start from their ground states at 0.049;
     # from MIN_CHAINS on they take block dgtsv calls, below it one per
     # chain.  Row k is chain k's lowest eigenpair (eigh_tridiagonal) with
-    # the certificate's smallest pivot (its own dpttrf), and what
-    # ground_state finds from the chain's one-chain warm_solves call, bit
-    # for bit.  A planted row starts on its chain's second
+    # the certificate's smallest pivot (its own dpttrf); fed to
+    # ground_state, it gives what the chain's one-chain warm_eigenpairs row
+    # gives, bit for bit.  A planted row starts on its chain's second
     # eigenvector and converges there: the certificate finds a non-positive
-    # pivot for that row alone
+    # pivot for that row alone, whose margin is NaN
     problems, starts = [], []
     for C in np.linspace(-4.0, -0.5, K):
         chain = [ca.HubbardProblem(t=wannier.t, onsite=ca.onsite_cavity(
@@ -312,21 +312,22 @@ def test_warm_solves_rows_are_their_one_chain_calls(wannier, monkeypatch, K, pla
     E = np.array([q.offdiagonal for q in problems])
     bounds = np.array([q.norm_bound for q in problems])
     monkeypatch.setattr(kernels.lapack, "dgtsv", counting)
-    rows = ca.model.warm_solves(D, E, bounds, starts, np.zeros(K))
+    rows = list(zip(*kernels.warm_eigenpairs(D, E, starts, bounds, np.zeros(K))))
     assert len(rows) == K
     assert sizes[0] == (K * L if K >= MIN_CHAINS else L)
     for k, (q, start, row) in enumerate(zip(problems, starts, rows)):
         d, e, bound = q.onsite.values, q.offdiagonal, q.norm_bound
         w, v = eigh_tridiagonal(d, e, select="i", select_range=(0, 1))
         j = 1 if planted and k == K - 1 else 0
-        tol = row.residual + ca.model.CERTIFICATE_RTOL * bound
-        assert abs(row.energy - w[j]) <= tol
-        assert abs(abs(row.vector @ v[:, j]) - 1.0) < 1e-10
-        pivots, _, info = scipy.linalg.lapack.dpttrf(d - (row.energy - tol), e)
+        energy, vector, residual, margin = row
+        tol = residual + ca.model.CERTIFICATE_RTOL * bound
+        assert abs(energy - w[j]) <= tol
+        assert abs(abs(vector @ v[:, j]) - 1.0) < 1e-10
+        pivots, _, info = scipy.linalg.lapack.dpttrf(d - (energy - tol), e)
         if j == 1:
-            assert info > 0 and np.isnan(row.margin)
+            assert info > 0 and np.isnan(margin)
         else:
-            assert info == 0 and row.margin == pivots.min() > 0.0
+            assert info == 0 and margin == pivots.min() > 0.0
         a, b = (ca.ground_state(q, start=r) for r in (row, warm_start(q, start)))
         assert (a.energy, a.method, a.residual, a.certificate_margin) == \
             (b.energy, b.method, b.residual, b.certificate_margin)

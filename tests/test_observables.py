@@ -116,7 +116,7 @@ def test_thouless_gammas_rows_are_their_one_chain_calls(wannier, monkeypatch, K,
     # one dpttrf for at least MIN_CHAINS chains, else one per chain; entry k
     # is the gamma_T of chain k's own dpttrf bit for bit.  A planted last row
     # factored at its chain's second eigenvalue has a non-positive pivot:
-    # that row alone holds a LinAlgError
+    # that row alone reads NaN
     problems, energies = _cavity_chains(wannier, K)
     if planted:
         q = problems[-1]
@@ -135,7 +135,7 @@ def test_thouless_gammas_rows_are_their_one_chain_calls(wannier, monkeypatch, K,
     assert len(gammas) == K
     for k, (q, energy) in enumerate(zip(problems, energies)):
         if planted and k == K - 1:
-            assert isinstance(gammas[k], np.linalg.LinAlgError)
+            assert isinstance(gammas[k], float) and np.isnan(gammas[k])
             assert np.isnan(thouless_ldlt_gamma(q.onsite.values, q.t, energy, SHIFT_RTOL))
         else:
             assert gammas[k] == thouless_ldlt_gamma(q.onsite.values, q.t, energy, SHIFT_RTOL)

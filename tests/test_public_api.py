@@ -104,10 +104,14 @@ def test_benchmark_hooks_see_each_point_and_column(wannier, lattice_spec,
         assert set(kwargs) <= {"start"}
     starts = [kwargs.get("start") for _, kwargs in solves]
     assert sum(start is None for start in starts) == 3
-    kinds = {type(start) for start in starts if start is not None}
-    # at 2 workers the forked worker's share is one column: its lone warm
-    # point takes its row of a one-chain warm_solves call
-    assert kinds == {ca.model.WarmSolve}
+    # a warm start is the point's row (energy, vector, residual, margin) of
+    # the step's warm_eigenpairs call; at 2 workers the forked worker's share
+    # is one column, whose lone warm point takes its row of a one-chain call
+    for start in starts:
+        if start is not None:
+            energy, vector, residual, margin = start
+            assert vector.shape == (89,)
+            assert all(isinstance(x, float) for x in (energy, residual, margin))
     assert len(profiles) == 3
     # the inline worker solves its share, the middle column, when it starts
     order = (-2.0, -1.0, -0.5) if workers == 1 else (-1.0, -2.0, -0.5)

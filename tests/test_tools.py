@@ -99,3 +99,97 @@ def test_shipped_outputs_runs_the_benchmark_workloads():
                 assert runs[f"workload-{name}-s{seed}-w{workers}"] == \
                     ["sweep", config, "--workers", workers]
     assert "sweep-aa_baseline-w2" in runs
+
+
+BENCH_TOOL = TOOL.parent / "bench_pair.py"
+
+#: A stub ``perfbench/run.py``: it logs where it ran, which ``perfbench/``
+#: and which ``src/`` it is, and prints a host line and a result line whose
+#: wall time tells the two ``src/`` apart; workload "broken" at seed 11
+#: exits 1 without a result.
+STUB_RUN = '''import argparse, json, os, pathlib, sys
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+parser = argparse.ArgumentParser()
+for flag in ("--workload", "--seed", "--seconds", "--trace"):
+    parser.add_argument(flag)
+args = parser.parse_args()
+src = (ROOT / "src" / "marker.txt").read_text()
+with open({log!r}, "a") as fh:
+    fh.write(json.dumps({{"cwd": os.getcwd(), "src": src, "perfbench": {name!r},
+                         "workload": args.workload, "seed": args.seed,
+                         "seconds": args.seconds, "trace": args.trace}}) + "\\n")
+print(json.dumps({{"host": {{"cores": 2, "perfbench": {name!r}}}}}))
+if args.workload == "broken" and args.seed == "11":
+    sys.exit(1)
+wall = 0.030 if src == "head" else 0.032
+print(json.dumps({{"correct": True, "metrics": {{"wall_s": {{"value": wall, "unit": "s"}}}}}}))
+'''
+
+
+def _stub_checkout(root: pathlib.Path, name: str, log: pathlib.Path,
+                   workloads: list) -> pathlib.Path:
+    (root / "src").mkdir(parents=True)
+    (root / "src" / "marker.txt").write_text(name)
+    (root / "perfbench").mkdir()
+    (root / "perfbench" / "run.py").write_text(STUB_RUN.format(log=str(log), name=name))
+    (root / "BENCHMARK.json").write_text(json.dumps({
+        "workloads": [{"name": w} for w in workloads],
+        "end_to_end": [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.24}]}))
+    return root
+
+
+def _bench_pair(tmp_path, head_workloads, *flags):
+    log = tmp_path / "runs.log"
+    parent = _stub_checkout(tmp_path / "parent", "parent", log, ["old"])
+    head = _stub_checkout(tmp_path / "head", "head", log, head_workloads)
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, str(BENCH_TOOL), str(parent), str(head),
+                           "--seeds", "3", "11", "--rounds", "2", "--seconds", "0.5",
+                           "--out", str(out), *flags], capture_output=True, text=True)
+    runs = [json.loads(line) for line in log.read_text().splitlines()]
+    return proc, runs, parent, head, out
+
+
+def test_bench_pair_alternates_the_sides_and_writes_one_file_per_side(tmp_path):
+    # each (workload, seed) runs on both sides back to back, and which side
+    # goes first alternates by round; the parent side is a copy of PARENT
+    # that runs HEAD's perfbench/ on PARENT's src/
+    proc, runs, parent, head, out = _bench_pair(tmp_path, ["alpha", "beta"])
+    assert proc.returncode == 0, proc.stderr
+    jobs = [(w, s, side) for w in ("alpha", "beta") for s in ("3", "11")
+            for side in ("parent", "head")]
+    assert [(r["workload"], r["seed"], r["src"]) for r in runs] == jobs + jobs[::-1]
+    assert {(r["perfbench"], r["seconds"], r["trace"]) for r in runs} == {("head", "0.5", "0")}
+    cwds = {r["src"]: set() for r in runs}
+    for r in runs:
+        cwds[r["src"]].add(r["cwd"])
+    assert cwds["head"] == {str(head)}
+    copy, = cwds["parent"]
+    assert copy != str(parent) and not pathlib.Path(copy).exists()  # a removed temporary copy
+    assert sorted(p.name for p in out.iterdir()) == ["BENCH_head.json", "BENCH_parent.json"]
+    order = [{"round": k // len(jobs), "workload": w, "seed": int(s), "side": side}
+             for k, (w, s, side) in enumerate(jobs + jobs[::-1])]
+    for side, wall in (("parent", 0.032), ("head", 0.030)):
+        doc = json.loads((out / f"BENCH_{side}.json").read_text())
+        assert (doc["side"], doc["label"], doc["seeds"], doc["seconds"], doc["rounds"]) == \
+            (side, side, [3, 11], 0.5, 2)
+        assert doc["workloads"] == ["alpha", "beta"] and doc["order"] == order
+        assert [(r["round"], r["workload"], r["seed"]) for r in doc["runs"]] == \
+            [(o["round"], o["workload"], o["seed"]) for o in order if o["side"] == side]
+        for r in doc["runs"]:
+            assert r["exit_code"] == 0 and r["host"] == {"cores": 2, "perfbench": "head"}
+            assert r["result"] == {"correct": True,
+                                   "metrics": {"wall_s": {"value": wall, "unit": "s"}}}
+    assert "alpha wall_s: parent 0.032 [0.032, 0.032]  head 0.03 [0.03, 0.03]  -6.2%  " \
+        "head better in 4/4 pairs" in proc.stdout.splitlines()
+
+
+def test_bench_pair_records_a_failed_run_and_exits_1(tmp_path):
+    proc, runs, parent, head, out = _bench_pair(tmp_path, ["broken"])
+    assert proc.returncode == 1
+    assert len(runs) == 8  # every run still ran
+    doc = json.loads((out / "BENCH_head.json").read_text())
+    failed = [r for r in doc["runs"] if r["seed"] == 11]
+    assert len(failed) == 2
+    assert all(r["exit_code"] == 1 and r["result"] is None for r in failed)
+    assert "failed: broken seed 11" in proc.stderr

@@ -25,6 +25,12 @@ import time
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
+def round_order(items: list, run: int) -> list:
+    """The order of items in round run: reversed every other round, so that
+    drift in the host's speed falls on every item alike."""
+    return items if run % 2 == 0 else items[::-1]
+
+
 def _wall_time(checkout: pathlib.Path, config: pathlib.Path, workers: str) -> float:
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
     with tempfile.TemporaryDirectory() as out:
@@ -48,7 +54,7 @@ def main(argv=None) -> None:
     for config in sorted((ROOT / "configs").glob("*.json")):
         times = {pair: [] for pair in pairs}
         for run in range(args.runs):
-            for pair in (pairs if run % 2 == 0 else pairs[::-1]):
+            for pair in round_order(pairs, run):
                 times[pair].append(_wall_time(pair[0], config, pair[1]))
         for (checkout, workers), walls in times.items():
             print(f"{config.stem} --workers {workers} {checkout}: median "
