@@ -129,7 +129,7 @@ def cmd_ground_state(cfg: dict, out_dir: str) -> int:
     if cavity and coop != 0.0:
         out["v_c_analytic"] = critical_v_cav(wb.t, wb.alpha, dcp, coop)
     if zeta is not None and cavity:
-        out["nbar"] = photon_number(gs, wb, zeta, delta_c=dcp, U0=coop)
+        out["nbar"] = photon_number(gs, wb, pump.pump_mode, zeta, delta_c=dcp, U0=coop)
     wavefunction = os.path.join(out_dir, "ground_state.csv")
     written = [wavefunction] if cfg["output"]["wavefunction_csv"] else []
     if written:

@@ -169,8 +169,9 @@ def solve_lowest_band(spec: LatticeSpec) -> BlochBand:
     LDL^T factorization of M_q - (E_q - tol) I, tol = residual +
     ``CERTIFICATE_RTOL`` ||M_q||, which proves E_q the lowest eigenvalue.  A
     q whose margin is NaN, because it failed either check or its iteration
-    gave up, is solved alone by ``kernels.lowest_eigenpair``; its LAPACK
-    failure raises BandSolveError.
+    gave up, is solved alone by ``kernels.lowest_eigenpair`` and certified
+    the same way; its LAPACK failure, or a margin that is not positive,
+    raises BandSolveError.
     """
     m_cut = spec.planewave_cutoff_M
     ls = np.arange(-m_cut, m_cut + 1)
@@ -184,15 +185,22 @@ def solve_lowest_band(spec: LatticeSpec) -> BlochBand:
     radius[[0, -1]] = hop
     norms = np.max(np.abs(diags) + radius, axis=1)
     starts = np.exp(-(kvec ** 2) / (2.0 * max(np.sqrt(abs(spec.depth_W0)), 1.0)))
-    energies, vecs, _, margins = kernels.warm_eigenpairs(diags, offdiags, starts, norms)
+    energies, vecs, residuals, margins = kernels.warm_eigenpairs(diags, offdiags,
+                                                                 starts, norms)
     fallbacks = np.flatnonzero(~(margins > 0.0))
     for j in fallbacks:
         try:
-            energies[j], vecs[j], *_ = kernels.lowest_eigenpair(diags[j], offdiags[j])
+            energies[j], vecs[j], residuals[j], _ = kernels.lowest_eigenpair(
+                diags[j], offdiags[j])
         except np.linalg.LinAlgError as exc:
             raise BandSolveError(
                 f"plane-wave eigensolve failed at q = {positive[j]:.6f} k0"
             ) from exc
+        row = np.s_[j:j + 1]
+        if not kernels.certified_margins(diags[row], offdiags[row], energies[row],
+                                         residuals[row], norms[row])[0] > 0.0:
+            raise BandSolveError(f"bisection at q = {positive[j]:.6f} k0 failed "
+                                 "its certificate")
     return BlochBand(quasimomenta=qs,
                      energies=np.concatenate((energies[::-1], energies)),
                      eigenvectors=np.concatenate((vecs[::-1, ::-1], vecs)),
@@ -211,13 +219,20 @@ def build_wannier(band: BlochBand, spec: LatticeSpec) -> WannierBasis:
     one length-N rFFT of the coefficients binned by |m| mod N.  The transform
     gives x >= 0; w0 is even, so the other half is its mirror image.  The
     hopping t is the band's (``tunneling_from_band``).  band must be the
-    lowest band of spec's depth.
+    lowest band of spec's depth, solved with spec's planewave_cutoff_M and
+    quasimomentum_samples_Nq.
     """
     if band.depth_W0 != spec.depth_W0:
         raise ValueError(f"band of depth W0 = {band.depth_W0!r} does not belong "
                          f"to the lattice of depth W0 = {spec.depth_W0!r}")
     m_cut = spec.planewave_cutoff_M
     nq = spec.quasimomentum_samples_Nq
+    band_nq, width = band.eigenvectors.shape
+    if (band_nq, width) != (nq, 2 * m_cut + 1):
+        raise ValueError(
+            f"band of planewave_cutoff_M = {(width - 1) // 2}, quasimomentum_samples_Nq"
+            f" = {band_nq} does not belong to the lattice of planewave_cutoff_M = "
+            f"{m_cut}, quasimomentum_samples_Nq = {nq}")
     ls = np.arange(-m_cut, m_cut + 1)
 
     # u_q(0) = sum of plane-wave coefficients; fix its sign to +.

@@ -179,23 +179,6 @@ def detect_transition(v0_grid, ipr_values, *, hopping: float | None = None,
                               unresolved=edge is not None, edge=edge)
 
 
-@dataclass(frozen=True)
-class PumpField:
-    """Pump amplitude profile entering the photon number.
-
-    kind "cavity_pumped": constant amplitude (the pump rate eta).
-    kind "atom_pumped": amplitude modulated by the cavity mode function,
-    zeta(z) = amplitude * cos(beta k0 z) with amplitude = Omega g / Delta_a.
-    """
-
-    kind: str
-    amplitude: float
-
-    def __post_init__(self):
-        if self.kind not in ("cavity_pumped", "atom_pumped"):
-            raise ValueError("kind must be cavity_pumped or atom_pumped")
-
-
 def photon_series(wb: "WannierBasis", kind: str, delta_c: float, U0: float,
                   L: int) -> np.ndarray:
     """Per-site photon number of a unit-amplitude drive, at sites 1..L.
@@ -210,8 +193,10 @@ def photon_series(wb: "WannierBasis", kind: str, delta_c: float, U0: float,
     integrand is pi-periodic in beta k0 z, so the average at every site
     comes from its cosine series (``kernels.site_average``).  The drive
     amplitude only scales the series by amplitude^2, so a sweep builds it
-    once along an eta column.
+    once along an eta column.  Any other kind raises ValueError.
     """
+    if kind not in ("cavity_pumped", "atom_pumped"):
+        raise ValueError(f"kind must be cavity_pumped or atom_pumped, not {kind!r}")
     atom_pumped = kind == "atom_pumped"
 
     def lorentz(theta):
@@ -241,18 +226,21 @@ def series_photon_number(state, series: np.ndarray, amplitude: float) -> float:
     return nbar
 
 
-def photon_number(state, wb: "WannierBasis", zeta: PumpField, delta_c: float,
-                  U0: float) -> float:
+def photon_number(state, wb: "WannierBasis", kind: str, zeta: float,
+                  delta_c: float, U0: float) -> float:
     """Mean intracavity photon number of the quasi-steady field.
 
-    n = sum_m |psi_m|^2 int w0(z - z_m)^2 zeta(z)^2 /
+    n = sum_m |psi_m|^2 int w0(z - z_m)^2 zeta^2 d(z)^2 /
         [(delta_c - U0 mode^2(beta k0 z))^2 + 1] dz,
     summed over the occupied sites (density above 1e-12), with all
     frequencies in units of kappa, so the result is dimensionless and bounded
-    by (max zeta)^2.  It is zeta.amplitude^2 times the occupied density
-    dotted with the unit-amplitude ``photon_series`` of the chain
+    by zeta^2.  kind is the pump mode, "cavity_pumped" (d = 1) or
+    "atom_pumped" (d = mode), and zeta the photon amplitude of the drive:
+    eta for a driven cavity, Omega g / Delta_a for a driven atom
+    (``sweep.map_physical_params``).  It is zeta^2 times the occupied
+    density dotted with the unit-amplitude ``photon_series`` of the chain
     (``series_photon_number``), the path a sweep takes at every point.
     """
     amp = _amplitudes(state)
-    series = photon_series(wb, zeta.kind, delta_c, U0, amp.shape[0])
-    return series_photon_number(amp, series, zeta.amplitude)
+    series = photon_series(wb, kind, delta_c, U0, amp.shape[0])
+    return series_photon_number(amp, series, zeta)

@@ -24,7 +24,8 @@ Axes may be model parameters (v0, C, delta_c_prime, W0) or physical pump
 parameters (eta, U0, delta_c) in units of the cavity linewidth kappa; the
 latter require a PumpConfig carrying the kappa / E_r scale.  An eta axis is
 the pump drive: eta for a driven cavity, the Rabi frequency Omega for a
-driven atom, in both v0 and the photon number.
+driven atom.  ``map_physical_params`` alone reads the drive, and gives a
+point both its v0 and its photon amplitude zeta.
 """
 
 from __future__ import annotations
@@ -48,9 +49,8 @@ from .lattice import (BAND_SOLVE_METHOD, WANNIER_SUM_METHOD, LatticeSpec, Wannie
                       build_wannier, solve_lowest_band)
 from .model import (EffectivePotential, HubbardProblem, OnsiteProfile,
                     ground_state, onsite_aa, onsite_cavity, scale_profile)
-from .observables import (LYAPUNOV_METHOD, TRANSITION_METHOD, PumpField,
-                          detect_transition, ipr, photon_series,
-                          series_photon_number, thouless_gammas)
+from .observables import (LYAPUNOV_METHOD, TRANSITION_METHOD, detect_transition,
+                          ipr, photon_series, series_photon_number, thouless_gammas)
 
 MODEL_AXES = ("v0", "C", "delta_c_prime", "W0")
 PHYSICAL_AXES = ("eta", "U0", "delta_c")
@@ -102,26 +102,19 @@ class PumpConfig:
         if self.kappa_over_recoil <= 0.0:
             raise ValueError("kappa_over_recoil must be positive")
 
-    def pump_field(self, drive: float | None = None) -> PumpField:
-        """Drive entering the photon number.
-
-        drive overrides the configured drive: eta for a driven cavity, the
-        Rabi frequency Omega (amplitude Omega g / Delta_a) for a driven atom.
-        """
-        if self.pump_mode == "cavity_pumped":
-            return PumpField("cavity_pumped", self.eta if drive is None else drive)
-        omega = self.Omega if drive is None else drive
-        return PumpField("atom_pumped", omega * self.g / self.Delta_a)
-
 
 def map_physical_params(pump: PumpConfig, U0: float, delta_c: float,
-                        eta: float | None = None) -> tuple[float, float, float]:
-    """Map (pump, U0, delta_c) in kappa units to model (v0, C, delta_c_prime).
+                        eta: float | None = None) -> tuple[float, float, float, float]:
+    """Map (pump, U0, delta_c) in kappa units to model (v0, C, delta_c_prime)
+    and the photon amplitude zeta of the drive.
 
-    delta' = delta_c / kappa and C = U0 / kappa are direct; the potential
-    strength is v0 = hbar eta^2 / kappa for a driven cavity and
-    v0 = hbar Omega^2 delta' / Delta_a for a driven atom, both converted to
-    recoil units through kappa_over_recoil.
+    The one place that reads the drive: eta, when given, overrides the
+    configured one, eta for a driven cavity and the Rabi frequency Omega
+    for a driven atom.  delta' = delta_c / kappa and C = U0 / kappa are
+    direct; the potential strength is v0 = hbar eta^2 / kappa and zeta = eta
+    for a driven cavity, and v0 = hbar Omega^2 delta' / Delta_a and zeta =
+    Omega g / Delta_a for a driven atom, v0 converted to recoil units
+    through kappa_over_recoil.
     """
     dcp = float(delta_c)
     coop = float(U0)
@@ -130,6 +123,7 @@ def map_physical_params(pump: PumpConfig, U0: float, delta_c: float,
         if drive < 0.0:
             raise ValueError("eta must be non-negative")
         v0 = drive * drive * pump.kappa_over_recoil
+        zeta = drive
     else:
         omega = pump.Omega if eta is None else float(eta)
         v0 = (omega * omega / pump.Delta_a) * dcp * pump.kappa_over_recoil
@@ -139,7 +133,8 @@ def map_physical_params(pump: PumpConfig, U0: float, delta_c: float,
                 "flip the sign of Delta_a (the potential strength is defined "
                 "non-negative, its sign lives in the potential shape)"
             )
-    return float(v0), coop, dcp
+        zeta = omega * pump.g / pump.Delta_a
+    return float(v0), coop, dcp, zeta
 
 
 @dataclass(frozen=True)
@@ -328,25 +323,21 @@ def _basis(spec: SweepSpec, bases: dict, depth: float) -> WannierBasis:
 
 
 def resolve_model_params(pump: PumpConfig | None, params: dict
-                         ) -> tuple[float, float, float, PumpField | None]:
-    """Model parameters (v0, C, delta_c_prime) and pump field zeta of a point.
+                         ) -> tuple[float, float, float, float | None]:
+    """Model parameters (v0, C, delta_c_prime) and photon amplitude zeta of
+    a point.
 
     The one place where sweep or config parameters become model parameters.
-    Physical parameters (eta, U0, delta_c) map through map_physical_params;
-    zeta is built from the same drive as v0, and is None without a pump.
+    Physical parameters (eta, U0, delta_c) map through
+    ``map_physical_params``, which gives v0 and zeta from the same drive;
+    model parameters have no drive, and zeta is None.
     """
     if pump is not None and any(k in params for k in PHYSICAL_AXES):
-        v0, coop, dcp = map_physical_params(
-            pump,
-            U0=params.get("U0", 0.0),
-            delta_c=params.get("delta_c", 0.0),
-            eta=params.get("eta"),
-        )
-    else:
-        v0, coop, dcp = (params["v0"], params.get("C", 0.0),
-                         params.get("delta_c_prime", 0.0))
-    zeta = None if pump is None else pump.pump_field(params.get("eta"))
-    return v0, coop, dcp, zeta
+        return map_physical_params(pump, U0=params.get("U0", 0.0),
+                                   delta_c=params.get("delta_c", 0.0),
+                                   eta=params.get("eta"))
+    return (params["v0"], params.get("C", 0.0), params.get("delta_c_prime", 0.0),
+            None)
 
 
 def _solver_kind(warm: bool, method: str) -> str:
@@ -430,7 +421,7 @@ class _Column:
         (C, delta'); when that fails, this point and every later one that
         resolves fail with its error type.  When the sweep asks for "nbar",
         then build the column's unit-amplitude ``photon_series``: U0, delta_c
-        and the pump kind are fixed along a column, and the drive only
+        and the pump mode are fixed along a column, and the drive only
         scales it.  When that build fails, every point still solves and gets
         its E0, IPR and gamma, then fails with its error type, as a point
         whose photon number raises."""
@@ -442,7 +433,7 @@ class _Column:
             self.set_up_failed = _failure(exc)
         if not self.set_up_failed and "nbar" in spec.observables:
             try:
-                self.series = photon_series(self.wb, self.zeta.kind, self.dcp,
+                self.series = photon_series(self.wb, spec.pump.pump_mode, self.dcp,
                                             self.coop, spec.L)
             except Exception as exc:
                 self.series_failed = _failure(exc)
@@ -543,7 +534,7 @@ def _solve_step(spec: SweepSpec, bases: dict, share: list, step: int) -> None:
                 p.flag = p.series_failed
             elif "nbar" in spec.observables:
                 try:
-                    p.nbar = series_photon_number(p.gs, p.series, p.zeta.amplitude)
+                    p.nbar = series_photon_number(p.gs, p.series, p.zeta)
                 except Exception as exc:
                     p.flag = _failure(exc)
     for column in share:

@@ -184,8 +184,9 @@ def thouless_reference(v0: float, v_c: float) -> float:
     return float(np.log(v0 / v_c))
 
 
-def photon_number_site_loop(psi, wb, zeta, delta_c, U0) -> float:
-    """Per-site quadrature of the photon number in units of kappa.
+def photon_number_site_loop(psi, wb, kind, zeta, delta_c, U0) -> float:
+    """Per-site quadrature of the photon number in units of kappa, for the
+    pump mode kind and the photon amplitude zeta.
 
     The mode is read in the registration of the potential: sin(beta z) for
     U0 > 0 and cos(beta z) otherwise, at the unshifted sites.
@@ -195,8 +196,7 @@ def photon_number_site_loop(psi, wb, zeta, delta_c, U0) -> float:
     total = 0.0
     for m in np.nonzero(dens > 1e-12)[0]:
         mode = trig(wb.beta * (wb.grid + (m + 1) * wb.site_spacing_a))
-        drive_sq = zeta.amplitude ** 2 * (
-            mode * mode if zeta.kind == "atom_pumped" else 1.0)
+        drive_sq = zeta ** 2 * (mode * mode if kind == "atom_pumped" else 1.0)
         lorentz = drive_sq / ((delta_c - U0 * mode * mode) ** 2 + 1.0)
         total += dens[m] * float(np.dot(wb.density_weights, lorentz))
     return total

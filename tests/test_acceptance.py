@@ -116,8 +116,7 @@ def test_criterion_7_photon_resonance(wannier):
     psi[site] = 1.0
     u0 = -1.0
     dcs = np.linspace(-3.0, 1.0, 81)
-    nbars = [ca.photon_number(psi, wannier, ca.observables.PumpField("cavity_pumped", 1.0),
-                              delta_c=dc, U0=u0)
+    nbars = [ca.photon_number(psi, wannier, "cavity_pumped", 1.0, delta_c=dc, U0=u0)
              for dc in dcs]
     peak = float(dcs[int(np.argmax(nbars))])
     step = float(dcs[1] - dcs[0])

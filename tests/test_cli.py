@@ -272,10 +272,11 @@ def test_ground_state_takes_v0_from_the_pump(capsys, tmp_path, wannier, pump, v0
     assert metrics["E0"] == pytest.approx(gs.energy, rel=1e-12)
     assert metrics["v0"] == pytest.approx(v0, rel=1e-14)
     if pump["pump_mode"] == "cavity_pumped":
-        zeta = ca.observables.PumpField("cavity_pumped", pump["eta"])
+        zeta = pump["eta"]
     else:
-        zeta = ca.observables.PumpField("atom_pumped", pump["Omega"] * 0.3 / -2.0)
-    direct = ca.photon_number(gs, wannier, zeta, delta_c=-2.0, U0=-1.0)
+        zeta = pump["Omega"] * 0.3 / -2.0
+    direct = ca.photon_number(gs, wannier, pump["pump_mode"], zeta, delta_c=-2.0,
+                              U0=-1.0)
     assert metrics["nbar"] == pytest.approx(direct, rel=1e-12)
 
 

@@ -254,6 +254,22 @@ def test_band_of_another_depth_rejected(band):
         ca.build_wannier(band, ca.LatticeSpec(depth_W0=-12.0))
 
 
+@pytest.mark.parametrize("field, value", [("planewave_cutoff_M", 12),
+                                          ("quasimomentum_samples_Nq", 64)])
+def test_band_of_another_basis_rejected(band, field, value):
+    # a band of another plane-wave cutoff or q grid does not fit the spec's
+    # plane-wave sum: the message names both of the band's and the spec's
+    spec = ca.LatticeSpec(depth_W0=-15.0, **{field: value})
+    expected = {"planewave_cutoff_M": 15, "quasimomentum_samples_Nq": 128,
+                field: value}
+    with pytest.raises(ValueError, match=(
+            r"band of planewave_cutoff_M = 15, quasimomentum_samples_Nq = 128 "
+            r"does not belong to the lattice of planewave_cutoff_M = "
+            r"{planewave_cutoff_M}, quasimomentum_samples_Nq = "
+            r"{quasimomentum_samples_Nq}$").format(**expected)):
+        ca.build_wannier(band, spec)
+
+
 ORACLE_DEPTHS = [-15.0, -10.5, -40.0, 8.0]
 
 
@@ -343,9 +359,15 @@ def test_band_falls_back_to_bisection_per_q(monkeypatch, routine):
     # a failed iteration or certificate sends its q > 0 to the cold chain
     # solver, kernels.lowest_eigenpair: select-mode eigh_tridiagonal bit for
     # bit, its vector divided by its norm once more; its -q partner is the
-    # mirror, and both count as fallbacks
+    # mirror, and both count as fallbacks.  The fallback is certified the
+    # same way, so a failing dpttrf fails it too, at the first q, 1/Nq
     monkeypatch.setattr(kernels.lapack, routine, _failing(getattr(kernels.lapack, routine)))
     spec = ca.LatticeSpec(depth_W0=-15.0)
+    if routine == "dpttrf":
+        with pytest.raises(ca.BandSolveError, match=r"bisection at q = 0\.007812 k0 "
+                                                    "failed its certificate"):
+            ca.solve_lowest_band(spec)
+        return
     band = ca.solve_lowest_band(spec)
     energies, vecs = lowest_band_eigh(spec)
     nq = spec.quasimomentum_samples_Nq
@@ -357,6 +379,22 @@ def test_band_falls_back_to_bisection_per_q(monkeypatch, routine):
     assert np.array_equal(band.energies[::-1], band.energies)
     assert np.array_equal(band.eigenvectors[::-1, ::-1], band.eigenvectors)
     _assert_rows_within_contract(spec, band, range(half))
+
+
+def test_uncertified_fallback_raises(monkeypatch):
+    # the free-particle band sends four q to bisection (two solved, two
+    # mirrored); a fallback pair that is not the lowest fails its certificate
+    cold = kernels.lowest_eigenpair
+
+    def above_the_lowest(d, e):
+        energy, vector, residual, method = cold(d, e)
+        return energy + 1.0, vector, residual, method
+
+    spec = ca.LatticeSpec(depth_W0=0.0)
+    assert ca.solve_lowest_band(spec).fallbacks == 4
+    monkeypatch.setattr(kernels, "lowest_eigenpair", above_the_lowest)
+    with pytest.raises(ca.BandSolveError, match="failed its certificate"):
+        ca.solve_lowest_band(spec)
 
 
 @pytest.mark.parametrize("routine", ["dstebz", "dstein"])

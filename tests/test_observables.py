@@ -241,7 +241,7 @@ def test_photon_number_flat_mode_limit(wannier):
     psi = np.zeros(L)
     psi[87] = 1.0
     for delta_c in (0.0, -2.0, 3.0):
-        nbar = ca.photon_number(psi, wannier, ca.observables.PumpField("cavity_pumped", 0.7),
+        nbar = ca.photon_number(psi, wannier, "cavity_pumped", 0.7,
                                 delta_c=delta_c, U0=0.0)
         assert nbar == pytest.approx(0.49 / (delta_c ** 2 + 1.0), rel=1e-12)
 
@@ -255,8 +255,7 @@ def test_photon_number_resonance_peak(wannier):
     psi[site] = 1.0
     u0 = -1.0
     dcs = np.linspace(-3.0, 1.0, 81)
-    nbars = [ca.photon_number(psi, wannier, ca.observables.PumpField("cavity_pumped", 1.0),
-                              delta_c=dc, U0=u0)
+    nbars = [ca.photon_number(psi, wannier, "cavity_pumped", 1.0, delta_c=dc, U0=u0)
              for dc in dcs]
     peak = dcs[int(np.argmax(nbars))]
     assert abs(peak - u0) <= dcs[1] - dcs[0] + 1e-12
@@ -266,8 +265,7 @@ def test_photon_number_bounded_by_pump(wannier):
     rng = np.random.RandomState(2)
     psi = rng.uniform(-1, 1, L)
     psi /= np.linalg.norm(psi)
-    zeta = ca.observables.PumpField("cavity_pumped", 1.3)
-    nbar = ca.photon_number(psi, wannier, zeta, delta_c=-0.4, U0=-1.0)
+    nbar = ca.photon_number(psi, wannier, "cavity_pumped", 1.3, delta_c=-0.4, U0=-1.0)
     assert 0.0 <= nbar <= 1.3 ** 2
 
 
@@ -278,13 +276,21 @@ def test_photon_number_atom_pumped_mode_weighting(wannier):
     cos2 = np.cos(GOLDEN_BETA * np.pi * n) ** 2
     node = int(np.argmin(cos2))
     antinode = int(np.argmax(cos2[:-1]))
-    zeta = ca.observables.PumpField("atom_pumped", 1.0)
     out = []
     for site in (node, antinode):
         psi = np.zeros(L)
         psi[site] = 1.0
-        out.append(ca.photon_number(psi, wannier, zeta, delta_c=-2.0, U0=0.0))
+        out.append(ca.photon_number(psi, wannier, "atom_pumped", 1.0, delta_c=-2.0,
+                                    U0=0.0))
     assert out[0] < 0.1 * out[1]
+
+
+def test_photon_number_rejects_an_unknown_kind(wannier):
+    psi = np.full(L, 1.0 / np.sqrt(L))
+    with pytest.raises(ValueError, match="kind must be cavity_pumped or atom_pumped"):
+        ca.photon_number(psi, wannier, "laser_pumped", 1.0, delta_c=-2.0, U0=-1.0)
+    with pytest.raises(ValueError, match="'atom-pumped'"):
+        ca.observables.photon_series(wannier, "atom-pumped", -2.0, -1.0, L)
 
 
 @pytest.mark.parametrize("kind, delta_c, U0", [
@@ -305,9 +311,8 @@ def test_photon_number_matches_site_loop(wannier, kind, delta_c, U0):
     n = np.arange(1, L + 1)
     # the localized state leaves most sites below the 1e-12 density cutoff
     localized = np.exp(-0.3 * np.abs(n - 117))
-    zeta = ca.observables.PumpField(kind, 0.8)
     for psi in (spread, localized):
         psi = psi / np.linalg.norm(psi)
-        nbar = ca.photon_number(psi, wannier, zeta, delta_c=delta_c, U0=U0)
-        expected = photon_number_site_loop(psi, wannier, zeta, delta_c, U0)
+        nbar = ca.photon_number(psi, wannier, kind, 0.8, delta_c=delta_c, U0=U0)
+        expected = photon_number_site_loop(psi, wannier, kind, 0.8, delta_c, U0)
         assert nbar == pytest.approx(expected, rel=1e-12, abs=0.0)

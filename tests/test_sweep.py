@@ -33,23 +33,23 @@ def _gamma_tol(n_sites):
 
 def test_map_physical_params_cavity_pumped():
     pump = ca.PumpConfig(pump_mode="cavity_pumped", eta=0.0, kappa_over_recoil=1.0)
-    v0, C, dcp = ca.sweep.map_physical_params(pump, U0=-1.0, delta_c=-5.5)
+    v0, C, dcp, _ = ca.sweep.map_physical_params(pump, U0=-1.0, delta_c=-5.5)
     assert v0 == 0.0
     assert C == -1.0
     assert dcp == -5.5
     # drive at the loss rate with kappa = E_r/hbar gives one recoil of depth
     pump = ca.PumpConfig(pump_mode="cavity_pumped", eta=1.0, kappa_over_recoil=1.0)
-    v0, _, _ = ca.sweep.map_physical_params(pump, U0=0.0, delta_c=0.0)
+    v0, _, _, _ = ca.sweep.map_physical_params(pump, U0=0.0, delta_c=0.0)
     assert v0 == pytest.approx(1.0, rel=1e-14)
     # quadratic in the drive, linear in the frequency scale
     pump = ca.PumpConfig(pump_mode="cavity_pumped", eta=0.5, kappa_over_recoil=2.0)
-    v0, _, _ = ca.sweep.map_physical_params(pump, U0=0.0, delta_c=0.0)
+    v0, _, _, _ = ca.sweep.map_physical_params(pump, U0=0.0, delta_c=0.0)
     assert v0 == pytest.approx(0.5, rel=1e-14)
 
 
 def test_map_physical_params_atom_pumped_sign():
     pump = ca.PumpConfig(pump_mode="atom_pumped", Omega=1.0, Delta_a=-2.0, g=0.1)
-    v0, C, dcp = ca.sweep.map_physical_params(pump, U0=-1.0, delta_c=-4.0)
+    v0, C, dcp, _ = ca.sweep.map_physical_params(pump, U0=-1.0, delta_c=-4.0)
     assert dcp == -4.0
     assert C == -1.0
     assert v0 == pytest.approx((1.0 / -2.0) * -4.0, rel=1e-14)
@@ -57,6 +57,30 @@ def test_map_physical_params_atom_pumped_sign():
         ca.sweep.map_physical_params(
             ca.PumpConfig(pump_mode="atom_pumped", Omega=1.0, Delta_a=2.0, g=0.1),
             U0=-1.0, delta_c=-4.0)
+
+
+@pytest.mark.parametrize("pump_mode, eta, zeta", [
+    ("cavity_pumped", None, 0.7),
+    ("cavity_pumped", 0.4, 0.4),
+    ("atom_pumped", None, 1.5 * 0.1 / -2.0),
+    ("atom_pumped", 0.4, 0.4 * 0.1 / -2.0),
+])
+def test_map_physical_params_reads_the_drive_once(pump_mode, eta, zeta):
+    # the photon amplitude comes from the same drive as v0: eta for a driven
+    # cavity, Omega g / Delta_a for a driven atom, the axis value overriding
+    # the configured drive; model parameters have no drive
+    pump = ca.PumpConfig(pump_mode=pump_mode, eta=0.7, Omega=1.5, Delta_a=-2.0,
+                         g=0.1, kappa_over_recoil=0.5)
+    drive = {"cavity_pumped": 0.7, "atom_pumped": 1.5}[pump_mode] if eta is None else eta
+    v0, C, dcp, amplitude = ca.sweep.map_physical_params(pump, -1.0, -4.0, eta)
+    assert amplitude == zeta
+    v0_expected = drive * drive * (1.0 if pump_mode == "cavity_pumped" else -4.0 / -2.0)
+    assert v0 == pytest.approx(0.5 * v0_expected, rel=1e-14)
+    params = {"U0": -1.0, "delta_c": -4.0} if eta is None else {
+        "U0": -1.0, "delta_c": -4.0, "eta": eta}
+    assert ca.sweep.resolve_model_params(pump, params) == (v0, C, dcp, amplitude)
+    assert ca.sweep.resolve_model_params(pump, {"v0": 0.2, "C": -1.0}) == (
+        0.2, -1.0, 0.0, None)
 
 
 def _spec(lattice, **kwargs):
@@ -1084,8 +1108,8 @@ def test_atom_pumped_eta_axis_drives_v0_and_photon_number(wannier, lattice_spec)
         pot = ca.EffectivePotential(rec.v0, -1.0, -4.0)
         prof = ca.onsite_cavity(wannier, pot, L)
         gs = ca.ground_state(ca.HubbardProblem(t=wannier.t, onsite=prof))
-        zeta = ca.observables.PumpField("atom_pumped", eta * 0.3 / -2.0)
-        direct = ca.photon_number(gs, wannier, zeta, delta_c=-4.0, U0=-1.0)
+        direct = ca.photon_number(gs, wannier, "atom_pumped", eta * 0.3 / -2.0,
+                                  delta_c=-4.0, U0=-1.0)
         assert rec.nbar == pytest.approx(direct, rel=1e-12)
 
 
@@ -1100,7 +1124,6 @@ def test_photon_number_registration_across_u0_zero(wannier, lattice_spec, pump_m
                  fixed={"delta_c": 0.5}, pump=pump,
                  observables=("ipr", "nbar"), name="u0")
     recs = ca.run_sweep(spec).records
-    zeta = pump.pump_field(0.6)
     for rec in recs:
         assert rec.flags == ""
         pot = ca.EffectivePotential(rec.v0, rec.C, rec.delta_c_prime)
@@ -1108,7 +1131,8 @@ def test_photon_number_registration_across_u0_zero(wannier, lattice_spec, pump_m
         gs = ca.ground_state(ca.HubbardProblem(t=wannier.t, onsite=prof))
         if rec.C != 0.0:
             assert rec.ipr > 0.5  # localized, so the registration matters
-        expected = photon_number_site_loop(gs.amplitudes, wannier, zeta,
+        *_, zeta = ca.sweep.map_physical_params(pump, rec.C, rec.delta_c_prime, 0.6)
+        expected = photon_number_site_loop(gs.amplitudes, wannier, pump_mode, zeta,
                                            rec.delta_c_prime, rec.C)
         assert rec.nbar == pytest.approx(expected, rel=1e-12)
 
@@ -1161,9 +1185,9 @@ def test_sweep_nbar_is_the_one_point_photon_number(wannier, lattice_spec,
     assert len(states) == len(order) == spec.n_points
     for i, (amplitudes, amplitude) in zip(order, states):
         rec = result.records[i]
-        zeta = spec.pump.pump_field(rec.axis1)
-        assert zeta.amplitude == amplitude
-        direct = ca.photon_number(amplitudes, wannier, zeta, delta_c=-4.0,
+        *_, zeta = ca.sweep.map_physical_params(spec.pump, rec.C, -4.0, rec.axis1)
+        assert zeta == amplitude
+        direct = ca.photon_number(amplitudes, wannier, pump_mode, zeta, delta_c=-4.0,
                                   U0=rec.C)
         assert rec.nbar == pytest.approx(direct, rel=1e-14, abs=0.0)
         assert rec.nbar > 0.0

@@ -10,6 +10,8 @@ import sys
 
 import pytest
 
+from cavityaa.config import effective_config, sweep_spec
+
 TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py"
 
 CSV = "v0,C,ipr,flags\n0.05,-1,0.25,\n0.1,-1,0.5,\n"
@@ -99,6 +101,19 @@ def test_shipped_outputs_runs_the_benchmark_workloads():
                 assert runs[f"workload-{name}-s{seed}-w{workers}"] == \
                     ["sweep", config, "--workers", workers]
     assert "sweep-aa_baseline-w2" in runs
+    # and an atom-pumped sweep and ground state, which no shipped config or
+    # workload runs, from configs that load
+    sweep, ground = shipped.ATOM_PUMPED_SWEEP, shipped.ATOM_PUMPED_GROUND_STATE
+    for workers in ("1", "2"):
+        assert runs[f"sweep-atom_pumped-w{workers}"] == \
+            ["sweep", sweep, "--workers", workers]
+    assert runs["ground-state-atom_pumped"] == ["ground-state", ground]
+    for doc in (sweep, ground):
+        cfg = effective_config(doc)
+        assert cfg["pump"]["enabled"] and cfg["pump"]["pump_mode"] == "atom_pumped"
+    spec = sweep_spec(effective_config(sweep))
+    assert (spec.axis1.name, spec.axis2.name) == ("eta", "delta_c")
+    assert spec.observables == ("ipr", "gamma", "nbar", "vc")
 
 
 BENCH_TOOL = TOOL.parent / "bench_pair.py"

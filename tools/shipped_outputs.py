@@ -11,7 +11,10 @@ distinct ``lattice`` section (on the first config, by name, that has it),
 benchmark workload (``perfbench.workloads.generate``) at seeds 3 and 11,
 whose config is written into the run's subdirectory as ``config.json``: these
 cover what no shipped config does, the pool with the photon number and gamma,
-and a W0 axis at L = 987.
+and a W0 axis at L = 987.  Nor does either drive the atom: ``sweep`` at
+``--workers 1`` and ``2`` on ATOM_PUMPED_SWEEP, an eta x delta_c grid with
+every observable, and ``ground-state`` on ATOM_PUMPED_GROUND_STATE run that
+path, from configs written the same way.
 Each run writes into its own subdirectory, with its exit code, stdout and
 stderr (the progress lines) in ``log.txt``; sidecar timestamps are dropped.
 """
@@ -26,6 +29,29 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
 
 from perfbench import workloads  # noqa: E402  (needs ROOT on the path)
+
+#: A driven atom: v0 = Omega^2 delta_c / Delta_a (times kappa / E_r) and the
+#: photon amplitude Omega g / Delta_a, with Omega the eta axis in a sweep.
+ATOM_PUMP = {"enabled": True, "pump_mode": "atom_pumped", "Omega": 0.8,
+             "Delta_a": -2.0, "g": 0.3, "kappa_over_recoil": 1.0}
+
+#: v0 from 0.005 to 8 E_r over three delta_c columns at U0 = -1: each
+#: column crosses its transition inside the grid.
+ATOM_PUMPED_SWEEP = {
+    "pump": ATOM_PUMP,
+    "sweep": {
+        "name": "atom_pumped",
+        "axis1": {"name": "eta", "scale": "log", "start": 0.1, "stop": 2.0, "num": 24},
+        "axis2": {"name": "delta_c", "scale": "linear", "start": -4.0, "stop": -1.0,
+                  "num": 3},
+        "fixed": {"U0": -1.0},
+        "observables": ["ipr", "gamma", "nbar", "vc"],
+    },
+}
+
+#: U0 = model.C and delta_c = model.delta_c_prime: v0 = 1.28 E_r, localized.
+ATOM_PUMPED_GROUND_STATE = {"model": {"C": -1.0, "delta_c_prime": -4.0},
+                            "pump": ATOM_PUMP}
 
 
 def _runs():
@@ -47,6 +73,10 @@ def _runs():
             for workers in ("1", "2"):
                 yield (f"workload-{name}-s{seed}-w{workers}",
                        ["sweep", config, "--workers", workers])
+    for workers in ("1", "2"):
+        yield (f"sweep-atom_pumped-w{workers}",
+               ["sweep", ATOM_PUMPED_SWEEP, "--workers", workers])
+    yield "ground-state-atom_pumped", ["ground-state", ATOM_PUMPED_GROUND_STATE]
 
 
 def main(out_dir: str) -> None:
@@ -54,7 +84,7 @@ def main(out_dir: str) -> None:
     for name, (command, config, *flags) in _runs():
         run_dir = pathlib.Path(out_dir, name).resolve()  # the run's cwd and --config
         run_dir.mkdir(parents=True, exist_ok=True)
-        if isinstance(config, dict):  # a workload's, written where it runs
+        if isinstance(config, dict):  # written where it runs
             path = run_dir / "config.json"
             path.write_text(json.dumps(config, indent=2, sort_keys=True) + "\n")
             config = path
