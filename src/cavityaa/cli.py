@@ -3,8 +3,9 @@
 Commands: ``wannier``, ``ground-state``, ``sweep``, ``baseline-aa``.  All
 scientific parameters live in a single JSON config (see config.DEFAULTS),
 checked whole when it loads, whatever the command; flags only pick the
-config file, the output directory and the worker count.  Exit codes:
-0 success, 2 invalid configuration, a worker count below 1, an output
+config file, the output directory and the worker count.  A command reads
+the lattice, pump and sweep that the loaded ``config.Config`` holds.  Exit
+codes: 0 success, 2 invalid configuration, a worker count below 1, an output
 directory that cannot be made or an output file that cannot be written,
 3 sweep with more than 1% failed grid points.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import os
 import sys
@@ -21,8 +23,7 @@ import sys
 import numpy as np
 
 from ._version import __version__
-from .config import (ConfigError, effective_config, lattice_spec, load_config,
-                     model_params, pump_config, sweep_spec)
+from .config import Config, ConfigError, effective_config, load_config, model_params
 from .kernels import sin2_registration
 from .lattice import band_tightbinding_residual, build_wannier, solve_lowest_band
 from .model import HubbardProblem, ground_state, scale_profile
@@ -48,15 +49,11 @@ def _output(path: str):
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _build_wannier(cfg: dict):
-    spec = lattice_spec(cfg)
-    band = solve_lowest_band(spec)
-    return spec, band, build_wannier(band, spec)
-
-
-def cmd_wannier(cfg: dict, out_dir: str) -> int:
+def cmd_wannier(cfg: Config, out_dir: str) -> int:
     """Report the lattice constants and convergence diagnostics."""
-    spec, band, wb = _build_wannier(cfg)
+    spec = cfg.lattice
+    band = solve_lowest_band(spec)
+    wb = build_wannier(band, spec)
     if spec.depth_W0 == 0.0:
         print("warning: depth_W0 = 0, no lattice: the tight-binding reduction "
               "and the hopping estimates are out of regime", file=sys.stderr)
@@ -76,7 +73,7 @@ def cmd_wannier(cfg: dict, out_dir: str) -> int:
     print(f"evenness_deviation={even_dev:.3e}")
     print(f"tightbinding_residual={band_tightbinding_residual(band):.3e}")
     print(f"band_fallbacks={band.fallbacks}")
-    if cfg["output"]["wannier_csv"]:
+    if cfg.doc["output"]["wannier_csv"]:
         path = os.path.join(out_dir, "wannier.csv")
         with _output(path) as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -87,7 +84,7 @@ def cmd_wannier(cfg: dict, out_dir: str) -> int:
     return EXIT_OK
 
 
-def cmd_ground_state(cfg: dict, out_dir: str) -> int:
+def cmd_ground_state(cfg: Config, out_dir: str) -> int:
     """Solve one chain and write the wavefunction CSV plus a metrics JSON.
 
     With a pump enabled, v0 comes from the drive, with U0 = model.C and
@@ -97,12 +94,12 @@ def cmd_ground_state(cfg: dict, out_dir: str) -> int:
     L-site chain, on the chain of max(LYAPUNOV_CHAIN_SITES, L) sites with
     the same profile.
     """
-    _, _, wb = _build_wannier(cfg)
-    mdl = cfg["model"]
+    wb = build_wannier(solve_lowest_band(cfg.lattice), cfg.lattice)
+    mdl = cfg.doc["model"]
     L, n_long = mdl["L"], max(LYAPUNOV_CHAIN_SITES, mdl["L"])
-    pump = pump_config(cfg)
+    pump = cfg.pump
     v0, coop, dcp, zeta = resolve_model_params(
-        pump, model_params(cfg, pump is not None))
+        pump, model_params(cfg.doc, pump is not None))
     chain, long_chain = (
         HubbardProblem(t=wb.t, onsite=scale_profile(
             unit_profile(mdl["mode"], wb, coop, dcp, n), v0))
@@ -124,14 +121,14 @@ def cmd_ground_state(cfg: dict, out_dir: str) -> int:
         "t": wb.t,
         "alpha": wb.alpha,
         "mode": mode,
-        "config": cfg,
+        "config": cfg.doc,
     }
     if cavity and coop != 0.0:
         out["v_c_analytic"] = critical_v_cav(wb.t, wb.alpha, dcp, coop)
     if zeta is not None and cavity:
         out["nbar"] = photon_number(gs, wb, pump.pump_mode, zeta, delta_c=dcp, U0=coop)
     wavefunction = os.path.join(out_dir, "ground_state.csv")
-    written = [wavefunction] if cfg["output"]["wavefunction_csv"] else []
+    written = [wavefunction] if cfg.doc["output"]["wavefunction_csv"] else []
     if written:
         with _output(wavefunction) as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -152,13 +149,13 @@ def cmd_ground_state(cfg: dict, out_dir: str) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(cfg: dict, out_dir: str, workers: int) -> int:
+def cmd_sweep(cfg: Config, out_dir: str, workers: int) -> int:
     """Run the configured sweep and write CSV + metadata sidecar.
 
     ``run_sweep`` builds the bases its points use and scales a unit 't'
     grid by the hopping of its basis.
     """
-    spec = sweep_spec(cfg)
+    spec = cfg.sweep
     total = spec.n_points
 
     def progress(done, n):
@@ -167,7 +164,7 @@ def cmd_sweep(cfg: dict, out_dir: str, workers: int) -> int:
     result = run_sweep(spec, workers=workers, progress=progress)
     path = os.path.join(out_dir, default_filename(spec))
     try:
-        export_csv(result, path, config=cfg)
+        export_csv(result, path, config=cfg.doc)
     except OSError as exc:  # exit 2 with export_csv's message, which names path
         raise ConfigError(str(exc)) from exc
     print(f"wrote {path}")
@@ -179,17 +176,18 @@ def cmd_sweep(cfg: dict, out_dir: str, workers: int) -> int:
     return EXIT_OK
 
 
-def cmd_baseline_aa(cfg: dict, out_dir: str, workers: int) -> int:
+def cmd_baseline_aa(cfg: Config, out_dir: str, workers: int) -> int:
     """Bichromatic baseline shortcut: the configured sweep in aa mode.
 
     The sidecar echoes mode "aa", so it reproduces the run under ``sweep``.
     """
-    if cfg["sweep"]["axis1"]["name"] != "v0":
+    if cfg.sweep.axis1.name != "v0":
         raise ConfigError("sweep.axis1.name: baseline-aa scans v0")
-    cfg = {**cfg, "model": {**cfg["model"], "mode": "aa"}}
+    cfg = effective_config({**cfg.doc, "model": {**cfg.doc["model"], "mode": "aa"}})
     return cmd_sweep(cfg, out_dir, workers)
 
 
+@functools.cache  # main is called in-process, by the tests and the benchmark
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cavityaa",

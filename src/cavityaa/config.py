@@ -6,8 +6,10 @@ it merges over the defaults: an unknown key, or a value of another kind than
 its default's, is a hard error naming the offending dotted path, so typos
 cannot silently fall back to defaults.  The whole document is checked when
 it loads, whatever the command, by building the objects its sections
-describe: the lattice, the pump and the sweep.  The effective
-(defaults-merged) configuration is echoed into the metadata sidecar of every
+describe: the lattice, the pump and the sweep.  A loaded config
+(``Config``) is the merged document and those objects, each built once;
+the commands read the objects and never rebuild them.  The effective
+(defaults-merged) document is echoed into the metadata sidecar of every
 run, and a sidecar can itself be passed back as the config to reproduce the
 run.  A document with a section no longer in DEFAULTS, such as the ``fit``
 of sidecars written while ``ground-state`` fitted the density decay, fails
@@ -19,6 +21,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+from dataclasses import dataclass
 
 from .lattice import GOLDEN_BETA, LatticeSpec
 from .sweep import PHYSICAL_AXES, Axis, PumpConfig, SweepSpec
@@ -136,45 +139,58 @@ def _reject(key: str, kind: str, value):
     raise ConfigError(f"{key}: must be {kind}, not {json.dumps(value)}")
 
 
-def effective_config(doc: dict) -> dict:
+@dataclass(frozen=True)
+class Config:
+    """A loaded config: the merged document and the objects it describes,
+    each built once; pump is None when disabled, though built and checked."""
+
+    doc: dict
+    lattice: LatticeSpec
+    pump: PumpConfig | None
+    sweep: SweepSpec
+
+
+def effective_config(doc: dict) -> Config:
     """Merge a raw document over the defaults, rejecting unknown keys and
-    values of another kind than their default's.
+    values of another kind than their default's, and build its objects.
 
     Each section is checked by constructing its object: the lattice, the
-    pump (even when disabled) and the sweep spec (``sweep_spec``).
-    _validate first makes the few checks that no constructor makes.
+    pump (even when disabled) and the sweep spec (``sweep_spec``).  model.v0
+    is checked here, under its key: ground-state reads it, and the sweep
+    only when v0 is on no axis.
     """
     merged = _merge(DEFAULTS, doc, "")
-    _validate(merged)
-    for section, build in (("lattice", lattice_spec), ("pump", _pump),
-                           ("sweep", sweep_spec)):
-        try:
-            build(merged)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"{section}: {exc}") from exc
-    return merged
+    if merged["model"]["v0"] < 0.0:
+        raise ConfigError("model.v0: must be non-negative")
+    lattice = _built("lattice", LatticeSpec, **merged["lattice"])
+    pump = _built("pump", PumpConfig,
+                  **{k: v for k, v in merged["pump"].items() if k != "enabled"})
+    pump = pump if merged["pump"]["enabled"] else None
+    return Config(merged, lattice, pump, _built("sweep", sweep_spec, merged, lattice, pump))
 
 
-def lattice_spec(cfg: dict) -> LatticeSpec:
-    """The configured lattice; LatticeSpec checks every field."""
-    return LatticeSpec(**cfg["lattice"])
+def _built(section: str, build, *args, **kwargs):
+    """build(*args, **kwargs); an error other than a ConfigError, which names
+    its key, is named by the section."""
+    try:
+        return build(*args, **kwargs)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
 
 
-def _pump(cfg: dict) -> PumpConfig:
-    return PumpConfig(**{k: v for k, v in cfg["pump"].items() if k != "enabled"})
-
-
-def pump_config(cfg: dict) -> PumpConfig | None:
-    """The configured pump, or None when it is disabled."""
-    return _pump(cfg) if cfg["pump"]["enabled"] else None
-
-
-def _axis(axis_cfg: dict) -> Axis:
-    """An axis grid in its configured unit; Axis checks the unit name."""
-    name, unit = axis_cfg["name"], axis_cfg["unit"]
+def _axis(axis_cfg: dict, key: str) -> Axis:
+    """The axis at dotted key, in its configured unit; Axis checks the unit
+    name, and the scale name and a log grid's ends are checked here."""
+    name, unit, scale = axis_cfg["name"], axis_cfg["unit"], axis_cfg["scale"]
+    if scale not in ("log", "linear"):
+        raise ConfigError(f"{key}.scale: must be 'log' or 'linear'")
     if axis_cfg["values"] is not None:
         return Axis(name, axis_cfg["values"], unit)
-    grid = Axis.log if axis_cfg["scale"] == "log" else Axis.linear
+    if scale == "log" and not (axis_cfg["start"] > 0 and axis_cfg["stop"] > 0):
+        raise ConfigError(f"{key}.start: log grids must be positive")
+    grid = Axis.log if scale == "log" else Axis.linear
     return grid(name, axis_cfg["start"], axis_cfg["stop"], axis_cfg["num"], unit)
 
 
@@ -190,8 +206,9 @@ def model_params(cfg: dict, physical: bool) -> dict:
     return {key: mdl[key] for key in ("v0", "C", "delta_c_prime")}
 
 
-def sweep_spec(cfg: dict) -> SweepSpec:
-    """The configured sweep; SweepSpec and Axis check every field.
+def sweep_spec(cfg: dict, lattice: LatticeSpec, pump: PumpConfig | None) -> SweepSpec:
+    """The sweep of the merged document cfg over lattice and pump (None when
+    disabled); SweepSpec and Axis check every field.
 
     Unit 't' grids stay in 't': ``run_sweep`` scales them by the hopping of
     the basis it builds.  A parameter on no axis and not in ``sweep.fixed``
@@ -204,44 +221,22 @@ def sweep_spec(cfg: dict) -> SweepSpec:
     axis2 = sweep_cfg["axis2"]
     names = [axis["name"] for axis in (sweep_cfg["axis1"], axis2) if axis is not None]
     given = {*names, *sweep_cfg["fixed"]}
-    physical = bool(cfg["pump"]["enabled"] and given & set(PHYSICAL_AXES))
+    physical = bool(pump is not None and given & set(PHYSICAL_AXES))
     implied = model_params(cfg, physical)
     if mdl["mode"] == "aa":  # the bichromatic chain has no C or delta'
         implied = {k: v for k, v in implied.items() if k in ("v0", "delta_c")}
     fixed = {k: v for k, v in implied.items() if k not in given}
     return SweepSpec(
-        axis1=_axis(sweep_cfg["axis1"]),
-        axis2=None if axis2 is None else _axis(axis2),
-        lattice=lattice_spec(cfg), L=mdl["L"],
+        axis1=_axis(sweep_cfg["axis1"], "sweep.axis1"),
+        axis2=None if axis2 is None else _axis(axis2, "sweep.axis2"),
+        lattice=lattice, L=mdl["L"],
         mode=mdl["mode"], fixed={**fixed, **sweep_cfg["fixed"]},
         observables=tuple(sweep_cfg["observables"]),
-        pump=pump_config(cfg), name=sweep_cfg["name"],
+        pump=pump, name=sweep_cfg["name"],
     )
 
 
-def _require(cond: bool, key: str, message: str):
-    if not cond:
-        raise ConfigError(f"{key}: {message}")
-
-
-def _validate(cfg: dict):
-    """The checks on values that no constructor makes.
-
-    Scale names, a non-negative model.v0 (which a sweep reads when v0 is
-    on no axis) and positive log grids.
-    """
-    _require(cfg["model"]["v0"] >= 0.0, "model.v0", "must be non-negative")
-    axes = {f"sweep.{key}": cfg["sweep"][key] for key in ("axis1", "axis2")
-            if cfg["sweep"][key] is not None}
-    for key, axis in axes.items():
-        _require(axis["scale"] in ("log", "linear"), f"{key}.scale",
-                 "must be 'log' or 'linear'")
-        if axis["values"] is None and axis["scale"] == "log":
-            _require(axis["start"] > 0 and axis["stop"] > 0, f"{key}.start",
-                     "log grids must be positive")
-
-
-def load_config(path) -> dict:
+def load_config(path) -> Config:
     """Load a config file; a metadata sidecar is unwrapped to its config echo."""
     try:
         with open(str(path), encoding="utf-8") as fh:

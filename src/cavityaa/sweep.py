@@ -206,6 +206,7 @@ class SweepSpec:
             if obs not in OBSERVABLE_NAMES:
                 raise ValueError(f"unknown observable {obs!r}")
         fixed = {}
+        driven = self.pump is not None and self.pump.pump_mode == "cavity_pumped"
         for key, value in self.fixed.items():
             if key not in AXIS_NAMES:
                 raise ValueError(f"unknown fixed parameter {key!r}")
@@ -219,6 +220,10 @@ class SweepSpec:
             fixed[key] = float(value)
             if not math.isfinite(fixed[key]):
                 raise ValueError(f"fixed parameter {key!r} must be finite, "
+                                 f"got {value!r}")
+            if fixed[key] < 0.0 and (key == "v0" or key == "eta" and driven):
+                # it would fail every point; on an axis it fails only its own
+                raise ValueError(f"fixed parameter {key!r} must be non-negative, "
                                  f"got {value!r}")
         object.__setattr__(self, "fixed", fixed)
         given = names + list(self.fixed)

@@ -13,7 +13,7 @@ import pytest
 import cavityaa as ca
 from cavityaa import cli, sweep
 from cavityaa.cli import main
-from cavityaa.config import DEFAULTS, effective_config, load_config, sweep_spec
+from cavityaa.config import DEFAULTS, effective_config, load_config
 from reference import read_csv
 from test_sweep import inline_fork
 
@@ -147,10 +147,10 @@ def test_merged_config_shares_nothing_with_the_defaults():
     # defaults' key order; mutating what it returns, nested axis dicts and
     # the observables list included, leaves DEFAULTS as it was
     before = json.dumps(DEFAULTS)
-    assert effective_config({}) == DEFAULTS
+    assert effective_config({}).doc == DEFAULTS
     for doc in ({}, {"sweep": {"axis1": {"num": 30}, "observables": ["ipr", "vc"]},
                      "lattice": {"depth_W0": -12.0}}):
-        merged = effective_config(doc)
+        merged = effective_config(doc).doc
         assert list(merged) == list(DEFAULTS)
         assert list(merged["sweep"]["axis1"]) == list(DEFAULTS["sweep"]["axis1"])
         merged["sweep"]["axis1"]["start"] = 99.0
@@ -665,6 +665,54 @@ def test_sweep_partial_failure_exit_code(capsys, tmp_path):
     assert "solve_failed" in body
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"sweep": {"axis1": {"name": "C", "values": [-1.0, -2.0]}, "fixed": {"v0": -0.05}}},
+     "sweep: fixed parameter 'v0' must be non-negative, got -0.05"),
+    ({"pump": {"enabled": True, "pump_mode": "cavity_pumped"},
+      "sweep": {"axis1": {"name": "U0", "values": [-1.0, -2.0]}, "fixed": {"eta": -0.1}}},
+     "sweep: fixed parameter 'eta' must be non-negative, got -0.1"),
+], ids=["v0", "eta"])
+def test_negative_fixed_strength_exit_code(capsys, tmp_path, doc, message):
+    # it would fail every point and exit 3; the load rejects it instead
+    cfg = write_cfg(tmp_path, doc)
+    code, out, err = run_cli(capsys, "sweep", "--config", cfg, "--out", str(tmp_path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_negative_model_v0_exit_code(capsys, tmp_path):
+    cfg = write_cfg(tmp_path, {"model": {"v0": -0.05}})
+    code, out, err = run_cli(capsys, "ground-state", "--config", cfg,
+                             "--out", str(tmp_path))
+    assert (code, out, err) == (2, "", "error: model.v0: must be non-negative\n")
+
+
+@pytest.mark.parametrize("command, builds", [("sweep", 1), ("wannier", 1),
+                                             ("ground-state", 1), ("baseline-aa", 2)])
+def test_each_command_builds_its_objects_once(capsys, tmp_path, monkeypatch, command,
+                                              builds):
+    # the loaded config holds its lattice and sweep, and a command builds
+    # neither again; baseline-aa loads the config again in aa mode.
+    # run_sweep's own lattices, one per depth, are not counted
+    counts = {ca.LatticeSpec: 0, ca.SweepSpec: 0}
+    counting = [True]
+    for cls in counts:
+        def counted(self, cls=cls, post_init=cls.__post_init__):
+            counts[cls] += counting[0]
+            post_init(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    run_sweep = cli.run_sweep
+
+    def uncounted(*args, **kwargs):
+        counting[0] = False
+        return run_sweep(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_sweep", uncounted)
+    code, out, err = run_cli(capsys, command, "--out", str(tmp_path))
+    assert code == 0, err
+    assert counts == {ca.LatticeSpec: builds, ca.SweepSpec: builds}
+
+
 def test_baseline_aa_shortcut(capsys, tmp_path, wannier):
     doc = {
         "sweep": {
@@ -861,10 +909,10 @@ def test_integral_number_is_stored_as_an_integer(tmp_path):
     # an integer field takes 15.0 and stores 15, which a sidecar echoes
     doc = {"lattice": {"planewave_cutoff_M": 15.0},
            "sweep": {"axis1": {"name": "v0", "num": 40.0}}}
-    cfg = load_config(write_cfg(tmp_path, doc))
+    cfg = load_config(write_cfg(tmp_path, doc)).doc
     assert type(cfg["lattice"]["planewave_cutoff_M"]) is int
     assert type(cfg["sweep"]["axis1"]["num"]) is int
-    assert cfg == load_config(write_cfg(tmp_path, {}))
+    assert cfg == load_config(write_cfg(tmp_path, {})).doc
 
 
 def _leaves(tree, path=""):
@@ -989,8 +1037,7 @@ def test_depth_axis_in_unit_t_exit_code(capsys, tmp_path):
 
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
 def test_shipped_config_builds_sweep_spec(path):
-    cfg = load_config(path)
-    spec = sweep_spec(cfg)
+    spec = load_config(path).sweep
     assert spec.name == path.stem
     assert spec.n_points >= 1
 

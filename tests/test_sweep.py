@@ -13,7 +13,7 @@ import pytest
 import scipy.linalg
 
 import cavityaa as ca
-from cavityaa.config import load_config, sweep_spec
+from cavityaa.config import load_config
 from reference import (first_shift, photon_number_site_loop, read_csv,
                        thouless_ldlt_gamma, thouless_spectrum_gamma, warm_start)
 
@@ -171,6 +171,25 @@ def test_fixed_values_are_floats(lattice_spec):
     for flag in (True, np.False_):  # not the number 1 or 0
         with pytest.raises(ValueError, match="'C' must be a number"):
             _spec(lattice_spec, axis2=None, fixed={"C": flag})
+
+
+def test_negative_fixed_strength_rejected(lattice_spec):
+    # a fixed negative v0, or drive of a driven cavity, would fail every
+    # point; a driven atom's Omega enters squared, and 0 is the flat chain
+    with pytest.raises(ValueError, match="'v0' must be non-negative, got -0.05"):
+        _spec(lattice_spec, axis1=ca.Axis("C", np.array([-1.0])), axis2=None,
+              fixed={"v0": -0.05, "delta_c_prime": 0.0})
+    cavity = ca.PumpConfig(pump_mode="cavity_pumped")
+    atom = ca.PumpConfig(pump_mode="atom_pumped", Delta_a=-2.0)
+    u0 = ca.Axis("U0", np.array([-1.0]))
+    with pytest.raises(ValueError, match="'eta' must be non-negative, got -0.1"):
+        _spec(lattice_spec, axis1=u0, axis2=None, fixed={"eta": -0.1, "delta_c": 0.0},
+              pump=cavity)
+    spec = _spec(lattice_spec, axis1=u0, axis2=None, fixed={"eta": -0.1, "delta_c": -1.0},
+                 pump=atom)
+    assert spec.fixed["eta"] == -0.1
+    _spec(lattice_spec, axis1=ca.Axis("C", np.array([-1.0])), axis2=None,
+          fixed={"v0": 0.0, "delta_c_prime": 0.0})
 
 
 def test_mixed_model_and_physical_parameters_rejected(lattice_spec):
@@ -1324,7 +1343,7 @@ def test_csv_rows_are_the_csv_writer_rows_with_empty_cells(lattice_spec, monkeyp
 
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
 def test_shipped_csv_rows_are_the_csv_writer_rows(path):
-    result = ca.run_sweep(sweep_spec(load_config(path)))
+    result = ca.run_sweep(load_config(path).sweep)
     assert ca.sweep.csv_body(result) == _writer_body(result)
 
 
@@ -1343,7 +1362,7 @@ def test_first_shifts_of_the_shipped_configs_lie_below_the_quotient(path, monkey
         return warm_eigenpairs(D, E, starts, norm_bounds, shifts)
 
     monkeypatch.setattr(ca.kernels, "warm_eigenpairs", spy)
-    spec = sweep_spec(load_config(path))
+    spec = load_config(path).sweep
     result = ca.run_sweep(spec)
     counts = result.metadata["solver_counts"]
     assert result.n_failed == 0

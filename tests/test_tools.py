@@ -10,7 +10,8 @@ import sys
 
 import pytest
 
-from cavityaa.config import effective_config, sweep_spec
+from cavityaa.cli import main
+from cavityaa.config import effective_config
 
 TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py"
 
@@ -86,7 +87,7 @@ def test_refresh_names_each_change():
     assert refresh._changes(old, old) == []
 
 
-def test_shipped_outputs_runs_the_benchmark_workloads():
+def test_shipped_outputs_runs_the_benchmark_workloads(tmp_path):
     # beside the shipped configs, every workload at seeds 3 and 11 is swept
     # at one and two workers, from the config the seed draws
     spec = importlib.util.spec_from_file_location("shipped_outputs",
@@ -110,10 +111,19 @@ def test_shipped_outputs_runs_the_benchmark_workloads():
     assert runs["ground-state-atom_pumped"] == ["ground-state", ground]
     for doc in (sweep, ground):
         cfg = effective_config(doc)
-        assert cfg["pump"]["enabled"] and cfg["pump"]["pump_mode"] == "atom_pumped"
-    spec = sweep_spec(effective_config(sweep))
+        assert cfg.doc["pump"]["enabled"] and cfg.doc["pump"]["pump_mode"] == "atom_pumped"
+    spec = effective_config(sweep).sweep
     assert (spec.axis1.name, spec.axis2.name) == ("eta", "delta_c")
     assert spec.observables == ("ipr", "gamma", "nbar", "vc")
+    # and one rejected config per validation layer, each run under its
+    # command, which exits 2
+    assert len(shipped.INVALID_RUNS) == 10
+    for name, (command, config) in shipped.INVALID_RUNS.items():
+        assert runs[f"invalid-{name}"] == [command, config]
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(config))
+        assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2, name
+    assert not list(tmp_path.glob("*.csv"))
 
 
 BENCH_TOOL = TOOL.parent / "bench_pair.py"

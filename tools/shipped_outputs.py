@@ -14,7 +14,9 @@ cover what no shipped config does, the pool with the photon number and gamma,
 and a W0 axis at L = 987.  Nor does either drive the atom: ``sweep`` at
 ``--workers 1`` and ``2`` on ATOM_PUMPED_SWEEP, an eta x delta_c grid with
 every observable, and ``ground-state`` on ATOM_PUMPED_GROUND_STATE run that
-path, from configs written the same way.
+path, from configs written the same way.  Each of INVALID_RUNS runs its
+command on a config that one validation layer rejects, so the trees also
+compare the exit codes and ``error:`` lines.
 Each run writes into its own subdirectory, with its exit code, stdout and
 stderr (the progress lines) in ``log.txt``; sidecar timestamps are dropped.
 """
@@ -53,6 +55,26 @@ ATOM_PUMPED_SWEEP = {
 ATOM_PUMPED_GROUND_STATE = {"model": {"C": -1.0, "delta_c_prime": -4.0},
                             "pump": ATOM_PUMP}
 
+#: name -> (command, config): each rejected by one layer, from the merge's
+#: key and kind checks through the axis grids, model.v0, the lattice, pump
+#: and sweep objects to the baseline-aa command.
+INVALID_RUNS = {
+    "unknown_key": ("sweep", {"model": {"Cc": -1.0}}),
+    "wrong_kind": ("sweep", {"model": {"L": "233"}}),
+    "bad_scale": ("sweep", {"sweep": {"axis1": {"scale": "lgo"}}}),
+    "log_start_0": ("sweep", {"sweep": {"axis1": {"start": 0}}}),
+    "negative_model_v0": ("ground-state", {"model": {"v0": -0.05}}),
+    "bad_lattice": ("wannier", {"lattice": {"points_per_site": 8}}),
+    "bad_pump": ("sweep", {"pump": {"kappa_over_recoil": 0}}),
+    "nbar_in_aa": ("sweep", {"model": {"mode": "aa"},
+                             "sweep": {"observables": ["ipr", "nbar"]}}),
+    "baseline_aa_on_C": ("baseline-aa", {"sweep": {"axis1": {"name": "C",
+                                                             "values": [-1.0]}}}),
+    "negative_fixed_v0": ("sweep", {"sweep": {"axis1": {"name": "C",
+                                                        "values": [-1.0, -2.0]},
+                                              "fixed": {"v0": -0.05}}}),
+}
+
 
 def _runs():
     configs = ROOT / "configs"
@@ -77,6 +99,8 @@ def _runs():
         yield (f"sweep-atom_pumped-w{workers}",
                ["sweep", ATOM_PUMPED_SWEEP, "--workers", workers])
     yield "ground-state-atom_pumped", ["ground-state", ATOM_PUMPED_GROUND_STATE]
+    for name, (command, config) in INVALID_RUNS.items():
+        yield f"invalid-{name}", [command, config]
 
 
 def main(out_dir: str) -> None:
