@@ -29,8 +29,8 @@ from .lattice import band_tightbinding_residual, build_wannier, solve_lowest_ban
 from .model import HubbardProblem, ground_state, scale_profile
 from .observables import (LYAPUNOV_CHAIN_SITES, LYAPUNOV_EXPONENT_METHOD,
                           critical_v_cav, ipr, lyapunov_exponent, photon_number)
-from .sweep import (default_filename, export_csv, resolve_model_params,
-                    run_sweep, unit_profile)
+from .sweep import (SITES_PER_PROCESS, default_filename, export_csv,
+                    resolve_model_params, run_sweep, unit_profile)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -204,7 +204,9 @@ def _parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", default=".", help="output directory")
         if needs_workers:
             cmd.add_argument("--workers", type=int, default=1,
-                             help="parallel worker processes")
+                             help="most processes to solve the sweep in: one "
+                                  f"per {SITES_PER_PROCESS} points x L of the grid "
+                                  "and per column at most")
     return parser
 
 

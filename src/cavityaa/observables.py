@@ -6,8 +6,9 @@ formula, with no eigenvector: a sweep takes it on its own chain just below
 the ground energy (``thouless_gammas``, one LDL^T factorization per chain,
 taken for all chains of a sweep step at once), and the ``ground-state``
 command at the ground energy of a chain of LYAPUNOV_CHAIN_SITES sites with
-the same profile (``lyapunov_exponent``, one pivoted LU), where the
-finite-size bias no longer matters.  The transition
+the same profile (``lyapunov_exponent``, one pivoted LU, less the terms of
+eigenvalues within rounding of it), where the finite-size bias no longer
+matters.  The transition
 point is extracted from the steepest slope of log IPR versus log v0, and the
 small-C dual-model prediction (4t/alpha)(delta'^2+1)/|C| provides the
 analytic comparison line.  The mean intracavity photon number follows from the
@@ -39,8 +40,9 @@ LYAPUNOV_METHOD = "thouless_ldlt"
 #: of ||H||: far above the rounding of E0, far below the level spacing.
 THOULESS_SHIFT_RTOL = 1e-10
 
-#: Identifier of ``lyapunov_exponent``, recorded by ``ground-state``.
-LYAPUNOV_EXPONENT_METHOD = "thouless_lu"
+#: Identifier of ``lyapunov_exponent``, recorded by ``ground-state``: the
+#: LU determinant, eigenvalues within rounding distance of E left out.
+LYAPUNOV_EXPONENT_METHOD = "thouless_lu_near_left_out"
 
 #: ``ground-state`` evaluates ``lyapunov_exponent`` on a chain of
 #: max(LYAPUNOV_CHAIN_SITES, L) sites: its finite-size bias is below 0.4%
@@ -93,23 +95,35 @@ def thouless_gammas(D: np.ndarray, E: np.ndarray, norm_bounds: np.ndarray,
 
 
 def lyapunov_exponent(problem: "HubbardProblem", energy: float) -> float:
-    """Lyapunov exponent ln|det(H - E I)| / (L - 1) - ln|t| of the chain at E.
+    """Lyapunov exponent (1 / (L - 1)) sum_j ln|E - E_j| - ln|t| of the chain
+    at E, by the Thouless formula over its eigenvalues E_j, leaving out those
+    within delta = THOULESS_SHIFT_RTOL ||H|| of E.
 
-    This is the Thouless formula (1 / (L - 1)) sum_j ln|E - E_j| - ln|t|
-    over every eigenvalue E_j, with |det| the product of the U pivots of one
-    LU factorization with partial pivoting (``dgttrf``).  Unlike
-    ``thouless_gammas`` it takes any E, including one inside the spectrum,
-    such as the ground energy of a shorter chain with the same profile.
-    Raises ``numpy.linalg.LinAlgError`` when a pivot is exactly zero, i.e.
-    when H - E I is singular.
+    Unlike ``thouless_gammas`` it takes any E, including one inside the
+    spectrum, such as the ground energy of a shorter chain with the same
+    profile.  Where that ground state is localized, this chain holds the
+    same state, with an eigenvalue within rounding of E whose term would be
+    pure rounding (up to 2e-3 at 20 000 sites); ``dstebz`` finds the
+    eigenvalues in (E - delta, E + delta].  The sum is ln|det(H - x I)|, the
+    product of the U pivots of one LU factorization with partial pivoting
+    (``dgttrf``), at x = E with none, or at x = E - 2 delta less their terms
+    ln|x - E_j| otherwise: each of those lies at least delta from x, and the
+    others' terms move by about 2 delta / |E - E_j|.  Raises
+    ``numpy.linalg.LinAlgError`` when a pivot is exactly zero, i.e. when
+    H - x I is singular, or when ``dstebz`` fails.
     """
-    offdiag = problem.offdiagonal
-    _, upper, _, _, _, info = lapack.dgttrf(offdiag,
-                                            problem.onsite.values - energy, offdiag)
+    delta = THOULESS_SHIFT_RTOL * problem.norm_bound
+    diag, offdiag = problem.onsite.values, problem.offdiagonal
+    m, near, *_, info = lapack.dstebz(diag, offdiag, 1, energy - delta, energy + delta,
+                                      0, 0, 0.0, "B")
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dstebz failed with info = {info}")
+    x = energy - 2.0 * delta if m else energy
+    _, upper, _, _, _, info = lapack.dgttrf(offdiag, diag - x, offdiag)
     if info != 0:
         raise np.linalg.LinAlgError(f"dgttrf failed with info = {info}")
-    return float(np.log(np.abs(upper)).sum() / (problem.L - 1)
-                 - math.log(abs(problem.t)))
+    log_det = np.log(np.abs(upper)).sum() - np.log(near[:m] - x).sum()
+    return float(log_det / (problem.L - 1) - math.log(abs(problem.t)))
 
 
 def critical_v_cav(t: float, alpha: float, delta_c_prime: float, C: float) -> float:

@@ -10,6 +10,7 @@ each ground-state solve started from the previous point's state, at a
 first shift predicted from its last two points (``_Column.first_shift``),
 and estimates its own transition.  A column is never split; the columns are
 dealt out to this process and to any forked workers (``_forked_results``),
+forked only where the grid is large enough to pay for it (``_processes``),
 and each process advances its share of columns one strength step at a time
 (``_run_share``): a step solves one point of every column, stacks their
 chains once, and hands its warm solves, IPR and gamma_T each to one call on
@@ -67,6 +68,16 @@ SOLVER_KINDS = ("warm", "cold", "select_fallback", "unsolved")
 #: second-order term of E0(v0), from the secant of its Hellmann-Feynman
 #: slopes at the column's last two points.
 FIRST_SHIFT_METHOD = "hellmann_feynman_second_order"
+
+#: A sweep runs in P = min(workers, columns, ceil(points x L /
+#: SITES_PER_PROCESS)) processes (``_processes``), points x L being the
+#: grid's point-sites.  Set on a 2-core host (README, "Parallel sweeps"): a
+#: whole ``cavityaa sweep`` ran faster in one process on every shipped
+#: config (at most 559 200 point-sites), two processes won from the 100 x
+#: 100 grid at L = 233 (2.33M) on, and at 600 000 that grid gets 4
+#: processes at workers = 4.  The crossover is host-dependent, and grouping
+#: a share's columns into cache-sized blocks would move it at L = 987.
+SITES_PER_PROCESS = 600_000
 
 #: A process reports progress after every ceil(steps / PROGRESS_STEPS)-th
 #: strength step of its share, so at most this many times before the end.
@@ -242,11 +253,18 @@ class SweepSpec:
             if coupling not in given:
                 raise ValueError(f"cavity mode requires {coupling!r} on an "
                                  "axis or in fixed")
-        if (physical and self.pump.pump_mode == "atom_pumped"
-                and "delta_c" not in given):
-            # a driven atom's v0 = Omega^2 delta_c / Delta_a is 0 without it
-            raise ValueError("an atom-pumped drive requires 'delta_c' on an "
-                             "axis or in fixed")
+        if physical and self.pump.pump_mode == "atom_pumped":
+            if "delta_c" not in given:
+                # a driven atom's v0 = Omega^2 delta_c / Delta_a is 0 without it
+                raise ValueError("an atom-pumped drive requires 'delta_c' on an "
+                                 "axis or in fixed")
+            if self.fixed.get("delta_c", 0.0) * self.pump.Delta_a < 0.0:
+                # v0 < 0 at every point (map_physical_params); on an axis a
+                # delta_c of that sign fails only its own points
+                raise ValueError(
+                    f"fixed delta_c = {self.fixed['delta_c']!r} and Delta_a = "
+                    f"{self.pump.Delta_a!r} give an atom-pumped drive v0 < 0 "
+                    "at every point; flip the sign of Delta_a")
         if not physical and "v0" not in given:
             # the strength would be 0: the flat chain, whatever was asked
             raise ValueError("without physical parameters a sweep requires "
@@ -701,6 +719,12 @@ def _forked_results(spec: SweepSpec, bases: dict, columns: list, processes: int,
     return results
 
 
+def _processes(spec: SweepSpec, workers: int, columns: int) -> int:
+    """How many processes solve the sweep's columns: at most workers, one
+    per column, and one per SITES_PER_PROCESS point-sites of the grid."""
+    return min(workers, columns, -(-spec.n_points * spec.L // SITES_PER_PROCESS))
+
+
 def run_sweep(spec: SweepSpec, workers: int = 1, progress=None) -> SweepResult:
     """Execute the sweep and collect one record per grid point.
 
@@ -710,12 +734,14 @@ def run_sweep(spec: SweepSpec, workers: int = 1, progress=None) -> SweepResult:
     first needs it.  The columns
     (``_solve_columns``) all have the same length; each runs warm-started
     in increasing strength and estimates its own transition
-    (``_Column.result``).  workers counts the processes that solve columns,
-    this one included: with P = min(workers, columns), this process solves
-    every P-th column from the first and P - 1 forked workers the rest
-    (``_forked_results``); the results are taken in column order and are
-    identical for every P.  workers < 1 raises ValueError, and so does
-    workers > 1 where the fork start method does not exist.  progress, when
+    (``_Column.result``).  workers is a ceiling on the processes that solve
+    columns, this one included: with P = ``_processes(spec, workers,
+    columns)``, this process solves every P-th column from the first and
+    P - 1 forked workers the rest (``_forked_results``), so a grid of at
+    most SITES_PER_PROCESS point-sites runs here alone; the results
+    are taken in column order and are identical for every P.  workers < 1
+    raises ValueError, and so does workers > 1 where the fork start method
+    does not exist, whatever the grid's size.  progress, when
     given, is called as progress(done, total) as this process finishes its
     own columns (``_forked_results``), and once with done == total at the
     end.
@@ -727,14 +753,16 @@ def run_sweep(spec: SweepSpec, workers: int = 1, progress=None) -> SweepResult:
     bases = {}
     if depth_axis is None:  # SweepSpec allows unit 't' axes only here
         wannier = _basis(spec, bases, spec.lattice.depth_W0)
-        spec = replace(spec, **{key: Axis(axis.name, axis.values * wannier.t)
-                                for key, axis in _axes(spec).items() if axis.unit == "t"})
+        scaled = {key: Axis(axis.name, axis.values * wannier.t)
+                  for key, axis in _axes(spec).items() if axis.unit == "t"}
+        if scaled:
+            spec = replace(spec, **scaled)
     n = spec.n_points
     records: list = [None] * n
     columns = _solve_columns(spec)
     estimates, by_depth = [], {}
-    results = _forked_results(spec, bases, columns, min(workers, len(columns)),
-                              context, progress)
+    results = _forked_results(spec, bases, columns,
+                              _processes(spec, workers, len(columns)), context, progress)
     for (column_records, entry, constants), column in zip(results, columns):
         for i, rec in zip(column, column_records):
             records[i] = rec

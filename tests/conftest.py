@@ -22,6 +22,14 @@ def wannier(band, lattice_spec):
     return ca.build_wannier(band, lattice_spec)
 
 
+@pytest.fixture
+def forking(monkeypatch):
+    """Fork up to the worker count on grids of any size: one point-site per
+    process (``sweep.SITES_PER_PROCESS``), so that the tests' small grids
+    run the pool."""
+    monkeypatch.setattr(ca.sweep, "SITES_PER_PROCESS", 1)
+
+
 @pytest.fixture(scope="session")
 def dense_chain():
     """Dense chain Hamiltonian, the oracle for the tridiagonal ground state."""

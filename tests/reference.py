@@ -159,22 +159,26 @@ def thouless_ldlt_gamma(diag, t: float, energy: float, shift_rtol: float) -> flo
                  - math.log(abs(t)))
 
 
-def determinant_spectrum_gamma(diag, t: float, energy: float) -> tuple[float, float]:
+def determinant_spectrum_gamma(diag, t: float, energy: float,
+                               within: float = 0.0) -> tuple[float, float, int]:
     """The Thouless formula at any energy, summed over the full spectrum.
 
-    Returns (gamma, sensitivity): gamma = sum_j ln|E - E_j| / (L - 1) - ln|t|
-    over every eigenvalue E_j of tridiag(-t, diag, -t)
-    (``eigvalsh_tridiagonal``), and sensitivity =
-    ||H|| sum_j 1 / |E - E_j| / (L - 1), by which gamma changes to first
-    order when every E_j moves by a relative amount of ||H|| (the chain's
-    Gershgorin norm bound).
+    Returns (gamma, sensitivity, left_out): gamma = sum_j ln|E - E_j| /
+    (L - 1) - ln|t| over every eigenvalue E_j of tridiag(-t, diag, -t)
+    (``eigvalsh_tridiagonal``) farther than within from E, sensitivity =
+    ||H|| sum_j 1 / |E - E_j| / (L - 1) over the same E_j, by which gamma
+    changes to first order when every E_j moves by a relative amount of
+    ||H|| (the chain's Gershgorin norm bound), and left_out the count of
+    eigenvalues within within of E.
     """
     diag = np.asarray(diag, dtype=np.float64)
     offdiag = np.full(diag.shape[0] - 1, -t)
     gaps = np.abs(energy - eigvalsh_tridiagonal(diag, offdiag))
+    kept = gaps[gaps > within]
     n = diag.shape[0] - 1
-    return (float(np.log(gaps).sum() / n - np.log(abs(t))),
-            float(gershgorin_norm_bound(diag, offdiag) * np.sum(1.0 / gaps) / n))
+    return (float(np.log(kept).sum() / n - np.log(abs(t))),
+            float(gershgorin_norm_bound(diag, offdiag) * np.sum(1.0 / kept) / n),
+            gaps.shape[0] - kept.shape[0])
 
 
 def thouless_reference(v0: float, v_c: float) -> float:

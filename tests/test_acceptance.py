@@ -125,6 +125,7 @@ def test_criterion_7_photon_resonance(wannier):
             f"(atom at site {site + 1}, cos^2 = {cos2[site]:.5f})")
 
 
+@pytest.mark.usefixtures("forking")
 def test_criterion_8_invariant_suite(scanner, band, wannier, lattice_spec):
     checks = []
 

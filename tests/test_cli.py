@@ -528,6 +528,7 @@ def test_unreadable_config_exit_code(capsys, tmp_path, content, reason):
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+@pytest.mark.usefixtures("forking")
 def test_shipped_config_is_worker_independent(capsys, tmp_path, path):
     bodies, metadatas = [], []
     for workers in ("1", "2"):
@@ -671,7 +672,14 @@ def test_sweep_partial_failure_exit_code(capsys, tmp_path):
     ({"pump": {"enabled": True, "pump_mode": "cavity_pumped"},
       "sweep": {"axis1": {"name": "U0", "values": [-1.0, -2.0]}, "fixed": {"eta": -0.1}}},
      "sweep: fixed parameter 'eta' must be non-negative, got -0.1"),
-], ids=["v0", "eta"])
+    ({"pump": {"enabled": True, "pump_mode": "atom_pumped", "Omega": 0.8,
+               "Delta_a": -2.0, "g": 0.3},
+      "sweep": {"axis1": {"name": "eta", "scale": "log", "start": 0.1, "stop": 2.0,
+                          "num": 4},
+                "fixed": {"U0": -1.0, "delta_c": 1.0}}},
+     "sweep: fixed delta_c = 1.0 and Delta_a = -2.0 give an atom-pumped drive "
+     "v0 < 0 at every point; flip the sign of Delta_a"),
+], ids=["v0", "eta", "atom_delta_c"])
 def test_negative_fixed_strength_exit_code(capsys, tmp_path, doc, message):
     # it would fail every point and exit 3; the load rejects it instead
     cfg = write_cfg(tmp_path, doc)

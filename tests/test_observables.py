@@ -35,15 +35,15 @@ def _chain_profile(wannier, kind, n_sites, strength):
     return ca.onsite_cavity(wannier, ca.EffectivePotential(v0, strength, 0.0), n_sites)
 
 
-# (kind, sites, v0/2t or C, prefix).  A prefix chain's certified E0 is also
-# checked where that ground state is extended: a localized one has a
-# long-chain eigenvalue within rounding of its E0, so ln|E0 - E_j| is itself
-# rounding there (the offset sensitivity of ground-state's gamma).
+# (kind, sites, v0/2t or C, prefix): every chain is also checked at the
+# certified E0 of its prefix chain.  Where that ground state is localized
+# the long chain holds it too, with an eigenvalue within rounding of E0,
+# whose term ln|E0 - E_j| is rounding and is left out.
 DETERMINANT_CHAINS = [
     ("aa", 1597, 0.5, 233),
-    ("aa", 1597, 1.5, None),
+    ("aa", 1597, 1.5, 233),
     ("cavity", 1000, -2.0, 233),
-    ("cavity", 2000, 1.5, None),
+    ("cavity", 2000, 1.5, 233),
 ]
 
 
@@ -52,42 +52,87 @@ DETERMINANT_CHAINS = [
 def test_lyapunov_exponent_is_the_full_spectrum_sum(wannier, kind, n_sites,
                                                      strength, prefix):
     # midpoints between neighbouring eigenvalues at the bottom, middle and
-    # top of the spectrum, one below it, and a prefix chain's E0.  Rounding
-    # moves each E_j (eigvalsh) and the LU's backward error (growth at most
-    # 2 on a tridiagonal, ||H - E|| <= 2 ||H||) by a few eps ||H||: 32 eps
-    # times the first-order sensitivity covers both, 64 eps the log sum
+    # top of the spectrum, one below it, and the prefix chain's E0; the sum
+    # leaves out the eigenvalues within delta = SHIFT_RTOL ||H|| of E.
+    # Rounding moves each E_j (eigvalsh) and the LU's backward error (growth
+    # at most 2 on a tridiagonal, ||H - E|| <= 2 ||H||) by a few eps ||H||:
+    # 32 eps times the first-order sensitivity covers both, 64 eps the log
+    # sum.  With an eigenvalue left out, the LU is taken 2 delta below E:
+    # the kept terms move by at most 2 SHIFT_RTOL times the sensitivity,
+    # and each left-out term, at least delta from there, is known to a few
+    # eps ||H|| / delta
     profile = _chain_profile(wannier, kind, n_sites, strength)
     problem = ca.HubbardProblem(t=wannier.t, onsite=profile)
     w = eigvalsh_tridiagonal(profile.values, np.full(n_sites - 1, -wannier.t))
     energies = [0.5 * (w[k] + w[k + 1]) for k in (0, n_sites // 2, n_sites - 2)]
     energies.append(w[0] - 0.1 * wannier.t)
-    if prefix is not None:
-        head = ca.OnsiteProfile(values=profile.values[:prefix].copy())
-        energies.append(ca.ground_state(
-            ca.HubbardProblem(t=wannier.t, onsite=head)).energy)
+    head = ca.OnsiteProfile(values=profile.values[:prefix].copy())
+    head_state = ca.ground_state(ca.HubbardProblem(t=wannier.t, onsite=head))
+    energies.append(head_state.energy)
+    delta = SHIFT_RTOL * problem.norm_bound
     eps = np.finfo(np.float64).eps
     for energy in energies:
-        oracle, sensitivity = determinant_spectrum_gamma(profile.values,
-                                                         wannier.t, energy)
+        oracle, sensitivity, left_out = determinant_spectrum_gamma(
+            profile.values, wannier.t, energy, within=delta)
         bound = 32.0 * eps * sensitivity + 64.0 * eps
-        assert bound < 1e-10, energy
+        if left_out:
+            bound += (2.0 * SHIFT_RTOL * sensitivity
+                      + left_out * 32.0 * eps / SHIFT_RTOL / (n_sites - 1))
+        assert bound < (1e-6 if left_out else 1e-10), energy
         assert abs(ca.lyapunov_exponent(problem, energy) - oracle) <= bound
+    # the prefix E0 leaves one out where its state is localized, and the
+    # term it drops would move gamma by far more than the bound
+    oracle, _, left_out = determinant_spectrum_gamma(profile.values, wannier.t,
+                                                     head_state.energy, within=delta)
+    localized = ca.ipr(head_state) > 0.1
+    assert localized == (strength > 1.0)
+    assert left_out == int(localized)
+    if localized:
+        full, *_ = determinant_spectrum_gamma(profile.values, wannier.t, head_state.energy)
+        assert abs(full - oracle) > 1e-4
+
+
+def test_lyapunov_exponent_is_offset_invariant(wannier):
+    # a constant shift of the profile moves E0 and every E_j alike; with the
+    # rounding-level term left out, gamma of a localized state stays put
+    # (it moved by 1.2e-4 with that term kept)
+    n_long = 4000
+    values = ca.onsite_aa(2.0 * 2.25 * wannier.t, GOLDEN_BETA, n_long).values
+    gammas = []
+    for offset in (0.0, 0.37):
+        head = ca.HubbardProblem(t=wannier.t, onsite=ca.OnsiteProfile(values[:L] + offset))
+        long = ca.HubbardProblem(t=wannier.t, onsite=ca.OnsiteProfile(values + offset))
+        gammas.append(ca.lyapunov_exponent(long, ca.ground_state(head).energy))
+    assert gammas[1] == pytest.approx(gammas[0], abs=1e-8)
+
+
+def test_lyapunov_exponent_leaves_out_an_exact_eigenvalue():
+    # 3 free sites have the eigenvalues -sqrt(2), 0 and sqrt(2): at E = 0
+    # the sum keeps ln sqrt(2) twice, where the LU at 0 has a zero pivot
+    problem = ca.HubbardProblem(t=1.0, onsite=ca.onsite_aa(0.0, GOLDEN_BETA, 3))
+    assert ca.lyapunov_exponent(problem, 0.0) == pytest.approx(np.log(np.sqrt(2.0)),
+                                                               abs=1e-6)
 
 
 def test_lyapunov_exponent_raises_on_a_zero_pivot(monkeypatch):
-    # 3 free sites have the eigenvalue 0 exactly, so U has a zero pivot
+    # LAPACK reports a zero pivot of the LU, or a failed bisection, by info
     problem = ca.HubbardProblem(t=1.0, onsite=ca.onsite_aa(0.0, GOLDEN_BETA, 3))
-    with pytest.raises(np.linalg.LinAlgError, match="dgttrf"):
-        ca.lyapunov_exponent(problem, 0.0)
-    dgttrf = scipy.linalg.lapack.dgttrf
+    dgttrf, dstebz = scipy.linalg.lapack.dgttrf, scipy.linalg.lapack.dstebz
 
-    def planted(dl, d, du):
+    def planted_lu(dl, d, du):
         *factors, info = dgttrf(dl, d, du)
         return (*factors, 1)
 
-    monkeypatch.setattr(ca.observables, "lapack", types.SimpleNamespace(dgttrf=planted))
-    with pytest.raises(np.linalg.LinAlgError, match="info = 1"):
-        ca.lyapunov_exponent(problem, -1.0)
+    def planted_bisection(*args):
+        *out, info = dstebz(*args)
+        return (*out, 2)
+
+    for lu, bisection, name in ((planted_lu, dstebz, "dgttrf"),
+                                (dgttrf, planted_bisection, "dstebz")):
+        monkeypatch.setattr(ca.observables, "lapack",
+                            types.SimpleNamespace(dgttrf=lu, dstebz=bisection))
+        with pytest.raises(np.linalg.LinAlgError, match=f"{name} failed with info"):
+            ca.lyapunov_exponent(problem, -1.0)
 
 
 def _cavity_chains(wannier, K):

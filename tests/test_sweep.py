@@ -192,6 +192,25 @@ def test_negative_fixed_strength_rejected(lattice_spec):
           fixed={"v0": 0.0, "delta_c_prime": 0.0})
 
 
+def test_fixed_detuning_of_the_wrong_sign_rejected(lattice_spec):
+    # a driven atom's v0 = Omega^2 delta_c / Delta_a: a fixed delta_c of the
+    # sign of -Delta_a would fail every point, and is rejected at the spec;
+    # on an axis it fails only its own points, and 0 is the flat chain
+    atom = ca.PumpConfig(pump_mode="atom_pumped", Omega=0.8, Delta_a=-2.0, g=0.3)
+    eta = ca.Axis.log("eta", 0.1, 2.0, 4)
+    with pytest.raises(ValueError, match=r"fixed delta_c = 1.0 and Delta_a = -2.0 give "
+                                         r"an atom-pumped drive v0 < 0 at every point"):
+        _spec(lattice_spec, axis1=eta, axis2=None, fixed={"U0": -1.0, "delta_c": 1.0},
+              pump=atom)
+    for delta_c in (-1.0, 0.0):
+        _spec(lattice_spec, axis1=eta, axis2=None, fixed={"U0": -1.0, "delta_c": delta_c},
+              pump=atom)
+    spec = _spec(lattice_spec, axis1=eta, axis2=ca.Axis("delta_c", np.array([-1.0, 1.0])),
+                 fixed={"U0": -1.0}, pump=atom)
+    flags = [rec.flags for rec in ca.run_sweep(spec).records]
+    assert flags == ["", "solve_failed:ValueError"] * 4
+
+
 def test_mixed_model_and_physical_parameters_rejected(lattice_spec):
     # a physical parameter maps to all of (v0, C, delta_c_prime), so a model
     # parameter beside it would be dropped without notice
@@ -235,6 +254,7 @@ def _pumped_spec(lattice, etas=np.geomspace(0.05, 0.6, 8)):
                  observables=("ipr", "gamma", "nbar"), name="pumped")
 
 
+@pytest.mark.usefixtures("forking")
 def test_sweep_deterministic_and_worker_independent(lattice_spec):
     # the second spec is pumped and reads nbar
     for spec in (_spec(lattice_spec, observables=("ipr", "gamma")),
@@ -430,6 +450,7 @@ def test_dstein_runs_for_band_and_cold_solves_only(lattice_spec, monkeypatch,
 
 
 @pytest.mark.parametrize("scan_first", [True, False], ids=["axis1", "axis2"])
+@pytest.mark.usefixtures("forking")
 def test_warm_columns_are_worker_independent(lattice_spec, scan_first):
     # forked workers get whole columns, so serial and pooled runs start the
     # same solves cold
@@ -467,6 +488,7 @@ def _lockstep_spec(lattice, kind="cavity"):
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("kind, min_chains", [("cavity", 2), ("cavity", 8),
                                               ("pumped", 2), ("long", 2)])
+@pytest.mark.usefixtures("forking")
 def test_lockstep_columns_are_their_one_column_sweeps(lattice_spec, monkeypatch,
                                                       workers, kind, min_chains):
     # a share's columns advance together, through block LAPACK calls and
@@ -532,6 +554,7 @@ def _plant(monkeypatch, spec, wannier, failure, column):
 @pytest.mark.parametrize("failure, error", [("set_up", "ValueError"),
                                             ("solve", "GroundStateError"),
                                             ("gamma", "LinAlgError")])
+@pytest.mark.usefixtures("forking")
 def test_failure_in_one_column_leaves_the_others_alone(wannier, lattice_spec, monkeypatch,
                                                       workers, failure, error):
     # the planted column is the forked worker's at two workers; every other
@@ -563,6 +586,7 @@ def test_failure_in_one_column_leaves_the_others_alone(wannier, lattice_spec, mo
 
 
 @pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.usefixtures("forking")
 def test_failures_of_three_kinds_in_one_step(wannier, lattice_spec, monkeypatch, workers):
     # one sweep plants a set-up failure in column 0, a solve failure in
     # column 1 and a gamma_T failure in column 2, so the 8th step holds all
@@ -828,9 +852,11 @@ class _InlineWorker:
 
 
 def inline_fork(monkeypatch) -> _InlineFork:
-    """Make run_sweep's forked workers run inline for the rest of the test."""
+    """Make run_sweep's forked workers run inline for the rest of the test,
+    on grids of any size (``forking``)."""
     context = _InlineFork()
     monkeypatch.setattr(ca.sweep, "_fork_context", lambda: context)
+    monkeypatch.setattr(ca.sweep, "SITES_PER_PROCESS", 1)
     return context
 
 
@@ -861,6 +887,66 @@ def test_pool_has_at_most_one_worker_per_chunk(lattice_spec,
     assert multiprocessing.active_children() == []
 
 
+class _Stop(Exception):
+    """Raised by a stand-in to end a sweep once it has seen what it needs."""
+
+
+@pytest.mark.parametrize("L, workers, processes", [(233, 4, 4), (233, 2, 2), (233, 64, 4),
+                                                   (987, 4, 4), (987, 64, 17)])
+def test_workers_is_a_ceiling_set_by_the_grids_size(lattice_spec, monkeypatch,
+                                                     L, workers, processes):
+    # P = min(workers, columns, ceil(points x L / SITES_PER_PROCESS)): the
+    # 100 x 100 grid of criterion 9, 2.33M point-sites at L = 233 and 9.87M
+    # at L = 987, gets 4 processes at workers = 4, and 17 at most at L = 987
+    seen = []
+
+    def counting(spec, bases, columns, processes, context, progress):
+        seen.append(processes)
+        raise _Stop
+
+    monkeypatch.setattr(ca.sweep, "_forked_results", counting)
+    grid = _spec(lattice_spec, axis1=ca.Axis.log("v0", 3e-3, 0.3, 100),
+                 axis2=ca.Axis.linear("C", -4.0, -0.1, 100), L=L)
+    with pytest.raises(_Stop):
+        ca.run_sweep(grid, workers=workers)
+    assert seen == [processes]
+    assert ca.sweep.SITES_PER_PROCESS == 600_000
+
+
+def test_small_grids_run_in_one_process(lattice_spec, monkeypatch):
+    # a pump_pool-sized grid (30 x 16 at L = 233, 0.11M point-sites) forks
+    # nothing at workers = 2, and nor does any shipped config (at most
+    # 0.56M); the records are those of workers = 1
+    context = _InlineFork()
+    monkeypatch.setattr(ca.sweep, "_fork_context", lambda: context)
+    spec = _pumped_spec(lattice_spec, etas=np.geomspace(0.05, 0.6, 30))
+    spec = dataclasses.replace(spec, axis2=ca.Axis.linear("U0", -4.0, -0.3, 16))
+    pooled = ca.run_sweep(spec, workers=2)
+    assert context.shares == []
+    assert pooled.records == ca.run_sweep(spec).records
+    for path in CONFIGS:
+        grid = load_config(path).sweep
+        columns = len(ca.sweep._solve_columns(grid))
+        assert grid.n_points * grid.L <= 559_200
+        assert ca.sweep._processes(grid, 2, columns) == 1, path.stem
+
+
+def test_a_sweep_runs_the_spec_it_is_given(lattice_spec, monkeypatch):
+    # only a unit-'t' axis makes run_sweep build a spec of its own, with
+    # that axis scaled by the hopping
+    seen = []
+    build = ca.sweep._build_metadata
+    monkeypatch.setattr(ca.sweep, "_build_metadata",
+                        lambda spec: seen.append(spec) or build(spec))
+    spec = _spec(lattice_spec)
+    ca.run_sweep(spec)
+    in_t = _spec(lattice_spec, axis1=ca.Axis.log("v0", 0.5, 5.0, 4, unit="t"))
+    ca.run_sweep(in_t)
+    assert seen[0] is spec
+    assert seen[1] is not in_t and seen[1].axis1.unit == "Er"
+    assert seen[1].lattice is in_t.lattice
+
+
 def _fails_in(monkeypatch, where, fail):
     """Make every column's transition estimate, which runs outside any
     point, call fail() in the parent or only in forked workers."""
@@ -879,6 +965,7 @@ def _three_columns(lattice_spec):
                  axis2=ca.Axis("C", np.array([-2.0, -1.0, -0.5])))
 
 
+@pytest.mark.usefixtures("forking")
 def test_worker_that_raises_fails_the_sweep(lattice_spec, monkeypatch):
     # a real fork: the worker's traceback comes back over its pipe
     def fail():
@@ -891,6 +978,7 @@ def test_worker_that_raises_fails_the_sweep(lattice_spec, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.usefixtures("forking")
 def test_worker_that_dies_fails_the_sweep(lattice_spec, monkeypatch):
     # a worker gone without a word closes its pipe: the parent reads EOF
     _fails_in(monkeypatch, "worker", lambda: os._exit(7))
@@ -900,6 +988,7 @@ def test_worker_that_dies_fails_the_sweep(lattice_spec, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.usefixtures("forking")
 def test_parent_that_raises_stops_its_workers(lattice_spec, monkeypatch):
     def fail():
         raise KeyboardInterrupt
@@ -910,6 +999,7 @@ def test_parent_that_raises_stops_its_workers(lattice_spec, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.usefixtures("forking")
 def test_progress_comes_while_the_workers_solve(lattice_spec, monkeypatch):
     # a real fork: the worker's first column waits up to 10 s for the first
     # progress line, which the calling process reports as it finishes its
@@ -950,6 +1040,7 @@ def test_workers_need_the_fork_start_method(lattice_spec, monkeypatch):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.usefixtures("forking")
 def test_progress_reports_completion_once(lattice_spec, workers):
     # two columns of 25 points: this process reports after every
     # ceil(25 / PROGRESS_STEPS) = 4th strength step of its share, both
@@ -1073,6 +1164,7 @@ def test_depth_axis_recomputes_wannier(lattice_spec):
     assert recs[1].ipr > 0.5
 
 
+@pytest.mark.usefixtures("forking")
 def test_depth_axis_lists_each_depth_constants(wannier, lattice_spec):
     # each column returns its basis's constants; the sidecar lists them per
     # depth in axis order, whatever process built the basis
@@ -1371,6 +1463,7 @@ def test_first_shifts_of_the_shipped_configs_lie_below_the_quotient(path, monkey
     assert offsets.count(0.0) == len(ca.sweep._solve_columns(spec))
 
 
+@pytest.mark.usefixtures("forking")
 def test_repeated_strength_solves_alike_at_any_worker_count(lattice_spec):
     # two equal strengths in a column's history leave its next first shift
     # at the start's quotient, not a division by zero

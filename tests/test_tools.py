@@ -10,8 +10,9 @@ import sys
 
 import pytest
 
+import cavityaa as ca
 from cavityaa.cli import main
-from cavityaa.config import effective_config
+from cavityaa.config import effective_config, load_config
 
 TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py"
 
@@ -89,7 +90,8 @@ def test_refresh_names_each_change():
 
 def test_shipped_outputs_runs_the_benchmark_workloads(tmp_path):
     # beside the shipped configs, every workload at seeds 3 and 11 is swept
-    # at one and two workers, from the config the seed draws
+    # at one and two workers, from the config the seed draws; all of them
+    # run in one process at two workers
     spec = importlib.util.spec_from_file_location("shipped_outputs",
                                                   TOOL.parent / "shipped_outputs.py")
     shipped = importlib.util.module_from_spec(spec)
@@ -115,9 +117,24 @@ def test_shipped_outputs_runs_the_benchmark_workloads(tmp_path):
     spec = effective_config(sweep).sweep
     assert (spec.axis1.name, spec.axis2.name) == ("eta", "delta_c")
     assert spec.observables == ("ipr", "gamma", "nbar", "vc")
+    # and criterion 9's grid, which alone forks at two workers
+    forked = shipped.FORKED_SWEEP
+    for workers in ("1", "2"):
+        assert runs[f"sweep-forked-w{workers}"] == ["sweep", forked, "--workers", workers]
+    grid = effective_config(forked).sweep
+    columns = len(ca.sweep._solve_columns(grid))
+    assert (grid.n_points, grid.L) == (10_000, 233)
+    assert ca.sweep._processes(grid, 2, columns) == 2
+    for name, (command, config, *flags) in runs.items():
+        if command == "sweep" and flags == ["--workers", "2"] and name != "sweep-forked-w2":
+            if isinstance(config, dict):
+                grid = effective_config(config).sweep
+            else:
+                grid = load_config(config).sweep
+            assert ca.sweep._processes(grid, 2, len(ca.sweep._solve_columns(grid))) == 1, name
     # and one rejected config per validation layer, each run under its
     # command, which exits 2
-    assert len(shipped.INVALID_RUNS) == 10
+    assert len(shipped.INVALID_RUNS) == 11
     for name, (command, config) in shipped.INVALID_RUNS.items():
         assert runs[f"invalid-{name}"] == [command, config]
         path = tmp_path / f"{name}.json"

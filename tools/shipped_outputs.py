@@ -10,13 +10,16 @@ distinct ``lattice`` section (on the first config, by name, that has it),
 ``pump_scan_eta_u0``, and ``sweep`` at ``--workers 1`` and ``2`` on each
 benchmark workload (``perfbench.workloads.generate``) at seeds 3 and 11,
 whose config is written into the run's subdirectory as ``config.json``: these
-cover what no shipped config does, the pool with the photon number and gamma,
-and a W0 axis at L = 987.  Nor does either drive the atom: ``sweep`` at
-``--workers 1`` and ``2`` on ATOM_PUMPED_SWEEP, an eta x delta_c grid with
-every observable, and ``ground-state`` on ATOM_PUMPED_GROUND_STATE run that
-path, from configs written the same way.  Each of INVALID_RUNS runs its
-command on a config that one validation layer rejects, so the trees also
-compare the exit codes and ``error:`` lines.
+cover what no shipped config does, the photon number with gamma, and a W0
+axis at L = 987.  Nor does either drive the atom: ``sweep`` at ``--workers 1``
+and ``2`` on ATOM_PUMPED_SWEEP, an eta x delta_c grid with every observable,
+and ``ground-state`` on ATOM_PUMPED_GROUND_STATE run that path, from configs
+written the same way.  Each of these sweeps is small enough to run in one
+process at either worker count (``sweep.SITES_PER_PROCESS``), so ``sweep``
+at ``--workers 1`` and ``2`` on FORKED_SWEEP, criterion 9's 100 x 100 grid,
+adds a run that forks.  Each of INVALID_RUNS runs its command on a config
+that one validation layer rejects, so the trees also compare the exit codes
+and ``error:`` lines.
 Each run writes into its own subdirectory, with its exit code, stdout and
 stderr (the progress lines) in ``log.txt``; sidecar timestamps are dropped.
 """
@@ -55,6 +58,19 @@ ATOM_PUMPED_SWEEP = {
 ATOM_PUMPED_GROUND_STATE = {"model": {"C": -1.0, "delta_c_prime": -4.0},
                             "pump": ATOM_PUMP}
 
+#: Criterion 9's 100 x 100 grid at L = 233 with ipr: 2.33M point-sites,
+#: more than ``sweep.SITES_PER_PROCESS`` allows one process, so ``--workers 2``
+#: forks, where every shipped config and workload above runs in one process.
+FORKED_SWEEP = {
+    "sweep": {
+        "name": "forked",
+        "axis1": {"name": "v0", "scale": "log", "start": 3e-3, "stop": 0.3, "num": 100},
+        "axis2": {"name": "C", "scale": "linear", "start": -4.0, "stop": -0.1, "num": 100},
+        "fixed": {"delta_c_prime": 0.0},
+        "observables": ["ipr"],
+    },
+}
+
 #: name -> (command, config): each rejected by one layer, from the merge's
 #: key and kind checks through the axis grids, model.v0, the lattice, pump
 #: and sweep objects to the baseline-aa command.
@@ -73,6 +89,10 @@ INVALID_RUNS = {
     "negative_fixed_v0": ("sweep", {"sweep": {"axis1": {"name": "C",
                                                         "values": [-1.0, -2.0]},
                                               "fixed": {"v0": -0.05}}}),
+    "atom_delta_c_sign": ("sweep", {"pump": ATOM_PUMP,
+                                    "sweep": {"axis1": {"name": "eta", "start": 0.1,
+                                                        "stop": 2.0, "num": 4},
+                                              "fixed": {"U0": -1.0, "delta_c": 1.0}}}),
 }
 
 
@@ -99,6 +119,8 @@ def _runs():
         yield (f"sweep-atom_pumped-w{workers}",
                ["sweep", ATOM_PUMPED_SWEEP, "--workers", workers])
     yield "ground-state-atom_pumped", ["ground-state", ATOM_PUMPED_GROUND_STATE]
+    for workers in ("1", "2"):
+        yield f"sweep-forked-w{workers}", ["sweep", FORKED_SWEEP, "--workers", workers]
     for name, (command, config) in INVALID_RUNS.items():
         yield f"invalid-{name}", [command, config]
 
