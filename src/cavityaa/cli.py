@@ -204,9 +204,9 @@ def _parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", default=".", help="output directory")
         if needs_workers:
             cmd.add_argument("--workers", type=int, default=1,
-                             help="most processes to solve the sweep in: one "
-                                  f"per {SITES_PER_PROCESS} points x L of the grid "
-                                  "and per column at most")
+                             help="most processes to solve the sweep in; it "
+                                  "uses one per column and one per "
+                                  f"{SITES_PER_PROCESS} grid points x L at most")
     return parser
 
 

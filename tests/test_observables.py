@@ -95,7 +95,6 @@ def test_lyapunov_exponent_is_the_full_spectrum_sum(wannier, kind, n_sites,
 def test_lyapunov_exponent_is_offset_invariant(wannier):
     # a constant shift of the profile moves E0 and every E_j alike; with the
     # rounding-level term left out, gamma of a localized state stays put
-    # (it moved by 1.2e-4 with that term kept)
     n_long = 4000
     values = ca.onsite_aa(2.0 * 2.25 * wannier.t, GOLDEN_BETA, n_long).values
     gammas = []
