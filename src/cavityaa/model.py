@@ -65,8 +65,8 @@ class OnsiteProfile:
     b the larger one at the two end sites.  With the hopping they give the
     chain's norm bound (``HubbardProblem.norm_bound``).  They are read off the
     values, which must be a non-empty 1-D array of finite entries; the
-    profile keeps a read-only copy of them.  Only ``scale_profile`` sets the
-    peaks itself (``_filled``).
+    profile keeps a read-only copy of them.  Only ``exact_profile``, for a
+    scaled unit profile, sets the peaks itself.
     """
 
     values: np.ndarray
@@ -119,18 +119,33 @@ def scale_profile(unit: OnsiteProfile, v0: float) -> OnsiteProfile:
     """Profile v0 * unit from a checked unit-strength profile.
 
     Strength only scales a profile, so the points of a v0 scan share one unit
-    profile and its checks; each point checks v0 >= 0 and multiplies.  The
-    result is bit-identical to ``onsite_cavity`` or ``onsite_aa`` at v0.  Its
-    peaks are v0 times the unit's, exactly, because rounding is monotone; so
-    finite peaks prove every value finite.
+    profile and its checks; each point checks v0 (``strength_error``) and
+    multiplies.  The result is bit-identical to ``onsite_cavity`` or
+    ``onsite_aa`` at v0.  Its peaks are v0 times the unit's, exactly, because
+    rounding is monotone; so finite peaks prove every value finite.
     """
-    if not v0 >= 0.0:
-        raise ValueError("v0 must be non-negative")
     inner, end = v0 * unit.peaks[0], v0 * unit.peaks[1]
+    error = strength_error(v0, inner, end)
+    if error is not None:
+        raise error
+    return exact_profile(v0 * unit.values, (inner, end))
+
+
+def strength_error(v0: float, inner: float, end: float) -> ValueError | None:
+    """Why v0 cannot scale a unit profile whose peaks it scales to (inner,
+    end), or None: v0 must be non-negative, and the scaled peaks finite."""
+    if not v0 >= 0.0:
+        return ValueError("v0 must be non-negative")
     if not (math.isfinite(inner) and math.isfinite(end)):
-        raise ValueError(f"profile overflows at v0 = {v0!r}")
-    # a fresh array with exact peaks: no O(L) copy, max or check
-    return _filled(object.__new__(OnsiteProfile), v0 * unit.values, (inner, end))
+        return ValueError(f"profile overflows at v0 = {v0!r}")
+    return None
+
+
+def exact_profile(values: np.ndarray, peaks: tuple) -> OnsiteProfile:
+    """The profile of a scaled unit profile's values, made read-only, with
+    the exact peaks its caller scaled (``scale_profile``, a sweep step's
+    rows): no O(L) copy, max or check."""
+    return _filled(object.__new__(OnsiteProfile), values, peaks)
 
 
 @dataclass(frozen=True)
@@ -169,6 +184,15 @@ class HubbardProblem:
         """The off-diagonal -t, read-only and shared by every chain of this
         length and hopping."""
         return _offdiagonal(self.L, self.t)
+
+
+def norm_bounds(peaks: np.ndarray, hops: np.ndarray) -> np.ndarray:
+    """``HubbardProblem.norm_bound`` of K chains at once, bit for bit: peaks
+    (K, 2) holds their profiles' interior and end peaks, hops (K,) their
+    hoppings."""
+    hop = np.abs(hops)
+    bounds = np.maximum(peaks[:, 0] + (hop + hop), peaks[:, 1] + hop)
+    return np.where(bounds > 0.0, bounds, 1.0)
 
 
 @dataclass(frozen=True)

@@ -225,19 +225,17 @@ def photon_series(wb: "WannierBasis", kind: str, delta_c: float, U0: float,
                                 lorentz)
 
 
-def series_photon_number(state, series: np.ndarray, amplitude: float) -> float:
-    """amplitude^2 times the occupied density (above 1e-12) dotted with series.
+def series_photon_numbers(densities: np.ndarray, series: np.ndarray, amplitudes):
+    """amplitudes^2 times each occupied density (above 1e-12) dotted with its
+    series: the mean photon numbers of K states at once, unchecked.
 
-    series is ``photon_series`` of the state's chain and amplitude the
-    drive amplitude zeta; the result is the mean photon number.
+    densities (K, L) holds the states' |psi|^2, series (K, L) the
+    ``photon_series`` of their chains and amplitudes (K,) the drive
+    amplitudes zeta; 1-D arguments give one state's number.  Each entry is
+    bit-identical to that of its state alone.
     """
-    amp = _amplitudes(state)
-    dens = amp * amp
-    occupied = np.where(dens > 1e-12, dens, 0.0)
-    nbar = amplitude * amplitude * float(occupied @ series)
-    if nbar < 0.0:
-        raise ValueError("photon number cannot be negative")
-    return nbar
+    occupied = np.where(densities > 1e-12, densities, 0.0)
+    return amplitudes * amplitudes * np.vecdot(occupied, series)
 
 
 def photon_number(state, wb: "WannierBasis", kind: str, zeta: float,
@@ -253,8 +251,12 @@ def photon_number(state, wb: "WannierBasis", kind: str, zeta: float,
     eta for a driven cavity, Omega g / Delta_a for a driven atom
     (``sweep.map_physical_params``).  It is zeta^2 times the occupied
     density dotted with the unit-amplitude ``photon_series`` of the chain
-    (``series_photon_number``), the path a sweep takes at every point.
+    (``series_photon_numbers``), the path a sweep step takes for all its
+    points.  A negative result raises ValueError.
     """
     amp = _amplitudes(state)
     series = photon_series(wb, kind, delta_c, U0, amp.shape[0])
-    return series_photon_number(amp, series, zeta)
+    nbar = float(series_photon_numbers(amp * amp, series, zeta))
+    if nbar < 0.0:
+        raise ValueError("photon number cannot be negative")
+    return nbar

@@ -12,10 +12,14 @@ and estimates its own transition.  A column is never split; the columns are
 dealt out to this process and to any forked workers (``_forked_results``),
 forked only where the grid is large enough to pay for it (``_processes``),
 and each process advances its share of columns one strength step at a time
-(``_run_share``): a step solves one point of every column, stacks their
-chains once, and hands its warm solves, IPR and gamma_T each to one call on
-all of them (``_solve_step``); ``kernels`` chooses block LAPACK calls or one
-chain at a time, bit-identical either way.  Each column holds its step's
+(``_run_share``).  A share stacks its columns' unit profiles, hoppings and
+photon series once, a row per column (``_Rows``), and a step solves one
+point of every column as row operations on that stack: one multiply for
+the diagonals, array expressions for the norm bounds, and one call each for
+the warm solves, IPR, Hellmann-Feynman slopes, gamma_T and photon numbers
+(``_solve_step``); only each point's ``ground_state`` call stays per point.
+``kernels`` chooses block LAPACK calls or one chain at a time,
+bit-identical either way.  Each column holds its step's
 point as far as it gets and records it once at the end of the step, failed
 or not (``_Column``).  So results are deterministic and
 worker-count-independent: records are keyed by flat grid index and
@@ -48,10 +52,10 @@ from . import kernels
 from ._version import __version__
 from .lattice import (BAND_SOLVE_METHOD, WANNIER_SUM_METHOD, LatticeSpec, WannierBasis,
                       build_wannier, solve_lowest_band)
-from .model import (EffectivePotential, HubbardProblem, OnsiteProfile,
-                    ground_state, onsite_aa, onsite_cavity, scale_profile)
-from .observables import (LYAPUNOV_METHOD, TRANSITION_METHOD, detect_transition,
-                          ipr, photon_series, series_photon_number, thouless_gammas)
+from .model import (EffectivePotential, HubbardProblem, OnsiteProfile, exact_profile,
+                    ground_state, norm_bounds, onsite_aa, onsite_cavity, strength_error)
+from .observables import (LYAPUNOV_METHOD, TRANSITION_METHOD, detect_transition, ipr,
+                          photon_series, series_photon_numbers, thouless_gammas)
 
 MODEL_AXES = ("v0", "C", "delta_c_prime", "W0")
 PHYSICAL_AXES = ("eta", "U0", "delta_c")
@@ -378,7 +382,7 @@ def unit_profile(mode: str, wb: WannierBasis, coop: float, dcp: float,
     That is ``onsite_cavity`` at v0 = 1, or ``onsite_aa``'s cos(2 pi beta n)
     in aa mode, with beta the basis's.  Both check that its values are
     finite, and ``onsite_cavity`` that they lie in the arctan range; each
-    point then only scales it (``scale_profile``).
+    point then only scales it (``scale_profile``, or a sweep step's rows).
     """
     if mode == "aa":
         return onsite_aa(1.0, wb.beta, L)
@@ -390,42 +394,68 @@ def _failure(exc: Exception) -> str:
     return f"solve_failed:{type(exc).__name__}"
 
 
+class _Rows:
+    """A share's column rows, row k of each array for its k-th column, each
+    filled once, when its column sets up (``fill``): the unit profile's
+    values (units) and its interior and end peaks (peaks), the basis's
+    hopping (hops) and off-diagonal -t (offdiagonals), and, when the sweep
+    asks for "nbar", the unit-amplitude photon series (series).  The
+    arrays are made at the share's first fill, after that column's profile
+    is built; a row whose column fails its set-up stays zero and is never
+    read.
+    """
+
+    def __init__(self, count: int, L: int, nbar: bool):
+        self.count, self.L, self.nbar = count, L, nbar
+        self.units = self.peaks = self.hops = self.offdiagonals = self.series = None
+
+    def fill(self, k: int, wb: WannierBasis, unit: OnsiteProfile) -> None:
+        if self.units is None:
+            K, L = self.count, self.L
+            self.units, self.peaks, self.hops = np.zeros((K, L)), np.zeros((K, 2)), np.zeros(K)
+            self.offdiagonals = np.zeros((K, L - 1))
+            self.series = np.zeros((K, L)) if self.nbar else None
+        self.units[k], self.peaks[k] = unit.values, unit.peaks
+        self.hops[k], self.offdiagonals[k] = wb.t, -wb.t
+
+
 class _Column:
     """A column between the strength steps of its share: its records so far,
     its set-up, the ground state its next point starts from, and the point
     of the current step.
 
     indices holds the points' flat indices in solve order (increasing
-    strength), and records gets one record per index, in that order.  A
-    step starts each point (``begin``), fills in its v0, C, delta', zeta,
-    chain, ground state, IPR, gamma, nbar, flag and solver kind as far as
-    the point gets, and then records it (``record``), failed or not.  The
-    column's first point whose parameters resolve sets it up (``set_up``);
-    start is None at the column's start and after a failed point, whose
-    successor then starts cold.  history holds (v0, s) of the last two
-    points solved since then, s = <psi|U|psi> being the slope dE0/dv0 of
-    the ground energy (Hellmann-Feynman, U the unit profile); the next warm
-    solve reads its first shift from them (``first_shift``).
+    strength), and records gets one record per index, in that order.  The
+    column's set-up lives in row ``row`` of its share's ``_Rows``.  A step
+    starts each point (``begin``), fills in its v0, C, delta', zeta, ground
+    state, IPR, gamma, nbar, slope, flag and solver kind as far as the point
+    gets, and then records it (``record``), failed or not.  The column's
+    first point whose parameters resolve sets it up (``set_up``); start is
+    None at the column's start and after a failed point, whose successor
+    then starts cold.  history holds (v0, s) of the last two points solved
+    since then, s = <psi|U|psi> being the slope dE0/dv0 of the ground energy
+    (Hellmann-Feynman, U the unit profile); the next warm solve reads its
+    first shift from them (``first_shift``).
     """
 
-    def __init__(self, indices: list):
-        self.indices = indices
+    def __init__(self, indices: list, rows: _Rows, row: int):
+        self.indices, self.rows, self.row = indices, rows, row
         self.records = []
         self.history = []
-        self.wb = self.unit = self.series = self.start = self.column_params = None
+        self.wb = self.start = self.column_params = None
         self.set_up_failed = self.series_failed = ""
 
     def begin(self, spec: SweepSpec, bases: dict, step: int) -> bool:
-        """Start the step-th point: resolve its parameters, set the column up
-        when it is the first to resolve, and scale the unit profile by its v0
-        into its chain.  False when the point fails before it has a chain."""
+        """Start the step-th point: resolve its parameters, and set the
+        column up when it is the first to resolve.  False when the point
+        fails before it has a chain."""
         i1, i2 = divmod(self.indices[step], spec.shape[1])
         self.params = params = dict(spec.fixed)
         params[spec.axis1.name] = float(spec.axis1.values[i1])
         if spec.axis2 is not None:
             params[spec.axis2.name] = float(spec.axis2.values[i2])
         self.v0 = self.coop = self.dcp = self.ipr = math.nan
-        self.zeta = self.problem = self.gs = self.gamma = self.nbar = None
+        self.zeta = self.gs = self.gamma = self.nbar = None
         self.flag, self.solver = "", "unsolved"
         try:
             self.v0, self.coop, self.dcp, self.zeta = resolve_model_params(
@@ -433,31 +463,31 @@ class _Column:
             if self.column_params is None:
                 self.set_up(spec, bases)
             self.flag = self.set_up_failed
-            if not self.flag:
-                self.problem = HubbardProblem(self.wb.t, scale_profile(self.unit, self.v0))
         except Exception as exc:  # per-point failures never abort the sweep
             self.flag = _failure(exc)
         return not self.flag
 
     def set_up(self, spec: SweepSpec, bases: dict) -> None:
         """Build the basis and the unit profile of the current point's
-        (C, delta'); when that fails, this point and every later one that
-        resolves fail with its error type.  When the sweep asks for "nbar",
-        then build the column's unit-amplitude ``photon_series``: U0, delta_c
-        and the pump mode are fixed along a column, and the drive only
-        scales it.  When that build fails, every point still solves and gets
-        its E0, IPR and gamma, then fails with its error type, as a point
-        whose photon number raises."""
+        (C, delta') into the column's row; when that fails, this point and
+        every later one that resolves fail with its error type.  When the
+        sweep asks for "nbar", then build the column's unit-amplitude
+        ``photon_series``: U0, delta_c and the pump mode are fixed along a
+        column, and the drive only scales it.  When that build fails, every
+        point still solves and gets its E0, IPR and gamma, then fails with
+        its error type, as a point whose photon number raises."""
         self.column_params = (self.coop, self.dcp)
         try:
             self.wb = _basis(spec, bases, self.params.get("W0", spec.lattice.depth_W0))
-            self.unit = unit_profile(spec.mode, self.wb, self.coop, self.dcp, spec.L)
+            unit = unit_profile(spec.mode, self.wb, self.coop, self.dcp, spec.L)
         except Exception as exc:
             self.set_up_failed = _failure(exc)
-        if not self.set_up_failed and "nbar" in spec.observables:
+            return
+        self.rows.fill(self.row, self.wb, unit)
+        if "nbar" in spec.observables:
             try:
-                self.series = photon_series(self.wb, spec.pump.pump_mode, self.dcp,
-                                            self.coop, spec.L)
+                self.rows.series[self.row] = photon_series(
+                    self.wb, spec.pump.pump_mode, self.dcp, self.coop, spec.L)
             except Exception as exc:
                 self.series_failed = _failure(exc)
 
@@ -488,8 +518,7 @@ class _Column:
             self.start, self.history = None, []
         else:
             self.start = self.gs.amplitudes
-            self.history = self.history[-1:] + [
-                (self.v0, float(self.gs.density @ self.unit.values))]
+            self.history = self.history[-1:] + [(self.v0, self.slope)]
         aa = spec.mode == "aa"  # the bichromatic profile has no C or delta'
         self.records.append(SweepRecord(
             axis1=self.params[spec.axis1.name],
@@ -507,67 +536,102 @@ class _Column:
         return self.records, _column_estimate(spec, self), constants
 
 
-def _solve_step(spec: SweepSpec, bases: dict, share: list, step: int) -> None:
+def _solve_step(spec: SweepSpec, bases: dict, share: list, rows: _Rows, step: int) -> None:
     """Advance every column of a share by its step-th point, and record each
     point once at the end, failed or not.
 
-    Each column starts its point (``_Column.begin``).  The chains of the
-    points that reach one are stacked once: diagonals, off-diagonals and
-    norm bounds.  The points that start from their column's ground state
-    take their certified rows of one ``kernels.warm_eigenpairs`` call, and
-    every point one ``ground_state`` call, cold at a column start.  The
-    solved points take one ``ipr`` and one ``thouless_gammas`` call on their
-    rows of the stack, and the photon number point by point.  A point that
-    raises, or whose gamma_T is NaN (``solve_failed:LinAlgError``), fails
-    alone; its column's next point starts cold.
+    Each column starts its point (``_Column.begin``).  The points that reach
+    one take their columns' rows of the share's stack (``_Rows``), and the
+    step works on those rows: their diagonals are one multiply of the unit
+    rows by the v0 column, their peaks and Gershgorin bounds
+    (``norm_bounds``) array expressions, each row bit-identical to
+    ``scale_profile`` and ``HubbardProblem.norm_bound`` at its v0.  A v0
+    that is negative or overflows the profile fails its point alone, with
+    ``scale_profile``'s error.  The points that start from their column's
+    ground state take their certified rows of one
+    ``kernels.warm_eigenpairs`` call, and every point one ``ground_state``
+    call on its row, cold at a column start.  The solved points' amplitude
+    rows give one ``ipr`` call, their Hellmann-Feynman slopes as one
+    ``np.vecdot`` with their unit rows, one ``thouless_gammas`` call and
+    their photon numbers as one ``series_photon_numbers`` call.  A point
+    that raises, whose gamma_T is NaN (``solve_failed:LinAlgError``) or
+    whose photon number is negative fails alone; its column's next point
+    starts cold.
     """
     points = [column for column in share if column.begin(spec, bases, step)]
     if points:
-        chains = (np.array([p.problem.onsite.values for p in points]),
-                  np.array([p.problem.offdiagonal for p in points]),
-                  np.array([p.problem.norm_bound for p in points]))
-        warm = [k for k, p in enumerate(points) if p.start is not None]
-        if warm:
-            D, E, bounds = _rows(chains, warm, len(points))
-            energies, vectors, residuals, margins = kernels.warm_eigenpairs(
-                D, E, [points[k].start for k in warm], bounds,
-                np.array([points[k].first_shift() for k in warm]))
-            rows = zip(energies.tolist(), vectors, residuals.tolist(), margins.tolist())
-            for k, row in zip(warm, rows):
-                points[k].start = row
-        for p in points:
-            try:
-                p.gs = ground_state(p.problem, start=p.start)
-                p.solver = _solver_kind(p.start is not None, p.gs.method)
-            except Exception as exc:
-                p.flag = _failure(exc)
-        solved_rows = [k for k, p in enumerate(points) if p.gs is not None]
-        solved = [points[k] for k in solved_rows]
-        iprs = ipr(np.reshape([p.gs.amplitudes for p in solved], (-1, spec.L))).tolist()
-        gammas = ([None] * len(solved) if "gamma" not in spec.observables else
-                  thouless_gammas(*_rows(chains, solved_rows, len(points)),
-                                  [p.gs.energy for p in solved]))
-        for p, p_x, gamma in zip(solved, iprs, gammas):
-            p.ipr = p_x
-            if gamma is not None and math.isnan(gamma):  # a pivot that is not positive
-                p.flag = _failure(np.linalg.LinAlgError())
-                continue
-            p.gamma = gamma
-            if p.series_failed:
-                p.flag = p.series_failed
-            elif "nbar" in spec.observables:
-                try:
-                    p.nbar = series_photon_number(p.gs, p.series, p.zeta)
-                except Exception as exc:
-                    p.flag = _failure(exc)
+        _solve_points(spec, rows, points)
     for column in share:
         column.record(spec)
 
 
-def _rows(chains: tuple, ks: list, count: int) -> tuple:
-    """The rows ks of a step's stack of count chains: the stack itself when
-    ks holds every row, else a copy of those rows."""
-    return chains if len(ks) == count else tuple(a[ks] for a in chains)
+def _solve_points(spec: SweepSpec, rows: _Rows, points: list) -> None:
+    """``_solve_step`` for its points that reach a chain."""
+    v0 = np.array([p.v0 for p in points])
+    units, unit_peaks, hops, E, series = _rows(
+        (rows.units, rows.peaks, rows.hops, rows.offdiagonals, rows.series),
+        [p.row for p in points])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails its point
+        peaks = v0[:, None] * unit_peaks
+    fine = (v0 >= 0.0) & np.isfinite(peaks).all(axis=1)
+    if not fine.all():
+        for p, ok, (inner, end) in zip(points, fine.tolist(), peaks.tolist()):
+            if not ok:
+                p.flag = _failure(strength_error(p.v0, inner, end))
+        kept = np.flatnonzero(fine)
+        if not kept.size:
+            return
+        points = [points[k] for k in kept.tolist()]
+        v0, units, peaks, hops, E, series = _rows((v0, units, peaks, hops, E, series), kept)
+    D = v0[:, None] * units
+    bounds = norm_bounds(peaks, hops)
+    warm = [k for k, p in enumerate(points) if p.start is not None]
+    if warm:
+        D_warm, E_warm, bounds_warm = _rows((D, E, bounds), warm)
+        energies, vectors, residuals, margins = kernels.warm_eigenpairs(
+            D_warm, E_warm, [points[k].start for k in warm], bounds_warm,
+            np.array([points[k].first_shift() for k in warm]))
+        solves = zip(energies.tolist(), vectors, residuals.tolist(), margins.tolist())
+        for k, row in zip(warm, solves):
+            points[k].start = row
+    for p, d, peak in zip(points, D, peaks.tolist()):
+        try:
+            p.gs = ground_state(HubbardProblem(p.wb.t, exact_profile(d, tuple(peak))),
+                                start=p.start)
+            p.solver = _solver_kind(p.start is not None, p.gs.method)
+        except Exception as exc:
+            p.flag = _failure(exc)
+    solved_rows = [k for k, p in enumerate(points) if p.gs is not None]
+    solved = [points[k] for k in solved_rows]
+    A = np.array([p.gs.amplitudes for p in solved]).reshape(-1, spec.L)
+    units, D, E, bounds, series = _rows((units, D, E, bounds, series), solved_rows)
+    dens = A * A
+    iprs = ipr(A).tolist()
+    slopes = np.vecdot(dens, units).tolist()
+    gammas = ([None] * len(solved) if "gamma" not in spec.observables else
+              thouless_gammas(D, E, bounds, [p.gs.energy for p in solved]))
+    nbars = ([None] * len(solved) if series is None else series_photon_numbers(
+        dens, series, np.array([p.zeta for p in solved])).tolist())
+    for p, p_x, slope, gamma, nbar in zip(solved, iprs, slopes, gammas, nbars):
+        p.ipr, p.slope = p_x, slope
+        if gamma is not None and math.isnan(gamma):  # a pivot that is not positive
+            p.flag = _failure(np.linalg.LinAlgError())
+            continue
+        p.gamma = gamma
+        if p.series_failed:
+            p.flag = p.series_failed
+        elif nbar is not None and nbar < 0.0:
+            p.flag = _failure(ValueError("photon number cannot be negative"))
+        else:
+            p.nbar = nbar
+
+
+def _rows(arrays: tuple, ks) -> tuple:
+    """Rows ks of each of arrays (None stays None): the arrays themselves
+    when ks holds every row, in order, else a copy of those rows."""
+    if len(ks) == len(arrays[0]):
+        return arrays
+    return tuple(None if a is None else a[ks] for a in arrays)
 
 
 def _column_estimate(spec: SweepSpec, column: _Column) -> dict | None:
@@ -649,11 +713,12 @@ def _run_share(spec: SweepSpec, bases: dict, columns: list, progress=None) -> li
     PROGRESS_STEPS)-th step while done, the points whose records it holds,
     is below the sweep's n.
     """
-    share = [_Column(column) for column in columns]
+    rows = _Rows(len(columns), spec.L, "nbar" in spec.observables)
+    share = [_Column(column, rows, k) for k, column in enumerate(columns)]
     n, steps = spec.n_points, len(columns[0]) if columns else 0
     every = -(-steps // PROGRESS_STEPS)
     for step in range(steps):
-        _solve_step(spec, bases, share, step)
+        _solve_step(spec, bases, share, rows, step)
         done = (step + 1) * len(share)
         if progress is not None and (step + 1) % every == 0 and done < n:
             progress(done, n)
@@ -739,7 +804,14 @@ def run_sweep(spec: SweepSpec, workers: int = 1, progress=None) -> SweepResult:
     columns)``, this process solves every P-th column from the first and
     P - 1 forked workers the rest (``_forked_results``), so a grid of at
     most SITES_PER_PROCESS point-sites runs here alone; the results
-    are taken in column order and are identical for every P.  workers < 1
+    are taken in column order and are identical for every P.  The ceiling
+    was set from whole ``cavityaa sweep`` commands, which pay for start-up
+    and the basis build.  A library caller that repeats sweeps of 0.3-0.6M
+    point-sites in one warm process would gain from two processes there
+    (on a 2-core host: ``phase_diagram_detuned`` 148 -> 104 ms, 9 of 10
+    pairs; ``phase_diagram_resonant`` 159 -> 103 ms, 10 of 10;
+    ``pump_scan_eta_deltac`` 106 -> 83 ms, 6 of 10), but those grids run in
+    one at any workers: the rule has no option.  workers < 1
     raises ValueError, and so does workers > 1 where the fork start method
     does not exist, whatever the grid's size.  progress, when
     given, is called as progress(done, total) as this process finishes its

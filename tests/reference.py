@@ -2,8 +2,11 @@
 
 Each oracle evaluates a quantity of the model pointwise or by direct
 quadrature, independently of the harmonic-series kernels, so tests can check
-the library's stored constants and profiles against it.  The helpers at the
-end read an exported CSV back and warm-start one chain from a vector.
+the library's stored constants and profiles against it.  The per-point
+forms of a sweep step (``point_chain``, ``point_slope``,
+``series_photon_number``) are the oracles of the step's row operations.  The
+helpers at the end read an exported CSV back and warm-start one chain from a
+vector.
 """
 
 import csv
@@ -14,6 +17,7 @@ from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal, lapack
 
 from cavityaa import kernels
 from cavityaa.lattice import GOLDEN_BETA, LATTICE_CONSTANT
+from cavityaa.model import HubbardProblem, scale_profile
 
 
 def lowest_band_eigh(spec) -> tuple[np.ndarray, np.ndarray]:
@@ -204,6 +208,34 @@ def photon_number_site_loop(psi, wb, kind, zeta, delta_c, U0) -> float:
         lorentz = drive_sq / ((delta_c - U0 * mode * mode) ** 2 + 1.0)
         total += dens[m] * float(np.dot(wb.density_weights, lorentz))
     return total
+
+
+def point_chain(unit, t: float, v0: float) -> HubbardProblem:
+    """The chain of one sweep point, one point at a time: its column's
+    checked unit profile scaled by v0 (``scale_profile``, which raises
+    ValueError for a negative or overflowing v0) with hopping t.  Its
+    ``onsite.values``, ``onsite.peaks`` and ``norm_bound`` are the oracles of
+    a sweep step's diagonal rows, peaks and Gershgorin bounds."""
+    return HubbardProblem(t, scale_profile(unit, v0))
+
+
+def point_slope(state, unit_values: np.ndarray) -> float:
+    """The Hellmann-Feynman slope <psi|U|psi> = dE0/dv0 of one ground state:
+    its density dotted with its column's unit profile."""
+    return float(state.density @ unit_values)
+
+
+def series_photon_number(state, series: np.ndarray, amplitude: float) -> float:
+    """amplitude^2 times one state's occupied density (above 1e-12) dotted
+    with its column's ``photon_series``: the mean photon number of one
+    point; a negative one raises ValueError."""
+    amp = np.asarray(getattr(state, "amplitudes", state), dtype=np.float64)
+    dens = amp * amp
+    occupied = np.where(dens > 1e-12, dens, 0.0)
+    nbar = amplitude * amplitude * float(occupied @ series)
+    if nbar < 0.0:
+        raise ValueError("photon number cannot be negative")
+    return nbar
 
 
 def read_csv(path) -> tuple[list, list]:

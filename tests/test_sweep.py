@@ -11,11 +11,14 @@ import types
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cavityaa as ca
 from cavityaa.config import load_config
-from reference import (first_shift, photon_number_site_loop, read_csv,
-                       thouless_ldlt_gamma, thouless_spectrum_gamma, warm_start)
+from reference import (first_shift, photon_number_site_loop, point_chain, point_slope,
+                       read_csv, series_photon_number, thouless_ldlt_gamma,
+                       thouless_spectrum_gamma, warm_start)
 
 L = 233
 SHIFT_RTOL = ca.observables.THOULESS_SHIFT_RTOL
@@ -297,6 +300,101 @@ def test_one_unit_profile_per_column(wannier, lattice_spec, monkeypatch):
             assert rec.ipr == ca.ipr(gs)
             previous = gs.amplitudes
             history.append((rec.v0, float(gs.density @ unit)))
+
+
+def _bits(values) -> bytes:
+    return np.ascontiguousarray(values, dtype=np.float64).tobytes()
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_step_rows_are_the_per_point_path(wannier, lattice_spec, data):
+    # a step works on its points' rows; each point gets what the per-point
+    # path (reference.point_chain, point_slope, series_photon_number) gives
+    # it, bit for bit: its diagonal, peaks and Gershgorin bound in its
+    # ground_state call and its row of the warm solve, the first shift from
+    # its column's slopes, its gamma_T and its nbar.  A negative v0 fails
+    # its point alone, with scale_profile's error
+    n_sites = data.draw(st.integers(5, 48), label="L")
+    couplings = data.draw(st.lists(st.sampled_from([-3.0, -1.5, -0.5, 0.5, 2.0]),
+                                   min_size=1, max_size=4, unique=True), label="couplings")
+    kind = data.draw(st.sampled_from(["model", "cavity_pumped", "atom_pumped"]), label="kind")
+    strengths = data.draw(st.lists(st.floats(-0.05 if kind == "model" else 0.0, 0.6),
+                                   min_size=1, max_size=6), label="strengths")
+    min_chains = data.draw(st.sampled_from([2, 8]), label="LOCKSTEP_MIN_CHAINS")
+    if kind == "model":
+        spec = _spec(lattice_spec, axis1=ca.Axis("v0", strengths), axis2=ca.Axis("C", couplings),
+                     fixed={"delta_c_prime": -0.3}, L=n_sites, observables=("ipr", "gamma"))
+    else:
+        pump = ca.PumpConfig(pump_mode=kind, Delta_a=-2.0, g=0.3, kappa_over_recoil=1.0)
+        spec = _spec(lattice_spec, axis1=ca.Axis("eta", strengths),
+                     axis2=ca.Axis("U0", couplings), fixed={"delta_c": -4.0}, pump=pump,
+                     L=n_sites, observables=("ipr", "gamma", "nbar"))
+    solves, warm_calls = [], []
+    solve, warm = ca.sweep.ground_state, ca.kernels.warm_eigenpairs
+
+    def keeping_solve(problem, start=None):
+        solves.append((problem, start, None))
+        solves[-1] = (problem, start, solve(problem, start=start))
+        return solves[-1][2]
+
+    def keeping_warm(D, E, starts, bounds, offsets=None):
+        if offsets is not None:  # a sweep step's call, not the band solve's
+            warm_calls.append((D.copy(), E.copy(), bounds.copy(), offsets.copy()))
+        return warm(D, E, starts, bounds, offsets)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ca.kernels, "LOCKSTEP_MIN_CHAINS", min_chains)
+        patch.setattr(ca.sweep, "ground_state", keeping_solve)
+        patch.setattr(ca.kernels, "warm_eigenpairs", keeping_warm)
+        result = ca.run_sweep(spec)
+    columns = ca.sweep._solve_columns(spec)
+    units, series, history = {}, {}, {}
+    solves_left, warms_left = iter(solves), iter(warm_calls)
+    for step in range(len(columns[0])):
+        warm_rows = []
+        for j, column in enumerate(columns):
+            rec = result.records[column[step]]
+            if j not in units:
+                units[j] = ca.sweep.unit_profile("cavity", wannier, rec.C, rec.delta_c_prime,
+                                                 n_sites)
+                if kind != "model":
+                    series[j] = ca.observables.photon_series(wannier, kind, -4.0, rec.C,
+                                                             n_sites)
+            if rec.v0 < 0.0:
+                assert (rec.flags, rec.solver) == ("solve_failed:ValueError", "unsolved")
+                with pytest.raises(ValueError, match="non-negative"):
+                    point_chain(units[j], wannier.t, rec.v0)
+                history[j] = []
+                continue
+            problem, start, gs = next(solves_left)
+            oracle = point_chain(units[j], wannier.t, rec.v0)
+            assert _bits(problem.onsite.values) == _bits(oracle.onsite.values)
+            assert problem.onsite.peaks == oracle.onsite.peaks
+            assert (problem.t, problem.norm_bound) == (oracle.t, oracle.norm_bound)
+            assert (rec.E0, rec.ipr) == (gs.energy, ca.ipr(gs))
+            gamma, = ca.observables.thouless_gammas(
+                oracle.onsite.values[None], oracle.offdiagonal[None],
+                np.array([oracle.norm_bound]), [gs.energy])
+            if rec.flags:
+                assert np.isnan(gamma) and rec.flags == "solve_failed:LinAlgError"
+            else:
+                assert rec.gamma == gamma
+            if kind != "model" and not rec.flags:
+                *_, zeta = ca.sweep.map_physical_params(spec.pump, rec.C, -4.0, rec.axis1)
+                assert rec.nbar == series_photon_number(gs, series[j], zeta)
+            if start is not None:
+                warm_rows.append((oracle, first_shift(history[j], rec.v0)))
+            history[j] = [] if rec.flags else (
+                history.get(j, []) + [(rec.v0, point_slope(gs, units[j].values))])[-2:]
+        if warm_rows:
+            D, E, bounds, offsets = next(warms_left)
+            assert len(D) == len(warm_rows)
+            for row, (oracle, offset) in enumerate(warm_rows):
+                assert _bits(D[row]) == _bits(oracle.onsite.values)
+                assert _bits(E[row]) == _bits(oracle.offdiagonal)
+                assert (bounds[row], offsets[row]) == (oracle.norm_bound, offset)
+    assert next(solves_left, None) is None and next(warms_left, None) is None
 
 
 def _chain(wb, n_sites, rec, beta):
@@ -805,6 +903,35 @@ def test_overflowing_strength_fails_its_point(lattice_spec):
     assert [r.solver for r in recs] == ["cold", "warm", "unsolved"]
 
 
+def test_negative_strength_fails_only_its_points(lattice_spec):
+    # a negative v0 fails its point in every column, with scale_profile's
+    # error, after the column has set up there; every other point is that
+    # of the grid without it
+    spec = _spec(lattice_spec, axis1=ca.Axis("v0", np.array([0.05, -0.01, 0.06])),
+                 axis2=ca.Axis("C", np.array([-1.0, -2.0])), observables=("ipr", "gamma"))
+    result = ca.run_sweep(spec)
+    flags = [rec.flags for rec in result.records]
+    assert flags == ["", "", "solve_failed:ValueError", "solve_failed:ValueError", "", ""]
+    without = ca.run_sweep(dataclasses.replace(spec, axis1=ca.Axis("v0", [0.05, 0.06])))
+    assert result.records[:2] + result.records[4:] == without.records
+
+
+def test_overflow_fails_its_point_alone_in_its_step(lattice_spec):
+    # 1.7e308 overflows the C = -2 column's unit peak 1.08 but not the
+    # C = -0.5 one's 0.44, so one step holds a point that fails the strength
+    # check beside one that passes it and solves cold: each column's row is
+    # that of its one-column sweep
+    spec = _spec(lattice_spec, axis1=ca.Axis("v0", np.array([1.7e308])),
+                 axis2=ca.Axis("C", np.array([-2.0, -0.5])), observables=("ipr", "gamma"))
+    result = ca.run_sweep(spec)
+    assert [(rec.flags, rec.solver) for rec in result.records] == [
+        ("solve_failed:ValueError", "unsolved"), ("", "cold")]
+    rows = ca.sweep.csv_body(result).splitlines()[1:]
+    for j, C in enumerate((-2.0, -0.5)):
+        alone = ca.run_sweep(dataclasses.replace(spec, axis2=ca.Axis("C", [C])))
+        assert rows[j::2] == ca.sweep.csv_body(alone).splitlines()[1:]
+
+
 @pytest.mark.parametrize("workers", [0, -3])
 def test_workers_below_one_rejected(lattice_spec, workers):
     with pytest.raises(ValueError, match="workers"):
@@ -1256,23 +1383,24 @@ def _photon_spec(lattice_spec, pump_mode, observables=("ipr", "gamma", "nbar")):
 @pytest.mark.parametrize("pump_mode", ["cavity_pumped", "atom_pumped"])
 def test_sweep_nbar_is_the_one_point_photon_number(wannier, lattice_spec,
                                                    monkeypatch, pump_mode, pooled):
-    # a column builds its unit-amplitude series once; each point's nbar is
-    # amplitude^2 (density @ series), the path photon_number takes for one
-    # state, so the two agree at every point to the last digits
+    # a column builds its unit-amplitude series once; a step takes every
+    # point's nbar = amplitude^2 (occupied density @ series) in one row
+    # operation, and each equals, bit for bit, the one-state product on the
+    # ground state its point solved and the one-point photon_number
     spec = _photon_spec(lattice_spec, pump_mode)
     builds, states = [], []
-    build, point = ca.sweep.photon_series, ca.sweep.series_photon_number
+    build, solve = ca.sweep.photon_series, ca.sweep.ground_state
 
     def counting_build(*args):
         builds.append(args[1:])
         return build(*args)
 
-    def keeping_point(state, series, amplitude):
-        states.append((state.amplitudes, amplitude))
-        return point(state, series, amplitude)
+    def keeping_solve(problem, start=None):
+        states.append(solve(problem, start=start))
+        return states[-1]
 
     monkeypatch.setattr(ca.sweep, "photon_series", counting_build)
-    monkeypatch.setattr(ca.sweep, "series_photon_number", keeping_point)
+    monkeypatch.setattr(ca.sweep, "ground_state", keeping_solve)
     workers = 1
     if pooled:
         inline_fork(monkeypatch)
@@ -1288,25 +1416,37 @@ def test_sweep_nbar_is_the_one_point_photon_number(wannier, lattice_spec,
     assert sorted(u0s) == sorted(spec.axis2.values)
     assert builds == [(pump_mode, -4.0, u0, L) for u0 in u0s]
     assert len(states) == len(order) == spec.n_points
-    for i, (amplitudes, amplitude) in zip(order, states):
+    series = {u0: build(wannier, pump_mode, -4.0, u0, L) for u0 in u0s}
+    for i, gs in zip(order, states):
         rec = result.records[i]
         *_, zeta = ca.sweep.map_physical_params(spec.pump, rec.C, -4.0, rec.axis1)
-        assert zeta == amplitude
-        direct = ca.photon_number(amplitudes, wannier, pump_mode, zeta, delta_c=-4.0,
-                                  U0=rec.C)
-        assert rec.nbar == pytest.approx(direct, rel=1e-14, abs=0.0)
+        assert rec.nbar == series_photon_number(gs, series[rec.C], zeta)
+        assert rec.nbar == ca.photon_number(gs.amplitudes, wannier, pump_mode, zeta,
+                                            delta_c=-4.0, U0=rec.C)
         assert rec.nbar > 0.0
     if pooled:
         serial = ca.run_sweep(spec)
         assert ca.sweep.csv_body(serial) == ca.sweep.csv_body(result)
 
 
-def test_failed_photon_series_fails_each_point_after_its_solve(lattice_spec,
+def _cold_point(wannier, spec, rec):
+    """A sweep record's chain, its cold ground state and its gamma_T, one
+    point at a time."""
+    unit = ca.sweep.unit_profile(spec.mode, wannier, rec.C, rec.delta_c_prime, spec.L)
+    problem = point_chain(unit, wannier.t, rec.v0)
+    gs = ca.ground_state(problem)
+    gamma, = ca.observables.thouless_gammas(
+        problem.onsite.values[None], problem.offdiagonal[None],
+        np.array([problem.norm_bound]), [gs.energy])
+    return gs, gamma
+
+
+def test_failed_photon_series_fails_each_point_after_its_solve(wannier, lattice_spec,
                                                                monkeypatch):
     # a series that cannot be built (say, past MAX_HARMONICS) is tried once
     # per column; every point still solves and reports E0, IPR and gamma,
     # then fails as a point whose photon number raises, and the next point
-    # starts cold
+    # starts cold: each record holds its chain's cold solve
     spec = _photon_spec(lattice_spec, "cavity_pumped")
     builds = []
 
@@ -1314,22 +1454,45 @@ def test_failed_photon_series_fails_each_point_after_its_solve(lattice_spec,
         builds.append(args)
         raise ValueError("cosine series not converged")
 
-    def failing_point(*args):
-        raise ValueError("photon number failed")
-
-    monkeypatch.setattr(ca.sweep, "series_photon_number", failing_point)
-    per_point = ca.run_sweep(spec)
-    monkeypatch.undo()
     monkeypatch.setattr(ca.sweep, "photon_series", failing_build)
     failed = ca.run_sweep(spec)
     assert len(builds) == spec.shape[1]
-    assert failed.records == per_point.records
     assert failed.n_failed == spec.n_points
     for rec in failed.records:
-        assert rec.flags.endswith("solve_failed:ValueError")
-        assert rec.nbar is None and np.isfinite(rec.E0) and np.isfinite(rec.ipr)
-        assert rec.solver == "cold"
+        assert rec.flags == "solve_failed:ValueError"
+        assert rec.nbar is None and rec.solver == "cold"
+        gs, gamma = _cold_point(wannier, spec, rec)
+        assert (rec.E0, rec.ipr, rec.gamma) == (gs.energy, ca.ipr(gs), gamma)
     assert failed.metadata["solver_counts"]["cold"] == spec.n_points
+
+
+def test_negative_photon_number_fails_its_point(wannier, lattice_spec, monkeypatch):
+    # a series that gives a negative photon number fails each point of its
+    # column after its solve, as a one-point photon number raises, and the
+    # next point starts cold; the other columns are untouched
+    spec = _photon_spec(lattice_spec, "cavity_pumped")
+    clean = ca.run_sweep(spec)
+    build = ca.sweep.photon_series
+
+    def negative_build(wb, kind, dcp, coop, n_sites):
+        values = build(wb, kind, dcp, coop, n_sites)
+        return -values if coop == -1.0 else values
+
+    monkeypatch.setattr(ca.sweep, "photon_series", negative_build)
+    result = ca.run_sweep(spec)
+    assert result.n_failed == spec.shape[0]
+    for rec, ref in zip(result.records, clean.records):
+        if rec.C != -1.0:
+            assert rec == ref
+            continue
+        assert rec.flags == "solve_failed:ValueError"
+        assert rec.nbar is None and rec.solver == "cold"
+        gs, gamma = _cold_point(wannier, spec, rec)
+        assert (rec.E0, rec.ipr, rec.gamma) == (gs.energy, ca.ipr(gs), gamma)
+        *_, zeta = ca.sweep.map_physical_params(spec.pump, rec.C, -4.0, rec.axis1)
+        with pytest.raises(ValueError, match="negative"):
+            series_photon_number(gs, negative_build(wannier, "cavity_pumped", -4.0,
+                                                    -1.0, L), zeta)
 
 
 @pytest.mark.parametrize("mode, grid", [("aa", (0.01, 0.3, 40)),

@@ -146,9 +146,9 @@ def test_shipped_outputs_runs_the_benchmark_workloads(tmp_path):
 BENCH_TOOL = TOOL.parent / "bench_pair.py"
 
 #: A stub ``perfbench/run.py``: it logs where it ran, which ``perfbench/``
-#: and which ``src/`` it is, and prints a host line and a result line whose
-#: wall time tells the two ``src/`` apart; workload "broken" at seed 11
-#: exits 1 without a result.
+#: and which ``src/`` it is, and prints a host line, a detail line and a
+#: result line whose wall and raw job times tell the two ``src/`` apart;
+#: workload "broken" at seed 11 exits 1 without a detail or a result.
 STUB_RUN = '''import argparse, json, os, pathlib, sys
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 parser = argparse.ArgumentParser()
@@ -164,6 +164,7 @@ print(json.dumps({{"host": {{"cores": 2, "perfbench": {name!r}}}}}))
 if args.workload == "broken" and args.seed == "11":
     sys.exit(1)
 wall = 0.030 if src == "head" else 0.032
+print(json.dumps({{"detail": {{"job_s": [wall + 0.001], "probe_s": [0.01, 0.011]}}}}))
 print(json.dumps({{"correct": True, "metrics": {{"wall_s": {{"value": wall, "unit": "s"}}}}}}))
 '''
 
@@ -222,6 +223,8 @@ def test_bench_pair_alternates_the_sides_and_writes_one_file_per_side(tmp_path):
             assert r["exit_code"] == 0 and r["host"] == {"cores": 2, "perfbench": "head"}
             assert r["result"] == {"correct": True,
                                    "metrics": {"wall_s": {"value": wall, "unit": "s"}}}
+            # the raw times beside the result, to tell the jobs from the probe
+            assert r["detail"] == {"job_s": [wall + 0.001], "probe_s": [0.01, 0.011]}
     assert "alpha wall_s: parent 0.032 [0.032, 0.032]  head 0.03 [0.03, 0.03]  -6.2%  " \
         "head better in 4/4 pairs" in proc.stdout.splitlines()
 
@@ -233,5 +236,6 @@ def test_bench_pair_records_a_failed_run_and_exits_1(tmp_path):
     doc = json.loads((out / "BENCH_head.json").read_text())
     failed = [r for r in doc["runs"] if r["seed"] == 11]
     assert len(failed) == 2
-    assert all(r["exit_code"] == 1 and r["result"] is None for r in failed)
+    assert all(r["exit_code"] == 1 and r["result"] is None and r["detail"] is None
+               for r in failed)
     assert "failed: broken seed 11" in proc.stderr

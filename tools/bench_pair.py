@@ -16,7 +16,9 @@ alternates.
 Writes ``BENCH_<parent>.json`` and ``BENCH_<head>.json`` into DIR (default:
 the current directory); a label is the checkout's short git commit, or its
 directory name outside git.  Each file holds every run of its side, with
-the host line and the result line that ``run.py`` printed, and the
+the host line, the detail line (the raw job, set-up and host-speed probe
+times, so that a change of ``wall_s`` can be traced to the jobs or to the
+probe) and the result line that ``run.py`` printed, and the
 workloads, the seeds, the run length, the number of rounds and the order of
 every run of both sides.  Then prints, per workload and ``end_to_end``
 metric, each side's median and quartiles, the change of the medians, and in
@@ -62,12 +64,13 @@ def _staged_parent(parent: pathlib.Path, head: pathlib.Path,
 
 
 def _run(root: pathlib.Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``run.py`` run from root: its exit code, host and result lines."""
+    """One ``run.py`` run from root: its exit code, host, detail and result
+    lines."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
     run = {"workload": workload, "seed": seed, "exit_code": proc.returncode,
-           "host": None, "result": None}
+           "host": None, "detail": None, "result": None}
     for line in proc.stdout.splitlines():
         try:
             doc = json.loads(line)
@@ -75,6 +78,8 @@ def _run(root: pathlib.Path, workload: str, seed: int, seconds: float) -> dict:
             continue
         if isinstance(doc, dict) and "host" in doc:
             run["host"] = doc["host"]
+        elif isinstance(doc, dict) and "detail" in doc:
+            run["detail"] = doc["detail"]
         elif isinstance(doc, dict) and "metrics" in doc:
             run["result"] = doc
     if proc.returncode != 0 or run["result"] is None:
