@@ -132,7 +132,9 @@ def warm_eigenpair(d: np.ndarray, e: np.ndarray, start: np.ndarray,
     the step's Rayleigh-quotient correction x.y/||y||^2, which can only
     lower that residual, and the vector is y/||y||: no ``dstein`` call.
     Returns ``(energy, vector, residual, method)`` like
-    ``lowest_eigenpair``, or None after WARM_MAX_STEPS steps.  A solve that
+    ``lowest_eigenpair``, or None after WARM_MAX_STEPS steps, or once
+    ||y||^2 underflows to 0, which a chain of norm near the largest float
+    can make of its solves: the correction cannot be formed.  A solve that
     meets a zero pivot, or gives a non-finite y, has lam on an eigenvalue to
     working precision (or a NaN entry): the step is spent moving lam down by
     WARM_NUDGE * norm_bound, where the next solve is regular, and x is kept.
@@ -154,7 +156,10 @@ def warm_eigenpair(d: np.ndarray, e: np.ndarray, start: np.ndarray,
         if info != 0 or not math.isfinite(norm_y):
             lam -= WARM_NUDGE * norm_bound
             continue
-        lam += float(x @ y) / (norm_y * norm_y)
+        square = norm_y * norm_y
+        if square == 0.0:  # underflow, at ||T|| near the largest float
+            return None
+        lam += float(x @ y) / square
         if norm_y * WARM_RTOL * norm_bound >= 1.0:
             break
         x = y / norm_y
@@ -265,6 +270,10 @@ def _lockstep_pairs(D, E, starts, bounds, offsets):
     joined = _joined(e)
     for _ in range(WARM_MAX_STEPS):
         Y, norms, clean = _rqi_solves(d, e, joined, lam, X)
+        # warm_eigenpair gives up on a row whose ||y||^2 underflows to 0: it
+        # leaves the iteration below, NaN
+        lost = norms * norms == 0.0
+        norms[lost] = 1.0
         if clean:
             lam += np.vecdot(X, Y) / (norms * norms)
             done = norms * WARM_RTOL * bounds >= 1.0
@@ -275,13 +284,15 @@ def _lockstep_pairs(D, E, starts, bounds, offsets):
             lam = np.where(stalled, lam - WARM_NUDGE * bounds,
                            lam + np.vecdot(X, Y) / (norms * norms))
             done = ~stalled & (norms * WARM_RTOL * bounds >= 1.0)
+        done &= ~lost
         Y /= norms[:, None]
         if done.any():
             finished = rows[done]
             energies[finished], vectors[finished] = lam[done], Y[done]
-            if done.all():
+        going = ~(done | lost)
+        if not going.all():
+            if not going.any():
                 break
-            going = ~done
             rows, bounds, d, e, lam, Y = (a[going] for a in (rows, bounds, d, e, lam, Y))
             joined = _joined(e)
         X = Y

@@ -6,9 +6,11 @@ profile by v0, solves the chain ground state and evaluates the requested
 observables.  The strength (v0, or eta^2 in pump sweeps) only scales the
 cavity profile, so the points that share (W0, C, delta') form a column: it
 sets up its basis and unit profile once, runs in increasing strength with
-each ground-state solve started from the previous point's state, at a
-first shift predicted from its last two points (``_Column.first_shift``),
-and estimates its own transition.  A column is never split; the columns are
+its first ground-state solve started from the free chain's ground state
+(``_free_chain``, the v0 -> 0 limit of its weakest point) and each later
+one from the previous point's state, at a first shift predicted from its
+last two points (``_Column.first_shift``), and estimates its own
+transition.  A column is never split; the columns are
 dealt out to this process and to any forked workers (``_forked_results``),
 forked only where the grid is large enough to pay for it (``_processes``),
 and each process advances its share of columns one strength step at a time
@@ -63,9 +65,11 @@ AXIS_NAMES = MODEL_AXES[:3] + PHYSICAL_AXES + ("W0",)
 #: Axes that set the potential strength: they scan v0 at fixed (C, delta').
 SCAN_AXES = ("v0", "eta")
 OBSERVABLE_NAMES = ("ipr", "gamma", "nbar", "vc")
-#: How a point's ground state was solved: from the previous point's state,
-#: cold at a column start, by select-mode LAPACK after a rejected warm
-#: result, or not at all (a failed point).
+#: How a point's ground state was solved: from the previous point's state;
+#: cold at a column start, from the free chain's ground state or, without a
+#: strength axis and after a failed point, by bisection; by select-mode
+#: LAPACK after a rejected warm result, a column start's included; or not at
+#: all (a failed point).
 SOLVER_KINDS = ("warm", "cold", "select_fallback", "unsolved")
 #: The sidecar's name of where a warm solve takes its first shift
 #: (``_Column.first_shift``): the start's Rayleigh quotient plus the
@@ -367,11 +371,22 @@ def resolve_model_params(pump: PumpConfig | None, params: dict
             None)
 
 
-def _solver_kind(warm: bool, method: str) -> str:
-    """The SOLVER_KINDS entry (never "unsolved") of a ground state's path."""
-    if method == kernels.WARM_METHOD:
-        return "warm"
-    return "select_fallback" if warm else "cold"
+def _solver_kind(started: bool, opening: bool, method: str) -> str:
+    """The SOLVER_KINDS entry (never "unsolved") of a ground state's path:
+    started when it was given a warm row, opening when that row was its
+    column's start from the free chain."""
+    if not started:
+        return "cold"
+    if method != kernels.WARM_METHOD:
+        return "select_fallback"
+    return "cold" if opening else "warm"
+
+
+def _free_chain(L: int) -> np.ndarray:
+    """sin(pi n / (L + 1)), n = 1..L: the ground state, unnormalized, of the
+    free hard-wall chain of L sites (v0 = 0, t > 0), where each column of a
+    strength axis starts."""
+    return np.sin(np.pi * np.arange(1, L + 1) / (L + 1))
 
 
 def unit_profile(mode: str, wb: WannierBasis, coop: float, dcp: float,
@@ -430,19 +445,22 @@ class _Column:
     starts each point (``begin``), fills in its v0, C, delta', zeta, ground
     state, IPR, gamma, nbar, slope, flag and solver kind as far as the point
     gets, and then records it (``record``), failed or not.  The column's
-    first point whose parameters resolve sets it up (``set_up``); start is
-    None at the column's start and after a failed point, whose successor
-    then starts cold.  history holds (v0, s) of the last two points solved
-    since then, s = <psi|U|psi> being the slope dE0/dv0 of the ground energy
-    (Hellmann-Feynman, U the unit profile); the next warm solve reads its
-    first shift from them (``first_shift``).
+    first point whose parameters resolve sets it up (``set_up``).  start is
+    the vector the next point starts from: at the column's start opening,
+    the free chain's ground state (``_free_chain``) on a strength axis and
+    None without one (a one-point column), and None after a failed point,
+    whose successor then bisects.  history holds (v0, s) of the last two
+    points solved since then, s = <psi|U|psi> being the slope dE0/dv0 of the
+    ground energy (Hellmann-Feynman, U the unit profile); the next warm
+    solve reads its first shift from them (``first_shift``), and it is
+    empty at a column start.
     """
 
-    def __init__(self, indices: list, rows: _Rows, row: int):
-        self.indices, self.rows, self.row = indices, rows, row
+    def __init__(self, indices: list, rows: _Rows, row: int, opening: np.ndarray | None):
+        self.indices, self.rows, self.row, self.start = indices, rows, row, opening
         self.records = []
         self.history = []
-        self.wb = self.start = self.column_params = None
+        self.wb = self.column_params = None
         self.set_up_failed = self.series_failed = ""
 
     def begin(self, spec: SweepSpec, bases: dict, step: int) -> bool:
@@ -547,16 +565,17 @@ def _solve_step(spec: SweepSpec, bases: dict, share: list, rows: _Rows, step: in
     (``norm_bounds``) array expressions, each row bit-identical to
     ``scale_profile`` and ``HubbardProblem.norm_bound`` at its v0.  A v0
     that is negative or overflows the profile fails its point alone, with
-    ``scale_profile``'s error.  The points that start from their column's
-    ground state take their certified rows of one
-    ``kernels.warm_eigenpairs`` call, and every point one ``ground_state``
-    call on its row, cold at a column start.  The solved points' amplitude
-    rows give one ``ipr`` call, their Hellmann-Feynman slopes as one
-    ``np.vecdot`` with their unit rows, one ``thouless_gammas`` call and
+    ``scale_profile``'s error.  The points that have a start, their
+    column's last ground state or, at a column start, the free chain's,
+    take their certified rows of one ``kernels.warm_eigenpairs`` call, and
+    every point one ``ground_state`` call on its row, which bisects where
+    the row was rejected or the point has no start.  The solved points'
+    amplitude rows give one ``ipr`` call, their Hellmann-Feynman slopes as
+    one ``np.vecdot`` with their unit rows, one ``thouless_gammas`` call and
     their photon numbers as one ``series_photon_numbers`` call.  A point
     that raises, whose gamma_T is NaN (``solve_failed:LinAlgError``) or
     whose photon number is negative fails alone; its column's next point
-    starts cold.
+    bisects.
     """
     points = [column for column in share if column.begin(spec, bases, step)]
     if points:
@@ -598,7 +617,7 @@ def _solve_points(spec: SweepSpec, rows: _Rows, points: list) -> None:
         try:
             p.gs = ground_state(HubbardProblem(p.wb.t, exact_profile(d, tuple(peak))),
                                 start=p.start)
-            p.solver = _solver_kind(p.start is not None, p.gs.method)
+            p.solver = _solver_kind(p.start is not None, not p.history, p.gs.method)
         except Exception as exc:
             p.flag = _failure(exc)
     solved_rows = [k for k, p in enumerate(points) if p.gs is not None]
@@ -680,9 +699,9 @@ def _solve_columns(spec: SweepSpec) -> list:
     """Flat indices in solve order, one list per column.
 
     A column is the set of points that share every parameter but the
-    strength (v0 or eta); it runs in increasing strength and starts cold.
-    Without a strength axis every point is its own column, so every column
-    has the same length.  The columns depend on the grid alone, never on
+    strength (v0 or eta); it runs in increasing strength and starts from
+    the free chain (``_Column``).  Without a strength axis every point is
+    its own column, which bisects, so every column has the same length.  The columns depend on the grid alone, never on
     the worker count.
     """
     n1, n2 = spec.shape
@@ -714,7 +733,8 @@ def _run_share(spec: SweepSpec, bases: dict, columns: list, progress=None) -> li
     is below the sweep's n.
     """
     rows = _Rows(len(columns), spec.L, "nbar" in spec.observables)
-    share = [_Column(column, rows, k) for k, column in enumerate(columns)]
+    opening = _free_chain(spec.L) if _axis_named(spec, SCAN_AXES) else None
+    share = [_Column(column, rows, k, opening) for k, column in enumerate(columns)]
     n, steps = spec.n_points, len(columns[0]) if columns else 0
     every = -(-steps // PROGRESS_STEPS)
     for step in range(steps):
@@ -886,6 +906,8 @@ def _constants(wb: WannierBasis) -> dict:
 
 def _methods(spec: SweepSpec) -> dict:
     methods = {"eigensolver": "column_warm_start",
+               "column_start": ("free_chain_ground_state" if _axis_named(spec, SCAN_AXES)
+                                else kernels.COLD_METHOD),
                "warm_first_shift": FIRST_SHIFT_METHOD,
                "transition_detector": TRANSITION_METHOD,
                "band_solve": BAND_SOLVE_METHOD,

@@ -6,7 +6,7 @@ the library's stored constants and profiles against it.  The per-point
 forms of a sweep step (``point_chain``, ``point_slope``,
 ``series_photon_number``) are the oracles of the step's row operations.  The
 helpers at the end read an exported CSV back and warm-start one chain from a
-vector.
+vector or, as a sweep column's first point, from the free chain.
 """
 
 import csv
@@ -262,6 +262,16 @@ def warm_start(problem, vector, offset=0.0):
         problem.onsite.values[None], problem.offdiagonal[None], [vector],
         np.array([problem.norm_bound]), np.array([offset]))
     return float(energy), psi, float(residual), float(margin)
+
+
+def free_chain_start(problem):
+    """The ``ground_state`` start of a sweep column's first point: its row of
+    a one-chain ``kernels.warm_eigenpairs`` call from the free hard-wall
+    chain's ground state sin(pi n / (L + 1)), n = 1..L, at a zero first-shift
+    offset (``warm_start``).  ``ground_state`` takes it where its margin is
+    positive and bisects otherwise."""
+    n = np.arange(1, problem.L + 1)
+    return warm_start(problem, np.sin(np.pi * n / (problem.L + 1)))
 
 
 def first_shift(history, v0):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -125,6 +126,45 @@ def test_warm_start_on_a_zero_pivot_off_an_eigenvector_gives_up():
     # entry, a zero pivot, but the start is no eigenvector: residual 1
     d, e = np.array([0.0, -1.0, 1.0]), np.zeros(2)
     assert kernels.warm_eigenpair(d, e, np.array([0.0, 1.0, 1.0]), 1.0) is None
+
+
+def test_warm_start_gives_up_where_its_solve_underflows(monkeypatch):
+    # on a chain whose norm nears the largest float, as a sweep point at
+    # v0 = 1.7e308, the first solve's ||y|| is near 1e-308 and its square
+    # underflows to 0: the correction cannot be formed, and warm_eigenpair
+    # gives up after that one solve.  warm_eigenpairs gives the same NaN row
+    # on either path, without a floating-point warning, and solves the row
+    # beside it
+    rng = np.random.RandomState(5)
+    n = 233
+    d, e = 1.7e308 * rng.uniform(-0.44, 0.44, n), np.full(n - 1, -0.0065)
+    start = np.sin(np.pi * np.arange(1, n + 1) / (n + 1))
+    bound = gershgorin_norm_bound(d, e)
+    solves = []
+    dgtsv = lapack.dgtsv
+
+    def counting(*args, **kwargs):
+        solves.append(args[1].shape)
+        return dgtsv(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lapack, "dgtsv", counting)
+        assert kernels.warm_eigenpair(d, e, start, bound) is None
+    assert solves == [(n,)]
+    near_d, near_e = _random_chain(rng, n)
+    D, E = np.array([d, near_d]), np.array([e, near_e])
+    bounds = np.array([bound, gershgorin_norm_bound(near_d, near_e)])
+    rows = []
+    for min_chains in (8, 1):
+        monkeypatch.setattr(kernels, "LOCKSTEP_MIN_CHAINS", min_chains)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows.append(kernels.warm_eigenpairs(D, E, [start, start], bounds))
+    for one_at_a_time, block in zip(*rows):
+        assert np.array_equal(one_at_a_time, block, equal_nan=True)
+    energies, vectors, residuals, margins = rows[1]
+    assert np.isnan(energies[0]) and np.isnan(vectors[0]).all() and np.isnan(margins[0])
+    assert np.isfinite(energies[1]) and residuals[1] <= 1e-10 * bounds[1]
 
 
 @pytest.mark.parametrize("sin2", [False, True])

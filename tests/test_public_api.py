@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import cavityaa as ca
+from reference import free_chain_start
 from test_sweep import inline_fork
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -73,8 +74,9 @@ def test_benchmark_hooks_see_each_point_and_column(wannier, lattice_spec,
                                                     monkeypatch, workers):
     # the benchmark's set-up probe and tracer wrap these two names: a point
     # is one ground_state(problem, start=...) call, a column one
-    # onsite_cavity(wb, pot, L).  A column start is cold; later points start
-    # from their row of the step's warm solves, in a block or one at a time
+    # onsite_cavity(wb, pot, L).  Every point starts from its row of the
+    # step's warm solves, in a block or one at a time: a column start from
+    # the free chain, a later point from its column's last state
     solves, profiles = [], []
     solve, profile = ca.sweep.ground_state, ca.sweep.onsite_cavity
 
@@ -103,7 +105,9 @@ def test_benchmark_hooks_see_each_point_and_column(wannier, lattice_spec,
         assert isinstance(args[0], ca.HubbardProblem)
         assert set(kwargs) <= {"start"}
     starts = [kwargs.get("start") for _, kwargs in solves]
-    assert sum(start is None for start in starts) == 3
+    assert None not in starts
+    assert sum(_same_row(start, free_chain_start(args[0]))
+               for (args, _), start in zip(solves, starts)) == 3
     # a warm start is the point's row (energy, vector, residual, margin) of
     # the step's warm_eigenpairs call; at 2 workers the forked worker's share
     # is one column, whose lone warm point takes its row of a one-chain call
@@ -122,6 +126,12 @@ def test_benchmark_hooks_see_each_point_and_column(wannier, lattice_spec,
         assert wb is profiles[0][0][0] and L == 89
         assert (wb.spec, wb.t) == (wannier.spec, wannier.t)
         assert (pot.C, pot.delta_c_prime) == (C, -0.5)
+
+
+def _same_row(row, other) -> bool:
+    """Two warm rows (energy, vector, residual, margin) are equal bit for bit,
+    NaN included."""
+    return np.array_equal(np.hstack(row), np.hstack(other), equal_nan=True)
 
 
 def test_readme_library_sketch_runs(tmp_path, monkeypatch):

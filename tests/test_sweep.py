@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import pathlib
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from hypothesis import strategies as st
 
 import cavityaa as ca
 from cavityaa.config import load_config
-from reference import (first_shift, photon_number_site_loop, point_chain, point_slope,
-                       read_csv, series_photon_number, thouless_ldlt_gamma,
+from reference import (first_shift, free_chain_start, photon_number_site_loop, point_chain,
+                       point_slope, read_csv, series_photon_number, thouless_ldlt_gamma,
                        thouless_spectrum_gamma, warm_start)
 
 L = 233
@@ -272,8 +273,9 @@ def test_sweep_deterministic_and_worker_independent(lattice_spec):
 def test_one_unit_profile_per_column(wannier, lattice_spec, monkeypatch):
     # v0 only scales the profile: one onsite_cavity call per (W0, C, delta'),
     # and every record equals the direct pipeline bit for bit, replayed
-    # column by column with each solve started from the previous state and
-    # its first shift predicted from the previous two points
+    # column by column with the first solve started from the free chain and
+    # each later one from the previous state, its first shift predicted from
+    # the previous two points
     calls = []
     original = ca.sweep.onsite_cavity
 
@@ -294,8 +296,9 @@ def test_one_unit_profile_per_column(wannier, lattice_spec, monkeypatch):
         for rec in records[j::3]:
             pot = ca.EffectivePotential(rec.v0, rec.C, -0.3)
             problem = ca.HubbardProblem(t=wannier.t, onsite=ca.onsite_cavity(wannier, pot, L))
-            gs = ca.ground_state(problem, start=warm_start(
-                problem, previous, first_shift(history, rec.v0)))
+            gs = ca.ground_state(problem, start=free_chain_start(problem) if previous is None
+                                 else warm_start(problem, previous,
+                                                 first_shift(history, rec.v0)))
             assert rec.E0 == gs.energy
             assert rec.ipr == ca.ipr(gs)
             previous = gs.amplitudes
@@ -312,9 +315,11 @@ def test_step_rows_are_the_per_point_path(wannier, lattice_spec, data):
     # a step works on its points' rows; each point gets what the per-point
     # path (reference.point_chain, point_slope, series_photon_number) gives
     # it, bit for bit: its diagonal, peaks and Gershgorin bound in its
-    # ground_state call and its row of the warm solve, the first shift from
-    # its column's slopes, its gamma_T and its nbar.  A negative v0 fails
-    # its point alone, with scale_profile's error
+    # ground_state call and its row of the warm solve, its start vector (the
+    # free chain's at a column start, else its column's last state), the
+    # first shift from its column's slopes, its gamma_T and its nbar.  A
+    # negative v0 fails its point alone, with scale_profile's error, and the
+    # point after a failed one starts cold
     n_sites = data.draw(st.integers(5, 48), label="L")
     couplings = data.draw(st.lists(st.sampled_from([-3.0, -1.5, -0.5, 0.5, 2.0]),
                                    min_size=1, max_size=4, unique=True), label="couplings")
@@ -340,7 +345,8 @@ def test_step_rows_are_the_per_point_path(wannier, lattice_spec, data):
 
     def keeping_warm(D, E, starts, bounds, offsets=None):
         if offsets is not None:  # a sweep step's call, not the band solve's
-            warm_calls.append((D.copy(), E.copy(), bounds.copy(), offsets.copy()))
+            warm_calls.append((D.copy(), E.copy(), [np.array(x) for x in starts],
+                               bounds.copy(), offsets.copy()))
         return warm(D, E, starts, bounds, offsets)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -349,7 +355,8 @@ def test_step_rows_are_the_per_point_path(wannier, lattice_spec, data):
         patch.setattr(ca.kernels, "warm_eigenpairs", keeping_warm)
         result = ca.run_sweep(spec)
     columns = ca.sweep._solve_columns(spec)
-    units, series, history = {}, {}, {}
+    units, series, history, previous = {}, {}, {}, {}
+    free_chain = np.sin(np.pi * np.arange(1, n_sites + 1) / (n_sites + 1))
     solves_left, warms_left = iter(solves), iter(warm_calls)
     for step in range(len(columns[0])):
         warm_rows = []
@@ -383,16 +390,23 @@ def test_step_rows_are_the_per_point_path(wannier, lattice_spec, data):
             if kind != "model" and not rec.flags:
                 *_, zeta = ca.sweep.map_physical_params(spec.pump, rec.C, -4.0, rec.axis1)
                 assert rec.nbar == series_photon_number(gs, series[j], zeta)
+            # a column's first point starts from the free chain, a point
+            # after a failed one cold, and any other from its last state
+            opening = j not in history
+            assert (start is not None) == (opening or bool(history[j]))
             if start is not None:
-                warm_rows.append((oracle, first_shift(history[j], rec.v0)))
+                warm_rows.append((oracle, free_chain if opening else previous[j],
+                                  first_shift(history.get(j, []), rec.v0)))
+            previous[j] = gs.amplitudes
             history[j] = [] if rec.flags else (
                 history.get(j, []) + [(rec.v0, point_slope(gs, units[j].values))])[-2:]
         if warm_rows:
-            D, E, bounds, offsets = next(warms_left)
+            D, E, starts, bounds, offsets = next(warms_left)
             assert len(D) == len(warm_rows)
-            for row, (oracle, offset) in enumerate(warm_rows):
+            for row, (oracle, vector, offset) in enumerate(warm_rows):
                 assert _bits(D[row]) == _bits(oracle.onsite.values)
                 assert _bits(E[row]) == _bits(oracle.offdiagonal)
+                assert _bits(starts[row]) == _bits(vector)
                 assert (bounds[row], offsets[row]) == (oracle.norm_bound, offset)
     assert next(solves_left, None) is None and next(warms_left, None) is None
 
@@ -412,7 +426,8 @@ def _chain(wb, n_sites, rec, beta):
 def test_sweep_gamma_is_the_full_spectrum_sum(wannier, lattice_spec, mode, n_sites):
     # every record's gamma is the Thouless formula at its E0, which the
     # full-spectrum sum checks; the ground states are replayed column by
-    # column, each solve started from the previous state
+    # column, the first solve started from the free chain and each later one
+    # from the previous state
     t = wannier.t
     if mode == "aa":  # over two depths, each with its own hopping
         spec = _spec(lattice_spec, axis1=ca.Axis.log("v0", 0.8 * t, 12.0 * t, 10),
@@ -435,8 +450,9 @@ def test_sweep_gamma_is_the_full_spectrum_sum(wannier, lattice_spec, mode, n_sit
         previous, history = None, []
         for rec in result.records[j::2]:
             problem = _chain(wb, n_sites, rec, lat.beta)
-            gs = ca.ground_state(problem, start=warm_start(
-                problem, previous, first_shift(history, rec.v0)))
+            gs = ca.ground_state(problem, start=free_chain_start(problem) if previous is None
+                                 else warm_start(problem, previous,
+                                                 first_shift(history, rec.v0)))
             solvers.add(gs.method)
             assert rec.flags == ""
             assert rec.E0 == gs.energy
@@ -519,8 +535,10 @@ def test_failed_thouless_factorization_fails_only_its_point(lattice_spec,
 def test_dstein_runs_for_band_and_cold_solves_only(lattice_spec, monkeypatch,
                                                    observables):
     # a warm solve takes Rayleigh-quotient iteration's own vector and gamma
-    # reads no vector, so inverse iteration runs for the cold solves alone:
-    # the band solve certifies every q without it at this depth
+    # reads no vector, so inverse iteration runs for the bisections alone:
+    # the band solve certifies every q without it at this depth, each column
+    # start here is certified from the free chain ("cold" without a
+    # bisection), and no point fails, so only the rejected warm rows bisect
     calls = []
     dstein = scipy.linalg.lapack.dstein
 
@@ -537,7 +555,8 @@ def test_dstein_runs_for_band_and_cold_solves_only(lattice_spec, monkeypatch,
     result = ca.run_sweep(spec)
     counts = result.metadata["solver_counts"]
     assert counts["warm"] > 0 and counts["unsolved"] == 0
-    assert len(calls) == counts["cold"] + counts["select_fallback"]
+    assert counts["cold"] == 3
+    assert len(calls) == counts["select_fallback"]
     assert set(calls) == {1}
     methods = result.metadata["methods"]
     assert "decay_fit_vector" not in methods
@@ -895,41 +914,143 @@ def test_bad_unit_profile_fails_its_column(lattice_spec, monkeypatch,
 
 
 def test_overflowing_strength_fails_its_point(lattice_spec):
+    # the column starts localized, at v0 = 0.05: the certificate rejects its
+    # free-chain start, and it bisects
     huge = np.finfo(np.float64).max  # times the unit peak 1.08 overflows
     spec = _spec(lattice_spec, axis1=ca.Axis("v0", np.array([0.05, 0.06, huge])),
                  axis2=ca.Axis("C", np.array([-2.0])))
     recs = ca.run_sweep(spec).records
     assert [r.flags for r in recs] == ["", "", "solve_failed:ValueError"]
-    assert [r.solver for r in recs] == ["cold", "warm", "unsolved"]
+    assert [r.solver for r in recs] == ["select_fallback", "warm", "unsolved"]
 
 
 def test_negative_strength_fails_only_its_points(lattice_spec):
     # a negative v0 fails its point in every column, with scale_profile's
     # error, after the column has set up there; every other point is that
-    # of the grid without it
+    # of the grid without it.  The point after the failed one bisects
+    # ("cold"); without the failed point it is its column's start, whose
+    # free-chain start the certificate rejects at this localized strength,
+    # so it bisects too ("select_fallback")
     spec = _spec(lattice_spec, axis1=ca.Axis("v0", np.array([0.05, -0.01, 0.06])),
                  axis2=ca.Axis("C", np.array([-1.0, -2.0])), observables=("ipr", "gamma"))
     result = ca.run_sweep(spec)
     flags = [rec.flags for rec in result.records]
     assert flags == ["", "", "solve_failed:ValueError", "solve_failed:ValueError", "", ""]
     without = ca.run_sweep(dataclasses.replace(spec, axis1=ca.Axis("v0", [0.05, 0.06])))
-    assert result.records[:2] + result.records[4:] == without.records
+    assert [rec.solver for rec in without.records] == ["select_fallback"] * 2 + ["warm"] * 2
+    assert result.records[:2] + result.records[4:] == [
+        dataclasses.replace(rec, solver="cold") if k < 2 else rec
+        for k, rec in enumerate(without.records)]
 
 
 def test_overflow_fails_its_point_alone_in_its_step(lattice_spec):
     # 1.7e308 overflows the C = -2 column's unit peak 1.08 but not the
     # C = -0.5 one's 0.44, so one step holds a point that fails the strength
-    # check beside one that passes it and solves cold: each column's row is
-    # that of its one-column sweep
+    # check beside one that passes it, whose free-chain start gives up
+    # (||y||^2 underflows) and which bisects: each column's row is that of
+    # its one-column sweep
     spec = _spec(lattice_spec, axis1=ca.Axis("v0", np.array([1.7e308])),
                  axis2=ca.Axis("C", np.array([-2.0, -0.5])), observables=("ipr", "gamma"))
     result = ca.run_sweep(spec)
     assert [(rec.flags, rec.solver) for rec in result.records] == [
-        ("solve_failed:ValueError", "unsolved"), ("", "cold")]
+        ("solve_failed:ValueError", "unsolved"), ("", "select_fallback")]
     rows = ca.sweep.csv_body(result).splitlines()[1:]
     for j, C in enumerate((-2.0, -0.5)):
         alone = ca.run_sweep(dataclasses.replace(spec, axis2=ca.Axis("C", [C])))
         assert rows[j::2] == ca.sweep.csv_body(alone).splitlines()[1:]
+
+
+def test_huge_finite_strength_falls_back_alone(wannier, lattice_spec, monkeypatch):
+    # at v0 = 1.7e308 the C = -0.5 column's profile does not overflow (unit
+    # peak 0.44), but the warm solve's ||y||^2 underflows to 0: its row gives
+    # up, NaN, and the point bisects while the sweep goes on.  A one-column
+    # step takes warm_eigenpair below LOCKSTEP_MIN_CHAINS and the block path
+    # from it; both give the same rows, without a floating-point warning
+    spec = _spec(lattice_spec, axis1=ca.Axis("v0", np.array([0.05, 0.06, 1.7e308])),
+                 axis2=ca.Axis("C", np.array([-0.5])), observables=("ipr", "gamma"))
+    bodies = []
+    for min_chains in (8, 1):
+        monkeypatch.setattr(ca.kernels, "LOCKSTEP_MIN_CHAINS", min_chains)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = ca.run_sweep(spec)
+        assert [(rec.flags, rec.solver) for rec in result.records] == [
+            ("", "cold"), ("", "warm"), ("", "select_fallback")]
+        bodies.append(ca.sweep.csv_body(result))
+    assert bodies[0] == bodies[1]
+    huge = result.records[2]
+    gs, gamma = _cold_point(wannier, spec, huge)
+    assert (huge.E0, huge.ipr, huge.gamma) == (gs.energy, ca.ipr(gs), gamma)
+
+
+def test_localized_column_start_falls_back(wannier, lattice_spec, dense_chain):
+    # a column that starts deep in the localized phase, at v0 = 10t: the
+    # certificate rejects the free chain's row, so the point bisects and
+    # counts as "select_fallback", and its ground state is the dense one
+    spec = _spec(lattice_spec, axis1=ca.Axis.log("v0", 10.0, 80.0, 6, unit="t"),
+                 axis2=ca.Axis("C", np.array([-2.0, -1.0])), observables=("ipr", "gamma"))
+    result = ca.run_sweep(spec)
+    counts = result.metadata["solver_counts"]
+    assert counts == {"warm": 10, "cold": 0, "select_fallback": 2, "unsolved": 0}
+    for rec in result.records[:2]:
+        assert (rec.flags, rec.solver) == ("", "select_fallback")
+        unit = ca.sweep.unit_profile("cavity", wannier, rec.C, 0.0, L)
+        problem = point_chain(unit, wannier.t, rec.v0)
+        assert np.isnan(free_chain_start(problem)[3])
+        gs = ca.ground_state(problem)
+        assert (rec.E0, rec.ipr) == (gs.energy, ca.ipr(gs))
+        w, v = np.linalg.eigh(dense_chain(problem))
+        assert rec.E0 == pytest.approx(w[0], abs=1e-13)
+        assert rec.ipr == pytest.approx(ca.ipr(v[:, 0]), rel=1e-10)
+
+
+def test_sweep_without_a_strength_axis_bisects_every_point(lattice_spec, monkeypatch):
+    # without a v0 or eta axis each point is its own one-point column: it
+    # bisects ("cold"), and no step calls the warm solve
+    bisections, warm_calls = [], []
+    lowest, warm = ca.kernels.lowest_eigenpair, ca.kernels.warm_eigenpairs
+
+    def counting_lowest(d, e):
+        bisections.append(d.shape)
+        return lowest(d, e)
+
+    def counting_warm(D, E, starts, bounds, offsets=None):
+        if offsets is not None:  # a sweep step's call, not the band solve's
+            warm_calls.append(D.shape)
+        return warm(D, E, starts, bounds, offsets)
+
+    monkeypatch.setattr(ca.kernels, "lowest_eigenpair", counting_lowest)
+    monkeypatch.setattr(ca.kernels, "warm_eigenpairs", counting_warm)
+    spec = _spec(lattice_spec, axis1=ca.Axis("C", np.array([-2.0, -1.0, 1.5])),
+                 axis2=ca.Axis("delta_c_prime", np.array([-0.5, 0.0])),
+                 fixed={"v0": 0.03}, observables=("ipr", "gamma"))
+    result = ca.run_sweep(spec)
+    assert bisections == [(L,)] * spec.n_points and warm_calls == []
+    assert result.metadata["solver_counts"]["cold"] == spec.n_points
+    assert result.metadata["methods"]["column_start"] == ca.kernels.COLD_METHOD
+
+
+@pytest.mark.usefixtures("forking")
+def test_free_chain_column_starts_are_worker_independent(wannier, lattice_spec):
+    # each column's first point starts from the free chain, which depends on
+    # the column alone: at 1 and 2 workers the records are the same, and
+    # each column start is its certified row of reference.free_chain_start
+    spec = _spec(lattice_spec, axis1=ca.Axis.log("v0", 0.002, 0.2, 10),
+                 axis2=ca.Axis("C", np.array([-2.0, -1.0, -0.5, 1.5])),
+                 observables=("ipr", "gamma", "vc"))
+    serial = ca.run_sweep(spec, workers=1)
+    pooled = ca.run_sweep(spec, workers=2)
+    assert ca.sweep.csv_body(serial) == ca.sweep.csv_body(pooled)
+    assert serial.metadata["solver_counts"] == pooled.metadata["solver_counts"]
+    assert serial.metadata["methods"]["column_start"] == "free_chain_ground_state"
+    for rec in pooled.records[:4]:
+        assert (rec.flags, rec.solver) == ("", "cold")
+        unit = ca.sweep.unit_profile("cavity", wannier, rec.C, 0.0, L)
+        problem = point_chain(unit, wannier.t, rec.v0)
+        start = free_chain_start(problem)
+        assert start[3] > 0.0
+        gs = ca.ground_state(problem, start=start)
+        assert (rec.E0, rec.ipr) == (gs.energy, ca.ipr(gs))
 
 
 @pytest.mark.parametrize("workers", [0, -3])
@@ -1430,11 +1551,13 @@ def test_sweep_nbar_is_the_one_point_photon_number(wannier, lattice_spec,
 
 
 def _cold_point(wannier, spec, rec):
-    """A sweep record's chain, its cold ground state and its gamma_T, one
-    point at a time."""
+    """A sweep record's chain, its ground state and its gamma_T, one point at
+    a time, as a point whose predecessor failed gets it: bisected, or from
+    the free chain at its column's start, the weakest point of the axis."""
     unit = ca.sweep.unit_profile(spec.mode, wannier, rec.C, rec.delta_c_prime, spec.L)
     problem = point_chain(unit, wannier.t, rec.v0)
-    gs = ca.ground_state(problem)
+    opening = rec.axis1 == spec.axis1.values.min()
+    gs = ca.ground_state(problem, start=free_chain_start(problem) if opening else None)
     gamma, = ca.observables.thouless_gammas(
         problem.onsite.values[None], problem.offdiagonal[None],
         np.array([problem.norm_bound]), [gs.energy])
@@ -1446,7 +1569,8 @@ def test_failed_photon_series_fails_each_point_after_its_solve(wannier, lattice_
     # a series that cannot be built (say, past MAX_HARMONICS) is tried once
     # per column; every point still solves and reports E0, IPR and gamma,
     # then fails as a point whose photon number raises, and the next point
-    # starts cold: each record holds its chain's cold solve
+    # starts cold: each record holds its chain's cold solve, or at its
+    # column's start the certified one from the free chain
     spec = _photon_spec(lattice_spec, "cavity_pumped")
     builds = []
 
@@ -1599,9 +1723,9 @@ def test_shipped_csv_rows_are_the_csv_writer_rows(path):
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
 def test_first_shifts_of_the_shipped_configs_lie_below_the_quotient(path, monkeypatch):
     # each warm solve's first shift sits at or below its start's Rayleigh
-    # quotient; only a column's second point, with one point of history, is
-    # not shifted, so the slopes' curvature is negative at every other one,
-    # as the concave E0(v0) has it
+    # quotient; only a column's first point, from the free chain, and its
+    # second, with one point of history, are not shifted, so the slopes'
+    # curvature is negative at every other one, as the concave E0(v0) has it
     offsets = []
     warm_eigenpairs = ca.kernels.warm_eigenpairs
 
@@ -1615,9 +1739,9 @@ def test_first_shifts_of_the_shipped_configs_lie_below_the_quotient(path, monkey
     result = ca.run_sweep(spec)
     counts = result.metadata["solver_counts"]
     assert result.n_failed == 0
-    assert len(offsets) == counts["warm"] + counts["select_fallback"]
+    assert len(offsets) == spec.n_points == sum(counts.values())
     assert max(offsets) <= 0.0
-    assert offsets.count(0.0) == len(ca.sweep._solve_columns(spec))
+    assert offsets.count(0.0) == 2 * len(ca.sweep._solve_columns(spec))
 
 
 @pytest.mark.usefixtures("forking")

@@ -125,6 +125,18 @@ def test_shipped_outputs_runs_the_benchmark_workloads(tmp_path):
     columns = len(ca.sweep._solve_columns(grid))
     assert (grid.n_points, grid.L) == (10_000, 233)
     assert ca.sweep._processes(grid, 2, columns) == 2
+    # and the two column starts besides the certified free chain: a grid
+    # whose columns all start localized, each rejected and bisected, and one
+    # without a strength axis, whose every point bisects
+    for name, doc in (("localized", shipped.LOCALIZED_SWEEP),
+                      ("no_strength", shipped.NO_STRENGTH_SWEEP)):
+        for workers in ("1", "2"):
+            assert runs[f"sweep-{name}-w{workers}"] == ["sweep", doc, "--workers", workers]
+    grid = effective_config(shipped.LOCALIZED_SWEEP).sweep
+    counts = ca.run_sweep(grid).metadata["solver_counts"]
+    assert counts["select_fallback"] >= grid.shape[1] and counts["cold"] == 0
+    grid = effective_config(shipped.NO_STRENGTH_SWEEP).sweep
+    assert ca.sweep._axis_named(grid, ca.sweep.SCAN_AXES) is None
     for name, (command, config, *flags) in runs.items():
         if command == "sweep" and flags == ["--workers", "2"] and name != "sweep-forked-w2":
             if isinstance(config, dict):

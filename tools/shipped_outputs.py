@@ -17,7 +17,12 @@ and ``ground-state`` on ATOM_PUMPED_GROUND_STATE run that path, from configs
 written the same way.  Each of these sweeps is small enough to run in one
 process at either worker count (``sweep.SITES_PER_PROCESS``), so ``sweep``
 at ``--workers 1`` and ``2`` on FORKED_SWEEP, criterion 9's 100 x 100 grid,
-adds a run that forks.  Each of INVALID_RUNS runs its command on a config
+adds a run that forks.  A sweep column starts from the free chain's ground
+state where the grid has a strength axis: ``sweep`` at ``--workers 1`` and
+``2`` on LOCALIZED_SWEEP, whose columns all start deep in the localized
+phase, takes the path where the certificate rejects every such start, and
+on NO_STRENGTH_SWEEP, a C x delta' grid at fixed v0, the path where each
+point bisects.  Each of INVALID_RUNS runs its command on a config
 that one validation layer rejects, so the trees also compare the exit codes
 and ``error:`` lines.
 Each run writes into its own subdirectory, with its exit code, stdout and
@@ -71,6 +76,32 @@ FORKED_SWEEP = {
     },
 }
 
+#: v0 from 10t to 80t over twelve C columns: every column starts localized,
+#: where the certificate rejects the free chain's start, and falls back.
+LOCALIZED_SWEEP = {
+    "sweep": {
+        "name": "localized",
+        "axis1": {"name": "v0", "scale": "log", "unit": "t", "start": 10.0, "stop": 80.0,
+                  "num": 30},
+        "axis2": {"name": "C", "scale": "linear", "start": -4.0, "stop": -1.0, "num": 12},
+        "fixed": {"delta_c_prime": -0.3},
+        "observables": ["ipr", "gamma"],
+    },
+}
+
+#: A C x delta' grid at fixed v0: no strength axis, so every point is its
+#: own column and bisects.
+NO_STRENGTH_SWEEP = {
+    "sweep": {
+        "name": "no_strength",
+        "axis1": {"name": "C", "scale": "linear", "start": -4.0, "stop": -0.5, "num": 15},
+        "axis2": {"name": "delta_c_prime", "scale": "linear", "start": -2.0, "stop": 0.0,
+                  "num": 9},
+        "fixed": {"v0": 0.02},
+        "observables": ["ipr", "gamma"],
+    },
+}
+
 #: name -> (command, config): each rejected by one layer, from the merge's
 #: key and kind checks through the axis grids, model.v0, the lattice, pump
 #: and sweep objects to the baseline-aa command.
@@ -121,6 +152,9 @@ def _runs():
     yield "ground-state-atom_pumped", ["ground-state", ATOM_PUMPED_GROUND_STATE]
     for workers in ("1", "2"):
         yield f"sweep-forked-w{workers}", ["sweep", FORKED_SWEEP, "--workers", workers]
+    for name, config in (("localized", LOCALIZED_SWEEP), ("no_strength", NO_STRENGTH_SWEEP)):
+        for workers in ("1", "2"):
+            yield f"sweep-{name}-w{workers}", ["sweep", config, "--workers", workers]
     for name, (command, config) in INVALID_RUNS.items():
         yield f"invalid-{name}", [command, config]
 
