@@ -38,6 +38,7 @@ point both its v0 and its photon amplitude zeta.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -382,11 +383,14 @@ def _solver_kind(started: bool, opening: bool, method: str) -> str:
     return "cold" if opening else "warm"
 
 
+@functools.lru_cache(maxsize=8)
 def _free_chain(L: int) -> np.ndarray:
     """sin(pi n / (L + 1)), n = 1..L: the ground state, unnormalized, of the
     free hard-wall chain of L sites (v0 = 0, t > 0), where each column of a
-    strength axis starts."""
-    return np.sin(np.pi * np.arange(1, L + 1) / (L + 1))
+    strength axis starts; built once per length and shared read-only."""
+    state = np.sin(np.pi * np.arange(1, L + 1) / (L + 1))
+    state.setflags(write=False)
+    return state
 
 
 def unit_profile(mode: str, wb: WannierBasis, coop: float, dcp: float,
