@@ -106,7 +106,9 @@ def test_benchmark_hooks_see_each_point_and_column(wannier, lattice_spec,
         assert set(kwargs) <= {"start"}
     starts = [kwargs.get("start") for _, kwargs in solves]
     assert None not in starts
-    assert sum(_same_row(start, free_chain_start(args[0]))
+    # three are their column's row from the free chain, bit for bit
+    assert sum(np.array_equal(np.hstack(start), np.hstack(free_chain_start(args[0])),
+                              equal_nan=True)
                for (args, _), start in zip(solves, starts)) == 3
     # a warm start is the point's row (energy, vector, residual, margin) of
     # the step's warm_eigenpairs call; at 2 workers the forked worker's share
@@ -126,12 +128,6 @@ def test_benchmark_hooks_see_each_point_and_column(wannier, lattice_spec,
         assert wb is profiles[0][0][0] and L == 89
         assert (wb.spec, wb.t) == (wannier.spec, wannier.t)
         assert (pot.C, pot.delta_c_prime) == (C, -0.5)
-
-
-def _same_row(row, other) -> bool:
-    """Two warm rows (energy, vector, residual, margin) are equal bit for bit,
-    NaN included."""
-    return np.array_equal(np.hstack(row), np.hstack(other), equal_nan=True)
 
 
 def test_readme_library_sketch_runs(tmp_path, monkeypatch):
